@@ -60,7 +60,9 @@ def main() -> None:
         "  * comparable densities           -> MSA/Hash win\n"
         "\n`masked_spgemm(..., algorithm='auto')` applies this heuristic —\n"
         "the simplest form of the hybrid dispatch the paper leaves as\n"
-        "future work."
+        "future work — when the compiled tier cannot run the product;\n"
+        "when it can, auto picks msa-native (hash-native for wide outputs),\n"
+        "whose row loop pays no per-row interpreter cost in any regime."
     )
 
 

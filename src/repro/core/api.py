@@ -122,7 +122,7 @@ def masked_spgemm(
             )
         algorithm = plan.algorithm
     elif algorithm == "auto":
-        algorithm = registry.auto_select(A, B, mask)
+        algorithm = registry.auto_select(A, B, mask, semiring=semiring)
 
     if phases not in (1, 2):
         raise AlgorithmError(f"phases must be 1 or 2, got {phases!r}")

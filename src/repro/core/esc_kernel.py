@@ -14,8 +14,9 @@ al.'s masked matrix multiplication for emergent sparsity:
    stream stays under the flops budget, bounding peak memory) and one
    stable argsort brings duplicates together — the fused equivalent of
    ``np.lexsort((col, row))``;
-3. **compress** — ``ufunc.reduceat`` over the sorted stream merges
-   duplicates in their original Gustavson order (bit-identical sums);
+3. **compress** — a segmented reduction over the sorted stream
+   (:func:`repro.core.expand.segment_reduce`) merges duplicates in their
+   original Gustavson order (bit-identical sums);
 4. **mask** — one ``searchsorted`` of the compressed keys against the
    mask's flattened keys keeps entries in the mask (or, complemented,
    drops them) for the whole chunk at once.
@@ -28,7 +29,7 @@ On low-degree workloads (TC / k-truss rows average ~10 partial products)
 the per-row kernels are bound by Python call overhead, not memory traffic;
 ESC's cost is O(flops · log flops) flat numpy work, which wins whenever
 rows are small and plentiful. ``registry.auto_select`` routes that regime
-here.
+here when the compiled tier cannot run the product.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .expand import (
     expand_rows_pattern,
     fused_blocks,
     mask_membership,
+    segment_reduce,
 )
 from .types import RowBlock, concat_blocks, empty_block, write_rows_into
 
@@ -53,15 +55,16 @@ def _compress(keys: np.ndarray, vals: np.ndarray, add: np.ufunc
               ) -> tuple[np.ndarray, np.ndarray]:
     """Sort the product stream by composite key and merge duplicates.
 
-    The stable sort keeps equal keys in stream order, so ``reduceat``
-    accumulates each output entry's products in exactly the order a
-    sequential Gustavson loop would — float sums are bit-identical to the
-    per-row kernels and the reference tier.
+    The stable sort keeps equal keys in stream order, so
+    :func:`~repro.core.expand.segment_reduce` accumulates each output
+    entry's products in exactly the order a sequential Gustavson loop
+    would — float sums are bit-identical to the per-row kernels and the
+    reference tier.
     """
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
     starts = np.concatenate([[0], np.flatnonzero(ks[1:] != ks[:-1]) + 1])
-    return ks[starts], add.reduceat(vals[order], starts)
+    return ks[starts], segment_reduce(vals[order], starts, add)
 
 
 def _numeric_chunk(A: CSRMatrix, B: CSRMatrix, mask: Mask, semiring: Semiring,

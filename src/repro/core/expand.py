@@ -197,6 +197,26 @@ def mask_membership(mask, rows: np.ndarray, keys: np.ndarray, ncols: int
     return sorted_membership(mkeys, keys)
 
 
+def segment_reduce(vals: np.ndarray, starts: np.ndarray,
+                   add: np.ufunc) -> np.ndarray:
+    """Reduce the runs of ``vals`` that begin at ``starts`` (ascending,
+    ``starts[0] == 0``) with the monoid ``add``, strictly left to right.
+
+    ``np.add.reduceat`` is not sequential: it sums a run as
+    ``v0 + (v1 + v2 + ...)``, so a float sum of three or more partial
+    products can differ in the last bit from a Gustavson loop. Float64
+    ``+`` therefore scatters through ``np.bincount`` (the msa kernel's
+    accumulation); min, max and the boolean monoids are exact in any
+    order and keep ``reduceat``.
+    """
+    if add is not np.add or vals.dtype != np.float64:
+        return add.reduceat(vals, starts)
+    seg = np.zeros(vals.size, dtype=np.intp)
+    seg[starts[1:]] = 1
+    np.cumsum(seg, out=seg)
+    return np.bincount(seg, weights=vals, minlength=starts.size)
+
+
 def key_safe_blocks(rows: np.ndarray, ncols: int) -> list[np.ndarray]:
     """Split a chunk so ``chunk_rows * ncols`` composite keys fit in int64.
 

@@ -5,7 +5,8 @@ sorted column order* via a k-way merge, intersect that stream with the
 sorted mask, and collapse equal-column runs by accumulation. The vectorized
 tier realizes the merge with an argsort (numpy's sort plays the heap's
 role — same O(flops·log) asymptotics, same "no scatter table" memory
-profile) followed by a segmented reduction (`ufunc.reduceat`).
+profile) followed by a left-to-right segmented reduction
+(:func:`repro.core.expand.segment_reduce`).
 
 Two execution strategies share this module:
 
@@ -15,7 +16,7 @@ Python-per-row work, reusing the ESC machinery: one batched expansion
 (:func:`repro.core.expand.expand_rows`), one chunk-wide stable argsort of
 composite keys ``t * ncols + col`` (the fused k-way merge — within a row
 this is exactly the per-row column sort), one ``searchsorted`` mask
-intersection of the sorted stream, and one ``reduceat`` collapse. The
+intersection of the sorted stream, and one segmented collapse. The
 complement variant is the same path with the intersection inverted. Chunks
 are pre-split by :func:`repro.core.expand.fused_blocks` so composite keys
 fit int64 and peak memory stays bounded.
@@ -59,6 +60,7 @@ from .expand import (
     fused_blocks,
     mask_membership,
     per_row_flops,
+    segment_reduce,
 )
 from .types import RowBlock, concat_blocks, empty_block, write_rows_into
 
@@ -66,12 +68,12 @@ from .types import RowBlock, concat_blocks, empty_block, write_rows_into
 def _collapse_sorted(bj_sorted: np.ndarray, prod_sorted: np.ndarray,
                      add_ufunc: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
     """Accumulate equal-column runs of an already-sorted product stream —
-    the heap algorithm's prevKey trick as a reduceat."""
+    the heap algorithm's prevKey trick as a segmented reduction."""
     boundaries = np.empty(bj_sorted.size, dtype=bool)
     boundaries[0] = True
     np.not_equal(bj_sorted[1:], bj_sorted[:-1], out=boundaries[1:])
     starts = np.flatnonzero(boundaries)
-    return bj_sorted[starts], add_ufunc.reduceat(prod_sorted, starts)
+    return bj_sorted[starts], segment_reduce(prod_sorted, starts, add_ufunc)
 
 
 def _mask_membership_row(keys: np.ndarray, m_cols: np.ndarray) -> np.ndarray:

@@ -97,8 +97,13 @@ class SymbolicPlan:
 
 
 def build_plan(A: CSRMatrix, B: CSRMatrix, mask: Mask, *,
-               algorithm: str = "auto", phases: int = 1) -> SymbolicPlan:
+               algorithm: str = "auto", phases: int = 1,
+               semiring=None) -> SymbolicPlan:
     """Resolve the algorithm and (for two-phase) run the symbolic pass.
+
+    ``semiring`` only informs ``auto`` resolution (None means
+    ``PLUS_TIMES``): the compiled tier's op table decides whether the
+    native-first pick applies. The symbolic pass itself is pattern-only.
 
     The returned plan is valid for any (A', B', mask') whose *patterns*
     equal those of (A, B, mask) — callers are responsible for that keying;
@@ -110,7 +115,7 @@ def build_plan(A: CSRMatrix, B: CSRMatrix, mask: Mask, *,
     mask.check_output_shape(out_shape)
     algorithm = algorithm.lower()
     if algorithm == "auto":
-        algorithm = registry.auto_select(A, B, mask)
+        algorithm = registry.auto_select(A, B, mask, semiring=semiring)
     spec = registry.get_spec(algorithm)  # validates kernel name
     row_sizes = None
     if phases == 2:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..errors import AlgorithmError
+from ..semiring import PLUS_TIMES
 from . import (
     esc_kernel,
     hash_kernel,
@@ -81,7 +82,7 @@ _SPECS: dict[str, AlgorithmSpec] = {
         "heap", "Heap", "push",
         heap_kernel.numeric_rows, heap_kernel.symbolic_rows, True,
         "K-way merge with NInspect=1 mask peeking (paper §5.5), chunk-fused: "
-        "one composite-key stable sort + reduceat collapse per chunk",
+        "one composite-key stable sort + segmented collapse per chunk",
         numeric_into=heap_kernel.numeric_rows_into,
     ),
     "heapdot": AlgorithmSpec(
@@ -134,9 +135,9 @@ _SPECS["msa-native"] = AlgorithmSpec(
     "msa-native", "MSA(native)", "push",
     _native_entry("msa_numeric_rows"), msa_kernel.symbolic_rows, True,
     "Compiled (numba-JIT or cffi/C) three-state MSA accumulator loop with "
-    "nogil chunk calls; auto_select routes msa/msa-loop regimes here when "
-    "a native backend probes available, and the faces delegate to the "
-    "fused numpy kernel when it does not",
+    "nogil chunk calls; auto_select's first choice whenever the compiled "
+    "tier can run the product, and the faces delegate to the fused numpy "
+    "kernel when it cannot",
     numeric_into=_native_entry("msa_numeric_rows_into"),
     listed=False,
 )
@@ -154,9 +155,10 @@ _SPECS["hash-native"] = AlgorithmSpec(
 #: base kernel behind each native routing key (degrade ladder + display)
 NATIVE_BASE = {"msa-native": "msa", "hash-native": "hash"}
 
-#: native routing key for each base kernel auto_select may pick. msa-loop
-#: maps to msa-native too: the compiled loop *is* the per-row dense
-#: accumulator that tier exists for, minus the interpreter overhead.
+#: native routing key for each fused accumulator kernel (the thread
+#: backend's upgrade). msa-loop maps to msa-native too: the compiled loop
+#: *is* the per-row dense accumulator that tier exists for, minus the
+#: interpreter overhead.
 _NATIVE_VARIANT = {"msa": "msa-native", "hash": "hash-native",
                    "msa-loop": "msa-native"}
 
@@ -225,7 +227,10 @@ def parse_name(name: str) -> tuple[str, int]:
 
 #: Average partial products per output row below which interpreter overhead
 #: (not memory traffic) dominates the per-row kernels, so the chunk-fused
-#: ``esc`` kernel wins. Graph workloads (TC, k-truss) sit around ~10.
+#: ``esc`` kernel wins. Graph workloads (TC, k-truss) sit around ~10. Governs
+#: only the fused fallback of :func:`auto_select`: the compiled row loops
+#: have no per-row interpreter cost, so native-eligible products never
+#: consult it.
 ESC_FLOPS_CUTOFF = 64.0
 
 #: Total partial products above which the long-row mask-reuse regime
@@ -235,12 +240,33 @@ ESC_FLOPS_CUTOFF = 64.0
 #: partial products before masking, and past this much total work that
 #: intermediate outgrows cache while the loop's dense accumulator stays
 #: resident. Measured crossover on ktruss-support-rmat: s9 ≈ 64k total
-#: flops (fused msa wins), s10 ≈ 139k (loop wins); 100k splits them.
+#: flops (fused msa wins), s10 ≈ 139k (loop wins); 100k splits them. Like
+#: :data:`ESC_FLOPS_CUTOFF`, a fused-fallback rule only.
 LOOP_FLOPS_FLOOR = 100_000.0
 
+#: output width past which the dense MSA accumulator stops paying off
+#: (~32k columns) and the hash accumulator takes over
+MSA_NCOLS_CUTOFF = 1 << 15
 
-def auto_select(A, B, mask, *, plan_free: bool = False) -> str:
-    """Mask/input-density heuristic distilled from the paper's Fig. 7:
+
+def auto_select(A, B, mask, *, plan_free: bool = False,
+                semiring=None) -> str:
+    """Pick the kernel for ``mask ⊙ (A·B)`` under ``semiring`` (None means
+    ``PLUS_TIMES``, the :func:`~repro.core.api.masked_spgemm` default).
+
+    **Native first.** When the compiled tier (:mod:`repro.native`) can run
+    the product itself — a backend probed available, the semiring is in
+    its op table and the operands are float64/int64 — the pick is
+    ``msa-native``, or ``hash-native`` past :data:`MSA_NCOLS_CUTOFF` output
+    columns, for plain and complemented masks alike. The paper's Fig. 7
+    regimes assume every kernel pays the same per-row constant; the
+    compiled loops restore that: on the Fig. 7 grid
+    (``tools/check_routing.py``) msa-native wins every plain-mask cell,
+    including the mask ≪ inputs corner the pull kernel was meant for, and
+    stays within ~1.2× of hash-native on complemented ones.
+
+    **Fused fallback.** Otherwise the mask/input-density heuristic
+    distilled from Fig. 7 picks among the fused kernels:
 
     * mask much sparser than the inputs → ``inner`` (pull wins),
     * inputs much sparser than the mask → ``heap``,
@@ -252,32 +278,29 @@ def auto_select(A, B, mask, *, plan_free: bool = False) -> str:
     * comparable densities → ``msa`` on small outputs (dense arrays cheap),
       ``hash`` on large ones (MSA's cache penalty grows with ncols).
 
-    When the compiled tier (:mod:`repro.native`) probes available, the
-    ``msa`` / ``hash`` / ``msa-loop`` picks route to their ``*-native``
-    variants via :func:`native_variant` — same products bit-identically,
-    minus the numpy dispatch overhead (msa-loop folds into msa-native:
-    the compiled loop is that tier's per-row accumulator without the
-    interpreter cost).
-
     This hybrid dispatcher is the paper's "future work" hybrid in its
     simplest form.
 
     ``plan_free=True`` is the dynamic-mask regime ("Masked Matrix
     Multiplication for Emergent Sparsity"): the mask is fresh every request
-    and nothing will be cached or replayed, so the ``msa-loop`` routing tier
-    — whose payoff assumes the mask-reuse serving pattern — is skipped and
-    selection stays among the chunk-fused kernels.
+    and nothing will be cached or replayed, so the fused fallback skips the
+    ``msa-loop`` routing tier — whose payoff assumes the mask-reuse serving
+    pattern — and stays among the chunk-fused kernels.
     """
+    from ..native import kernels as native_kernels
+
+    semiring = PLUS_TIMES if semiring is None else semiring
+    if native_kernels.eligible(A, B, mask, semiring):
+        return "msa-native" if B.ncols <= MSA_NCOLS_CUTOFF else "hash-native"
     nrows = max(A.nrows, 1)
     d_a = A.nnz / nrows
     d_b = B.nnz / max(B.nrows, 1)
     d_in = min(d_a, d_b)
     flops_per_row = d_a * d_b  # expected partial products per output row
-    msa_cutoff = 1 << 15  # dense accumulator stops paying off past ~32k cols
     if mask.complemented:
         if flops_per_row <= ESC_FLOPS_CUTOFF:
             return "esc"
-        return native_variant("msa" if B.ncols <= msa_cutoff else "hash")
+        return "msa" if B.ncols <= MSA_NCOLS_CUTOFF else "hash"
     d_m = mask.nnz / max(mask.nrows, 1)
     if d_m * 4 <= d_in:
         return "inner"
@@ -287,6 +310,6 @@ def auto_select(A, B, mask, *, plan_free: bool = False) -> str:
         return "esc"
     if (not plan_free and d_m * 2 >= d_in
             and nrows * flops_per_row >= LOOP_FLOPS_FLOOR
-            and B.ncols <= msa_cutoff):
-        return native_variant("msa-loop")
-    return native_variant("msa" if B.ncols <= msa_cutoff else "hash")
+            and B.ncols <= MSA_NCOLS_CUTOFF):
+        return "msa-loop"
+    return "msa" if B.ncols <= MSA_NCOLS_CUTOFF else "hash"

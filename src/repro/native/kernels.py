@@ -93,6 +93,15 @@ def _compilable(A, B, mask) -> bool:
         A.data.dtype == np.float64 and B.data.dtype == np.float64
 
 
+def eligible(A, B, mask, semiring) -> bool:
+    """True when the compiled tier runs this product itself rather than
+    delegating: a backend resolved, the semiring is in the op table and
+    the operands are float64/int64 (the native-first rule of
+    :func:`repro.core.registry.auto_select`)."""
+    return (_backend() is not None and supported(semiring)
+            and _compilable(A, B, mask))
+
+
 def _c(arr):
     return np.ascontiguousarray(arr)
 

@@ -973,7 +973,8 @@ class Engine:
         return ctx
 
     def _build_plan_cold(self, A, B, mask, algorithm, phases,
-                         request, deadline=None) -> SymbolicPlan:
+                         request, deadline=None,
+                         semiring=None) -> SymbolicPlan:
         """Cold plan build — the one place symbolic work happens.
 
         With a multi-worker shard pool and a store-keyed two-phase request,
@@ -991,7 +992,8 @@ class Engine:
 
             resolved = algorithm.lower()
             if resolved == "auto":
-                resolved = kernel_registry.auto_select(A, B, mask)
+                resolved = kernel_registry.auto_select(A, B, mask,
+                                                       semiring=semiring)
             kernel_registry.get_spec(resolved)  # invalid names fail loudly
             try:
                 row_sizes = self.shards.symbolic(
@@ -1019,7 +1021,8 @@ class Engine:
                         self._heal_shards()
                 self._note_degrade("shard", "inprocess",
                                    error=type(exc).__name__)
-        return build_plan(A, B, mask, algorithm=algorithm, phases=phases)
+        return build_plan(A, B, mask, algorithm=algorithm, phases=phases,
+                          semiring=semiring)
 
     # ------------------------------------------------------------------ #
     # the numeric tier ladder: shards → in-process fused → loop kernels
@@ -1220,15 +1223,15 @@ class Engine:
             stats.algorithm = algorithm.lower()
             stats.planned = False
         elif plan_free:
-            # plan-free route: resolve the kernel per request (fused-only
-            # auto_select) and bypass the plan cache in both directions —
+            # plan-free route: resolve the kernel per request (auto_select
+            # without the msa-loop tier) and bypass the plan cache in both directions —
             # no lookup, and no pollution of the LRU with a key that can
             # never hit again. Counted as the "unplanned" serving tier.
             t0 = time.perf_counter()
             resolved = algorithm.lower()
             if resolved == "auto":
-                resolved = kernel_registry.auto_select(A, B, mask,
-                                                       plan_free=True)
+                resolved = kernel_registry.auto_select(
+                    A, B, mask, plan_free=True, semiring=semiring)
             kernel_registry.get_spec(resolved)  # invalid names fail loudly
             stats.plan_seconds = time.perf_counter() - t0
             stats.algorithm = resolved
@@ -1247,7 +1250,8 @@ class Engine:
                 with span("symbolic.cold", algorithm=algorithm,
                           phases=phases):
                     plan = self._build_plan_cold(A, B, mask, algorithm,
-                                                 phases, request, deadline)
+                                                 phases, request, deadline,
+                                                 semiring=semiring)
                 stats.plan_seconds = time.perf_counter() - t0
                 with self._lock:
                     self.plans.put(key, plan)

@@ -55,9 +55,10 @@ class Request:
         The dynamic-mask no-reuse route: this request's mask is fresh and
         will never repeat, so the engine bypasses the plan cache entirely
         (no lookup, no pollution of the LRU with a never-again key) and
-        ``auto`` resolves via ``auto_select(plan_free=True)`` — among the
-        chunk-fused kernels only. Counted in the ``unplanned`` serving
-        tier.
+        ``auto`` resolves via ``auto_select(plan_free=True)`` — the
+        compiled kernel when it can run the product, else the chunk-fused
+        kernels only (no ``msa-loop``). Counted in the ``unplanned``
+        serving tier.
     """
 
     a: str

@@ -512,7 +512,7 @@ def shard_masked_spgemm(
             )
         algorithm = plan.algorithm
     elif algorithm == "auto":
-        algorithm = registry.auto_select(A, B, mask)
+        algorithm = registry.auto_select(A, B, mask, semiring=semiring)
 
     degrade = (phases != 2
                or not ShardCoordinator.eligible(algorithm, semiring)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import native
 from repro.mask import Mask
 from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES
 from repro.sparse import csr_random
@@ -20,6 +21,35 @@ from repro.sparse.csr import CSRMatrix
 @pytest.fixture
 def rng():
     return np.random.default_rng(20220402)  # PPoPP'22 dates, why not
+
+
+needs_native = pytest.mark.skipif(
+    not native.native_available(),
+    reason="no compiled backend (numba, or cffi + a C compiler) on this "
+           "machine — the fallback contract has its own always-on tests")
+
+
+@pytest.fixture
+def native_mode(monkeypatch):
+    """Flip ``REPRO_NATIVE`` and re-probe; restores the real probe after."""
+    def set_mode(mode):
+        monkeypatch.setenv("REPRO_NATIVE", mode)
+        native._reset_probe()
+
+    yield set_mode
+    monkeypatch.undo()
+    native._reset_probe()
+
+
+def fused_table_pick(A, B, mask, **kwargs) -> str:
+    """What ``auto_select`` picks for these operands when the compiled tier
+    cannot run them — the fused fallback table."""
+    from unittest import mock
+
+    from repro.core.registry import auto_select
+
+    with mock.patch("repro.native.kernels.eligible", return_value=False):
+        return auto_select(A, B, mask, **kwargs)
 
 
 def make_triple(rng, m=30, k=25, n=35, da=0.12, db=0.12, dm=0.2,

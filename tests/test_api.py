@@ -4,7 +4,7 @@ baselines, plain spgemm."""
 import numpy as np
 import pytest
 
-from conftest import make_triple
+from conftest import fused_table_pick, make_triple, needs_native
 from repro.core import (
     algorithm_info,
     available_algorithms,
@@ -16,7 +16,7 @@ from repro.core.registry import BASELINE_KEYS, auto_select, get_spec, parse_name
 from repro.errors import AlgorithmError
 from repro.mask import Mask
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
-from repro.sparse import csr_random
+from repro.sparse import CSRMatrix, csr_random
 
 
 def test_mask_argument_flexibility(rng):
@@ -98,28 +98,74 @@ def test_algorithm_info():
     assert "mask rank" in spec.description.lower() or "Mask" in spec.description
 
 
-def test_auto_select_follows_density_heuristic(rng):
+def test_auto_select_follows_density_heuristic(rng, native_mode):
+    """Native first: every product the compiled tier can run goes to
+    msa-native; the paper's Fig. 7 density table governs only the fused
+    fallback (``REPRO_NATIVE=off``), where it must give exactly the
+    classic picks."""
     n = 128
     A = csr_random(n, n, density=16 / n, rng=rng)
     B = csr_random(n, n, density=16 / n, rng=rng)
     sparse_mask = Mask.from_matrix(csr_random(n, n, density=1 / n, rng=rng))
     dense_mask = Mask.from_matrix(csr_random(n, n, density=100 / n, rng=rng))
     comparable = Mask.from_matrix(csr_random(n, n, density=16 / n, rng=rng))
-    from repro.native import native_available
-
-    # with a compiled backend present, auto routes the accumulator kernels
-    # to their bit-identical native variants (strict either way: the tier
-    # must engage exactly when the probe passes)
-    native = native_available()
-    assert auto_select(A, B, sparse_mask) == "inner"
-    assert auto_select(A, B, dense_mask) == "heap"
-    assert auto_select(A, B, comparable) == (  # small n
-        "msa-native" if native else "msa")
     compl = Mask.from_matrix(csr_random(n, n, density=0.1, rng=rng),
                              complemented=True)
-    expected_compl = (("msa-native", "hash-native") if native
-                      else ("msa", "hash"))
-    assert auto_select(A, B, compl) in expected_compl
+    fused = {"sparse": (sparse_mask, "inner"), "dense": (dense_mask, "heap"),
+             "comparable": (comparable, "msa"),  # small n
+             "complemented": (compl, "msa")}
+    from repro.native import native_available
+
+    native = native_available()
+    for name, (mask, pick) in fused.items():
+        want = "msa-native" if native else pick
+        assert auto_select(A, B, mask) == want, name
+    native_mode("off")
+    for name, (mask, pick) in fused.items():
+        assert auto_select(A, B, mask) == pick, name
+
+
+@needs_native
+def test_auto_select_unsupported_semiring_keeps_fused_pick(rng):
+    from repro.semiring import Monoid, Semiring
+
+    custom = Semiring(Monoid(np.add, 0.0, "custom_add"), lambda a, b: a * b,
+                      "custom_times", mul_scalar=lambda a, b: a * b)
+    n = 128
+    A = csr_random(n, n, density=16 / n, rng=rng)
+    mask = Mask.from_matrix(csr_random(n, n, density=16 / n, rng=rng))
+    assert auto_select(A, A, mask) == "msa-native"
+    assert auto_select(A, A, mask, semiring=custom) == "msa"
+    assert fused_table_pick(A, A, mask) == "msa"
+    # the resolved kernel is what masked_spgemm runs, plan_sink records it
+    sink = []
+    masked_spgemm(A, A, mask, semiring=custom, phases=2, plan_sink=sink)
+    assert sink[0].algorithm == "msa"
+
+
+@needs_native
+def test_auto_select_float32_values_keep_fused_pick(rng):
+    n = 512
+    A = csr_random(n, n, density=4 / n, rng=rng)   # short rows → esc
+    A32 = CSRMatrix(A.indptr, A.indices, A.data.astype(np.float32), A.shape)
+    assert A32.data.dtype == np.float32
+    mask = Mask.from_matrix(csr_random(n, n, density=4 / n, rng=rng))
+    assert auto_select(A, A, mask) == "msa-native"
+    assert auto_select(A32, A32, mask) == "esc"
+    assert fused_table_pick(A32, A32, mask) == "esc"
+
+
+@needs_native
+def test_auto_select_wide_output_routes_to_hash_native(rng):
+    wide = (1 << 15) + 1
+    A = csr_random(64, 64, density=0.1, rng=rng)
+    B = csr_random(64, wide, density=16 / wide, rng=rng)
+    mask = Mask.from_matrix(csr_random(64, wide, density=8 / wide, rng=rng))
+    assert auto_select(A, B, mask) == "hash-native"
+    assert fused_table_pick(A, B, mask) == "hash"
+    compl = Mask.from_matrix(mask.to_matrix(), complemented=True)
+    assert auto_select(A, B, compl) == "hash-native"
+    assert fused_table_pick(A, B, compl) == "hash"
 
 
 def test_auto_runs_end_to_end(rng):

@@ -243,20 +243,42 @@ def test_key_safe_blocks_guard():
     assert max(b.size for b in blocks) <= 3
 
 
-def test_auto_select_routes_short_rows_to_esc(rng):
+def test_auto_select_routes_short_rows_to_esc(rng, native_mode):
     """Low-degree (graph-like) inputs with comparable mask density hit the
-    chunk-fused regime."""
+    chunk-fused regime of the fused fallback; with the compiled tier live
+    every one of these products goes to msa-native instead."""
+    from repro.native import native_available
+
     n = 512
     A = csr_random(n, n, density=4 / n, rng=rng)   # ~4 nnz/row
     M = csr_random(n, n, density=4 / n, rng=rng)
-    assert auto_select(A, A, Mask.from_matrix(M)) == "esc"
-    assert auto_select(A, A, Mask.from_matrix(M, complemented=True)) == "esc"
-    # dense rows must keep the classic accumulators (routed to their
-    # compiled variants when the native probe passes)
-    from repro.native import native_available
-
     D = csr_random(64, 64, density=0.5, rng=rng)   # ~32 nnz/row → 1024 flops
     DM = csr_random(64, 64, density=0.5, rng=rng)
-    expected = (("msa-native", "hash-native") if native_available()
-                else ("msa", "hash"))
-    assert auto_select(D, D, Mask.from_matrix(DM)) in expected
+    cases = [((A, A, Mask.from_matrix(M)), "esc"),
+             ((A, A, Mask.from_matrix(M, complemented=True)), "esc"),
+             # dense rows keep the classic accumulator
+             ((D, D, Mask.from_matrix(DM)), "msa")]
+    native = native_available()
+    for operands, pick in cases:
+        assert auto_select(*operands) == ("msa-native" if native else pick)
+    native_mode("off")
+    for operands, pick in cases:
+        assert auto_select(*operands) == pick
+
+
+@pytest.mark.parametrize("alg", ["esc", "heap"])
+def test_sort_based_kernels_sum_left_to_right(alg):
+    """Three partial products whose float sum depends on the order:
+    (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3). The sort-based kernels must
+    accumulate in Gustavson order like msa and the reference tier."""
+    A = CSRMatrix(np.array([0, 3]), np.array([0, 1, 2]),
+                  np.array([0.1, 0.2, 0.3]), (1, 3))
+    B = CSRMatrix(np.array([0, 1, 2, 3]), np.array([0, 0, 0]),
+                  np.ones(3), (3, 1))
+    mask = Mask.from_matrix(CSRMatrix(np.array([0, 1]), np.array([0]),
+                                      np.ones(1), (1, 1)))
+    want = reference_masked_spgemm(A, B, mask, algorithm="msa")
+    assert want.data[0] == (0.1 + 0.2) + 0.3
+    for phases in (1, 2):
+        got = masked_spgemm(A, B, mask, algorithm=alg, phases=phases)
+        assert got.data.tobytes() == want.data.tobytes()

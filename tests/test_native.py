@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_bit_identical, make_triple
+from conftest import (assert_bit_identical, fused_table_pick, make_triple,
+                      needs_native)
 from repro import native
 from repro.core import masked_spgemm
 from repro.core.reference import reference_masked_spgemm
@@ -41,11 +42,6 @@ from repro.semiring.standard import _REGISTRY as SEMIRINGS
 from repro.service import Engine, Request
 from repro.sparse import CSRMatrix, csr_random
 
-needs_native = pytest.mark.skipif(
-    not native_available(),
-    reason="no compiled backend (numba, or cffi + a C compiler) on this "
-           "machine — the fallback contract has its own always-on tests")
-
 NATIVE_KEYS = ["msa-native", "hash-native"]
 
 
@@ -53,18 +49,6 @@ def _families(engine):
     from repro.obs import parse_exposition
 
     return parse_exposition(engine.metrics.render())
-
-
-@pytest.fixture
-def native_mode(monkeypatch):
-    """Flip ``REPRO_NATIVE`` and re-probe; restores the real probe after."""
-    def set_mode(mode):
-        monkeypatch.setenv("REPRO_NATIVE", mode)
-        native._reset_probe()
-
-    yield set_mode
-    monkeypatch.undo()
-    native._reset_probe()
 
 
 # --------------------------------------------------------------------- #
@@ -192,6 +176,59 @@ def test_auto_select_routes_to_native(rng):
     assert native_variant("hash") == "hash-native"
     assert native_variant("msa-loop") == "msa-native"
     assert native_variant("esc") == "esc"  # unmapped kernels pass through
+
+
+#: (regime the fused table picks for the plain mask, m, k, n, input
+#: degree, mask degree) — one cell per kernel native-first auto replaced
+_ROUTING_GRID = [
+    ("esc", 96, 96, 96, 4, 4),          # short rows
+    ("heap", 64, 64, 64, 2, 24),        # inputs ≪ mask
+    ("inner", 64, 64, 64, 16, 2),       # mask ≪ inputs
+    ("msa-loop", 128, 128, 128, 32, 32),  # long rows, mask reuse
+]
+_ROUTING_SEMIRINGS = ["plus_times", "plus_pair", "plus_first", "min_plus"]
+
+
+@needs_native
+@pytest.mark.parametrize("regime,m,k,n,deg,mdeg", _ROUTING_GRID)
+def test_native_first_auto_matches_reference(rng, regime, m, k, n, deg,
+                                             mdeg):
+    """Differential check of native-first routing: in every regime the
+    fused table used to send to esc/heap/inner/msa-loop, ``auto`` now runs
+    msa-native and stays bit-identical to the pure-Python reference —
+    plain and complemented masks, four semirings, one- and two-phase, and
+    a warm-plan replay through the engine."""
+    A = csr_random(m, k, density=deg / k, rng=rng, values="uniform")
+    B = csr_random(k, n, density=deg / n, rng=rng, values="uniform")
+    M = csr_random(m, n, density=mdeg / n, rng=rng)
+    assert fused_table_pick(A, B, Mask.from_matrix(M)) == regime
+    eng = Engine()
+    eng.register("A", A)
+    eng.register("B", B)
+    eng.register("M", M)
+    try:
+        for complemented in (False, True):
+            mask = Mask.from_matrix(M, complemented=complemented)
+            assert auto_select(A, B, mask) == "msa-native"
+            for name in _ROUTING_SEMIRINGS:
+                semiring = SEMIRINGS[name]
+                want = reference_masked_spgemm(A, B, mask, algorithm="msa",
+                                               semiring=semiring)
+                where = f"{regime} compl={complemented} {name}"
+                for phases in (1, 2):
+                    got = masked_spgemm(A, B, mask, algorithm="auto",
+                                        semiring=semiring, phases=phases)
+                    assert_bit_identical(got, want, f"{where} {phases}P")
+                req = Request(a="A", b="B", mask="M", algorithm="auto",
+                              phases=2, semiring=name,
+                              complemented=complemented)
+                cold, warm = eng.submit(req), eng.submit(req)
+                assert not cold.stats.plan_cache_hit
+                assert warm.stats.plan_cache_hit
+                assert warm.stats.algorithm == "msa-native"
+                assert_bit_identical(warm.result, want, f"{where} engine")
+    finally:
+        eng.close()
 
 
 def test_native_tiers_not_publicly_listed():
