@@ -11,11 +11,17 @@ subsystem turns the pruning into what it actually is, an edge-delete batch:
   iteration planned from scratch on its new pattern;
 * ``delta-serve`` — :func:`repro.algorithms.ktruss.ktruss_delta`: the
   support matrix registered once, each iteration's pruned edges applied as
-  a delete-only :class:`~repro.delta.DeltaBatch`. The engine splices the
-  cached plan (symbolic re-run over only the dirty rows — each pruned
-  edge's mask-admitted common-neighbor set) and *patches* the cached
-  product (numeric re-run over the same dirty rows), so iteration ``i+1``
-  serves from the result tier.
+  a delete-only :class:`~repro.delta.DeltaBatch`. The engine makes one
+  pass over the dirty rows (each pruned edge's rows plus its
+  mask-admitted common-neighbor set): it *patches* the cached product by
+  re-running the numeric kernel over those rows, and splices the patch's
+  row sizes into the cached plan, so no symbolic pass runs and iteration
+  ``i+1`` serves from the result tier.
+
+Both modes use ``algorithm="auto"`` (the ``ktruss``/``ktruss_delta``
+default), so with a compiled backend both run ``msa-native`` and the
+speedup isolates what the delta path saves: per-iteration auto-select,
+the full symbolic pass and the full numeric pass.
 
 Both runs are checked **bit-identical** (subgraph and iteration count)
 before any timing is recorded. ``main()`` appends one ``delta`` run to

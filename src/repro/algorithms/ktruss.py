@@ -58,7 +58,7 @@ class KTrussResult:
         return sum(self.plan_hits_per_iteration)
 
 
-def ktruss(g: CSRMatrix, k: int, *, algorithm: str = "msa", phases: int = 1,
+def ktruss(g: CSRMatrix, k: int, *, algorithm: str = "auto", phases: int = 1,
            executor=None, prepared: bool = False, max_iterations: int = 1000,
            engine=None) -> KTrussResult:
     """Compute the k-truss of an undirected graph.
@@ -68,7 +68,11 @@ def ktruss(g: CSRMatrix, k: int, *, algorithm: str = "msa", phases: int = 1,
     g : adjacency pattern (symmetrized/cleaned unless ``prepared=True``).
     k : truss order (k ≥ 2; the paper benchmarks k=5). k=2 returns the
         input (every edge is trivially in 0 ≥ 0 triangles).
-    algorithm, phases, executor : forwarded to every masked product.
+    algorithm, phases, executor : forwarded to every masked product. The
+        default ``"auto"`` routes the PLUS_PAIR support product to the
+        compiled ``msa-native`` kernel when a native backend is available
+        (the fused density table otherwise, e.g. under
+        ``REPRO_NATIVE=off``); every kernel gives the same subgraph.
     engine : optional :class:`repro.service.Engine` whose plan cache is
         shared across calls (repeated queries on the same graph reuse every
         iteration's plan). A private engine is created when omitted; when an
@@ -118,7 +122,7 @@ def _edge_coords(m: CSRMatrix):
     return np.column_stack((rows, m.indices))
 
 
-def ktruss_delta(g: CSRMatrix, k: int, *, algorithm: str = "msa",
+def ktruss_delta(g: CSRMatrix, k: int, *, algorithm: str = "auto",
                  phases: int = 2, prepared: bool = False,
                  max_iterations: int = 1000, engine=None,
                  store_key: str = "ktruss:C") -> KTrussResult:
@@ -127,17 +131,24 @@ def ktruss_delta(g: CSRMatrix, k: int, *, algorithm: str = "msa",
     Same fixpoint as :func:`ktruss`, different economics: the support matrix
     is *registered once* under ``store_key`` and each iteration's pruned
     edges are applied as a delete-only :class:`~repro.delta.DeltaBatch`.
-    :meth:`Engine.apply_delta` then splices the previous iteration's cached
-    :class:`~repro.core.plan.SymbolicPlan` onto the new fingerprint — the
-    symbolic pass re-runs only over rows whose edges changed (each pruned
-    edge's mask-admitted common-neighbor set, not the full neighborhood) —
-    and, when the engine carries a result cache, *patches* the previous
-    product by recomputing only those dirty output rows, so iteration
-    ``i+1`` serves from the result tier instead of re-running the numeric
-    pass. Output is bit-identical to :func:`ktruss` on the same inputs;
-    two-phase execution is the default because that is where spliced plans
-    pay. The private engine (when none is passed) enables a result cache
-    for exactly this reason.
+    :meth:`Engine.apply_delta` then makes one pass over the dirty output
+    rows (rows whose edges changed, plus each pruned edge's mask-admitted
+    common-neighbor set, not the full neighborhood). When the engine
+    carries a result cache, that pass *patches* the previous product by
+    recomputing only the dirty rows, and the patch's row sizes are spliced
+    into the previous iteration's cached
+    :class:`~repro.core.plan.SymbolicPlan` under the new fingerprint, so
+    no symbolic pass runs and iteration ``i+1`` serves from the result
+    tier. Without a result cache the symbolic pass re-runs over the dirty
+    rows instead. Output is bit-identical to :func:`ktruss` on the same
+    inputs; two-phase execution is the default because that is where
+    spliced plans pay. The private engine (when none is passed) enables a
+    result cache for exactly this reason.
+
+    ``algorithm`` defaults to ``"auto"``: the support product and every
+    dirty-row patch then run on the compiled ``msa-native`` kernel when a
+    native backend is available, and on the fused density table's pick
+    otherwise (e.g. under ``REPRO_NATIVE=off``).
     """
     if k < 2:
         raise ValueError(f"k-truss needs k >= 2, got {k}")

@@ -126,19 +126,29 @@ def build_plan(A: CSRMatrix, B: CSRMatrix, mask: Mask, *,
 
 
 def splice_plan(plan: SymbolicPlan, A: CSRMatrix, B: CSRMatrix, mask: Mask,
-                dirty_rows: np.ndarray) -> SymbolicPlan:
+                dirty_rows: np.ndarray,
+                sizes: np.ndarray | None = None) -> SymbolicPlan:
     """Incrementally revalidate a plan after an operand-pattern delta.
 
     ``dirty_rows`` is the exact set of output rows whose symbolic sizes may
     have changed (sorted unique; the delta machinery computes it — see
-    :meth:`repro.service.Engine.apply_delta`). The symbolic pass re-runs
-    over *only those rows* against the post-delta operands, and the fresh
-    sizes are spliced into a copy of the plan's row-size array — a k-truss
-    iteration that drops 2% of edges re-plans 2% of rows instead of all of
-    them. The plan's resolved algorithm is kept as-is: every registered
-    kernel computes the same masked product, so replaying the original
-    resolution stays bit-identical even where the density heuristic would
-    now pick differently.
+    :meth:`repro.service.Engine.apply_delta`). Fresh sizes for *only those
+    rows*, against the post-delta operands, are spliced into a copy of the
+    plan's row-size array — a k-truss iteration that drops 2% of edges
+    re-plans 2% of rows instead of all of them. The plan's resolved
+    algorithm is kept as-is: every registered kernel computes the same
+    masked product, so replaying the original resolution stays
+    bit-identical even where the density heuristic would now pick
+    differently.
+
+    The fresh sizes come from one of two places. By default the plan's
+    kernel runs its symbolic pass over the dirty rows. When ``sizes`` is
+    given, it holds the dirty rows' output sizes from a numeric pass the
+    caller already ran over exactly ``dirty_rows`` with the plan's kernel
+    (the delta path's result patch). By the direct-write contract a
+    kernel's numeric row sizes *are* its symbolic sizes, so they are
+    spliced in as they are and no symbolic pass runs. A later direct-write
+    replay still checks them against the offsets the kernel computes.
 
     An empty dirty set returns ``plan`` itself (object identity — nothing
     ran); one-phase plans carry no symbolic state, so only their algorithm
@@ -155,8 +165,13 @@ def splice_plan(plan: SymbolicPlan, A: CSRMatrix, B: CSRMatrix, mask: Mask,
     if dirty.min() < 0 or dirty.max() >= plan.shape[0]:
         raise AlgorithmError(
             f"dirty rows out of range for plan shape {plan.shape}")
-    spec = registry.get_spec(plan.algorithm)
-    fresh = spec.symbolic(A, B, mask, dirty)
+    if sizes is None:
+        fresh = registry.get_spec(plan.algorithm).symbolic(A, B, mask, dirty)
+    else:
+        fresh = np.asarray(sizes)
+        if fresh.shape != dirty.shape:
+            raise AlgorithmError(
+                f"{fresh.size} spliced row sizes for {dirty.size} dirty rows")
     row_sizes = plan.row_sizes.copy()
     row_sizes[dirty] = fresh
     return SymbolicPlan(algorithm=plan.algorithm, phases=plan.phases,

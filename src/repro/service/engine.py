@@ -557,11 +557,18 @@ class Engine:
         * **pattern** batches: the exact dirty row set comes back from
           :meth:`DeltaBatch.apply`; every cached plan whose key names the
           old fingerprint is re-keyed onto the new one via
-          :func:`~repro.core.plan.splice_plan` — the symbolic pass re-runs
-          over only the dirty rows (for the B-operand slot, over the rows
-          *reading* the dirty rows) — and the shard planner's memoized
+          :func:`~repro.core.plan.splice_plan`, touching only the dirty
+          output rows (for the B-operand slot, the rows whose mask admits
+          a changed B entry they read), and the shard planner's memoized
           partition is re-derived for the new key without a fresh balance
-          pass;
+          pass. This is **one pass** over the dirty rows: when the plan's
+          pre-delta product is resident in the result cache, the plan's
+          kernel recomputes the dirty rows, the block is spliced into the
+          cached product, and the block's row sizes become the spliced
+          plan's sizes. The symbolic pass runs over the dirty rows only
+          where nothing is patched: no result cache, a non-resident
+          result, or a ``mixed`` batch (whose value updates touch rows
+          outside the dirty set, so its results are invalidated instead);
         * in both cases, result-cache entries that read the old content are
           invalidated by fingerprint scan, and the entry's version bump
           arms the writeback guard against in-flight requests.
@@ -596,21 +603,22 @@ class Engine:
                           if outcome.pattern_changed else old_pattern_fp)
         new_value_fp = value_fingerprint(new.data)
         splices: list[tuple] = []
-        skipped = 0
-        vfp_map: dict = {}
-        if outcome.pattern_changed and new_pattern_fp != old_pattern_fp:
-            splices, skipped, vfp_map = self._splice_plans(
-                old_pattern_fp, new_pattern_fp, new, outcome.dirty_rows,
-                outcome.changed_keys)
         patches: list[tuple] = []
-        if self.results is not None and splices and outcome.kind == "pattern":
-            patches = self._patch_results(splices, vfp_map, old_pattern_fp,
-                                          old_value_fp, new_value_fp)
+        skipped = 0
+        if outcome.pattern_changed and new_pattern_fp != old_pattern_fp:
+            # only a pure-pattern batch can patch cached results: a mixed
+            # batch's value updates touch rows outside the dirty set
+            patch_values = ((old_value_fp, new_value_fp)
+                            if self.results is not None
+                            and outcome.kind == "pattern" else None)
+            splices, patches, skipped = self._splice_plans(
+                old_pattern_fp, new_pattern_fp, new, outcome.dirty_rows,
+                outcome.changed_keys, patch_values)
         invalidated = 0
         with self._lock:
             self.store.swap(key, new, fingerprint=new_pattern_fp,
                             value_fingerprint=new_value_fp)
-            for _, new_key, plan, *_rest in splices:
+            for _, new_key, plan in splices:
                 self.plans.put(new_key, plan)
             if self.results is not None:
                 stale_fps = {old_value_fp}
@@ -632,7 +640,7 @@ class Engine:
                 self.shard_degraded = True
             # dirty-range shard re-planning: carry each spliced plan's row
             # boundaries to its new key (nnz offsets recomputed inside)
-            for old_key, new_key, plan, *_rest in splices:
+            for old_key, new_key, plan in splices:
                 self.shards.planner.resplit(old_key, new_key, plan)
         dirty = int(outcome.dirty_rows.size)
         frac = dirty / max(value.nrows, 1)
@@ -655,32 +663,48 @@ class Engine:
                             seconds=time.perf_counter() - t_start)
 
     def _splice_plans(self, old_fp: str, new_fp: str, new: CSRMatrix,
-                      dirty_rows, changed_keys) -> tuple[list, int, dict]:
-        """Re-key every cached plan naming ``old_fp`` onto ``new_fp`` by
-        splicing the dirty rows (see :func:`splice_plan`). Old-key entries
-        are left in place: the old pattern may still exist under another
-        store key, and content-addressed keys make stale entries harmless
-        (they age out of the LRU). Returns ``(splices, skipped, vfp_map)``
-        where each splice is ``(old_key, new_key, plan, dirty, A, B, mask)``
-        — the extra fields feed :meth:`_patch_results` — and ``vfp_map``
-        maps pattern fingerprint → value fingerprint of the store entry the
-        operand resolution picked (consistent with the resolved values, so
-        result-cache lookups built from it name the same content)."""
+                      dirty_rows, changed_keys,
+                      patch_values: tuple[str, str] | None
+                      ) -> tuple[list, list, int]:
+        """Re-key every cached plan naming ``old_fp`` onto ``new_fp`` in one
+        pass over each plan's dirty output rows.
+
+        Per plan: the dirty output rows are derived from the delta, then
+
+        * when ``patch_values`` (the mutated matrix's old and new value
+          fingerprints) is given and the plan's pre-delta product is
+          resident in the result cache, the dirty rows are recomputed with
+          the plan's kernel and spliced into the cached product (see
+          :meth:`_patch_result`); that block's row sizes are also the
+          spliced plan's new sizes, so no symbolic pass runs;
+        * otherwise :func:`splice_plan` runs the symbolic pass over only
+          the dirty rows.
+
+        The ``delta.splice`` span records which one ran
+        (``sizes="patch"`` / ``sizes="symbolic"``). Old-key entries are
+        left in place: the old pattern may still exist under another store
+        key, and content-addressed keys make stale entries harmless (they
+        age out of the LRU). Returns ``(splices, patches, skipped)``: each
+        splice is ``(old_key, new_key, plan)`` and each patch
+        ``(result_key, matrix, algorithm)``."""
         with self._lock:
             plan_items = self.plans.items()
             store_items = self.store.entries()
         # fingerprint → current value map for resolving the *other* operand
         # slots of affected plans (fingerprints are memoized on entries;
-        # first-touch hashing here is idempotent, same as submit())
+        # first-touch hashing here is idempotent, same as submit()); the
+        # value-fingerprint map is consistent with the resolved values, so
+        # result-cache lookups built from it name the same content
         fp_map: dict[str, CSRMatrix | Mask] = {}
         vfp_map: dict[str, str] = {}
         for _, e in store_items:
             if e.fingerprint not in fp_map:
                 fp_map[e.fingerprint] = e.value
-                if self.results is not None:
+                if patch_values is not None:
                     vfp_map[e.fingerprint] = e.value_fingerprint
         fp_map[new_fp] = new
         splices: list[tuple] = []
+        patches: list[tuple] = []
         skipped = 0
         for pkey, plan in plan_items:
             a_fp, b_fp, m_fp = pkey[0], pkey[1], pkey[2]
@@ -700,9 +724,11 @@ class Engine:
             if complemented:
                 mask = mask.complement()
             parts = []
+            direct = None
             if a_fp == old_fp or m_fp == old_fp:
                 # left-operand / mask rows map 1:1 onto output rows
-                parts.append(np.asarray(dirty_rows, dtype=INDEX_DTYPE))
+                direct = np.asarray(dirty_rows, dtype=INDEX_DTYPE)
+                parts.append(direct)
             if b_fp == old_fp:
                 if complemented:
                     # conservative: any output row reading a dirty B row
@@ -714,74 +740,84 @@ class Engine:
                     # affects output row i only when A[i, j] is stored AND
                     # the mask admits c in row i — for self-products this is
                     # each changed edge's common-neighbor set, not the whole
-                    # neighborhood
+                    # neighborhood; rows already dirty 1:1 are not expanded
                     parts.append(rows_affected_through(
                         A, mask.indptr, mask.indices, changed_keys,
-                        new.ncols))
+                        new.ncols, skip=direct))
             dirty = (np.unique(np.concatenate(parts)) if parts
                      else np.empty(0, dtype=INDEX_DTYPE))
+            patch, sizes = (
+                self._patch_result(pkey, new_key, plan.algorithm, dirty, A,
+                                   B, mask, old_fp, vfp_map, patch_values)
+                if patch_values is not None else (None, None))
             try:
                 with span("delta.splice", rows=int(dirty.size),
-                          algorithm=plan.algorithm):
-                    spliced = splice_plan(plan, A, B, mask, dirty)
+                          algorithm=plan.algorithm,
+                          sizes="symbolic" if patch is None else "patch"):
+                    spliced = splice_plan(plan, A, B, mask, dirty, sizes)
             except (AlgorithmError, ShapeError):
                 # shape drift (an operand re-registered at another shape
                 # shares no fingerprints, but stay defensive): drop, a cold
                 # build will serve the new key
                 skipped += 1
                 continue
-            splices.append((pkey, new_key, spliced, dirty, A, B, mask))
-        return splices, skipped, vfp_map
+            splices.append((pkey, new_key, spliced))
+            if patch is not None:
+                patches.append(patch)
+        return splices, patches, skipped
 
-    def _patch_results(self, splices: list, vfp_map: dict, old_fp: str,
-                       old_value_fp: str, new_value_fp: str) -> list:
-        """Carry cached numeric results across a pure-pattern delta.
+    def _patch_result(self, pkey: tuple, new_key: tuple, algorithm: str,
+                      dirty: np.ndarray, A: CSRMatrix, B: CSRMatrix,
+                      mask: Mask, old_fp: str, vfp_map: dict,
+                      patch_values: tuple[str, str]) -> tuple:
+        """Carry one cached numeric result across a pure-pattern delta.
 
-        For each spliced plan whose pre-delta product is resident in the
-        result cache, recompute *only the dirty output rows* with the plan's
-        kernel and splice them into the cached matrix
+        When the plan's pre-delta product is resident in the result cache,
+        recompute *only the dirty output rows* with the plan's kernel and
+        splice them into the cached matrix
         (:func:`~repro.sparse.ops.splice_result_rows`) — the first
         post-delta request then serves from the result tier instead of
-        re-running the full numeric pass. Sound because the splice dirty set
+        re-running the full numeric pass. Sound because the dirty set
         covers every output row whose pattern **or values** can differ: the
         1:1 slots map changed rows directly, and the B-side candidate test
         admits exactly the (row, col) cells a changed B entry can reach
-        through the mask. Only called for ``kind == "pattern"`` batches —
-        a mixed batch's value updates touch rows outside the dirty set.
+        through the mask. Returns ``(patch, sizes)``: ``patch`` is
+        ``(result_key, matrix, algorithm)`` and ``sizes`` the dirty rows'
+        new output sizes (None for an empty dirty set); both are None when
+        nothing is resident or the kernel refused.
         """
-        patches = []
-        for pkey, new_key, plan, dirty, A, B, mask in splices:
-            old_a_vfp = (old_value_fp if pkey[0] == old_fp
-                         else vfp_map.get(pkey[0]))
-            old_b_vfp = (old_value_fp if pkey[1] == old_fp
-                         else vfp_map.get(pkey[1]))
-            if old_a_vfp is None or old_b_vfp is None:
-                continue
-            old_rkey = result_key(pkey, old_a_vfp, old_b_vfp)
-            if old_rkey not in self.results:
-                continue
-            cached = self.results.get(old_rkey)
-            new_a_vfp = new_value_fp if pkey[0] == old_fp else old_a_vfp
-            new_b_vfp = new_value_fp if pkey[1] == old_fp else old_b_vfp
-            new_rkey = result_key(new_key, new_a_vfp, new_b_vfp)
-            try:
-                if dirty.size:
-                    spec = kernel_registry.get_spec(plan.algorithm)
-                    semiring = semiring_by_name(pkey[6])
-                    with span("delta.patch", rows=int(dirty.size),
-                              algorithm=plan.algorithm):
-                        block = spec.numeric(A, B, mask, semiring, dirty)
-                        patched = splice_result_rows(
-                            cached.matrix, dirty, block.sizes, block.cols,
-                            block.vals)
-                else:
-                    # empty dirty set: the product is bit-identical, only
-                    # its key moves
-                    patched = cached.matrix
-            except (AlgorithmError, ShapeError, KeyError):
-                continue
-            patches.append((new_rkey, patched, cached.algorithm))
-        return patches
+        old_value_fp, new_value_fp = patch_values
+        old_a_vfp = (old_value_fp if pkey[0] == old_fp
+                     else vfp_map.get(pkey[0]))
+        old_b_vfp = (old_value_fp if pkey[1] == old_fp
+                     else vfp_map.get(pkey[1]))
+        if old_a_vfp is None or old_b_vfp is None:
+            return None, None
+        old_rkey = result_key(pkey, old_a_vfp, old_b_vfp)
+        # probe first so a non-resident result does not count as a miss
+        cached = (self.results.get(old_rkey) if old_rkey in self.results
+                  else None)
+        if cached is None:
+            return None, None
+        new_a_vfp = new_value_fp if pkey[0] == old_fp else old_a_vfp
+        new_b_vfp = new_value_fp if pkey[1] == old_fp else old_b_vfp
+        new_rkey = result_key(new_key, new_a_vfp, new_b_vfp)
+        if not dirty.size:
+            # empty dirty set: the product is bit-identical, only its key
+            # moves
+            return (new_rkey, cached.matrix, cached.algorithm), None
+        try:
+            spec = kernel_registry.get_spec(algorithm)
+            semiring = semiring_by_name(pkey[6])
+            with span("delta.patch", rows=int(dirty.size),
+                      algorithm=algorithm):
+                block = spec.numeric(A, B, mask, semiring, dirty)
+                patched = splice_result_rows(
+                    cached.matrix, dirty, block.sizes, block.cols,
+                    block.vals)
+        except (AlgorithmError, ShapeError, KeyError):
+            return None, None
+        return (new_rkey, patched, cached.algorithm), block.sizes
 
     # ------------------------------------------------------------------ #
     def submit(self, request: Request) -> Response:

@@ -252,7 +252,8 @@ def splice_result_rows(m: CSRMatrix, dirty: np.ndarray, sizes: np.ndarray,
 
 def rows_affected_through(a: CSRMatrix, mask_indptr: np.ndarray,
                           mask_indices: np.ndarray, changed_keys: np.ndarray,
-                          ncols: int) -> np.ndarray:
+                          ncols: int,
+                          skip: np.ndarray | None = None) -> np.ndarray:
     """Output rows of ``C = M ⊙ (A·B)`` whose *pattern* can change when B's
     stored coordinate set changes by exactly ``changed_keys``
     (sorted :func:`coord_keys` over B's shape; B has ``ncols`` columns, as
@@ -266,12 +267,21 @@ def rows_affected_through(a: CSRMatrix, mask_indptr: np.ndarray,
     of magnitude smaller than the full neighborhood ``rows_touching`` gives.
     Only valid for non-complemented masks (``mask_indices`` = admitted
     columns); complemented plans must fall back to :func:`rows_touching`.
+
+    ``skip`` (sorted unique output rows, e.g. rows already dirty through a
+    1:1 operand slot) are not expanded, so the result may omit them:
+    ``result ∪ skip`` equals the unskipped result ``∪ skip``.
     """
     if changed_keys.size == 0 or a.nnz == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
     ch_j = changed_keys // ncols  # sorted keys ⇒ grouped by changed B row
     ch_c = changed_keys - ch_j * ncols
-    sel = np.flatnonzero(np.isin(a.indices, np.unique(ch_j)))
+    sel = np.arange(a.nnz)  # stored-entry positions of the rows to expand
+    if skip is not None and skip.size:
+        rows = np.setdiff1d(np.arange(a.nrows), skip, assume_unique=True)
+        sel = _range_positions(a.indptr[rows],
+                               a.indptr[rows + 1] - a.indptr[rows])
+    sel = sel[np.isin(a.indices[sel], np.unique(ch_j))]
     if sel.size == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
     # stored A entries (i, j) reading a changed B row j

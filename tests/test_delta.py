@@ -285,19 +285,7 @@ class TestDirtyRows:
         a = csr_random(16, 16, density=0.25, rng=rng)
         mask = Mask.from_matrix(csr_random(16, 16, density=0.3, rng=rng))
         plan = build_plan(a, a, mask, algorithm="esc", phases=2)
-        visited = []
-        real = registry.get_spec
-
-        def recording_get_spec(key):
-            spec = real(key)
-
-            def symbolic(*args):
-                visited.append(np.asarray(args[-1]).copy())
-                return spec.symbolic(*args)
-
-            return dataclasses.replace(spec, symbolic=symbolic)
-
-        monkeypatch.setattr(registry, "get_spec", recording_get_spec)
+        visited = _record_symbolic(monkeypatch)
         dirty = np.array([2, 7, 11], dtype=np.int64)
         spliced = splice_plan(plan, a, a, mask, dirty)
         assert len(visited) == 1
@@ -305,6 +293,20 @@ class TestDirtyRows:
         # and the clean rows were carried over untouched
         clean = np.setdiff1d(np.arange(16), dirty)
         assert np.array_equal(spliced.row_sizes[clean], plan.row_sizes[clean])
+
+    def test_splice_plan_given_sizes_skip_symbolic(self, rng, monkeypatch):
+        """Sizes handed in (from a patch block) are spliced as they are;
+        a count that does not match the dirty rows is refused."""
+        a = csr_random(16, 16, density=0.25, rng=rng)
+        mask = Mask.from_matrix(csr_random(16, 16, density=0.3, rng=rng))
+        plan = build_plan(a, a, mask, algorithm="msa", phases=2)
+        calls = _record_symbolic(monkeypatch)
+        dirty = np.array([2, 7, 11], dtype=np.int64)
+        spliced = splice_plan(plan, a, a, mask, dirty, np.array([5, 0, 1]))
+        assert calls == []
+        assert list(spliced.row_sizes[dirty]) == [5, 0, 1]
+        with pytest.raises(AlgorithmError, match="row sizes"):
+            splice_plan(plan, a, a, mask, dirty, np.array([5, 0]))
 
     def test_splice_plan_rejects_out_of_range_dirty(self, rng):
         a = csr_random(8, 8, density=0.3, rng=rng)
@@ -582,3 +584,155 @@ class TestKTrussDelta:
         eng = Engine(result_cache_bytes=1 << 24)
         ktruss_delta(rmat(6, 4, rng=rng), 4, engine=eng)
         assert "ktruss:C" not in eng.store
+
+
+# ---------------------------------------------------------------------- #
+# one pass over the dirty rows: patched splices take the patch's sizes
+# ---------------------------------------------------------------------- #
+def _reference_ktruss(C: CSRMatrix, k: int) -> CSRMatrix:
+    """k-truss fixpoint over the row-by-row reference tier."""
+    from repro.core.reference import reference_masked_spgemm
+
+    while True:
+        S = reference_masked_spgemm(C, C, Mask.from_matrix(C),
+                                    semiring=PLUS_PAIR)
+        kept = ops.prune(S, tol=k - 2.5).pattern()
+        if kept.nnz == C.nnz:
+            return kept
+        C = kept
+
+
+def _record_symbolic(monkeypatch) -> list:
+    """The rows of every ``spec.symbolic`` call made from now on."""
+    calls = []
+    real = registry.get_spec
+
+    def recording_get_spec(key):
+        spec = real(key)
+
+        def symbolic(*args):
+            calls.append(np.asarray(args[-1]).copy())
+            return spec.symbolic(*args)
+
+        return dataclasses.replace(spec, symbolic=symbolic)
+
+    monkeypatch.setattr(registry, "get_spec", recording_get_spec)
+    return calls
+
+
+def _assert_spliced_matches_cold(eng, out, key="G"):
+    """The plan re-keyed onto the post-delta fingerprint has a cold
+    ``build_plan``'s row sizes on the post-delta operands."""
+    new = rebuild_from_scratch(eng.entry(key).value)
+    (spliced,) = [p for k, p in eng.plans.items()
+                  if k[0] == out.pattern_fingerprint]
+    cold = build_plan(new, new, Mask.from_matrix(new),
+                      algorithm=spliced.algorithm, phases=2)
+    assert np.array_equal(spliced.row_sizes, cold.row_sizes)
+    return spliced
+
+
+class TestOnePassSplice:
+    @pytest.mark.parametrize("mode", ["auto", "off"])
+    def test_ktruss_delta_spliced_plans_match_cold_every_iteration(
+            self, rng, native_mode, mode):
+        """Every iteration's patched splice carries exactly the row sizes a
+        cold plan computes, and the subgraph matches ktruss() and the
+        reference tier bit for bit, with the compiled tier on and off."""
+        from repro import native
+        from repro.algorithms.ktruss import ktruss, ktruss_delta
+
+        native_mode(mode)
+        g = to_undirected_simple(rmat(7, 6, rng=rng)).pattern()
+        eng = Engine(result_cache_bytes=1 << 24)
+        real_apply = eng.apply_delta
+        algorithms = []
+
+        def checking_apply(key, batch):
+            out = real_apply(key, batch)
+            assert out.results_patched == 1
+            algorithms.append(_assert_spliced_matches_cold(eng, out,
+                                                           key).algorithm)
+            return out
+
+        eng.apply_delta = checking_apply
+        inc = ktruss_delta(g, 5, engine=eng, prepared=True)
+        assert len(algorithms) == inc.iterations - 1 >= 1
+        native_on = mode == "auto" and native.native_available()
+        assert ("msa-native" in algorithms) == native_on
+        full = ktruss(g, 5, prepared=True, phases=2)
+        assert_bit_identical(inc.subgraph, full.subgraph)
+        assert_bit_identical(inc.subgraph, _reference_ktruss(g, 5))
+
+    @pytest.mark.parametrize("case, sizes", [
+        ("patched", "patch"), ("no-result-cache", "symbolic"),
+        ("not-resident", "symbolic"), ("mixed", "symbolic")])
+    def test_symbolic_runs_only_where_nothing_is_patched(
+            self, rng, monkeypatch, case, sizes):
+        """A splice that patches a resident result takes the patch block's
+        sizes and runs no symbolic pass; without a result cache, with the
+        result evicted, or on a mixed batch it runs the symbolic pass over
+        the dirty rows. The delta.splice span names which one happened."""
+        from repro.obs.trace import capture
+
+        g = to_undirected_simple(rmat(6, 6, rng=rng)).pattern()
+        eng = Engine(result_cache_bytes=(None if case == "no-result-cache"
+                                         else 1 << 24))
+        eng.register("G", g)
+        req = Request(a="G", b="G", mask="G", phases=2, semiring="plus_pair")
+        eng.submit(req)
+        if case == "not-resident":
+            eng.results.invalidate_fingerprints(
+                {eng.entry("G").value_fingerprint})
+        rows = np.repeat(np.arange(g.nrows), g.row_nnz())
+        edges = np.column_stack((rows, g.indices))
+        pick = rng.choice(edges.shape[0], size=8, replace=False)
+        batch = DeltaBatch(delete=edges[pick[1:]])
+        if case == "mixed":
+            r, c = edges[pick[0]]
+            batch = DeltaBatch(delete=edges[pick[1:]],
+                               update=[(int(r), int(c), 2.0)])
+        calls = _record_symbolic(monkeypatch)
+        with capture("delta") as rec:
+            out = eng.apply_delta("G", batch)
+        assert out.plans_spliced == 1
+        assert out.results_patched == (1 if case == "patched" else 0)
+        assert out.kind == ("mixed" if case == "mixed" else "pattern")
+        (splice_span,) = [s for s in rec.spans if s.name == "delta.splice"]
+        assert splice_span.attrs["sizes"] == sizes
+        if sizes == "patch":
+            assert calls == []
+        else:
+            assert [c.size for c in calls] == [splice_span.attrs["rows"]]
+            assert calls[0].size > 0
+        monkeypatch.undo()
+        _assert_spliced_matches_cold(eng, out)
+        live, cold = oracle_pair(eng, req)
+        assert_bit_identical(live.result, cold.result)
+
+    def test_complemented_b_delta_keeps_rows_touching_fallback(
+            self, rng, monkeypatch):
+        """A B-slot delta under a complemented mask still takes the
+        conservative rows_touching set, never the sharpened (skipping)
+        B-side test."""
+        import repro.service.engine as engine_mod
+
+        n = 20
+        eng = Engine(result_cache_bytes=1 << 24)
+        A = csr_random(n, n, density=0.3, rng=rng, values="randint")
+        B = csr_random(n, n, density=0.3, rng=rng, values="randint")
+        eng.register("A", A)
+        eng.register("B", B)
+        eng.register("M", csr_random(n, n, density=0.3, rng=rng))
+        req = Request(a="A", b="B", mask="M", complemented=True, phases=2,
+                      semiring="plus_times")
+        eng.submit(req)
+        sharpened = []
+        monkeypatch.setattr(engine_mod, "rows_affected_through",
+                            lambda *a, **k: sharpened.append(1))
+        rows = np.repeat(np.arange(n), B.row_nnz())
+        out = eng.apply_delta("B", DeltaBatch(
+            delete=[(int(rows[0]), int(B.indices[0]))]))
+        assert sharpened == [] and out.plans_spliced == 1
+        live, cold = oracle_pair(eng, req)
+        assert_bit_identical(live.result, cold.result)
