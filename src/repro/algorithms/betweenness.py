@@ -25,6 +25,12 @@ discovered" — the graph-traversal use the paper highlights in §1.
         BCU += W .* NumSP
     centrality(v) = Σ_j BCU[j, v] - s
 
+Path counts live in a dense s×n ``numsp`` beside BCU; the sparse NumSP is
+only the complemented mask's pattern. That mask keeps each frontier disjoint
+from everything discovered, so ``NumSP += Frontier`` is a scatter into
+``numsp`` and NumSP on S_d is the frontier's own values: no sparse
+eWiseAdd or eWiseMult is left in the level loop.
+
 Both stages together exercise the complemented and plain mask paths, which
 is why the paper's BC results (Fig. 15/16) include only complement-capable
 kernels (MCA is excluded; Inner/Heap/SS:DOT were "prohibitively slow").
@@ -63,20 +69,11 @@ def _sources_matrix(sources: np.ndarray, n: int) -> CSRMatrix:
                      check=False)
 
 
-def _values_at(pattern: CSRMatrix, source: CSRMatrix) -> np.ndarray:
-    """Values of ``source`` at the coordinates of ``pattern`` (which must be
-    a subset of source's pattern)."""
-    taken = ops.ewise_mult(pattern.pattern(), source, op=lambda x, y: y)
-    if taken.nnz != pattern.nnz:  # pragma: no cover - invariant guard
-        raise RuntimeError("pattern is not a subset of source pattern")
-    return taken.data
-
-
 def betweenness_centrality(
     g: CSRMatrix,
     sources: Sequence[int] | None = None,
     *,
-    algorithm: str = "msa",
+    algorithm: str = "auto",
     phases: int = 1,
     executor=None,
     undirected: bool | None = None,
@@ -90,6 +87,8 @@ def betweenness_centrality(
     sources : batch of source vertex ids; ``None`` = all vertices (exact BC).
     algorithm : masked kernel for both stages; must support complemented
         masks (msa/hash/heap/heapdot — MCA raises, matching the paper).
+        ``"auto"`` takes the compiled tier where it can run and the fused
+        routing table otherwise.
     undirected : divide scores by 2 (each shortest path counted from both
         endpoints). Default: auto-detect pattern symmetry.
 
@@ -98,18 +97,20 @@ def betweenness_centrality(
     """
     n = g.nrows
     A = g.pattern()
+    AT = ops.transpose_csr(A)
+    if A.same_pattern(AT):
+        AT = A  # all-ones patterns: bit-identical, one matrix fewer
     if undirected is None:
-        undirected = A.same_pattern(ops.transpose_csr(A))
+        undirected = AT is A
     src = (np.arange(n, dtype=INDEX_DTYPE) if sources is None
            else np.asarray(list(sources), dtype=INDEX_DTYPE))
     s = src.size
     if s == 0 or n == 0:
         return BCResult(np.zeros(n), 0, 0)
 
-    AT = ops.transpose_csr(A)
-
     # ---------------- forward: BFS with path counting ------------------- #
     NumSP = _sources_matrix(src, n)
+    numsp = NumSP.to_dense()  # dense path counts: 1 at each source
     frontier = masked_spgemm(NumSP, A, Mask.from_matrix(NumSP, complemented=True),
                              algorithm=algorithm, semiring=PLUS_FIRST,
                              phases=phases, executor=executor)
@@ -118,7 +119,10 @@ def betweenness_centrality(
     while frontier.nnz:
         sigmas.append(frontier)
         frontier_nnz.append(frontier.nnz)
-        NumSP = ops.ewise_add(NumSP, frontier)
+        # NumSP += Frontier: the frontier is disjoint from NumSP's pattern
+        rows = np.repeat(np.arange(s, dtype=INDEX_DTYPE), frontier.row_nnz())
+        numsp[rows, frontier.indices] = frontier.data
+        NumSP = ops.pattern_union(NumSP, frontier)
         frontier = masked_spgemm(
             frontier, A, Mask.from_matrix(NumSP, complemented=True),
             algorithm=algorithm, semiring=PLUS_FIRST, phases=phases,
@@ -127,23 +131,19 @@ def betweenness_centrality(
 
     # ---------------- backward: dependency accumulation ----------------- #
     bcu = np.ones((s, n), dtype=np.float64)
-    src_rows = np.repeat(np.arange(s, dtype=INDEX_DTYPE), 1)
     for d in range(depth - 1, 0, -1):
         Sd = sigmas[d]
-        # W = S_d ⊙ ((BCU) / NumSP) — gather dense BCU at S_d coords
+        # W = S_d ⊙ (BCU / NumSP) — NumSP on S_d is the frontier's values
         rows = np.repeat(np.arange(s, dtype=INDEX_DTYPE), Sd.row_nnz())
-        numsp_at = _values_at(Sd, NumSP)
-        w_vals = bcu[rows, Sd.indices] / numsp_at
-        W = CSRMatrix(Sd.indptr.copy(), Sd.indices.copy(), w_vals, (s, n),
-                      check=False)
+        W = CSRMatrix(Sd.indptr, Sd.indices, bcu[rows, Sd.indices] / Sd.data,
+                      (s, n), check=False)
         # W = S_{d-1} ⊙ (W · Aᵀ)
         W = masked_spgemm(W, AT, Mask.from_matrix(sigmas[d - 1]),
                           algorithm=algorithm, semiring=PLUS_FIRST,
                           phases=phases, executor=executor)
         # BCU += W .* NumSP
         rows_w = np.repeat(np.arange(s, dtype=INDEX_DTYPE), W.row_nnz())
-        numsp_at_w = _values_at(W, NumSP)
-        bcu[rows_w, W.indices] += W.data * numsp_at_w
+        bcu[rows_w, W.indices] += W.data * numsp[rows_w, W.indices]
 
     centrality = bcu.sum(axis=0) - s
     if undirected:

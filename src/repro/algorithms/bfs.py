@@ -26,11 +26,13 @@ from .betweenness import _sources_matrix
 
 
 def multi_source_bfs(g: CSRMatrix, sources: Sequence[int], *,
-                     algorithm: str = "msa", executor=None) -> np.ndarray:
+                     algorithm: str = "auto", executor=None) -> np.ndarray:
     """BFS levels from each source.
 
     Returns an (s, n) int array: entry [j, v] is the BFS depth of vertex v
     from ``sources[j]`` (0 for the source itself), or -1 if unreachable.
+    ``algorithm="auto"`` runs each step on the compiled tier where it can
+    and on the fused routing table's complement-capable pick otherwise.
     """
     n = g.nrows
     A = g.pattern()

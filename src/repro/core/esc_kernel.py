@@ -39,6 +39,7 @@ import numpy as np
 from ..mask import Mask
 from ..semiring import Semiring
 from ..sparse.csr import CSRMatrix
+from ..sparse.ops import _sorted_unique
 from ..validation import INDEX_DTYPE
 from .expand import (
     composite_keys,
@@ -94,7 +95,7 @@ def _symbolic_chunk(A: CSRMatrix, B: CSRMatrix, mask: Mask, rows: np.ndarray
     seg, cols = expand_rows_pattern(A, B, rows)
     if cols.size == 0:
         return np.zeros(rows.size, dtype=INDEX_DTYPE)
-    ukeys = np.unique(composite_keys(seg, cols, ncols))
+    ukeys = _sorted_unique(composite_keys(seg, cols, ncols))
     keep = mask_membership(mask, rows, ukeys, ncols)
     if mask.complemented:
         np.logical_not(keep, out=keep)

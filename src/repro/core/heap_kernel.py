@@ -19,7 +19,9 @@ this is exactly the per-row column sort), one ``searchsorted`` mask
 intersection of the sorted stream, and one segmented collapse. The
 complement variant is the same path with the intersection inverted. Chunks
 are pre-split by :func:`repro.core.expand.fused_blocks` so composite keys
-fit int64 and peak memory stays bounded.
+fit int64 and peak memory stays bounded. The pattern-only pass counts
+unique masked keys, which no merge order changes, so :func:`symbolic_rows`
+is ESC's.
 
 **Per-row loop** — :func:`numeric_rows_loop` / :func:`symbolic_rows_loop`
 keep the original paper-shaped row loop as the benchmark baseline
@@ -50,13 +52,14 @@ import numpy as np
 from ..mask import Mask
 from ..semiring import Semiring
 from ..sparse.csr import CSRMatrix
+from ..sparse.ops import _sorted_unique
 from ..validation import INDEX_DTYPE
+from .esc_kernel import symbolic_rows  # noqa: F401 (re-exported)
 from .expand import (
     composite_keys,
     expand_row,
     expand_row_pattern,
     expand_rows,
-    expand_rows_pattern,
     fused_blocks,
     mask_membership,
     per_row_flops,
@@ -113,36 +116,12 @@ def _fused_numeric(A: CSRMatrix, B: CSRMatrix, mask: Mask, semiring: Semiring,
     return RowBlock(sizes, (uk % ncols).astype(INDEX_DTYPE, copy=False), uv)
 
 
-def _fused_symbolic(A: CSRMatrix, B: CSRMatrix, mask: Mask, rows: np.ndarray
-                    ) -> np.ndarray:
-    ncols = B.ncols
-    if rows.size == 0 or ncols == 0:
-        return np.zeros(rows.size, dtype=INDEX_DTYPE)
-    seg, cols = expand_rows_pattern(A, B, rows)
-    if cols.size == 0:
-        return np.zeros(rows.size, dtype=INDEX_DTYPE)
-    ukeys = np.unique(composite_keys(seg, cols, ncols))
-    keep = mask_membership(mask, rows, ukeys, ncols)
-    if mask.complemented:
-        np.logical_not(keep, out=keep)
-    return np.bincount(ukeys[keep] // ncols,
-                       minlength=rows.size).astype(INDEX_DTYPE)
-
-
 def numeric_rows(A: CSRMatrix, B: CSRMatrix, mask: Mask, semiring: Semiring,
                  rows: np.ndarray) -> RowBlock:
     """Chunk-fused Heap numeric pass (plain and complemented masks),
     bit-identical to :func:`numeric_rows_loop`."""
     return concat_blocks([_fused_numeric(A, B, mask, semiring, block)
                           for block in fused_blocks(A, B, rows)])
-
-
-def symbolic_rows(A: CSRMatrix, B: CSRMatrix, mask: Mask,
-                  rows: np.ndarray) -> np.ndarray:
-    """Chunk-fused pattern-only pass: exact output nnz per requested row."""
-    parts = [_fused_symbolic(A, B, mask, block)
-             for block in fused_blocks(A, B, rows)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def numeric_rows_into(A: CSRMatrix, B: CSRMatrix, mask: Mask,
@@ -258,5 +237,5 @@ def symbolic_rows_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
         member = _mask_membership_row(bj, m_cols)
         keep = ~member if mask.complemented else member
         kept = bj[keep]
-        sizes[t] = np.unique(kept).size
+        sizes[t] = _sorted_unique(kept).size
     return sizes

@@ -25,6 +25,7 @@ from ..mask import Mask
 from ..semiring import Semiring
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
+from ..sparse.ops import _sorted_unique
 from ..validation import INDEX_DTYPE
 from .expand import concat_ranges
 from .types import RowBlock
@@ -123,5 +124,5 @@ def symbolic_rows(A: CSRMatrix, B: CSRMatrix, mask: Mask, rows: np.ndarray,
         p = np.searchsorted(a_cols, seg_rows)
         p[p == a_cols.size] = 0
         match = a_cols[p] == seg_rows
-        sizes[t] = np.unique(seg_ids[match]).size
+        sizes[t] = _sorted_unique(seg_ids[match]).size
     return sizes

@@ -19,6 +19,7 @@ from ..accumulators.mca import MCAAccumulator
 from ..mask import Mask
 from ..semiring import Semiring
 from ..sparse.csr import CSRMatrix
+from ..sparse.ops import _sorted_unique
 from ..validation import INDEX_DTYPE
 from .expand import expand_row, expand_row_pattern
 from .types import RowBlock
@@ -55,7 +56,7 @@ def numeric_rows(A: CSRMatrix, B: CSRMatrix, mask: Mask, semiring: Semiring,
         ranks[ranks == nm] = 0  # clamp; validity re-checked below
         valid = m_cols[ranks] == bj
         r = ranks[valid]
-        values[:nm][np.unique(r)] = identity  # init only hit ranks
+        values[:nm][_sorted_unique(r)] = identity  # init only hit ranks
         add_at(values, r, prod[valid])
         touched[r] = True
         hit = touched[:nm]
@@ -85,5 +86,5 @@ def symbolic_rows(A: CSRMatrix, B: CSRMatrix, mask: Mask,
         ranks = np.searchsorted(m_cols, bj)
         ranks[ranks == m_cols.size] = 0
         valid = m_cols[ranks] == bj
-        sizes[t] = np.unique(ranks[valid]).size
+        sizes[t] = _sorted_unique(ranks[valid]).size
     return sizes

@@ -41,6 +41,7 @@ import numpy as np
 from ..mask import Mask
 from ..semiring import Semiring
 from ..sparse.csr import CSRMatrix
+from ..sparse.ops import _sorted_unique
 from ..validation import INDEX_DTYPE
 from .expand import (
     composite_keys,
@@ -131,7 +132,7 @@ def _fused_symbolic(A: CSRMatrix, B: CSRMatrix, mask: Mask,
         seg, bj = expand_rows_pattern(A, B, rows)
         if bj.size == 0:
             return sizes
-        keys = np.unique(composite_keys(seg, bj, ncols))
+        keys = _sorted_unique(composite_keys(seg, bj, ncols))
         mseg, mcols = flatten_rows_pattern(mask.indptr, mask.indices, rows)
         if mcols.size:
             mkeys = composite_keys(mseg, mcols, ncols)
@@ -274,7 +275,7 @@ def _numeric_complement_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
                 touched, inv = np.unique(bj_s, return_inverse=True)
                 v = np.bincount(inv, weights=prod[sel])
             else:
-                touched = np.unique(bj_s)  # sorted inserted-keys set
+                touched = _sorted_unique(bj_s)  # sorted inserted-keys set
                 values[touched] = identity
                 add.at(values, bj_s, prod[sel])
                 v = values[touched]
@@ -302,7 +303,7 @@ def symbolic_rows_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
                 continue
             m_cols = mask.indices[mask.indptr[i]: mask.indptr[i + 1]]
             banned[m_cols] = True
-            sizes[t] = np.unique(bj[~banned[bj]]).size
+            sizes[t] = _sorted_unique(bj[~banned[bj]]).size
             banned[m_cols] = False
         return sizes
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..semiring import PLUS_TIMES, Semiring
 from ..sparse.csr import CSRMatrix
+from ..sparse.ops import _sorted_unique
 from ..validation import INDEX_DTYPE, check_multiplicable
 from .expand import expand_row, expand_row_pattern, per_row_flops
 from .types import RowBlock, stitch_blocks
@@ -37,7 +38,7 @@ def numeric_rows(A: CSRMatrix, B: CSRMatrix, semiring: Semiring,
         bj, prod = expand_row(A, B, i, semiring)
         if bj.size == 0:
             continue
-        touched = np.unique(bj)
+        touched = _sorted_unique(bj)
         values[touched] = identity
         add_at(values, bj, prod)
         k = touched.size
@@ -54,7 +55,7 @@ def symbolic_rows(A: CSRMatrix, B: CSRMatrix, rows: np.ndarray) -> np.ndarray:
         i = int(rows[t])
         bj = expand_row_pattern(A, B, i)
         if bj.size:
-            sizes[t] = np.unique(bj).size
+            sizes[t] = _sorted_unique(bj).size
     return sizes
 
 

@@ -4,12 +4,17 @@ full and batched sources, across complement-capable kernels)."""
 import networkx as nx
 import numpy as np
 import pytest
+from conftest import needs_native
 
 from repro.algorithms import betweenness_centrality
+from repro.algorithms.betweenness import _sources_matrix
+from repro.core import masked_spgemm
 from repro.errors import MaskError
 from repro.graphs import erdos_renyi, rmat
 from repro.graphs.prep import to_undirected_simple
-from repro.sparse import csr_from_dense
+from repro.mask import Mask
+from repro.semiring import PLUS_FIRST
+from repro.sparse import CSRMatrix, csr_from_dense, ops
 from repro.sparse.convert import to_scipy
 
 
@@ -20,7 +25,9 @@ def nx_bc(g, directed):
     return np.array([d[i] for i in range(g.nrows)])
 
 
-@pytest.mark.parametrize("alg", ["msa", "hash", "heap", "heapdot"])
+@pytest.mark.parametrize("alg", [
+    "auto", "msa", "hash", "heap", "heapdot",
+    pytest.param("msa-native", marks=needs_native)])
 def test_directed_all_sources(alg):
     g = erdos_renyi(50, 3, rng=21)
     res = betweenness_centrality(g, algorithm=alg)
@@ -99,3 +106,67 @@ def test_disconnected_components():
         p[i, i + 1] = p[i + 1, i] = 1
     res = betweenness_centrality(csr_from_dense(p))
     assert np.allclose(res.centrality, [0, 1, 0, 0, 1, 0])
+
+
+# ---------------------------------------------------------------------- #
+# bit-identity with the sparse NumSP formulation
+# ---------------------------------------------------------------------- #
+def sparse_numsp_bc(g, sources, algorithm, phases):
+    """Brandes with path counts kept in a sparse NumSP: accumulated by
+    eWiseAdd, read back at S_d and W by eWiseMult. The dense-``numsp``
+    implementation must reproduce it bit for bit."""
+    def values_at(pattern, source):
+        return ops.ewise_mult(pattern.pattern(), source, op=lambda x, y: y).data
+
+    def product(a, b, mask):
+        return masked_spgemm(a, b, mask, algorithm=algorithm,
+                             semiring=PLUS_FIRST, phases=phases)
+
+    n = g.nrows
+    A = g.pattern()
+    AT = ops.transpose_csr(A)
+    undirected = A.same_pattern(AT)
+    src = (np.arange(n) if sources is None
+           else np.asarray(sources, dtype=np.int64))
+    s = src.size
+    NumSP = _sources_matrix(src, n)
+    frontier = product(NumSP, A, Mask.from_matrix(NumSP, complemented=True))
+    sigmas = []
+    while frontier.nnz:
+        sigmas.append(frontier)
+        NumSP = ops.ewise_add(NumSP, frontier)
+        frontier = product(frontier, A,
+                           Mask.from_matrix(NumSP, complemented=True))
+    bcu = np.ones((s, n))
+    for d in range(len(sigmas) - 1, 0, -1):
+        Sd = sigmas[d]
+        rows = np.repeat(np.arange(s), Sd.row_nnz())
+        W = CSRMatrix(Sd.indptr, Sd.indices,
+                      bcu[rows, Sd.indices] / values_at(Sd, NumSP), (s, n),
+                      check=False)
+        W = product(W, AT, Mask.from_matrix(sigmas[d - 1]))
+        rows_w = np.repeat(np.arange(s), W.row_nnz())
+        bcu[rows_w, W.indices] += W.data * values_at(W, NumSP)
+    centrality = bcu.sum(axis=0) - s
+    return centrality / 2.0 if undirected else centrality
+
+
+GRAPHS = {
+    "er-directed": lambda: erdos_renyi(48, 3, rng=31),
+    "rmat-undirected": lambda: to_undirected_simple(rmat(6, 4, rng=32)),
+}
+
+
+@pytest.mark.parametrize("mode", ["auto", "off"])
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("sources", [None, [0, 3, 5, 9, 17, 40]],
+                         ids=["all", "batch"])
+@pytest.mark.parametrize("phases", [1, 2])
+@pytest.mark.parametrize("alg", ["auto", "msa", "hash"])
+def test_dense_numsp_bit_identical_to_sparse_formulation(
+        native_mode, mode, graph, sources, phases, alg):
+    native_mode(mode)
+    g = GRAPHS[graph]()
+    got = betweenness_centrality(g, sources, algorithm=alg, phases=phases)
+    want = sparse_numsp_bc(g, sources, alg, phases)
+    assert np.array_equal(got.centrality, want)

@@ -226,3 +226,76 @@ def test_rows_touching_is_every_row_reading_a_changed_row(data):
     cols = _draw_subset(data, k, "changed B rows")
     want = np.flatnonzero(a.to_dense()[:, cols].any(axis=1))
     assert np.array_equal(ops.rows_touching(a, cols), want)
+
+
+# ---------------------------------------------------------------------- #
+# sort-and-dedupe key algebra
+# ---------------------------------------------------------------------- #
+int_keys = st.lists(st.integers(-2**40, 2**40), max_size=60).map(
+    lambda xs: np.array(xs, dtype=np.int64))
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_keys)
+def test_sorted_unique_is_np_unique(x):
+    _assert_same_array(ops._sorted_unique(x), np.unique(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_keys, int_keys)
+def test_sorted_union_is_union1d(a, b):
+    _assert_same_array(ops._sorted_union(a, b), np.union1d(a, b))
+
+
+@pytest.mark.parametrize("x", [
+    np.empty(0, dtype=np.int64), np.full(7, 3, dtype=np.int64),
+    np.array([9, 1, 4, 1, 9, 0, 4], dtype=np.int64),
+    np.array([5, 2, 2], dtype=np.int32)], ids=["empty", "dupes", "unsorted",
+                                               "int32"])
+def test_sorted_unique_edge_cases(x):
+    _assert_same_array(ops._sorted_unique(x), np.unique(x))
+    _assert_same_array(ops._sorted_union(x, x[::-1]), np.union1d(x, x[::-1]))
+
+
+def _union1d_ewise_add(a, b, op):
+    """eWiseAdd written with ``np.union1d`` and one value array per operand."""
+    ka, kb = ops._keys(a), ops._keys(b)
+    union = np.union1d(ka, kb)
+    va, vb = np.zeros(union.size), np.zeros(union.size)
+    in_a, in_b = np.zeros(union.size, bool), np.zeros(union.size, bool)
+    pa, pb = np.searchsorted(union, ka), np.searchsorted(union, kb)
+    va[pa], vb[pb] = a.data, b.data
+    in_a[pa], in_b[pb] = True, True
+    vals = np.where(in_a, va, vb)
+    both = in_a & in_b
+    vals[both] = op(va[both], vb[both])
+    return ops._from_keys(union, vals, a.shape)
+
+
+def _pair(rng, kind):
+    a = csr_random(9, 11, density=0.3, rng=rng, values="uniform")
+    if kind == "identical":
+        return a, ops.scale_values(a, lambda v: v * 3.0 + 1.0)
+    b = csr_random(9, 11, density=0.3, rng=rng, values="uniform")
+    if kind == "disjoint":
+        b = ops.pattern_difference(b, a)
+    return a, b
+
+
+@pytest.mark.parametrize("kind", ["disjoint", "overlapping", "identical"])
+@pytest.mark.parametrize("op", [np.add, np.maximum, lambda x, y: x - 2 * y],
+                         ids=["add", "max", "custom"])
+def test_ewise_add_and_pattern_union_match_union1d(rng, kind, op):
+    for _ in range(5):
+        a, b = _pair(rng, kind)
+        got, want = ops.ewise_add(a, b, op=op), _union1d_ewise_add(a, b, op)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        pu = ops.pattern_union(a, b)
+        assert pu.same_pattern(want) and np.all(pu.data == 1.0)
