@@ -7,53 +7,41 @@ Reproduction: R-MAT scale 10, 1-8 workers. The default executor is the
 **simulated** work/span model (DESIGN.md: deterministic strong-scaling shape
 on a 2-core GIL-bound box); the reported "parallel time" is the greedy
 list-schedule makespan of the measured chunk times, with speedup = serial /
-makespan. Pass ``--process`` via ``main(use_process=True)`` for fork-based
-real parallelism.
+makespan.
 """
 
 from __future__ import annotations
 
-import time
-
 from common import emit, rmat_tc_workloads, tc_runner
 from repro.bench import render_series
 from repro.core import display_name
-from repro.parallel import ProcessExecutor, SimulatedExecutor
+from repro.parallel import SimulatedExecutor
 
 WORKERS = (1, 2, 4, 8)
 SCHEMES = [("msa", 1), ("hash", 1), ("mca", 1)]
 
 
-def scaling_series(scale: int = 10, use_process: bool = False):
+def scaling_series(scale: int = 10):
     (_, L, mask, flops), = rmat_tc_workloads([scale])
     series: dict[str, list[tuple[float, float]]] = {}
     for alg, ph in SCHEMES:
         label = display_name(alg, ph)
         pts = []
         for p in WORKERS:
-            if use_process:
-                ex = ProcessExecutor(p)
-                run = tc_runner(L, mask, alg, ph, executor=ex)
-                run()  # warmup
-                t0 = time.perf_counter()
-                run()
-                elapsed = time.perf_counter() - t0
-            else:
-                ex = SimulatedExecutor(p)
-                run = tc_runner(L, mask, alg, ph, executor=ex)
-                run()  # warmup
-                run()
-                elapsed = ex.last_makespan_seconds
-            pts.append((p, elapsed))
+            ex = SimulatedExecutor(p)
+            run = tc_runner(L, mask, alg, ph, executor=ex)
+            run()  # warmup
+            run()
+            pts.append((p, ex.last_makespan_seconds))
         series[label] = pts
     return series
 
 
-def main(use_process: bool = False) -> None:
-    mode = "process pool (fork)" if use_process else "simulated work/span"
-    emit(f"[Figure 11] Triangle Counting strong scaling, R-MAT scale 10 ({mode})")
+def main() -> None:
+    emit("[Figure 11] Triangle Counting strong scaling, R-MAT scale 10 "
+         "(simulated work/span)")
     emit("paper: all algorithms scale well with thread count\n")
-    series = scaling_series(use_process=use_process)
+    series = scaling_series()
     emit(render_series("TC time vs workers", "workers", "seconds", series))
     emit("")
     speedups = {}
@@ -77,6 +65,4 @@ def test_tc_serial_reference_point(benchmark):
 
 
 if __name__ == "__main__":
-    import sys
-
-    main(use_process="--process" in sys.argv)
+    main()

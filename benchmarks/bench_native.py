@@ -26,13 +26,12 @@ exists for auditability, not speed).
 
 * **native** (gated): per-kernel fused/native mean latencies; acceptance
   gate (ISSUE 9) is native ≥ **2.0×** over fused for msa and hash both;
-* **thread_scaling** (informational): the nogil thread backend
-  (``backend="thread"``) vs inprocess and sharded serving at 1/2/4
-  workers. The compiled row loop releases the GIL only under numba — under
-  the cffi ABI backend calls are serialized by the interpreter — and this
-  box may expose a single CPU, so the face records ``cpu_count`` and is
-  deliberately not a scaling gate; it proves bit-identity and measures
-  whatever parallelism the machine actually offers.
+* **thread_scaling** (informational): the compiled kernel on a
+  :class:`~repro.parallel.executor.ThreadExecutor` at 1/2/4 workers vs
+  serial in-process execution. The machine may expose few CPUs, so the
+  face records ``cpu_count`` and is deliberately not a scaling gate; it
+  proves bit-identity and measures whatever parallelism the machine
+  actually offers.
 
 Skips cleanly (exit 0) when no compiled backend is available.
 """
@@ -49,13 +48,13 @@ from common import append_trajectory_run, emit, latest_trajectory_run, tc_worklo
 from repro.bench import render_table
 from repro.bench.metrics import latency_percentiles
 from repro.core import build_plan, masked_spgemm
+from repro.core.registry import native_variant
 from repro.core.reference import reference_masked_spgemm
 from repro.graphs import rmat
 from repro.native import native_available, native_backend_name, warmup
 from repro.parallel.executor import ThreadExecutor
 from repro.parallel.runner import parallel_masked_spgemm
 from repro.semiring import PLUS_PAIR
-from repro.shard import ShardCoordinator, shared_memory_available
 
 ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT_KERNELS = ROOT / "BENCH_kernels.json"
@@ -151,10 +150,10 @@ def bench_native(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
 
 
 def bench_threads(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
-    """Thread backend vs inprocess and sharded serving (informational)."""
+    """Threads over the compiled kernel vs in-process (informational)."""
     L, mask = _workload(scale, edge)
     case = _case_name(scale, edge)
-    alg = "msa-native" if native_available() else "msa"
+    alg = native_variant("msa")
     plan = build_plan(L, L, mask, algorithm=alg, phases=2)
 
     inproc_lat, baseline = _time(
@@ -165,30 +164,13 @@ def bench_threads(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
     rows = [_row(case, alg, inproc_lat, mode="inprocess", workers=0)]
 
     for n in THREAD_WORKERS:
-        ex = ThreadExecutor(n)
-        try:
+        with ThreadExecutor(n) as ex:
             lat, _ = _time(
                 lambda: parallel_masked_spgemm(L, L, mask, algorithm=alg,
                                                semiring=PLUS_PAIR, phases=2,
-                                               plan=plan, executor=ex,
-                                               backend="thread"),
+                                               plan=plan, executor=ex),
                 baseline, repeats=repeats)
-        finally:
-            ex.close()
         rows.append(_row(case, alg, lat, mode="thread", workers=n))
-
-    if shared_memory_available():
-        coord = ShardCoordinator(2)
-        try:
-            a_key, _ = coord._adhoc_handle(L)
-            m_key, _ = coord._adhoc_handle(mask)
-            lat, _ = _time(
-                lambda: coord.multiply(a_key, a_key, m_key, mask, plan,
-                                       PLUS_PAIR, plan_cache_key=(case,)),
-                baseline, repeats=repeats)
-        finally:
-            coord.close()
-        rows.append(_row(case, alg, lat, mode="shard", workers=2))
 
     face = {"case": case, "mode": "thread-face", "algorithm": alg,
             "backend": native_backend_name(), "cpu_count": os.cpu_count(),
@@ -221,7 +203,8 @@ def main() -> None:
          for g in gates]))
 
     trows, face = bench_threads()
-    emit(f"\n[Native] thread backend vs inprocess/sharded (informational — "
+    emit(f"\n[Native] threads over the compiled kernel vs inprocess "
+         f"(informational — "
          f"cpu_count={face['cpu_count']}, backend={face['backend']})")
     emit(render_table(
         ["case", "mode", "workers", "algorithm", "mean (ms)", "p50 (ms)"],

@@ -158,7 +158,7 @@ def append_trajectory_run(artifact: Path, bench: str,
 
     One artifact may carry runs from *several* benches (e.g.
     ``BENCH_service.json`` holds both the serve-throughput faces and the
-    shard-scaling faces): each run is tagged with its ``bench``, and the
+    thread-scaling faces): each run is tagged with its ``bench``, and the
     doc-level ``bench`` field names the first owner for back-compat with
     older readers. Use ``latest_trajectory_run(..., bench=...)`` to read a
     specific bench's most recent run.

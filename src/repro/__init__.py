@@ -82,7 +82,6 @@ from .core import (
     spgemm,
 )
 from .parallel import (
-    ProcessExecutor,
     SerialExecutor,
     SimulatedExecutor,
     ThreadExecutor,
@@ -125,7 +124,7 @@ __all__ = [
     "available_algorithms", "algorithm_info", "display_name",
     "matrix_fingerprint", "pattern_fingerprint", "value_fingerprint",
     # parallel
-    "SerialExecutor", "ThreadExecutor", "ProcessExecutor", "SimulatedExecutor",
+    "SerialExecutor", "ThreadExecutor", "SimulatedExecutor",
     # service
     "Engine", "MatrixStore", "PlanCache", "BatchExecutor",
     "Request", "Response",

@@ -13,12 +13,11 @@ Examples
     python -m repro serve workload.json --plans plans.npz  # async front end
     python -m repro serve --smoke        # CI smoke: warm serving + restart
     python -m repro serve workload.json --metrics-port 9100  # live /metrics
-    python -m repro serve --smoke --chaos --shards 2  # CI chaos: inject kills
+    python -m repro serve --smoke --chaos  # CI chaos: inject kernel faults
     python -m repro serve --smoke --slo p99=50ms:0.99  # burn-rate SLO gate
     python -m repro trace workload.json -o trace.json  # offline flame trace
     python -m repro bundle --smoke --chaos -o bundle.json  # debug bundle
     python -m repro profile workload.json -o prof.txt  # collapsed stacks
-    python -m repro gc-shm               # unlink orphaned repro_* segments
     python -m repro suite                # list the built-in input suite
     python -m repro info                 # algorithms and semirings
 
@@ -253,17 +252,16 @@ def _serve_once(spec, args, *, engine):
     return responses, failures, server, seconds
 
 
-#: chaos default when ``--chaos`` is given but $REPRO_FAULTS is unset: kill
-#: a shard worker on the first numeric scatter AND on its retry, so the
-#: request walks the whole ladder (retry → degrade to in-process) and the
-#: gate can assert repro_degraded_total > 0.
-_CHAOS_DEFAULT = "shard.numeric:kill:2"
+#: chaos default when ``--chaos`` is given but $REPRO_FAULTS is unset: fail
+#: the first numeric kernel call AND its first fallback, so a native-routed
+#: request walks the whole ladder (native → fused → loop) and the gate can
+#: assert repro_degraded_total > 0.
+_CHAOS_DEFAULT = "engine.kernel:error:2"
 
 
 def cmd_serve(args) -> int:
     import json
 
-    from .resilience import sweep_orphans
     from .service import (Engine, PlanStoreError, load_workload,
                           render_serve_report)
 
@@ -279,18 +277,10 @@ def cmd_serve(args) -> int:
     else:
         raise SystemExit("provide a workload.json or --smoke")
 
-    # a previous crashed run must not starve this one of shm space
-    swept = sweep_orphans()
-    if swept:
-        print(f"gc-shm: unlinked {len(swept)} orphaned repro_* segment(s) "
-              f"from dead processes")
-
     faults = None
     if getattr(args, "chaos", False):
         from .resilience import FaultPlan
 
-        if not args.shards:
-            args.shards = 2  # shard-site faults need a pool to kill
         faults = FaultPlan.from_env() or FaultPlan.parse(_CHAOS_DEFAULT)
         print(f"chaos: injecting {faults!r}")
 
@@ -309,10 +299,7 @@ def cmd_serve(args) -> int:
 
     engine = Engine(result_cache_bytes=(int(args.result_cache_mb * 2**20)
                                         if args.result_cache_mb else None),
-                    shards=(args.shards or None), faults=faults, slos=slos)
-    if args.shards and engine.shard_degraded:
-        print(f"shards: --shards {args.shards} requested but shared memory "
-              f"is unavailable; serving in-process instead")
+                    faults=faults, slos=slos)
     obs = None
     if args.metrics_port is not None:
         from .obs import ObsHTTPServer
@@ -351,8 +338,6 @@ def cmd_serve(args) -> int:
                                 failures=failures)
         return 1 if failures else 0
     finally:
-        # shard pools and shared segments must not outlive the serve run —
-        # the one place `/dev/shm` space could otherwise leak
         if obs is not None:
             obs.close()
         engine.close()
@@ -368,8 +353,8 @@ def _check_smoke(engine, server, responses, args, obs=None,
     with non-zero request counters and a Chrome-trace export for a served
     request. With ``--chaos`` the gate additionally requires that the
     injected faults actually fired, every request still completed with the
-    bit-identical in-process answer, the degrade ladder was observed in
-    ``repro_degraded_total``, and no shm segments leaked."""
+    bit-identical fault-free answer, the degrade ladder was observed in
+    ``repro_degraded_total``, and the degrade captured a flight bundle."""
     import tempfile
     from pathlib import Path
 
@@ -394,9 +379,6 @@ def _check_smoke(engine, server, responses, args, obs=None,
     ok_bundle = True
     if getattr(args, "chaos", False):
         ok_bundle = _check_bundle_smoke(engine, obs)
-    if engine.shards is not None:
-        print(f"smoke shards: {engine.stats.sharded}/{executed} executed "
-              f"requests ran on the {engine.shards.nshards}-worker pool")
     tiers = engine.stats.kernel_tiers
     if tiers:
         # which kernel tier actually served the numeric passes — a degraded
@@ -406,14 +388,12 @@ def _check_smoke(engine, server, responses, args, obs=None,
 
     # restart leg: persist plans, restore into a fresh engine (result cache
     # off so every request exercises the plan path), expect zero misses
-    ok3 = True
     with tempfile.TemporaryDirectory() as tmp:
         plan_path = Path(tmp) / "plans.npz"
         saved = engine.save_plans(plan_path)
         # reuse the (spent) fault plan so a chaos run's restart leg does
         # not re-arm $REPRO_FAULTS via FaultPlan.from_env()
-        restarted = Engine(shards=(args.shards or None),
-                           faults=engine.faults)
+        restarted = Engine(faults=engine.faults)
         try:
             restored = restarted.load_plans(plan_path)
             responses2, _, _, _ = _serve_once(_SMOKE_SPEC, args,
@@ -427,46 +407,30 @@ def _check_smoke(engine, server, responses, args, obs=None,
     print(f"smoke restart: {restored} plans restored, "
           f"{restarted.stats.plan_hits} hits / {misses} misses after warm "
           f"start → {'PASS' if ok2 else 'FAIL'}")
-    if args.shards and engine.shards is not None:
-        # shutdown hygiene gate: close() must verifiably unlink every
-        # segment the serve run created
-        names = engine.shards.store.live_segment_names()
-        engine.close()
-        shm_dir = Path("/dev/shm")
-        leaked = [nm for nm in names
-                  if shm_dir.is_dir()
-                  and (shm_dir / nm.lstrip("/")).exists()]
-        ok3 = not leaked
-        print(f"smoke shard shutdown: {len(names)} segments unlinked"
-              f"{'' if ok3 else f', LEAKED {leaked}'} → "
-              f"{'PASS' if ok3 else 'FAIL'}")
-    ok4 = True
+    ok_chaos = True
     if getattr(args, "chaos", False):
-        ok4 = _check_chaos_smoke(engine, responses, failures)
-    return (0 if ok and ok2 and ok3 and ok4 and ok_obs and ok_slo
-            and ok_bundle else 1)
+        ok_chaos = _check_chaos_smoke(engine, responses, failures)
+    return (0 if ok and ok2 and ok_chaos and ok_obs and ok_slo and ok_bundle
+            else 1)
 
 
 def _check_chaos_smoke(engine, responses, failures) -> bool:
     """Chaos gate: with faults injected, every request must still complete,
-    the degrade ladder must be visible in ``repro_degraded_total``, every
-    response must be bit-identical to the plain in-process answer, and the
-    injected kills must leak no shared-memory segments."""
-    import os
-
+    the degrade ladder must be visible in ``repro_degraded_total``, and
+    every response must be bit-identical to the fault-free answer."""
     from .obs import parse_exposition
-    from .resilience import list_repro_segments
+    from .resilience import FaultPlan
     from .service import Engine, expand_requests, register_matrices
 
     ok_complete = not failures and len(responses) > 0
     fired = engine.faults.fired_total() if engine.faults is not None else 0
     families = parse_exposition(engine.metrics.render())
     degraded = sum(families.get("repro_degraded_total", {}).values())
-    retried = sum(families.get("repro_retries_total", {}).values())
     ok_degraded = fired > 0 and degraded > 0
 
-    # bit-identical: a fresh fault-free in-process engine is the oracle
-    ref_engine = Engine()
+    # bit-identical: a fresh engine with an empty fault plan (not
+    # $REPRO_FAULTS) is the oracle
+    ref_engine = Engine(faults=FaultPlan())
     try:
         register_matrices(ref_engine, _SMOKE_SPEC)
         ref = ref_engine.submit(expand_requests(_SMOKE_SPEC)[0]).result
@@ -478,19 +442,11 @@ def _check_chaos_smoke(engine, responses, failures) -> bool:
         and np.array_equal(r.result.data, ref.data)
         for r in responses)
 
-    # hygiene: after close, none of this process's segments may survive
-    # the injected worker kills (close is idempotent — the shard-shutdown
-    # gate may already have run it)
-    engine.close()
-    mine = [s for s in list_repro_segments() if s.owner_pid == os.getpid()]
-    ok_shm = not mine
-
-    ok = ok_complete and ok_degraded and ok_identical and ok_shm
+    ok = ok_complete and ok_degraded and ok_identical
     print(f"smoke chaos: {len(responses)} responses / {len(failures)} "
-          f"failures, {fired} faults fired, retries={retried:.0f}, "
-          f"degraded={degraded:.0f}, "
-          f"bit-identical={'yes' if ok_identical else 'NO'}, "
-          f"shm leaks={len(mine)} → {'PASS' if ok else 'FAIL'}")
+          f"failures, {fired} faults fired, degraded={degraded:.0f}, "
+          f"bit-identical={'yes' if ok_identical else 'NO'} → "
+          f"{'PASS' if ok else 'FAIL'}")
     return ok
 
 
@@ -626,7 +582,7 @@ def cmd_trace(args) -> int:
     else:
         raise SystemExit("provide a workload.json or --smoke")
 
-    engine = Engine(shards=(args.shards or None))
+    engine = Engine()
     try:
         responses, failures, _, _ = _serve_once(spec, args, engine=engine)
         traced = [r for r in responses if r.stats.trace_id]
@@ -647,10 +603,9 @@ def cmd_trace(args) -> int:
         doc = rec.chrome()
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        pids = {ev.get("pid") for ev in doc["traceEvents"]}
         print(f"wrote {args.output}: request {rec.trace_id} "
-              f"({len(rec.spans)} spans across {len(pids)} processes) — "
-              f"open in Perfetto or chrome://tracing")
+              f"({len(rec.spans)} spans) — open in Perfetto or "
+              f"chrome://tracing")
         for tag, exc in failures[:5]:
             print(f"FAILED request {tag!r}: {type(exc).__name__}: {exc}")
         return 1 if failures else 0
@@ -685,12 +640,10 @@ def cmd_bundle(args) -> int:
     if getattr(args, "chaos", False):
         from .resilience import FaultPlan
 
-        if not args.shards:
-            args.shards = 2
         faults = FaultPlan.from_env() or FaultPlan.parse(_CHAOS_DEFAULT)
         print(f"chaos: injecting {faults!r}")
 
-    engine = Engine(shards=(args.shards or None), faults=faults)
+    engine = Engine(faults=faults)
     try:
         responses, failures, _, _ = _serve_once(spec, args, engine=engine)
         edge_ids = engine.flight.bundle_ids()
@@ -743,7 +696,7 @@ def cmd_profile(args) -> int:
         if not spans:
             raise SystemExit("--spans needs span names or 'all'")
 
-    engine = Engine(shards=(args.shards or None))
+    engine = Engine()
     try:
         prof = SamplingProfiler(interval=args.interval, spans=spans)
         with prof:
@@ -767,28 +720,6 @@ def cmd_profile(args) -> int:
         return 1 if failures else 0
     finally:
         engine.close()
-
-
-def cmd_gc_shm(args) -> int:
-    """List ``repro_*`` shared-memory segments and unlink the orphans —
-    segments whose owner pid (encoded in the name) is dead. The same sweep
-    runs automatically on ``repro serve`` startup; this subcommand is for
-    operators cleaning up after a crashed run by hand."""
-    from .resilience import list_repro_segments, sweep_orphans
-
-    segments = list_repro_segments(args.shm_dir)
-    if not segments:
-        print(f"no repro_* segments in {args.shm_dir}")
-        return 0
-    for seg in segments:
-        state = "live" if seg.owner_alive else "ORPHAN"
-        print(f"  {seg.name:32s} {seg.size:>12d} bytes  "
-              f"owner pid {seg.owner_pid or '?'} ({state})")
-    orphans = sweep_orphans(args.shm_dir, dry_run=args.dry_run)
-    verb = "would unlink" if args.dry_run else "unlinked"
-    print(f"{verb} {len(orphans)} orphaned segment(s), "
-          f"{sum(s.size for s in orphans)} bytes")
-    return 0
 
 
 def cmd_suite(args) -> int:
@@ -878,11 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="use the built-in repeated-mask TC workload")
         sp_.add_argument("--workers", type=int, default=2,
                          help="async worker pool size (default 2)")
-        sp_.add_argument("--shards", type=int, default=0,
-                         help="shard-worker processes for the numeric pass "
-                              "(shared-memory direct write; 0 = in-process). "
-                              "Degrades to in-process execution when shared "
-                              "memory is unavailable")
         sp_.add_argument("--max-inflight", type=int, default=64,
                          help="admission bound: admitted-but-unfinished "
                               "requests")
@@ -909,10 +835,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "live (0 = ephemeral port; with --smoke the gate "
                          "also asserts the endpoints)")
     sv.add_argument("--chaos", action="store_true",
-                    help="inject faults from $REPRO_FAULTS (default: kill a "
-                         "shard worker on the first numeric scatter and its "
-                         "retry); with --smoke the gate asserts completion, "
-                         "bit-identical degraded results, and shm hygiene")
+                    help="inject faults from $REPRO_FAULTS (default: "
+                         f"{_CHAOS_DEFAULT}, failing a kernel call and its "
+                         "first fallback); with --smoke the gate asserts "
+                         "completion, bit-identical degraded results, and a "
+                         "degrade flight bundle")
     sv.add_argument("--slo", action="append", metavar="SPEC",
                     help="declare a service objective, e.g. p99=50ms:0.99 "
                          "(99%% of requests under 50 ms) or "
@@ -967,16 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "or 'all' for whole-process profiling (default "
                          "numeric,symbolic.cold: kernel time only)")
     pr.set_defaults(fn=cmd_profile)
-
-    gc = sub.add_parser(
-        "gc-shm",
-        help="list repro_* shared-memory segments and unlink orphans "
-             "(segments whose owner process is dead)")
-    gc.add_argument("--dry-run", action="store_true",
-                    help="list orphans without unlinking")
-    gc.add_argument("--shm-dir", default="/dev/shm",
-                    help=argparse.SUPPRESS)  # test seam
-    gc.set_defaults(fn=cmd_gc_shm)
 
     su = sub.add_parser("suite", help="list the built-in input suite")
     su.set_defaults(fn=cmd_suite)

@@ -164,7 +164,7 @@ def masked_spgemm(
         # with itself on every warm request
         if (phases == 2 and verify_symbolic and plan is not None
                 and plan.row_sizes is not None
-                and not uses_direct_write(algorithm, phases, executor)
+                and not uses_direct_write(algorithm, phases)
                 and not np.array_equal(plan.row_sizes, np.diff(C.indptr))):
             raise AlgorithmError(
                 f"{algorithm}: planned row sizes differ from the numeric "

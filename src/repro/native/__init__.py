@@ -6,8 +6,7 @@ paper's C++ numbers imply, behind the existing kernel registry as the
 ``msa-native`` / ``hash-native`` routing tiers (``listed=False`` — execution
 strategies of msa/hash, not new algorithms).
 
-Backend ladder, probed lazily and memoized (à la
-:func:`repro.shard.memory.shared_memory_available`):
+Backend ladder, probed lazily and memoized:
 
 1. **numba** (:mod:`repro.native.numba_backend`) — JIT with
    ``nopython=True, nogil=True, cache=True``; the preferred tier, installed

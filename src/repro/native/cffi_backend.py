@@ -12,8 +12,8 @@ pool — the same property ``nogil=True`` buys the numba backend.
 Build artifacts are content-addressed: the ``.so`` is keyed by the SHA-256 of
 the C source (plus the compiler command), cached under
 ``$REPRO_NATIVE_CACHE`` (default: a per-user directory beneath the system
-temp dir) and installed with an atomic rename, so concurrent probes — forked
-shard workers, parallel test processes — race benignly and every later
+temp dir) and installed with an atomic rename, so concurrent probes — e.g.
+parallel test processes — race benignly and every later
 process pays a ``dlopen`` instead of a compile.
 
 Semantics contract (bit-identity with the fused numpy kernels):

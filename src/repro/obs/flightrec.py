@@ -1,7 +1,7 @@
 """Failure flight recorder: request ring + debug bundles on resilience edges.
 
-When a shard worker dies or the breaker trips, the interesting state is
-what the process looked like *right then* — by the time someone greps the
+When a kernel rung fails or a deadline sheds work, the interesting state
+is what the process looked like *right then* — by the time someone greps the
 metrics the evidence has been averaged away. :class:`FlightRecorder` keeps
 two things:
 
@@ -9,11 +9,11 @@ two things:
   phase timings, outcome — the dicts from
   :meth:`repro.service.requests.RequestStats.as_summary`), cheap enough to
   feed on every request;
-* **debug bundles**: whenever a resilience edge fires — retry exhaustion,
-  tier degrade, breaker trip, deadline shed — :meth:`capture` spools one
+* **debug bundles**: whenever a resilience edge fires — tier degrade,
+  deadline shed — :meth:`capture` spools one
   JSON document holding the offending (possibly still-open) trace, a full
   metrics snapshot, whatever live state the owner's ``context`` callable
-  reports (breaker state, shard-pool stats, cache sizes), and the process
+  reports (the engine's open/closed state), and the process
   environment (python/platform/pid, ``REPRO_*`` vars, git revision).
 
 Bundles land in a spool directory (a per-recorder temp dir by default, so
@@ -67,7 +67,7 @@ class FlightRecorder:
     """Bounded request ring + spooled debug bundles.
 
     ``context`` is a zero-argument callable returning a JSON-able dict of
-    live owner state (the engine wires breaker/pool/cache views in);
+    live owner state (the engine wires its closed flag in);
     ``registry`` and ``tracer`` are snapshotted into each bundle when
     given. All methods are thread-safe and never raise into the caller's
     hot path — a failing capture returns ``None``.

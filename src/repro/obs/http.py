@@ -25,8 +25,8 @@ Routes:
 * ``GET /readyz`` — readiness: 200 when the optional ``ready`` callable
   says the service can take traffic (503 otherwise) — ``repro serve``
   wires it to ``Engine.ready``, so a closed engine drains out of rotation
-  while a merely *degraded* one (tripped breaker, dead shard pool) keeps
-  serving bit-identically from the in-process tiers.
+  while a merely *degraded* one (a failed kernel rung) keeps serving
+  bit-identically from the lower rungs.
 """
 
 from __future__ import annotations

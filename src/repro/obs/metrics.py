@@ -2,17 +2,14 @@
 
 The serving stack needs one place where counts and timings accumulate —
 request totals, per-phase seconds, cache hit/miss outcomes, queue depth,
-shard scatter times, /dev/shm segment bytes — and one wire format to get
-them out. This module provides exactly three instrument kinds, modelled on
+per-chunk kernel times — and one wire format to get them out. This module provides exactly three instrument kinds, modelled on
 the Prometheus client data model but with no third-party dependency:
 
 * :class:`Counter` — monotonically increasing totals, optionally labelled
   (``registry.counter("repro_cache_requests_total", ..., labels=("cache",
   "outcome"))`` then ``c.inc(cache="plan", outcome="hit")``);
-* :class:`Gauge` — a value that goes up and down (queue depth, shm bytes).
-  A gauge may instead be constructed with a zero-argument ``callback``
-  that is sampled at render time, so "current /dev/shm usage" never needs
-  an update hook threaded through the store;
+* :class:`Gauge` — a value that goes up and down (queue depth, in-flight
+  requests);
 * :class:`Histogram` — fixed cumulative buckets plus ``_sum``/``_count``,
   for latencies and per-chunk kernel timings.
 
@@ -67,7 +64,7 @@ __all__ = [
 ]
 
 #: request/phase latency buckets (seconds) — spans ~0.1 ms to 10 s, the
-#: range warm cache hits through cold sharded plans actually occupy
+#: range warm cache hits through cold plans actually occupy
 LATENCY_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
                    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
@@ -175,13 +172,6 @@ class Counter(_Metric):
 class Gauge(_Metric):
     kind = "gauge"
 
-    def __init__(self, name: str, help: str, labels: Iterable[str] = (),
-                 callback: Callable[[], float] | None = None):
-        super().__init__(name, help, labels)
-        if callback is not None and self.labels:
-            raise ValueError("callback gauges cannot be labelled")
-        self._callback = callback
-
     def set(self, value: float, **labelvalues: object) -> None:
         key = self._key(labelvalues)
         with self._lock:
@@ -196,18 +186,10 @@ class Gauge(_Metric):
         self.inc(-amount, **labelvalues)
 
     def value(self, **labelvalues: object) -> float:
-        if self._callback is not None:
-            return float(self._callback())
         with self._lock:
             return float(self._samples.get(self._key(labelvalues), 0.0))
 
     def collect(self) -> list[str]:
-        if self._callback is not None:
-            try:
-                v = float(self._callback())
-            except Exception:  # a dead callback must not break /metrics
-                return []
-            return [f"{self.name} {_fmt(v)}"]
         with self._lock:
             items = sorted(self._samples.items())
         return [f"{self.name}{_labelstr(self.labels, key)} {_fmt(v)}"
@@ -380,10 +362,9 @@ class MetricsRegistry:
                 labels: Iterable[str] = ()) -> Counter:
         return self._get_or_make(Counter, name, help, tuple(labels))
 
-    def gauge(self, name: str, help: str = "", labels: Iterable[str] = (),
-              callback: Callable[[], float] | None = None) -> Gauge:
-        return self._get_or_make(Gauge, name, help, tuple(labels),
-                                 callback=callback)
+    def gauge(self, name: str, help: str = "",
+              labels: Iterable[str] = ()) -> Gauge:
+        return self._get_or_make(Gauge, name, help, tuple(labels))
 
     def histogram(self, name: str, help: str = "",
                   labels: Iterable[str] = (),

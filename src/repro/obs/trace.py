@@ -1,7 +1,7 @@
 """Context-var span tracer with bounded retention and Chrome-trace export.
 
 One served request crosses many layers — admission, queue, plan lookup,
-cold symbolic build, chunked numeric, shard scatter, cache writeback — and
+cold symbolic build, chunked numeric, cache writeback — and
 the question the paper keeps asking ("where does the time go?") needs those
 layers stitched into *one* timeline. This module provides:
 
@@ -18,12 +18,8 @@ layers stitched into *one* timeline. This module provides:
   inherit the submitting context; executor call-sites capture the active
   record explicitly (see :func:`repro.parallel.runner.direct_write_numeric`)
   and attach chunk spans with :meth:`TraceRecord.add_span`.
-* :func:`capture` — a standalone activation used inside shard worker
-  processes: workers collect spans locally, return them with the task
-  result as a plain list-of-dicts payload, and the coordinator merges them
-  into the request's record (:meth:`TraceRecord.merge`). ``perf_counter``
-  is CLOCK_MONOTONIC on Linux and shared across forked children, so worker
-  timestamps land on the same axis as the parent's.
+* :func:`capture` — a standalone activation for offline captures and
+  tests: spans land in a fresh record outside any :class:`Tracer`.
 * :meth:`TraceRecord.chrome` — export as Chrome ``traceEvents`` JSON
   (complete ``ph: "X"`` events, microsecond timestamps relative to the
   trace start, one ``pid``/``tid`` row per worker), loadable directly in
@@ -63,11 +59,6 @@ class Span:
     def seconds(self) -> float:
         return max(0.0, self.t1 - self.t0)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {"span_id": self.span_id, "parent_id": self.parent_id,
-                "name": self.name, "t0": self.t0, "t1": self.t1,
-                "pid": self.pid, "tid": self.tid, "attrs": dict(self.attrs)}
-
 
 class TraceRecord:
     """All spans of one request. Append-only, span-count bounded."""
@@ -106,37 +97,7 @@ class TraceRecord:
             sp.t1 = t1
         return sp
 
-    def merge(self, payload: list[dict[str, Any]], *,
-              parent_id: int | None = None) -> None:
-        """Fold spans captured in another process (list of
-        :meth:`Span.as_dict` dicts) into this record, remapping ids to stay
-        unique. Roots of the merged payload are re-parented under
-        ``parent_id`` (e.g. the scatter span that dispatched the work), so
-        worker spans nest inside the request's flame view."""
-        with self._lock:
-            idmap: dict[int, int] = {}
-            for raw in payload:
-                if len(self.spans) >= self.max_spans:
-                    self.dropped += len(payload) - len(idmap)
-                    break
-                new_id = self._next_id
-                self._next_id += 1
-                idmap[int(raw["span_id"])] = new_id
-                parent = raw.get("parent_id")
-                self.spans.append(Span(
-                    new_id,
-                    idmap.get(int(parent), parent_id)
-                    if parent is not None else parent_id,
-                    str(raw["name"]), float(raw["t0"]), float(raw["t1"]),
-                    pid=int(raw.get("pid", 0)), tid=int(raw.get("tid", 0)),
-                    attrs=dict(raw.get("attrs", {}))))
-
     # -- export -------------------------------------------------------- #
-    def payload(self) -> list[dict[str, Any]]:
-        """Picklable span list for shipping across a process boundary."""
-        with self._lock:
-            return [sp.as_dict() for sp in self.spans]
-
     def t_start(self) -> float | None:
         """Earliest span start (perf_counter axis), ``None`` if span-less."""
         with self._lock:
@@ -289,7 +250,7 @@ def span(name: str, **attrs: Any) -> Iterator[Span | None]:
 @contextmanager
 def capture(trace_id: str = "local", *,
             max_spans: int = 4096) -> Iterator[TraceRecord]:
-    """Activate a standalone record (shard workers, offline captures)."""
+    """Activate a standalone record (offline captures, tests)."""
     rec = TraceRecord(trace_id, max_spans=max_spans)
     token = _CURRENT.set(_Ctx(rec, None))
     try:

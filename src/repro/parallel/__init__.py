@@ -7,8 +7,8 @@ reproduces that schedule shape in Python:
 * :mod:`repro.parallel.partition` — row partitioning, including the
   flops-balanced variant addressing the paper's load-imbalance challenge
   (§2.2 challenge iv);
-* :mod:`repro.parallel.executor` — serial, thread, process (fork) and
-  *simulated* executors. The simulated executor measures per-chunk serial
+* :mod:`repro.parallel.executor` — serial, thread and *simulated*
+  executors. The simulated executor measures per-chunk serial
   time and reports the makespan a p-worker greedy schedule would achieve —
   an honest work/span model used for strong-scaling experiments on boxes
   whose GIL (or core count) hides real scaling;
@@ -20,7 +20,6 @@ reproduces that schedule shape in Python:
 """
 
 from .executor import (
-    ProcessExecutor,
     SerialExecutor,
     SimulatedExecutor,
     ThreadExecutor,
@@ -37,7 +36,6 @@ from .runner import parallel_masked_spgemm, uses_direct_write
 __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "SimulatedExecutor",
     "uniform_partition",
     "balanced_partition",

@@ -1,14 +1,11 @@
-"""Executors: serial, threads, processes, and the simulated work/span model.
+"""Executors: serial, threads, and the simulated work/span model.
 
-Why four? The calibration note for this reproduction says it directly: "GIL
-blocks shared-memory parallelism". So:
+The paper targets shared-memory machines — threads, one accumulator per
+thread, no processes — so these are the only substrates:
 
 * :class:`SerialExecutor` — baseline; also what ``executor=None`` means.
 * :class:`ThreadExecutor` — real threads. numpy kernels release the GIL for
   parts of their work, Python glue does not; speedups are real but damped.
-* :class:`ProcessExecutor` — fork-based processes: genuine parallelism.
-  Inputs reach children via copy-on-write fork memory; only row ids and
-  results cross the pipe.
 * :class:`SimulatedExecutor` — runs chunks serially, times each, and reports
   the **makespan** a greedy p-worker list schedule of those chunk times
   would achieve. This is a deterministic work/span model of the paper's
@@ -57,29 +54,6 @@ class ThreadExecutor:
 
     def __exit__(self, *exc):
         self.close()
-
-
-class ProcessExecutor:
-    """Fork-based process pool.
-
-    The pool is created lazily *inside* :meth:`map`, after the caller has
-    parked the kernel context in module globals (see
-    :mod:`repro.parallel.runner`): fork then snapshots those globals into
-    every child, so operand matrices never cross a pipe.
-    """
-
-    def __init__(self, nworkers: int | None = None):
-        self.nworkers = int(nworkers or os.cpu_count() or 1)
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=self.nworkers) as pool:
-            return pool.map(fn, items)
-
-    def close(self) -> None:  # pragma: no cover - pools are per-call
-        pass
 
 
 class SimulatedExecutor:

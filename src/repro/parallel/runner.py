@@ -11,9 +11,8 @@ matrix. Assembly has two modes:
   scatters into its disjoint slice via the kernel's ``numeric_rows_into`` —
   zero stitch copies, which is the point of the paper's two-phase
   formulation (§6);
-* **stitch** (one-phase requests, kernels without a direct-write variant,
-  and the process executor, whose children cannot write parent memory):
-  per-chunk :class:`RowBlock` results are concatenated as before.
+* **stitch** (one-phase requests and kernels without a direct-write
+  variant): per-chunk :class:`RowBlock` results are concatenated as before.
 
 Two-phase requests without a plan no longer throw the symbolic results
 away: the per-chunk sizes are captured into an *implied*
@@ -21,17 +20,10 @@ away: the per-chunk sizes are captured into an *implied*
 pass and is exposed through ``plan_sink`` so callers get plan reuse for
 free. Warm requests carrying a cached plan (``plan=``) skip the symbolic
 map entirely, so a warm request runs zero Python-per-row work end to end.
-
-Process-pool support: operands are parked in module globals under a token
-before the pool forks, so children inherit them via copy-on-write and tasks
-carry only ``(token, chunk_of_row_ids)``. Semirings are passed *by name*
-(pickling lambdas is a trap); custom semiring objects therefore require a
-thread/serial/simulated executor.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Optional
 
@@ -42,13 +34,11 @@ from ..obs.metrics import current_chunk_observer
 from ..obs.trace import current_record
 from ..mask import Mask
 from ..semiring import PLUS_TIMES, Semiring
-from ..semiring.standard import _REGISTRY as _SEMIRING_REGISTRY
 from ..sparse.csr import CSRMatrix
 from ..validation import INDEX_DTYPE, check_multiplicable
 from ..core import registry
 from ..core.plan import SymbolicPlan
 from ..core.types import stitch_blocks
-from .executor import ProcessExecutor, ThreadExecutor
 from .partition import (
     NATIVE_BYTES_PER_FLOP,
     balanced_partition,
@@ -57,36 +47,17 @@ from .partition import (
     estimate_row_weights,
 )
 
-# ---------------------------------------------------------------------- #
-# process-pool plumbing: context parked in globals pre-fork
-# ---------------------------------------------------------------------- #
-_CONTEXTS: dict[int, tuple] = {}
-_TOKENS = itertools.count()
 
-
-def _chunk_task(args):
-    """Top-level (picklable) task: run one chunk against the parked context."""
-    token, rows, phase = args
-    A, B, mask, algorithm, semiring_name = _CONTEXTS[token]
-    spec = registry.get_spec(algorithm)
-    semiring = _SEMIRING_REGISTRY[semiring_name]
-    if phase == "symbolic":
-        return spec.symbolic(A, B, mask, rows)
-    return spec.numeric(A, B, mask, semiring, rows)
-
-
-def uses_direct_write(algorithm: str, phases: int, executor=None,
+def uses_direct_write(algorithm: str, phases: int,
                       row_sizes_known: bool = True) -> bool:
     """Will the runner take the direct-write path for this configuration?
 
-    True when the kernel has a ``numeric_rows_into`` variant, the request is
-    two-phase with (cached or captured) row sizes, and the executor keeps a
-    shared address space. Exposed so telemetry (``RequestStats``) can report
-    the path without re-deriving the conditions.
+    True when the kernel has a ``numeric_rows_into`` variant and the request
+    is two-phase with (cached or captured) row sizes. Exposed so telemetry
+    (``RequestStats``) can report the path without re-deriving the
+    conditions.
     """
     if phases != 2 or not row_sizes_known:
-        return False
-    if isinstance(executor, ProcessExecutor):
         return False
     try:
         spec = registry.get_spec(algorithm)
@@ -148,7 +119,6 @@ def parallel_masked_spgemm(
     plan=None,
     plan_sink: Optional[list] = None,
     direct_write: bool = True,
-    backend: str = "local",
 ) -> CSRMatrix:
     """Row-parallel ``C = M ⊙ (A·B)`` on the given executor.
 
@@ -159,53 +129,7 @@ def parallel_masked_spgemm(
     ``plan_sink`` when given) that feeds the direct-write numeric pass.
     ``direct_write=False`` forces the stitch path — the A/B knob the chunk
     benchmarks use.
-
-    ``backend`` selects the execution substrate: ``"local"`` (this runner's
-    chunked executor path), ``"shard"``, which routes the product through
-    :func:`repro.shard.shard_masked_spgemm` — a transient shard-worker pool
-    whose workers scatter into a shared-memory output CSR (``executor``'s
-    ``nworkers`` sizes the pool; the executor itself is not used) — or
-    ``"thread"``: the compiled-tier successor to process shards. The thread
-    backend rewrites the algorithm to its native variant (when the
-    :mod:`repro.native` probe passes), runs on a
-    :class:`~repro.parallel.executor.ThreadExecutor` (``executor`` when it
-    is one, else a transient pool sized to the machine), and scatters
-    chunks straight into the preallocated CSR slices — the compiled kernels
-    release the GIL for the whole chunk call, so this gets real parallelism
-    with no processes and no shared-memory segments. Ineligible requests
-    degrade back to the local path inside the shard layer, and the thread
-    backend without a native backend is simply the local thread-pool path,
-    so results are identical for every backend.
     """
-    if backend not in ("local", "shard", "thread"):
-        raise AlgorithmError(
-            f"unknown backend {backend!r}; use 'local', 'thread' or 'shard'")
-    if backend == "thread":
-        import os
-
-        own = None
-        if not isinstance(executor, ThreadExecutor):
-            nworkers = (executor.nworkers if executor is not None
-                        else min(8, os.cpu_count() or 2))
-            own = executor = ThreadExecutor(max(int(nworkers), 1))
-        try:
-            return parallel_masked_spgemm(
-                A, B, mask, algorithm=registry.native_variant(algorithm),
-                semiring=semiring, phases=phases, executor=executor,
-                nchunks=nchunks, plan=plan, plan_sink=plan_sink,
-                direct_write=direct_write, backend="local")
-        finally:
-            if own is not None:
-                own.close()
-    if backend == "shard":
-        from ..shard import shard_masked_spgemm
-
-        nshards = executor.nworkers if executor is not None else 2
-        return shard_masked_spgemm(
-            A, B, mask, algorithm=algorithm, semiring=semiring,
-            phases=phases, nshards=max(int(nshards), 1), plan=plan,
-            plan_sink=plan_sink, executor=executor,
-            direct_write=direct_write)
     out_shape = check_multiplicable(A.shape, B.shape)
     mask.check_output_shape(out_shape)
     spec = registry.get_spec(algorithm)
@@ -228,22 +152,10 @@ def parallel_masked_spgemm(
 
     row_sizes = (plan.row_sizes
                  if plan is not None and phases == 2 else None)
-    is_process = isinstance(executor, ProcessExecutor)
-    token = None
-    if is_process:
-        if semiring.name not in _SEMIRING_REGISTRY:
-            raise AlgorithmError(
-                f"process executor requires a registered semiring (got "
-                f"{semiring.name!r}); use a thread or serial executor for "
-                f"custom semirings"
-            )
-        token = next(_TOKENS)
-        _CONTEXTS[token] = (A, B, mask, algorithm, semiring.name)
     # captured on the submitting thread (pool threads don't inherit the
-    # trace/sink contextvars); process pools stay uninstrumented — children
-    # cannot write the parent's record or registry
-    rec = None if is_process else current_record()
-    sink = None if is_process else current_chunk_observer()
+    # trace/sink contextvars)
+    rec = current_record()
+    sink = current_chunk_observer()
     trace_id = rec.trace_id if rec is not None else None
 
     def timed(fn, phase):
@@ -262,39 +174,26 @@ def parallel_masked_spgemm(
             return out
         return wrapped
 
-    try:
-        if phases == 2 and row_sizes is None:
-            # capture the symbolic chunk results (previously discarded) into
-            # the row sizes that drive the direct-write numeric pass
-            if is_process:
-                sym = executor.map(_chunk_task,
-                                   [(token, c, "symbolic") for c in chunks])
-            else:
-                sym = executor.map(
-                    timed(lambda c: spec.symbolic(A, B, mask, c),
-                          "symbolic"), chunks)
-            row_sizes = (sym[0] if len(sym) == 1
-                         else np.concatenate(sym)).astype(INDEX_DTYPE,
-                                                          copy=False)
-            if plan_sink is not None:
-                plan_sink.append(SymbolicPlan(
-                    algorithm=algorithm, phases=2, shape=out_shape,
-                    row_sizes=row_sizes))
+    if phases == 2 and row_sizes is None:
+        # capture the symbolic chunk results (previously discarded) into
+        # the row sizes that drive the direct-write numeric pass
+        sym = executor.map(
+            timed(lambda c: spec.symbolic(A, B, mask, c), "symbolic"),
+            chunks)
+        row_sizes = (sym[0] if len(sym) == 1
+                     else np.concatenate(sym)).astype(INDEX_DTYPE,
+                                                      copy=False)
+        if plan_sink is not None:
+            plan_sink.append(SymbolicPlan(
+                algorithm=algorithm, phases=2, shape=out_shape,
+                row_sizes=row_sizes))
 
-        if (direct_write and row_sizes is not None and not is_process
-                and spec.numeric_into is not None):
-            return direct_write_numeric(spec, A, B, mask, semiring, chunks,
-                                        row_sizes, out_shape, executor)
+    if (direct_write and row_sizes is not None
+            and spec.numeric_into is not None):
+        return direct_write_numeric(spec, A, B, mask, semiring, chunks,
+                                    row_sizes, out_shape, executor)
 
-        if is_process:
-            blocks = executor.map(_chunk_task,
-                                  [(token, c, "numeric") for c in chunks])
-        else:
-            blocks = executor.map(
-                timed(lambda c: spec.numeric(A, B, mask, semiring, c),
-                      "numeric"), chunks)
-    finally:
-        if token is not None:
-            del _CONTEXTS[token]
-
+    blocks = executor.map(
+        timed(lambda c: spec.numeric(A, B, mask, semiring, c), "numeric"),
+        chunks)
     return stitch_blocks(blocks, out_shape[0], out_shape[1])

@@ -1,33 +1,24 @@
-"""repro.resilience — deadlines, retry/degrade, breakers, fault injection.
+"""repro.resilience — deadlines and fault injection.
 
-The serving stack's failure-handling layer, PR 7. Four pieces, composed by
-the engine/server/coordinator:
+The serving stack's failure-handling layer, composed by the engine and the
+async server:
 
 * :mod:`~repro.resilience.deadline` — per-request monotonic budgets and
   the typed :class:`DeadlineExceeded` they shed work with.
-* :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, bounded attempts
-  with seeded exponential backoff + jitter.
-* :mod:`~repro.resilience.breaker` — :class:`CircuitBreaker` guarding the
-  shard tier (closed/open/half-open).
 * :mod:`~repro.resilience.faults` — :class:`FaultPlan`, the deterministic
   chaos seam (``REPRO_FAULTS`` / ``Engine(faults=...)``).
-* :mod:`~repro.resilience.shm` — ``/dev/shm`` orphan sweeping behind
-  ``repro gc-shm``.
 
-See ``docs/RESILIENCE.md`` for the failure matrix tying fault sites to
-detection, recovery tier, and metrics.
+Recovery itself is the engine's in-process degrade ladder (native → fused
+→ loop kernels, bit-identical at every rung). See ``docs/RESILIENCE.md``
+for the failure matrix tying fault sites to detection, recovery tier, and
+metrics.
 """
 
-from .breaker import BREAKER_STATE_VALUES, CircuitBreaker
 from .deadline import Deadline, DeadlineExceeded, resolve_deadline
 from .faults import (FAULT_SITES, FaultPlan, FaultSpec, InjectedFault,
-                     apply_fault, wire_format)
-from .retry import RetryPolicy
-from .shm import OrphanSegment, list_repro_segments, sweep_orphans
+                     apply_fault)
 
 __all__ = [
-    "BREAKER_STATE_VALUES",
-    "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
     "resolve_deadline",
@@ -36,9 +27,4 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "apply_fault",
-    "wire_format",
-    "RetryPolicy",
-    "OrphanSegment",
-    "list_repro_segments",
-    "sweep_orphans",
 ]

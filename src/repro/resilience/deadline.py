@@ -3,23 +3,20 @@
 A production request is only worth finishing while its caller is still
 waiting. :class:`Deadline` is the one representation of that budget used
 across the stack: the async server starts it at admission
-(``Request.deadline_ms``), the engine checks it between phases, and the
-shard coordinator bounds its scatter waits with it — so a request that has
-already lost its caller is *shed* (cheap, typed failure) instead of
-occupying a worker, and a hung shard pool can never hold a submitter past
-its budget.
+(``Request.deadline_ms``) and the engine checks it between phases — so a
+request that has already lost its caller is *shed* (cheap, typed failure)
+instead of occupying a worker.
 
 Design points:
 
 * **monotonic, absolute.** The deadline is an absolute point on
   ``time.monotonic()``; ``remaining()`` can be re-derived at every
-  enforcement site without accumulating drift, and forked shard workers
-  share the clock.
+  enforcement site without accumulating drift.
 * **typed failure.** Every enforcement site raises
   :class:`DeadlineExceeded` (a :class:`~repro.errors.ReproError`), tagged
-  with the *stage* that shed the work — admission, queue, scatter — so
-  callers and metrics can tell "the server refused" from "the kernel was
-  too slow".
+  with the *stage* that shed the work — admission, queue, engine — so
+  callers and metrics can tell "the server refused" from "the engine ran
+  out of budget".
 * **None is infinite.** Requests without ``deadline_ms`` never construct a
   Deadline; every enforcement site accepts ``None`` and does nothing, so
   the hot path for undeadlined traffic stays a single identity check.
@@ -38,9 +35,8 @@ class DeadlineExceeded(ReproError):
     """The request's deadline expired before (or while) the work ran.
 
     ``stage`` names the enforcement site that shed the request —
-    ``"admission"``, ``"queue"``, ``"follower"``, ``"engine"``,
-    ``"scatter"`` — the same vocabulary the
-    ``repro_deadline_total{stage}`` metric uses.
+    ``"admission"``, ``"queue"``, ``"follower"``, ``"engine"`` — the same
+    vocabulary the ``repro_deadline_total{stage}`` metric uses.
     """
 
     def __init__(self, message: str, *, stage: str = ""):

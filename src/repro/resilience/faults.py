@@ -1,31 +1,24 @@
-"""Deterministic fault injection for the serving and shard stack.
+"""Deterministic fault injection for the serving stack.
 
 Resilience code that is only exercised by real hardware failures is
 untested code. :class:`FaultPlan` is the seam that lets the chaos suite —
-and the CI ``serve --smoke --chaos`` leg — *actually kill things*, on a
+and the CI ``serve --smoke --chaos`` leg — *actually break things*, on a
 schedule that is exact and replayable:
 
 * A plan is a list of :class:`FaultSpec`\\ s, each naming an injection
-  *site* (``shard.numeric``, ``shard.symbolic``, ``shard.attach``,
-  ``engine.kernel``, ...), an *action* (``kill``, ``slow``, ``error``), a
-  bounded fire *count*, and optionally how many matching checks to *skip*
-  first.
+  *site* (see :data:`FAULT_SITES`; ``engine.kernel`` is the only one), an
+  *action* (``kill``, ``slow``, ``error``), a bounded fire *count*, and
+  optionally how many matching checks to *skip* first.
 * Sites call :meth:`FaultPlan.check` when they reach the instrumented
   point. The plan decrements its counters under a lock and returns the
   spec exactly ``count`` times — the Nth eligible request fails, the
   N+1th succeeds, every run.
-* For cross-process sites the *coordinator* does the counting in one
-  process and attaches the fired spec to exactly one task's arguments;
-  the shard worker merely applies it (``os._exit`` for ``kill``, a sleep
-  for ``slow``, a raised :class:`InjectedFault` for ``error``). Counters
-  never live in forked children, so a plan saying "kill one worker" kills
-  exactly one.
 
 Plans come from ``Engine(faults=...)`` in tests or the ``REPRO_FAULTS``
 environment variable in the CI chaos leg, using a compact
 ``site:action[:count[:param]]`` comma-separated syntax::
 
-    REPRO_FAULTS="shard.numeric:kill:1,engine.kernel:error:2"
+    REPRO_FAULTS="engine.kernel:error:2"
 """
 
 from __future__ import annotations
@@ -38,16 +31,13 @@ from dataclasses import dataclass, field
 from ..errors import ReproError
 
 __all__ = ["FaultSpec", "FaultPlan", "InjectedFault", "FAULT_SITES",
-           "apply_fault", "wire_format"]
+           "apply_fault"]
 
 ENV_VAR = "REPRO_FAULTS"
 
 #: the instrumented sites and what each action means there
 FAULT_SITES = {
-    "shard.numeric": "start of a shard numeric task (worker process)",
-    "shard.symbolic": "start of a shard symbolic task (worker process)",
-    "shard.attach": "segment attach inside a shard task (worker process)",
-    "engine.kernel": "in-process numeric kernel call (engine tier)",
+    "engine.kernel": "numeric kernel call, re-checked on every ladder rung",
 }
 
 _ACTIONS = ("kill", "slow", "error")
@@ -55,7 +45,7 @@ _ACTIONS = ("kill", "slow", "error")
 
 class InjectedFault(ReproError):
     """An error raised *on purpose* by a :class:`FaultSpec` with action
-    ``error``. Picklable across the pool boundary (single str arg)."""
+    ``error``."""
 
 
 @dataclass
@@ -164,19 +154,14 @@ def apply_fault(spec) -> None:
     """Execute a fired spec at the instrumented point.
 
     Accepts ``None`` (no-op) so call sites can write
-    ``apply_fault(plan.check(site))``. Also accepts the plain
-    ``(site, action, param)`` tuple form the coordinator ships across the
-    pool boundary, so workers need no dataclass unpickling.
+    ``apply_fault(plan.check(site))``.
     """
     if spec is None:
         return
-    if isinstance(spec, tuple):
-        site, action, param = spec
-    else:
-        site, action, param = spec.site, spec.action, spec.param
+    site, action, param = spec.site, spec.action, spec.param
     if action == "kill":
-        # A real crash, not an exception: skip interpreter teardown so the
-        # parent sees a dead process, exactly like a SIGKILL'd worker.
+        # A real crash, not an exception: skip interpreter teardown, exactly
+        # like a SIGKILL'd process.
         os._exit(1)
     elif action == "slow":
         time.sleep(param)
@@ -185,9 +170,3 @@ def apply_fault(spec) -> None:
     else:  # pragma: no cover - parse() rejects unknown actions
         raise ValueError(f"unknown fault action {action!r}")
 
-
-def wire_format(spec: FaultSpec | None):
-    """The picklable tuple form shipped to shard workers (None passthrough)."""
-    if spec is None:
-        return None
-    return (spec.site, spec.action, spec.param)

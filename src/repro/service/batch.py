@@ -7,9 +7,7 @@ own ``executor`` is the within-product, row-parallel axis). A batch is
    semiring, complement) configs run back-to-back, so a repeated-mask group
    pays one cold plan and streams warm hits; then
 2. **fanned out** through an existing :mod:`repro.parallel` executor
-   (serial / thread / simulated). Process pools are rejected: engine state
-   (store, plan cache) is shared memory, and shipping it across a pipe per
-   request would cost more than the products themselves.
+   (serial / thread / simulated).
 
 Responses come back in the order of the input list regardless of grouping.
 
@@ -25,8 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..errors import AlgorithmError
-from ..parallel.executor import ProcessExecutor, SerialExecutor
+from ..parallel.executor import SerialExecutor
 from .engine import Engine
 from .requests import Request, Response
 
@@ -63,19 +60,11 @@ class BatchExecutor:
     ----------
     engine : the (thread-safe) engine owning operands and plans.
     executor : a :mod:`repro.parallel` executor for the fan-out; None means
-        serial. :class:`ProcessExecutor` is not supported (see module doc).
+        serial.
     """
 
     engine: Engine
     executor: object = field(default=None)
-
-    def __post_init__(self):
-        if isinstance(self.executor, ProcessExecutor):
-            raise AlgorithmError(
-                "BatchExecutor cannot use a process pool: the engine's store "
-                "and plan cache are shared in-memory state; use a thread, "
-                "serial or simulated executor"
-            )
 
     def run(self, requests: list[Request], *,
             return_exceptions: bool = False) -> BatchResult:

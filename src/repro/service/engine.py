@@ -58,9 +58,8 @@ from ..mask import Mask
 from ..native import warmup as native_warmup
 from ..obs import FlightRecorder, MetricsRegistry, SLOEvaluator, Tracer, span
 from ..obs.metrics import CHUNK_BUCKETS, chunk_observer
-from ..resilience import (CircuitBreaker, DeadlineExceeded, FaultPlan,
-                          InjectedFault, RetryPolicy, apply_fault,
-                          resolve_deadline)
+from ..resilience import (DeadlineExceeded, FaultPlan, InjectedFault,
+                          apply_fault, resolve_deadline)
 from ..semiring import Semiring
 from ..semiring.standard import by_name as semiring_by_name
 from ..sparse.csr import CSRMatrix
@@ -125,7 +124,7 @@ class EngineStats:
             labels=("tier",))
         self._events = self.registry.counter(
             "repro_engine_events_total",
-            "request-path events (symbolic_skipped/sharded/direct_write)",
+            "request-path events (symbolic_skipped/direct_write)",
             labels=("event",))
         self._request_seconds = self.registry.histogram(
             "repro_request_seconds",
@@ -176,12 +175,6 @@ class EngineStats:
         return int(self._events.value(event="symbolic_skipped"))
 
     @property
-    def sharded(self) -> int:
-        """Numeric passes executed on the shard-worker pool (shared-memory
-        direct write); the complement ran in-process."""
-        return int(self._events.value(event="sharded"))
-
-    @property
     def plan_seconds(self) -> float:
         return self._phase_seconds.sum(phase="plan")
 
@@ -225,8 +218,6 @@ class EngineStats:
             self._kernel_tier.inc(tier=stats.kernel_tier)
         if stats.symbolic_skipped:
             self._events.inc(event="symbolic_skipped")
-        if stats.sharded:
-            self._events.inc(event="sharded")
         if stats.direct_write:
             self._events.inc(event="direct_write")
         if stats.plan_seconds:
@@ -251,16 +242,6 @@ class Engine:
     executor : optional :mod:`repro.parallel` executor used for the numeric
         pass of every request (row parallelism *within* a product;
         :class:`BatchExecutor` adds parallelism *across* products).
-    shards : optional shard-worker pool size. When set (and shared memory is
-        usable — see :func:`repro.shard.shared_memory_available`), operands
-        are mirrored into shared-memory segments at registration and every
-        eligible request's numeric pass runs on a persistent
-        :class:`~repro.shard.ShardCoordinator` pool, each worker scattering
-        its row range straight into a shared output CSR
-        (``RequestStats.sharded``). Ineligible requests (baselines,
-        non-direct-write kernels, custom semirings) and environments without
-        shared memory degrade to the in-process path —
-        :attr:`shard_degraded` reports the latter.
     result_admit_flops_per_byte : admission threshold for the default result
         cache (see :class:`ResultCache`): results estimated to save fewer
         flops per cached byte are not admitted. 0 admits everything.
@@ -274,18 +255,11 @@ class Engine:
         phase spans; disabled tracing reduces every ``span()`` on the path
         to a no-op contextvar read (the <3% overhead gate in
         ``benchmarks/bench_obs_overhead.py`` measures enabled vs that).
-    retry : :class:`~repro.resilience.RetryPolicy` for the shard tier
-        (bounded attempts + seeded exponential backoff; the default policy
-        retries once). Failed attempts degrade down the tier ladder —
-        shards → in-process fused → per-row loop kernels — every rung
-        bit-identical.
-    breaker : :class:`~repro.resilience.CircuitBreaker` guarding the shard
-        tier: after N consecutive pool failures requests route straight to
-        the in-process tier (no scatter, no per-request failure tax) until
-        a half-open probe succeeds.
     faults : :class:`~repro.resilience.FaultPlan` chaos seam — defaults to
         ``FaultPlan.from_env()`` (the ``REPRO_FAULTS`` variable), so the CI
-        chaos leg can inject worker kills into an unmodified server.
+        chaos leg can inject kernel errors into an unmodified server. A
+        failed numeric pass degrades down the in-process kernel ladder —
+        native → fused → per-row loop — every rung bit-identical.
     slos : optional list of :class:`~repro.obs.SLObjective` (what ``serve
         --slo p99=50ms:0.99`` parses). When given, the engine owns an
         :class:`~repro.obs.SLOEvaluator` (``engine.slo``) exporting
@@ -293,9 +267,9 @@ class Engine:
         the sidecar's ``/slo`` endpoint.
     flight : optional :class:`~repro.obs.FlightRecorder`; the engine builds
         its own by default (ring of request summaries + debug-bundle
-        capture whenever a resilience edge fires — retry exhaustion,
-        degrade, breaker trip, deadline shed), wired with a context probe
-        reporting live breaker/pool/cache state into each bundle.
+        capture whenever a resilience edge fires — degrade, deadline
+        shed), wired with a context probe reporting live engine state into
+        each bundle.
     """
 
     def __init__(self, store: MatrixStore | None = None,
@@ -306,12 +280,9 @@ class Engine:
                  result_cache_bytes: int | None = None,
                  result_admit_flops_per_byte: float = 0.0,
                  executor=None,
-                 shards: int | None = None,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
                  tracing: bool = True,
-                 retry: RetryPolicy | None = None,
-                 breaker: CircuitBreaker | None = None,
                  faults: FaultPlan | None = None,
                  slos: list | None = None,
                  flight: FlightRecorder | None = None):
@@ -333,22 +304,14 @@ class Engine:
             self.results.bind_metrics(self.metrics)
         self._chunk_seconds = self.metrics.histogram(
             "repro_chunk_seconds",
-            "per-chunk kernel wall time (recorded at the runner/worker "
-            "call sites; populated with tracing on or off)",
+            "per-chunk kernel wall time (recorded at the runner call "
+            "sites; populated with tracing on or off)",
             labels=("kernel", "phase"), buckets=CHUNK_BUCKETS)
-        self._scatter_seconds = self.metrics.histogram(
-            "repro_shard_scatter_seconds",
-            "coordinator-side shard fan-out wall time (recorded at the "
-            "coordinator call site; populated with tracing on or off)",
-            labels=("phase",))
         self._trace_seq = itertools.count(1)
         self._lock = threading.Lock()
         self._closed = False
-        # resilience: retry/degrade ladder, breaker, chaos seam (PR 7)
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        # resilience: chaos seam for the kernel degrade ladder
         self.faults = faults if faults is not None else FaultPlan.from_env()
-        self.breaker.bind_metrics(self.metrics)
         # diagnosis layer (PR 10): burn-rate SLOs over this registry, and a
         # flight recorder capturing debug bundles on resilience edges
         self.slo = (SLOEvaluator(self.metrics, list(slos),
@@ -358,10 +321,6 @@ class Engine:
                        FlightRecorder(registry=self.metrics,
                                       tracer=self.tracer,
                                       context=self._flight_context))
-        self._retries = self.metrics.counter(
-            "repro_retries_total",
-            "same-tier retry attempts by tier and outcome",
-            labels=("tier", "outcome"))
         self._degraded = self.metrics.counter(
             "repro_degraded_total",
             "tier downgrades from → to (results stay bit-identical)",
@@ -397,86 +356,25 @@ class Engine:
             "guard (a delta landed while the request executed)")
         # resolve + compile the native kernel tier off the request path
         # (memoized: only the first engine in a process pays the JIT/cc
-        # cost) and record it — done *before* the shard pool forks so the
-        # workers inherit the compiled backend instead of re-probing
+        # cost) and record it
         native_warmup(metrics=self.metrics)
-        self.shards = None
-        self.shard_degraded = False
-        if shards:
-            from ..shard import ShardCoordinator, shared_memory_available
-
-            if shared_memory_available():
-                self.shards = ShardCoordinator(
-                    shards, faults=self.faults,
-                    chunk_observer=self._observe_chunk,
-                    scatter_observer=self._observe_scatter)
-                store_ref = self.shards.store
-                self.metrics.gauge(
-                    "repro_shm_segment_bytes",
-                    "bytes held in shared-memory operand segments",
-                    callback=lambda: store_ref.shared_bytes)
-                pool_ref = self.shards.segment_pool
-                self.metrics.gauge(
-                    "repro_segment_pool_segments",
-                    "recycled output segments currently free in the "
-                    "coordinator's size-classed pool",
-                    callback=lambda: pool_ref.stats["held"])
-                self.metrics.gauge(
-                    "repro_segment_pool_bytes",
-                    "bytes pinned by free pooled output segments "
-                    "(bounded per size class and in total)",
-                    callback=lambda: pool_ref.stats["held_bytes"])
-            else:
-                self.shard_degraded = True
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release owned multi-process resources: terminate the shard pool
-        and unlink every shared-memory segment. Idempotent, and safe (a
-        no-op) on engines without sharding — callers can put it in a
-        ``finally`` unconditionally. The executor is caller-owned and stays
+        """Mark the engine closed, so :meth:`ready` reports it out of
+        rotation. Idempotent; the executor is caller-owned and stays
         open."""
         self._closed = True
-        coord, self.shards = self.shards, None
-        if coord is not None:
-            coord.close()
 
     def ready(self) -> bool:
         """Readiness probe backing ``/readyz``: can this engine serve?
 
-        A tripped breaker or a degraded shard tier still counts as ready —
-        requests serve bit-identically from the in-process tiers; only a
-        closed engine refuses work."""
+        A degraded kernel tier still counts as ready — requests serve
+        bit-identically from the lower rungs; only a closed engine refuses
+        work."""
         return not self._closed
-
-    def _heal_shards(self) -> None:
-        """Self-heal after a worker death: respawn the pool and re-share
-        any operand segments that died with it from the in-process store
-        (the coordinator can only detect missing segments; the engine holds
-        the original matrices)."""
-        if self.shards is None:
-            return
-        from ..shard import ShardError
-
-        try:
-            missing = self.shards.heal()
-        except (ShardError, OSError):
-            return  # still broken; the next attempt degrades in-process
-        for key in missing:
-            with self._lock:
-                entry = (self.store.entry(key)
-                         if key in self.store else None)
-            try:
-                if entry is not None:
-                    self.shards.share(key, entry.value)
-                else:
-                    # not in the in-process store either: drop the stale
-                    # handle so lookups fail fast as SegmentMissing
-                    self.shards.evict(key)
-            except (ShardError, OSError):
-                self.shard_degraded = True
 
     def __enter__(self) -> "Engine":
         return self
@@ -504,28 +402,8 @@ class Engine:
         entry.fingerprint
         if self.results is not None:
             entry.value_fingerprint
-        if self.shards is not None:
-            from ..shard import ShardError
-
-            try:
-                self.shards.share(key, value)
-            except ShardError:
-                # no segment headroom for this operand: it simply serves
-                # in-process (requests naming it fall back per-request)
-                self.shard_degraded = True
-            # reconcile with the in-process store's byte-budget LRU: any
-            # operand it silently evicted during this register must drop
-            # its shared segment too, or /dev/shm grows without bound
-            # under operand churn
-            with self._lock:
-                evicted = [k for k in self.shards.store.keys()
-                           if k not in self.store]
-            for k in evicted:
-                self.shards.evict(k)
 
     def evict(self, key: str) -> bool:
-        if self.shards is not None:
-            self.shards.evict(key)
         with self._lock:
             return self.store.evict(key)
 
@@ -559,13 +437,11 @@ class Engine:
           old fingerprint is re-keyed onto the new one via
           :func:`~repro.core.plan.splice_plan`, touching only the dirty
           output rows (for the B-operand slot, the rows whose mask admits
-          a changed B entry they read), and the shard planner's memoized
-          partition is re-derived for the new key without a fresh balance
-          pass. This is **one pass** over the dirty rows: when the plan's
-          pre-delta product is resident in the result cache, the plan's
-          kernel recomputes the dirty rows, the block is spliced into the
-          cached product, and the block's row sizes become the spliced
-          plan's sizes. The symbolic pass runs over the dirty rows only
+          a changed B entry they read). This is **one pass** over the
+          dirty rows: when the plan's pre-delta product is resident in the
+          result cache, the plan's kernel recomputes the dirty rows, the
+          block is spliced into the cached product, and the block's row
+          sizes become the spliced plan's sizes. The symbolic pass runs over the dirty rows only
           where nothing is patched: no result cache, a non-resident
           result, or a ``mixed`` batch (whose value updates touch rows
           outside the dirty set, so its results are invalidated instead);
@@ -631,17 +507,6 @@ class Engine:
                 # with the old content (e.g. two all-ones patterns)
                 for rkey, matrix, alg in patches:
                     self.results.put(rkey, matrix, alg)
-        if self.shards is not None:
-            from ..shard import ShardError
-
-            try:
-                self.shards.share(key, new)
-            except (ShardError, OSError):
-                self.shard_degraded = True
-            # dirty-range shard re-planning: carry each spliced plan's row
-            # boundaries to its new key (nnz offsets recomputed inside)
-            for old_key, new_key, plan in splices:
-                self.shards.planner.resplit(old_key, new_key, plan)
         dirty = int(outcome.dirty_rows.size)
         frac = dirty / max(value.nrows, 1)
         self._delta_total.inc(kind=outcome.kind)
@@ -960,9 +825,8 @@ class Engine:
     def _observe_chunk(self, seconds: float, kernel: str, phase: str,
                       trace_id: str | None = None) -> None:
         """Chunk-timing sink: installed per request via
-        :func:`~repro.obs.metrics.chunk_observer` (in-process runners
-        capture it on the submitting thread) and handed to the shard
-        coordinator for worker-timed chunks. The call site's own
+        :func:`~repro.obs.metrics.chunk_observer` (the runner captures it
+        on the submitting thread). The call site's own
         ``perf_counter`` pair feeds the histogram, so
         ``repro_chunk_seconds`` populates with tracing disabled and stays
         bit-identical to the span timing with it enabled."""
@@ -971,14 +835,6 @@ class Engine:
                                                kernel=kernel, phase=phase)
         else:
             self._chunk_seconds.observe(seconds, kernel=kernel, phase=phase)
-
-    def _observe_scatter(self, seconds: float, phase: str,
-                         trace_id: str | None = None) -> None:
-        if trace_id:
-            self._scatter_seconds.observe_traced(seconds, trace_id,
-                                                 phase=phase)
-        else:
-            self._scatter_seconds.observe(seconds, phase=phase)
 
     def _note_degrade(self, frm: str, to: str, error: str = "") -> None:
         """Count a tier downgrade and flight-record it — every degrade is
@@ -994,157 +850,15 @@ class Engine:
 
     def _flight_context(self) -> dict:
         """Live owner state snapshotted into every debug bundle."""
-        ctx: dict = {
-            "breaker": {"state": self.breaker.state},
-            "shard_degraded": self.shard_degraded,
-            "closed": self._closed,
-        }
-        shards = self.shards
-        if shards is not None:
-            ctx["shards"] = {
-                "nshards": getattr(shards, "nshards", None),
-                "segment_pool": dict(getattr(
-                    getattr(shards, "segment_pool", None), "stats", {}) or {}),
-            }
-        return ctx
-
-    def _build_plan_cold(self, A, B, mask, algorithm, phases,
-                         request, deadline=None,
-                         semiring=None) -> SymbolicPlan:
-        """Cold plan build — the one place symbolic work happens.
-
-        With a multi-worker shard pool and a store-keyed two-phase request,
-        the symbolic pass itself runs row-partitioned across the pool
-        (:meth:`ShardCoordinator.symbolic`) instead of serially in-process —
-        previously only the *numeric* pass was sharded, leaving the cold
-        path single-threaded. Ineligible or failing cases (ad-hoc operands,
-        unshared segments, segment pressure) degrade to the serial
-        :func:`build_plan`, same result either way.
-        """
-        if (self.shards is not None and self.shards.nshards > 1
-                and request is not None and phases == 2
-                and self.breaker.allow()):
-            from ..shard import ShardError, WorkerDied
-
-            resolved = algorithm.lower()
-            if resolved == "auto":
-                resolved = kernel_registry.auto_select(A, B, mask,
-                                                       semiring=semiring)
-            kernel_registry.get_spec(resolved)  # invalid names fail loudly
-            try:
-                row_sizes = self.shards.symbolic(
-                    request.a, request.b, request.mask, mask,
-                    (A.nrows, B.ncols), resolved, deadline=deadline)
-                self.breaker.record_success()
-                return SymbolicPlan(algorithm=resolved, phases=2,
-                                    shape=(A.nrows, B.ncols),
-                                    row_sizes=row_sizes)
-            except (ShardError, OSError, InjectedFault) as exc:
-                # same degradation contract as the numeric path below;
-                # pool-health failures additionally feed the breaker and
-                # trigger a heal so the *numeric* pass can still shard
-                # (InjectedFault: a chaos-injected worker error behaves
-                # exactly like the real one it models)
-                self.shard_degraded = True
-                if isinstance(exc, WorkerDied):
-                    self.breaker.record_failure()
-                    if self.breaker.state == "open":
-                        self.shards.quiesce()
-                        self._flight_capture(
-                            "breaker_open",
-                            detail=f"symbolic {type(exc).__name__}: {exc}")
-                    else:
-                        self._heal_shards()
-                self._note_degrade("shard", "inprocess",
-                                   error=type(exc).__name__)
-        return build_plan(A, B, mask, algorithm=algorithm, phases=phases,
-                          semiring=semiring)
+        return {"closed": self._closed}
 
     # ------------------------------------------------------------------ #
-    # the numeric tier ladder: shards → in-process fused → loop kernels
+    # the numeric tier ladder: native → fused → loop kernels
     # ------------------------------------------------------------------ #
-    def _shard_tier(self, request, mask, plan, semiring, key, stats,
-                    deadline) -> CSRMatrix | None:
-        """Attempt the shard tier, retrying per :attr:`retry`; ``None``
-        means the caller should degrade to the in-process tier.
-
-        Failure taxonomy: ``DeadlineExceeded`` propagates (the caller's
-        budget expired — no tier can fix that); ``SegmentMissing`` degrades
-        immediately without feeding the breaker (a per-request operand
-        condition, not pool sickness); ``WorkerDied`` feeds the breaker and
-        triggers a pool heal *before* the retry, so the retry lands on a
-        fresh pool; other ``ShardError``/``OSError`` feed the breaker and
-        retry in place. A failure that opens the breaker instead parks the
-        pool (:meth:`~repro.shard.ShardCoordinator.quiesce`) for the whole
-        cooldown — the half-open probe's dispatch respawns it. All degraded
-        outcomes stay bit-identical — the in-process tiers run the same
-        kernels on the same plan.
-        """
-        from ..shard import SegmentMissing, ShardError, WorkerDied
-
-        attempt = 0
-        while True:
-            try:
-                # store-keyed request on a fused kernel: numeric pass runs
-                # on the shard pool, workers scattering into a shared
-                # output CSR (multi-process direct write)
-                result = self.shards.multiply(
-                    request.a, request.b, request.mask, mask, plan,
-                    semiring, plan_cache_key=key, deadline=deadline)
-                self.breaker.record_success()
-                if attempt:
-                    self._retries.inc(tier="shard", outcome="success")
-                stats.sharded = True
-                stats.direct_write = True
-                stats.kernel_tier = kernel_tier(plan.algorithm)
-                return result
-            except DeadlineExceeded:
-                raise
-            except SegmentMissing:
-                # incl. a worker's attach losing a race with operand
-                # re-registration; serves in-process, no breaker count
-                self.shard_degraded = True
-                self._note_degrade("shard", "inprocess",
-                                   error="SegmentMissing")
-                return None
-            except (ShardError, OSError, InjectedFault) as exc:
-                # InjectedFault from a worker counts as the worker error
-                # it models: breaker-fed, retried, then degraded
-                self.shard_degraded = True
-                self.breaker.record_failure()
-                if self.breaker.state == "open":
-                    # the tier is out of rotation for a whole cooldown:
-                    # park the pool so its support threads stop contending
-                    # with the in-process kernels (the half-open probe's
-                    # dispatch respawns it)
-                    self.shards.quiesce()
-                    self._flight_capture(
-                        "breaker_open",
-                        detail=f"numeric {type(exc).__name__}: {exc}")
-                elif isinstance(exc, WorkerDied):
-                    self._heal_shards()
-                attempt += 1
-                if (attempt >= self.retry.max_attempts
-                        or not self.breaker.allow()):
-                    if attempt > 1:
-                        self._retries.inc(tier="shard", outcome="failure")
-                        self._flight_capture(
-                            "retry_exhausted",
-                            detail=f"tier=shard attempts={attempt} "
-                                   f"error={type(exc).__name__}")
-                    self._note_degrade("shard", "inprocess",
-                                       error=type(exc).__name__)
-                    return None
-                if deadline is not None:
-                    deadline.check("engine", "shard retry")
-                with span("retry", tier="shard", attempt=attempt,
-                          error=type(exc).__name__):
-                    self.retry.sleep(attempt - 1)
-
     def _inprocess_tiers(self, A, B, mask, plan, algorithm, phases,
                          semiring, deadline, stats=None) -> CSRMatrix:
-        """Tier 2 (in-process kernels: compiled native, then fused numpy),
-        with tier 3 (per-row ``msa-loop``) as the last rung.
+        """The numeric pass and its degrade ladder: compiled native, then
+        fused numpy, with the per-row ``msa-loop`` kernel as the last rung.
 
         The ladder exists because a cached :class:`SymbolicPlan`'s row
         sizes are *kernel-independent*: relabelling the plan replays the
@@ -1153,7 +867,7 @@ class Engine:
         plan (``msa-native``/``hash-native``) first falls back to its fused
         base kernel (:data:`~repro.core.registry.NATIVE_BASE`), then the
         loop rung; the ``engine.kernel`` fault site is re-checked per rung
-        so chaos can kill exactly one. Only deliberate injections
+        so each injected fault drops exactly one rung. Only deliberate injections
         (:class:`InjectedFault`) and memory pressure degrade here; genuine
         kernel bugs stay loud, because silently papering over them would
         hide miscompares, not failures. The tier that actually executed is
@@ -1199,10 +913,10 @@ class Engine:
                         return result
                     except (InjectedFault, MemoryError) as exc2:
                         exc, plan = exc2, fused_plan
-            self._note_degrade("inprocess", "loop",
-                               error=type(exc).__name__)
+            frm = kernel_tier(plan.algorithm)
+            self._note_degrade(frm, "loop", error=type(exc).__name__)
             with span("degrade", tier="loop", error=type(exc).__name__,
-                      **{"from": "inprocess", "to": "loop"}):
+                      **{"from": frm, "to": "loop"}):
                 loop_plan = SymbolicPlan(algorithm="msa-loop",
                                          phases=plan.phases,
                                          shape=plan.shape,
@@ -1285,9 +999,8 @@ class Engine:
                 t0 = time.perf_counter()
                 with span("symbolic.cold", algorithm=algorithm,
                           phases=phases):
-                    plan = self._build_plan_cold(A, B, mask, algorithm,
-                                                 phases, request, deadline,
-                                                 semiring=semiring)
+                    plan = build_plan(A, B, mask, algorithm=algorithm,
+                                      phases=phases, semiring=semiring)
                 stats.plan_seconds = time.perf_counter() - t0
                 with self._lock:
                     self.plans.put(key, plan)
@@ -1295,31 +1008,15 @@ class Engine:
             from ..parallel.runner import uses_direct_write
 
             stats.direct_write = uses_direct_write(
-                plan.algorithm, phases, self.executor,
+                plan.algorithm, phases,
                 row_sizes_known=plan.row_sizes is not None)
 
         t0 = time.perf_counter()
-        result = None
         with span("numeric",
                   kernel=plan.algorithm if plan is not None
-                  else algorithm.lower()) as numeric_span:
-            if (self.shards is not None and request is not None
-                    and plan is not None and plan.row_sizes is not None
-                    and self.shards.eligible(plan.algorithm, semiring)):
-                if self.breaker.allow():
-                    result = self._shard_tier(request, mask, plan, semiring,
-                                              key, stats, deadline)
-                else:
-                    # breaker open: route around the pool without paying a
-                    # scatter-and-fail round trip per request
-                    self._note_degrade("shard", "inprocess",
-                                       error="breaker_open")
-            if result is None:
-                result = self._inprocess_tiers(A, B, mask, plan, algorithm,
-                                               phases, semiring, deadline,
-                                               stats)
-            if numeric_span is not None:
-                numeric_span.attrs["sharded"] = stats.sharded
+                  else algorithm.lower()):
+            result = self._inprocess_tiers(A, B, mask, plan, algorithm,
+                                           phases, semiring, deadline, stats)
         stats.numeric_seconds = time.perf_counter() - t0
         stats.total_seconds = time.perf_counter() - t_start
         stats.output_nnz = result.nnz

@@ -47,7 +47,7 @@ class Request:
     deadline_ms : float | None
         Total latency budget in milliseconds, or None for no deadline. The
         async server starts the clock at :meth:`AsyncServer.submit` (queue
-        time counts); enforcement sites — admission, queue, shard scatter —
+        time counts); enforcement sites — admission, queue, engine —
         shed the request with :class:`~repro.resilience.DeadlineExceeded`
         once the budget is spent. ``from_dict`` picks it up like every
         other field, so JSON workloads can set per-request deadlines.
@@ -140,8 +140,6 @@ class RequestStats:
     result_cache_hit: bool = False # whole numeric result came from the cache
     direct_write: bool = False     # numeric pass wrote straight into the
                                    # final CSR arrays (two-phase, fused kernel)
-    sharded: bool = False          # numeric pass ran on the shard-worker
-                                   # pool (shared-memory direct write)
     coalesced: bool = False        # response shared with an identical
                                    # in-flight request (async server dedup)
     plan_seconds: float = 0.0      # auto-select + symbolic (0 on warm hits)
@@ -176,7 +174,6 @@ class RequestStats:
             "algorithm": self.algorithm,
             "kernel_tier": self.kernel_tier,
             "phases": self.phases,
-            "sharded": self.sharded,
             "direct_write": self.direct_write,
             "plan_seconds": round(self.plan_seconds, 6),
             "numeric_seconds": round(self.numeric_seconds, 6),

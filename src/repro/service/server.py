@@ -118,9 +118,6 @@ class ServerStats:
         self._batch_counter = self.registry.counter(
             "repro_server_batches_total",
             "request batches drained by the worker pool")
-        self._sharded_counter = self.registry.counter(
-            "repro_server_sharded_total",
-            "completed requests whose numeric pass ran on the shard pool")
         self._queue_depth = self.registry.gauge(
             "repro_server_queue_depth",
             "requests currently waiting in the admission queue")
@@ -175,8 +172,6 @@ class ServerStats:
 
     def note_completed(self, stats: RequestStats) -> None:
         self._outcomes.inc(outcome="completed")
-        if stats.sharded:
-            self._sharded_counter.inc()
         self._queued_seconds.observe(stats.queued_seconds)
         self._latency_seconds.observe(stats.total_seconds)
         self.queue_waits.append(stats.queued_seconds)
@@ -211,12 +206,6 @@ class ServerStats:
         """Batches drained by workers (≤ completed; higher grouping →
         fewer)."""
         return int(self._batch_counter.value())
-
-    @property
-    def sharded(self) -> int:
-        """Completed requests whose numeric pass ran on the engine's
-        shard-worker pool (``RequestStats.sharded``)."""
-        return int(self._sharded_counter.value())
 
     @property
     def max_queue_depth(self) -> int:

@@ -166,20 +166,6 @@ def render_serve_report(engine: Engine, server, responses,
         f"cache tiers: {coalesced} coalesced, {result_hits} result hits, "
         f"{plan_hits} plan hits, {planned_misses} cold plans "
         f"({100 * hit_rate(warm, planned_misses):.0f}% warm)")
-    sharded = sum(1 for s in stats if not s.coalesced and s.sharded)
-    executed = sum(1 for s in stats if not s.coalesced)
-    if engine.shards is not None or engine.shard_degraded or sharded:
-        if engine.shards is not None:
-            # denominator = executed requests: coalesced responses share a
-            # primary's result and never ran anywhere themselves
-            lines.append(
-                f"shards: {sharded}/{executed} executed requests ran on "
-                f"the {engine.shards.nshards}-worker shard pool "
-                f"({engine.shards.store.shared_bytes} shared operand bytes)")
-        else:
-            lines.append(
-                "shards: requested but degraded to in-process execution "
-                "(shared memory unavailable)")
     waits = summarize_latencies([s.queued_seconds for s in stats])
     if waits:
         lines.append(f"queue wait: {waits}")

@@ -126,23 +126,6 @@ def test_serve_smoke(capsys):
     assert "cache tiers:" in out
 
 
-def test_serve_smoke_sharded(capsys):
-    """`serve --smoke --shards 2` — the sharded CI leg: same warm-serving
-    gates plus the shared-memory shutdown-hygiene check. On machines
-    without usable shared memory the command degrades to an in-process
-    smoke and must still pass (the clean-skip contract the CI leg needs)."""
-    from repro.shard import shared_memory_available
-
-    rc, out = run(["serve", "--smoke", "--shards", "2"], capsys)
-    assert rc == 0
-    assert "smoke:" in out and "PASS" in out and "FAIL" not in out
-    if shared_memory_available():
-        assert "shards:" in out                # serve-report telemetry line
-        assert "smoke shard shutdown:" in out  # segments verifiably unlinked
-    else:  # pragma: no cover - degraded runner
-        assert "serving in-process instead" in out
-
-
 def test_serve_workload_with_plan_persistence(tmp_path, capsys):
     """serve twice with --plans: the second process must warm-start (restore
     plans, zero cold plans with the result cache disabled)."""

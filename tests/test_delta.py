@@ -31,7 +31,6 @@ from repro.service import Engine, Request
 from repro.service.plan import plan_key
 from repro.service.result_cache import result_key
 from repro.service.store import StoreError
-from repro.shard.planner import ShardPlanner, split_row_sizes
 from repro.sparse import csr_random
 from repro.sparse import ops
 from repro.sparse.coo import COOMatrix
@@ -517,49 +516,6 @@ class TestRoutesAndErrors:
         assert out.kind == "noop"
         assert out.pattern_fingerprint == eng.entry("G").fingerprint
         assert eng.store.version("G") == version    # no swap on a no-op
-
-
-# ---------------------------------------------------------------------- #
-# dirty-range shard re-planning
-# ---------------------------------------------------------------------- #
-class TestShardResplit:
-    def test_resplit_keeps_boundaries_and_recomputes_offsets(self, rng):
-        a = csr_random(64, 64, density=0.2, rng=rng)
-        mask = Mask.from_matrix(csr_random(64, 64, density=0.3, rng=rng))
-        plan = build_plan(a, a, mask, algorithm="esc", phases=2)
-        planner = ShardPlanner(4)
-        old = planner.split(plan, key=("old",))
-        # perturb some row sizes the way a splice would
-        sizes = plan.row_sizes.copy()
-        sizes[[3, 17, 40]] += np.array([2, -1, 3])
-        spliced = dataclasses.replace(plan, row_sizes=sizes)
-        new = planner.resplit(("old",), ("new",), spliced)
-        assert [(p.row_lo, p.row_hi) for p in new] == \
-            [(p.row_lo, p.row_hi) for p in old]     # boundaries carried
-        indptr = np.concatenate([[0], np.cumsum(sizes)])
-        for p in new:
-            assert p.nnz_lo == indptr[p.row_lo]
-            assert p.nnz_hi == indptr[p.row_hi]     # offsets re-derived
-        # and the new key is memoized: a later split is a hit
-        hits = planner.hits
-        assert planner.split(spliced, key=("new",)) == new
-        assert planner.hits == hits + 1
-
-    def test_resplit_unknown_old_key_returns_none(self, rng):
-        a = csr_random(16, 16, density=0.3, rng=rng)
-        plan = build_plan(a, a, Mask.from_matrix(a), algorithm="esc",
-                          phases=2)
-        assert ShardPlanner(2).resplit(("never",), ("new",), plan) is None
-
-    def test_resplit_offsets_consistent_with_fresh_split_totals(self, rng):
-        a = csr_random(40, 40, density=0.25, rng=rng)
-        plan = build_plan(a, a, Mask.from_matrix(a), algorithm="esc",
-                          phases=2)
-        planner = ShardPlanner(3)
-        planner.split(plan, key=("k",))
-        new = planner.resplit(("k",), ("k2",), plan)
-        fresh = split_row_sizes(plan.row_sizes, 3)
-        assert new[-1].nnz_hi == fresh[-1].nnz_hi == int(plan.row_sizes.sum())
 
 
 # ---------------------------------------------------------------------- #

@@ -204,16 +204,16 @@ def test_flight_recorder_bundle_contents(tmp_path):
         with span("numeric"):
             pass
     fr = FlightRecorder(registry=reg, tracer=tracer, spool_dir=tmp_path,
-                        context=lambda: {"breaker": "closed"})
+                        context=lambda: {"closed": False})
     fr.note_request({"trace_id": "r7", "tier": "cold"})
-    bid = fr.capture("degrade", detail="shard->inprocess (WorkerDied)")
+    bid = fr.capture("degrade", detail="native->fused (InjectedFault)")
     assert bid is not None and "degrade" in bid
     doc = fr.bundle(bid)
     assert doc["reason"] == "degrade"
-    assert doc["detail"] == "shard->inprocess (WorkerDied)"
+    assert doc["detail"] == "native->fused (InjectedFault)"
     assert doc["ring"] == [{"trace_id": "r7", "tier": "cold"}]
     assert "repro_x_total 3" in doc["metrics"]
-    assert doc["context"] == {"breaker": "closed"}
+    assert doc["context"] == {"closed": False}
     assert fr.bundle_path(bid).exists()
     assert fr.bundle("nope") is None
 
@@ -234,15 +234,8 @@ def test_flight_recorder_evicts_oldest_bundle_files(tmp_path):
     assert not any(tmp_path.glob(f"{ids[0]}*"))  # evicted file unlinked
 
 
-def _shm_ok():
-    from repro.shard.memory import shared_memory_available
-
-    return shared_memory_available()
-
-
-@pytest.mark.skipif(not _shm_ok(), reason="no usable shared memory")
-def test_engine_captures_bundles_on_retry_exhaustion_and_degrade(rng):
-    eng = Engine(shards=2, faults=FaultPlan.parse("shard.numeric:kill:2"))
+def test_engine_captures_bundle_on_degrade(rng):
+    eng = Engine(faults=FaultPlan.parse("engine.kernel:error:1"))
     A = csr_random(300, 300, density=0.05, rng=rng)
     M = csr_random(300, 300, density=0.05, rng=rng)
     eng.register("A", A)
@@ -250,14 +243,13 @@ def test_engine_captures_bundles_on_retry_exhaustion_and_degrade(rng):
     try:
         resp = eng.submit(Request(a="A", b="A", mask="M", phases=2,
                                   algorithm="hash"))
-        assert resp.result.nnz >= 0  # degraded in-process, still served
+        assert resp.stats.kernel_tier == "loop"  # degraded, still served
         ids = eng.flight.bundle_ids()
-        assert any("retry-exhausted" in i for i in ids)
         degrade = [i for i in ids if "degrade" in i]
         assert degrade
         doc = eng.flight.bundle(degrade[-1])
-        assert "shard->inprocess" in doc["detail"]
-        assert doc["context"]["shard_degraded"] is True
+        assert "fused->loop" in doc["detail"]
+        assert doc["context"] == {"closed": False}
         assert doc["metrics"]  # a /metrics snapshot rode along
         assert doc["trace"] is not None  # the offending request's flame
     finally:
@@ -364,25 +356,6 @@ def test_chunk_histogram_bit_identical_to_spans(rng):
     hist = eng.metrics.get("repro_chunk_seconds")
     assert hist.total_count() == len(rec.find("chunk"))
     assert hist.total_sum() == pytest.approx(span_total, rel=1e-9)
-
-
-@pytest.mark.skipif(not _shm_ok(), reason="no usable shared memory")
-def test_shard_timings_populate_with_tracing_off(rng):
-    eng = Engine(shards=2, tracing=False)
-    A = csr_random(300, 300, density=0.05, rng=rng)
-    M = csr_random(300, 300, density=0.05, rng=rng)
-    eng.register("A", A)
-    eng.register("M", M)
-    try:
-        resp = eng.submit(Request(a="A", b="A", mask="M", phases=2,
-                                  algorithm="hash"))
-        assert resp.stats.sharded
-        families = parse_exposition(eng.metrics.render())
-        assert sum(families["repro_shard_scatter_seconds_count"]
-                   .values()) >= 2.0  # symbolic + numeric scatters
-        assert sum(families["repro_chunk_seconds_count"].values()) >= 1.0
-    finally:
-        eng.close()
 
 
 # ---------------------------------------------------------------------- #

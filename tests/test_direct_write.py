@@ -32,7 +32,6 @@ from repro.core.types import stitch_blocks, write_block_into
 from repro.errors import AlgorithmError
 from repro.mask import Mask
 from repro.parallel.executor import (
-    ProcessExecutor,
     SerialExecutor,
     SimulatedExecutor,
     ThreadExecutor,
@@ -186,7 +185,7 @@ def test_direct_write_equals_stitch_all_executors(rng, algorithm,
         A, B, mask, algorithm=algorithm, phases=2, plan=plan,
         direct_write=False)
     executors = [None, SerialExecutor(), ThreadExecutor(3),
-                 SimulatedExecutor(3), ProcessExecutor(2)]
+                 SimulatedExecutor(3)]
     for ex in executors:
         direct = masked_spgemm(A, B, mask, algorithm=algorithm, phases=2,
                                plan=plan, executor=ex)
@@ -260,9 +259,8 @@ def test_write_block_into_validates_sizes():
 
 def test_uses_direct_write_conditions():
     assert uses_direct_write("esc", 2)
-    assert uses_direct_write("hash", 2, ThreadExecutor(1))
+    assert uses_direct_write("hash", 2)
     assert not uses_direct_write("esc", 1)
-    assert not uses_direct_write("esc", 2, ProcessExecutor(2))
     assert not uses_direct_write("mca", 2)          # no numeric_into
     assert not uses_direct_write("esc", 2, row_sizes_known=False)
     assert not uses_direct_write("nonesuch", 2)
@@ -274,8 +272,7 @@ def test_uses_direct_write_conditions():
 # symbolic capture: no-plan two-phase runs feed direct write + plan_sink
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("executor_factory",
-                         [lambda: None, lambda: ThreadExecutor(3),
-                          lambda: ProcessExecutor(2)])
+                         [lambda: None, lambda: ThreadExecutor(3)])
 def test_plan_sink_captures_implied_plan(rng, executor_factory):
     A, B, M = make_triple(rng, m=40, k=30, n=35)
     mask = Mask.from_matrix(M)
@@ -357,34 +354,3 @@ def test_runner_uses_budget_chunks(rng, monkeypatch):
     parallel_masked_spgemm(A, B, mask, algorithm="msa",
                            executor=SerialExecutor())
     assert seen["count"] >= 1
-
-
-# --------------------------------------------------------------------- #
-# shard direct write ≡ thread direct write ≡ stitch (PR 5)
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("algorithm", FUSED)
-@pytest.mark.parametrize("complemented", [False, True])
-def test_shard_direct_write_equals_thread_and_stitch(rng, algorithm,
-                                                     complemented):
-    """The multi-process direct-write path (shard workers scattering into a
-    shared output CSR) is bit-identical to the thread direct-write path and
-    the stitch path for every fused kernel — the executor-backed coverage
-    the process-pool numeric path previously lacked."""
-    from repro.shard import shard_masked_spgemm, shared_memory_available
-
-    if not shared_memory_available():
-        pytest.skip("no usable shared memory on this machine")
-    A, B, M = make_triple(rng, m=50, k=40, n=45)
-    mask = Mask.from_matrix(M, complemented=complemented)
-    plan = build_plan(A, B, mask, algorithm=algorithm, phases=2)
-    stitched = parallel_masked_spgemm(
-        A, B, mask, algorithm=algorithm, phases=2, plan=plan,
-        direct_write=False)
-    with ThreadExecutor(3) as ex:
-        threaded = masked_spgemm(A, B, mask, algorithm=algorithm, phases=2,
-                                 plan=plan, executor=ex)
-    sharded = shard_masked_spgemm(A, B, mask, algorithm=algorithm,
-                                  nshards=2, plan=plan)
-    for got in (threaded, sharded):
-        assert got.same_pattern(stitched), algorithm
-        assert np.array_equal(got.data, stitched.data), algorithm

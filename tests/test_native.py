@@ -13,8 +13,9 @@
   native-routed request to its fused base (then the loop rung) with
   bit-identical output, counted in ``repro_degraded_total`` and visible
   as ``RequestStats.kernel_tier``;
-* **thread backend**: ``backend="thread"`` is bit-identical to the local
-  path with owned, borrowed, and absent executors.
+* **threads over the compiled kernels**: the native variant on a
+  :class:`~repro.parallel.executor.ThreadExecutor` is bit-identical to the
+  serial fused path, cold and on plan replay.
 """
 
 from __future__ import annotations
@@ -352,29 +353,29 @@ def test_engine_stamps_native_tier_and_counter(rng):
 
 
 # --------------------------------------------------------------------- #
-# thread backend
+# threads over the compiled kernels
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("nworkers", [1, 2, 4])
 def test_thread_backend_bit_identical(rng, nworkers):
     A, B, M = make_triple(rng, m=80, k=60, n=80, da=0.08, db=0.08)
     mask = Mask.from_matrix(M)
     want = masked_spgemm(A, B, mask, algorithm="msa", phases=2)
-    ex = ThreadExecutor(nworkers)
-    try:
-        got = parallel_masked_spgemm(A, B, mask, algorithm="msa",
+    with ThreadExecutor(nworkers) as ex:
+        got = parallel_masked_spgemm(A, B, mask,
+                                     algorithm=native_variant("msa"),
                                      semiring=PLUS_TIMES, phases=2,
-                                     executor=ex, backend="thread")
-    finally:
-        ex.close()
+                                     executor=ex)
     assert_bit_identical(got, want, f"thread x{nworkers}")
 
 
 def test_thread_backend_transient_pool(rng):
     A, B, M = make_triple(rng, m=50, k=40, n=50)
     mask = Mask.from_matrix(M)
-    got = parallel_masked_spgemm(A, B, mask, algorithm="hash",
-                                 semiring=PLUS_PAIR, phases=2,
-                                 backend="thread")
+    with ThreadExecutor(2) as ex:
+        got = parallel_masked_spgemm(A, B, mask,
+                                     algorithm=native_variant("hash"),
+                                     semiring=PLUS_PAIR, phases=2,
+                                     executor=ex)
     want = masked_spgemm(A, B, mask, algorithm="hash", semiring=PLUS_PAIR,
                          phases=2)
     assert_bit_identical(got, want, "transient thread pool")
@@ -384,10 +385,13 @@ def test_thread_backend_plan_reuse(rng):
     A, B, M = make_triple(rng, m=60, k=50, n=60)
     mask = Mask.from_matrix(M)
     sink = []
-    first = parallel_masked_spgemm(A, B, mask, algorithm="msa", phases=2,
-                                   plan_sink=sink, backend="thread")
-    assert len(sink) == 1
-    warm = parallel_masked_spgemm(A, B, mask,
-                                  algorithm=sink[0].algorithm, phases=2,
-                                  plan=sink[0], backend="thread")
+    with ThreadExecutor(2) as ex:
+        first = parallel_masked_spgemm(A, B, mask,
+                                       algorithm=native_variant("msa"),
+                                       phases=2, plan_sink=sink,
+                                       executor=ex)
+        assert len(sink) == 1
+        warm = parallel_masked_spgemm(A, B, mask,
+                                      algorithm=sink[0].algorithm, phases=2,
+                                      plan=sink[0], executor=ex)
     assert_bit_identical(warm, first, "warm thread replay")

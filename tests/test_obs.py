@@ -1,6 +1,6 @@
 """Tests for the observability layer (repro.obs): metrics registry +
 Prometheus exposition, span tracer + Chrome export, the HTTP sidecar, and
-the wiring through engine, server, caches, and shard workers."""
+the wiring through engine, server, and caches."""
 
 import json
 import threading
@@ -43,17 +43,13 @@ def test_counter_labels_and_totals():
         c.inc(-1, kind="a")  # counters only go up
 
 
-def test_gauge_set_and_callback():
+def test_gauge_set_inc_dec():
     reg = MetricsRegistry()
     g = reg.gauge("repro_depth", "queue depth")
     g.set(7)
     g.dec(2)
     assert g.value() == 5.0
-    box = {"v": 3.0}
-    cb = reg.gauge("repro_cb", "callback gauge", callback=lambda: box["v"])
-    assert "repro_cb 3" in reg.render()
-    box["v"] = 9.5
-    assert "repro_cb 9.5" in reg.render()
+    assert "repro_depth 5" in reg.render()
 
 
 def test_histogram_bucket_math():
@@ -181,23 +177,6 @@ def test_tracer_disabled_is_inert():
         with span("body"):
             assert current_record() is None
     assert len(tracer) == 0
-
-
-def test_merge_remaps_ids_and_reparents():
-    with capture("parent") as rec:
-        with span("scatter") as sc:
-            with capture("worker") as wrec:
-                with span("task"):
-                    with span("chunk"):
-                        pass
-            payload = wrec.payload()
-            rec.merge(payload, parent_id=sc.span_id)
-    task = rec.find("task")[0]
-    chunk = rec.find("chunk")[0]
-    assert task.parent_id == sc.span_id
-    assert chunk.parent_id == task.span_id
-    ids = [s.span_id for s in rec.spans]
-    assert len(ids) == len(set(ids))  # no id collisions after remap
 
 
 def test_chrome_export_shape():
@@ -377,40 +356,3 @@ def test_msa_loop_tier_matches_fused(rng):
     got = masked_spgemm(E, E, mask, algorithm="msa-loop", semiring=PLUS_PAIR)
     want = masked_spgemm(E, E, mask, algorithm="msa", semiring=PLUS_PAIR)
     assert got.same_pattern(want) and np.array_equal(got.data, want.data)
-
-
-# ---------------------------------------------------------------------- #
-# shard-worker span merging (skipped where shared memory is unusable)
-# ---------------------------------------------------------------------- #
-def _shm_ok():
-    from repro.shard.memory import shared_memory_available
-
-    return shared_memory_available()
-
-
-@pytest.mark.skipif(not _shm_ok(), reason="no usable shared memory")
-def test_sharded_request_merges_worker_spans(rng):
-    eng = Engine(shards=2)
-    A = csr_random(300, 300, density=0.05, rng=rng)
-    M = csr_random(300, 300, density=0.05, rng=rng)
-    eng.register("A", A)
-    eng.register("M", M)
-    try:
-        resp = eng.submit(Request(a="A", b="A", mask="M", phases=2,
-                                  algorithm="hash"))
-        assert resp.stats.sharded
-        rec = eng.tracer.get(resp.stats.trace_id)
-        names = {s.name for s in rec.spans}
-        assert {"shard.scatter", "shard.task", "chunk",
-                "symbolic.cold"} <= names
-        pids = {s.pid for s in rec.spans}
-        assert len(pids) >= 2  # coordinator + at least one worker process
-        # worker spans nest under the scatter span that dispatched them
-        scatter_ids = {s.span_id for s in rec.find("shard.scatter")}
-        for task in rec.find("shard.task"):
-            assert task.parent_id in scatter_ids
-        # scatter histogram derived from the merged spans
-        fam = parse_exposition(eng.metrics.render())
-        assert sum(fam["repro_shard_scatter_seconds_count"].values()) >= 2.0
-    finally:
-        eng.close()

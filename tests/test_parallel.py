@@ -8,7 +8,6 @@ from conftest import COMPLEMENT_ALGOS, PLAIN_ALGOS, make_triple
 from repro.core import masked_spgemm
 from repro.mask import Mask
 from repro.parallel import (
-    ProcessExecutor,
     SerialExecutor,
     SimulatedExecutor,
     ThreadExecutor,
@@ -108,25 +107,6 @@ class TestExecutors:
         got = masked_spgemm(A, B, mask, algorithm=alg,
                             executor=SimulatedExecutor(4))
         assert got.equals(want)
-
-    def test_process_executor_roundtrip(self, rng):
-        A, B, M = make_triple(rng, m=50, k=40, n=50)
-        mask = Mask.from_matrix(M)
-        want = masked_spgemm(A, B, mask, algorithm="hash", semiring=PLUS_PAIR)
-        got = masked_spgemm(A, B, mask, algorithm="hash", semiring=PLUS_PAIR,
-                            executor=ProcessExecutor(2))
-        assert got.equals(want)
-
-    def test_process_executor_rejects_unregistered_semiring(self, rng):
-        from repro.errors import AlgorithmError
-        from repro.semiring import Monoid, Semiring
-
-        custom = Semiring(Monoid(np.add, 0.0, "plus"), lambda a, b: a * b,
-                          "my-custom")
-        A, B, M = make_triple(rng)
-        with pytest.raises(AlgorithmError):
-            parallel_masked_spgemm(A, B, Mask.from_matrix(M), algorithm="msa",
-                                   semiring=custom, executor=ProcessExecutor(2))
 
     def test_two_phase_parallel(self, rng):
         A, B, M = make_triple(rng)

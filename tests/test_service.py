@@ -10,7 +10,7 @@ from conftest import assert_masked_product_correct, make_triple
 from repro import Mask, masked_spgemm
 from repro.core.plan import build_plan
 from repro.errors import AlgorithmError
-from repro.parallel import ProcessExecutor, SimulatedExecutor, ThreadExecutor
+from repro.parallel import SimulatedExecutor, ThreadExecutor
 from repro.semiring import PLUS_PAIR
 from repro.service import (
     BatchExecutor,
@@ -383,12 +383,6 @@ def test_batch_thread_fanout_matches_serial(rng):
     # all 8 share one plan key: exactly one miss however the race resolves
     assert serial.plan_misses == 1 and serial.plan_hits == 7
     assert threaded.plan_hits + threaded.plan_misses == 8
-
-
-def test_batch_rejects_process_pool(rng):
-    eng, _ = _batch_engine(rng)
-    with pytest.raises(AlgorithmError, match="process pool"):
-        BatchExecutor(eng, ProcessExecutor(2))
 
 
 def test_batch_empty(rng):

@@ -46,10 +46,8 @@ REQUIRED_FAMILIES = (
     # on the first executed numeric pass either way
     "repro_native_compile_seconds",
     "repro_kernel_requests_total",
-    # resilience: the breaker gauge renders from engine init; the labeled
-    # retry/degrade/deadline counters only appear after their first
-    # increment, so the chaos smoke gate asserts those instead
-    "repro_breaker_state",
+    # resilience: the labeled degrade/deadline counters only appear after
+    # their first increment, so the chaos smoke gate asserts those instead
     # SLO layer (PR 10): all five families render from evaluator init
     "repro_slo_target",
     "repro_slo_burn_rate",
