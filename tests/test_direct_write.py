@@ -272,7 +272,8 @@ def test_uses_direct_write_conditions():
 # symbolic capture: no-plan two-phase runs feed direct write + plan_sink
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("executor_factory",
-                         [lambda: None, lambda: ThreadExecutor(3)])
+                         [lambda: None, lambda: ThreadExecutor(3),
+                          lambda: SimulatedExecutor(3)])
 def test_plan_sink_captures_implied_plan(rng, executor_factory):
     A, B, M = make_triple(rng, m=40, k=30, n=35)
     mask = Mask.from_matrix(M)

@@ -134,6 +134,19 @@ class TestExecutors:
         with ThreadExecutor(2) as ex:
             assert ex.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
 
+    def test_thread_executor_propagates_errors_and_survives(self):
+        def boom(x):
+            if x == 2:
+                raise ValueError("chunk 2 failed")
+            return x
+
+        with ThreadExecutor(2) as ex:
+            with pytest.raises(ValueError, match="chunk 2"):
+                ex.map(boom, [1, 2, 3])
+            # the pool is still serviceable, and results keep input order
+            assert ex.map(lambda x: -x, list(range(8))) == \
+                [-x for x in range(8)]
+
     def test_empty_matrix_parallel(self, rng):
         from repro.sparse import CSRMatrix
 

@@ -648,6 +648,33 @@ def test_async_server_dedup_off_executes_each(rng):
     assert not any(r.stats.coalesced for r in resps)
 
 
+def test_batch_level_failure_attributed_and_server_survives(rng):
+    """A batch-execution crash (not a per-request error) must fail that
+    batch's futures, keep the worker alive, and leave close() clean."""
+    eng, (A, B, M) = _server_engine(rng)
+    req = Request(a="A", b="B", mask="M", algorithm="esc", phases=2)
+
+    async def main():
+        server = AsyncServer(eng, workers=1, dedup=False)
+        await server.start()
+
+        def exploding(requests):
+            raise RuntimeError("injected batch crash")
+
+        original = server._run_batch
+        server._run_batch = exploding
+        with pytest.raises(RuntimeError, match="injected batch crash"):
+            await server.submit(req)
+        # the worker lived through it: restore and serve normally
+        server._run_batch = original
+        resp = await server.submit(req)
+        await server.close()
+        return resp
+
+    resp = asyncio.run(main())
+    assert_masked_product_correct(resp.result, A, B, M)
+    assert eng.stats.requests == 1  # the crashed batch never executed
+
 def test_warm_requests_report_direct_write(rng):
     """Two-phase engine requests on a fused kernel flag the direct-write
     numeric path in their telemetry (cold and warm alike — the cold pass
