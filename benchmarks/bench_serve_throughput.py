@@ -4,8 +4,8 @@ The serving claim (ISSUE 3 / ROADMAP): a request stream under a repeated
 mask pattern should get monotonically cheaper as it climbs the cache
 hierarchy, and warm plans should survive a process restart. Three modes are
 measured through the real async front end (:class:`repro.service.AsyncServer`
-— admission queue, worker pool, batch draining), all on the repeated-mask TC
-workload:
+— admission queue, worker pool, one request per worker), all on the
+repeated-mask TC workload:
 
 * **cold** — every request pays plan build (auto-select + symbolic) +
   numeric pass (plan cache cleared between requests);
@@ -62,12 +62,10 @@ def _request(tag: str) -> Request:
                    semiring="plus_pair", tag=tag)
 
 
-def _serve_stream(engine: Engine, n_requests: int, *, workers=1,
-                  max_batch=8):
+def _serve_stream(engine: Engine, n_requests: int, *, workers=1):
     """Serve a repeated-mask stream through the async front end; returns
     (responses, wall seconds). One worker by default: per-request latency
-    then reflects the kernel, not GIL contention between batch threads
-    (throughput is within noise of workers=2 on this pure-Python workload).
+    then reflects the kernel, not contention between worker threads.
     Dedup is off: this bench measures what each cache *tier* costs per
     request, and coalescing identical in-flight requests would collapse the
     stream into one execution (it has its own telemetry in `serve --smoke`)."""
@@ -76,7 +74,7 @@ def _serve_stream(engine: Engine, n_requests: int, *, workers=1,
     async def run():
         t0 = time.perf_counter()
         async with AsyncServer(engine, workers=workers,
-                               max_batch=max_batch, dedup=False) as srv:
+                               dedup=False) as srv:
             resps = await serve_all(srv, reqs)
         return resps, time.perf_counter() - t0
 
@@ -122,11 +120,10 @@ def _bench_case(gname: str):
                      [r.stats.numeric_seconds + r.stats.plan_seconds
                       for r in resps], wall, len(resps))
 
-    # -- result-hit: full numeric memoization (max_batch=1 so each request's
-    # total − queued is its own execution, not its batchmates')
+    # -- result-hit: full numeric memoization
     eng_res = _engine_for(L, mask, result_cache_bytes=256 << 20)
     eng_res.submit(_request("prime"))
-    resps, wall = _serve_stream(eng_res, REQUESTS, max_batch=1)
+    resps, wall = _serve_stream(eng_res, REQUESTS)
     assert all(r.stats.result_cache_hit for r in resps)
     assert all(r.result.equals(baseline) for r in resps)  # bit-identical
     res = _mode_row(case, "result-hit",

@@ -24,7 +24,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.accumulators` — the paper's §5 data structures (reference tier)
 * :mod:`repro.core` — Masked SpGEMM kernels, 1P/2P, baselines, dispatcher
 * :mod:`repro.parallel` — row partitioning and executors
-* :mod:`repro.service` — serving layer: engine, plan cache, batch execution
+* :mod:`repro.service` — serving layer: engine, plan cache, async server
 * :mod:`repro.graphs` — generators (ER, Graph500 R-MAT, …) and input suite
 * :mod:`repro.algorithms` — triangle counting, k-truss, betweenness, BFS
 * :mod:`repro.perfmodel` — §4 traffic model + LRU cache simulator
@@ -87,7 +87,6 @@ from .parallel import (
     ThreadExecutor,
 )
 from .service import (
-    BatchExecutor,
     Engine,
     MatrixStore,
     PlanCache,
@@ -126,7 +125,7 @@ __all__ = [
     # parallel
     "SerialExecutor", "ThreadExecutor", "SimulatedExecutor",
     # service
-    "Engine", "MatrixStore", "PlanCache", "BatchExecutor",
+    "Engine", "MatrixStore", "PlanCache",
     "Request", "Response",
     # applications
     "triangle_count", "ktruss", "betweenness_centrality", "multi_source_bfs",

@@ -9,8 +9,8 @@ Examples
     python -m repro ktruss --rmat 10 --k 5 --algorithm inner
     python -m repro bc graph.mtx --batch 64
     python -m repro spgemm A.mtx B.mtx --mask M.mtx --algorithm auto -o C.mtx
-    python -m repro batch workload.json  # replay a service workload spec
-    python -m repro serve workload.json --plans plans.npz  # async front end
+    python -m repro serve workload.json --workers 2  # replay a workload spec
+    python -m repro serve workload.json --plans plans.npz  # warm restarts
     python -m repro serve --smoke        # CI smoke: warm serving + restart
     python -m repro serve workload.json --metrics-port 9100  # live /metrics
     python -m repro serve --smoke --chaos  # CI chaos: inject kernel faults
@@ -175,36 +175,6 @@ def cmd_spgemm(args) -> int:
     return 0
 
 
-def cmd_batch(args) -> int:
-    import json
-
-    from .service import load_workload, render_report, replay
-
-    try:
-        spec = load_workload(args.workload)
-    except FileNotFoundError:
-        raise SystemExit(f"workload file not found: {args.workload}")
-    except (json.JSONDecodeError, ValueError) as e:
-        raise SystemExit(f"bad workload spec {args.workload}: {e}")
-    from .service import StoreError
-
-    executor = None
-    if args.threads:
-        from .parallel import ThreadExecutor
-
-        executor = ThreadExecutor(args.threads)
-    try:
-        engine, result = replay(spec, executor=executor)
-    except (ValueError, StoreError) as e:
-        # malformed spec contents (unknown request field / matrix key / prep)
-        raise SystemExit(f"bad workload spec {args.workload}: {e}")
-    finally:
-        if executor is not None:
-            executor.close()
-    print(render_report(engine, result))
-    return 0
-
-
 _SMOKE_SPEC = {
     # built-in repeated-mask TC workload for `serve --smoke` (CI-sized)
     "matrices": {
@@ -228,18 +198,21 @@ def _serve_once(spec, args, *, engine):
 
     from .service import AsyncServer, expand_requests, register_matrices
 
-    if not len(engine.store):
-        register_matrices(engine, spec)
-    requests = expand_requests(spec)
+    try:
+        if not len(engine.store):
+            register_matrices(engine, spec)
+        requests = expand_requests(spec)
+    except ValueError as e:
+        # malformed spec contents (unknown request/matrix field, bad prep)
+        raise SystemExit(f"bad workload spec: {e}")
+    max_queued_flops = (int(args.max_queued_mflops * 1e6)
+                        if args.max_queued_mflops else None)
 
     async def run():
         t0 = time.perf_counter()
-        async with AsyncServer(
-                engine, workers=args.workers,
-                max_inflight=args.max_inflight,
-                max_queued_flops=(int(args.max_queued_mflops * 1e6)
-                                  if args.max_queued_mflops else None),
-                max_batch=args.max_batch) as server:
+        async with AsyncServer(engine, workers=args.workers,
+                               max_inflight=args.max_inflight,
+                               max_queued_flops=max_queued_flops) as server:
             results = await asyncio.gather(
                 *[server.submit(r) for r in requests],
                 return_exceptions=True)
@@ -791,16 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", "-o")
     sp.set_defaults(fn=cmd_spgemm)
 
-    ba = sub.add_parser(
-        "batch",
-        help="replay a JSON workload through the service engine "
-             "(plan-cache + batching stats)")
-    ba.add_argument("workload", help="JSON workload spec "
-                                     "(see repro.service.workload)")
-    ba.add_argument("--threads", type=int, default=0,
-                    help="fan requests across N threads (0 = serial)")
-    ba.set_defaults(fn=cmd_batch)
-
     def _add_pool_flags(sp_: argparse.ArgumentParser) -> None:
         sp_.add_argument("workload", nargs="?",
                          help="JSON workload spec (see repro.service."
@@ -815,9 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp_.add_argument("--max-queued-mflops", type=float, default=0,
                          help="admission bound: estimated queued partial "
                               "products in millions (0 = unbounded)")
-        sp_.add_argument("--max-batch", type=int, default=16,
-                         help="max group-compatible requests per drained "
-                              "batch")
 
     sv = sub.add_parser(
         "serve",

@@ -1,5 +1,5 @@
-"""Serving layer: a batched masked-SpGEMM execution engine with symbolic
-plan caching.
+"""Serving layer: a masked-SpGEMM execution engine with symbolic plan
+caching.
 
 The one-shot :func:`repro.core.masked_spgemm` recomputes everything per
 call. Real deployments don't look like that: iterative graph algorithms
@@ -21,14 +21,12 @@ once and amortized. This package is that amortization layer:
   and plans from the caches (warm requests skip auto-select *and* the
   symbolic pass; result hits skip everything), and records
   per-request/aggregate stats;
-* :class:`BatchExecutor` — groups compatible requests and fans a batch out
-  across a :mod:`repro.parallel` executor;
 * :class:`AsyncServer` — the asyncio front end: admission queue, bounded
-  backpressure (max in-flight / max queued flops), a worker pool draining
-  group-compatible batches, graceful shutdown — the ``python -m repro
+  backpressure (max in-flight / max queued flops), a worker pool running
+  one request per worker, graceful shutdown — the ``python -m repro
   serve`` entry point;
-* :mod:`~repro.service.workload` — JSON workload specs and replay, the
-  ``python -m repro batch`` entry point;
+* :mod:`~repro.service.workload` — JSON workload specs, the input to
+  ``python -m repro serve workload.json``;
 * delta serving (:mod:`repro.delta`, re-exported here) — edge
   insert/delete/update batches mutate a stored operand *in place*:
   value-only deltas carry the pattern fingerprint forward (plans keep
@@ -50,7 +48,6 @@ Quickstart::
 """
 
 from ..delta import DeltaBatch, DeltaError, DeltaOutcome
-from .batch import BatchExecutor, BatchResult
 from .engine import Engine, EngineStats
 from .plan import PlanCache, PlanStore, PlanStoreError, plan_key
 from .requests import DeltaRequest, Request, RequestStats, Response
@@ -61,9 +58,7 @@ from .workload import (
     expand_requests,
     load_workload,
     register_matrices,
-    render_report,
     render_serve_report,
-    replay,
 )
 
 __all__ = [
@@ -83,8 +78,6 @@ __all__ = [
     "ServerError",
     "ServerStats",
     "serve_all",
-    "BatchExecutor",
-    "BatchResult",
     "Request",
     "RequestStats",
     "Response",
@@ -95,7 +88,5 @@ __all__ = [
     "load_workload",
     "expand_requests",
     "register_matrices",
-    "replay",
-    "render_report",
     "render_serve_report",
 ]

@@ -34,10 +34,11 @@ every previously-seen pattern already planned (``python -m repro serve
 --plans``).
 
 The engine is thread-safe (one lock around store/cache metadata; numeric
-work runs outside it), which is what lets
-:class:`~repro.service.batch.BatchExecutor` fan requests across a thread
-pool and :class:`~repro.service.server.AsyncServer` drain its admission
-queue from multiple workers.
+work runs outside it), which is what lets each
+:class:`~repro.service.server.AsyncServer` worker run its own request
+concurrently with the others. Plan builds are not single-flight: two
+threads that miss the same plan key at once both run the symbolic pass,
+the plans are bit-identical, and the cache keeps one.
 """
 
 from __future__ import annotations
@@ -241,7 +242,8 @@ class Engine:
         pay the per-request value hash.
     executor : optional :mod:`repro.parallel` executor used for the numeric
         pass of every request (row parallelism *within* a product;
-        :class:`BatchExecutor` adds parallelism *across* products).
+        :class:`~repro.service.server.AsyncServer` workers add parallelism
+        *across* requests).
     result_admit_flops_per_byte : admission threshold for the default result
         cache (see :class:`ResultCache`): results estimated to save fewer
         flops per cached byte are not admitted. 0 admits everything.

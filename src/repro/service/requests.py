@@ -2,7 +2,7 @@
 
 A :class:`Request` names its operands by **store key** (see
 :class:`repro.service.store.MatrixStore`) rather than carrying matrices, so
-requests are cheap to build, log, batch and replay from JSON. The engine
+requests are cheap to build, log and load from JSON. The engine
 resolves keys at execution time, which is what lets a long-lived service
 update a registered matrix's values between requests without touching the
 request stream.
@@ -71,12 +71,6 @@ class Request:
     tag: str = ""
     deadline_ms: float | None = None
     plan_free: bool = False
-
-    def group_key(self) -> tuple:
-        """Batching key: requests with equal group keys share kernel config,
-        so executing them back-to-back maximizes plan/code locality."""
-        return (self.algorithm, self.phases, self.semiring, self.complemented,
-                self.plan_free)
 
     @classmethod
     def from_dict(cls, spec: dict[str, Any]) -> "Request":

@@ -1,9 +1,6 @@
 """Async serving front end: admission, backpressure, worker-pool execution.
 
-:class:`~repro.service.batch.BatchExecutor` replays a *pre-materialized*
-request list — fine for benchmarks, wrong for a server, which must admit work
-concurrently with execution. :class:`AsyncServer` is the asyncio front end
-the ROADMAP's *async executor* item asks for:
+:class:`AsyncServer` admits work concurrently with execution:
 
 * **admission queue** — :meth:`AsyncServer.submit` enqueues a request and
   returns an awaitable :class:`~repro.service.requests.Response`; producers
@@ -16,13 +13,12 @@ the ROADMAP's *async executor* item asks for:
   request larger than the whole flops budget is still admitted once the
   queue is empty, so oversized work degrades to serial instead of
   deadlocking;
-* **worker pool** — N asyncio workers each drain the oldest request plus up
-  to ``max_batch - 1`` queued requests sharing its
-  :meth:`~repro.service.requests.Request.group_key`, and run that group
-  through the existing :class:`~repro.service.batch.BatchExecutor` in a
-  thread (`asyncio.to_thread`), so the event loop stays responsive while
-  numpy works. Grouping preserves the batch layer's locality win: a
-  repeated-mask burst pays one cold plan and streams warm hits;
+* **worker pool** — N asyncio workers each take the oldest queued request
+  and run :meth:`Engine.submit` on it in a thread (`asyncio.to_thread`), so
+  the event loop stays responsive and distinct requests run side by side
+  on distinct workers (the compiled kernels release the GIL). Two workers
+  that cold-miss the same plan key both build it; the builds are
+  bit-identical and the plan cache keeps one;
 * **request dedup** — concurrent *identical* in-flight requests (same
   operand patterns *and values*, same mask/algorithm/phases/semiring — the
   result-cache key, computed from the store entries' fingerprints) coalesce
@@ -67,7 +63,6 @@ from ..errors import ReproError
 from ..obs import MetricsRegistry
 from ..resilience import Deadline, DeadlineExceeded
 from ..validation import check_multiplicable
-from .batch import BatchExecutor
 from .engine import Engine
 from .requests import Request, RequestStats, Response
 
@@ -115,9 +110,10 @@ class ServerStats:
             "server requests by outcome (admitted counts every entry; "
             "coalesced requests are never admitted)",
             labels=("outcome",))
-        self._batch_counter = self.registry.counter(
+        self._executions = self.registry.counter(
             "repro_server_batches_total",
-            "request batches drained by the worker pool")
+            "worker executions (one request each; coalesced and shed "
+            "requests never execute)")
         self._queue_depth = self.registry.gauge(
             "repro_server_queue_depth",
             "requests currently waiting in the admission queue")
@@ -159,8 +155,8 @@ class ServerStats:
     def note_coalesced(self) -> None:
         self._outcomes.inc(outcome="coalesced")
 
-    def note_batch(self) -> None:
-        self._batch_counter.inc()
+    def note_execution(self) -> None:
+        self._executions.inc()
 
     def note_failed(self) -> None:
         self._outcomes.inc(outcome="failed")
@@ -203,9 +199,9 @@ class ServerStats:
 
     @property
     def batches(self) -> int:
-        """Batches drained by workers (≤ completed; higher grouping →
-        fewer)."""
-        return int(self._batch_counter.value())
+        """Worker executions, one request each (completed + failed after
+        admission)."""
+        return int(self._executions.value())
 
     @property
     def max_queue_depth(self) -> int:
@@ -215,10 +211,6 @@ class ServerStats:
     def max_inflight_seen(self) -> int:
         return int(self._watermarks.value(kind="inflight"))
 
-    @property
-    def requests_per_batch(self) -> float:
-        return self.completed / self.batches if self.batches else 0.0
-
 
 class AsyncServer:
     """Asyncio request front end over a (thread-safe) :class:`Engine`.
@@ -226,16 +218,15 @@ class AsyncServer:
     Parameters
     ----------
     engine : the engine owning operands, plans and results.
-    workers : worker-pool size — concurrent batches in flight. Each worker
-        occupies one thread during execution, so size this like a thread
-        pool (the GIL damps, numpy sections release it).
+    workers : worker-pool size — requests executing at once. Each worker
+        runs one request at a time in its own thread, so size this like a
+        thread pool (the compiled kernels and numpy sections release the
+        GIL).
     max_inflight : admission bound on admitted-but-unfinished requests.
     max_queued_flops : admission bound on summed estimated partial products
         waiting in the queue (None = unbounded). Estimates come from
         ``total_flops(A, B)`` on the store-resolved operands, memoized per
         operand-pattern pair.
-    max_batch : most requests one worker drains into a single
-        :class:`BatchExecutor` run.
     dedup : coalesce concurrent identical in-flight requests onto one
         future (see module docstring). On by default.
     """
@@ -243,12 +234,11 @@ class AsyncServer:
     def __init__(self, engine: Engine, *, workers: int = 2,
                  max_inflight: int = 64,
                  max_queued_flops: int | None = None,
-                 max_batch: int = 16,
                  dedup: bool = True):
-        if workers <= 0 or max_inflight <= 0 or max_batch <= 0:
+        if workers <= 0 or max_inflight <= 0:
             raise ServerError(
-                f"workers/max_inflight/max_batch must be positive, got "
-                f"{workers}/{max_inflight}/{max_batch}"
+                f"workers/max_inflight must be positive, got "
+                f"{workers}/{max_inflight}"
             )
         if max_queued_flops is not None and max_queued_flops <= 0:
             raise ServerError(
@@ -259,7 +249,6 @@ class AsyncServer:
         self.workers = workers
         self.max_inflight = max_inflight
         self.max_queued_flops = max_queued_flops
-        self.max_batch = max_batch
         self.dedup = dedup
         #: result-cache key → future of the identical in-flight primary
         self._inflight_keys: dict[tuple, asyncio.Future] = {}
@@ -274,7 +263,6 @@ class AsyncServer:
         # share the engine's registry: one /metrics page spans admission
         # through kernel chunks
         self.stats = ServerStats(engine.metrics)
-        self._batcher = BatchExecutor(engine)
         self._pending: deque[_Pending] = deque()
         self._queued_flops = 0
         self._inflight = 0
@@ -322,7 +310,7 @@ class AsyncServer:
                 pending.future.set_exception(
                     ServerClosed("server worker died before this request ran"))
         errors = [r for r in results if isinstance(r, BaseException)]
-        if errors:  # pragma: no cover - workers catch per-batch failures
+        if errors:  # pragma: no cover - workers catch per-request failures
             raise errors[0]
 
     async def __aenter__(self) -> "AsyncServer":
@@ -652,9 +640,8 @@ class AsyncServer:
             self.stats.observe_queue(len(self._pending), self._inflight)
             self._cond.notify_all()  # freed budget: wake throttled producers
 
-    async def _next_batch(self) -> list[_Pending] | None:
-        """Oldest pending request plus queued group-key-compatible followers
-        (up to ``max_batch``), or None when closed and fully drained."""
+    async def _next_request(self) -> _Pending | None:
+        """Oldest pending request, or None when closed and fully drained."""
         async with self._cond:
             while True:
                 self._sweep_queue_locked()
@@ -663,69 +650,48 @@ class AsyncServer:
                 await self._cond.wait()
             if not self._pending:
                 return None  # closed and drained
-            head = self._pending.popleft()
-            batch = [head]
-            gkey = head.request.group_key()
-            rest = deque()
-            while self._pending and len(batch) < self.max_batch:
-                nxt = self._pending.popleft()
-                if nxt.request.group_key() == gkey:
-                    batch.append(nxt)
-                else:
-                    rest.append(nxt)
-            rest.extend(self._pending)
-            self._pending = rest
-            self._queued_flops -= sum(p.flops for p in batch)
+            pending = self._pending.popleft()
+            self._queued_flops -= pending.flops
             self.stats.observe_queue(len(self._pending), self._inflight)
-            # draining frees queued-flops budget immediately: wake producers
-            # throttled on that bound now, not after the batch finishes
+            # dequeuing frees queued-flops budget immediately: wake producers
+            # throttled on that bound now, not after the request finishes
             # executing (the in-flight bound still holds them if it applies)
             self._cond.notify_all()
-            return batch
-
-    def _run_batch(self, requests: list[Request]) -> list[Response | Exception]:
-        """Thread-side execution through BatchExecutor (one group by
-        construction). ``return_exceptions=True`` makes failures per-request:
-        each request runs exactly once, and a raising request yields its
-        exception while its batchmates' responses survive."""
-        return list(self._batcher.run(requests,
-                                      return_exceptions=True).responses)
+            return pending
 
     async def _worker(self) -> None:
         while True:
-            batch = await self._next_batch()
-            if batch is None:
+            pending = await self._next_request()
+            if pending is None:
                 return
             t_exec = time.perf_counter()
             try:
-                results = await asyncio.to_thread(
-                    self._run_batch, [p.request for p in batch])
+                result = await asyncio.to_thread(self.engine.submit,
+                                                 pending.request)
             except Exception as e:
-                # batch-level failure (BatchExecutor plumbing): attribute it
-                # to every request in the batch and keep the worker alive —
-                # dying here would strand the futures of everything still
-                # queued behind this batch. CancelledError and friends are
-                # BaseException and deliberately NOT caught: a cancelled
-                # worker must die promptly (close() fails its leftovers)
-                results = [e] * len(batch)
+                # attributed to this request alone; the worker stays alive,
+                # since dying here would strand the futures of everything
+                # still queued. CancelledError and friends are BaseException
+                # and deliberately NOT caught: a cancelled worker must die
+                # promptly (close() fails its leftovers)
+                result = e
             t_done = time.perf_counter()
             async with self._cond:
-                self.stats.note_batch()
-                for pending, result in zip(batch, results):
-                    self._inflight -= 1
-                    if isinstance(result, BaseException):
-                        self.stats.note_failed()
-                        # .done(), not .cancelled(): a deadline may have
-                        # resolved this future while the batch executed
-                        if not pending.future.done():
-                            pending.future.set_exception(result)
-                        continue
+                self.stats.note_execution()
+                self._inflight -= 1
+                if isinstance(result, Exception):
+                    self.stats.note_failed()
+                    # .done(), not .cancelled(): a deadline may have
+                    # resolved this future while the request executed
+                    if not pending.future.done():
+                        pending.future.set_exception(result)
+                else:
                     result.stats.queued_seconds = t_exec - pending.t_admit
                     result.stats.total_seconds = t_done - pending.t_admit
                     self.stats.note_completed(result.stats)
                     # stitch the admission wait into the request's trace as
                     # a post-hoc span: the engine only sees the request once
-                    # a worker drains it, so the server owns this interval
+                    # a worker takes it, so the server owns this interval
                     if result.stats.trace_id:
                         rec = self.engine.tracer.get(result.stats.trace_id)
                         if rec is not None:
@@ -739,6 +705,6 @@ class AsyncServer:
 async def serve_all(server: AsyncServer,
                     requests: list[Request]) -> list[Response]:
     """Submit every request concurrently (admission throttles) and gather
-    responses in input order — the async analogue of ``BatchExecutor.run``."""
+    responses in input order."""
     return list(await asyncio.gather(
         *[server.submit(req) for req in requests]))

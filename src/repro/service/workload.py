@@ -1,6 +1,6 @@
-"""JSON workload specs: declare matrices + request streams, replay them.
+"""JSON workload specs: declare matrices + request streams.
 
-This is the serving layer's wire format — what ``python -m repro batch
+This is the serving layer's wire format — what ``python -m repro serve
 workload.json`` consumes. A spec is a dict with two sections::
 
     {
@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Any
 
 from ..sparse.csr import CSRMatrix
-from .batch import BatchExecutor, BatchResult
 from .engine import Engine
 from .requests import Request
 
@@ -118,19 +117,9 @@ def expand_requests(spec: dict[str, Any]) -> list[Request]:
 
 
 def register_matrices(engine: Engine, spec: dict[str, Any]) -> None:
-    """Build and register every matrix in the spec's ``matrices`` section
-    (shared by the batch replay below and the async ``serve`` front end)."""
+    """Build and register every matrix in the spec's ``matrices`` section."""
     for name, mspec in spec["matrices"].items():
         engine.register(name, _build_matrix(name, mspec))
-
-
-def replay(spec: dict[str, Any], *, engine: Engine | None = None,
-           executor=None) -> tuple[Engine, BatchResult]:
-    """Register the spec's matrices into an engine and run its requests."""
-    engine = engine or Engine()
-    register_matrices(engine, spec)
-    result = BatchExecutor(engine, executor).run(expand_requests(spec))
-    return engine, result
 
 
 def render_serve_report(engine: Engine, server, responses,
@@ -150,8 +139,7 @@ def render_serve_report(engine: Engine, server, responses,
     rps = n / seconds if seconds > 0 else float("inf")
     lines.append(
         f"serve: {n} requests in {seconds * 1e3:.1f} ms ({rps:.0f} req/s) — "
-        f"{server.stats.batches} batches "
-        f"({server.stats.requests_per_batch:.1f} req/batch), "
+        f"{server.stats.batches} worker executions, "
         f"peak queue depth {server.stats.max_queue_depth}, "
         f"peak in-flight {server.stats.max_inflight_seen}")
     stats = [r.stats for r in responses]
@@ -187,36 +175,4 @@ def render_serve_report(engine: Engine, server, responses,
                  + (f", {len(engine.results)} results cached "
                     f"({engine.results.total_bytes} bytes)"
                     if engine.results is not None else ""))
-    return "\n".join(lines)
-
-
-def render_report(engine: Engine, result: BatchResult) -> str:
-    """Human-readable replay report (the CLI's output)."""
-    from ..bench.metrics import summarize_latencies
-    from ..bench.reporting import render_table
-
-    rows = [[r.tag] + r.stats.as_row() for r in result.responses]
-    lines = [render_table(
-        ["tag", "algorithm", "phases", "plan", "plan (ms)", "numeric (ms)",
-         "total (ms)", "nnz"], rows)]
-    lines.append("")
-    lines.append(
-        f"batch: {len(result.responses)} requests in {result.seconds * 1e3:.1f} ms "
-        f"({result.groups} groups) — plan cache: {result.plan_hits} hits / "
-        f"{result.plan_misses} misses ({100 * result.plan_hit_rate:.0f}% hit rate)"
-    )
-    # latency lines are batch-scoped (a reused engine's lifetime stats would
-    # mix earlier traffic into this replay's report)
-    batch_stats = [r.stats for r in result.responses if r.stats.planned]
-    cold = summarize_latencies(
-        [s.total_seconds for s in batch_stats if not s.plan_cache_hit])
-    warm = summarize_latencies(
-        [s.total_seconds for s in batch_stats if s.plan_cache_hit])
-    if cold:
-        lines.append(f"cold requests: {cold}")
-    if warm:
-        lines.append(f"warm requests: {warm}")
-    lines.append(f"engine: {len(engine.store)} matrices "
-                 f"({engine.store.total_bytes} bytes resident), "
-                 f"{len(engine.plans)} plans cached")
     return "\n".join(lines)

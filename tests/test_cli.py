@@ -86,13 +86,14 @@ def test_missing_input_errors(capsys):
 
 def test_parser_subcommands_exist():
     p = build_parser()
-    for cmd in ("tc", "ktruss", "bc", "spgemm", "batch", "serve", "suite",
-                "info"):
+    for cmd in ("tc", "ktruss", "bc", "spgemm", "serve", "suite", "info"):
         assert cmd in p.format_help()
+    with pytest.raises(SystemExit):
+        p.parse_args(["batch", "workload.json"])
 
 
-def test_batch_workload(tmp_path, capsys):
-    """`python -m repro batch workload.json` on a tiny generated workload."""
+def test_serve_workload(tmp_path, capsys):
+    """`python -m repro serve workload.json` on a tiny generated workload."""
     import json
 
     wl = {
@@ -107,11 +108,13 @@ def test_batch_workload(tmp_path, capsys):
     }
     p = tmp_path / "workload.json"
     p.write_text(json.dumps(wl))
-    rc, out = run(["batch", str(p)], capsys)
+    rc, out = run(["serve", str(p)], capsys)
     assert rc == 0
-    # 3 repeats of one pattern: 1 cold miss, 2 warm hits
-    assert "2 hits / 1 misses" in out
-    assert "warm requests:" in out and "cold requests:" in out
+    # 3 identical requests: the first plans cold, the two in flight behind
+    # it coalesce onto its result
+    assert ("cache tiers: 2 coalesced, 0 result hits, 0 plan hits, "
+            "1 cold plans") in out
+    assert "cold requests:" in out
     assert sum(1 for line in out.splitlines()
                if line.strip().startswith("tc")) == 3
 
@@ -192,7 +195,23 @@ def test_serve_missing_workload_errors(capsys):
         main(["serve", "does-not-exist.json"])
 
 
-def test_batch_workload_threaded(tmp_path, capsys):
+def test_serve_malformed_spec_contents_clean_error(tmp_path):
+    import json
+
+    p = tmp_path / "workload.json"
+    p.write_text(json.dumps({
+        "matrices": {"G": {"generator": "er", "n": 30, "degre": 4}},
+        "requests": [{"a": "G", "b": "G"}]}))
+    with pytest.raises(SystemExit, match="bad workload spec.*degre"):
+        main(["serve", str(p)])
+    p.write_text(json.dumps({
+        "matrices": {"G": {"generator": "er", "n": 30, "degree": 4}},
+        "requests": [{"a": "G", "b": "G", "bogus": 1}]}))
+    with pytest.raises(SystemExit, match="bad workload spec.*bogus"):
+        main(["serve", str(p)])
+
+
+def test_serve_workload_two_workers(tmp_path, capsys):
     import json
 
     wl = {
@@ -206,6 +225,6 @@ def test_batch_workload_threaded(tmp_path, capsys):
     }
     p = tmp_path / "workload.json"
     p.write_text(json.dumps(wl))
-    rc, out = run(["batch", str(p), "--threads", "2"], capsys)
+    rc, out = run(["serve", str(p), "--workers", "2"], capsys)
     assert rc == 0
     assert "4 requests" in out

@@ -178,8 +178,6 @@ def test_resolve_deadline_prefers_server_stamp():
 def test_request_deadline_ms_roundtrips_from_dict():
     req = Request.from_dict({"a": "A", "b": "B", "deadline_ms": 250})
     assert req.deadline_ms == 250
-    # deadline is not part of batching identity: equal work, equal key
-    assert req.group_key() == Request(a="A", b="B").group_key()
 
 
 # ---------------------------------------------------------------------- #

@@ -384,7 +384,7 @@ def test_async_serve_preserves_order_and_results(rng):
             for i in range(12)]
 
     async def main():
-        async with AsyncServer(eng, workers=3, max_batch=4) as srv:
+        async with AsyncServer(eng, workers=3) as srv:
             return await serve_all(srv, reqs), srv
 
     resps, srv = asyncio.run(main())
@@ -399,25 +399,6 @@ def test_async_serve_preserves_order_and_results(rng):
     assert all(r.stats.queued_seconds >= 0 for r in resps)
 
 
-def test_async_server_batches_by_group_key(rng):
-    """A single-group burst drains into few batches; one cold plan, the rest
-    warm — the batch layer's locality carried over to the async path."""
-    eng, _ = _server_engine(rng)
-    reqs = [Request(a="A", b="B", mask="M", phases=2, algorithm="msa")
-            for _ in range(8)]
-
-    async def main():
-        # dedup off: this test exercises group-key batching, which needs
-        # the identical requests to actually execute
-        async with AsyncServer(eng, workers=1, max_batch=8,
-                               dedup=False) as srv:
-            return await serve_all(srv, reqs), srv
-
-    resps, srv = asyncio.run(main())
-    assert srv.stats.batches < 8
-    assert sum(1 for r in resps if not r.stats.plan_cache_hit) == 1
-
-
 def test_async_server_backpressure_bounds_inflight(rng):
     eng, _ = _server_engine(rng)
     reqs = [Request(a="A", b="B", mask="M", phases=2, tag=str(i))
@@ -425,7 +406,7 @@ def test_async_server_backpressure_bounds_inflight(rng):
 
     async def main():
         async with AsyncServer(eng, workers=1, max_inflight=2,
-                               max_batch=2, dedup=False) as srv:
+                               dedup=False) as srv:
             await serve_all(srv, reqs)
             return srv
 
@@ -469,8 +450,7 @@ def test_async_server_error_attributed_to_failing_request(rng):
             + good[2:])
 
     async def main():
-        async with AsyncServer(eng, workers=1, max_batch=8,
-                               dedup=False) as srv:
+        async with AsyncServer(eng, workers=1, dedup=False) as srv:
             return await asyncio.gather(
                 *[srv.submit(r) for r in reqs], return_exceptions=True)
 
@@ -481,28 +461,9 @@ def test_async_server_error_attributed_to_failing_request(rng):
     assert all(not isinstance(r, Exception) for r in ok)
     for r in ok:
         assert r.tag == "good"
-    # exactly-once execution: the failure path must not re-run the
-    # batchmates that had already completed (stats would double-count)
+    # exactly-once execution: a failure must not re-run the requests that
+    # had already completed (stats would double-count)
     assert eng.stats.requests == len(ok)
-
-
-def test_batch_executor_return_exceptions_runs_each_once(rng):
-    from repro.service import BatchExecutor
-
-    eng, _ = _server_engine(rng)
-    bad = csr_random(7, 9, density=0.4, rng=np.random.default_rng(3))
-    eng.register("Bad", bad)
-    reqs = [Request(a="A", b="B", mask="M", phases=2),
-            Request(a="Bad", b="B", phases=2),
-            Request(a="A", b="B", mask="M", phases=2)]
-    result = BatchExecutor(eng).run(reqs, return_exceptions=True)
-    assert isinstance(result.responses[1], ShapeError)
-    assert not isinstance(result.responses[0], Exception)
-    assert not isinstance(result.responses[2], Exception)
-    assert eng.stats.requests == 2  # failing request never recorded
-    # without the flag the batch still aborts loudly
-    with pytest.raises(ShapeError):
-        BatchExecutor(eng).run(reqs)
 
 
 def test_async_server_closed_refuses_and_unknown_key_fails_at_admission(rng):
@@ -536,14 +497,13 @@ def test_async_server_result_cache_tier_reported(rng):
     reqs = [Request(a="A", b="B", mask="M", phases=2) for _ in range(6)]
 
     async def main():
-        async with AsyncServer(eng, workers=2, max_batch=3,
-                               dedup=False) as srv:
+        async with AsyncServer(eng, workers=2, dedup=False) as srv:
             return await serve_all(srv, reqs)
 
     resps = asyncio.run(main())
     hits = [r for r in resps if r.stats.result_cache_hit]
     misses = [r for r in resps if not r.stats.result_cache_hit]
-    # two workers may race both cold batches, but hits must alias a computed
+    # two workers may race both cold requests, but hits must alias a computed
     # result object and every response must be bit-identical
     assert hits
     computed = {id(m.result) for m in misses}
@@ -648,32 +608,148 @@ def test_async_server_dedup_off_executes_each(rng):
     assert not any(r.stats.coalesced for r in resps)
 
 
-def test_batch_level_failure_attributed_and_server_survives(rng):
-    """A batch-execution crash (not a per-request error) must fail that
-    batch's futures, keep the worker alive, and leave close() clean."""
+def test_execution_failure_attributed_and_server_survives(rng):
+    """A crash inside ``engine.submit`` must fail that request's future,
+    keep the worker alive for the next request, and leave close() clean."""
     eng, (A, B, M) = _server_engine(rng)
     req = Request(a="A", b="B", mask="M", algorithm="esc", phases=2)
+    original = eng.submit
+    crashes = []
+
+    def explode_once(request):
+        if not crashes:
+            crashes.append(request)
+            raise RuntimeError("injected execution crash")
+        return original(request)
+
+    eng.submit = explode_once
 
     async def main():
         server = AsyncServer(eng, workers=1, dedup=False)
         await server.start()
-
-        def exploding(requests):
-            raise RuntimeError("injected batch crash")
-
-        original = server._run_batch
-        server._run_batch = exploding
-        with pytest.raises(RuntimeError, match="injected batch crash"):
+        with pytest.raises(RuntimeError, match="injected execution crash"):
             await server.submit(req)
-        # the worker lived through it: restore and serve normally
-        server._run_batch = original
+        # the worker lived through it and serves the next request
         resp = await server.submit(req)
         await server.close()
-        return resp
+        return resp, server
 
-    resp = asyncio.run(main())
+    resp, server = asyncio.run(main())
     assert_masked_product_correct(resp.result, A, B, M)
-    assert eng.stats.requests == 1  # the crashed batch never executed
+    assert eng.stats.requests == 1  # the crashed request never executed
+    assert server.stats.failed == 1 and server.stats.completed == 1
+    assert server.stats.batches == 2  # one execution per request
+
+
+# ---------------------------------------------------------------------- #
+# one request per worker
+# ---------------------------------------------------------------------- #
+def test_distinct_requests_execute_concurrently(rng):
+    """Two distinct queued requests run side by side on the two workers:
+    each execution waits on a two-party barrier, so the requests complete
+    only if both are inside ``engine.submit`` at the same time."""
+    import threading
+
+    eng, (A, B, M) = _server_engine(rng)
+    A2 = CSRMatrix(A.indptr.copy(), A.indices.copy(), A.data * 2.0, A.shape)
+    eng.register("A2", A2)
+    barrier = threading.Barrier(2, timeout=5)
+    original = eng.submit
+
+    def rendezvous(request):
+        barrier.wait()
+        return original(request)
+
+    eng.submit = rendezvous
+    reqs = [Request(a="A", b="B", mask="M", phases=2, tag="a"),
+            Request(a="A2", b="B", mask="M", phases=2, tag="a2")]
+
+    async def main():
+        async with AsyncServer(eng, workers=2, dedup=False) as srv:
+            return await serve_all(srv, reqs), srv
+
+    resps, srv = asyncio.run(main())
+    assert [r.tag for r in resps] == ["a", "a2"]
+    assert_masked_product_correct(resps[0].result, A, B, M)
+    assert_masked_product_correct(resps[1].result, A2, B, M)
+    assert srv.stats.batches == 2 and srv.stats.failed == 0
+
+
+def test_worker_pool_stress_keeps_counts(rng):
+    """More workers than cores, many distinct requests and a short thread
+    switch interval: every request executes exactly once, the engine's
+    shared counters lose no update, and the queue and in-flight gauges
+    return to zero."""
+    import sys
+
+    eng, (A, B, M) = _server_engine(rng)
+    n = 48
+    for i in range(n):
+        eng.register(f"A{i}", CSRMatrix(A.indptr.copy(), A.indices.copy(),
+                                        A.data + i, A.shape))
+    reqs = [Request(a=f"A{i}", b="B", mask="M", phases=2,
+                    algorithm=("msa", "hash", "esc")[i % 3], tag=str(i))
+            for i in range(n)]
+
+    async def main():
+        async with AsyncServer(eng, workers=6, max_inflight=8,
+                               dedup=False) as srv:
+            resps = await asyncio.wait_for(serve_all(srv, reqs), 60)
+        return resps, srv
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        resps, srv = asyncio.run(main())
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.tag for r in resps] == [str(i) for i in range(n)]
+    assert srv.stats.completed == n and srv.stats.batches == n
+    assert srv.stats.failed == 0 and srv.stats.max_inflight_seen <= 8
+    assert eng.stats.requests == n
+    assert eng.stats.plan_hits + eng.stats.plan_misses == n
+    assert len(eng.plans) == 3
+    assert eng.metrics.get("repro_server_inflight").value() == 0
+    assert eng.metrics.get("repro_server_queue_depth").value() == 0
+    for i in (0, 1, 2, n - 1):
+        Ai = eng.store.get(f"A{i}")
+        assert_masked_product_correct(resps[i].result, Ai, B, M)
+
+
+def test_cold_same_plan_key_builds_race_without_single_flight(rng):
+    """N requests sharing one plan key (same patterns, different values)
+    start cold on two workers. Workers that miss at once both build the
+    plan; every response is still bit-identical to the reference tier and
+    the cache ends with one plan for the key."""
+    from repro.core.reference import reference_masked_spgemm
+    from repro.semiring import PLUS_TIMES
+
+    eng, (A, B, M) = _server_engine(rng)
+    n = 6
+    operands = []
+    for i in range(n):
+        Ai = CSRMatrix(A.indptr.copy(), A.indices.copy(),
+                       A.data * (i + 1.5), A.shape)
+        eng.register(f"A{i}", Ai)
+        operands.append(Ai)
+    reqs = [Request(a=f"A{i}", b="B", mask="M", phases=2, algorithm="msa",
+                    tag=str(i)) for i in range(n)]
+
+    async def main():
+        async with AsyncServer(eng, workers=2, dedup=False) as srv:
+            return await serve_all(srv, reqs)
+
+    resps = asyncio.run(main())
+    assert [r.tag for r in resps] == [str(i) for i in range(n)]
+    for Ai, r in zip(operands, resps):
+        want = reference_masked_spgemm(Ai, B, Mask.from_matrix(M),
+                                       algorithm="msa", semiring=PLUS_TIMES)
+        assert r.result.same_pattern(want)
+        assert np.array_equal(r.result.data, want.data)
+    assert len(eng.plans) == 1
+    assert eng.stats.plan_hits + eng.stats.plan_misses == n
+    assert eng.stats.plan_misses >= 1
+
 
 def test_warm_requests_report_direct_write(rng):
     """Two-phase engine requests on a fused kernel flag the direct-write

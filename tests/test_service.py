@@ -1,6 +1,7 @@
 """Tests for the serving layer (repro.service): store, plan cache, engine,
-batch execution, workload replay, and the algorithm integrations."""
+concurrent serving, workload specs, and the algorithm integrations."""
 
+import asyncio
 import json
 
 import numpy as np
@@ -10,10 +11,10 @@ from conftest import assert_masked_product_correct, make_triple
 from repro import Mask, masked_spgemm
 from repro.core.plan import build_plan
 from repro.errors import AlgorithmError
-from repro.parallel import SimulatedExecutor, ThreadExecutor
+from repro.parallel import SimulatedExecutor
 from repro.semiring import PLUS_PAIR
 from repro.service import (
-    BatchExecutor,
+    AsyncServer,
     Engine,
     MatrixStore,
     PlanCache,
@@ -21,8 +22,9 @@ from repro.service import (
     StoreError,
     expand_requests,
     load_workload,
-    render_report,
-    replay,
+    register_matrices,
+    render_serve_report,
+    serve_all,
 )
 from repro.service.store import matrix_nbytes
 from repro.sparse import csr_random
@@ -343,9 +345,9 @@ def test_plan_shape_mismatch_rejected(rng):
 
 
 # ---------------------------------------------------------------------- #
-# BatchExecutor
+# concurrent serving over one engine
 # ---------------------------------------------------------------------- #
-def _batch_engine(rng):
+def _serving_engine(rng):
     eng = Engine()
     A, B, M = make_triple(rng, m=25, k=20, n=25)
     eng.register("A", A)
@@ -354,41 +356,35 @@ def _batch_engine(rng):
     return eng, (A, B, M)
 
 
-def test_batch_preserves_request_order(rng):
-    eng, _ = _batch_engine(rng)
-    reqs = [Request(a="A", b="B", mask="M", phases=2, algorithm="msa", tag="0"),
-            Request(a="A", b="B", mask="M", phases=2, algorithm="hash", tag="1"),
-            Request(a="A", b="B", mask="M", phases=2, algorithm="msa", tag="2"),
-            Request(a="A", b="B", mask="M", phases=2, algorithm="hash", tag="3")]
-    result = BatchExecutor(eng).run(reqs)
-    assert [r.tag for r in result.responses] == ["0", "1", "2", "3"]
-    assert result.groups == 2
-    # grouped execution: each config pays one miss, then hits
-    assert result.plan_misses == 2 and result.plan_hits == 2
+def _serve(eng, reqs, workers):
+    async def main():
+        async with AsyncServer(eng, workers=workers, dedup=False) as srv:
+            return await serve_all(srv, reqs), srv
+
+    return asyncio.run(main())
 
 
-def test_batch_thread_fanout_matches_serial(rng):
-    eng_serial, (A, B, M) = _batch_engine(rng)
-    eng_thread, _ = _batch_engine(np.random.default_rng(20220402))
-    reqs = [Request(a="A", b="B", mask="M", phases=2, tag=str(i))
+@pytest.mark.parametrize("workers", [1, 4])
+def test_serve_all_workers_match_serial(workers):
+    """Requests served by 1 or 4 workers come back in input order and
+    bit-identical to serial ``Engine.submit`` on a second engine."""
+    eng_serial, _ = _serving_engine(np.random.default_rng(7))
+    eng_served, _ = _serving_engine(np.random.default_rng(7))
+    reqs = [Request(a="A", b="B", mask="M", phases=2, tag=str(i),
+                    algorithm=("msa", "hash")[i % 2])
             for i in range(8)]
-    serial = BatchExecutor(eng_serial).run(reqs)
-    ex = ThreadExecutor(4)
-    try:
-        threaded = BatchExecutor(eng_thread, ex).run(reqs)
-    finally:
-        ex.close()
-    for rs, rt in zip(serial.responses, threaded.responses):
-        assert rt.result.equals(rs.result)
-    # all 8 share one plan key: exactly one miss however the race resolves
-    assert serial.plan_misses == 1 and serial.plan_hits == 7
-    assert threaded.plan_hits + threaded.plan_misses == 8
-
-
-def test_batch_empty(rng):
-    eng, _ = _batch_engine(rng)
-    result = BatchExecutor(eng).run([])
-    assert result.responses == [] and result.plan_hit_rate == 0.0
+    serial = [eng_serial.submit(r) for r in reqs]
+    served, _ = _serve(eng_served, reqs, workers)
+    assert [r.tag for r in served] == [str(i) for i in range(8)]
+    for rs, rw in zip(serial, served):
+        assert rw.result.same_pattern(rs.result)
+        assert np.array_equal(rw.result.data, rs.result.data)
+    # two plan keys: one miss each when serial; racing workers may both
+    # miss the same cold key, so only the total is fixed
+    plans = eng_served.stats.plan_hits + eng_served.stats.plan_misses
+    assert plans == 8 and len(eng_served.plans) == 2
+    if workers == 1:
+        assert eng_served.stats.plan_misses == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -444,7 +440,7 @@ def test_mcl_engine_hits_on_stabilized_pattern():
 
 
 # ---------------------------------------------------------------------- #
-# workload replay
+# workload specs
 # ---------------------------------------------------------------------- #
 def _workload_spec():
     return {
@@ -467,15 +463,24 @@ def test_expand_requests_repeats_in_order():
     assert [r.tag for r in reqs] == ["masked"] * 3 + ["tc"] * 2
 
 
-def test_workload_replay_and_report(tmp_path):
+@pytest.mark.parametrize("workers", [1, 4])
+def test_workload_serve_and_report(tmp_path, workers):
     p = tmp_path / "wl.json"
     p.write_text(json.dumps(_workload_spec()))
     spec = load_workload(p)
-    engine, result = replay(spec)
-    assert len(result.responses) == 5
-    assert result.plan_misses == 2 and result.plan_hits == 3
-    report = render_report(engine, result)
-    assert "hit rate" in report and "warm requests" in report
+    engine = Engine()
+    register_matrices(engine, spec)
+    reqs = expand_requests(spec)
+    resps, srv = _serve(engine, reqs, workers)
+    assert [r.tag for r in resps] == ["masked"] * 3 + ["tc"] * 2
+    for r in resps[1:3]:
+        assert r.result.equals(resps[0].result)
+    assert resps[4].result.equals(resps[3].result)
+    assert engine.stats.plan_hits + engine.stats.plan_misses == 5
+    if workers == 1:
+        assert engine.stats.plan_misses == 2 and engine.stats.plan_hits == 3
+    report = render_serve_report(engine, srv, resps, 1.0)
+    assert "cache tiers:" in report and "5 worker executions" in report
 
 
 def test_engine_shape_mismatch_clean_error(rng):
@@ -505,18 +510,6 @@ def test_workload_rejects_misspelled_matrix_field():
         _build_matrix("x", {"random": {"m": 10, "densty": 0.5}})
     with pytest.raises(ValueError, match="degre"):
         _build_matrix("x", {"generator": "er", "n": 10, "degre": 20})
-
-
-def test_render_report_is_batch_scoped(rng):
-    """A reused engine's earlier traffic must not leak into a later batch's
-    latency lines."""
-    eng, _ = _batch_engine(rng)
-    req = Request(a="A", b="B", mask="M", phases=2)
-    BatchExecutor(eng).run([req] * 3)            # earlier traffic
-    result = BatchExecutor(eng).run([req] * 2)   # all warm
-    report = render_report(eng, result)
-    assert "cold requests:" not in report        # batch had no cold requests
-    assert "warm requests: n=2" in report
 
 
 def test_mcl_algorithm_without_engine_rejected():
