@@ -27,6 +27,7 @@ Shared envelope (``repro-perf-trajectory-v1``, written by
       "runs": [
         {
           "timestamp": 1722200000,        # unix seconds of the run
+          "env": {"cores": 8, ...},       # env_fingerprint() of the run
           "results": [ {...}, ... ]       # bench-specific result rows
         }, ...
       ]
@@ -57,6 +58,9 @@ Each invocation *appends* one run, preserving history; downstream tooling
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -150,10 +154,44 @@ def emit(text: str) -> None:
 TRAJECTORY_SCHEMA = "repro-perf-trajectory-v1"
 
 
+def git_rev() -> str:
+    """Short HEAD revision of this checkout, suffixed ``-dirty`` when the
+    work tree has uncommitted changes; ``"unknown"`` outside a git
+    checkout."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        rev = subprocess.run(["git", "rev-parse", "--short=12", "HEAD"],
+                             cwd=root, capture_output=True, text=True,
+                             timeout=30)
+        dirty = subprocess.run(["git", "status", "--porcelain"], cwd=root,
+                               capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    if rev.returncode != 0:
+        return "unknown"
+    return rev.stdout.strip() + ("-dirty" if dirty.stdout.strip() else "")
+
+
+def env_fingerprint() -> dict:
+    """The machine and build a run was measured on, under the same keys
+    ``perfbench/run.py`` prints: cores, native backend, Python and numpy
+    versions, and the git revision with its dirty flag."""
+    import numpy
+
+    from repro import native
+
+    return {"cores": os.cpu_count(),
+            "native_backend": native.native_backend_name(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "git": git_rev()}
+
+
 def append_trajectory_run(artifact: Path, bench: str,
                           results: list[dict]) -> None:
-    """Append one timestamped run to a trajectory artifact, preserving the
-    runs already recorded there. A corrupt file (or one with a foreign
+    """Append one timestamped run, stamped with its
+    :func:`env_fingerprint`, to a trajectory artifact, preserving the runs
+    already recorded there. A corrupt file (or one with a foreign
     schema) starts a fresh trajectory rather than poisoning history.
 
     One artifact may carry runs from *several* benches (e.g.
@@ -172,7 +210,7 @@ def append_trajectory_run(artifact: Path, bench: str,
         except (json.JSONDecodeError, OSError):
             pass
     doc["runs"].append({"timestamp": int(time.time()), "bench": bench,
-                        "results": results})
+                        "env": env_fingerprint(), "results": results})
     artifact.write_text(json.dumps(doc, indent=2) + "\n")
 
 

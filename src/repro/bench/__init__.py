@@ -16,9 +16,8 @@ from .metrics import (
     masked_flops,
     mteps,
     spgemm_flops,
-    summarize_latencies,
+    latency_summary,
     compression_factor,
-    warm_cold_speedup,
 )
 from .perfprof import PerformanceProfile, performance_profile
 from .harness import GridResult, run_grid, time_callable
@@ -32,8 +31,7 @@ __all__ = [
     "compression_factor",
     "hit_rate",
     "latency_percentiles",
-    "summarize_latencies",
-    "warm_cold_speedup",
+    "latency_summary",
     "performance_profile",
     "PerformanceProfile",
     "time_callable",

@@ -86,22 +86,12 @@ def latency_percentiles(latencies, *, percentiles=(50, 95, 99)) -> dict[int, flo
     return {int(p): float(np.percentile(arr, p)) for p in percentiles}
 
 
-def summarize_latencies(latencies) -> str:
+def latency_summary(latencies) -> str:
     """One-line latency summary (count / mean / p50 / p95), empty string for
-    no samples. Used by engine reports and ``bench_service_plan_cache``."""
+    no samples. Used by the ``repro serve`` report."""
     arr = np.asarray(list(latencies), dtype=np.float64)
     if arr.size == 0:
         return ""
     pct = latency_percentiles(arr, percentiles=(50, 95))
     return (f"n={arr.size}  mean={arr.mean() * 1e3:.2f} ms  "
             f"p50={pct[50] * 1e3:.2f} ms  p95={pct[95] * 1e3:.2f} ms")
-
-
-def warm_cold_speedup(cold_latencies, warm_latencies) -> float:
-    """mean(cold) / mean(warm) — how much a plan-cache hit saves. Returns
-    1.0 when either side has no samples (no claim either way)."""
-    cold = np.asarray(list(cold_latencies), dtype=np.float64)
-    warm = np.asarray(list(warm_latencies), dtype=np.float64)
-    if cold.size == 0 or warm.size == 0 or warm.mean() <= 0:
-        return 1.0
-    return float(cold.mean() / warm.mean())

@@ -45,7 +45,6 @@ def masked_spgemm(
     executor=None,
     verify_symbolic: bool = True,
     plan=None,
-    plan_sink: list | None = None,
 ) -> CSRMatrix:
     """Compute ``C = M ⊙ (A·B)`` (or ``¬M ⊙ (A·B)`` for complemented masks).
 
@@ -91,12 +90,6 @@ def masked_spgemm(
         preallocated from the row sizes and chunks scatter into disjoint
         slices with zero stitch copies (process executors keep the stitch
         path — children cannot write parent memory).
-    plan_sink : list, optional
-        When given and no ``plan`` was supplied, the implied
-        :class:`~repro.core.plan.SymbolicPlan` of this call (resolved
-        algorithm; for two-phase, the computed symbolic row sizes) is
-        appended — so callers get plan reuse for free instead of the
-        symbolic results being thrown away.
 
     Returns
     -------
@@ -156,7 +149,7 @@ def masked_spgemm(
 
         C = parallel_masked_spgemm(
             A, B, mask, algorithm=algorithm, semiring=semiring,
-            phases=phases, executor=executor, plan=plan, plan_sink=plan_sink,
+            phases=phases, executor=executor, plan=plan,
         )
         # the cross-check only means something on the stitch path: direct
         # write builds indptr *from* the plan and validated computed sizes
@@ -181,12 +174,6 @@ def masked_spgemm(
             symbolic_sizes = plan.row_sizes  # cached symbolic pass
         else:
             symbolic_sizes = spec.symbolic(A, B, mask, rows)
-            if plan_sink is not None:
-                from .plan import SymbolicPlan
-
-                plan_sink.append(SymbolicPlan(
-                    algorithm=algorithm, phases=2, shape=out_shape,
-                    row_sizes=symbolic_sizes))
     block = spec.numeric(A, B, mask, semiring, rows)
     if symbolic_sizes is not None and verify_symbolic:
         if not np.array_equal(symbolic_sizes, block.sizes):

@@ -249,8 +249,7 @@ LOOP_FLOPS_FLOOR = 100_000.0
 MSA_NCOLS_CUTOFF = 1 << 15
 
 
-def auto_select(A, B, mask, *, plan_free: bool = False,
-                semiring=None) -> str:
+def auto_select(A, B, mask, *, semiring=None) -> str:
     """Pick the kernel for ``mask ⊙ (A·B)`` under ``semiring`` (None means
     ``PLUS_TIMES``, the :func:`~repro.core.api.masked_spgemm` default).
 
@@ -280,12 +279,6 @@ def auto_select(A, B, mask, *, plan_free: bool = False,
 
     This hybrid dispatcher is the paper's "future work" hybrid in its
     simplest form.
-
-    ``plan_free=True`` is the dynamic-mask regime ("Masked Matrix
-    Multiplication for Emergent Sparsity"): the mask is fresh every request
-    and nothing will be cached or replayed, so the fused fallback skips the
-    ``msa-loop`` routing tier — whose payoff assumes the mask-reuse serving
-    pattern — and stays among the chunk-fused kernels.
     """
     from ..native import kernels as native_kernels
 
@@ -308,8 +301,7 @@ def auto_select(A, B, mask, *, plan_free: bool = False,
         return "heap"
     if flops_per_row <= ESC_FLOPS_CUTOFF:
         return "esc"
-    if (not plan_free and d_m * 2 >= d_in
-            and nrows * flops_per_row >= LOOP_FLOPS_FLOOR
+    if (d_m * 2 >= d_in and nrows * flops_per_row >= LOOP_FLOPS_FLOOR
             and B.ncols <= MSA_NCOLS_CUTOFF):
         return "msa-loop"
     return "msa" if B.ncols <= MSA_NCOLS_CUTOFF else "hash"

@@ -14,12 +14,11 @@ matrix. Assembly has two modes:
 * **stitch** (one-phase requests and kernels without a direct-write
   variant): per-chunk :class:`RowBlock` results are concatenated as before.
 
-Two-phase requests without a plan no longer throw the symbolic results
-away: the per-chunk sizes are captured into an *implied*
-:class:`~repro.core.plan.SymbolicPlan` that feeds the direct-write numeric
-pass and is exposed through ``plan_sink`` so callers get plan reuse for
-free. Warm requests carrying a cached plan (``plan=``) skip the symbolic
-map entirely, so a warm request runs zero Python-per-row work end to end.
+Two-phase requests without a plan do not throw the symbolic results away:
+the per-chunk sizes are captured into the row sizes that feed the
+direct-write numeric pass. Warm requests carrying a cached plan
+(``plan=``) skip the symbolic map entirely, so a warm request runs zero
+Python-per-row work end to end.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from ..semiring import PLUS_TIMES, Semiring
 from ..sparse.csr import CSRMatrix
 from ..validation import INDEX_DTYPE, check_multiplicable
 from ..core import registry
-from ..core.plan import SymbolicPlan
 from ..core.types import stitch_blocks
 from .partition import (
     NATIVE_BYTES_PER_FLOP,
@@ -117,7 +115,6 @@ def parallel_masked_spgemm(
     executor=None,
     nchunks: Optional[int] = None,
     plan=None,
-    plan_sink: Optional[list] = None,
     direct_write: bool = True,
 ) -> CSRMatrix:
     """Row-parallel ``C = M ⊙ (A·B)`` on the given executor.
@@ -125,8 +122,8 @@ def parallel_masked_spgemm(
     ``plan`` (a :class:`repro.core.plan.SymbolicPlan` with cached row sizes)
     makes the two-phase symbolic map a no-op: the sizes are already known, so
     only the numeric chunks are dispatched. Without a plan, a two-phase run
-    captures its symbolic chunk results into an implied plan (appended to
-    ``plan_sink`` when given) that feeds the direct-write numeric pass.
+    captures its symbolic chunk results into the row sizes that feed the
+    direct-write numeric pass.
     ``direct_write=False`` forces the stitch path — the A/B knob the chunk
     benchmarks use.
     """
@@ -183,10 +180,6 @@ def parallel_masked_spgemm(
         row_sizes = (sym[0] if len(sym) == 1
                      else np.concatenate(sym)).astype(INDEX_DTYPE,
                                                       copy=False)
-        if plan_sink is not None:
-            plan_sink.append(SymbolicPlan(
-                algorithm=algorithm, phases=2, shape=out_shape,
-                row_sizes=row_sizes))
 
     if (direct_write and row_sizes is not None
             and spec.numeric_into is not None):

@@ -50,7 +50,7 @@ Quickstart::
 from ..delta import DeltaBatch, DeltaError, DeltaOutcome
 from .engine import Engine, EngineStats
 from .plan import PlanCache, PlanStore, PlanStoreError, plan_key
-from .requests import DeltaRequest, Request, RequestStats, Response
+from .requests import Request, RequestStats, Response
 from .result_cache import ResultCache, result_key
 from .server import AsyncServer, ServerClosed, ServerError, ServerStats, serve_all
 from .store import MatrixStore, StoreError, matrix_nbytes
@@ -84,7 +84,6 @@ __all__ = [
     "DeltaBatch",
     "DeltaError",
     "DeltaOutcome",
-    "DeltaRequest",
     "load_workload",
     "expand_requests",
     "register_matrices",

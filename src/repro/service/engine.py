@@ -46,7 +46,8 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
+from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 
@@ -70,7 +71,7 @@ from ..sparse.ops import (pattern_fingerprint, rows_affected_through,
                           value_fingerprint)
 from ..validation import INDEX_DTYPE
 from .plan import PlanCache, PlanStore, plan_key
-from .requests import DeltaRequest, Request, RequestStats, Response
+from .requests import Request, RequestStats, Response
 from .result_cache import ResultCache, result_key
 from .store import MatrixStore, StoreError
 
@@ -110,11 +111,6 @@ class EngineStats:
     result cache), ``warm`` (plan-cache hit), ``cold`` (plan built), or
     ``unplanned`` (baselines — no symbolic phase, excluded from plan
     hit/miss accounting).
-
-    The latency deques are the one thing kept *outside* the registry:
-    histograms give bucketed distributions for scraping, while percentile
-    reporting (``repro serve`` summaries, bench faces) wants the raw recent
-    window. Bounded, same rationale as before.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None):
@@ -141,11 +137,6 @@ class EngineStats:
             "(native/fused/loop/baseline); degraded requests count under "
             "the tier that served them, not the one the plan named",
             labels=("tier",))
-        #: bounded windows (a long-lived service must not grow telemetry
-        #: without limit); the registry covers the full lifetime
-        self.cold_latencies: deque = deque(maxlen=4096)
-        self.warm_latencies: deque = deque(maxlen=4096)
-        self.result_latencies: deque = deque(maxlen=4096)
 
     # -- registry-derived views ----------------------------------------- #
     @property
@@ -203,16 +194,8 @@ class EngineStats:
             # the plan cache was never consulted; keep its accounting clean
             self._requests.inc(tier="result")
             self._request_seconds.observe(stats.total_seconds, tier="result")
-            self.result_latencies.append(stats.total_seconds)
             return
-        if not stats.planned:
-            tier = "unplanned"  # baselines can never warm; keep them out
-        elif stats.plan_cache_hit:
-            tier = "warm"
-            self.warm_latencies.append(stats.total_seconds)
-        else:
-            tier = "cold"
-            self.cold_latencies.append(stats.total_seconds)
+        tier = stats.serving_tier
         self._requests.inc(tier=tier)
         self._request_seconds.observe(stats.total_seconds, tier=tier)
         if stats.kernel_tier:
@@ -227,26 +210,22 @@ class EngineStats:
 
 
 class Engine:
-    """Batched masked-SpGEMM execution engine with symbolic plan caching.
+    """Masked-SpGEMM execution engine, one request per call, with symbolic
+    plan caching and an optional result cache.
 
     Parameters
     ----------
-    store, plan_cache : pre-built components (defaults constructed from the
-        keyword knobs below).
-    budget_bytes : operand-memory budget for the default store (LRU evicted).
-    plan_capacity : max cached plans for the default cache.
-    result_cache : optional :class:`ResultCache` memoizing whole numeric
-        results for store-keyed requests (``result_cache_bytes`` builds a
-        default-configured one). Off by default: ad-hoc/iterative traffic
-        changes values every call, so only serving-style deployments should
-        pay the per-request value hash.
+    budget_bytes : operand-memory budget of the matrix store (LRU evicted).
+    plan_capacity : max cached plans.
+    result_cache_bytes : byte budget of a :class:`ResultCache` memoizing
+        whole numeric results for store-keyed requests; None (default)
+        attaches none. Off by default: ad-hoc/iterative traffic changes
+        values every call, so only serving-style deployments should pay the
+        per-request value hash.
     executor : optional :mod:`repro.parallel` executor used for the numeric
         pass of every request (row parallelism *within* a product;
         :class:`~repro.service.server.AsyncServer` workers add parallelism
         *across* requests).
-    result_admit_flops_per_byte : admission threshold for the default result
-        cache (see :class:`ResultCache`): results estimated to save fewer
-        flops per cached byte are not admitted. 0 admits everything.
     metrics : optional shared :class:`~repro.obs.MetricsRegistry` (a private
         one by default). The engine's own counters, both caches' counters,
         and (via :class:`~repro.service.server.AsyncServer`) the server's
@@ -274,13 +253,10 @@ class Engine:
         each bundle.
     """
 
-    def __init__(self, store: MatrixStore | None = None,
-                 plan_cache: PlanCache | None = None, *,
+    def __init__(self, *,
                  budget_bytes: int | None = None,
                  plan_capacity: int = 256,
-                 result_cache: ResultCache | None = None,
                  result_cache_bytes: int | None = None,
-                 result_admit_flops_per_byte: float = 0.0,
                  executor=None,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
@@ -288,13 +264,10 @@ class Engine:
                  faults: FaultPlan | None = None,
                  slos: list | None = None,
                  flight: FlightRecorder | None = None):
-        self.store = store if store is not None else MatrixStore(budget_bytes)
-        self.plans = plan_cache if plan_cache is not None else PlanCache(plan_capacity)
-        if result_cache is None and result_cache_bytes is not None:
-            result_cache = ResultCache(
-                result_cache_bytes,
-                min_flops_per_byte=result_admit_flops_per_byte)
-        self.results = result_cache
+        self.store = MatrixStore(budget_bytes)
+        self.plans = PlanCache(plan_capacity)
+        self.results = (ResultCache(result_cache_bytes)
+                        if result_cache_bytes is not None else None)
         self.executor = executor
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(enabled=tracing)
@@ -422,10 +395,6 @@ class Engine:
     # ------------------------------------------------------------------ #
     # deltas (streaming-graph mutation; see repro.delta)
     # ------------------------------------------------------------------ #
-    def submit_delta(self, request: DeltaRequest) -> DeltaOutcome:
-        """Apply a store-keyed :class:`DeltaRequest` (the JSON wire form)."""
-        return self.apply_delta(request.key, request.to_batch())
-
     def apply_delta(self, key: str, batch: DeltaBatch) -> DeltaOutcome:
         """Mutate the matrix registered under ``key`` by one edge-delta
         batch, keeping warm-path economics across the mutation.
@@ -727,15 +696,13 @@ class Engine:
                              phases=request.phases,
                              semiring=semiring_by_name(request.semiring),
                              tag=request.tag, request=request,
-                             value_fps=value_fps, versions=versions,
-                             plan_free=request.plan_free)
+                             value_fps=value_fps, versions=versions)
 
     def multiply(self, A: CSRMatrix, B: CSRMatrix,
                  mask: Mask | CSRMatrix | None = None, *,
                  algorithm: str = "auto", phases: int = 2,
                  semiring: Semiring | str = "plus_times",
-                 complemented: bool = False, tag: str = "",
-                 plan_free: bool = False) -> Response:
+                 complemented: bool = False, tag: str = "") -> Response:
         """Execute an ad-hoc product through the plan cache (no store keys).
 
         This is the entry point the iterative algorithms use: operands are
@@ -763,8 +730,7 @@ class Engine:
                                           mask.shape)
         return self._execute(A, B, mask, a_fp, b_fp, mask_fp,
                              algorithm=algorithm, phases=phases,
-                             semiring=semiring, tag=tag, request=None,
-                             plan_free=plan_free)
+                             semiring=semiring, tag=tag, request=None)
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -787,8 +753,7 @@ class Engine:
     def _execute(self, A, B, mask, a_fp, b_fp, mask_fp, *, algorithm,
                  phases, semiring, tag, request,
                  value_fps: tuple[str, str] | None = None,
-                 versions: tuple | None = None,
-                 plan_free: bool = False) -> Response:
+                 versions: tuple | None = None) -> Response:
         trace_id = (f"r{next(self._trace_seq):06d}"
                     if self.tracer.enabled else "")
         with self.tracer.trace(trace_id, tag=tag, algorithm=algorithm,
@@ -799,8 +764,7 @@ class Engine:
                         A, B, mask, a_fp, b_fp, mask_fp, algorithm=algorithm,
                         phases=phases, semiring=semiring, tag=tag,
                         request=request, value_fps=value_fps,
-                        trace_id=trace_id, versions=versions,
-                        plan_free=plan_free)
+                        trace_id=trace_id, versions=versions)
                 except DeadlineExceeded as exc:
                     self._deadline_total.inc(stage=exc.stage or "engine")
                     if rec is not None:
@@ -859,81 +823,69 @@ class Engine:
     # ------------------------------------------------------------------ #
     def _inprocess_tiers(self, A, B, mask, plan, algorithm, phases,
                          semiring, deadline, stats=None) -> CSRMatrix:
-        """The numeric pass and its degrade ladder: compiled native, then
-        fused numpy, with the per-row ``msa-loop`` kernel as the last rung.
+        """The numeric pass and its degrade ladder, one rung at a time.
 
-        The ladder exists because a cached :class:`SymbolicPlan`'s row
-        sizes are *kernel-independent*: relabelling the plan replays the
-        same masked product through a simpler kernel with the warm symbolic
-        work intact — bit-identical output at every rung. A native-routed
-        plan (``msa-native``/``hash-native``) first falls back to its fused
-        base kernel (:data:`~repro.core.registry.NATIVE_BASE`), then the
-        loop rung; the ``engine.kernel`` fault site is re-checked per rung
-        so each injected fault drops exactly one rung. Only deliberate injections
-        (:class:`InjectedFault`) and memory pressure degrade here; genuine
-        kernel bugs stay loud, because silently papering over them would
-        hide miscompares, not failures. The tier that actually executed is
-        stamped onto ``stats.kernel_tier``.
+        The rungs are the plan's kernel, then — for a native-routed plan
+        (``msa-native``/``hash-native``) — its fused base kernel
+        (:data:`~repro.core.registry.NATIVE_BASE`), then the per-row
+        ``msa-loop`` kernel, run serially. The ladder exists because a
+        cached :class:`SymbolicPlan`'s row sizes are *kernel-independent*:
+        relabelling the plan replays the same masked product through a
+        simpler kernel with the warm symbolic work intact — bit-identical
+        output at every rung. Baselines have no plan to relabel and run as
+        a single rung.
+
+        Every rung but the last checks the ``engine.kernel`` fault site, so
+        each injected fault drops exactly one rung. Only deliberate
+        injections (:class:`InjectedFault`) and memory pressure degrade;
+        genuine kernel bugs stay loud, because silently papering over them
+        would hide miscompares, not failures. Each drop is counted and
+        flight-recorded, and the lower rung runs under a ``degrade`` span.
+        The tier that actually executed is stamped onto
+        ``stats.kernel_tier``.
         """
         if deadline is not None:
             deadline.check("engine", "numeric start")
-        try:
-            if self.faults is not None and plan is not None:
-                apply_fault(self.faults.check("engine.kernel"))
-            result = masked_spgemm(A, B, mask, algorithm=algorithm,
-                                   semiring=semiring, phases=phases,
-                                   executor=self.executor, plan=plan)
-            if stats is not None:
-                stats.kernel_tier = kernel_tier(
-                    plan.algorithm if plan is not None else algorithm)
-            return result
-        except (InjectedFault, MemoryError) as exc:
-            if plan is None:
-                raise  # baselines have no plan to relabel for a lower rung
+        if plan is None:
+            rungs = [(algorithm, self.executor)]
+        else:
+            rungs = [(plan.algorithm, self.executor)]
             base = NATIVE_BASE.get(plan.algorithm)
             if base is not None:
-                # compiled rung failed: replay the plan on its fused base
-                # kernel before resorting to the loop tier
-                self._note_degrade("native", "fused",
-                                   error=type(exc).__name__)
-                with span("degrade", tier="fused",
-                          error=type(exc).__name__,
-                          **{"from": "native", "to": "fused"}):
-                    fused_plan = SymbolicPlan(algorithm=base,
-                                              phases=plan.phases,
-                                              shape=plan.shape,
-                                              row_sizes=plan.row_sizes)
-                    try:
-                        if self.faults is not None:
-                            apply_fault(self.faults.check("engine.kernel"))
-                        result = masked_spgemm(
-                            A, B, mask, algorithm=base, semiring=semiring,
-                            phases=phases, executor=self.executor,
-                            plan=fused_plan)
-                        if stats is not None:
-                            stats.kernel_tier = "fused"
-                        return result
-                    except (InjectedFault, MemoryError) as exc2:
-                        exc, plan = exc2, fused_plan
-            frm = kernel_tier(plan.algorithm)
-            self._note_degrade(frm, "loop", error=type(exc).__name__)
-            with span("degrade", tier="loop", error=type(exc).__name__,
-                      **{"from": frm, "to": "loop"}):
-                loop_plan = SymbolicPlan(algorithm="msa-loop",
-                                         phases=plan.phases,
-                                         shape=plan.shape,
-                                         row_sizes=plan.row_sizes)
-                result = masked_spgemm(A, B, mask, algorithm="msa-loop",
-                                       semiring=semiring, phases=phases,
-                                       plan=loop_plan)
-                if stats is not None:
-                    stats.kernel_tier = "loop"
-                return result
+                rungs.append((base, self.executor))
+            rungs.append(("msa-loop", None))
+        failed = None
+        for i, (key, executor) in enumerate(rungs):
+            last = i == len(rungs) - 1
+            tier = kernel_tier(key)
+            rung_plan = plan if i == 0 else replace(plan, algorithm=key)
+            if failed is None:
+                ctx = nullcontext()
+            else:
+                frm, error = failed
+                self._note_degrade(frm, tier, error=error)
+                ctx = span("degrade", tier=tier, error=error,
+                           **{"from": frm, "to": tier})
+            with ctx:
+                try:
+                    if not last and self.faults is not None:
+                        apply_fault(self.faults.check("engine.kernel"))
+                    result = masked_spgemm(A, B, mask, algorithm=key,
+                                           semiring=semiring, phases=phases,
+                                           executor=executor, plan=rung_plan)
+                except (InjectedFault, MemoryError) as exc:
+                    if last:
+                        raise
+                    failed = (tier, type(exc).__name__)
+                    continue
+            if stats is not None:
+                stats.kernel_tier = tier
+            return result
 
     def _execute_traced(self, A, B, mask, a_fp, b_fp, mask_fp, *, algorithm,
                         phases, semiring, tag, request, value_fps,
-                        trace_id: str, versions: tuple | None = None,
-                        plan_free: bool = False) -> Response:
+                        trace_id: str, versions: tuple | None = None
+                        ) -> Response:
         t_start = time.perf_counter()
         stats = RequestStats(phases=phases, trace_id=trace_id)
         plan: SymbolicPlan | None = None
@@ -946,10 +898,6 @@ class Engine:
         key = plan_key(a_fp, b_fp, mask_fp, mask.complemented,
                        algorithm, phases, semiring.name)
         rkey = None
-        if plan_free:
-            # dynamic-mask no-reuse regime: neither cache tier applies (a
-            # fresh mask can never repeat), so skip both probes entirely
-            value_fps = None
         if value_fps is not None:
             # result tier sits in front of the plan tier: a hit returns the
             # memoized CSR output with no plan lookup and no numeric pass
@@ -974,29 +922,12 @@ class Engine:
             # whole-matrix baselines have no symbolic phase to plan
             stats.algorithm = algorithm.lower()
             stats.planned = False
-        elif plan_free:
-            # plan-free route: resolve the kernel per request (auto_select
-            # without the msa-loop tier) and bypass the plan cache in both directions —
-            # no lookup, and no pollution of the LRU with a key that can
-            # never hit again. Counted as the "unplanned" serving tier.
-            t0 = time.perf_counter()
-            resolved = algorithm.lower()
-            if resolved == "auto":
-                resolved = kernel_registry.auto_select(
-                    A, B, mask, plan_free=True, semiring=semiring)
-            kernel_registry.get_spec(resolved)  # invalid names fail loudly
-            stats.plan_seconds = time.perf_counter() - t0
-            stats.algorithm = resolved
-            stats.planned = False
-            algorithm = resolved
         else:
             with span("cache.lookup", cache="plan"):
                 with self._lock:
                     plan = self.plans.get(key)
             if plan is not None:
                 stats.plan_cache_hit = True
-                stats.plan_reused = True
-                stats.symbolic_skipped = phases == 2
             else:
                 t0 = time.perf_counter()
                 with span("symbolic.cold", algorithm=algorithm,
@@ -1022,12 +953,6 @@ class Engine:
         stats.numeric_seconds = time.perf_counter() - t0
         stats.total_seconds = time.perf_counter() - t_start
         stats.output_nnz = result.nnz
-        flops = None
-        if rkey is not None and self.results.min_flops_per_byte > 0:
-            # admission estimate, computed outside the lock (O(nnz(A)))
-            from ..core.expand import total_flops
-
-            flops = total_flops(A, B)
         with self._lock:
             if rkey is not None:
                 # version guard: a delta (or re-registration) landing on any
@@ -1046,8 +971,7 @@ class Engine:
                 else:
                     with span("cache.writeback"):
                         self.results.put(rkey, result,
-                                         stats.algorithm or algorithm,
-                                         flops=flops)
+                                         stats.algorithm or algorithm)
             self.stats.record(stats)
         if self.flight is not None:
             self.flight.note_request(stats.as_summary())

@@ -51,14 +51,6 @@ class Request:
         shed the request with :class:`~repro.resilience.DeadlineExceeded`
         once the budget is spent. ``from_dict`` picks it up like every
         other field, so JSON workloads can set per-request deadlines.
-    plan_free : bool
-        The dynamic-mask no-reuse route: this request's mask is fresh and
-        will never repeat, so the engine bypasses the plan cache entirely
-        (no lookup, no pollution of the LRU with a never-again key) and
-        ``auto`` resolves via ``auto_select(plan_free=True)`` — the
-        compiled kernel when it can run the product, else the chunk-fused
-        kernels only (no ``msa-loop``). Counted in the ``unplanned``
-        serving tier.
     """
 
     a: str
@@ -70,7 +62,6 @@ class Request:
     semiring: str = "plus_times"
     tag: str = ""
     deadline_ms: float | None = None
-    plan_free: bool = False
 
     @classmethod
     def from_dict(cls, spec: dict[str, Any]) -> "Request":
@@ -79,41 +70,6 @@ class Request:
         unknown = set(spec) - known - {"repeat"}
         if unknown:
             raise ValueError(f"unknown request fields: {sorted(unknown)}")
-        return cls(**{k: v for k, v in spec.items() if k in known})
-
-
-@dataclass
-class DeltaRequest:
-    """One edge-delta batch addressed at a registered matrix by store key.
-
-    The mutation analogue of :class:`Request`: JSON-friendly (edge lists,
-    not arrays), resolved against the store at application time.
-    ``Engine.submit_delta`` / ``AsyncServer.apply_delta`` consume it; the
-    wire form is ``{"key": "G", "delete": [[r, c], …],
-    "insert": [[r, c, v], …], "update": [[r, c, v], …]}``.
-    """
-
-    key: str
-    insert: list = field(default_factory=list)
-    delete: list = field(default_factory=list)
-    update: list = field(default_factory=list)
-    tag: str = ""
-
-    def to_batch(self):
-        from ..delta import DeltaBatch
-
-        return DeltaBatch(insert=self.insert, delete=self.delete,
-                          update=self.update)
-
-    @classmethod
-    def from_dict(cls, spec: dict[str, Any]) -> "DeltaRequest":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(spec) - known
-        if unknown:
-            raise ValueError(f"unknown delta request fields: {sorted(unknown)}")
-        if "key" not in spec:
-            raise ValueError("delta request needs a 'key' naming the stored "
-                             "matrix to mutate")
         return cls(**{k: v for k, v in spec.items() if k in known})
 
 
@@ -129,8 +85,6 @@ class RequestStats:
     phases: int = 1
     planned: bool = True           # False for baselines (no symbolic phase)
     plan_cache_hit: bool = False   # plan came from the cache
-    plan_reused: bool = False      # numeric pass consumed cached symbolic sizes
-    symbolic_skipped: bool = False # two-phase request that ran no symbolic pass
     result_cache_hit: bool = False # whole numeric result came from the cache
     direct_write: bool = False     # numeric pass wrote straight into the
                                    # final CSR arrays (two-phase, fused kernel)
@@ -146,12 +100,22 @@ class RequestStats:
                                    # /trace/<trace_id>.json while retained
 
     @property
+    def plan_reused(self) -> bool:
+        """The numeric pass consumed a cached plan."""
+        return self.plan_cache_hit
+
+    @property
+    def symbolic_skipped(self) -> bool:
+        """A two-phase request that ran no symbolic pass (warm plan)."""
+        return self.plan_cache_hit and self.phases == 2
+
+    @property
     def serving_tier(self) -> str:
         """Where this request was answered — the label
         ``repro_engine_requests_total{tier=...}`` counts it under:
         ``result`` (whole output from the result cache), ``warm``
         (plan-cache hit), ``cold`` (plan built), ``unplanned``
-        (baselines / plan-free)."""
+        (baselines)."""
         if self.result_cache_hit:
             return "result"
         if not self.planned:

@@ -25,11 +25,10 @@ the engine hands the same object to every hit).
 Eviction is LRU over *result bytes* (``indptr + indices + data``), not entry
 count, because output sizes vary by orders of magnitude across requests; a
 single over-budget result is simply not admitted. The cache layer is
-engine-opt-in (``Engine(result_cache=...)`` /
-``Engine(result_cache_bytes=...)``) and consulted only for store-keyed
-requests — ad-hoc :meth:`Engine.multiply` operands would pay an O(nnz) hash
-per call with little chance of repetition (iterative algorithms change values
-every step).
+engine-opt-in (``Engine(result_cache_bytes=...)``) and consulted only for
+store-keyed requests — ad-hoc :meth:`Engine.multiply` operands would pay an
+O(nnz) hash per call with little chance of repetition (iterative algorithms
+change values every step).
 """
 
 from __future__ import annotations
@@ -68,26 +67,12 @@ class ResultCache:
     budget_bytes : ceiling on summed result bytes. Admitting past it evicts
         least-recently-used entries; a result larger than the whole budget is
         not admitted at all (counted in ``oversize_rejects``).
-    min_flops_per_byte : cost-aware admission threshold. A cache hit saves
-        the numeric pass — roughly the request's partial-product count
-        (flops) — at the price of the result's bytes evicting other
-        entries' savings. Results whose estimated ``flops / bytes`` falls
-        below the threshold are not admitted (counted in
-        ``policy_rejects``), so huge low-reuse outputs stop flushing hot
-        small ones. 0 (default) admits everything under budget; callers
-        that cannot estimate flops pass ``flops=None`` and bypass the
-        policy (admission stays budget-only for them).
     """
 
-    def __init__(self, budget_bytes: int = 256 << 20, *,
-                 min_flops_per_byte: float = 0.0):
+    def __init__(self, budget_bytes: int = 256 << 20):
         if budget_bytes <= 0:
             raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
-        if min_flops_per_byte < 0:
-            raise ValueError(f"min_flops_per_byte must be >= 0, "
-                             f"got {min_flops_per_byte}")
         self.budget_bytes = budget_bytes
-        self.min_flops_per_byte = float(min_flops_per_byte)
         self._results: OrderedDict[ResultKey, CachedResult] = OrderedDict()
         self.total_bytes = 0
         from ..obs.metrics import MetricsRegistry
@@ -109,33 +94,25 @@ class ResultCache:
         self._reject_counter = registry.counter(
             "repro_cache_rejects_total",
             "admissions refused, by reason (oversize: larger than the whole "
-            "budget; policy: failed the flops-per-byte threshold)",
+            "budget)",
             labels=("cache", "reason"))
 
     def bind_metrics(self, registry) -> None:
         """Re-home this cache's counters onto a shared registry (the
         engine's), carrying any standalone-accumulated counts forward."""
         hits, misses, evictions = self.hits, self.misses, self.evictions
-        oversize, policy = self.oversize_rejects, self.policy_rejects
+        oversize = self.oversize_rejects
         self._bind_counters(registry)
         lbl = self.METRICS_LABEL
         if hits:
             self._requests.inc(hits, cache=lbl, outcome="hit")
         if misses:
             self._requests.inc(misses, cache=lbl, outcome="miss")
-        if oversize + policy:
-            self._requests.inc(oversize + policy, cache=lbl,
-                               outcome="reject")
+        if oversize:
+            self._requests.inc(oversize, cache=lbl, outcome="reject")
+            self._reject_counter.inc(oversize, cache=lbl, reason="oversize")
         if evictions:
             self._evict_counter.inc(evictions, cache=lbl)
-        if oversize:
-            self._reject_counter.inc(oversize, cache=lbl, reason="oversize")
-        if policy:
-            self._reject_counter.inc(policy, cache=lbl, reason="policy")
-
-    def _reject(self, reason: str) -> None:
-        self._requests.inc(cache=self.METRICS_LABEL, outcome="reject")
-        self._reject_counter.inc(cache=self.METRICS_LABEL, reason=reason)
 
     # -- registry-derived counters (deprecated fields, kept as views) ---- #
     @property
@@ -157,11 +134,6 @@ class ResultCache:
         return int(self._reject_counter.value(cache=self.METRICS_LABEL,
                                               reason="oversize"))
 
-    @property
-    def policy_rejects(self) -> int:
-        return int(self._reject_counter.value(cache=self.METRICS_LABEL,
-                                              reason="policy"))
-
     def get(self, key: ResultKey) -> CachedResult | None:
         entry = self._results.get(key)
         if entry is None:
@@ -171,18 +143,13 @@ class ResultCache:
         self._requests.inc(cache=self.METRICS_LABEL, outcome="hit")
         return entry
 
-    def put(self, key: ResultKey, matrix: CSRMatrix, algorithm: str, *,
-            flops: int | None = None) -> bool:
-        """Admit a result; returns False when it exceeds the whole budget or
-        fails the flops-per-byte admission policy (``flops`` is the caller's
-        estimate of the numeric work a future hit would save)."""
+    def put(self, key: ResultKey, matrix: CSRMatrix, algorithm: str) -> bool:
+        """Admit a result; returns False when it exceeds the whole budget."""
         nbytes = matrix_nbytes(matrix)
         if nbytes > self.budget_bytes:
-            self._reject("oversize")
-            return False
-        if (self.min_flops_per_byte > 0 and flops is not None
-                and flops < self.min_flops_per_byte * nbytes):
-            self._reject("policy")
+            self._requests.inc(cache=self.METRICS_LABEL, outcome="reject")
+            self._reject_counter.inc(cache=self.METRICS_LABEL,
+                                     reason="oversize")
             return False
         old = self._results.pop(key, None)
         if old is not None:

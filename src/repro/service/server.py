@@ -99,8 +99,7 @@ class ServerStats:
     ``repro_server_request_seconds``) is the single bookkeeping system;
     every attribute here is a read-only view over it. The server shares
     its engine's registry by default, so one ``/metrics`` page covers
-    admission through kernels. The deques remain the raw recent window for
-    percentile reporting.
+    admission through kernels.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None):
@@ -135,9 +134,6 @@ class ServerStats:
             "repro_deadline_total",
             "requests shed by deadline, by enforcement stage",
             labels=("stage",))
-        #: bounded windows, same rationale as EngineStats
-        self.queue_waits: deque = deque(maxlen=4096)
-        self.latencies: deque = deque(maxlen=4096)
 
     # -- recording hooks (called by AsyncServer) ------------------------ #
     def note_admitted(self, queue_depth: int, inflight: int) -> None:
@@ -170,8 +166,6 @@ class ServerStats:
         self._outcomes.inc(outcome="completed")
         self._queued_seconds.observe(stats.queued_seconds)
         self._latency_seconds.observe(stats.total_seconds)
-        self.queue_waits.append(stats.queued_seconds)
-        self.latencies.append(stats.total_seconds)
 
     # -- registry-derived views ----------------------------------------- #
     @property
@@ -361,7 +355,7 @@ class AsyncServer:
                 a_entry.value_fingerprint, b_entry.value_fingerprint,
                 mask_entry.fingerprint if mask_entry is not None else "",
                 request.complemented, request.algorithm.lower(),
-                request.phases, request.semiring, request.plan_free)
+                request.phases, request.semiring)
 
     def _shed(self, stage: str, detail: str = "") -> None:
         """Record and raise a deadline shed at ``stage``."""
@@ -422,23 +416,19 @@ class AsyncServer:
         for ev in list(self._drain_events):
             ev.set()
 
-    async def apply_delta(self, key, batch=None):
-        """Apply one edge-delta batch to the matrix stored under ``key``,
-        ordered against in-flight reads.
+    async def apply_delta(self, key: str, batch):
+        """Apply one :class:`~repro.delta.DeltaBatch` to the matrix stored
+        under ``key``, ordered against in-flight reads.
 
-        Accepts ``(key, DeltaBatch)`` or a single
-        :class:`~repro.service.requests.DeltaRequest`. Ordering contract:
-        the delta waits until every request naming ``key`` admitted *before
-        it* has completed; requests arriving *after* the delta began wait at
-        the admission gate and resolve post-delta entries. Deltas on the
-        same key serialize; deltas on distinct keys and reads on unrelated
-        keys proceed concurrently. The mutation itself runs
+        Ordering contract: the delta waits until every request naming
+        ``key`` admitted *before it* has completed; requests arriving
+        *after* the delta began wait at the admission gate and resolve
+        post-delta entries. Deltas on the same key serialize; deltas on
+        distinct keys and reads on unrelated keys proceed concurrently. The
+        mutation itself runs
         :meth:`Engine.apply_delta` in a worker thread and returns its
         :class:`~repro.delta.DeltaOutcome`.
         """
-        if batch is None:
-            request = key
-            key, batch = request.key, request.to_batch()
         if self._cond is None:
             raise ServerError("server not started (use `async with` or start())")
         if self._closed:

@@ -126,7 +126,7 @@ def render_serve_report(engine: Engine, server, responses,
                         seconds: float) -> str:
     """Human-readable async-serve report (the ``repro serve`` CLI output):
     per-request rows plus throughput, queue-wait and cache-tier telemetry."""
-    from ..bench.metrics import hit_rate, summarize_latencies
+    from ..bench.metrics import hit_rate, latency_summary
     from ..bench.reporting import render_table
 
     rows = [[r.tag] + r.stats.as_row() + [r.stats.queued_seconds * 1e3]
@@ -154,18 +154,19 @@ def render_serve_report(engine: Engine, server, responses,
         f"cache tiers: {coalesced} coalesced, {result_hits} result hits, "
         f"{plan_hits} plan hits, {planned_misses} cold plans "
         f"({100 * hit_rate(warm, planned_misses):.0f}% warm)")
-    waits = summarize_latencies([s.queued_seconds for s in stats])
+    # coalesced responses carry copies of their primary's stats; keep them
+    # out of every latency line so one timing is never counted N times
+    waits = latency_summary(
+        [s.queued_seconds for s in stats if not s.coalesced])
     if waits:
         lines.append(f"queue wait: {waits}")
-    # coalesced responses carry copies of their primary's stats; keep them
-    # out of every latency bucket so one timing is never counted N times
     for label, pick in (("cold", lambda s: not s.coalesced and s.planned
                          and not s.plan_cache_hit and not s.result_cache_hit),
                         ("warm (plan hit)",
                          lambda s: not s.coalesced and s.plan_cache_hit),
                         ("result hit",
                          lambda s: not s.coalesced and s.result_cache_hit)):
-        summary = summarize_latencies(
+        summary = latency_summary(
             [s.total_seconds for s in stats if pick(s)])
         if summary:
             lines.append(f"{label} requests: {summary}")

@@ -8,6 +8,7 @@ from conftest import fused_table_pick, make_triple, needs_native
 from repro.core import (
     algorithm_info,
     available_algorithms,
+    build_plan,
     display_name,
     masked_spgemm,
     spgemm,
@@ -137,10 +138,8 @@ def test_auto_select_unsupported_semiring_keeps_fused_pick(rng):
     assert auto_select(A, A, mask) == "msa-native"
     assert auto_select(A, A, mask, semiring=custom) == "msa"
     assert fused_table_pick(A, A, mask) == "msa"
-    # the resolved kernel is what masked_spgemm runs, plan_sink records it
-    sink = []
-    masked_spgemm(A, A, mask, semiring=custom, phases=2, plan_sink=sink)
-    assert sink[0].algorithm == "msa"
+    # the plan path resolves the same fused kernel for the custom semiring
+    assert build_plan(A, A, mask, phases=2, semiring=custom).algorithm == "msa"
 
 
 @needs_native

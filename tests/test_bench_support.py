@@ -160,3 +160,40 @@ class TestReporting:
         out = render_profile("demo", performance_profile(times))
         assert "demo" in out and "tau=1" in out
         assert "a" in out and "b" in out
+
+
+# --------------------------------------------------------------------- #
+# perf-trajectory envelope (benchmarks/common.py)
+# --------------------------------------------------------------------- #
+def _load_bench_common():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "common.py"
+    spec = importlib.util.spec_from_file_location("bench_common", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trajectory_runs_carry_env_fingerprint(tmp_path):
+    import json
+    import platform
+
+    common = _load_bench_common()
+    artifact = tmp_path / "BENCH_test.json"
+    common.append_trajectory_run(artifact, "face", [{"seconds": 1.0}])
+    common.append_trajectory_run(artifact, "face", [{"seconds": 2.0}])
+    runs = json.loads(artifact.read_text())["runs"]
+    assert len(runs) == 2
+    for run in runs:
+        env = run["env"]
+        assert set(env) == {"cores", "native_backend", "python", "numpy",
+                            "git"}
+        assert env["cores"] >= 1
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["git"] == "unknown" or env["git"].removesuffix(
+            "-dirty").isalnum()
+    assert common.latest_trajectory_run(artifact, bench="face")[
+        "results"] == [{"seconds": 2.0}]

@@ -211,6 +211,17 @@ def test_serve_malformed_spec_contents_clean_error(tmp_path):
         main(["serve", str(p)])
 
 
+def test_serve_rejects_removed_plan_free_field(tmp_path):
+    import json
+
+    p = tmp_path / "workload.json"
+    p.write_text(json.dumps({
+        "matrices": {"G": {"generator": "er", "n": 30, "degree": 4}},
+        "requests": [{"a": "G", "b": "G", "mask": "G", "plan_free": True}]}))
+    with pytest.raises(SystemExit, match="bad workload spec.*plan_free"):
+        main(["serve", str(p)])
+
+
 def test_serve_workload_two_workers(tmp_path, capsys):
     import json
 

@@ -475,28 +475,9 @@ class TestCacheEconomics:
 
 
 # ---------------------------------------------------------------------- #
-# plan-free route and admission errors
+# admission errors
 # ---------------------------------------------------------------------- #
 class TestRoutesAndErrors:
-    def test_plan_free_route_after_delta_bypasses_both_caches(self, rng):
-        g = to_undirected_simple(erdos_renyi(32, 3, rng=rng)).pattern()
-        eng = Engine(result_cache_bytes=1 << 24)
-        eng.register("G", g)
-        rows = np.repeat(np.arange(g.nrows), g.row_nnz())
-        eng.apply_delta("G", DeltaBatch(
-            delete=[(int(rows[0]), int(g.indices[0]))]))
-        req = Request(a="G", b="G", mask="G", phases=2,
-                      semiring="plus_pair", plan_free=True)
-        plans_before = len(eng.plans)
-        resp = eng.submit(req)
-        assert not resp.stats.planned and not resp.stats.result_cache_hit
-        assert len(eng.plans) == plans_before       # no LRU pollution
-        live, cold = oracle_pair(
-            eng, Request(a="G", b="G", mask="G", phases=2,
-                         semiring="plus_pair"))
-        assert_bit_identical(resp.result, cold.result)
-        assert_bit_identical(live.result, cold.result)
-
     def test_delta_on_mask_entry_raises(self, rng):
         eng = Engine()
         eng.register("M", Mask.from_matrix(

@@ -9,8 +9,9 @@ The PR-4 contracts:
 * the direct-write numeric path (two-phase with known row sizes →
   preallocate ``indptr/indices/data`` → chunks scatter into disjoint
   slices) produces results identical to the stitch path on every executor;
-* two-phase runs without a plan capture their symbolic results into an
-  implied :class:`~repro.core.plan.SymbolicPlan` exposed via ``plan_sink``;
+* two-phase runs without a plan capture their symbolic results into the
+  row sizes that drive direct write, matching a warm replay of the built
+  plan on every executor;
 * a stale plan fails loudly on the direct path (sizes validated before any
   write);
 * chunk sizing comes from the cache-aware flops budget
@@ -269,49 +270,23 @@ def test_uses_direct_write_conditions():
 
 
 # --------------------------------------------------------------------- #
-# symbolic capture: no-plan two-phase runs feed direct write + plan_sink
+# symbolic capture: no-plan two-phase runs feed direct write
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("executor_factory",
                          [lambda: None, lambda: ThreadExecutor(3),
                           lambda: SimulatedExecutor(3)])
-def test_plan_sink_captures_implied_plan(rng, executor_factory):
+def test_no_plan_two_phase_matches_warm_replay(rng, executor_factory):
     A, B, M = make_triple(rng, m=40, k=30, n=35)
     mask = Mask.from_matrix(M)
     built = build_plan(A, B, mask, algorithm="esc", phases=2)
     ex = executor_factory()
-    sink = []
-    C = masked_spgemm(A, B, mask, algorithm="esc", phases=2, executor=ex,
-                      plan_sink=sink)
-    assert len(sink) == 1
-    implied = sink[0]
-    assert implied.algorithm == "esc" and implied.phases == 2
-    assert implied.shape == built.shape
-    assert np.array_equal(implied.row_sizes, built.row_sizes)
-    # the implied plan replays as a warm plan
-    warm = masked_spgemm(A, B, mask, algorithm="esc", phases=2, plan=implied)
+    C = masked_spgemm(A, B, mask, algorithm="esc", phases=2, executor=ex)
+    assert np.array_equal(np.diff(C.indptr), built.row_sizes)
+    warm = masked_spgemm(A, B, mask, algorithm="esc", phases=2, plan=built,
+                         executor=ex)
     assert warm.equals(C)
     if isinstance(ex, ThreadExecutor):
         ex.close()
-
-
-def test_plan_sink_captures_auto_resolution(rng):
-    """``auto`` resolves before the runner, so the implied plan carries the
-    concrete kernel key — replaying it skips the density heuristic."""
-    A, B, M = make_triple(rng, m=40, k=30, n=35)
-    mask = Mask.from_matrix(M)
-    sink = []
-    masked_spgemm(A, B, mask, algorithm="auto", phases=2, plan_sink=sink)
-    assert len(sink) == 1 and sink[0].algorithm != "auto"
-
-
-def test_plan_sink_not_filled_when_plan_given(rng):
-    A, B, M = make_triple(rng)
-    mask = Mask.from_matrix(M)
-    plan = build_plan(A, B, mask, algorithm="msa", phases=2)
-    sink = []
-    masked_spgemm(A, B, mask, algorithm="msa", phases=2, plan=plan,
-                  plan_sink=sink)
-    assert sink == []
 
 
 # --------------------------------------------------------------------- #

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from conftest import (assert_bit_identical, fused_table_pick, make_triple,
                       needs_native)
 from repro import native
-from repro.core import masked_spgemm
+from repro.core import build_plan, masked_spgemm
 from repro.core.reference import reference_masked_spgemm
 from repro.core.registry import (NATIVE_BASE, auto_select,
                                  available_algorithms, get_spec,
@@ -384,14 +384,11 @@ def test_thread_backend_transient_pool(rng):
 def test_thread_backend_plan_reuse(rng):
     A, B, M = make_triple(rng, m=60, k=50, n=60)
     mask = Mask.from_matrix(M)
-    sink = []
+    key = native_variant("msa")
+    plan = build_plan(A, B, mask, algorithm=key, phases=2)
     with ThreadExecutor(2) as ex:
-        first = parallel_masked_spgemm(A, B, mask,
-                                       algorithm=native_variant("msa"),
-                                       phases=2, plan_sink=sink,
+        first = parallel_masked_spgemm(A, B, mask, algorithm=key, phases=2,
                                        executor=ex)
-        assert len(sink) == 1
-        warm = parallel_masked_spgemm(A, B, mask,
-                                      algorithm=sink[0].algorithm, phases=2,
-                                      plan=sink[0], executor=ex)
+        warm = parallel_masked_spgemm(A, B, mask, algorithm=key, phases=2,
+                                      plan=plan, executor=ex)
     assert_bit_identical(warm, first, "warm thread replay")

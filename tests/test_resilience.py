@@ -216,15 +216,30 @@ def test_plan_store_skips_corrupt_entry(rng, tmp_path):
 # ---------------------------------------------------------------------- #
 # the kernel degrade ladder: native → fused → loop, bit-identical
 # ---------------------------------------------------------------------- #
-def _expected_ladder(nfaults):
+#: kernel tier of each rung the engine walks for a plan on each kernel: a
+#: native plan drops to its fused base kernel, then to the per-row loop; a
+#: fused plan drops straight to the loop; a loop plan replays once more on
+#: the loop rung
+_LADDERS = {
+    "msa-native": ("native", "fused", "loop"),
+    "hash-native": ("native", "fused", "loop"),
+    "msa": ("fused", "loop"),
+    "esc": ("fused", "loop"),
+    "msa-loop": ("loop", "loop"),
+}
+
+
+def _expected_ladder(algorithm, nfaults):
     """(kernel tier that serves, repro_degraded_total edges) after
-    ``nfaults`` consecutive ``engine.kernel`` errors on an ``msa`` request
-    (routed to ``msa-native`` when the compiled tier exists)."""
-    if not native_available():
-        return "loop", {("fused", "loop"): 1}
-    if nfaults == 1:
-        return "fused", {("native", "fused"): 1}
-    return "loop", {("native", "fused"): 1, ("fused", "loop"): 1}
+    ``nfaults`` consecutive ``engine.kernel`` errors on a plan for
+    ``algorithm``. Every rung but the last checks the fault site, so
+    faults past ``len(rungs) - 1`` never fire."""
+    rungs = _LADDERS[algorithm]
+    dropped = min(nfaults, len(rungs) - 1)
+    edges: dict = {}
+    for edge in zip(rungs[:dropped], rungs[1:dropped + 1]):
+        edges[edge] = edges.get(edge, 0) + 1
+    return rungs[dropped], edges
 
 
 def _degrade_edges(engine):
@@ -233,13 +248,15 @@ def _degrade_edges(engine):
 
 
 @pytest.mark.parametrize("when", ["cold", "plan-hit"])
-@pytest.mark.parametrize("nfaults", [1, 2])
-def test_engine_kernel_fault_degrades_to_loop_tier(rng, nfaults, when):
-    # the compiled tier (when present) adds a rung above fused: one fault
-    # stops on fused, two bottom out on the loop; without it the first
-    # fault already lands on the loop. skip=1 lets a warm-up request build
+@pytest.mark.parametrize("nfaults", [1, 2, 3])
+@pytest.mark.parametrize("algorithm",
+                         ["msa-native", "hash-native", "esc", "msa-loop"])
+def test_engine_kernel_fault_degrades_to_loop_tier(rng, algorithm, nfaults,
+                                                   when):
+    # each fault drops one rung (native → fused → loop); the native keys
+    # walk the same ladder with the compiled tier off, since their faces
+    # delegate to the fused kernels. skip=1 lets a warm-up request build
     # the plan so the faults hit a plan-cache hit instead.
-    algorithm = "msa-native" if native_available() else "msa"
     skip = 1 if when == "plan-hit" else 0
     eng, (A, B, M) = _faulted_engine(rng, FaultPlan([FaultSpec(
         site="engine.kernel", action="error", count=nfaults, skip=skip)]))
@@ -253,7 +270,7 @@ def test_engine_kernel_fault_degrades_to_loop_tier(rng, nfaults, when):
         resp = eng.submit(req)
         assert resp.stats.plan_cache_hit == bool(skip)
         _assert_identical(resp.result, want)
-        tier, edges = _expected_ladder(nfaults)
+        tier, edges = _expected_ladder(algorithm, nfaults)
         assert resp.stats.kernel_tier == tier
         assert _degrade_edges(eng) == edges
     finally:
@@ -444,7 +461,7 @@ def test_kernel_fault_after_delta_degrades_bit_identically(rng):
         assert resp.stats.plan_cache_hit           # served off the splice
         want = _reference_result(post_A, B, M)
         _assert_identical(resp.result, want)
-        tier, edges = _expected_ladder(nfaults)
+        tier, edges = _expected_ladder(algorithm, nfaults)
         assert tier == "loop" and resp.stats.kernel_tier == tier
         assert _degrade_edges(eng) == edges
         # faults spent: the next request is back on the top rung, same bytes

@@ -20,6 +20,7 @@ from repro.service import (
     ResultCache,
     ServerClosed,
     ServerError,
+    render_serve_report,
     serve_all,
 )
 from repro.service.result_cache import result_key
@@ -92,59 +93,6 @@ def test_result_cache_replace_same_key_reaccounts():
 def test_result_cache_rejects_bad_budget():
     with pytest.raises(ValueError, match="positive"):
         ResultCache(budget_bytes=0)
-    with pytest.raises(ValueError, match="min_flops_per_byte"):
-        ResultCache(min_flops_per_byte=-1.0)
-
-
-def test_result_cache_admission_policy_accounting():
-    """Cost-aware admission: results saving fewer flops per byte than the
-    threshold are rejected (counted separately from oversize rejects) so
-    huge low-reuse results cannot evict hot small ones."""
-    cache = ResultCache(budget_bytes=1 << 20, min_flops_per_byte=10.0)
-    hot = _result_for(0, n=8)
-    cold = _result_for(1, n=8)
-    nbytes = matrix_nbytes(cold)
-    assert cache.put(("hot",), hot, "msa", flops=100 * nbytes)   # 100 f/B
-    assert not cache.put(("cold",), cold, "msa", flops=nbytes)   # 1 f/B
-    assert cache.policy_rejects == 1 and cache.oversize_rejects == 0
-    assert ("hot",) in cache and ("cold",) not in cache
-    # exactly at the threshold admits (the rule is "fewer than")
-    assert cache.put(("edge",), cold, "msa", flops=10 * nbytes)
-    # no flops estimate -> policy bypassed, budget-only admission
-    assert cache.put(("unknown",), _result_for(2, n=8), "msa")
-    assert cache.policy_rejects == 1
-
-
-def test_result_cache_policy_off_by_default():
-    cache = ResultCache(budget_bytes=1 << 20)
-    assert cache.put(("k",), _result_for(0), "msa", flops=0)
-    assert cache.policy_rejects == 0
-
-
-def test_engine_admission_threshold_knob(rng):
-    """Engine(result_admit_flops_per_byte=...) rejects cheap-to-recompute
-    results but keeps serving correct responses (a reject is not an error,
-    just a future miss)."""
-    A = csr_random(40, 40, density=0.1, rng=rng)
-    M = csr_random(40, 40, density=0.2, rng=rng)
-    # absurdly high threshold: nothing is worth caching
-    engine = Engine(result_cache_bytes=64 << 20,
-                    result_admit_flops_per_byte=1e9)
-    engine.register("A", A)
-    engine.register("M", M)
-    req = Request(a="A", b="A", mask="M", phases=2)
-    r1 = engine.submit(req)
-    r2 = engine.submit(req)
-    assert engine.results.policy_rejects == 2
-    assert not r2.stats.result_cache_hit        # nothing was admitted
-    assert r2.stats.plan_cache_hit              # plan tier still warm
-    assert r2.result.equals(r1.result)
-    # threshold 0 (default): same request stream serves from the cache
-    engine0 = Engine(result_cache_bytes=64 << 20)
-    engine0.register("A", A)
-    engine0.register("M", M)
-    engine0.submit(req)
-    assert engine0.submit(req).stats.result_cache_hit
 
 
 # ---------------------------------------------------------------------- #
@@ -173,7 +121,7 @@ def test_engine_result_cache_hit_is_bit_identical(cached_engine):
     assert eng.stats.result_hits == 1
     # result hits stay out of the plan hit/miss accounting
     assert eng.stats.plan_hits == 0 and eng.stats.plan_misses == 1
-    assert len(eng.stats.result_latencies) == 1
+    assert eng.metrics.get("repro_request_seconds").count(tier="result") == 1
 
 
 def test_engine_value_change_invalidates_result_not_plan(cached_engine):
@@ -540,6 +488,26 @@ def test_async_server_coalesces_identical_inflight(rng):
     assert [r.tag for r in resps] == [str(i) for i in range(10)]
     for r in resps:
         assert_masked_product_correct(r.result, A, B, M)
+
+
+def test_serve_report_queue_wait_counts_each_execution_once(rng):
+    """Coalesced followers copy their primary's ``queued_seconds``; the
+    report's ``queue wait:`` line counts every executed request once."""
+    eng, _ = _server_engine(rng)
+    reqs = [Request(a="A", b="B", mask="M", phases=2, tag=str(i))
+            for i in range(10)]
+
+    async def main():
+        async with AsyncServer(eng, workers=2) as srv:
+            return await serve_all(srv, reqs), srv
+
+    resps, srv = asyncio.run(main())
+    executed = sum(1 for r in resps if not r.stats.coalesced)
+    assert 1 <= executed < len(resps) and executed == srv.stats.completed
+    report = render_serve_report(eng, srv, resps, seconds=1.0)
+    wait = next(line for line in report.splitlines()
+                if line.startswith("queue wait:"))
+    assert f"n={executed} " in wait
 
 
 def test_async_server_dedup_distinguishes_values(rng):

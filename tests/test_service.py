@@ -254,7 +254,8 @@ def test_engine_baseline_bypasses_plan_cache(engine_triple):
     # baselines never warm, so they must not skew hit/miss or latency stats
     assert eng.stats.unplanned == 2
     assert eng.stats.plan_hits == eng.stats.plan_misses == 0
-    assert not eng.stats.cold_latencies and not eng.stats.warm_latencies
+    latency = eng.metrics.get("repro_request_seconds")
+    assert latency.count(tier="cold") == latency.count(tier="warm") == 0
 
 
 def test_engine_rejects_mask_as_operand(rng):
@@ -524,6 +525,13 @@ def test_mcl_algorithm_without_engine_rejected():
 def test_workload_rejects_unknown_request_field():
     with pytest.raises(ValueError, match="unknown request fields"):
         Request.from_dict({"a": "A", "b": "B", "masc": "M"})
+
+
+def test_workload_rejects_removed_plan_free_field():
+    with pytest.raises(ValueError,
+                       match=r"unknown request fields: \['plan_free'\]"):
+        Request.from_dict({"a": "A", "b": "B", "mask": "M",
+                           "plan_free": True})
 
 
 def test_workload_rejects_bad_matrix_spec():

@@ -138,7 +138,7 @@ def test_thread_empty_and_tiny(rng, algorithm):
 
 
 @pytest.mark.parametrize("algorithm", FUSED)
-def test_thread_with_prebuilt_plan_and_sink(rng, pool, algorithm):
+def test_thread_with_and_without_prebuilt_plan(rng, pool, algorithm):
     key = native_variant(algorithm)
     A, B, M = make_triple(rng, m=30)
     mask = Mask.from_matrix(M)
@@ -147,13 +147,11 @@ def test_thread_with_prebuilt_plan_and_sink(rng, pool, algorithm):
                                  plan=plan, executor=pool)
     _assert_identical(got, masked_spgemm(A, B, mask, algorithm=algorithm,
                                          phases=2))
-    # no plan: the threaded symbolic pass fills the sink with an equal plan
-    sink = []
-    parallel_masked_spgemm(A, B, mask, algorithm=key, phases=2,
-                           plan_sink=sink, executor=pool)
-    assert len(sink) == 1
-    assert sink[0].algorithm == key
-    assert np.array_equal(sink[0].row_sizes, plan.row_sizes)
+    # no plan: the threaded symbolic pass computes the plan's row sizes
+    cold = parallel_masked_spgemm(A, B, mask, algorithm=key, phases=2,
+                                  executor=pool)
+    assert np.array_equal(np.diff(cold.indptr), plan.row_sizes)
+    _assert_identical(cold, got)
 
 
 # --------------------------------------------------------------------- #
