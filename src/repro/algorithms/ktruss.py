@@ -123,39 +123,31 @@ def _edge_coords(m: CSRMatrix):
 
 
 def ktruss_delta(g: CSRMatrix, k: int, *, algorithm: str = "auto",
-                 phases: int = 2, prepared: bool = False,
+                 phases: int = 1, prepared: bool = False,
                  max_iterations: int = 1000, engine=None,
                  store_key: str = "ktruss:C") -> KTrussResult:
     """k-truss iterated via pattern deltas (the streaming-serving path).
 
-    Same fixpoint as :func:`ktruss`, different economics: the support matrix
-    is *registered once* under ``store_key`` and each iteration's pruned
-    edges are applied as a delete-only :class:`~repro.delta.DeltaBatch`.
-    :meth:`Engine.apply_delta` then makes one pass over the dirty output
-    rows (rows whose edges changed, plus each pruned edge's mask-admitted
-    common-neighbor set, not the full neighborhood). When the engine
-    carries a result cache, that pass *patches* the previous product by
-    recomputing only the dirty rows, and the patch's row sizes are spliced
-    into the previous iteration's cached
-    :class:`~repro.core.plan.SymbolicPlan` under the new fingerprint, so
-    no symbolic pass runs and iteration ``i+1`` serves from the result
-    tier. Without a result cache the symbolic pass re-runs over the dirty
-    rows instead. Output is bit-identical to :func:`ktruss` on the same
-    inputs; two-phase execution is the default because that is where
-    spliced plans pay. The private engine (when none is passed) enables a
-    result cache for exactly this reason.
-
-    ``algorithm`` defaults to ``"auto"``: the support product and every
-    dirty-row patch then run on the compiled ``msa-native`` kernel when a
-    native backend is available, and on the fused density table's pick
-    otherwise (e.g. under ``REPRO_NATIVE=off``).
+    Same fixpoint as :func:`ktruss`, served the way a long-lived service
+    sees a shrinking graph: the support matrix is *registered once* under
+    ``store_key`` and each iteration's pruned edges are applied as a
+    delete-only :class:`~repro.delta.DeltaBatch`. :meth:`Engine.apply_delta`
+    swaps the store entry and invalidates the results that read the old
+    content; each iteration's product then runs in full on the new pattern.
+    Plans are keyed by pattern fingerprint, so a solve the engine has
+    served before hits a plan in every iteration, and a new pattern is
+    planned cold. Output is bit-identical to :func:`ktruss` on the same
+    inputs, and the defaults (one-phase, ``algorithm="auto"``) are the
+    same: the support product runs on the compiled ``msa-native`` kernel
+    when a native backend is available, and on the fused density table's
+    pick otherwise (e.g. under ``REPRO_NATIVE=off``).
     """
     if k < 2:
         raise ValueError(f"k-truss needs k >= 2, got {k}")
     if engine is None:
         from ..service import Engine
 
-        engine = Engine(result_cache_bytes=512 << 20)
+        engine = Engine()
     from ..service import Request
 
     C = (g if prepared else to_undirected_simple(g)).pattern()
@@ -179,8 +171,8 @@ def ktruss_delta(g: CSRMatrix, k: int, *, algorithm: str = "auto",
                             if engine.results is not None else 0)
             req.tag = f"ktruss-delta-it{it}"
             S = engine.submit(req).result
-            # a result-tier hit (delta-patched product) bypasses the plan
-            # lookup entirely; both tiers count as "served warm" here
+            # a result-tier hit (a shared engine that served this product
+            # before) bypasses the plan lookup; both count as "served warm"
             hits_log.append((engine.plans.hits - hits_before)
                             + ((engine.results.hits - rhits_before)
                                if engine.results is not None else 0))

@@ -125,6 +125,7 @@ def build_plan(A: CSRMatrix, B: CSRMatrix, mask: Mask, *,
                         shape=out_shape, row_sizes=row_sizes)
 
 
+# no caller in src/: kept for perfbench/tracing.py, its only reader
 def splice_plan(plan: SymbolicPlan, A: CSRMatrix, B: CSRMatrix, mask: Mask,
                 dirty_rows: np.ndarray,
                 sizes: np.ndarray | None = None) -> SymbolicPlan:

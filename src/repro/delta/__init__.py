@@ -7,9 +7,11 @@ values, and a long-lived service sees graphs that mutate between requests.
 This package defines the mutation unit — :class:`DeltaBatch`, a batch of
 edge inserts / deletes / value updates against one registered matrix — and
 its exact application semantics. The service layer
-(:meth:`repro.service.Engine.apply_delta`) builds on it to keep warm-path
-economics across mutations: value-only batches preserve the pattern
-fingerprint (100% plan hits), pattern batches re-plan only the dirty rows.
+(:meth:`repro.service.Engine.apply_delta`) applies a batch, swaps the
+store entry and invalidates the cached results that read the old content.
+Value-only batches keep the pattern fingerprint, so every cached plan keeps
+hitting; a pattern batch yields a new fingerprint, which hits a plan built
+for that pattern earlier or is planned cold.
 """
 
 from .batch import DeltaBatch, DeltaError, DeltaOutcome, DeltaResult

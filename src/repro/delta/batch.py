@@ -16,8 +16,8 @@ Within one batch, deletes apply first, then inserts, then updates; within
 each list, the *last* occurrence of a duplicated coordinate wins (event
 order). The important derived quantity is the **pattern-dirty row set**:
 rows whose sparsity structure changed. Delete-then-reinsert of a stored
-edge in one batch therefore leaves its row *clean* — the pattern round-trips
-— which is exactly the invariance the plan-splice machinery relies on.
+edge in one batch therefore leaves its row *clean*: the pattern round-trips,
+so the pattern fingerprint, and every plan cached under it, carries over.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ class DeltaBatch:
         del_k, _ = _dedup_last(coord_keys(del_r, del_c, ncols), None)
         upd_k, upd_v = _dedup_last(coord_keys(upd_r, upd_c, ncols), upd_v)
         try:
-            matrix, dirty_rows, changed_keys, value_touched = \
-                apply_coordinate_delta(m, del_k, ins_k, ins_v, upd_k, upd_v)
+            matrix, dirty_rows, value_touched = apply_coordinate_delta(
+                m, del_k, ins_k, ins_v, upd_k, upd_v)
         except ValueError as exc:
             raise DeltaError(str(exc)) from None
         pattern_changed = dirty_rows.size > 0
@@ -139,8 +139,7 @@ class DeltaBatch:
             kind = "mixed" if value_touched else "pattern"
         else:
             kind = "value" if value_touched else "noop"
-        return DeltaResult(matrix=matrix, dirty_rows=dirty_rows,
-                           changed_keys=changed_keys, kind=kind)
+        return DeltaResult(matrix=matrix, dirty_rows=dirty_rows, kind=kind)
 
 
 @dataclass
@@ -150,10 +149,6 @@ class DeltaResult:
     matrix: CSRMatrix
     #: sorted unique rows whose *pattern* changed (empty for value/noop)
     dirty_rows: np.ndarray
-    #: exact symmetric difference of the stored coordinate sets as sorted
-    #: :func:`~repro.sparse.ops.coord_keys` — feeds B-side dirty sharpening
-    #: (:func:`~repro.sparse.ops.rows_affected_through`)
-    changed_keys: np.ndarray
     #: ``"noop"`` | ``"value"`` | ``"pattern"`` | ``"mixed"``
     kind: str
 
@@ -173,13 +168,11 @@ class DeltaOutcome:
     dirty_rows: int = 0
     #: dirty_rows / nrows of the mutated matrix (0.0 for value-only)
     dirty_fraction: float = 0.0
-    #: cached plans re-keyed onto the new fingerprint via row splice
+    #: always 0; kept for perfbench/tracing.py, its only reader
     plans_spliced: int = 0
-    #: affected plans dropped instead (operands unresolvable from the store)
-    plans_skipped: int = 0
     #: result-cache entries invalidated by fingerprint scan
     results_invalidated: int = 0
-    #: cached products carried across the delta by dirty-row patching
+    #: always 0; kept for perfbench/tracing.py, its only reader
     results_patched: int = 0
     pattern_fingerprint: str = ""
     value_fingerprint: str = ""

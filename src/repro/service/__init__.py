@@ -28,10 +28,11 @@ once and amortized. This package is that amortization layer:
 * :mod:`~repro.service.workload` — JSON workload specs, the input to
   ``python -m repro serve workload.json``;
 * delta serving (:mod:`repro.delta`, re-exported here) — edge
-  insert/delete/update batches mutate a stored operand *in place*:
-  value-only deltas carry the pattern fingerprint forward (plans keep
-  hitting), pattern deltas re-run symbolic only over the dirty rows and
-  splice the cached plan onto the new fingerprint
+  insert/delete/update batches swap a stored operand for its mutated copy
+  and invalidate the cached results that read the old content: value-only
+  deltas carry the pattern fingerprint forward (plans keep hitting), and
+  a pattern delta's new fingerprint hits a plan built for that pattern
+  earlier or is planned cold
   (``Engine.apply_delta`` / ``AsyncServer.apply_delta``).
 
 Quickstart::

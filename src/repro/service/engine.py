@@ -49,12 +49,11 @@ import time
 from contextlib import nullcontext
 from dataclasses import replace
 
-import numpy as np
-
 from ..core import masked_spgemm
-from ..core.plan import SymbolicPlan, build_plan, splice_plan
+# splice_plan: kept for perfbench/tracing.py, its only reader (by name)
+from ..core.plan import SymbolicPlan, build_plan, splice_plan  # noqa: F401
 from ..delta import DeltaBatch, DeltaOutcome
-from ..errors import AlgorithmError, ShapeError
+from ..errors import AlgorithmError
 from ..core.registry import BASELINE_KEYS, NATIVE_BASE
 from ..mask import Mask
 from ..native import warmup as native_warmup
@@ -65,11 +64,7 @@ from ..resilience import (DeadlineExceeded, FaultPlan, InjectedFault,
 from ..semiring import Semiring
 from ..semiring.standard import by_name as semiring_by_name
 from ..sparse.csr import CSRMatrix
-from ..core import registry as kernel_registry
-from ..sparse.ops import (pattern_fingerprint, rows_affected_through,
-                          rows_touching, splice_result_rows,
-                          value_fingerprint)
-from ..validation import INDEX_DTYPE
+from ..sparse.ops import pattern_fingerprint, value_fingerprint
 from .plan import PlanCache, PlanStore, plan_key
 from .requests import Request, RequestStats, Response
 from .result_cache import ResultCache, result_key
@@ -304,7 +299,7 @@ class Engine:
             "repro_deadline_total",
             "requests shed by deadline, by enforcement stage",
             labels=("stage",))
-        # delta serving (PR 8): mutation counters + dirty-row economics
+        # delta serving: mutation counters + dirty-row share
         self._delta_total = self.metrics.counter(
             "repro_delta_total",
             "applied edge-delta batches by kind "
@@ -313,18 +308,8 @@ class Engine:
         self._delta_dirty_fraction = self.metrics.histogram(
             "repro_delta_dirty_fraction",
             "fraction of the mutated matrix's rows a pattern delta "
-            "dirtied (the re-planned share)",
+            "dirtied (share of rows whose pattern changed)",
             buckets=(0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0))
-        self._delta_plans = self.metrics.counter(
-            "repro_delta_plans_total",
-            "cached plans affected by pattern deltas, by outcome "
-            "(spliced onto the new fingerprint / skipped: operands "
-            "unresolvable from the store)",
-            labels=("outcome",))
-        self._delta_patched = self.metrics.counter(
-            "repro_delta_results_patched_total",
-            "cached numeric results carried across a pattern delta by "
-            "recomputing only their dirty output rows")
         self._delta_stale = self.metrics.counter(
             "repro_delta_stale_total",
             "late result-cache writebacks refused by the store-version "
@@ -397,28 +382,16 @@ class Engine:
     # ------------------------------------------------------------------ #
     def apply_delta(self, key: str, batch: DeltaBatch) -> DeltaOutcome:
         """Mutate the matrix registered under ``key`` by one edge-delta
-        batch, keeping warm-path economics across the mutation.
+        batch.
 
-        * **value-only** batches (updates / inserts landing on stored
-          coordinates): the store entry is swapped copy-on-write with the
-          *pattern fingerprint carried forward* — every cached plan keeps
-          hitting — and only the value fingerprint is recomputed;
-        * **pattern** batches: the exact dirty row set comes back from
-          :meth:`DeltaBatch.apply`; every cached plan whose key names the
-          old fingerprint is re-keyed onto the new one via
-          :func:`~repro.core.plan.splice_plan`, touching only the dirty
-          output rows (for the B-operand slot, the rows whose mask admits
-          a changed B entry they read). This is **one pass** over the
-          dirty rows: when the plan's pre-delta product is resident in the
-          result cache, the plan's kernel recomputes the dirty rows, the
-          block is spliced into the cached product, and the block's row
-          sizes become the spliced plan's sizes. The symbolic pass runs over the dirty rows only
-          where nothing is patched: no result cache, a non-resident
-          result, or a ``mixed`` batch (whose value updates touch rows
-          outside the dirty set, so its results are invalidated instead);
-        * in both cases, result-cache entries that read the old content are
-          invalidated by fingerprint scan, and the entry's version bump
-          arms the writeback guard against in-flight requests.
+        Four steps: apply the batch, re-fingerprint the result (a
+        value-only batch carries the pattern fingerprint forward), swap the
+        store entry copy-on-write, and invalidate the result-cache entries
+        that name the old fingerprints. Plans need no delta work: they are
+        keyed by pattern fingerprint, so a value-only batch keeps hitting
+        and a new pattern either hits a plan built for it earlier or is
+        planned cold on first use. The swap bumps the entry's version,
+        which arms the writeback guard against in-flight requests.
 
         Concurrent deltas to the *same* key must be serialized by the
         caller (:meth:`AsyncServer.apply_delta` orders them against each
@@ -443,217 +416,32 @@ class Engine:
                                 value_fingerprint=old_value_fp,
                                 seconds=time.perf_counter() - t_start)
         new = outcome.matrix
-        # re-fingerprint incrementally, outside the lock: the pattern hash
-        # is carried forward when the pattern did not change
+        # re-fingerprint outside the lock: the pattern hash is carried
+        # forward when the pattern did not change
         new_pattern_fp = (pattern_fingerprint(new.indptr, new.indices,
                                               new.shape)
                           if outcome.pattern_changed else old_pattern_fp)
         new_value_fp = value_fingerprint(new.data)
-        splices: list[tuple] = []
-        patches: list[tuple] = []
-        skipped = 0
-        if outcome.pattern_changed and new_pattern_fp != old_pattern_fp:
-            # only a pure-pattern batch can patch cached results: a mixed
-            # batch's value updates touch rows outside the dirty set
-            patch_values = ((old_value_fp, new_value_fp)
-                            if self.results is not None
-                            and outcome.kind == "pattern" else None)
-            splices, patches, skipped = self._splice_plans(
-                old_pattern_fp, new_pattern_fp, new, outcome.dirty_rows,
-                outcome.changed_keys, patch_values)
         invalidated = 0
         with self._lock:
             self.store.swap(key, new, fingerprint=new_pattern_fp,
                             value_fingerprint=new_value_fp)
-            for _, new_key, plan in splices:
-                self.plans.put(new_key, plan)
             if self.results is not None:
                 stale_fps = {old_value_fp}
                 if outcome.pattern_changed:
                     stale_fps.add(old_pattern_fp)
                 invalidated = self.results.invalidate_fingerprints(stale_fps)
-                # patched entries go in *after* the invalidation scan: their
-                # keys name only post-delta fingerprints of the mutated
-                # matrix, but an unrelated operand may share a value hash
-                # with the old content (e.g. two all-ones patterns)
-                for rkey, matrix, alg in patches:
-                    self.results.put(rkey, matrix, alg)
         dirty = int(outcome.dirty_rows.size)
         frac = dirty / max(value.nrows, 1)
         self._delta_total.inc(kind=outcome.kind)
         if outcome.pattern_changed:
             self._delta_dirty_fraction.observe(frac)
-        if splices:
-            self._delta_plans.inc(len(splices), outcome="spliced")
-        if skipped:
-            self._delta_plans.inc(skipped, outcome="skipped")
-        if patches:
-            self._delta_patched.inc(len(patches))
         return DeltaOutcome(key=key, kind=outcome.kind, dirty_rows=dirty,
                             dirty_fraction=frac,
-                            plans_spliced=len(splices), plans_skipped=skipped,
                             results_invalidated=invalidated,
-                            results_patched=len(patches),
                             pattern_fingerprint=new_pattern_fp,
                             value_fingerprint=new_value_fp,
                             seconds=time.perf_counter() - t_start)
-
-    def _splice_plans(self, old_fp: str, new_fp: str, new: CSRMatrix,
-                      dirty_rows, changed_keys,
-                      patch_values: tuple[str, str] | None
-                      ) -> tuple[list, list, int]:
-        """Re-key every cached plan naming ``old_fp`` onto ``new_fp`` in one
-        pass over each plan's dirty output rows.
-
-        Per plan: the dirty output rows are derived from the delta, then
-
-        * when ``patch_values`` (the mutated matrix's old and new value
-          fingerprints) is given and the plan's pre-delta product is
-          resident in the result cache, the dirty rows are recomputed with
-          the plan's kernel and spliced into the cached product (see
-          :meth:`_patch_result`); that block's row sizes are also the
-          spliced plan's new sizes, so no symbolic pass runs;
-        * otherwise :func:`splice_plan` runs the symbolic pass over only
-          the dirty rows.
-
-        The ``delta.splice`` span records which one ran
-        (``sizes="patch"`` / ``sizes="symbolic"``). Old-key entries are
-        left in place: the old pattern may still exist under another store
-        key, and content-addressed keys make stale entries harmless (they
-        age out of the LRU). Returns ``(splices, patches, skipped)``: each
-        splice is ``(old_key, new_key, plan)`` and each patch
-        ``(result_key, matrix, algorithm)``."""
-        with self._lock:
-            plan_items = self.plans.items()
-            store_items = self.store.entries()
-        # fingerprint → current value map for resolving the *other* operand
-        # slots of affected plans (fingerprints are memoized on entries;
-        # first-touch hashing here is idempotent, same as submit()); the
-        # value-fingerprint map is consistent with the resolved values, so
-        # result-cache lookups built from it name the same content
-        fp_map: dict[str, CSRMatrix | Mask] = {}
-        vfp_map: dict[str, str] = {}
-        for _, e in store_items:
-            if e.fingerprint not in fp_map:
-                fp_map[e.fingerprint] = e.value
-                if patch_values is not None:
-                    vfp_map[e.fingerprint] = e.value_fingerprint
-        fp_map[new_fp] = new
-        splices: list[tuple] = []
-        patches: list[tuple] = []
-        skipped = 0
-        for pkey, plan in plan_items:
-            a_fp, b_fp, m_fp = pkey[0], pkey[1], pkey[2]
-            if old_fp not in (a_fp, b_fp, m_fp):
-                continue
-            sub = lambda fp: new_fp if fp == old_fp else fp
-            new_key = (sub(a_fp), sub(b_fp), sub(m_fp)) + pkey[3:]
-            A = fp_map.get(sub(a_fp))
-            B = fp_map.get(sub(b_fp))
-            M = fp_map.get(sub(m_fp))
-            if (not isinstance(A, CSRMatrix) or not isinstance(B, CSRMatrix)
-                    or M is None):
-                skipped += 1
-                continue
-            mask = M if isinstance(M, Mask) else Mask.from_matrix(M)
-            complemented = pkey[3]
-            if complemented:
-                mask = mask.complement()
-            parts = []
-            direct = None
-            if a_fp == old_fp or m_fp == old_fp:
-                # left-operand / mask rows map 1:1 onto output rows
-                direct = np.asarray(dirty_rows, dtype=INDEX_DTYPE)
-                parts.append(direct)
-            if b_fp == old_fp:
-                if complemented:
-                    # conservative: any output row reading a dirty B row
-                    # (the sharpened test below assumes the mask pattern
-                    # *admits*, which a complemented mask inverts)
-                    parts.append(rows_touching(A, dirty_rows))
-                else:
-                    # sharpened B-side propagation: a changed B entry (j, c)
-                    # affects output row i only when A[i, j] is stored AND
-                    # the mask admits c in row i — for self-products this is
-                    # each changed edge's common-neighbor set, not the whole
-                    # neighborhood; rows already dirty 1:1 are not expanded
-                    parts.append(rows_affected_through(
-                        A, mask.indptr, mask.indices, changed_keys,
-                        new.ncols, skip=direct))
-            dirty = (np.unique(np.concatenate(parts)) if parts
-                     else np.empty(0, dtype=INDEX_DTYPE))
-            patch, sizes = (
-                self._patch_result(pkey, new_key, plan.algorithm, dirty, A,
-                                   B, mask, old_fp, vfp_map, patch_values)
-                if patch_values is not None else (None, None))
-            try:
-                with span("delta.splice", rows=int(dirty.size),
-                          algorithm=plan.algorithm,
-                          sizes="symbolic" if patch is None else "patch"):
-                    spliced = splice_plan(plan, A, B, mask, dirty, sizes)
-            except (AlgorithmError, ShapeError):
-                # shape drift (an operand re-registered at another shape
-                # shares no fingerprints, but stay defensive): drop, a cold
-                # build will serve the new key
-                skipped += 1
-                continue
-            splices.append((pkey, new_key, spliced))
-            if patch is not None:
-                patches.append(patch)
-        return splices, patches, skipped
-
-    def _patch_result(self, pkey: tuple, new_key: tuple, algorithm: str,
-                      dirty: np.ndarray, A: CSRMatrix, B: CSRMatrix,
-                      mask: Mask, old_fp: str, vfp_map: dict,
-                      patch_values: tuple[str, str]) -> tuple:
-        """Carry one cached numeric result across a pure-pattern delta.
-
-        When the plan's pre-delta product is resident in the result cache,
-        recompute *only the dirty output rows* with the plan's kernel and
-        splice them into the cached matrix
-        (:func:`~repro.sparse.ops.splice_result_rows`) — the first
-        post-delta request then serves from the result tier instead of
-        re-running the full numeric pass. Sound because the dirty set
-        covers every output row whose pattern **or values** can differ: the
-        1:1 slots map changed rows directly, and the B-side candidate test
-        admits exactly the (row, col) cells a changed B entry can reach
-        through the mask. Returns ``(patch, sizes)``: ``patch`` is
-        ``(result_key, matrix, algorithm)`` and ``sizes`` the dirty rows'
-        new output sizes (None for an empty dirty set); both are None when
-        nothing is resident or the kernel refused.
-        """
-        old_value_fp, new_value_fp = patch_values
-        old_a_vfp = (old_value_fp if pkey[0] == old_fp
-                     else vfp_map.get(pkey[0]))
-        old_b_vfp = (old_value_fp if pkey[1] == old_fp
-                     else vfp_map.get(pkey[1]))
-        if old_a_vfp is None or old_b_vfp is None:
-            return None, None
-        old_rkey = result_key(pkey, old_a_vfp, old_b_vfp)
-        # probe first so a non-resident result does not count as a miss
-        cached = (self.results.get(old_rkey) if old_rkey in self.results
-                  else None)
-        if cached is None:
-            return None, None
-        new_a_vfp = new_value_fp if pkey[0] == old_fp else old_a_vfp
-        new_b_vfp = new_value_fp if pkey[1] == old_fp else old_b_vfp
-        new_rkey = result_key(new_key, new_a_vfp, new_b_vfp)
-        if not dirty.size:
-            # empty dirty set: the product is bit-identical, only its key
-            # moves
-            return (new_rkey, cached.matrix, cached.algorithm), None
-        try:
-            spec = kernel_registry.get_spec(algorithm)
-            semiring = semiring_by_name(pkey[6])
-            with span("delta.patch", rows=int(dirty.size),
-                      algorithm=algorithm):
-                block = spec.numeric(A, B, mask, semiring, dirty)
-                patched = splice_result_rows(
-                    cached.matrix, dirty, block.sizes, block.cols,
-                    block.vals)
-        except (AlgorithmError, ShapeError, KeyError):
-            return None, None
-        return (new_rkey, patched, cached.algorithm), block.sizes
 
     # ------------------------------------------------------------------ #
     def submit(self, request: Request) -> Response:

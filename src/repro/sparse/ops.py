@@ -126,7 +126,7 @@ def apply_coordinate_delta(
     insert_values: np.ndarray,
     update_keys: np.ndarray,
     update_values: np.ndarray,
-) -> tuple[CSRMatrix, np.ndarray, np.ndarray, bool]:
+) -> tuple[CSRMatrix, np.ndarray, bool]:
     """Apply one edge-delta batch to ``m``; the primitive under
     :meth:`repro.delta.DeltaBatch.apply`.
 
@@ -140,16 +140,15 @@ def apply_coordinate_delta(
     * updates are strict: every update key must exist after deletes+inserts,
       else ``ValueError`` (an update is a claim the edge is present).
 
-    Returns ``(new_matrix, dirty_rows, changed_keys, value_touched)`` where
-    ``dirty_rows`` are the rows whose *pattern* changed (sorted unique),
-    ``changed_keys`` is the exact symmetric difference of the stored
-    coordinate sets (sorted :func:`coord_keys` — the input to B-side dirty
-    sharpening, :func:`rows_affected_through`) and ``value_touched`` reports
-    whether any stored value was (re)assigned without a pattern change
-    backing it. A value-only batch returns a matrix sharing
-    ``indptr``/``indices`` with ``m`` (copy-on-write values), which is what
-    lets the service layer carry the pattern fingerprint forward unchanged —
-    the "incremental fingerprint" of the delta path.
+    Returns ``(new_matrix, dirty_rows, value_touched)`` where ``dirty_rows``
+    are the rows whose *pattern* changed (sorted unique: the rows of the
+    symmetric difference of the stored coordinate sets) and
+    ``value_touched`` reports whether any stored value was (re)assigned
+    without a pattern change backing it. A value-only batch returns a
+    matrix sharing ``indptr``/``indices`` with ``m`` (copy-on-write
+    values), which is what lets the service layer carry the pattern
+    fingerprint forward unchanged — the "incremental fingerprint" of the
+    delta path.
     """
     old_keys = _keys(m)
     keys, vals = old_keys, m.data
@@ -191,140 +190,15 @@ def apply_coordinate_delta(
     if dirty_rows.size == 0:
         if not value_touched:
             # pure no-op: same object, same bits
-            return m, dirty_rows, changed, False
+            return m, dirty_rows, False
         # value-only: share the pattern arrays, swap in the new values
         new = CSRMatrix(m.indptr, m.indices,
                         np.ascontiguousarray(vals, dtype=VALUE_DTYPE),
                         m.shape, check=False)
-        return new, dirty_rows, changed, True
+        return new, dirty_rows, True
     new = _from_keys(keys, np.ascontiguousarray(vals, dtype=VALUE_DTYPE),
                      m.shape)
-    return new, dirty_rows, changed, value_touched
-
-
-def rows_touching(m: CSRMatrix, cols: np.ndarray) -> np.ndarray:
-    """Rows of ``m`` storing at least one column in ``cols`` (sorted unique).
-
-    This is the B-side dirty-row propagation of the delta subsystem: when the
-    *right* operand of ``C = M ⊙ (A·B)`` changes rows ``cols``, the output
-    rows that can change are exactly the rows of A reading those B rows.
-    """
-    if cols.size == 0 or m.nnz == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    hit = np.isin(m.indices, cols)
-    rows = np.repeat(np.arange(m.nrows, dtype=INDEX_DTYPE), m.row_nnz())
-    return _sorted_unique(rows[hit]).astype(INDEX_DTYPE, copy=False)
-
-
-def _range_positions(starts: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(starts[k], starts[k] + cnt[k])`` for every k
-    (vectorized; no Python loop)."""
-    cnt = cnt.astype(np.int64)
-    total = int(cnt.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offs = np.cumsum(cnt) - cnt
-    within = np.arange(total, dtype=np.int64) - np.repeat(offs, cnt)
-    return np.repeat(starts.astype(np.int64), cnt) + within
-
-
-def _concat_slices(values: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gather ``values[lo[k]:hi[k]]`` for every k, concatenated, plus the
-    per-slice lengths (vectorized; no Python loop)."""
-    cnt = (hi - lo).astype(np.int64)
-    if int(cnt.sum()) == 0:
-        return np.empty(0, dtype=values.dtype), cnt
-    return values[_range_positions(lo, cnt)], cnt
-
-
-def splice_result_rows(m: CSRMatrix, dirty: np.ndarray, sizes: np.ndarray,
-                       cols: np.ndarray, vals: np.ndarray) -> CSRMatrix:
-    """Replace rows ``dirty`` (sorted unique) of ``m`` with the given row
-    block (``sizes`` per dirty row; ``cols``/``vals`` concatenated in dirty
-    order), keeping every other row's arrays bit-identical.
-
-    This is the delta path's *result* splice: after a pattern delta, a
-    cached product is patched by recomputing only the dirty output rows
-    (the numeric kernel runs over that subset) and copying the rest.
-    """
-    old_sizes = np.diff(m.indptr).astype(np.int64)
-    row_sizes = old_sizes.copy()
-    row_sizes[dirty] = sizes
-    indptr = np.concatenate(([0], np.cumsum(row_sizes)))
-    out_cols = np.empty(indptr[-1], dtype=m.indices.dtype)
-    out_vals = np.empty(indptr[-1], dtype=m.data.dtype)
-    dmask = np.zeros(old_sizes.size, dtype=bool)
-    dmask[dirty] = True
-    clean = np.flatnonzero(~dmask)
-    src_cols, cnt = _concat_slices(m.indices, m.indptr[clean],
-                                   m.indptr[clean + 1])
-    pos = _range_positions(indptr[clean], cnt)
-    out_cols[pos] = src_cols
-    out_vals[pos] = _concat_slices(m.data, m.indptr[clean],
-                                   m.indptr[clean + 1])[0]
-    pos_d = _range_positions(indptr[dirty], sizes)
-    out_cols[pos_d] = cols
-    out_vals[pos_d] = vals
-    return CSRMatrix(indptr.astype(INDEX_DTYPE, copy=False), out_cols,
-                     out_vals, m.shape, check=False)
-
-
-def rows_affected_through(a: CSRMatrix, mask_indptr: np.ndarray,
-                          mask_indices: np.ndarray, changed_keys: np.ndarray,
-                          ncols: int,
-                          skip: np.ndarray | None = None) -> np.ndarray:
-    """Output rows of ``C = M ⊙ (A·B)`` whose *pattern* can change when B's
-    stored coordinate set changes by exactly ``changed_keys``
-    (sorted :func:`coord_keys` over B's shape; B has ``ncols`` columns, as
-    does the mask).
-
-    Sharper than ``rows_touching(a, changed_rows)``: a product through a
-    changed B entry ``(j, c)`` lands in output row ``i`` *at column c only*,
-    so row ``i`` is affected iff ``A[i, j]`` is stored **and** the mask
-    admits ``c`` in row ``i``. For triangle-style self-products (k-truss)
-    this is the common-neighbor set of each changed edge — typically orders
-    of magnitude smaller than the full neighborhood ``rows_touching`` gives.
-    Only valid for non-complemented masks (``mask_indices`` = admitted
-    columns); complemented plans must fall back to :func:`rows_touching`.
-
-    ``skip`` (sorted unique output rows, e.g. rows already dirty through a
-    1:1 operand slot) are not expanded, so the result may omit them:
-    ``result ∪ skip`` equals the unskipped result ``∪ skip``.
-    """
-    if changed_keys.size == 0 or a.nnz == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    ch_j = changed_keys // ncols  # sorted keys ⇒ grouped by changed B row
-    ch_c = changed_keys - ch_j * ncols
-    sel = np.arange(a.nnz)  # stored-entry positions of the rows to expand
-    if skip is not None and skip.size:
-        rows = np.setdiff1d(np.arange(a.nrows), skip, assume_unique=True)
-        sel = _range_positions(a.indptr[rows],
-                               a.indptr[rows + 1] - a.indptr[rows])
-    sel = sel[np.isin(a.indices[sel], _sorted_unique(ch_j))]
-    if sel.size == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    # stored A entries (i, j) reading a changed B row j
-    ent_i = (np.searchsorted(a.indptr, sel, side="right") - 1).astype(np.int64)
-    ent_j = a.indices[sel]
-    # candidate (i, c) pairs: each entry crossed with its j's changed columns
-    lo = np.searchsorted(ch_j, ent_j, side="left")
-    hi = np.searchsorted(ch_j, ent_j, side="right")
-    cand_c, cnt = _concat_slices(ch_c, lo, hi)
-    cand_i = np.repeat(ent_i, cnt)
-    # keep candidates the mask admits: (i, c) stored in the mask pattern
-    mrows = _sorted_unique(cand_i)
-    mcols, mcnt = _concat_slices(mask_indices,
-                                 mask_indptr[mrows], mask_indptr[mrows + 1])
-    if mcols.size == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    # mrows ascend and in-row columns ascend ⇒ composite keys are sorted
-    mkeys = np.repeat(mrows, mcnt) * np.int64(ncols) + mcols
-    cand_keys = cand_i * np.int64(ncols) + cand_c
-    pos = np.searchsorted(mkeys, cand_keys)
-    ok = ((pos < mkeys.size)
-          & (mkeys[np.minimum(pos, mkeys.size - 1)] == cand_keys))
-    return _sorted_unique(cand_i[ok]).astype(INDEX_DTYPE, copy=False)
+    return new, dirty_rows, value_touched
 
 
 # ---------------------------------------------------------------------- #

@@ -140,7 +140,7 @@ COMPLEMENT_ALGOS = ["msa", "esc", "hash", "heap", "heapdot"]
 def rebuild_from_scratch(m: CSRMatrix) -> CSRMatrix:
     """Independent reconstruction of ``m``: a COO round trip through fresh
     arrays, re-validated on construction. Shares nothing with ``m`` — the
-    cold engine in :func:`oracle_pair` must not be able to inherit spliced
+    cold engine in :func:`oracle_pair` must not be able to inherit cached
     state through aliased buffers."""
     from repro.sparse.coo import COOMatrix
 
@@ -164,14 +164,14 @@ def oracle_pair(engine, request):
     """Differential oracle for incremental serving.
 
     Submits ``request`` against ``engine`` — whose stored operands have
-    typically evolved through :meth:`Engine.apply_delta` (spliced plans,
-    patched results, carried fingerprints) — and against a *fresh cold
+    typically evolved through :meth:`Engine.apply_delta` (swapped entries,
+    invalidated results, carried fingerprints) — and against a *fresh cold
     engine* whose operands are rebuilt from scratch from the live store's
     current contents (so every plan is built cold and every result computed
     from nothing). Returns ``(live, cold)`` responses; callers assert the
-    pair bit-identical, which proves the whole incremental path (dirty-row
-    computation, plan splicing, result patching, fingerprint carrying)
-    equivalent to recomputation.
+    pair bit-identical, which proves the whole incremental path (entry
+    swap, result invalidation, fingerprint carrying, plan reuse by
+    fingerprint) equivalent to recomputation.
     """
     from repro.service import Engine
 

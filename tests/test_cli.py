@@ -52,6 +52,13 @@ def test_ktruss_with_output(tmp_path, capsys):
     assert truss.shape == (128, 128)
 
 
+def test_delta_reports_dirty_fraction_and_invalidations(capsys):
+    rc, out = run(["delta", "--rmat", "7", "--k", "4"], capsys)
+    assert rc == 0
+    assert "bit-identical: yes" in out
+    assert "mean dirty fraction" in out and "results invalidated" in out
+
+
 def test_bc(capsys):
     rc, out = run(["bc", "--er", "80", "--batch", "8", "--top", "2"], capsys)
     assert rc == 0

@@ -1,13 +1,14 @@
 """Differential-oracle harness for incremental serving (repro.delta).
 
-The contract under test is absolute: every delta path — value-only swaps,
-pattern splices, sharpened B-side propagation, result patching, the
-plan-free route — must leave the engine serving products **bit-identical**
-to a cold engine whose operands were rebuilt from scratch and whose plans
-were built cold. :func:`conftest.oracle_pair` implements that comparison;
-the hypothesis strategies drive it across random matrices and batches
-(empty batches, duplicate edges, delete-then-reinsert, rows emptied out),
-and the directed tests pin each mechanism individually.
+The contract under test is absolute: every delta path — value-only swaps
+that carry the pattern fingerprint forward, pattern swaps that invalidate
+cached results and plan the new pattern by its fingerprint — must leave the
+engine serving products **bit-identical** to a cold engine whose operands
+were rebuilt from scratch and whose plans were built cold.
+:func:`conftest.oracle_pair` implements that comparison; the hypothesis
+strategies drive it across random matrices and batches (empty batches,
+duplicate edges, delete-then-reinsert, rows emptied out), and the directed
+tests pin each mechanism individually.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_bit_identical, oracle_pair, rebuild_from_scratch
+from conftest import assert_bit_identical, oracle_pair
 from repro.core import registry
 from repro.core.plan import build_plan, splice_plan
 from repro.delta import DeltaBatch, DeltaError
 from repro.errors import AlgorithmError
 from repro.graphs import erdos_renyi, rmat, to_undirected_simple
 from repro.mask import Mask
-from repro.semiring import PLUS_PAIR, PLUS_TIMES
+from repro.semiring import PLUS_PAIR
 from repro.service import Engine, Request
 from repro.service.plan import plan_key
 from repro.service.result_cache import result_key
@@ -63,7 +64,7 @@ class TestBatchSemantics:
         res = DeltaBatch().apply(m)
         assert res.kind == "noop"
         assert res.matrix is m          # pure no-op: not even a copy
-        assert res.dirty_rows.size == 0 and res.changed_keys.size == 0
+        assert res.dirty_rows.size == 0
 
     def test_delete_unstored_is_noop(self):
         m = self._base()
@@ -122,12 +123,15 @@ class TestBatchSemantics:
         assert 0 in res.dirty_rows
         assert np.diff(res.matrix.indptr)[0] == 0
 
-    def test_changed_keys_is_exact_coordinate_symmetric_difference(self):
+    def test_dirty_rows_are_rows_of_the_coordinate_symmetric_difference(
+            self):
         m = self._base()
-        res = DeltaBatch(delete=[(0, 1)], insert=[(3, 3, 1.0)]).apply(m)
-        want = np.sort(ops.coord_keys(np.array([0, 3]), np.array([1, 3]),
-                                      m.ncols))
-        assert np.array_equal(res.changed_keys, want)
+        res = DeltaBatch(delete=[(0, 1), (4, 3)], insert=[(3, 3, 1.0),
+                                                          (4, 3, 2.0)]
+                         ).apply(m)
+        # (4, 3) deleted and re-inserted: stored before and after, so row 4
+        # stays clean while rows 0 and 3 changed pattern
+        assert np.array_equal(res.dirty_rows, [0, 3])
 
     def test_mixed_kind_when_pattern_and_values_both_move(self):
         m = self._base()
@@ -166,8 +170,8 @@ class TestDifferentialOracle:
     @settings(max_examples=40, deadline=None)
     def test_self_product_any_batch(self, case):
         """k-truss shape: C ⊙ (C·C) with PLUS_PAIR, one key in all three
-        slots — a single delta exercises the a-, b- and mask-slot splices
-        at once."""
+        slots — a single delta changes the a-, b- and mask-slot
+        fingerprints at once."""
         n, base, batch = case
         eng = Engine(result_cache_bytes=1 << 24)
         eng.register("G", _matrix_from_cells(n, base))
@@ -181,8 +185,8 @@ class TestDifferentialOracle:
     @settings(max_examples=40, deadline=None)
     def test_distinct_operands_delta_on_each_slot(self, case, slot):
         """Distinct A, B, mask (integer values — exact in f64); the delta
-        lands in one slot, covering the 1:1 row map (A/M) and the sharpened
-        B-side propagation separately."""
+        lands in one slot, so each slot's invalidation is covered
+        separately."""
         n, base, batch = case
         rng = np.random.default_rng(n * 1000 + len(base))
         mats = {"A": _matrix_from_cells(n, base),
@@ -204,8 +208,7 @@ class TestDifferentialOracle:
     @given(delta_case(n_min=4))
     @settings(max_examples=25, deadline=None)
     def test_complemented_mask_fallback(self, case):
-        """B-slot deltas under a complemented mask take the conservative
-        rows_touching fallback — still bit-identical."""
+        """B-slot deltas under a complemented mask stay bit-identical."""
         n, base, batch = case
         rng = np.random.default_rng(n)
         eng = Engine(result_cache_bytes=1 << 24)
@@ -243,34 +246,9 @@ class TestDifferentialOracle:
 
 
 # ---------------------------------------------------------------------- #
-# dirty-row computation, pinned
+# splice_plan (no caller in src/; perfbench/tracing.py patches it by name)
 # ---------------------------------------------------------------------- #
 class TestDirtyRows:
-    def _warm_engine(self, rng, n=40):
-        g = to_undirected_simple(rmat(6, 4, rng=rng)).pattern()
-        eng = Engine()
-        eng.register("G", g)
-        req = Request(a="G", b="G", mask="G", phases=2, semiring="plus_pair")
-        eng.submit(req)
-        return eng, g, req
-
-    def test_spliced_plan_matches_cold_plan_everywhere(self, rng):
-        """After a pattern delta, the spliced plan's row sizes equal a cold
-        plan's on every row — clean rows carried, dirty rows recomputed."""
-        eng, g, req = self._warm_engine(rng)
-        rows = np.repeat(np.arange(g.nrows), g.row_nnz())
-        edges = np.column_stack((rows, g.indices))
-        pick = rng.choice(edges.shape[0], size=8, replace=False)
-        out = eng.apply_delta("G", DeltaBatch(delete=edges[pick]))
-        assert out.plans_spliced == 1
-        new = rebuild_from_scratch(eng.entry("G").value)
-        mask = Mask.from_matrix(new)
-        (pkey, spliced), = [(k, p) for k, p in eng.plans.items()
-                            if k[0] == out.pattern_fingerprint]
-        cold = build_plan(new, new, mask, algorithm=spliced.algorithm,
-                          phases=2)
-        assert np.array_equal(spliced.row_sizes, cold.row_sizes)
-
     def test_splice_plan_empty_dirty_returns_same_object(self, rng):
         a = csr_random(12, 12, density=0.3, rng=rng)
         mask = Mask.from_matrix(csr_random(12, 12, density=0.3, rng=rng))
@@ -314,53 +292,6 @@ class TestDirtyRows:
         with pytest.raises(AlgorithmError, match="dirty rows"):
             splice_plan(plan, a, a, mask, np.array([8]))
 
-    def test_rows_affected_through_covers_every_changed_output_row(self, rng):
-        """Soundness of the sharpened B-side propagation: every output row
-        that actually differs after a B-pattern change is in the computed
-        set, and the set never exceeds the naive neighborhood bound."""
-        from repro.core import masked_spgemm
-
-        n = 30
-        for trial in range(5):
-            A = csr_random(n, n, density=0.15, rng=rng, values="randint")
-            B = csr_random(n, n, density=0.15, rng=rng, values="randint")
-            M = csr_random(n, n, density=0.3, rng=rng)
-            res = DeltaBatch(delete=[
-                (int(r), int(c)) for r, c in zip(
-                    np.repeat(np.arange(n), B.row_nnz()), B.indices)][:5]
-            ).apply(B)
-            B2 = res.matrix
-            affected = ops.rows_affected_through(
-                A, M.indptr, M.indices, res.changed_keys, n)
-            mask = Mask.from_matrix(M)
-            C1 = masked_spgemm(A, B, mask, algorithm="msa",
-                               semiring=PLUS_TIMES)
-            C2 = masked_spgemm(A, B2, mask, algorithm="msa",
-                               semiring=PLUS_TIMES)
-            d1, d2 = C1.to_dense(), C2.to_dense()
-            changed = np.flatnonzero((d1 != d2).any(axis=1))
-            assert np.all(np.isin(changed, affected)), \
-                f"trial {trial}: changed rows escape the dirty set"
-            naive = ops.rows_touching(A, res.dirty_rows)
-            assert np.all(np.isin(affected, naive))
-
-    def test_splice_result_rows_matches_dense_edit(self, rng):
-        m = csr_random(14, 10, density=0.3, rng=rng, values="randint")
-        dirty = np.array([1, 5, 13], dtype=np.int64)
-        sizes = np.array([0, 3, 2], dtype=np.int64)
-        cols = np.array([2, 5, 9, 0, 4], dtype=np.int64)
-        vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        out = ops.splice_result_rows(m, dirty, sizes, cols, vals)
-        want = m.to_dense()
-        want[dirty] = 0.0               # sizes align with dirty positionally:
-        want[5, [2, 5, 9]] = [1.0, 2.0, 3.0]   # row 1 → 0 entries,
-        want[13, [0, 4]] = [4.0, 5.0]          # row 5 → 3, row 13 → 2
-        assert np.array_equal(out.to_dense(), want)
-        assert np.diff(out.indptr)[1] == 0 and np.diff(out.indptr)[5] == 3
-        # clean rows bit-equal to the source
-        clean = np.setdiff1d(np.arange(14), dirty)
-        assert np.array_equal(out.to_dense()[clean], m.to_dense()[clean])
-
 
 # ---------------------------------------------------------------------- #
 # cache economics across deltas (regression)
@@ -388,7 +319,7 @@ class TestCacheEconomics:
                for i in range(0, a.nnz, 3)]
         misses_before = eng.plans.misses
         out = eng.apply_delta("A", DeltaBatch(update=upd))
-        assert out.kind == "value" and out.plans_spliced == 0
+        assert out.kind == "value"
         assert out.pattern_fingerprint == eng.entry("A").fingerprint
         resp = eng.submit(r1)
         assert resp.stats.plan_cache_hit and not resp.stats.result_cache_hit
@@ -406,58 +337,60 @@ class TestCacheEconomics:
         assert eng.submit(r2).stats.result_cache_hit    # innocent survives
         assert not eng.submit(r1).stats.result_cache_hit
 
-    def test_pattern_delta_patches_cached_result(self, rng):
-        """kind == "pattern" with a resident product: the splice carries the
-        plan AND the result — the first post-delta request is a result-tier
-        hit, bit-identical to a cold rebuild."""
+    def test_pattern_delta_invalidates_cached_result(self, rng):
+        """A pattern delta drops the products that read the old content,
+        and the next request plans the new pattern cold: no result hit, no
+        plan hit, bit-identical to a cold rebuild."""
         g = to_undirected_simple(rmat(6, 6, rng=rng)).pattern()
         eng = Engine(result_cache_bytes=1 << 24)
         eng.register("G", g)
         req = Request(a="G", b="G", mask="G", phases=2, semiring="plus_pair")
         eng.submit(req)
+        fp, vfp = eng.entry("G").fingerprint, eng.entry("G").value_fingerprint
+        old_key = result_key(
+            plan_key(fp, fp, fp, False, "auto", 2, "plus_pair"), vfp, vfp)
+        assert old_key in eng.results
         rows = np.repeat(np.arange(g.nrows), g.row_nnz())
         edges = np.column_stack((rows, g.indices))
         out = eng.apply_delta("G", DeltaBatch(delete=edges[
             rng.choice(edges.shape[0], size=10, replace=False)]))
-        assert out.kind == "pattern"
-        assert out.plans_spliced == 1 and out.results_patched == 1
+        assert out.kind == "pattern" and out.results_invalidated == 1
+        assert old_key not in eng.results
         live, cold = oracle_pair(eng, req)
-        assert live.stats.result_cache_hit
-        assert_bit_identical(live.result, cold.result)
-
-    def test_mixed_delta_never_patches_results(self, rng):
-        """A mixed batch's value updates land outside the dirty row set, so
-        patching would be unsound — the engine must skip it (and still serve
-        bit-identically from a fresh numeric pass)."""
-        eng, r1, _ = self._pair(rng)
-        a = eng.entry("A").value
-        rows = np.repeat(np.arange(a.nrows), a.row_nnz())
-        out = eng.apply_delta("A", DeltaBatch(
-            delete=[(int(rows[0]), int(a.indices[0]))],
-            update=[(int(rows[-1]), int(a.indices[-1]), 42.0)]))
-        assert out.kind == "mixed" and out.results_patched == 0
-        live, cold = oracle_pair(eng, r1)
         assert not live.stats.result_cache_hit
+        assert not live.stats.plan_cache_hit
         assert_bit_identical(live.result, cold.result)
 
-    def test_patched_result_key_names_post_delta_content(self, rng):
-        """The patched entry is reachable under the *new* fingerprints only
-        — probing with old fingerprints misses (no resurrection)."""
-        g = to_undirected_simple(rmat(5, 5, rng=rng)).pattern()
+    def test_delete_then_reinsert_restores_fingerprint_and_plan_hit(
+            self, rng):
+        """Content addressing is what replaces plan splicing: a delete
+        delta and a later re-insert of the same edges restore the old
+        pattern, so its fingerprint comes back and the next request hits
+        the plan built before the deletes, bit-identical to the reference
+        tier."""
+        from repro.core.reference import reference_masked_spgemm
+
+        g = to_undirected_simple(rmat(6, 6, rng=rng)).pattern()
         eng = Engine(result_cache_bytes=1 << 24)
         eng.register("G", g)
         req = Request(a="G", b="G", mask="G", phases=2, semiring="plus_pair")
         eng.submit(req)
-        old_fp = eng.entry("G").fingerprint
-        old_vfp = eng.entry("G").value_fingerprint
-        old_key = result_key(
-            plan_key(old_fp, old_fp, old_fp, False, "auto", 2, "plus_pair"),
-            old_vfp, old_vfp)
-        assert old_key in eng.results       # resident before the delta
+        fp = eng.entry("G").fingerprint
         rows = np.repeat(np.arange(g.nrows), g.row_nnz())
-        eng.apply_delta("G", DeltaBatch(
-            delete=[(int(rows[0]), int(g.indices[0]))]))
-        assert old_key not in eng.results
+        edges = np.column_stack((rows, g.indices))
+        pick = edges[rng.choice(edges.shape[0], size=6, replace=False)]
+        out = eng.apply_delta("G", DeltaBatch(delete=pick))
+        assert out.kind == "pattern" and out.pattern_fingerprint != fp
+        assert not eng.submit(req).stats.plan_cache_hit    # new pattern
+        out = eng.apply_delta("G", DeltaBatch(
+            insert=[(int(r), int(c), 1.0) for r, c in pick]))
+        assert out.kind == "pattern" and out.pattern_fingerprint == fp
+        assert eng.entry("G").fingerprint == fp
+        resp = eng.submit(req)
+        assert resp.stats.plan_cache_hit
+        assert not resp.stats.result_cache_hit
+        assert_bit_identical(resp.result, reference_masked_spgemm(
+            g, g, Mask.from_matrix(g), semiring=PLUS_PAIR))
 
     def test_delta_kind_counters(self, rng):
         eng = Engine()
@@ -507,13 +440,32 @@ class TestKTrussDelta:
         from repro.algorithms.ktruss import ktruss, ktruss_delta
 
         g = rmat(7, 6, rng=rng)
-        full = ktruss(g, 5, phases=2)
-        inc = ktruss_delta(g, 5)
+        full = ktruss(g, 5)
+        eng = Engine()
+        inc = ktruss_delta(g, 5, engine=eng)
         assert_bit_identical(inc.subgraph, full.subgraph)
         assert inc.iterations == full.iterations
-        # every iteration after the first is served warm (spliced plan or
-        # patched result)
-        assert all(h >= 1 for h in inc.plan_hits_per_iteration[1:])
+        # plans are keyed by pattern: a second solve on the same engine
+        # replays the same pattern sequence and hits a plan every iteration
+        again = ktruss_delta(g, 5, engine=eng)
+        assert_bit_identical(again.subgraph, full.subgraph)
+        assert all(h >= 1 for h in again.plan_hits_per_iteration)
+
+    @pytest.mark.parametrize("phases", [1, 2])
+    @pytest.mark.parametrize("mode", ["auto", "off"])
+    def test_matches_reference_with_native_on_and_off(self, rng, native_mode,
+                                                      mode, phases):
+        """The subgraph matches ktruss() and the reference tier bit for
+        bit, one- and two-phase, with the compiled tier on and off."""
+        from repro.algorithms.ktruss import ktruss, ktruss_delta
+
+        native_mode(mode)
+        g = to_undirected_simple(rmat(7, 6, rng=rng)).pattern()
+        inc = ktruss_delta(g, 5, prepared=True, phases=phases)
+        assert inc.iterations >= 2
+        assert_bit_identical(inc.subgraph,
+                             ktruss(g, 5, prepared=True).subgraph)
+        assert_bit_identical(inc.subgraph, _reference_ktruss(g, 5))
 
     def test_store_key_evicted_after_run(self, rng):
         from repro.algorithms.ktruss import ktruss_delta
@@ -523,9 +475,6 @@ class TestKTrussDelta:
         assert "ktruss:C" not in eng.store
 
 
-# ---------------------------------------------------------------------- #
-# one pass over the dirty rows: patched splices take the patch's sizes
-# ---------------------------------------------------------------------- #
 def _reference_ktruss(C: CSRMatrix, k: int) -> CSRMatrix:
     """k-truss fixpoint over the row-by-row reference tier."""
     from repro.core.reference import reference_masked_spgemm
@@ -555,121 +504,3 @@ def _record_symbolic(monkeypatch) -> list:
 
     monkeypatch.setattr(registry, "get_spec", recording_get_spec)
     return calls
-
-
-def _assert_spliced_matches_cold(eng, out, key="G"):
-    """The plan re-keyed onto the post-delta fingerprint has a cold
-    ``build_plan``'s row sizes on the post-delta operands."""
-    new = rebuild_from_scratch(eng.entry(key).value)
-    (spliced,) = [p for k, p in eng.plans.items()
-                  if k[0] == out.pattern_fingerprint]
-    cold = build_plan(new, new, Mask.from_matrix(new),
-                      algorithm=spliced.algorithm, phases=2)
-    assert np.array_equal(spliced.row_sizes, cold.row_sizes)
-    return spliced
-
-
-class TestOnePassSplice:
-    @pytest.mark.parametrize("mode", ["auto", "off"])
-    def test_ktruss_delta_spliced_plans_match_cold_every_iteration(
-            self, rng, native_mode, mode):
-        """Every iteration's patched splice carries exactly the row sizes a
-        cold plan computes, and the subgraph matches ktruss() and the
-        reference tier bit for bit, with the compiled tier on and off."""
-        from repro import native
-        from repro.algorithms.ktruss import ktruss, ktruss_delta
-
-        native_mode(mode)
-        g = to_undirected_simple(rmat(7, 6, rng=rng)).pattern()
-        eng = Engine(result_cache_bytes=1 << 24)
-        real_apply = eng.apply_delta
-        algorithms = []
-
-        def checking_apply(key, batch):
-            out = real_apply(key, batch)
-            assert out.results_patched == 1
-            algorithms.append(_assert_spliced_matches_cold(eng, out,
-                                                           key).algorithm)
-            return out
-
-        eng.apply_delta = checking_apply
-        inc = ktruss_delta(g, 5, engine=eng, prepared=True)
-        assert len(algorithms) == inc.iterations - 1 >= 1
-        native_on = mode == "auto" and native.native_available()
-        assert ("msa-native" in algorithms) == native_on
-        full = ktruss(g, 5, prepared=True, phases=2)
-        assert_bit_identical(inc.subgraph, full.subgraph)
-        assert_bit_identical(inc.subgraph, _reference_ktruss(g, 5))
-
-    @pytest.mark.parametrize("case, sizes", [
-        ("patched", "patch"), ("no-result-cache", "symbolic"),
-        ("not-resident", "symbolic"), ("mixed", "symbolic")])
-    def test_symbolic_runs_only_where_nothing_is_patched(
-            self, rng, monkeypatch, case, sizes):
-        """A splice that patches a resident result takes the patch block's
-        sizes and runs no symbolic pass; without a result cache, with the
-        result evicted, or on a mixed batch it runs the symbolic pass over
-        the dirty rows. The delta.splice span names which one happened."""
-        from repro.obs.trace import capture
-
-        g = to_undirected_simple(rmat(6, 6, rng=rng)).pattern()
-        eng = Engine(result_cache_bytes=(None if case == "no-result-cache"
-                                         else 1 << 24))
-        eng.register("G", g)
-        req = Request(a="G", b="G", mask="G", phases=2, semiring="plus_pair")
-        eng.submit(req)
-        if case == "not-resident":
-            eng.results.invalidate_fingerprints(
-                {eng.entry("G").value_fingerprint})
-        rows = np.repeat(np.arange(g.nrows), g.row_nnz())
-        edges = np.column_stack((rows, g.indices))
-        pick = rng.choice(edges.shape[0], size=8, replace=False)
-        batch = DeltaBatch(delete=edges[pick[1:]])
-        if case == "mixed":
-            r, c = edges[pick[0]]
-            batch = DeltaBatch(delete=edges[pick[1:]],
-                               update=[(int(r), int(c), 2.0)])
-        calls = _record_symbolic(monkeypatch)
-        with capture("delta") as rec:
-            out = eng.apply_delta("G", batch)
-        assert out.plans_spliced == 1
-        assert out.results_patched == (1 if case == "patched" else 0)
-        assert out.kind == ("mixed" if case == "mixed" else "pattern")
-        (splice_span,) = [s for s in rec.spans if s.name == "delta.splice"]
-        assert splice_span.attrs["sizes"] == sizes
-        if sizes == "patch":
-            assert calls == []
-        else:
-            assert [c.size for c in calls] == [splice_span.attrs["rows"]]
-            assert calls[0].size > 0
-        monkeypatch.undo()
-        _assert_spliced_matches_cold(eng, out)
-        live, cold = oracle_pair(eng, req)
-        assert_bit_identical(live.result, cold.result)
-
-    def test_complemented_b_delta_keeps_rows_touching_fallback(
-            self, rng, monkeypatch):
-        """A B-slot delta under a complemented mask still takes the
-        conservative rows_touching set, never the sharpened (skipping)
-        B-side test."""
-        import repro.service.engine as engine_mod
-
-        n = 20
-        eng = Engine(result_cache_bytes=1 << 24)
-        A = csr_random(n, n, density=0.3, rng=rng, values="randint")
-        B = csr_random(n, n, density=0.3, rng=rng, values="randint")
-        eng.register("A", A)
-        eng.register("B", B)
-        eng.register("M", csr_random(n, n, density=0.3, rng=rng))
-        req = Request(a="A", b="B", mask="M", complemented=True, phases=2,
-                      semiring="plus_times")
-        eng.submit(req)
-        sharpened = []
-        monkeypatch.setattr(engine_mod, "rows_affected_through",
-                            lambda *a, **k: sharpened.append(1))
-        rows = np.repeat(np.arange(n), B.row_nnz())
-        out = eng.apply_delta("B", DeltaBatch(
-            delete=[(int(rows[0]), int(B.indices[0]))]))
-        assert sharpened == [] and out.plans_spliced == 1
-        live, cold = oracle_pair(eng, req)
-        assert_bit_identical(live.result, cold.result)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.sparse import CSRMatrix, csr_from_dense, csr_random, ops
+from repro.sparse import CSRMatrix, csr_random, ops
 
 
 def test_ewise_mult_intersection(rng):
@@ -178,54 +178,6 @@ def test_fingerprint_dtype_and_layout_invariance(rng):
     strided = ops.pattern_fingerprint(
         np.repeat(a.indptr, 2)[::2], np.repeat(a.indices, 2)[::2], a.shape)
     assert fp32 == ops.matrix_fingerprint(a) == strided
-
-
-# ---------------------------------------------------------------------- #
-# delta dirty-row propagation
-# ---------------------------------------------------------------------- #
-def _draw_pattern(data, nrows, ncols, label):
-    cells = data.draw(st.lists(st.booleans(), min_size=nrows * ncols,
-                               max_size=nrows * ncols), label=label)
-    return csr_from_dense(np.array(cells, dtype=float).reshape(nrows, ncols))
-
-
-def _draw_subset(data, n, label):
-    return np.array(sorted(data.draw(
-        st.sets(st.integers(0, n - 1), max_size=n), label=label)),
-        dtype=np.int64)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_rows_affected_through_skip_drops_only_skipped_rows(data):
-    """Skipping rows (the 1:1 dirty set) never loses a non-skipped row:
-    ``skipped ∪ skip == full ∪ skip``."""
-    m, k, n = (data.draw(st.integers(1, 7), label=d) for d in "mkn")
-    a = _draw_pattern(data, m, k, "A")
-    mask = _draw_pattern(data, m, n, "mask")
-    changed = _draw_subset(data, k * n, "changed B keys")
-    skip = _draw_subset(data, m, "skip")
-    full = ops.rows_affected_through(a, mask.indptr, mask.indices,
-                                     changed, n)
-    skipped = ops.rows_affected_through(a, mask.indptr, mask.indices,
-                                        changed, n, skip=skip)
-    assert np.array_equal(skipped, np.unique(skipped))
-    assert np.array_equal(np.union1d(skipped, skip), np.union1d(full, skip))
-    empty = ops.rows_affected_through(a, mask.indptr, mask.indices,
-                                      changed, n, skip=skip[:0])
-    assert np.array_equal(empty, full)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_rows_touching_is_every_row_reading_a_changed_row(data):
-    """The complemented-mask fallback: rows_touching returns exactly the
-    rows of A storing a column in the changed set."""
-    m, k = (data.draw(st.integers(1, 7), label=d) for d in "mk")
-    a = _draw_pattern(data, m, k, "A")
-    cols = _draw_subset(data, k, "changed B rows")
-    want = np.flatnonzero(a.to_dense()[:, cols].any(axis=1))
-    assert np.array_equal(ops.rows_touching(a, cols), want)
 
 
 # ---------------------------------------------------------------------- #

@@ -371,7 +371,9 @@ class TestThreadedEngine:
             assert out.kind == kind
             post_A = eng.entry("A").value
             resp = eng.submit(req)
-            assert resp.stats.plan_cache_hit
+            # a value delta keeps the pattern fingerprint; a pattern delta
+            # yields a new one, planned cold
+            assert resp.stats.plan_cache_hit == (kind == "value")
         _assert_identical(resp.result, reference_masked_spgemm(
             post_A, B, Mask.from_matrix(M), "hash"))
 
@@ -416,10 +418,11 @@ def test_threaded_ladder_bit_identical(rng, pool, algorithm, nfaults, when):
             out = eng.apply_delta("A", DeltaBatch(
                 delete=[(int(rows[i]), int(A.indices[i]))
                         for i in range(4)]))
-            assert out.kind == "pattern" and out.plans_spliced == 1
+            assert out.kind == "pattern"
             A = eng.entry("A").value
         resp = eng.submit(req)
-        assert resp.stats.plan_cache_hit == bool(skip)
+        # the post-delta pattern is new, so its plan is built cold
+        assert resp.stats.plan_cache_hit == (when == "plan-hit")
         want = reference_masked_spgemm(A, B, Mask.from_matrix(M), algorithm)
         _assert_identical(resp.result, want)
         tier, edges = _ladder(nfaults)
