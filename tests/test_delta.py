@@ -346,20 +346,44 @@ class TestCacheEconomics:
         eng.register("G", g)
         req = Request(a="G", b="G", mask="G", phases=2, semiring="plus_pair")
         eng.submit(req)
-        fp, vfp = eng.entry("G").fingerprint, eng.entry("G").value_fingerprint
-        old_key = result_key(
-            plan_key(fp, fp, fp, False, "auto", 2, "plus_pair"), vfp, vfp)
-        assert old_key in eng.results
         rows = np.repeat(np.arange(g.nrows), g.row_nnz())
         edges = np.column_stack((rows, g.indices))
         out = eng.apply_delta("G", DeltaBatch(delete=edges[
             rng.choice(edges.shape[0], size=10, replace=False)]))
         assert out.kind == "pattern" and out.results_invalidated == 1
-        assert old_key not in eng.results
         live, cold = oracle_pair(eng, req)
         assert not live.stats.result_cache_hit
         assert not live.stats.plan_cache_hit
         assert_bit_identical(live.result, cold.result)
+
+    def test_patched_result_key_names_post_delta_content(self, rng):
+        """After a pattern delta the cached product is reachable under the
+        *new* fingerprints only: the old key is dropped by the delta and
+        stays absent once the next request caches the post-delta product
+        (no resurrection)."""
+        g = to_undirected_simple(rmat(5, 5, rng=rng)).pattern()
+        eng = Engine(result_cache_bytes=1 << 24)
+        eng.register("G", g)
+        req = Request(a="G", b="G", mask="G", phases=2, semiring="plus_pair")
+
+        def key_of_entry():
+            fp = eng.entry("G").fingerprint
+            vfp = eng.entry("G").value_fingerprint
+            return result_key(
+                plan_key(fp, fp, fp, False, "auto", 2, "plus_pair"), vfp, vfp)
+
+        eng.submit(req)
+        old_key = key_of_entry()
+        assert old_key in eng.results       # resident before the delta
+        rows = np.repeat(np.arange(g.nrows), g.row_nnz())
+        eng.apply_delta("G", DeltaBatch(
+            delete=[(int(rows[0]), int(g.indices[0]))]))
+        assert old_key not in eng.results
+        new_key = key_of_entry()
+        assert new_key != old_key
+        eng.submit(req)
+        assert new_key in eng.results
+        assert old_key not in eng.results
 
     def test_delete_then_reinsert_restores_fingerprint_and_plan_hit(
             self, rng):
