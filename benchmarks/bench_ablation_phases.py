@@ -11,6 +11,9 @@ This ablation measures both sides of the tradeoff:
 * the same product **unmasked** (mask = full), where the upper bound is the
   flops bound and the symbolic phase can pay for itself — the regime where
   classic SpGEMM wisdom comes from.
+
+``msa-native``/``hash-native`` run both passes compiled, so their rows
+show what two-phase costs once the symbolic pass is no longer NumPy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from repro.bench import render_table, time_callable
 from repro.core import display_name
 from repro.graphs import load_graph
 
-ALGOS = ("msa", "hash", "mca", "heap", "inner")
+#: the fused kernels plus the compiled tier, whose symbolic pass is
+#: compiled too — the 2P/1P ratio the serving default would be chosen by
+ALGOS = ("msa", "hash", "mca", "heap", "inner", "msa-native", "hash-native")
 GRAPHS = ("rmat-s9-e8", "er-s10-d16", "ws-s10-k4")
 
 

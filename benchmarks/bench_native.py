@@ -21,11 +21,16 @@ before its time counts, and the fused baseline itself is checked against
 the pure-Python reference tier once (at a smaller scale — the reference
 exists for auditability, not speed).
 
-``main()`` appends one ``native`` run to ``BENCH_kernels.json`` and one
-``thread_scaling`` run to ``BENCH_service.json``:
+``main()`` appends one ``native`` run and one ``native_symbolic`` run to
+``BENCH_kernels.json`` and one ``thread_scaling`` run to
+``BENCH_service.json``:
 
 * **native** (gated): per-kernel fused/native mean latencies; acceptance
   gate (ISSUE 9) is native ≥ **2.0×** over fused for msa and hash both;
+* **native_symbolic** (gated): per native key, the fused and the compiled
+  symbolic pass (sizes checked equal in every repeat) and a cold
+  two-phase product (symbolic + numeric, no plan) against one-phase — the
+  best real alternative a caller has. The gate is cold 2P ≤ **2.0×** 1P;
 * **thread_scaling** (informational): the compiled kernel on a
   :class:`~repro.parallel.executor.ThreadExecutor` at 1/2/4 workers vs
   serial in-process execution. The machine may expose few CPUs, so the
@@ -48,7 +53,7 @@ from common import append_trajectory_run, emit, latest_trajectory_run, tc_worklo
 from repro.bench import render_table
 from repro.bench.metrics import latency_percentiles
 from repro.core import build_plan, masked_spgemm
-from repro.core.registry import native_variant
+from repro.core.registry import get_spec, native_variant
 from repro.core.reference import reference_masked_spgemm
 from repro.graphs import rmat
 from repro.native import native_available, native_backend_name, warmup
@@ -62,6 +67,9 @@ ARTIFACT_SERVICE = ROOT / "BENCH_service.json"
 
 #: acceptance gate (ISSUE 9): compiled tier vs its fused base, per kernel
 GATE_MIN_SPEEDUP = 2.0
+#: symbolic gate: a cold two-phase product (compiled symbolic + numeric)
+#: may cost at most this multiple of the one-phase product
+GATE_MAX_COLD_2P_RATIO = 2.0
 
 CASE_SCALE, CASE_EDGE = 13, 8
 PAIRS = [("msa", "msa-native"), ("hash", "hash-native")]
@@ -78,6 +86,13 @@ def _workload(scale=CASE_SCALE, edge=CASE_EDGE):
     return tc_workload(rmat(scale, edge, rng=7000 + scale))
 
 
+def _identical(out, baseline) -> bool:
+    if isinstance(out, np.ndarray):  # symbolic row sizes
+        return out.dtype == baseline.dtype and np.array_equal(out, baseline)
+    return out.same_pattern(baseline) and np.array_equal(out.data,
+                                                         baseline.data)
+
+
 def _time(fn, baseline, *, repeats=REPEATS, warmup=WARMUP):
     """Warm timings; every repeat is checked bit-identical first."""
     lat = []
@@ -87,8 +102,7 @@ def _time(fn, baseline, *, repeats=REPEATS, warmup=WARMUP):
         out = fn()
         dt = time.perf_counter() - t0
         if baseline is not None:
-            assert out.same_pattern(baseline) and \
-                np.array_equal(out.data, baseline.data), "NOT bit-identical"
+            assert _identical(out, baseline), "NOT bit-identical"
         if i >= warmup:
             lat.append(dt)
     return lat, out
@@ -149,6 +163,50 @@ def bench_native(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
     return rows, gates
 
 
+def bench_symbolic(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
+    """Fused vs compiled symbolic pass, and cold 2P vs 1P, per native key;
+    returns (mode rows, gate rows)."""
+    L, mask = _workload(scale, edge)
+    case = f"tc-rmat-s{scale}-e{edge}"
+    all_rows = np.arange(L.nrows, dtype=np.int64)
+
+    rows, gates = [], []
+    for fused_key, native_key in PAIRS:
+        fused_sym = get_spec(fused_key).symbolic
+        native_sym = get_spec(native_key).symbolic
+        fused_lat, sizes = _time(lambda: fused_sym(L, L, mask, all_rows),
+                                 None, repeats=repeats)
+        native_lat, _ = _time(lambda: native_sym(L, L, mask, all_rows),
+                              sizes, repeats=repeats)
+        one_lat, baseline = _time(
+            lambda: masked_spgemm(L, L, mask, algorithm=native_key,
+                                  semiring=PLUS_PAIR, phases=1),
+            None, repeats=repeats)
+        cold_lat, _ = _time(
+            lambda: masked_spgemm(L, L, mask, algorithm=native_key,
+                                  semiring=PLUS_PAIR, phases=2),
+            baseline, repeats=repeats)
+        rows.append(_row(case, fused_key, fused_lat, mode="symbolic"))
+        rows.append(_row(case, native_key, native_lat, mode="symbolic"))
+        rows.append(_row(case, native_key, one_lat, mode="1p"))
+        rows.append(_row(case, native_key, cold_lat, mode="cold-2p"))
+        ratio = float(np.mean(cold_lat) / np.mean(one_lat))
+        gates.append({"case": case, "algorithm": native_key,
+                      "mode": "symbolic-gate",
+                      "backend": native_backend_name(),
+                      "fused_symbolic_mean_ms":
+                          float(np.mean(fused_lat)) * 1e3,
+                      "native_symbolic_mean_ms":
+                          float(np.mean(native_lat)) * 1e3,
+                      "one_phase_mean_ms": float(np.mean(one_lat)) * 1e3,
+                      "cold_2p_mean_ms": float(np.mean(cold_lat)) * 1e3,
+                      "cold_2p_over_1p": ratio, "sizes_identical": True,
+                      "bit_identical": True,
+                      "gate_max": GATE_MAX_COLD_2P_RATIO,
+                      "gate_pass": bool(ratio <= GATE_MAX_COLD_2P_RATIO)})
+    return rows, gates
+
+
 def bench_threads(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
     """Threads over the compiled kernel vs in-process (informational)."""
     L, mask = _workload(scale, edge)
@@ -202,6 +260,17 @@ def main() -> None:
           g["speedup_vs_fused"], "PASS" if g["gate_pass"] else "FAIL"]
          for g in gates]))
 
+    srows, sgates = bench_symbolic()
+    emit(f"\n[Native] symbolic pass: fused vs compiled, and cold 2P vs 1P "
+         f"(gate: cold 2P ≤ {GATE_MAX_COLD_2P_RATIO}x 1P)")
+    emit(render_table(
+        ["algorithm", "fused sym (ms)", "native sym (ms)", "1P (ms)",
+         "cold 2P (ms)", "2P/1P", f"gate ≤{GATE_MAX_COLD_2P_RATIO}x"],
+        [[g["algorithm"], g["fused_symbolic_mean_ms"],
+          g["native_symbolic_mean_ms"], g["one_phase_mean_ms"],
+          g["cold_2p_mean_ms"], g["cold_2p_over_1p"],
+          "PASS" if g["gate_pass"] else "FAIL"] for g in sgates]))
+
     trows, face = bench_threads()
     emit(f"\n[Native] threads over the compiled kernel vs inprocess "
          f"(informational — "
@@ -213,10 +282,13 @@ def main() -> None:
 
     prev = latest_trajectory_run(ARTIFACT_KERNELS, bench="native")
     append_trajectory_run(ARTIFACT_KERNELS, "native", rows + gates)
+    append_trajectory_run(ARTIFACT_KERNELS, "native_symbolic",
+                          srows + sgates)
     append_trajectory_run(ARTIFACT_SERVICE, "thread_scaling",
                           trows + [face])
-    emit(f"\nappended run to {ARTIFACT_KERNELS.name} "
-         f"({len(rows) + len(gates)} results) and {ARTIFACT_SERVICE.name} "
+    emit(f"\nappended runs to {ARTIFACT_KERNELS.name} "
+         f"({len(rows) + len(gates)} + {len(srows) + len(sgates)} results) "
+         f"and {ARTIFACT_SERVICE.name} "
          f"({len(trows) + 1} results)")
     if prev is not None:
         drift = {r["algorithm"]: r["speedup_vs_fused"]
@@ -226,11 +298,15 @@ def main() -> None:
                 emit(f"  native-speedup drift [{g['algorithm']}]: "
                      f"{drift[g['algorithm']]:.2f}x → "
                      f"{g['speedup_vs_fused']:.2f}x")
-    if all(g["gate_pass"] for g in gates):
+    passed = all(g["gate_pass"] for g in gates + sgates)
+    if passed:
         emit("acceptance gate: " + ", ".join(
             f"{g['algorithm']} {g['speedup_vs_fused']:.2f}x"
-            for g in gates) + f" over fused (≥{GATE_MIN_SPEEDUP}x each), "
-            "bit-identical throughout → PASS")
+            for g in gates) + f" over fused (≥{GATE_MIN_SPEEDUP}x each); "
+            "cold 2P " + ", ".join(
+                f"{g['algorithm']} {g['cold_2p_over_1p']:.2f}x"
+                for g in sgates) + f" of 1P (≤{GATE_MAX_COLD_2P_RATIO}x "
+            "each); bit-identical throughout → PASS")
     else:
         emit("acceptance gate: FAIL")
         raise SystemExit(1)
@@ -255,6 +331,28 @@ def test_native_warm_product(benchmark):
                                           semiring=PLUS_PAIR, phases=2,
                                           plan=plan))
     assert got.same_pattern(want) and np.array_equal(got.data, want.data)
+
+
+def test_native_symbolic_cold_2p(benchmark):
+    """CI smoke: the compiled symbolic pass sizes rows exactly like the
+    fused one, and a cold two-phase product through it stays bit-identical
+    to one-phase, for both native keys."""
+    import pytest
+
+    if not native_available():
+        pytest.skip("no compiled backend on this runner")
+    L, mask = _workload(scale=8, edge=4)
+    all_rows = np.arange(L.nrows, dtype=np.int64)
+    for fused_key, native_key in PAIRS:
+        want = get_spec(fused_key).symbolic(L, L, mask, all_rows)
+        got = get_spec(native_key).symbolic(L, L, mask, all_rows)
+        assert _identical(got, want)
+    one = masked_spgemm(L, L, mask, algorithm="msa-native",
+                        semiring=PLUS_PAIR, phases=1)
+    cold = benchmark(lambda: masked_spgemm(L, L, mask,
+                                           algorithm="msa-native",
+                                           semiring=PLUS_PAIR, phases=2))
+    assert _identical(cold, one)
 
 
 if __name__ == "__main__":

@@ -133,20 +133,24 @@ def _native_entry(fn_name: str) -> Callable:
 #: self-delegating to the fused kernels when no backend compiled
 _SPECS["msa-native"] = AlgorithmSpec(
     "msa-native", "MSA(native)", "push",
-    _native_entry("msa_numeric_rows"), msa_kernel.symbolic_rows, True,
-    "Compiled (numba-JIT or cffi/C) three-state MSA accumulator loop with "
-    "nogil chunk calls; auto_select's first choice whenever the compiled "
-    "tier can run the product, and the faces delegate to the fused numpy "
-    "kernel when it cannot",
+    _native_entry("msa_numeric_rows"), _native_entry("msa_symbolic_rows"),
+    True,
+    "Compiled (numba-JIT or cffi/C) three-state MSA accumulator loop and "
+    "pattern-only symbolic row-size loop with nogil chunk calls; "
+    "auto_select's first choice whenever the compiled tier can run the "
+    "product, and the faces delegate to the fused numpy kernel when it "
+    "cannot",
     numeric_into=_native_entry("msa_numeric_rows_into"),
     listed=False,
 )
 _SPECS["hash-native"] = AlgorithmSpec(
     "hash-native", "Hash(native)", "push",
-    _native_entry("hash_numeric_rows"), hash_kernel.symbolic_rows, True,
+    _native_entry("hash_numeric_rows"), _native_entry("hash_symbolic_rows"),
+    True,
     "Compiled (numba-JIT or cffi/C) open-addressing hash accumulator "
-    "(LF 0.25, Fibonacci slots) with nogil chunk calls; the wide-output "
-    "counterpart of msa-native, same fallback contract",
+    "(LF 0.25, Fibonacci slots) with nogil chunk calls, sized by the same "
+    "compiled symbolic loop as msa-native; the wide-output counterpart of "
+    "msa-native, same fallback contract",
     numeric_into=_native_entry("hash_numeric_rows_into"),
     listed=False,
 )

@@ -1,13 +1,15 @@
 """cffi/C backend for the compiled kernel tier.
 
 The portable half of the native ladder (see :mod:`repro.native`): when numba
-is not installed but a C compiler is, the same four inner loops the numba
-backend JITs are compiled once from the embedded C source below into a
-shared object, loaded ABI-mode through :mod:`cffi`, and called with zero-copy
-pointers into the operand arrays. cffi releases the GIL for the duration of
-every foreign call, which is what lets the thread backend in
-:mod:`repro.parallel.runner` scatter chunks concurrently from a plain thread
-pool — the same property ``nogil=True`` buys the numba backend.
+is not installed but a C compiler is, the same five inner loops the numba
+backend JITs — four numeric passes (MSA and hash, plain and complemented
+masks) and one pattern-only symbolic pass — are compiled once from the
+embedded C source below into a shared object, loaded ABI-mode through
+:mod:`cffi`, and called with zero-copy pointers into the operand arrays.
+cffi releases the GIL for the duration of every foreign call, which is what
+lets the thread backend in :mod:`repro.parallel.runner` scatter chunks
+concurrently from a plain thread pool — the same property ``nogil=True``
+buys the numba backend.
 
 Build artifacts are content-addressed: the ``.so`` is keyed by the SHA-256 of
 the C source (plus the compiler command), cached under
@@ -28,7 +30,9 @@ Semantics contract (bit-identity with the fused numpy kernels):
   the accumulate step is ``acc = (acc < x || isnan(acc)) ? acc : x`` (resp.
   ``>``), which returns whichever operand is NaN (the first when both are);
 * plain masks gather surviving columns in mask (sorted) order; complemented
-  masks emit the sorted distinct surviving columns.
+  masks emit the sorted distinct surviving columns;
+* the symbolic pass writes, per row, the count of distinct columns the
+  numeric pass would emit — the exact sizes of the fused ``symbolic_rows``.
 """
 
 from __future__ import annotations
@@ -78,6 +82,11 @@ int64_t hash_compl(const int64_t *a_indptr, const int64_t *a_indices,
                    int64_t *out_cols, double *out_vals,
                    int64_t *t_keys, signed char *t_state, double *t_vals,
                    int64_t *touched);
+void symbolic(const int64_t *a_indptr, const int64_t *a_indices,
+              const int64_t *b_indptr, const int64_t *b_indices,
+              const int64_t *m_indptr, const int64_t *m_indices,
+              const int64_t *rows, int64_t nrows, int64_t complemented,
+              int64_t *sizes, signed char *states, int64_t *touched);
 """
 
 C_SOURCE = """
@@ -359,6 +368,38 @@ i64 hash_compl(const i64 *a_indptr, const i64 *a_indices, const double *a_data,
     }
     return -1;
 }
+
+/* Pattern-only row sizes (the symbolic pass), one dense state array for
+ * both polarities: mask columns are marked 1, and a column counts on its
+ * first hit while still in the "fresh" state — 1 (allowed, untouched) for
+ * plain masks, 0 (not banned, untouched) for complemented ones. */
+void symbolic(const i64 *a_indptr, const i64 *a_indices,
+              const i64 *b_indptr, const i64 *b_indices,
+              const i64 *m_indptr, const i64 *m_indices,
+              const i64 *rows, i64 nrows, i64 complemented,
+              i64 *sizes, signed char *states, i64 *touched)
+{
+    signed char fresh = complemented ? 0 : 1;
+    for (i64 r = 0; r < nrows; ++r) {
+        i64 i = rows[r];
+        i64 ms = m_indptr[i], me = m_indptr[i + 1];
+        for (i64 t = ms; t < me; ++t) states[m_indices[t]] = 1;
+        i64 nt = 0;
+        for (i64 p = a_indptr[i]; p < a_indptr[i + 1]; ++p) {
+            i64 k = a_indices[p];
+            for (i64 q = b_indptr[k]; q < b_indptr[k + 1]; ++q) {
+                i64 j = b_indices[q];
+                if (states[j] == fresh) {
+                    states[j] = 2;
+                    touched[nt++] = j;
+                }
+            }
+        }
+        sizes[r] = nt;
+        for (i64 t = 0; t < nt; ++t) states[touched[t]] = 0;
+        for (i64 t = ms; t < me; ++t) states[m_indices[t]] = 0;
+    }
+}
 """
 
 
@@ -483,3 +524,11 @@ def hash_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
         add_op, mul_op, identity, _i64(offsets), validate,
         _i64(out_cols), _f64(out_vals), _i64(t_keys), _i8(t_state),
         _f64(t_vals), _i64(touched)))
+
+
+def symbolic(a_indptr, a_indices, b_indptr, b_indices, m_indptr, m_indices,
+             rows, complemented, sizes, states, touched) -> None:
+    load().symbolic(
+        _i64(a_indptr), _i64(a_indices), _i64(b_indptr), _i64(b_indices),
+        _i64(m_indptr), _i64(m_indices), _i64(rows), rows.size,
+        complemented, _i64(sizes), _i8(states), _i64(touched))

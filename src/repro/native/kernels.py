@@ -10,18 +10,19 @@ pair of kernels:
 ``msa_numeric_rows_into`` / ``hash_numeric_rows_into``
     direct-write face — scatter into preallocated CSR arrays at planned
     offsets, validating computed sizes first (same contract and same error
-    as :func:`repro.core.types.write_block_into`).
+    as :func:`repro.core.types.write_block_into`);
+``msa_symbolic_rows`` / ``hash_symbolic_rows``
+    symbolic face — exact output-row sizes from the patterns alone (paper
+    §6), one compiled dense-state loop behind both keys.
 
 Every face **delegates to the fused numpy kernel** when the compiled tier
 cannot serve the call — backend unavailable, a semiring outside the
-compiled op table, non-float64/int64 operands, or an MSA output too wide
-for the dense accumulator scratch. The fused kernels are bit-identical to
-the compiled loops by construction (gated in ``tests/test_native.py`` and
+compiled op table, non-float64/int64 operands, or an output too wide for
+the dense scratch. The symbolic pass is pattern-only, so its face checks
+no semiring or data dtype. The fused kernels are bit-identical to the
+compiled loops by construction (gated in ``tests/test_native.py`` and
 ``benchmarks/bench_native.py``), so delegation is invisible to callers:
 the native keys always compute the same product, merely slower.
-
-The symbolic pass is pattern-only and kernel-independent; the registry
-points the native specs at the fused symbolic functions directly.
 """
 
 from __future__ import annotations
@@ -86,10 +87,14 @@ def _backend():
     return None if b is None else b[1]
 
 
-def _compilable(A, B, mask) -> bool:
+def _int64_indices(A, B, mask) -> bool:
     return all(a.dtype == INDEX_DTYPE for a in
                (A.indptr, A.indices, B.indptr, B.indices,
-                mask.indptr, mask.indices)) and \
+                mask.indptr, mask.indices))
+
+
+def _compilable(A, B, mask) -> bool:
+    return _int64_indices(A, B, mask) and \
         A.data.dtype == np.float64 and B.data.dtype == np.float64
 
 
@@ -266,13 +271,46 @@ def hash_numeric_rows_into(A, B, mask, semiring, rows, out_cols, out_vals,
 
 
 # --------------------------------------------------------------------- #
+# symbolic pass (pattern-only, shared by both native keys)
+# --------------------------------------------------------------------- #
+def _symbolic_rows(fused, A, B, mask, rows):
+    rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
+    be = _backend()
+    if (be is None or not _int64_indices(A, B, mask)
+            or B.ncols > MSA_NCOLS_CAP):
+        return fused(A, B, mask, rows)
+    sizes = np.zeros(rows.size, dtype=INDEX_DTYPE)
+    if rows.size == 0:
+        return sizes
+    states = np.zeros(B.ncols, dtype=np.int8)
+    touched = np.empty(B.ncols, dtype=INDEX_DTYPE)
+    be.symbolic(_c(A.indptr), _c(A.indices), _c(B.indptr), _c(B.indices),
+                _c(mask.indptr), _c(mask.indices), rows,
+                int(mask.complemented), sizes, states, touched)
+    return sizes
+
+
+def msa_symbolic_rows(A, B, mask, rows):
+    from ..core import msa_kernel
+
+    return _symbolic_rows(msa_kernel.symbolic_rows, A, B, mask, rows)
+
+
+def hash_symbolic_rows(A, B, mask, rows):
+    from ..core import hash_kernel
+
+    return _symbolic_rows(hash_kernel.symbolic_rows, A, B, mask, rows)
+
+
+# --------------------------------------------------------------------- #
 # probe self-test
 # --------------------------------------------------------------------- #
 def self_test(backend_mod) -> None:
     """Validate one backend end to end on tiny fixtures, bit-exactly against
-    the fused numpy kernels (the probe's correctness gate, à la
-    ``shared_memory_available``'s write/read probe). Also forces JIT /
-    ``dlopen`` so the compile cost lands here, off the request path."""
+    the fused numpy kernels — numeric passes and symbolic row sizes, plain
+    and complemented masks (the probe's correctness gate). Also forces
+    JIT / ``dlopen`` so the compile cost lands here, off the request
+    path."""
     from ..core import hash_kernel, msa_kernel
     from ..mask import Mask
     from ..semiring import MIN_PLUS, PLUS_TIMES
@@ -303,6 +341,13 @@ def self_test(backend_mod) -> None:
     for complemented in (False, True):
         mask = Mask(m_indptr.copy(), np.concatenate(m_cols), (n, n),
                     complemented=complemented)
+        want_sizes = msa_kernel.symbolic_rows(A, A, mask, rows)
+        with mock.patch(f"{__name__}._backend", lambda m=backend_mod: m):
+            got_sizes = (msa_symbolic_rows(A, A, mask, rows),
+                         hash_symbolic_rows(A, A, mask, rows))
+        if not all(np.array_equal(want_sizes, g) for g in got_sizes):
+            raise RuntimeError(f"native self-test symbolic mismatch "
+                               f"(complemented={complemented})")
         for semiring in (PLUS_TIMES, MIN_PLUS):
             want_msa = msa_kernel.numeric_rows(A, A, mask, semiring, rows)
             want_hash = hash_kernel.numeric_rows(A, A, mask, semiring, rows)

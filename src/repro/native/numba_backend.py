@@ -1,7 +1,8 @@
 """numba backend for the compiled kernel tier.
 
 The preferred half of the native ladder (see :mod:`repro.native`): when
-numba is importable, the four inner loops are JIT-compiled with
+numba is importable, the five inner loops (four numeric passes and the
+pattern-only symbolic pass) are JIT-compiled with
 ``nopython=True, nogil=True, cache=True`` — nopython so nothing falls back
 to object mode, nogil so the thread backend in
 :mod:`repro.parallel.runner` gets real parallelism from a plain thread
@@ -274,3 +275,28 @@ def hash_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
         if not validate:
             offsets[r + 1] = pos
     return -1
+
+
+@jit(**_JIT)
+def symbolic(a_indptr, a_indices, b_indptr, b_indices, m_indptr, m_indices,
+             rows, complemented, sizes, states, touched):
+    fresh = 0 if complemented else 1
+    for r in range(rows.size):
+        i = rows[r]
+        ms, me = m_indptr[i], m_indptr[i + 1]
+        for t in range(ms, me):
+            states[m_indices[t]] = 1
+        nt = 0
+        for p in range(a_indptr[i], a_indptr[i + 1]):
+            k = a_indices[p]
+            for q in range(b_indptr[k], b_indptr[k + 1]):
+                j = b_indices[q]
+                if states[j] == fresh:
+                    states[j] = 2
+                    touched[nt] = j
+                    nt += 1
+        sizes[r] = nt
+        for t in range(nt):
+            states[touched[t]] = 0
+        for t in range(ms, me):
+            states[m_indices[t]] = 0

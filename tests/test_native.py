@@ -15,10 +15,16 @@
   as ``RequestStats.kernel_tier``;
 * **threads over the compiled kernels**: the native variant on a
   :class:`~repro.parallel.executor.ThreadExecutor` is bit-identical to the
-  serial fused path, cold and on plan replay.
+  serial fused path, cold and on plan replay;
+* **compiled symbolic pass**: the native specs' row sizes equal the fused
+  symbolic functions' exactly, and a plan they size replays through every
+  degrade rung bit-identically.
 """
 
 from __future__ import annotations
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,13 +34,14 @@ from hypothesis import strategies as st
 from conftest import (assert_bit_identical, fused_table_pick, make_triple,
                       needs_native)
 from repro import native
-from repro.core import build_plan, masked_spgemm
+from repro.core import build_plan, hash_kernel, masked_spgemm, msa_kernel
 from repro.core.reference import reference_masked_spgemm
 from repro.core.registry import (NATIVE_BASE, auto_select,
                                  available_algorithms, get_spec,
                                  native_variant)
 from repro.mask import Mask
 from repro.native import native_available, native_backend_name
+from repro.native.kernels import MSA_NCOLS_CAP
 from repro.parallel.executor import ThreadExecutor
 from repro.parallel.runner import parallel_masked_spgemm
 from repro.resilience import FaultPlan
@@ -147,8 +154,6 @@ class TestBitIdentity:
         """msa's dense scratch cannot scale to huge column counts; past
         MSA_NCOLS_CAP the native face must hand the rows to fused msa
         (which chunks its scratch) and stay bit-identical."""
-        from repro.native.kernels import MSA_NCOLS_CAP
-
         wide = MSA_NCOLS_CAP + 3
         k = 4
         indptr = np.arange(k + 1, dtype=np.int64) * 2
@@ -392,3 +397,148 @@ def test_thread_backend_plan_reuse(rng):
         warm = parallel_masked_spgemm(A, B, mask, algorithm=key, phases=2,
                                       plan=plan, executor=ex)
     assert_bit_identical(warm, first, "warm thread replay")
+
+
+# --------------------------------------------------------------------- #
+# compiled symbolic pass
+# --------------------------------------------------------------------- #
+_FUSED_SYMBOLIC = (msa_kernel, hash_kernel)
+
+
+@contextlib.contextmanager
+def _no_fused_symbolic():
+    """Rig both fused symbolic functions to fail, so row sizes computed
+    inside can only come from the compiled loop."""
+    with mock.patch.object(msa_kernel, "symbolic_rows",
+                           side_effect=AssertionError("delegated")), \
+            mock.patch.object(hash_kernel, "symbolic_rows",
+                              side_effect=AssertionError("delegated")):
+        yield
+
+
+def _without_rows(M, drop):
+    """``M`` with every entry of the rows flagged in ``drop`` removed."""
+    keep = np.repeat(~drop, np.diff(M.indptr))
+    indptr = np.zeros(M.nrows + 1, dtype=np.int64)
+    np.cumsum(np.where(drop, 0, np.diff(M.indptr)), out=indptr[1:])
+    return CSRMatrix(indptr, M.indices[keep], M.data[keep], M.shape)
+
+
+@needs_native
+@given(m=st.integers(1, 40), k=st.integers(1, 40), n=st.integers(0, 40),
+       da=st.floats(0.0, 0.5), dm=st.floats(0.0, 0.6),
+       complemented=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+@pytest.mark.parametrize("alg", NATIVE_KEYS)
+def test_native_symbolic_sizes_match_fused(alg, m, k, n, da, dm,
+                                           complemented, seed):
+    """Compiled row sizes equal the fused symbolic pass's exactly: both
+    mask polarities, empty A rows, empty mask rows, ``ncols == 0``, all
+    rows and a strict ascending subset (the runner's chunk order)."""
+    r = np.random.default_rng(seed)
+    A = _without_rows(csr_random(m, k, density=da, rng=r),
+                      r.random(m) < 0.2)
+    B = csr_random(k, n, density=da, rng=r)
+    M = _without_rows(csr_random(m, n, density=dm, rng=r),
+                      r.random(m) < 0.2)
+    mask = Mask.from_matrix(M, complemented=complemented)
+    fused = get_spec(NATIVE_BASE[alg]).symbolic
+    every = np.arange(m, dtype=np.int64)
+    subset = np.flatnonzero(r.random(m) < 0.5)[: m - 1].astype(np.int64)
+    for rows in (every, subset):
+        want = fused(A, B, mask, rows)
+        with _no_fused_symbolic():
+            got = get_spec(alg).symbolic(A, B, mask, rows)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (alg, complemented, rows)
+
+
+def _assert_symbolic_delegates(alg, fused_mod, A, B, M):
+    rows = np.arange(A.nrows, dtype=np.int64)
+    for complemented in (False, True):
+        mask = Mask.from_matrix(M, complemented=complemented)
+        with mock.patch.object(fused_mod, "symbolic_rows",
+                               wraps=fused_mod.symbolic_rows) as spy:
+            got = get_spec(alg).symbolic(A, B, mask, rows)
+        spy.assert_called_once()
+        assert np.array_equal(got,
+                              msa_kernel.symbolic_rows(A, B, mask, rows))
+
+
+@needs_native
+@pytest.mark.parametrize("alg,fused_mod", zip(NATIVE_KEYS, _FUSED_SYMBOLIC),
+                         ids=NATIVE_KEYS)
+def test_native_symbolic_delegates_past_ncols_cap(rng, alg, fused_mod):
+    """The dense state scratch is capped like MSA's: past MSA_NCOLS_CAP
+    the symbolic face hands the rows to its spec's fused symbolic."""
+    wide = MSA_NCOLS_CAP + 3
+    k = 4
+    B = CSRMatrix(np.arange(k + 1, dtype=np.int64) * 2,
+                  np.array([3, wide - 2] * k, dtype=np.int64),
+                  rng.random(2 * k), (k, wide))
+    A = csr_random(6, k, density=0.7, rng=rng)
+    M = CSRMatrix(np.arange(7, dtype=np.int64),
+                  np.full(6, wide - 2, dtype=np.int64), np.ones(6), (6, wide))
+    _assert_symbolic_delegates(alg, fused_mod, A, B, M)
+
+
+@pytest.mark.parametrize("alg,fused_mod", zip(NATIVE_KEYS, _FUSED_SYMBOLIC),
+                         ids=NATIVE_KEYS)
+def test_native_symbolic_delegates_when_off(rng, native_mode, alg,
+                                            fused_mod):
+    native_mode("off")
+    _assert_symbolic_delegates(alg, fused_mod,
+                               *make_triple(rng, m=30, k=25, n=30))
+
+
+@needs_native
+@pytest.mark.parametrize("alg", NATIVE_KEYS)
+@pytest.mark.parametrize("complemented", [False, True])
+def test_cold_2p_engine_plan_replays_through_every_rung(rng, alg,
+                                                        complemented):
+    """A cold two-phase request sizes its plan with the compiled symbolic
+    pass and matches the reference tier; the cached plan then replays
+    through the fused and msa-loop rungs (forced through the
+    ``engine.kernel`` fault seam) with the same bytes."""
+    A, B, M = make_triple(rng, m=50, k=40, n=45, da=0.1, db=0.1, dm=0.25)
+    mask = Mask.from_matrix(M, complemented=complemented)
+    want = reference_masked_spgemm(A, B, mask, algorithm="msa",
+                                   semiring=PLUS_TIMES)
+    eng = Engine()
+    for name, mat in (("A", A), ("B", B), ("M", M)):
+        eng.register(name, mat)
+    req = Request(a="A", b="B", mask="M", algorithm=alg, phases=2,
+                  complemented=complemented)
+    try:
+        with _no_fused_symbolic():
+            cold = eng.submit(req)
+        assert not cold.stats.plan_cache_hit
+        assert cold.stats.kernel_tier == "native"
+        assert_bit_identical(cold.result, want, f"{alg} cold 2P")
+        for faults, tier in ((1, "fused"), (2, "loop")):
+            eng.faults = FaultPlan([f"engine.kernel:error:{faults}"])
+            resp = eng.submit(req)
+            assert resp.stats.plan_cache_hit
+            assert resp.stats.kernel_tier == tier
+            assert_bit_identical(resp.result, want, f"{alg} {tier} replay")
+    finally:
+        eng.close()
+
+
+@needs_native
+@pytest.mark.parametrize("nworkers", [1, 2, 4])
+@pytest.mark.parametrize("alg", NATIVE_KEYS)
+def test_thread_backend_compiled_symbolic_no_plan(rng, alg, nworkers):
+    """A plan-less two-phase product runs the compiled symbolic pass per
+    chunk on the pool threads, and its sizes drive the direct write."""
+    A, B, M = make_triple(rng, m=90, k=60, n=80, da=0.08, db=0.08)
+    for complemented in (False, True):
+        mask = Mask.from_matrix(M, complemented=complemented)
+        want = reference_masked_spgemm(A, B, mask, algorithm="msa",
+                                       semiring=PLUS_TIMES)
+        with ThreadExecutor(nworkers) as ex, _no_fused_symbolic():
+            got = parallel_masked_spgemm(A, B, mask, algorithm=alg,
+                                         semiring=PLUS_TIMES, phases=2,
+                                         executor=ex)
+        assert_bit_identical(got, want, f"{alg} x{nworkers} "
+                                        f"compl={complemented}")

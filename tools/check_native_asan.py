@@ -1,0 +1,191 @@
+#!/usr/bin/env python
+"""Sanitizer check: the compiled C kernels under ASan + UBSan.
+
+The C kernels in :mod:`repro.native.cffi_backend` are the only
+memory-unsafe code in the repo: they index raw operand and scratch
+buffers with no bounds checks. This check compiles that exact source
+(``C_SOURCE``) with ``-fsanitize=address,undefined`` into a temporary
+directory, loads it through cffi with the same ``C_DECLS``, and runs every
+C entry point — ``msa_plain``, ``msa_compl``, ``hash_plain``,
+``hash_compl`` and ``symbolic`` — through the real faces of
+:mod:`repro.native.kernels` on seeded fixtures. Every output is compared
+bit-identically with the fused NumPy kernels. A sanitizer finding aborts
+the process (``-fno-sanitize-recover=all``), so any error exits non-zero.
+
+The fixtures cover plain and complemented masks, four semirings, empty A
+and mask rows, a zero-column product, row subsets in chunk order, both
+faces (stitch and direct write) and column ids past 2^31 for the hash
+kernels.
+
+An ASan-instrumented library can only load into a process whose first
+loaded library is the ASan runtime. When ``LD_PRELOAD`` does not carry it
+yet, the check re-executes itself with
+``LD_PRELOAD=$(cc -print-file-name=libasan.so)`` and
+``ASAN_OPTIONS=detect_leaks=0`` (the interpreter's own allocations are not
+this check's business).
+
+Run from anywhere: ``python tools/check_native_asan.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+FLAGS = ["-O1", "-g", "-fPIC", "-shared", "-fno-omit-frame-pointer",
+         "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+SEEDS = range(12)
+
+
+def _ensure_asan_preloaded(cc: str) -> None:
+    if "libasan" in os.environ.get("LD_PRELOAD", ""):
+        return
+    runtime = subprocess.run([cc, "-print-file-name=libasan.so"],
+                             check=True, capture_output=True,
+                             text=True).stdout.strip()
+    if not os.path.isabs(runtime):
+        sys.exit(f"{cc} has no ASan runtime (libasan.so); cannot run")
+    env = dict(os.environ, LD_PRELOAD=runtime)
+    env.setdefault("ASAN_OPTIONS", "detect_leaks=0")
+    os.execve(sys.executable, [sys.executable, *sys.argv], env)
+
+
+def build(cc: str, workdir: str):
+    """Compile ``C_SOURCE`` sanitized and load it as the cffi backend."""
+    import cffi
+
+    from repro.native import cffi_backend
+
+    src = os.path.join(workdir, "kernels.c")
+    so = os.path.join(workdir, "kernels_asan.so")
+    with open(src, "w") as fh:
+        fh.write(cffi_backend.C_SOURCE)
+    subprocess.run([cc, *FLAGS, "-o", so, src, "-lm"], check=True)
+    ffi = cffi.FFI()
+    ffi.cdef(cffi_backend.C_DECLS)
+    # the backend's wrappers call load(), which returns the library already
+    # bound here instead of building the unsanitized one
+    cffi_backend._FFI, cffi_backend._LIB = ffi, ffi.dlopen(so)
+    return cffi_backend
+
+
+def _fixtures():
+    import numpy as np
+
+    from repro.mask import Mask
+    from repro.sparse import CSRMatrix, csr_random
+
+    def drop_rows(M, drop):
+        keep = np.repeat(~drop, np.diff(M.indptr))
+        indptr = np.zeros(M.nrows + 1, dtype=np.int64)
+        np.cumsum(np.where(drop, 0, np.diff(M.indptr)), out=indptr[1:])
+        return CSRMatrix(indptr, M.indices[keep], M.data[keep], M.shape)
+
+    for seed in SEEDS:
+        r = np.random.default_rng(seed)
+        m, k = (int(x) for x in r.integers(1, 48, 2))
+        n = 0 if seed == 0 else int(r.integers(1, 64))
+        da, dm = r.uniform(0.02, 0.4), r.uniform(0.0, 0.5)
+        A = drop_rows(csr_random(m, k, density=da, rng=r,
+                                 values="uniform"), r.random(m) < 0.2)
+        B = csr_random(k, n, density=da, rng=r, values="uniform")
+        M = drop_rows(csr_random(m, n, density=dm, rng=r),
+                      r.random(m) < 0.2)
+        rows = np.flatnonzero(r.random(m) < 0.6).astype(np.int64)
+        for complemented in (False, True):
+            yield (f"seed={seed} compl={complemented}", A, B,
+                   Mask.from_matrix(M, complemented=complemented),
+                   (np.arange(m, dtype=np.int64), rows), True)
+
+    # column ids past 2**31 (hash kernels only: MSA's dense scratch and the
+    # symbolic face delegate at this width)
+    r = np.random.default_rng(99)
+    wide, k = 2**31 + 64, 6
+    B = CSRMatrix(np.arange(k + 1, dtype=np.int64) * 3,
+                  np.array([7, 2**31 - 1, 2**31 + 5] * k, dtype=np.int64),
+                  r.random(3 * k), (k, wide))
+    A = csr_random(8, k, density=0.6, rng=r, values="uniform")
+    M = CSRMatrix(np.arange(9, dtype=np.int64) * 2,
+                  np.array([2**31 - 1, 2**31 + 5] * 8, dtype=np.int64),
+                  np.ones(16), (8, wide))
+    for complemented in (False, True):
+        yield (f"wide compl={complemented}", A, B,
+               Mask.from_matrix(M, complemented=complemented),
+               (np.arange(8, dtype=np.int64),), False)
+
+
+def check(backend) -> int:
+    """Run every entry point against the fused kernels; returns the number
+    of (fixture, face) comparisons made."""
+    import numpy as np
+
+    from repro.core import hash_kernel, msa_kernel
+    from repro.native import kernels
+    from repro.semiring import MAX_TIMES, MIN_PLUS, PLUS_PAIR, PLUS_TIMES
+
+    faces = (("msa", msa_kernel, kernels.msa_numeric_rows,
+              kernels.msa_numeric_rows_into),
+             ("hash", hash_kernel, kernels.hash_numeric_rows,
+              kernels.hash_numeric_rows_into))
+    checked = 0
+
+    def expect(ok, what):
+        if not ok:
+            sys.exit(f"MISMATCH: {what}")
+
+    with mock.patch.object(kernels, "_backend", return_value=backend):
+        for name, A, B, mask, row_sets, dense_ok in _fixtures():
+            for rows in row_sets:
+                want = msa_kernel.symbolic_rows(A, B, mask, rows)
+                for sym in (kernels.msa_symbolic_rows,
+                            kernels.hash_symbolic_rows):
+                    expect(np.array_equal(sym(A, B, mask, rows), want),
+                           f"{sym.__name__} {name}")
+                    checked += 1
+                for semiring in (PLUS_TIMES, MIN_PLUS, MAX_TIMES, PLUS_PAIR):
+                    for kname, fused, stitch, into in faces:
+                        if kname == "msa" and not dense_ok:
+                            continue
+                        what = f"{kname} {semiring.name} {name}"
+                        ref = fused.numeric_rows(A, B, mask, semiring, rows)
+                        got = stitch(A, B, mask, semiring, rows)
+                        expect(np.array_equal(got.sizes, ref.sizes)
+                               and np.array_equal(got.cols, ref.cols)
+                               and np.array_equal(got.vals, ref.vals),
+                               f"stitch {what}")
+                        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+                        np.cumsum(ref.sizes, out=offsets[1:])
+                        cols = np.empty(int(offsets[-1]), dtype=np.int64)
+                        vals = np.empty(int(offsets[-1]), dtype=np.float64)
+                        into(A, B, mask, semiring, rows, cols, vals, offsets)
+                        expect(np.array_equal(cols, ref.cols)
+                               and np.array_equal(vals, ref.vals),
+                               f"direct write {what}")
+                        checked += 2
+    return checked
+
+
+def main() -> None:
+    from repro.native import cffi_backend
+
+    cc = cffi_backend._compiler()
+    if cc is None:
+        sys.exit("no C compiler on PATH; cannot build the sanitized kernels")
+    _ensure_asan_preloaded(cc)
+    with tempfile.TemporaryDirectory(prefix="repro-asan-") as workdir:
+        backend = build(cc, workdir)
+        checked = check(backend)
+    print(f"check_native_asan: {checked} comparisons over 5 C entry points "
+          f"bit-identical to the fused kernels under "
+          f"-fsanitize=address,undefined; no sanitizer error")
+
+
+if __name__ == "__main__":
+    main()
