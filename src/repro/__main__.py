@@ -10,8 +10,7 @@ Examples
     python -m repro bc graph.mtx --batch 64
     python -m repro spgemm A.mtx B.mtx --mask M.mtx --algorithm auto -o C.mtx
     python -m repro serve workload.json --workers 2  # replay a workload spec
-    python -m repro serve workload.json --plans plans.npz  # warm restarts
-    python -m repro serve --smoke        # CI smoke: warm serving + restart
+    python -m repro serve --smoke        # CI smoke: warm serving gate
     python -m repro serve workload.json --metrics-port 9100  # live /metrics
     python -m repro serve --smoke --chaos  # CI chaos: inject kernel faults
     python -m repro serve --smoke --slo p99=50ms:0.99  # burn-rate SLO gate
@@ -197,7 +196,7 @@ def _serve_once(spec, args, *, engine):
     AsyncServer, and return (responses, failures, server, wall seconds).
 
     Failures are isolated per request (a bad request must not discard its
-    stream-mates' responses, nor the warm plans the stream built)."""
+    stream-mates' responses)."""
     import asyncio
 
     from .service import AsyncServer, expand_requests, register_matrices
@@ -239,8 +238,7 @@ _CHAOS_DEFAULT = "engine.kernel:error:2"
 def cmd_serve(args) -> int:
     import json
 
-    from .service import (Engine, PlanStoreError, load_workload,
-                          render_serve_report)
+    from .service import Engine, load_workload, render_serve_report
 
     if args.smoke:
         spec = _SMOKE_SPEC
@@ -288,14 +286,6 @@ def cmd_serve(args) -> int:
         print(f"observability: {obs.url}/metrics  {obs.url}/slo  "
               f"{obs.url}/trace/<request_id>.json  {obs.url}/debug/bundles")
     try:
-        if args.plans:
-            try:
-                n = engine.load_plans(args.plans)
-                print(f"warm start: restored {n} plans from {args.plans}")
-            except PlanStoreError:
-                print(f"cold start: no usable plan store at {args.plans} "
-                      f"(will be written on shutdown)")
-
         responses, failures, server, seconds = _serve_once(spec, args,
                                                            engine=engine)
         print(render_serve_report(engine, server, responses, seconds))
@@ -303,12 +293,6 @@ def cmd_serve(args) -> int:
             print(f"FAILED request {tag!r}: {type(exc).__name__}: {exc}")
         if len(failures) > 5:
             print(f"... and {len(failures) - 5} more failures")
-
-        # persist even after partial failure: the successful requests' warm
-        # plans are exactly what the next start should not have to rebuild
-        if args.plans:
-            n = engine.save_plans(args.plans)
-            print(f"persisted {n} plans to {args.plans}")
 
         if args.smoke:
             return _check_smoke(engine, server, responses, args, obs=obs,
@@ -324,19 +308,13 @@ def _check_smoke(engine, server, responses, args, obs=None,
                  failures=()) -> int:
     """CI gate: the repeated-mask smoke stream must serve warm — via a plan
     hit, a result hit, or by coalescing onto an identical in-flight request
-    (strictly cheaper than warm: no execution at all) — and a restarted
-    engine restored from the persisted plans must never miss. With
+    (strictly cheaper than warm: no execution at all). With
     ``--metrics-port`` the gate also requires a live, parseable ``/metrics``
     with non-zero request counters and a Chrome-trace export for a served
     request. With ``--chaos`` the gate additionally requires that the
     injected faults actually fired, every request still completed with the
     bit-identical fault-free answer, the degrade ladder was observed in
     ``repro_degraded_total``, and the degrade captured a flight bundle."""
-    import tempfile
-    from pathlib import Path
-
-    from .service import Engine
-
     n = len(responses)
     warm = sum(1 for r in responses
                if r.stats.plan_cache_hit or r.stats.result_cache_hit
@@ -363,32 +341,10 @@ def _check_smoke(engine, server, responses, args, obs=None,
         print("smoke kernel tiers: "
               + ", ".join(f"{t}={c}" for t, c in tiers.items()))
 
-    # restart leg: persist plans, restore into a fresh engine (result cache
-    # off so every request exercises the plan path), expect zero misses
-    with tempfile.TemporaryDirectory() as tmp:
-        plan_path = Path(tmp) / "plans.npz"
-        saved = engine.save_plans(plan_path)
-        # reuse the (spent) fault plan so a chaos run's restart leg does
-        # not re-arm $REPRO_FAULTS via FaultPlan.from_env()
-        restarted = Engine(faults=engine.faults)
-        try:
-            restored = restarted.load_plans(plan_path)
-            responses2, _, _, _ = _serve_once(_SMOKE_SPEC, args,
-                                              engine=restarted)
-        finally:
-            restarted.close()
-    misses = restarted.stats.plan_misses
-    executed2 = sum(1 for r in responses2 if not r.stats.coalesced)
-    ok2 = (restored == saved and misses == 0
-           and restarted.stats.plan_hits == executed2)
-    print(f"smoke restart: {restored} plans restored, "
-          f"{restarted.stats.plan_hits} hits / {misses} misses after warm "
-          f"start → {'PASS' if ok2 else 'FAIL'}")
     ok_chaos = True
     if getattr(args, "chaos", False):
         ok_chaos = _check_chaos_smoke(engine, responses, failures)
-    return (0 if ok and ok2 and ok_chaos and ok_obs and ok_slo and ok_bundle
-            else 1)
+    return 0 if ok and ok_chaos and ok_obs and ok_slo and ok_bundle else 1
 
 
 def _check_chaos_smoke(engine, responses, failures) -> bool:
@@ -786,11 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser(
         "serve",
         help="serve a JSON workload through the async front end "
-             "(admission + backpressure + plan/result caches + persistence)")
+             "(admission + backpressure + plan/result caches)")
     _add_pool_flags(sv)
-    sv.add_argument("--plans", metavar="PLANS.npz",
-                    help="plan store path: restored at startup (if present), "
-                         "persisted at shutdown")
     sv.add_argument("--result-cache-mb", type=float, default=256,
                     help="result-cache budget in MiB (0 disables the tier)")
     sv.add_argument("--metrics-port", type=int, default=None, metavar="PORT",

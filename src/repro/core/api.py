@@ -4,8 +4,10 @@
 
 * **algorithm** — ``msa | hash | mca | heap | heapdot | inner`` (the paper's
   kernels), ``esc`` (chunk-fused expand-sort-compress), the baselines
-  ``saxpy | saxpy-scipy | dot`` (SS:GB stand-ins), or ``auto`` (Fig.
-  7-derived density heuristic, routing short-row regimes to ``esc``);
+  ``saxpy | saxpy-scipy | dot`` (SS:GB stand-ins), or ``auto``
+  (native-first: the compiled ``msa-native``/``hash-native`` when they can
+  run the product, else a Fig. 7-derived density heuristic over the fused
+  kernels; see :func:`repro.core.registry.auto_select`);
 * **phases** — 1 (one-phase) or 2 (symbolic + numeric, paper §6);
 * **tier** — ``vectorized`` (numpy kernels) or ``reference`` (pure-Python,
   faithful to the pseudocode);
@@ -58,8 +60,9 @@ def masked_spgemm(
         mask" (the full complemented-empty mask), i.e. plain SpGEMM through
         the masked machinery.
     algorithm : str
-        Kernel or baseline name (see module docstring). ``auto`` picks by
-        mask/input density, the paper's hybrid-dispatch future-work idea.
+        Kernel or baseline name (see module docstring). ``auto`` picks the
+        compiled kernel when it is eligible; only otherwise does it pick by
+        mask/input density (the paper's hybrid-dispatch future-work idea).
     phases : int
         1 = one-phase (numeric only, upper-bound temp buffers);
         2 = two-phase (symbolic pass computes the exact output pattern size
@@ -88,8 +91,8 @@ def masked_spgemm(
         with known row sizes (cached or freshly computed) and a chunk-fused
         kernel run the *direct-write* numeric pass: the output CSR arrays are
         preallocated from the row sizes and chunks scatter into disjoint
-        slices with zero stitch copies (process executors keep the stitch
-        path — children cannot write parent memory).
+        slices with zero stitch copies. Kernels without a direct-write
+        numeric pass keep the stitch path.
 
     Returns
     -------

@@ -64,37 +64,6 @@ class SymbolicPlan:
                 f"got {tuple(out_shape)}"
             )
 
-    # -- persistence ---------------------------------------------------- #
-    def to_record(self) -> tuple[dict, np.ndarray | None]:
-        """Split the plan into JSON-able metadata + its (optional) row-size
-        array — the two halves an ``.npz``-backed store can persist. The
-        inverse is :meth:`from_record`; :class:`repro.service.PlanStore`
-        is the consumer."""
-        meta = {"algorithm": self.algorithm, "phases": int(self.phases),
-                "shape": [int(self.shape[0]), int(self.shape[1])]}
-        return meta, self.row_sizes
-
-    @classmethod
-    def from_record(cls, meta: dict,
-                    row_sizes: np.ndarray | None) -> "SymbolicPlan":
-        """Rebuild a plan persisted via :meth:`to_record`, re-validating the
-        invariants serialization cannot enforce (a 2P plan must carry row
-        sizes matching its output row count)."""
-        phases = int(meta["phases"])
-        shape = (int(meta["shape"][0]), int(meta["shape"][1]))
-        if phases == 2:
-            if row_sizes is None or len(row_sizes) != shape[0]:
-                raise AlgorithmError(
-                    f"persisted two-phase plan for shape {shape} carries "
-                    f"{'no' if row_sizes is None else len(row_sizes)} row "
-                    f"sizes; expected {shape[0]}"
-                )
-            row_sizes = np.ascontiguousarray(row_sizes, dtype=INDEX_DTYPE)
-        else:
-            row_sizes = None
-        return cls(algorithm=str(meta["algorithm"]), phases=phases,
-                   shape=shape, row_sizes=row_sizes)
-
 
 def build_plan(A: CSRMatrix, B: CSRMatrix, mask: Mask, *,
                algorithm: str = "auto", phases: int = 1,

@@ -15,8 +15,6 @@ once and amortized. This package is that amortization layer:
 * :class:`ResultCache` — byte-accounted LRU memoizing *whole numeric
   results* keyed on (pattern fingerprints, value hashes) — the tier in
   front of the plan cache;
-* :class:`PlanStore` — ``.npz`` persistence for cached plans, so engine
-  warm starts survive restarts (``Engine.save_plans`` / ``load_plans``);
 * :class:`Engine` — resolves requests against the store, serves results
   and plans from the caches (warm requests skip auto-select *and* the
   symbolic pass; result hits skip everything), and records
@@ -50,7 +48,7 @@ Quickstart::
 
 from ..delta import DeltaBatch, DeltaError, DeltaOutcome
 from .engine import Engine, EngineStats
-from .plan import PlanCache, PlanStore, PlanStoreError, plan_key
+from .plan import PlanCache, plan_key
 from .requests import Request, RequestStats, Response
 from .result_cache import ResultCache, result_key
 from .server import AsyncServer, ServerClosed, ServerError, ServerStats, serve_all
@@ -69,8 +67,6 @@ __all__ = [
     "StoreError",
     "matrix_nbytes",
     "PlanCache",
-    "PlanStore",
-    "PlanStoreError",
     "plan_key",
     "ResultCache",
     "result_key",

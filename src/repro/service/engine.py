@@ -27,12 +27,6 @@ Execution of one request:
    stitch copies, the computed sizes validated against the plan so a stale
    plan fails loudly instead of silently corrupting output.
 
-Warm plans can also outlive the process: :meth:`Engine.save_plans` persists
-the plan cache through :class:`~repro.service.plan.PlanStore` and
-:meth:`Engine.load_plans` restores it, so a restarted service starts with
-every previously-seen pattern already planned (``python -m repro serve
---plans``).
-
 The engine is thread-safe (one lock around store/cache metadata; numeric
 work runs outside it), which is what lets each
 :class:`~repro.service.server.AsyncServer` worker run its own request
@@ -65,7 +59,7 @@ from ..semiring import Semiring
 from ..semiring.standard import by_name as semiring_by_name
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import pattern_fingerprint, value_fingerprint
-from .plan import PlanCache, PlanStore, plan_key
+from .plan import PlanCache, plan_key
 from .requests import Request, RequestStats, Response
 from .result_cache import ResultCache, result_key
 from .store import MatrixStore, StoreError
@@ -764,28 +758,3 @@ class Engine:
         if self.flight is not None:
             self.flight.note_request(stats.as_summary())
         return Response(result=result, stats=stats, tag=tag, request=request)
-
-    # ------------------------------------------------------------------ #
-    # plan persistence
-    # ------------------------------------------------------------------ #
-    def save_plans(self, path) -> int:
-        """Persist every cached plan to an ``.npz`` plan store at ``path``.
-
-        Returns the number of plans written. The file is keyed purely on
-        content fingerprints, so any engine (this process or a future one)
-        whose operands hash identically can :meth:`load_plans` it.
-        """
-        with self._lock:
-            items = self.plans.items()
-        return PlanStore(path).save(items)
-
-    def load_plans(self, path) -> int:
-        """Warm-start the plan cache from a persisted store; returns the
-        number of plans restored. Restored plans behave exactly like locally
-        built ones: the first matching request is already a hit and skips
-        auto-select and (for 2P) the whole symbolic pass."""
-        loaded = PlanStore(path).load()
-        with self._lock:
-            for key, plan in loaded:
-                self.plans.put(key, plan)
-        return len(loaded)

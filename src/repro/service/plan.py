@@ -1,4 +1,4 @@
-"""Plan cache + plan store: memoization and persistence of symbolic plans.
+"""Plan cache: in-process memoization of symbolic plans.
 
 The cache key is the full structural identity of a request:
 
@@ -15,34 +15,22 @@ Entries are LRU-evicted past ``capacity``. Hit/miss/eviction accounting
 lives on :mod:`repro.obs` registry counters
 (``repro_cache_requests_total{cache="plan",outcome=...}``); the ``hits`` /
 ``misses`` / ``evictions`` attributes are read-only views over those
-counters, kept for compatibility. A standalone cache owns a private
-registry; the engine re-homes it onto the shared one via
-:meth:`PlanCache.bind_metrics`.
+counters (``hits`` is what ``ktruss`` and ``mcl`` report). A standalone
+cache owns a private registry; the engine re-homes it onto the shared one
+via :meth:`PlanCache.bind_metrics`.
 
-:class:`PlanStore` is the persistence side: it serializes a plan cache's
-``(key, SymbolicPlan)`` pairs — fingerprints and row-size arrays — into one
-``.npz`` file, so an engine restart restores its warm plans instead of
-re-running every symbolic pass (``Engine.save_plans`` / ``Engine.load_plans``,
-wired into ``python -m repro serve --plans``). Keys are content fingerprints,
-never object identities, which is what makes the file valid across processes
-and hosts: any engine whose operands hash the same can reuse it.
+Plans live only as long as the process: the symbolic pass a plan saves
+runs once per distinct pattern per process, which is cheap next to the
+numeric work of a request stream (``docs/BENCHMARKS.md``, "Plan
+persistence retirement").
 """
 
 from __future__ import annotations
 
-import json
-import os
-import warnings
-import zipfile
-import zlib
 from collections import OrderedDict
-from pathlib import Path
-
-import numpy as np
 
 from ..bench.metrics import hit_rate
 from ..core.plan import SymbolicPlan
-from ..errors import ReproError
 
 #: cache key tuple — see module docstring for field order
 PlanKey = tuple
@@ -108,7 +96,7 @@ class PlanCache:
             self._plans.popitem(last=False)
             self._evict_counter.inc(cache=self.METRICS_LABEL)
 
-    # -- registry-derived counters (deprecated fields, kept as views) ---- #
+    # -- read-only views over the registry counters ------------------- #
     @property
     def hits(self) -> int:
         return int(self._requests.value(cache=self.METRICS_LABEL,
@@ -123,16 +111,8 @@ class PlanCache:
     def evictions(self) -> int:
         return int(self._evict_counter.value(cache=self.METRICS_LABEL))
 
-    def invalidate(self, key: PlanKey) -> bool:
-        return self._plans.pop(key, None) is not None
-
     def clear(self) -> None:
         self._plans.clear()
-
-    def items(self) -> list[tuple[PlanKey, SymbolicPlan]]:
-        """Snapshot of (key, plan) pairs, least-recently-used first — so
-        replaying the list through :meth:`put` reproduces the LRU order."""
-        return list(self._plans.items())
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -147,105 +127,3 @@ class PlanCache:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<PlanCache {len(self._plans)}/{self.capacity} plans, "
                 f"{self.hits} hits / {self.misses} misses>")
-
-
-# ---------------------------------------------------------------------- #
-# persistence
-# ---------------------------------------------------------------------- #
-class PlanStoreError(ReproError):
-    """A plan file is missing, malformed, or from an unknown schema."""
-
-
-#: on-disk schema tag; bump when the record layout changes
-PLAN_STORE_SCHEMA = "repro-plan-store-v1"
-
-#: plan_key arity + per-field coercers (see module docstring for field order)
-_KEY_FIELDS = (str, str, str, bool, str, int, str)
-
-
-class PlanStore:
-    """``.npz``-backed persistence for ``(plan key, SymbolicPlan)`` pairs.
-
-    Layout: one ``manifest`` array (UTF-8 JSON bytes: schema tag + per-plan
-    key fields and metadata) plus one ``rows_<i>`` int array per two-phase
-    plan. Everything is plain numpy — ``allow_pickle`` stays False on load,
-    so a plan file can never execute code.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-
-    def save(self, plans: list[tuple[PlanKey, SymbolicPlan]]) -> int:
-        """Write the pairs; returns how many were persisted."""
-        manifest = []
-        arrays: dict[str, np.ndarray] = {}
-        for i, (key, plan) in enumerate(plans):
-            meta, row_sizes = plan.to_record()
-            manifest.append({"key": list(key), **meta})
-            if row_sizes is not None:
-                arrays[f"rows_{i}"] = row_sizes
-        doc = {"schema": PLAN_STORE_SCHEMA, "plans": manifest}
-        arrays["manifest"] = np.frombuffer(
-            json.dumps(doc).encode("utf-8"), dtype=np.uint8)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # atomic replace: a crash mid-write must not destroy the previous
-        # good store (and savez appends ".npz" to bare paths, so write the
-        # exact name via a file object)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        try:
-            with open(tmp, "wb") as f:
-                np.savez_compressed(f, **arrays)
-            os.replace(tmp, self.path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        return len(manifest)
-
-    def load(self) -> list[tuple[PlanKey, SymbolicPlan]]:
-        """Read back the pairs (LRU order preserved from :meth:`save`).
-
-        Tolerant per entry: a record that cannot be restored — malformed
-        key, truncated or undecompressable row-size array — is skipped
-        with a :class:`RuntimeWarning` and the rest of the store still
-        loads, so one bad entry costs one cold plan instead of the whole
-        warm start. Whole-file damage (unreadable zip, missing/garbled
-        manifest, unknown schema) still raises :class:`PlanStoreError`:
-        there is nothing partial worth salvaging then.
-        """
-        if not self.path.exists():
-            raise PlanStoreError(f"no plan store at {self.path}")
-        try:
-            with np.load(self.path, allow_pickle=False) as z:
-                doc = json.loads(bytes(z["manifest"]))
-                if doc.get("schema") != PLAN_STORE_SCHEMA:
-                    raise PlanStoreError(
-                        f"{self.path}: unknown plan-store schema "
-                        f"{doc.get('schema')!r} (expected {PLAN_STORE_SCHEMA})"
-                    )
-                out = []
-                for i, m in enumerate(doc["plans"]):
-                    try:
-                        raw = m.get("key", [])
-                        if len(raw) != len(_KEY_FIELDS):
-                            raise ValueError(
-                                f"key has {len(raw)} fields, "
-                                f"expected {len(_KEY_FIELDS)}")
-                        key = tuple(coerce(v) for coerce, v
-                                    in zip(_KEY_FIELDS, raw))
-                        rows = (z[f"rows_{i}"]
-                                if f"rows_{i}" in z.files else None)
-                        out.append((key, SymbolicPlan.from_record(m, rows)))
-                    except (KeyError, ValueError, TypeError, OSError,
-                            zipfile.BadZipFile, zlib.error,
-                            ReproError) as e:
-                        warnings.warn(
-                            f"{self.path}: skipping corrupt plan entry "
-                            f"{i}: {e}", RuntimeWarning, stacklevel=2)
-                return out
-        except PlanStoreError:
-            raise
-        except (OSError, KeyError, ValueError, json.JSONDecodeError,
-                zipfile.BadZipFile, zlib.error) as e:
-            # BadZipFile: a save killed mid-write before atomic replace
-            # existed, or outside tampering — either way a cold start, not
-            # a crash
-            raise PlanStoreError(f"corrupt plan store {self.path}: {e}") from e

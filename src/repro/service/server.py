@@ -32,8 +32,7 @@
   reason to unless fingerprint hashing itself must be avoided);
 * **graceful shutdown** — :meth:`AsyncServer.close` stops admission
   (subsequent submits raise :class:`ServerClosed`), drains every queued
-  request, and joins the workers. Pair with ``Engine.save_plans`` for warm
-  restarts.
+  request, and joins the workers.
 
 Per-request telemetry rides the normal
 :class:`~repro.service.requests.RequestStats` (the server fills

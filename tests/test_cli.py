@@ -127,50 +127,28 @@ def test_serve_workload(tmp_path, capsys):
 
 
 def test_serve_smoke(capsys):
-    """`python -m repro serve --smoke` — the CI gate: warm serving plus the
-    persist/restore restart leg, both asserted by the command itself."""
+    """`python -m repro serve --smoke` — the CI gate: warm serving, asserted
+    by the command itself."""
     rc, out = run(["serve", "--smoke"], capsys)
     assert rc == 0
     assert "smoke:" in out and "PASS" in out and "FAIL" not in out
-    assert "smoke restart:" in out
     assert "cache tiers:" in out
 
 
-def test_serve_workload_with_plan_persistence(tmp_path, capsys):
-    """serve twice with --plans: the second process must warm-start (restore
-    plans, zero cold plans with the result cache disabled)."""
-    import json
-
-    wl = {
-        "matrices": {
-            "G": {"generator": "er", "n": 60, "degree": 6, "seed": 0,
-                  "prep": "pattern"},
-        },
-        "requests": [
-            {"a": "G", "b": "G", "mask": "G", "algorithm": "msa",
-             "semiring": "plus_pair", "phases": 2, "repeat": 4, "tag": "tc"},
-        ],
-    }
-    p = tmp_path / "workload.json"
-    p.write_text(json.dumps(wl))
-    plans = tmp_path / "plans.npz"
-
-    rc, out = run(["serve", str(p), "--plans", str(plans),
-                   "--result-cache-mb", "0"], capsys)
-    assert rc == 0
-    assert "cold start" in out and "persisted 1 plans" in out
-    assert "1 cold plans" in out and plans.exists()
-
-    rc, out = run(["serve", str(p), "--plans", str(plans),
-                   "--result-cache-mb", "0"], capsys)
-    assert rc == 0
-    assert "restored 1 plans" in out
-    assert "0 cold plans (100% warm)" in out
+def test_serve_rejects_removed_plans_flag(tmp_path, capsys):
+    """Plans are not persisted across restarts, so `serve --plans` is an
+    argparse usage error rather than a silently ignored option."""
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--smoke", "--plans", str(tmp_path / "p.npz")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --plans" in err
+    assert not (tmp_path / "p.npz").exists()
 
 
-def test_serve_partial_failure_still_persists_plans(tmp_path, capsys):
-    """A failing request must not discard its stream-mates' responses or
-    the warm plans: the CLI reports it, persists, and exits nonzero."""
+def test_serve_partial_failure_reports_good_responses(tmp_path, capsys):
+    """A failing request must not discard its stream-mates' responses: the
+    CLI reports the failure and the good responses, and exits nonzero."""
     import json
 
     wl = {
@@ -187,12 +165,10 @@ def test_serve_partial_failure_still_persists_plans(tmp_path, capsys):
     }
     p = tmp_path / "workload.json"
     p.write_text(json.dumps(wl))
-    plans = tmp_path / "plans.npz"
-    rc, out = run(["serve", str(p), "--plans", str(plans)], capsys)
+    rc, out = run(["serve", str(p)], capsys)
     assert rc == 1
     assert "FAILED request 'boom'" in out and "ShapeError" in out
     assert out.count("\n ok") == 3  # the good responses still reported
-    assert plans.exists() and "persisted 1 plans" in out
 
 
 def test_serve_missing_workload_errors(capsys):

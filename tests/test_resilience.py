@@ -14,12 +14,10 @@ deadlines, deterministically:
   enforcement stage) and attribute a coalesced follower's expiry to the
   follower, not the primary;
 * ``AsyncServer.close()`` during injected failures leaves no stranded
-  futures;
-* the PlanStore warm start survives corrupt entries.
+  futures.
 """
 
 import asyncio
-import json
 import os
 import subprocess
 import sys
@@ -44,10 +42,8 @@ from repro.resilience import (
     apply_fault,
     resolve_deadline,
 )
-from repro.service import AsyncServer, Engine, PlanStore, Request
+from repro.service import AsyncServer, Engine, Request
 from repro.service.engine import kernel_tier
-from repro.service.plan import plan_key
-from repro.core.plan import build_plan
 from repro.core.reference import reference_masked_spgemm
 
 
@@ -178,39 +174,6 @@ def test_resolve_deadline_prefers_server_stamp():
 def test_request_deadline_ms_roundtrips_from_dict():
     req = Request.from_dict({"a": "A", "b": "B", "deadline_ms": 250})
     assert req.deadline_ms == 250
-
-
-# ---------------------------------------------------------------------- #
-# tolerant plan-store warm start
-# ---------------------------------------------------------------------- #
-def test_plan_store_skips_corrupt_entry(rng, tmp_path):
-    A, B, M = make_triple(rng, m=25, k=20, n=25)
-    mask = Mask.from_matrix(M)
-    pairs = []
-    for alg in ("msa", "hash"):
-        plan = build_plan(A, B, mask, algorithm=alg, phases=2)
-        key = plan_key("afp", "bfp", "mfp", False, alg, 2, "plus_times")
-        pairs.append((key, plan))
-    path = tmp_path / "plans.npz"
-    store = PlanStore(path)
-    assert store.save(pairs) == 2
-
-    # mangle entry 0's key in place (wrong arity) — entry 1 must survive
-    with np.load(path, allow_pickle=False) as z:
-        arrays = {name: z[name] for name in z.files}
-        doc = json.loads(bytes(arrays.pop("manifest")))
-    doc["plans"][0]["key"] = ["broken"]
-    arrays["manifest"] = np.frombuffer(json.dumps(doc).encode(),
-                                       dtype=np.uint8)
-    with open(path, "wb") as f:
-        np.savez_compressed(f, **arrays)
-
-    with pytest.warns(RuntimeWarning, match="skipping corrupt plan entry 0"):
-        restored = store.load()
-    assert len(restored) == 1
-    key, plan = restored[0]
-    assert key[4] == "hash"
-    assert np.array_equal(plan.row_sizes, pairs[1][1].row_sizes)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,21 +1,17 @@
-"""Tests for the async serving front end, the result-cache tier, and plan
-persistence (repro.service.server / result_cache / PlanStore)."""
+"""Tests for the async serving front end and the result-cache tier
+(repro.service.server / result_cache)."""
 
 import asyncio
-import json
 
 import numpy as np
 import pytest
 
 from conftest import assert_masked_product_correct, make_triple
-from repro.core.plan import SymbolicPlan, build_plan
 from repro.errors import ShapeError
 from repro.mask import Mask
 from repro.service import (
     AsyncServer,
     Engine,
-    PlanStore,
-    PlanStoreError,
     Request,
     ResultCache,
     ServerClosed,
@@ -173,145 +169,6 @@ def test_engine_multiply_bypasses_result_cache(cached_engine):
     resp = eng.multiply(A, B, M, phases=2)
     assert not resp.stats.result_cache_hit and resp.stats.plan_cache_hit
     assert len(eng.results) == 0
-
-
-# ---------------------------------------------------------------------- #
-# plan persistence
-# ---------------------------------------------------------------------- #
-def test_symbolic_plan_record_roundtrip(rng):
-    A, B, M = make_triple(rng)
-    plan = build_plan(A, B, Mask.from_matrix(M), algorithm="auto", phases=2)
-    meta, rows = plan.to_record()
-    back = SymbolicPlan.from_record(json.loads(json.dumps(meta)), rows)
-    assert back.algorithm == plan.algorithm and back.phases == 2
-    assert back.shape == plan.shape
-    assert np.array_equal(back.row_sizes, plan.row_sizes)
-
-
-def test_symbolic_plan_record_rejects_missing_rows():
-    from repro.errors import AlgorithmError
-
-    meta = {"algorithm": "msa", "phases": 2, "shape": [4, 4]}
-    with pytest.raises(AlgorithmError, match="row"):
-        SymbolicPlan.from_record(meta, None)
-
-
-def test_plan_store_roundtrip_preserves_keys_and_sizes(tmp_path, rng):
-    A, B, M = make_triple(rng)
-    eng = Engine()
-    eng.register("A", A)
-    eng.register("B", B)
-    eng.register("M", M)
-    eng.submit(Request(a="A", b="B", mask="M", phases=2))
-    eng.submit(Request(a="A", b="B", mask="M", phases=1, algorithm="hash"))
-    path = tmp_path / "plans.npz"
-    assert eng.save_plans(path) == 2
-    loaded = dict(PlanStore(path).load())
-    assert set(loaded) == set(k for k, _ in eng.plans.items())
-    for key, plan in eng.plans.items():
-        got = loaded[key]
-        assert got.algorithm == plan.algorithm
-        assert got.phases == plan.phases and got.shape == plan.shape
-        if plan.row_sizes is None:
-            assert got.row_sizes is None
-        else:
-            assert np.array_equal(got.row_sizes, plan.row_sizes)
-
-
-def test_plan_store_missing_and_corrupt(tmp_path):
-    with pytest.raises(PlanStoreError, match="no plan store"):
-        PlanStore(tmp_path / "absent.npz").load()
-    bad = tmp_path / "bad.npz"
-    bad.write_bytes(b"not a zipfile")
-    with pytest.raises(PlanStoreError, match="corrupt"):
-        PlanStore(bad).load()
-
-
-def test_plan_store_truncated_file_is_cold_start_not_crash(tmp_path, rng):
-    """A save killed mid-write (valid zip prefix, truncated tail) must
-    surface as PlanStoreError — the CLI's cold-start path — not BadZipFile.
-    And a failed re-save must not destroy an existing good store."""
-    A, B, M = make_triple(rng)
-    eng = Engine()
-    eng.register("A", A)
-    eng.register("B", B)
-    eng.register("M", M)
-    eng.submit(Request(a="A", b="B", mask="M", phases=2))
-    path = tmp_path / "plans.npz"
-    eng.save_plans(path)
-    intact = path.read_bytes()
-    path.write_bytes(intact[: len(intact) // 2])  # simulate the kill
-    with pytest.raises(PlanStoreError, match="corrupt"):
-        PlanStore(path).load()
-    # atomic save: writing again fully replaces the truncated file
-    eng.save_plans(path)
-    assert len(PlanStore(path).load()) == 1
-    assert not path.with_name(path.name + ".tmp").exists()
-
-
-def test_plan_store_schema_mismatch(tmp_path):
-    import numpy as np
-
-    path = tmp_path / "other.npz"
-    doc = json.dumps({"schema": "something-else", "plans": []})
-    with open(path, "wb") as f:
-        np.savez(f, manifest=np.frombuffer(doc.encode(), dtype=np.uint8))
-    with pytest.raises(PlanStoreError, match="schema"):
-        PlanStore(path).load()
-
-
-def test_engine_restart_serves_warm_with_zero_symbolic_work(
-        tmp_path, rng, monkeypatch):
-    """The ISSUE acceptance behavior: persist plans, kill the engine,
-    restore into a fresh one, and every repeated-mask request must hit the
-    restored plan — build_plan never runs, no row sizes are recomputed."""
-    import repro.service.engine as engine_mod
-
-    A, B, M = make_triple(rng)
-    eng = Engine()
-    for key, val in (("A", A), ("B", B), ("M", M)):
-        eng.register(key, val)
-    reqs = [Request(a="A", b="B", mask="M", phases=2),
-            Request(a="A", b="B", mask="M", phases=2, algorithm="msa"),
-            Request(a="A", b="B", mask="M", phases=2, algorithm="hash")]
-    cold = [eng.submit(r) for r in reqs]
-    path = tmp_path / "plans.npz"
-    saved = eng.save_plans(path)
-    assert saved == len(reqs)
-    del eng  # the restart: nothing in-memory survives
-
-    restarted = Engine()
-    for key, val in (("A", A), ("B", B), ("M", M)):
-        restarted.register(key, val)
-    assert restarted.load_plans(path) == saved
-
-    calls = []
-    monkeypatch.setattr(engine_mod, "build_plan",
-                        lambda *a, **k: calls.append(1))
-    for req, cold_resp in zip(reqs, cold):
-        warm = restarted.submit(req)
-        assert warm.stats.plan_cache_hit and warm.stats.symbolic_skipped
-        assert warm.stats.plan_seconds == 0
-        assert warm.result.equals(cold_resp.result)  # bit-identical replay
-    assert calls == []  # zero symbolic passes, zero recomputed row sizes
-    assert restarted.stats.plan_hits == len(reqs)
-    assert restarted.stats.plan_misses == 0
-
-
-def test_load_plans_respects_cache_capacity(tmp_path, rng):
-    """Restoring more plans than the cache holds must evict, not overflow."""
-    eng = Engine()
-    A, B, M = make_triple(rng)
-    eng.register("A", A)
-    eng.register("B", B)
-    eng.register("M", M)
-    for alg in ("msa", "hash", "heap"):
-        eng.submit(Request(a="A", b="B", mask="M", phases=2, algorithm=alg))
-    path = tmp_path / "plans.npz"
-    eng.save_plans(path)
-    small = Engine(plan_capacity=2)
-    assert small.load_plans(path) == 3
-    assert len(small.plans) == 2
 
 
 # ---------------------------------------------------------------------- #
