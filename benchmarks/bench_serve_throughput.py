@@ -1,31 +1,30 @@
 """Async serving path — throughput/latency by cache tier + result-hit gate.
 
-The serving claim (ROADMAP): a request stream under a repeated mask pattern
-should get cheaper as it climbs the cache hierarchy. Four modes are
-measured on the repeated-mask TC workload:
+The serving claim (ROADMAP): a stream of repeated requests should get
+cheaper once the result cache holds the product. Three modes are measured
+on the repeated-mask TC workload:
 
-* **cold** — every request pays plan build (auto-select + symbolic) +
-  numeric pass. The plan cache is cleared between requests, so this mode
-  calls :meth:`Engine.submit` directly rather than streaming through the
-  server;
-* **one-phase** — the same requests with ``phases=1``, result cache off:
-  no symbolic pass at all, the best real alternative to caching anything;
-* **warm-plan** — two-phase, plans cached, result cache off: numeric pass
-  only;
+* **cold** — every request computed by calling :meth:`Engine.submit`
+  directly (no server, no result cache); its first output is the
+  bit-identity baseline;
+* **one-phase** — the same requests with ``phases=1`` through the server,
+  result cache off: every request runs the numeric pass, the best real
+  alternative to caching results;
 * **result-hit** — result cache on and populated: memoized CSR out, no
   numeric pass at all.
 
-``one-phase``, ``warm-plan`` and ``result-hit`` go through the real async
-front end (:class:`repro.service.AsyncServer` — admission queue, worker
-pool, one request per worker), each primed with one request first. Every
-mode is timed the same way, as ``total_seconds - queued_seconds`` per
-request: fingerprinting, cache probes, planning and the numeric pass count,
-waiting in the admission queue does not.
+The engine serves ``phases=2`` one-phase too, so ``cold`` and ``one-phase``
+differ only by the server in front. ``one-phase`` and ``result-hit`` go
+through the real async front end (:class:`repro.service.AsyncServer` —
+admission queue, worker pool, one request per worker), each primed with
+one request first. Every mode is timed the same way, as
+``total_seconds - queued_seconds`` per request: fingerprinting, cache
+probes and the numeric pass count, waiting in the admission queue does
+not.
 
 The **result-hit gate** requires the result-hit mean to be at least 1.5×
 faster than the one-phase mean, with every response bit-identical to the
-cold run. ``warm-plan`` against ``one-phase`` is reported as a ratio, not
-gated: it is what a plan hit is worth over not planning at all.
+cold run.
 
 ``main()`` appends one run to ``BENCH_service.json`` at the repo root — the
 perf-trajectory artifact documented in ``benchmarks/common.py`` and
@@ -53,7 +52,7 @@ GATE_MIN_SPEEDUP = 1.5
 GATE_MODE = "result-hit-gate"
 
 GRAPHS = ("rmat-s8-e4", "rmat-s9-e8")
-#: hash-2P is the symbolic-heavy scheme — the regime plan caching targets
+#: the fused hash kernel, asked for two-phase (served one-phase)
 ALGO, PHASES, REQUESTS = "hash", 2, 24
 
 
@@ -105,18 +104,16 @@ def _mode_row(case, mode, latencies, wall_seconds, n):
 
 
 def _bench_case(gname: str):
-    """One graph's four serving modes + the result-hit gate. Returns
+    """One graph's three serving modes + the result-hit gate. Returns
     (result rows, gate row)."""
     L, mask = tc_workload(load_graph(gname))
     case = f"tc-{gname}-{ALGO}{PHASES}p"
 
-    # -- cold: plan cache cleared between requests, so every request pays
-    # the symbolic pass
+    # -- cold: direct submits, every request computed
     eng_cold = _engine_for(L, mask)
     cold_lat = []
     baseline = None
     for i in range(max(REQUESTS // 3, 6)):
-        eng_cold.plans.clear()
         resp = eng_cold.submit(_request(f"cold{i}"))
         cold_lat.append(_service_seconds(resp))
         if baseline is None:
@@ -133,35 +130,29 @@ def _bench_case(gname: str):
             case, mode, [_service_seconds(r) for r in resps], wall,
             len(resps))
 
-    # -- one-phase: no symbolic pass, result tier off
+    # -- one-phase: every request computed, result tier off
     _, one_identical, one = stream_mode("one-phase", phases=1)
-    # -- warm-plan: plans stay cached, result tier off
-    resps, warm_identical, warm = stream_mode("warm-plan")
-    assert all(r.stats.plan_cache_hit for r in resps)
     # -- result-hit: full numeric memoization
     resps, res_identical, res = stream_mode(
         "result-hit", result_cache_bytes=256 << 20)
     assert all(r.stats.result_cache_hit for r in resps)
 
-    identical = one_identical and warm_identical and res_identical
+    identical = one_identical and res_identical
     speedup = one["mean_ms"] / res["mean_ms"]
     gate = {"case": case, "mode": GATE_MODE, "requests": REQUESTS,
             "one_phase_mean_ms": one["mean_ms"],
             "result_hit_mean_ms": res["mean_ms"],
             "speedup_vs_one_phase": speedup,
-            "warm_plan_mean_ms": warm["mean_ms"],
-            "warm_plan_vs_one_phase": one["mean_ms"] / warm["mean_ms"],
             "bit_identical": identical, "gate_min": GATE_MIN_SPEEDUP,
             "gate_pass": bool(identical and speedup >= GATE_MIN_SPEEDUP)}
-    return [cold, one, warm, res], gate
+    return [cold, one, res], gate
 
 
 def main() -> None:
     emit("[Serve] async front-end throughput/latency by cache tier "
          f"(repeated-mask TC, {ALGO})")
-    emit("cold = plan build + numeric (direct submit); one-phase = numeric "
-         "only, no plan; warm-plan = cached plan, numeric only; result-hit "
-         "= memoized CSR output\n")
+    emit("cold = numeric pass (direct submit); one-phase = numeric pass "
+         "through the server; result-hit = memoized CSR output\n")
     results, rows, gates = [], [], []
     for gname in GRAPHS:
         mode_rows, gate = _bench_case(gname)
@@ -173,14 +164,13 @@ def main() -> None:
     emit(render_table(["case", "mode", "reqs", "req/s", "mean (ms)",
                        "p50 (ms)", "p95 (ms)"], rows))
 
-    emit("\n[Serve] result-hit gate: result-hit vs one-phase serving "
-         "(warm-plan vs one-phase reported, not gated)")
+    emit("\n[Serve] result-hit gate: result-hit vs one-phase serving")
     rows = [[g["case"], g["one_phase_mean_ms"], g["result_hit_mean_ms"],
-             g["speedup_vs_one_phase"], g["warm_plan_vs_one_phase"],
+             g["speedup_vs_one_phase"],
              "yes" if g["bit_identical"] else "NO",
              "PASS" if g["gate_pass"] else "FAIL"] for g in gates]
     emit(render_table(["case", "one-phase (ms)", "result-hit (ms)",
-                       "speedup", "warm-plan ratio", "identical",
+                       "speedup", "identical",
                        f"gate ≥{GATE_MIN_SPEEDUP}x"], rows))
 
     prev = latest_trajectory_run(ARTIFACT, bench="serve_throughput")
@@ -205,13 +195,14 @@ def main() -> None:
 # ----------------------------------------------------------------------- #
 # pytest-benchmark faces (`pytest benchmarks/ --benchmark-only -k serve`)
 # ----------------------------------------------------------------------- #
-def test_serve_warm_stream(benchmark, tc_small):
+def test_serve_computed_stream(benchmark, tc_small):
     L, mask = tc_small
     eng = _engine_for(L, mask)
-    eng.submit(_request("prime"))
+    first = eng.submit(_request("prime")).result
     resps, _ = benchmark.pedantic(lambda: _serve_stream(eng, 8),
                                   rounds=3, warmup_rounds=1)
-    assert all(r.stats.plan_cache_hit for r in resps)
+    assert all(r.stats.serving_tier == "computed" for r in resps)
+    assert all(r.result.equals(first) for r in resps)
 
 
 def test_serve_result_hit_stream(benchmark, tc_small):

@@ -45,12 +45,13 @@ Result rows by artifact:
   nworkersx4-serial | budget-<N>MiB with ``nchunks``). All numeric rows
   carry ``seconds`` (best-of-repeats) and a bit-identity flag;
 * ``BENCH_service.json`` (bench ``serve_throughput``) — one row per
-  serving mode: ``case``, ``mode`` (cold | one-phase | warm-plan |
-  result-hit), ``requests``, ``wall_seconds``, ``rps``, ``mean_ms``/
-  ``p50_ms``/``p95_ms``; plus one ``mode: result-hit-gate`` row per case
-  carrying the result-hit gate (``speedup_vs_one_phase``,
-  ``warm_plan_vs_one_phase``, ``bit_identical``, ``gate_min``,
-  ``gate_pass``). Runs before plan persistence was retired carry a
+  serving mode: ``case``, ``mode`` (cold | one-phase | result-hit),
+  ``requests``, ``wall_seconds``, ``rps``, ``mean_ms``/``p50_ms``/
+  ``p95_ms``; plus one ``mode: result-hit-gate`` row per case carrying the
+  result-hit gate (``speedup_vs_one_phase``, ``bit_identical``,
+  ``gate_min``, ``gate_pass``). Runs before the plan cache was retired also
+  carry a ``warm-plan`` mode row and ``warm_plan_vs_one_phase`` on the gate
+  row; runs before plan persistence was retired carry a
   ``mode: warm-restart`` gate row instead.
 
 Each invocation *appends* one run, preserving history; downstream tooling

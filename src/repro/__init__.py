@@ -24,7 +24,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.accumulators` — the paper's §5 data structures (reference tier)
 * :mod:`repro.core` — Masked SpGEMM kernels, 1P/2P, baselines, dispatcher
 * :mod:`repro.parallel` — row partitioning and executors
-* :mod:`repro.service` — serving layer: engine, plan cache, async server
+* :mod:`repro.service` — serving layer: engine, result cache, async server
 * :mod:`repro.graphs` — generators (ER, Graph500 R-MAT, …) and input suite
 * :mod:`repro.algorithms` — triangle counting, k-truss, betweenness, BFS
 * :mod:`repro.perfmodel` — §4 traffic model + LRU cache simulator
@@ -89,7 +89,6 @@ from .parallel import (
 from .service import (
     Engine,
     MatrixStore,
-    PlanCache,
     Request,
     Response,
 )
@@ -125,8 +124,7 @@ __all__ = [
     # parallel
     "SerialExecutor", "ThreadExecutor", "SimulatedExecutor",
     # service
-    "Engine", "MatrixStore", "PlanCache",
-    "Request", "Response",
+    "Engine", "MatrixStore", "Request", "Response",
     # applications
     "triangle_count", "ktruss", "betweenness_centrality", "multi_source_bfs",
     "clustering_coefficients", "average_clustering", "direction_optimized_bfs",

@@ -10,7 +10,7 @@ Examples
     python -m repro bc graph.mtx --batch 64
     python -m repro spgemm A.mtx B.mtx --mask M.mtx --algorithm auto -o C.mtx
     python -m repro serve workload.json --workers 2  # replay a workload spec
-    python -m repro serve --smoke        # CI smoke: warm serving gate
+    python -m repro serve --smoke        # CI smoke: result-hit serving gate
     python -m repro serve workload.json --metrics-port 9100  # live /metrics
     python -m repro serve --smoke --chaos  # CI chaos: inject kernel faults
     python -m repro serve --smoke --slo p99=50ms:0.99  # burn-rate SLO gate
@@ -130,7 +130,7 @@ def cmd_delta(args) -> int:
           f"(mean dirty fraction {mean_frac:.3f} over {len(outcomes)} "
           f"deltas, {invalidated} results invalidated)")
     print(f"  ktruss()      : {t_full * 1e3:8.1f} ms  "
-          f"({args.phases}-phase, fresh engine)")
+          f"({args.phases}-phase, direct masked_spgemm)")
     print(f"  ratio         : {t_delta / max(t_full, 1e-9):8.2f}x   "
           f"bit-identical: {'yes' if identical else 'NO'}")
     return 0 if identical else 1
@@ -186,7 +186,7 @@ _SMOKE_SPEC = {
     },
     "requests": [
         {"a": "G", "b": "G", "mask": "G", "algorithm": "auto",
-         "semiring": "plus_pair", "phases": 2, "repeat": 12, "tag": "tc"},
+         "semiring": "plus_pair", "repeat": 12, "tag": "tc"},
     ],
 }
 
@@ -195,8 +195,11 @@ def _serve_once(spec, args, *, engine):
     """Register matrices (if absent), run the request stream through an
     AsyncServer, and return (responses, failures, server, wall seconds).
 
-    Failures are isolated per request (a bad request must not discard its
-    stream-mates' responses)."""
+    The first request runs alone and the rest follow together once it has
+    completed, so a repeat of it can be answered from the result cache
+    instead of only coalescing onto it in flight. Failures are isolated per
+    request (a bad request must not discard its stream-mates'
+    responses)."""
     import asyncio
 
     from .service import AsyncServer, expand_requests, register_matrices
@@ -216,9 +219,11 @@ def _serve_once(spec, args, *, engine):
         async with AsyncServer(engine, workers=args.workers,
                                max_inflight=args.max_inflight,
                                max_queued_flops=max_queued_flops) as server:
-            results = await asyncio.gather(
-                *[server.submit(r) for r in requests],
-                return_exceptions=True)
+            results = []
+            for batch in (requests[:1], requests[1:]):
+                results += await asyncio.gather(
+                    *[server.submit(r) for r in batch],
+                    return_exceptions=True)
         return results, server, time.perf_counter() - t0
 
     results, server, seconds = asyncio.run(run())
@@ -306,25 +311,27 @@ def cmd_serve(args) -> int:
 
 def _check_smoke(engine, server, responses, args, obs=None,
                  failures=()) -> int:
-    """CI gate: the repeated-mask smoke stream must serve warm — via a plan
-    hit, a result hit, or by coalescing onto an identical in-flight request
-    (strictly cheaper than warm: no execution at all). With
-    ``--metrics-port`` the gate also requires a live, parseable ``/metrics``
-    with non-zero request counters and a Chrome-trace export for a served
-    request. With ``--chaos`` the gate additionally requires that the
-    injected faults actually fired, every request still completed with the
-    bit-identical fault-free answer, the degrade ladder was observed in
+    """CI gate: the repeated-request smoke stream computes once and serves
+    every repeat without a numeric pass — at least one as a genuine result
+    hit, the rest as result hits or by coalescing onto an identical
+    in-flight request (no execution at all). With ``--metrics-port`` the
+    gate also requires a live, parseable ``/metrics`` with non-zero request
+    counters and a Chrome-trace export for a served request. With
+    ``--chaos`` the gate additionally requires that the injected faults
+    actually fired, every request still completed with the bit-identical
+    fault-free answer, the degrade ladder was observed in
     ``repro_degraded_total``, and the degrade captured a flight bundle."""
     n = len(responses)
-    warm = sum(1 for r in responses
-               if r.stats.plan_cache_hit or r.stats.result_cache_hit
-               or r.stats.coalesced)
     coalesced = sum(1 for r in responses if r.stats.coalesced)
+    result_hits = sum(1 for r in responses
+                      if r.stats.result_cache_hit and not r.stats.coalesced)
     executed = n - coalesced
-    ok = server.stats.completed == executed and warm >= n - 1
-    print(f"\nsmoke: {warm}/{n} requests served warm "
-          f"({coalesced} coalesced; need ≥ {n - 1}) → "
-          f"{'PASS' if ok else 'FAIL'}")
+    computed = executed - result_hits
+    ok = (server.stats.completed == executed and result_hits >= 1
+          and computed <= 1)
+    print(f"\nsmoke: {n} requests: {computed} computed, {result_hits} "
+          f"result hits, {coalesced} coalesced (need ≥ 1 result hit and "
+          f"≤ 1 computed) → {'PASS' if ok else 'FAIL'}")
     ok_obs = True
     if obs is not None:
         ok_obs = _check_metrics_smoke(obs, responses, executed)
@@ -337,7 +344,7 @@ def _check_smoke(engine, server, responses, args, obs=None,
     tiers = engine.stats.kernel_tiers
     if tiers:
         # which kernel tier actually served the numeric passes — a degraded
-        # run shows fused/loop counts here even though plans named native
+        # run shows fused/loop counts here even though routing picked native
         print("smoke kernel tiers: "
               + ", ".join(f"{t}={c}" for t, c in tiers.items()))
 
@@ -386,8 +393,9 @@ def _check_chaos_smoke(engine, responses, failures) -> bool:
 def _check_metrics_smoke(obs, responses, executed: int) -> bool:
     """Fetch ``/metrics`` and one ``/trace/<id>.json`` over real HTTP and
     check they describe the smoke stream: the engine-request counter must
-    cover every executed request, and the trace must contain the serving
-    span taxonomy (queue → numeric at minimum) as valid Chrome-trace JSON."""
+    cover every executed request, and the trace of a computed request must
+    contain the serving span taxonomy (queue → numeric at minimum) as
+    valid Chrome-trace JSON."""
     import json
     import urllib.request
 
@@ -400,7 +408,8 @@ def _check_metrics_smoke(obs, responses, executed: int) -> bool:
         (("outcome", "completed"),), 0.0)
     ok_metrics = served >= executed > 0 and completed >= executed
 
-    traced = [r for r in responses if r.stats.trace_id]
+    traced = [r for r in responses
+              if r.stats.trace_id and not r.stats.result_cache_hit]
     ok_trace = False
     names: set = set()
     if traced:
@@ -521,8 +530,8 @@ def cmd_trace(args) -> int:
         traced = [r for r in responses if r.stats.trace_id]
         if not traced:
             raise SystemExit("no traces captured (every request failed?)")
-        # default index 0 = the stream's first request: the cold one, whose
-        # flame view shows the full symbolic→numeric story
+        # default index 0 = the stream's first request: the one that runs
+        # alone and computes, whose flame view shows the numeric pass
         try:
             resp = traced[args.index]
         except IndexError:
@@ -603,9 +612,9 @@ def cmd_profile(args) -> int:
     """Run a workload under the sampling profiler and write collapsed
     stacks (``stack;frames count`` lines). Feed the output to
     ``flamegraph.pl`` or drag it into https://speedscope.app (Import →
-    collapsed stacks). By default samples are kept only while a numeric or
-    cold-symbolic span is open, so the profile answers "where does kernel
-    time go" rather than "where does the interpreter idle"."""
+    collapsed stacks). By default samples are kept only while a numeric
+    span is open, so the profile answers "where does kernel time go"
+    rather than "where does the interpreter idle"."""
     import json
 
     from .obs import SamplingProfiler
@@ -742,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser(
         "serve",
         help="serve a JSON workload through the async front end "
-             "(admission + backpressure + plan/result caches)")
+             "(admission + backpressure + result cache)")
     _add_pool_flags(sv)
     sv.add_argument("--result-cache-mb", type=float, default=256,
                     help="result-cache budget in MiB (0 disables the tier)")
@@ -778,7 +787,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default trace.json)")
     tr.add_argument("--index", type=int, default=0,
                     help="which traced request to export (0 = the stream's "
-                         "first/cold request; negative indexes from the end)")
+                         "first request, which computes; negative indexes "
+                         "from the end)")
     tr.set_defaults(fn=cmd_trace)
 
     bu = sub.add_parser(
@@ -806,10 +816,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default profile.txt)")
     pr.add_argument("--interval", type=float, default=0.001,
                     help="sampling interval in seconds (default 0.001)")
-    pr.add_argument("--spans", default="numeric,symbolic.cold",
+    pr.add_argument("--spans", default="numeric",
                     help="comma-separated span names to scope samples to, "
                          "or 'all' for whole-process profiling (default "
-                         "numeric,symbolic.cold: kernel time only)")
+                         "numeric: kernel time only)")
     pr.set_defaults(fn=cmd_profile)
 
     su = sub.add_parser("suite", help="list the built-in input suite")

@@ -12,21 +12,19 @@ where the graph keeps changing due to pruning of some edges" — note the mask
 *is* the shrinking graph itself, so mask density decays over iterations,
 which is why pull-based Inner does unexpectedly well here (paper §8.3).
 
-Every product is routed through a :class:`repro.service.Engine`, so the
-pattern-only work (algorithm auto-selection, the two-phase symbolic pass) is
-planned once per distinct edge-set pattern. Within one run each iteration's
-pattern is new (edges were just pruned), but a *served* workload — the same
-truss query replayed on an unchanged graph, or several k values sweeping the
-same decomposition — replays the same pattern sequence and every iteration
-after the first run becomes a plan-cache hit. Pass a shared ``engine`` to
-get that amortization; without one, a private engine still caches across
-iterations of the single call.
+Without an engine every product is a direct :func:`masked_spgemm` call at
+the requested ``phases`` — the paper's ``<Alg>-1P``/``<Alg>-2P`` variants
+that Figs. 12–14 measure. Each iteration's pattern is new (edges were just
+pruned), so there is nothing to reuse between products of one solve. Pass
+an ``engine`` to serve the products through it instead (tracing, metrics,
+the degrade ladder); the engine runs them one-phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core import masked_spgemm
 from ..core.expand import total_flops
 from ..semiring import PLUS_PAIR
 from ..sparse import ops
@@ -44,18 +42,10 @@ class KTrussResult:
     iterations: int
     flops_per_iteration: list[int] = field(default_factory=list)
     nnz_per_iteration: list[int] = field(default_factory=list)
-    #: plan-cache hits observed during each iteration's masked product — all
-    #: zeros on a cold engine, all ones when the engine has served this graph
-    #: (pattern sequence) before.
-    plan_hits_per_iteration: list[int] = field(default_factory=list)
 
     @property
     def total_flops(self) -> int:
         return 2 * sum(self.flops_per_iteration)  # multiply + add convention
-
-    @property
-    def plan_hits(self) -> int:
-        return sum(self.plan_hits_per_iteration)
 
 
 def ktruss(g: CSRMatrix, k: int, *, algorithm: str = "auto", phases: int = 1,
@@ -73,18 +63,12 @@ def ktruss(g: CSRMatrix, k: int, *, algorithm: str = "auto", phases: int = 1,
         compiled ``msa-native`` kernel when a native backend is available
         (the fused density table otherwise, e.g. under
         ``REPRO_NATIVE=off``); every kernel gives the same subgraph.
-    engine : optional :class:`repro.service.Engine` whose plan cache is
-        shared across calls (repeated queries on the same graph reuse every
-        iteration's plan). A private engine is created when omitted; when an
-        engine is provided, its own executor takes precedence over
-        ``executor``.
+    engine : optional :class:`repro.service.Engine` serving every product
+        (one-phase; its own executor takes precedence over ``executor``).
+        When omitted, each product is a direct :func:`masked_spgemm` call.
     """
     if k < 2:
         raise ValueError(f"k-truss needs k >= 2, got {k}")
-    if engine is None:
-        from ..service import Engine
-
-        engine = Engine(executor=executor)
     C = (g if prepared else to_undirected_simple(g)).pattern()
     support_needed = k - 2
     if support_needed == 0:
@@ -92,23 +76,25 @@ def ktruss(g: CSRMatrix, k: int, *, algorithm: str = "auto", phases: int = 1,
         return KTrussResult(C, 0, [], [])
     flops_log: list[int] = []
     nnz_log: list[int] = []
-    hits_log: list[int] = []
 
     for it in range(1, max_iterations + 1):
         if C.nnz == 0:
-            return KTrussResult(C, it - 1, flops_log, nnz_log, hits_log)
+            return KTrussResult(C, it - 1, flops_log, nnz_log)
         flops_log.append(total_flops(C, C))
         nnz_log.append(C.nnz)
-        hits_before = engine.plans.hits
-        S = engine.multiply(C, C, C, algorithm=algorithm,
-                            semiring=PLUS_PAIR, phases=phases,
-                            tag=f"ktruss-it{it}").result
-        hits_log.append(engine.plans.hits - hits_before)
+        if engine is None:
+            S = masked_spgemm(C, C, C, algorithm=algorithm,
+                              semiring=PLUS_PAIR, phases=phases,
+                              executor=executor)
+        else:
+            S = engine.multiply(C, C, C, algorithm=algorithm,
+                                semiring=PLUS_PAIR, phases=phases,
+                                tag=f"ktruss-it{it}").result
         # keep edges with enough support; S misses edges with zero triangles,
         # which is precisely "support 0", so pruning via S is exact for k>2.
         kept = ops.prune(S, tol=support_needed - 0.5).pattern()
         if kept.nnz == C.nnz:
-            return KTrussResult(kept, it, flops_log, nnz_log, hits_log)
+            return KTrussResult(kept, it, flops_log, nnz_log)
         C = kept
     raise RuntimeError(f"k-truss failed to converge in {max_iterations} iterations")
 
@@ -133,12 +119,11 @@ def ktruss_delta(g: CSRMatrix, k: int, *, algorithm: str = "auto",
     ``store_key`` and each iteration's pruned edges are applied as a
     delete-only :class:`~repro.delta.DeltaBatch`. :meth:`Engine.apply_delta`
     swaps the store entry and invalidates the results that read the old
-    content; each iteration's product then runs in full on the new pattern.
-    Plans are keyed by pattern fingerprint, so a solve the engine has
-    served before hits a plan in every iteration, and a new pattern is
-    planned cold. Output is bit-identical to :func:`ktruss` on the same
-    inputs, and the defaults (one-phase, ``algorithm="auto"``) are the
-    same: the support product runs on the compiled ``msa-native`` kernel
+    content; each iteration's product then runs in full on the new pattern,
+    unless the engine's result cache already holds it (a shared engine that
+    has served this solve before). Output is bit-identical to
+    :func:`ktruss` on the same inputs, and the defaults (one-phase,
+    ``algorithm="auto"``) are the same: the support product runs on the compiled ``msa-native`` kernel
     when a native backend is available, and on the fused density table's
     pick otherwise (e.g. under ``REPRO_NATIVE=off``).
     """
@@ -159,26 +144,17 @@ def ktruss_delta(g: CSRMatrix, k: int, *, algorithm: str = "auto",
                   algorithm=algorithm, phases=phases, semiring="plus_pair")
     flops_log: list[int] = []
     nnz_log: list[int] = []
-    hits_log: list[int] = []
     try:
         for it in range(1, max_iterations + 1):
             if C.nnz == 0:
-                return KTrussResult(C, it - 1, flops_log, nnz_log, hits_log)
+                return KTrussResult(C, it - 1, flops_log, nnz_log)
             flops_log.append(total_flops(C, C))
             nnz_log.append(C.nnz)
-            hits_before = engine.plans.hits
-            rhits_before = (engine.results.hits
-                            if engine.results is not None else 0)
             req.tag = f"ktruss-delta-it{it}"
             S = engine.submit(req).result
-            # a result-tier hit (a shared engine that served this product
-            # before) bypasses the plan lookup; both count as "served warm"
-            hits_log.append((engine.plans.hits - hits_before)
-                            + ((engine.results.hits - rhits_before)
-                               if engine.results is not None else 0))
             kept = ops.prune(S, tol=support_needed - 0.5).pattern()
             if kept.nnz == C.nnz:
-                return KTrussResult(kept, it, flops_log, nnz_log, hits_log)
+                return KTrussResult(kept, it, flops_log, nnz_log)
             pruned = ops.pattern_difference(C, kept)
             from ..delta import DeltaBatch
 

@@ -31,15 +31,6 @@ class MCLResult:
     n_clusters: int
     iterations: int
     nnz_history: list[int] = field(default_factory=list)
-    #: plan-cache hits per iteration when the run went through an Engine.
-    #: MCL's support typically stabilizes several rounds before the values
-    #: converge, so the tail of this list is naturally nonzero: identical
-    #: patterns, changed values — exactly the reuse the plan cache targets.
-    plan_hits_per_iteration: list[int] = field(default_factory=list)
-
-    @property
-    def plan_hits(self) -> int:
-        return sum(self.plan_hits_per_iteration)
 
 
 def _column_normalize(m: CSRMatrix) -> CSRMatrix:
@@ -100,11 +91,9 @@ def markov_clustering(
     prune_threshold : entries below this are dropped after each round.
     self_loops : weight added on the diagonal (stabilizes convergence).
     engine : optional :class:`repro.service.Engine`. When given, every
-        expansion product is routed through it (as an unmasked product with
-        ``algorithm``/two-phase planning), so iterations whose flow-matrix
-        pattern has stabilized reuse cached symbolic plans — and repeated
-        clustering calls on the same graph reuse them across calls. When
-        omitted the classic plain-SpGEMM path runs, bit-identical to before.
+        expansion product is served through it as an unmasked product with
+        ``algorithm`` (tracing, metrics, the degrade ladder). When omitted
+        the classic plain-SpGEMM path runs.
     """
     if expansion < 2:
         raise ValueError(f"expansion must be >= 2, got {expansion}")
@@ -123,20 +112,16 @@ def markov_clustering(
     M = _column_normalize(ops.ewise_add(A.pattern(), loops))
 
     nnz_history: list[int] = []
-    hits_log: list[int] = []
     for it in range(1, max_iterations + 1):
         nnz_history.append(M.nnz)
         expanded = M
-        hits_before = engine.plans.hits if engine is not None else 0
         for _ in range(expansion - 1):
             if engine is not None:
                 expanded = engine.multiply(expanded, M, None,
-                                           algorithm=algorithm, phases=2,
+                                           algorithm=algorithm,
                                            tag=f"mcl-it{it}").result
             else:
                 expanded = spgemm(expanded, M)
-        if engine is not None:
-            hits_log.append(engine.plans.hits - hits_before)
         nxt = _inflate(expanded, inflation)
         nxt = _column_normalize(ops.prune(nxt, prune_threshold))
         if nxt.same_pattern(M) and np.allclose(nxt.data, M.data,
@@ -145,4 +130,4 @@ def markov_clustering(
             break
         M = nxt
     labels, k = _connected_components(M)
-    return MCLResult(labels, k, it, nnz_history, hits_log)
+    return MCLResult(labels, k, it, nnz_history)

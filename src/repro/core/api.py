@@ -81,8 +81,8 @@ def masked_spgemm(
         flag only governs the redundant final cross-check and the non-fused
         serial path.
     plan : SymbolicPlan, optional
-        A precomputed plan from :func:`repro.core.plan.build_plan` (usually
-        via :class:`repro.service.Engine`). Supplying one skips algorithm
+        A precomputed plan from :func:`repro.core.plan.build_plan`.
+        Supplying one skips algorithm
         auto-selection and — in two-phase mode — the symbolic pass, using the
         plan's cached row sizes instead. The plan must have been built for
         operands with the *same patterns* (values may differ); with
@@ -146,7 +146,7 @@ def masked_spgemm(
     # two-phase requests on a chunk-fused kernel also route serial execution
     # through the runner: it preallocates the output from the (cached or
     # captured) row sizes and scatters chunks directly, with cache-budget
-    # chunk sizing — the warm-serving hot path
+    # chunk sizing
     if executor is not None or (phases == 2 and spec.numeric_into is not None):
         from ..parallel.runner import parallel_masked_spgemm, uses_direct_write
 
@@ -157,7 +157,7 @@ def masked_spgemm(
         # the cross-check only means something on the stitch path: direct
         # write builds indptr *from* the plan and validated computed sizes
         # per chunk already, so re-deriving row sizes would compare the plan
-        # with itself on every warm request
+        # with itself on every replay
         if (phases == 2 and verify_symbolic and plan is not None
                 and plan.row_sizes is not None
                 and not uses_direct_write(algorithm, phases)

@@ -4,15 +4,13 @@ The paper's two-phase formulation (§6) splits a masked product into a
 *symbolic* pass (exact output-row sizes from the patterns alone) and a
 *numeric* pass. Both passes depend only on the **patterns** of A, B and the
 mask — not on the stored values — so a plan computed once stays valid for
-every later product whose operand patterns are unchanged. That invariance is
-what :mod:`repro.service` amortizes: iterative algorithms (k-truss, MCL) and
-serving workloads repeatedly multiply under the same or slowly-changing
-structure, and a cached :class:`SymbolicPlan` lets every warm call skip both
-``registry.auto_select`` and the symbolic pass.
+every later product whose operand patterns are unchanged, and replaying it
+skips both ``registry.auto_select`` and the symbolic pass.
 
 :func:`build_plan` is the single place plans are created; consumers hand the
 result back to :func:`repro.core.api.masked_spgemm` via its ``plan=``
-argument.
+argument. The ablation and figure benches measure this two-phase variant;
+the serving engine runs every request one-phase and builds no plans.
 """
 
 from __future__ import annotations
@@ -75,8 +73,8 @@ def build_plan(A: CSRMatrix, B: CSRMatrix, mask: Mask, *,
     native-first pick applies. The symbolic pass itself is pattern-only.
 
     The returned plan is valid for any (A', B', mask') whose *patterns*
-    equal those of (A, B, mask) — callers are responsible for that keying;
-    :class:`repro.service.PlanCache` does it with pattern fingerprints.
+    equal those of (A, B, mask) — callers are responsible for that keying
+    (:func:`repro.sparse.ops.pattern_fingerprint` is the primitive).
     """
     if phases not in (1, 2):
         raise AlgorithmError(f"phases must be 1 or 2, got {phases!r}")

@@ -9,9 +9,8 @@ edge inserts / deletes / value updates against one registered matrix — and
 its exact application semantics. The service layer
 (:meth:`repro.service.Engine.apply_delta`) applies a batch, swaps the
 store entry and invalidates the cached results that read the old content.
-Value-only batches keep the pattern fingerprint, so every cached plan keeps
-hitting; a pattern batch yields a new fingerprint, which hits a plan built
-for that pattern earlier or is planned cold.
+Value-only batches keep the pattern fingerprint; a pattern batch yields a
+new one.
 """
 
 from .batch import DeltaBatch, DeltaError, DeltaOutcome, DeltaResult

@@ -17,7 +17,7 @@ each list, the *last* occurrence of a duplicated coordinate wins (event
 order). The important derived quantity is the **pattern-dirty row set**:
 rows whose sparsity structure changed. Delete-then-reinsert of a stored
 edge in one batch therefore leaves its row *clean*: the pattern round-trips,
-so the pattern fingerprint, and every plan cached under it, carries over.
+so the pattern fingerprint carries over.
 """
 
 from __future__ import annotations

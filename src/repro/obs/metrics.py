@@ -7,7 +7,7 @@ the Prometheus client data model but with no third-party dependency:
 
 * :class:`Counter` — monotonically increasing totals, optionally labelled
   (``registry.counter("repro_cache_requests_total", ..., labels=("cache",
-  "outcome"))`` then ``c.inc(cache="plan", outcome="hit")``);
+  "outcome"))`` then ``c.inc(cache="result", outcome="hit")``);
 * :class:`Gauge` — a value that goes up and down (queue depth, in-flight
   requests);
 * :class:`Histogram` — fixed cumulative buckets plus ``_sum``/``_count``,
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 #: request/phase latency buckets (seconds) — spans ~0.1 ms to 10 s, the
-#: range warm cache hits through cold plans actually occupy
+#: range result-cache hits through large computed products occupy
 LATENCY_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
                    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 

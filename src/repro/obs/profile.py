@@ -1,6 +1,6 @@
 """Wall-clock sampling profiler under the spans — stdlib only.
 
-Spans bound *phases* (``numeric``, ``symbolic.cold``, one ``chunk``); what
+Spans bound *phases* (``numeric``, ``cache.lookup``, one ``chunk``); what
 they cannot show is where the time goes *inside* a chunk — which kernel
 helper, which numpy call. :class:`SamplingProfiler` fills that floor: a
 daemon thread wakes every ``interval`` seconds, snapshots every thread's

@@ -1,7 +1,7 @@
 """Context-var span tracer with bounded retention and Chrome-trace export.
 
-One served request crosses many layers — admission, queue, plan lookup,
-cold symbolic build, chunked numeric, cache writeback — and
+One served request crosses many layers — admission, queue, cache lookup,
+chunked numeric, cache writeback — and
 the question the paper keeps asking ("where does the time go?") needs those
 layers stitched into *one* timeline. This module provides:
 

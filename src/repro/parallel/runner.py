@@ -6,7 +6,7 @@ count) → run the kernel per chunk on the executor → assemble the final CSR
 matrix. Assembly has two modes:
 
 * **direct write** (default whenever exact ``row_sizes`` are known, i.e. a
-  two-phase request with a cached plan *or* a freshly-run symbolic pass):
+  two-phase request with a prebuilt plan *or* a freshly-run symbolic pass):
   ``indptr/indices/data`` are preallocated from the row sizes and each chunk
   scatters into its disjoint slice via the kernel's ``numeric_rows_into`` —
   zero stitch copies, which is the point of the paper's two-phase
@@ -16,9 +16,8 @@ matrix. Assembly has two modes:
 
 Two-phase requests without a plan do not throw the symbolic results away:
 the per-chunk sizes are captured into the row sizes that feed the
-direct-write numeric pass. Warm requests carrying a cached plan
-(``plan=``) skip the symbolic map entirely, so a warm request runs zero
-Python-per-row work end to end.
+direct-write numeric pass. Requests carrying a prebuilt plan (``plan=``)
+skip the symbolic map entirely.
 """
 
 from __future__ import annotations

@@ -1,38 +1,35 @@
-"""The execution engine: stateful masked-SpGEMM with plan and result caching.
+"""The execution engine: stateful masked-SpGEMM with result caching.
 
 ``Engine`` turns the one-shot :func:`repro.core.masked_spgemm` call into a
-service: operands live in a :class:`~repro.service.store.MatrixStore`,
-symbolic plans live in a :class:`~repro.service.plan.PlanCache`, full numeric
-results (optionally) in a :class:`~repro.service.result_cache.ResultCache`,
-and every product goes through :meth:`Engine.submit` (store-keyed requests)
-or :meth:`Engine.multiply` (ad-hoc operands, used by the iterative
-algorithms).
+service: operands live in a :class:`~repro.service.store.MatrixStore`, full
+numeric results (optionally) in a
+:class:`~repro.service.result_cache.ResultCache`, and every product goes
+through :meth:`Engine.submit` (store-keyed requests) or
+:meth:`Engine.multiply` (ad-hoc operands, used by the iterative algorithms).
 
 Execution of one request:
 
 1. resolve operands and fingerprint their patterns (store entries memoize
    the hash; ad-hoc operands pay it per call — O(nnz), far below a product);
 2. when a result cache is attached (store-keyed requests only), probe it
-   under the plan key extended with both operands' *value* hashes. Hit →
-   return the memoized CSR output, bit-identical by construction, no plan
-   lookup, no numeric pass;
-3. look up the plan under the full structural key. Warm hit → skip both
-   ``auto_select`` and (for two-phase) the entire symbolic pass by handing
-   the cached plan to ``masked_spgemm(plan=...)``. Miss →
-   :func:`repro.core.plan.build_plan` once, cache, proceed;
-4. numeric pass (optionally row-parallel via the engine's executor). Warm
-   two-phase requests on a chunk-fused kernel take the *direct-write* path
-   (``RequestStats.direct_write``): the plan's row sizes preallocate the
-   final CSR arrays and chunks scatter into disjoint slices with zero
-   stitch copies, the computed sizes validated against the plan so a stale
-   plan fails loudly instead of silently corrupting output.
+   under the request's structural key extended with both operands' *value*
+   hashes. Hit → return the memoized CSR output, bit-identical by
+   construction, no numeric pass;
+3. resolve ``auto`` with :func:`repro.core.registry.auto_select`;
+4. numeric pass (optionally row-parallel via the engine's executor), down
+   the native → fused → loop degrade ladder when a kernel fails.
+
+Every request runs one-phase. ``phases=2`` is accepted and served the same
+way with the same output bits: the compiled symbolic pass saves nothing a
+one-phase numeric pass pays, and a pattern-keyed plan is never reused on
+traffic whose masks change every product (``docs/BENCHMARKS.md``, "Plan
+cache retirement"). The two-phase algorithm itself stays available as
+``masked_spgemm(phases=2)``.
 
 The engine is thread-safe (one lock around store/cache metadata; numeric
 work runs outside it), which is what lets each
 :class:`~repro.service.server.AsyncServer` worker run its own request
-concurrently with the others. Plan builds are not single-flight: two
-threads that miss the same plan key at once both run the symbolic pass,
-the plans are bit-identical, and the cache keeps one.
+concurrently with the others.
 """
 
 from __future__ import annotations
@@ -41,11 +38,11 @@ import itertools
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import replace
 
-from ..core import masked_spgemm
-# splice_plan: kept for perfbench/tracing.py, its only reader (by name)
-from ..core.plan import SymbolicPlan, build_plan, splice_plan  # noqa: F401
+from ..core import masked_spgemm, registry
+# build_plan, splice_plan: kept for perfbench/tracing.py, which patches them
+# here by name; the engine builds no plans
+from ..core.plan import build_plan, splice_plan  # noqa: F401
 from ..delta import DeltaBatch, DeltaOutcome
 from ..errors import AlgorithmError
 from ..core.registry import BASELINE_KEYS, NATIVE_BASE
@@ -59,8 +56,8 @@ from ..semiring import Semiring
 from ..semiring.standard import by_name as semiring_by_name
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import pattern_fingerprint, value_fingerprint
-from .plan import PlanCache, plan_key
-from .requests import Request, RequestStats, Response
+from ..validation import check_multiplicable
+from .requests import Request, RequestStats, Response, check_phases
 from .result_cache import ResultCache, result_key
 from .store import MatrixStore, StoreError
 
@@ -74,7 +71,7 @@ def kernel_tier(algorithm: str) -> str:
     ``native`` (compiled msa-native/hash-native), ``loop`` (the per-row
     reference rung), ``baseline`` (whole-matrix baselines), else ``fused``
     (the vectorised numpy kernels). The engine stamps the tier of the
-    kernel that *actually executed* — not the one the plan named — onto
+    kernel that *actually executed* — not the one routing picked — onto
     each request, so degraded-to-fused traffic is distinguishable in
     ``repro_kernel_requests_total`` and the ``serve --smoke`` report."""
     key = algorithm.lower()
@@ -90,41 +87,35 @@ def kernel_tier(algorithm: str) -> str:
 class EngineStats:
     """Aggregate engine telemetry, **derived from** the metrics registry.
 
-    Historically this was a parallel set of plain counters updated next to
-    the registry; now the registry (``repro_engine_requests_total{tier}``,
-    ``repro_engine_events_total{event}``, ``repro_request_seconds{tier}``,
-    ``repro_phase_seconds{phase}``) is the single source of truth and every
-    attribute here is a read-only view over it, so ``/metrics`` and
-    ``engine.stats`` can never disagree. The serving **tier** of a request
-    is where it was answered: ``result`` (whole numeric output from the
-    result cache), ``warm`` (plan-cache hit), ``cold`` (plan built), or
-    ``unplanned`` (baselines — no symbolic phase, excluded from plan
-    hit/miss accounting).
+    The registry (``repro_engine_requests_total{tier}``,
+    ``repro_request_seconds{tier}``, ``repro_phase_seconds{phase}``) is the
+    single source of truth and every attribute here is a read-only view
+    over it, so ``/metrics`` and ``engine.stats`` can never disagree. The
+    serving **tier** of a request is where it was answered: ``result``
+    (whole numeric output from the result cache) or ``computed`` (a
+    numeric pass ran).
     """
 
     def __init__(self, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
         self._requests = self.registry.counter(
             "repro_engine_requests_total",
-            "requests by serving tier (result/warm/cold/unplanned)",
+            "requests by serving tier (result/computed)",
             labels=("tier",))
-        self._events = self.registry.counter(
-            "repro_engine_events_total",
-            "request-path events (symbolic_skipped/direct_write)",
-            labels=("event",))
         self._request_seconds = self.registry.histogram(
             "repro_request_seconds",
             "end-to-end engine request latency by serving tier",
             labels=("tier",))
         self._phase_seconds = self.registry.histogram(
             "repro_phase_seconds",
-            "engine time by phase (plan = auto-select + symbolic)",
+            "engine time by phase (numeric = the degrade ladder's kernel "
+            "calls)",
             labels=("phase",))
         self._kernel_tier = self.registry.counter(
             "repro_kernel_requests_total",
             "numeric passes by the kernel tier that actually executed "
             "(native/fused/loop/baseline); degraded requests count under "
-            "the tier that served them, not the one the plan named",
+            "the tier that served them, not the one routing picked",
             labels=("tier",))
 
     # -- registry-derived views ----------------------------------------- #
@@ -133,41 +124,18 @@ class EngineStats:
         return int(self._requests.total())
 
     @property
-    def plan_hits(self) -> int:
-        return int(self._requests.value(tier="warm"))
-
-    @property
-    def plan_misses(self) -> int:
-        return int(self._requests.value(tier="cold"))
-
-    @property
-    def unplanned(self) -> int:
-        """Baseline requests — never planned, excluded from hit/miss."""
-        return int(self._requests.value(tier="unplanned"))
-
-    @property
     def result_hits(self) -> int:
-        """Requests served whole from the result cache (no plan lookup, no
-        numeric pass) — also excluded from plan hit/miss accounting."""
+        """Requests served whole from the result cache (no numeric pass)."""
         return int(self._requests.value(tier="result"))
 
     @property
-    def symbolic_skipped(self) -> int:
-        return int(self._events.value(event="symbolic_skipped"))
-
-    @property
-    def plan_seconds(self) -> float:
-        return self._phase_seconds.sum(phase="plan")
+    def computed(self) -> int:
+        """Requests that ran a numeric pass."""
+        return int(self._requests.value(tier="computed"))
 
     @property
     def numeric_seconds(self) -> float:
         return self._phase_seconds.sum(phase="numeric")
-
-    @property
-    def plan_hit_rate(self) -> float:
-        from ..bench.metrics import hit_rate
-
-        return hit_rate(self.plan_hits, self.plan_misses)
 
     @property
     def kernel_tiers(self) -> dict:
@@ -179,33 +147,23 @@ class EngineStats:
         return {t: c for t, c in counts.items() if c}
 
     def record(self, stats: RequestStats) -> None:
-        if stats.result_cache_hit:
-            # the plan cache was never consulted; keep its accounting clean
-            self._requests.inc(tier="result")
-            self._request_seconds.observe(stats.total_seconds, tier="result")
-            return
         tier = stats.serving_tier
         self._requests.inc(tier=tier)
         self._request_seconds.observe(stats.total_seconds, tier=tier)
+        if stats.result_cache_hit:
+            return
         if stats.kernel_tier:
             self._kernel_tier.inc(tier=stats.kernel_tier)
-        if stats.symbolic_skipped:
-            self._events.inc(event="symbolic_skipped")
-        if stats.direct_write:
-            self._events.inc(event="direct_write")
-        if stats.plan_seconds:
-            self._phase_seconds.observe(stats.plan_seconds, phase="plan")
         self._phase_seconds.observe(stats.numeric_seconds, phase="numeric")
 
 
 class Engine:
-    """Masked-SpGEMM execution engine, one request per call, with symbolic
-    plan caching and an optional result cache.
+    """Masked-SpGEMM execution engine, one request per call, with an
+    optional result cache.
 
     Parameters
     ----------
     budget_bytes : operand-memory budget of the matrix store (LRU evicted).
-    plan_capacity : max cached plans.
     result_cache_bytes : byte budget of a :class:`ResultCache` memoizing
         whole numeric results for store-keyed requests; None (default)
         attaches none. Off by default: ad-hoc/iterative traffic changes
@@ -216,7 +174,7 @@ class Engine:
         :class:`~repro.service.server.AsyncServer` workers add parallelism
         *across* requests).
     metrics : optional shared :class:`~repro.obs.MetricsRegistry` (a private
-        one by default). The engine's own counters, both caches' counters,
+        one by default). The engine's own counters, the result cache's,
         and (via :class:`~repro.service.server.AsyncServer`) the server's
         all land in this registry — one ``/metrics`` page per engine.
     tracer : optional shared :class:`~repro.obs.Tracer`; ``tracing`` builds
@@ -244,7 +202,6 @@ class Engine:
 
     def __init__(self, *,
                  budget_bytes: int | None = None,
-                 plan_capacity: int = 256,
                  result_cache_bytes: int | None = None,
                  executor=None,
                  metrics: MetricsRegistry | None = None,
@@ -254,16 +211,14 @@ class Engine:
                  slos: list | None = None,
                  flight: FlightRecorder | None = None):
         self.store = MatrixStore(budget_bytes)
-        self.plans = PlanCache(plan_capacity)
         self.results = (ResultCache(result_cache_bytes)
                         if result_cache_bytes is not None else None)
         self.executor = executor
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(enabled=tracing)
         self.stats = EngineStats(self.metrics)
-        # single source of truth for cache accounting: both caches' counters
-        # live in the engine registry (satellite of the obs PR)
-        self.plans.bind_metrics(self.metrics)
+        # single source of truth for cache accounting: the result cache's
+        # counters live in the engine registry
         if self.results is not None:
             self.results.bind_metrics(self.metrics)
         self._chunk_seconds = self.metrics.histogram(
@@ -343,9 +298,9 @@ class Engine:
                  pin: bool = False) -> None:
         """Register (or replace) an operand/mask under ``key``.
 
-        Plans need no explicit invalidation: they are keyed by pattern
-        fingerprint, so a replacement with the same pattern keeps hitting
-        and a pattern change misses by construction.
+        Cached results need no explicit invalidation: they are keyed by
+        pattern and value fingerprints, so a replacement with new content
+        misses by construction.
         """
         with self._lock:
             entry = self.store.register(key, value, pin=pin)
@@ -381,10 +336,7 @@ class Engine:
         Four steps: apply the batch, re-fingerprint the result (a
         value-only batch carries the pattern fingerprint forward), swap the
         store entry copy-on-write, and invalidate the result-cache entries
-        that name the old fingerprints. Plans need no delta work: they are
-        keyed by pattern fingerprint, so a value-only batch keeps hitting
-        and a new pattern either hits a plan built for it earlier or is
-        planned cold on first use. The swap bumps the entry's version,
+        that name the old fingerprints. The swap bumps the entry's version,
         which arms the writeback guard against in-flight requests.
 
         Concurrent deltas to the *same* key must be serialized by the
@@ -445,73 +397,57 @@ class Engine:
             b_entry = self.store.entry(request.b)
             mask_entry = (self.store.entry(request.mask)
                           if request.mask is not None else None)
-        # fingerprints are read outside the lock: register() pre-warms them,
-        # but a first touch here (entries registered via a bare store) is
-        # O(nnz) hashing — memoized on the entry, so a racing duplicate
-        # compute is idempotent and harmless
-        a_fp = a_entry.fingerprint
-        b_fp = b_entry.fingerprint
-        # value hashes are only worth computing when a result cache is
-        # attached; store entries memoize them per registration
-        value_fps = ((a_entry.value_fingerprint, b_entry.value_fingerprint)
-                     if self.results is not None else None)
         A, B = a_entry.value, b_entry.value
         if not isinstance(A, CSRMatrix) or not isinstance(B, CSRMatrix):
-            from .store import StoreError
-
             raise StoreError(
                 f"operands {request.a!r}/{request.b!r} must be CSR matrices "
                 f"(masks can only appear in the mask slot)"
             )
         mask = self._resolve_mask(mask_entry.value if mask_entry else None,
                                   (A.nrows, B.ncols), request.complemented)
-        mask_fp = (mask_entry.fingerprint if mask_entry
-                   else pattern_fingerprint(mask.indptr, mask.indices, mask.shape))
+        semiring = semiring_by_name(request.semiring)
+        rkey = None
+        if self.results is not None:
+            # fingerprints are read outside the lock: register() pre-warms
+            # them, but a first touch here (entries registered via a bare
+            # store) is O(nnz) hashing — memoized on the entry, so a racing
+            # duplicate compute is idempotent and harmless
+            mask_fp = (mask_entry.fingerprint if mask_entry else
+                       pattern_fingerprint(mask.indptr, mask.indices,
+                                           mask.shape))
+            rkey = result_key(a_entry.fingerprint, b_entry.fingerprint,
+                              mask_fp, request.complemented,
+                              request.algorithm, semiring.name,
+                              a_entry.value_fingerprint,
+                              b_entry.value_fingerprint)
         # store-version snapshot for the writeback guard: entry versions are
         # immutable per entry object (deltas swap in a fresh entry), so the
         # snapshot pins exactly the operand state this request resolved
         versions = ((request.a, a_entry.version), (request.b, b_entry.version))
         if mask_entry is not None:
             versions += ((request.mask, mask_entry.version),)
-        return self._execute(A, B, mask, a_fp, b_fp, mask_fp,
-                             algorithm=request.algorithm,
-                             phases=request.phases,
-                             semiring=semiring_by_name(request.semiring),
-                             tag=request.tag, request=request,
-                             value_fps=value_fps, versions=versions)
+        return self._execute(A, B, mask, algorithm=request.algorithm,
+                             phases=request.phases, semiring=semiring,
+                             tag=request.tag, request=request, rkey=rkey,
+                             versions=versions)
 
     def multiply(self, A: CSRMatrix, B: CSRMatrix,
                  mask: Mask | CSRMatrix | None = None, *,
-                 algorithm: str = "auto", phases: int = 2,
+                 algorithm: str = "auto", phases: int = 1,
                  semiring: Semiring | str = "plus_times",
                  complemented: bool = False, tag: str = "") -> Response:
-        """Execute an ad-hoc product through the plan cache (no store keys).
+        """Execute an ad-hoc product (no store keys, no result cache).
 
         This is the entry point the iterative algorithms use: operands are
-        fresh objects every iteration, but iterations whose *patterns*
-        repeat (k-truss re-queried on the same graph, MCL's stabilized
-        support) still hit cached plans.
+        fresh objects every iteration, so there is nothing to memoize, but
+        the product still gets the engine's tracing, metrics and degrade
+        ladder. ``phases`` is validated and served one-phase, as in
+        :meth:`submit`.
         """
         if isinstance(semiring, str):
             semiring = semiring_by_name(semiring)
-        out_shape = (A.nrows, B.ncols)
-        mask_obj = mask
-        mask = self._resolve_mask(mask, out_shape, complemented)
-        a_fp = pattern_fingerprint(A.indptr, A.indices, A.shape)
-        b_fp = (a_fp if B is A
-                else pattern_fingerprint(B.indptr, B.indices, B.shape))
-        # iterative algorithms often pass the same matrix as operand and
-        # mask (k-truss: C ⊙ (C·C)) — reuse its fingerprint instead of
-        # re-hashing the pattern
-        if mask_obj is A:
-            mask_fp = a_fp
-        elif mask_obj is B:
-            mask_fp = b_fp
-        else:
-            mask_fp = pattern_fingerprint(mask.indptr, mask.indices,
-                                          mask.shape)
-        return self._execute(A, B, mask, a_fp, b_fp, mask_fp,
-                             algorithm=algorithm, phases=phases,
+        mask = self._resolve_mask(mask, (A.nrows, B.ncols), complemented)
+        return self._execute(A, B, mask, algorithm=algorithm, phases=phases,
                              semiring=semiring, tag=tag, request=None)
 
     # ------------------------------------------------------------------ #
@@ -532,21 +468,19 @@ class Engine:
             mask = mask.complement()
         return mask
 
-    def _execute(self, A, B, mask, a_fp, b_fp, mask_fp, *, algorithm,
-                 phases, semiring, tag, request,
-                 value_fps: tuple[str, str] | None = None,
+    def _execute(self, A, B, mask, *, algorithm, phases, semiring, tag,
+                 request, rkey: tuple | None = None,
                  versions: tuple | None = None) -> Response:
         trace_id = (f"r{next(self._trace_seq):06d}"
                     if self.tracer.enabled else "")
-        with self.tracer.trace(trace_id, tag=tag, algorithm=algorithm,
-                               phases=phases) as rec:
+        with self.tracer.trace(trace_id, tag=tag,
+                               algorithm=algorithm) as rec:
             with chunk_observer(self._observe_chunk):
                 try:
                     resp = self._execute_traced(
-                        A, B, mask, a_fp, b_fp, mask_fp, algorithm=algorithm,
-                        phases=phases, semiring=semiring, tag=tag,
-                        request=request, value_fps=value_fps,
-                        trace_id=trace_id, versions=versions)
+                        A, B, mask, algorithm=algorithm, phases=phases,
+                        semiring=semiring, tag=tag, request=request,
+                        rkey=rkey, trace_id=trace_id, versions=versions)
                 except DeadlineExceeded as exc:
                     self._deadline_total.inc(stage=exc.stage or "engine")
                     if rec is not None:
@@ -603,19 +537,16 @@ class Engine:
     # ------------------------------------------------------------------ #
     # the numeric tier ladder: native → fused → loop kernels
     # ------------------------------------------------------------------ #
-    def _inprocess_tiers(self, A, B, mask, plan, algorithm, phases,
-                         semiring, deadline, stats=None) -> CSRMatrix:
+    def _numeric_ladder(self, A, B, mask, algorithm, semiring, deadline,
+                        stats) -> CSRMatrix:
         """The numeric pass and its degrade ladder, one rung at a time.
 
-        The rungs are the plan's kernel, then — for a native-routed plan
+        The rungs are the resolved kernel, then — for a native key
         (``msa-native``/``hash-native``) — its fused base kernel
         (:data:`~repro.core.registry.NATIVE_BASE`), then the per-row
-        ``msa-loop`` kernel, run serially. The ladder exists because a
-        cached :class:`SymbolicPlan`'s row sizes are *kernel-independent*:
-        relabelling the plan replays the same masked product through a
-        simpler kernel with the warm symbolic work intact — bit-identical
-        output at every rung. Baselines have no plan to relabel and run as
-        a single rung.
+        ``msa-loop`` kernel, run serially. Every registered kernel computes
+        the same masked product, so each rung is bit-identical. Baselines
+        run as a single rung.
 
         Every rung but the last checks the ``engine.kernel`` fault site, so
         each injected fault drops exactly one rung. Only deliberate
@@ -628,11 +559,9 @@ class Engine:
         """
         if deadline is not None:
             deadline.check("engine", "numeric start")
-        if plan is None:
-            rungs = [(algorithm, self.executor)]
-        else:
-            rungs = [(plan.algorithm, self.executor)]
-            base = NATIVE_BASE.get(plan.algorithm)
+        rungs = [(algorithm, self.executor)]
+        if algorithm not in BASELINE_KEYS:
+            base = NATIVE_BASE.get(algorithm)
             if base is not None:
                 rungs.append((base, self.executor))
             rungs.append(("msa-loop", None))
@@ -640,7 +569,6 @@ class Engine:
         for i, (key, executor) in enumerate(rungs):
             last = i == len(rungs) - 1
             tier = kernel_tier(key)
-            rung_plan = plan if i == 0 else replace(plan, algorithm=key)
             if failed is None:
                 ctx = nullcontext()
             else:
@@ -653,43 +581,35 @@ class Engine:
                     if not last and self.faults is not None:
                         apply_fault(self.faults.check("engine.kernel"))
                     result = masked_spgemm(A, B, mask, algorithm=key,
-                                           semiring=semiring, phases=phases,
-                                           executor=executor, plan=rung_plan)
+                                           semiring=semiring,
+                                           executor=executor)
                 except (InjectedFault, MemoryError) as exc:
                     if last:
                         raise
                     failed = (tier, type(exc).__name__)
                     continue
-            if stats is not None:
-                stats.kernel_tier = tier
+            stats.kernel_tier = tier
             return result
 
-    def _execute_traced(self, A, B, mask, a_fp, b_fp, mask_fp, *, algorithm,
-                        phases, semiring, tag, request, value_fps,
-                        trace_id: str, versions: tuple | None = None
-                        ) -> Response:
+    def _execute_traced(self, A, B, mask, *, algorithm, phases, semiring,
+                        tag, request, rkey, trace_id: str,
+                        versions: tuple | None = None) -> Response:
         t_start = time.perf_counter()
-        stats = RequestStats(phases=phases, trace_id=trace_id)
-        plan: SymbolicPlan | None = None
+        stats = RequestStats(trace_id=trace_id)
+        check_phases(phases)
         # the server stamps a started deadline on the request at admission
         # (so queue time counts); direct engine callers start one here
         deadline = resolve_deadline(request) if request is not None else None
         if deadline is not None:
             deadline.check("engine")
 
-        key = plan_key(a_fp, b_fp, mask_fp, mask.complemented,
-                       algorithm, phases, semiring.name)
-        rkey = None
-        if value_fps is not None:
-            # result tier sits in front of the plan tier: a hit returns the
-            # memoized CSR output with no plan lookup and no numeric pass
-            rkey = result_key(key, *value_fps)
+        if rkey is not None:
+            # a hit returns the memoized CSR output with no numeric pass
             with span("cache.lookup", cache="result"):
                 with self._lock:
                     cached = self.results.get(rkey)
             if cached is not None:
                 stats.algorithm = cached.algorithm
-                stats.planned = algorithm.lower() not in BASELINE_KEYS
                 stats.result_cache_hit = True
                 stats.output_nnz = cached.matrix.nnz
                 stats.total_seconds = time.perf_counter() - t_start
@@ -700,38 +620,21 @@ class Engine:
                 return Response(result=cached.matrix, stats=stats, tag=tag,
                                 request=request)
 
-        if algorithm.lower() in BASELINE_KEYS:
-            # whole-matrix baselines have no symbolic phase to plan
-            stats.algorithm = algorithm.lower()
-            stats.planned = False
-        else:
-            with span("cache.lookup", cache="plan"):
-                with self._lock:
-                    plan = self.plans.get(key)
-            if plan is not None:
-                stats.plan_cache_hit = True
-            else:
-                t0 = time.perf_counter()
-                with span("symbolic.cold", algorithm=algorithm,
-                          phases=phases):
-                    plan = build_plan(A, B, mask, algorithm=algorithm,
-                                      phases=phases, semiring=semiring)
-                stats.plan_seconds = time.perf_counter() - t0
-                with self._lock:
-                    self.plans.put(key, plan)
-            stats.algorithm = plan.algorithm
-            from ..parallel.runner import uses_direct_write
-
-            stats.direct_write = uses_direct_write(
-                plan.algorithm, phases,
-                row_sizes_known=plan.row_sizes is not None)
+        # validate before the ladder, so an injected fault can never let a
+        # malformed request degrade into a rung that happens to accept it
+        mask.check_output_shape(check_multiplicable(A.shape, B.shape))
+        algorithm = algorithm.lower()
+        if algorithm == "auto":
+            # through the module attribute, so a patched auto_select sees it
+            algorithm = registry.auto_select(A, B, mask, semiring=semiring)
+        elif algorithm not in BASELINE_KEYS:
+            registry.get_spec(algorithm)  # raises on an unknown key
+        stats.algorithm = algorithm
 
         t0 = time.perf_counter()
-        with span("numeric",
-                  kernel=plan.algorithm if plan is not None
-                  else algorithm.lower()):
-            result = self._inprocess_tiers(A, B, mask, plan, algorithm,
-                                           phases, semiring, deadline, stats)
+        with span("numeric", kernel=algorithm):
+            result = self._numeric_ladder(A, B, mask, algorithm, semiring,
+                                          deadline, stats)
         stats.numeric_seconds = time.perf_counter() - t0
         stats.total_seconds = time.perf_counter() - t_start
         stats.output_nnz = result.nnz
@@ -752,8 +655,7 @@ class Engine:
                     self._delta_stale.inc()
                 else:
                     with span("cache.writeback"):
-                        self.results.put(rkey, result,
-                                         stats.algorithm or algorithm)
+                        self.results.put(rkey, result, algorithm)
             self.stats.record(stats)
         if self.flight is not None:
             self.flight.note_request(stats.as_summary())

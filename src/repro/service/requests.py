@@ -8,9 +8,8 @@ update a registered matrix's values between requests without touching the
 request stream.
 
 Every :class:`Response` carries a :class:`RequestStats` — the per-request
-observability (plan-cache hit/miss, which phase work was skipped, timings)
-that the ROADMAP's serving story needs and that
-``benchmarks/bench_service_plan_cache.py`` plots.
+observability (serving tier, resolved kernel, the kernel tier that ran,
+timings) behind the ``repro serve`` report and ``/metrics``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.registry import BASELINE_KEYS
+from ..errors import AlgorithmError
 from ..sparse.csr import CSRMatrix
+
+
+def check_phases(phases) -> None:
+    """Reject a ``phases`` value other than 1 or 2 (both are served
+    one-phase, so this is the only place the value still matters)."""
+    if phases not in (1, 2):
+        raise AlgorithmError(f"phases must be 1 or 2, got {phases!r}")
 
 
 @dataclass
@@ -34,12 +42,12 @@ class Request:
     complemented : bool
         Complement the mask pattern (``C = ¬M ⊙ (A·B)``).
     algorithm : str
-        Kernel key or ``"auto"`` (resolved once, then cached in the plan)
-        or a baseline name (baselines bypass the plan cache — they have no
-        symbolic phase).
+        Kernel key, ``"auto"`` (resolved per request by
+        :func:`repro.core.registry.auto_select`) or a baseline name.
     phases : int
-        1 or 2. Two-phase requests are where plan caching pays most: a warm
-        request skips the whole symbolic pass.
+        1 or 2. Accepted for compatibility with the paper's ``<Alg>-<P>P``
+        naming; the engine serves both one-phase, with the same output bits
+        (see :mod:`repro.service.engine`).
     semiring : str
         Registered semiring name (string, so requests stay JSON-serializable).
     tag : str
@@ -58,7 +66,7 @@ class Request:
     mask: str | None = None
     complemented: bool = False
     algorithm: str = "auto"
-    phases: int = 2
+    phases: int = 1
     semiring: str = "plus_times"
     tag: str = ""
     deadline_ms: float | None = None
@@ -82,15 +90,9 @@ class RequestStats:
                                    # (native/fused/loop/baseline; "" when no
                                    # kernel ran, e.g. result-cache hits) —
                                    # reflects degradation, unlike `algorithm`
-    phases: int = 1
-    planned: bool = True           # False for baselines (no symbolic phase)
-    plan_cache_hit: bool = False   # plan came from the cache
     result_cache_hit: bool = False # whole numeric result came from the cache
-    direct_write: bool = False     # numeric pass wrote straight into the
-                                   # final CSR arrays (two-phase, fused kernel)
     coalesced: bool = False        # response shared with an identical
                                    # in-flight request (async server dedup)
-    plan_seconds: float = 0.0      # auto-select + symbolic (0 on warm hits)
     numeric_seconds: float = 0.0
     total_seconds: float = 0.0
     queued_seconds: float = 0.0    # admission→execution wait (async server only)
@@ -99,28 +101,26 @@ class RequestStats:
                                    # is off); fetch the flame view at
                                    # /trace/<trace_id>.json while retained
 
+    # -- read by perfbench/tracing.py; the engine builds no plans -------- #
     @property
-    def plan_reused(self) -> bool:
-        """The numeric pass consumed a cached plan."""
-        return self.plan_cache_hit
+    def plan_seconds(self) -> float:
+        return 0.0
 
     @property
-    def symbolic_skipped(self) -> bool:
-        """A two-phase request that ran no symbolic pass (warm plan)."""
-        return self.plan_cache_hit and self.phases == 2
+    def plan_cache_hit(self) -> bool:
+        return False
+
+    @property
+    def planned(self) -> bool:
+        return self.algorithm not in BASELINE_KEYS
 
     @property
     def serving_tier(self) -> str:
         """Where this request was answered — the label
         ``repro_engine_requests_total{tier=...}`` counts it under:
-        ``result`` (whole output from the result cache), ``warm``
-        (plan-cache hit), ``cold`` (plan built), ``unplanned``
-        (baselines)."""
-        if self.result_cache_hit:
-            return "result"
-        if not self.planned:
-            return "unplanned"
-        return "warm" if self.plan_cache_hit else "cold"
+        ``result`` (whole output from the result cache) or ``computed``
+        (a numeric pass ran)."""
+        return "result" if self.result_cache_hit else "computed"
 
     def as_summary(self) -> dict:
         """Compact JSON-able summary for the flight recorder's request
@@ -131,9 +131,6 @@ class RequestStats:
             "tier": self.serving_tier,
             "algorithm": self.algorithm,
             "kernel_tier": self.kernel_tier,
-            "phases": self.phases,
-            "direct_write": self.direct_write,
-            "plan_seconds": round(self.plan_seconds, 6),
             "numeric_seconds": round(self.numeric_seconds, 6),
             "total_seconds": round(self.total_seconds, 6),
             "queued_seconds": round(self.queued_seconds, 6),
@@ -142,12 +139,9 @@ class RequestStats:
 
     def as_row(self) -> list:
         """Flat rendering for tables/CSV (bench + CLI reporting)."""
-        return [self.algorithm, self.phases,
-                "result" if self.result_cache_hit
-                else "-" if not self.planned
-                else "hit" if self.plan_cache_hit else "miss",
-                self.plan_seconds * 1e3, self.numeric_seconds * 1e3,
-                self.total_seconds * 1e3, self.output_nnz]
+        return [self.algorithm, self.serving_tier,
+                self.numeric_seconds * 1e3, self.total_seconds * 1e3,
+                self.output_nnz]
 
 
 @dataclass

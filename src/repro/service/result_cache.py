@@ -1,23 +1,23 @@
-"""Result cache: the numeric memoization tier in front of the plan cache.
+"""Result cache: the engine's one memoization tier.
 
-The :class:`~repro.service.plan.PlanCache` amortizes *pattern-only* work
-(algorithm auto-selection + the paper's §6 symbolic pass); the numeric pass
-still runs on every request. But serving traffic repeats harder than that:
-dashboards re-query the same graph, retries replay identical requests, and
-iterative workloads re-run on unchanged inputs. For those, the product itself
-is deterministic — same operand patterns, same operand *values*, same
-execution config → bit-identical output — so the full numeric result can be
-memoized.
+Serving traffic repeats: dashboards re-query the same graph, retries replay
+identical requests, and iterative workloads re-run on unchanged inputs. For
+those, the product itself is deterministic — same operand patterns, same
+operand *values*, same execution config → bit-identical output — so the
+full numeric result can be memoized.
 
-``ResultCache`` is a byte-accounted LRU keyed on
+``ResultCache`` is a byte-accounted LRU keyed on :func:`result_key`:
 
-    (plan key … , A value hash, B value hash)
+    (A pattern fp, B pattern fp, mask fp, complemented, requested
+     algorithm, semiring name, A value hash, B value hash)
 
-i.e. the plan cache's structural identity (operand/mask pattern fingerprints,
-complement flag, algorithm, phases, semiring) extended with
+— the request's structural identity extended with
 :func:`repro.sparse.ops.value_fingerprint` digests of both operands' stored
-numbers. Mask values never enter the key: masks are pure patterns, already
-covered by the mask fingerprint. Hits return the cached
+numbers. The requested algorithm (``"auto"`` included) is part of the key
+because a kernel's floating-point summation order is part of its output;
+``phases`` is not, because the engine serves both values one-phase. Mask
+values never enter the key: masks are pure patterns, already covered by the
+mask fingerprint. Hits return the cached
 :class:`~repro.sparse.csr.CSRMatrix` object itself — bit-identical by
 construction, zero-copy by design (library kernels never mutate operands, and
 the engine hands the same object to every hit).
@@ -40,13 +40,18 @@ from ..bench.metrics import hit_rate
 from ..sparse.csr import CSRMatrix
 from .store import matrix_nbytes
 
-#: cache key tuple — plan_key(...) fields + (a_value_fp, b_value_fp)
+#: cache key tuple — see :func:`result_key` for field order
 ResultKey = tuple
 
 
-def result_key(plan_key: tuple, a_value_fp: str, b_value_fp: str) -> ResultKey:
-    """Extend a :func:`repro.service.plan.plan_key` with operand value hashes."""
-    return plan_key + (a_value_fp, b_value_fp)
+def result_key(a_fp: str, b_fp: str, mask_fp: str, complemented: bool,
+               algorithm: str, semiring: str, a_value_fp: str,
+               b_value_fp: str) -> ResultKey:
+    """The result identity of one request: pattern fingerprints, mask
+    polarity, requested algorithm and semiring name, plus both operands'
+    value hashes."""
+    return (a_fp, b_fp, mask_fp, bool(complemented), algorithm.lower(),
+            semiring, a_value_fp, b_value_fp)
 
 
 @dataclass

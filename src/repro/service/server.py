@@ -16,11 +16,9 @@
 * **worker pool** — N asyncio workers each take the oldest queued request
   and run :meth:`Engine.submit` on it in a thread (`asyncio.to_thread`), so
   the event loop stays responsive and distinct requests run side by side
-  on distinct workers (the compiled kernels release the GIL). Two workers
-  that cold-miss the same plan key both build it; the builds are
-  bit-identical and the plan cache keeps one;
+  on distinct workers (the compiled kernels release the GIL);
 * **request dedup** — concurrent *identical* in-flight requests (same
-  operand patterns *and values*, same mask/algorithm/phases/semiring — the
+  operand patterns *and values*, same mask/algorithm/semiring — the
   result-cache key, computed from the store entries' fingerprints) coalesce
   onto one future: only the first executes; followers await it and receive
   a response flagged ``stats.coalesced``. A burst of equal products costs
@@ -45,7 +43,7 @@ Quickstart::
 
     async def main(engine: Engine):
         async with AsyncServer(engine, workers=2, max_inflight=32) as srv:
-            reqs = [Request(a="A", b="A", mask="M", phases=2)] * 64
+            reqs = [Request(a="A", b="A", mask="M")] * 64
             resps = await asyncio.gather(*[srv.submit(r) for r in reqs])
         return resps
 """
@@ -63,7 +61,7 @@ from ..obs import MetricsRegistry
 from ..resilience import Deadline, DeadlineExceeded
 from ..validation import check_multiplicable
 from .engine import Engine
-from .requests import Request, RequestStats, Response
+from .requests import Request, RequestStats, Response, check_phases
 
 
 #: most (A-pattern, B-pattern) flops estimates a server memoizes
@@ -210,7 +208,7 @@ class AsyncServer:
 
     Parameters
     ----------
-    engine : the engine owning operands, plans and results.
+    engine : the engine owning operands and results.
     workers : worker-pool size — requests executing at once. Each worker
         runs one request at a time in its own thread, so size this like a
         thread pool (the compiled kernels and numpy sections release the
@@ -316,11 +314,13 @@ class AsyncServer:
     # admission
     # ------------------------------------------------------------------ #
     def _resolve_entries(self, request: Request):
-        """Store-entry resolution for admission. Unknown store keys fail
-        here — at admission, where the error belongs — rather than inside a
-        worker. Resolution goes through ``Engine.entry`` (the locked path):
+        """Store-entry resolution for admission. Unknown store keys and a
+        bad ``phases`` fail here — at admission, where the error belongs,
+        and before dedup could coalesce the request onto a valid twin —
+        rather than inside a worker. Resolution goes through ``Engine.entry`` (the locked path):
         this runs on the event-loop thread concurrently with worker threads
         mutating the store's LRU order."""
+        check_phases(request.phases)
         a_entry = self.engine.entry(request.a)
         b_entry = self.engine.entry(request.b)
         mask_entry = (self.engine.entry(request.mask)
@@ -354,7 +354,7 @@ class AsyncServer:
                 a_entry.value_fingerprint, b_entry.value_fingerprint,
                 mask_entry.fingerprint if mask_entry is not None else "",
                 request.complemented, request.algorithm.lower(),
-                request.phases, request.semiring)
+                request.semiring)
 
     def _shed(self, stage: str, detail: str = "") -> None:
         """Record and raise a deadline shed at ``stage``."""

@@ -3,11 +3,10 @@
 The store is the engine's operand namespace: services register CSR matrices
 and mask patterns once under string keys, then address them from requests.
 Each entry carries a lazily-computed **pattern fingerprint**
-(:func:`repro.sparse.ops.pattern_fingerprint`) — the PlanCache key primitive
-— cached per registration so repeated requests pay the O(nnz) hash only once
-per pattern, and recomputed on re-registration so value-only updates keep
-their fingerprint (plans stay hot) while pattern changes naturally invalidate
-(plans miss).
+(:func:`repro.sparse.ops.pattern_fingerprint`) and value fingerprint — the
+result-cache key primitives — cached per registration so repeated requests
+pay the O(nnz) hash only once, and recomputed on re-registration so a
+changed operand misses by construction.
 
 An optional byte budget turns the store into an LRU cache over operand
 memory: registering past the budget evicts the least-recently-*used* entries
@@ -91,9 +90,8 @@ class MatrixStore:
     def register(self, key: str, value: CSRMatrix | Mask, *,
                  pin: bool = False) -> StoreEntry:
         """Insert or replace ``key``. Replacement drops the cached
-        fingerprint, so a value-only update recomputes to the *same*
-        fingerprint (plans keep hitting) while a pattern change yields a new
-        one (plans miss, as they must)."""
+        fingerprints, so a value-only update recomputes to the *same*
+        pattern fingerprint and a new value fingerprint."""
         if not isinstance(value, (CSRMatrix, Mask)):
             raise StoreError(
                 f"store values must be CSRMatrix or Mask, got {type(value).__name__}"
@@ -141,8 +139,8 @@ class MatrixStore:
         flag, version bumped. This is the delta path's mutation primitive —
         unlike :meth:`register` it accepts pre-computed fingerprints, so a
         value-only delta carries the *old pattern fingerprint forward*
-        (plans keep hitting without re-hashing the unchanged pattern) and
-        callers can hash outside their locks."""
+        (no re-hashing of the unchanged pattern) and callers can hash
+        outside their locks."""
         try:
             old = self._entries[key]
         except KeyError:

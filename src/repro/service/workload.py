@@ -12,13 +12,14 @@ workload.json`` consumes. A spec is a dict with two sections::
       },
       "requests": [
         {"a": "G", "b": "G", "mask": "G", "algorithm": "auto",
-         "phases": 2, "repeat": 8, "tag": "tc"}
+         "repeat": 8, "tag": "tc"}
       ]
     }
 
 ``repeat`` expands a request N times — the idiom for modelling repeated
-traffic under an unchanged mask, which is exactly where the plan cache
-earns its keep (every repeat after the first is a warm hit).
+traffic on unchanged operands, which is where the result cache and the
+server's dedup earn their keep (a repeat is a result hit, or coalesces
+onto its in-flight twin).
 
 Matrix ``prep`` values: ``triangle`` (symmetrize + degree-sort + tril, the
 TC workload), ``undirected`` (symmetrize + simplify), ``pattern`` (values
@@ -126,14 +127,14 @@ def render_serve_report(engine: Engine, server, responses,
                         seconds: float) -> str:
     """Human-readable async-serve report (the ``repro serve`` CLI output):
     per-request rows plus throughput, queue-wait and cache-tier telemetry."""
-    from ..bench.metrics import hit_rate, latency_summary
+    from ..bench.metrics import latency_summary
     from ..bench.reporting import render_table
 
     rows = [[r.tag] + r.stats.as_row() + [r.stats.queued_seconds * 1e3]
             for r in responses]
     lines = [render_table(
-        ["tag", "algorithm", "phases", "plan", "plan (ms)", "numeric (ms)",
-         "total (ms)", "nnz", "queued (ms)"], rows)]
+        ["tag", "algorithm", "tier", "numeric (ms)", "total (ms)", "nnz",
+         "queued (ms)"], rows)]
     lines.append("")
     n = len(responses)
     rps = n / seconds if seconds > 0 else float("inf")
@@ -142,37 +143,26 @@ def render_serve_report(engine: Engine, server, responses,
         f"{server.stats.batches} worker executions, "
         f"peak queue depth {server.stats.max_queue_depth}, "
         f"peak in-flight {server.stats.max_inflight_seen}")
-    stats = [r.stats for r in responses]
-    coalesced = sum(1 for s in stats if s.coalesced)
-    result_hits = sum(1 for s in stats if not s.coalesced and s.result_cache_hit)
-    plan_hits = sum(1 for s in stats if not s.coalesced and s.plan_cache_hit)
-    planned_misses = sum(1 for s in stats
-                         if not s.coalesced and s.planned
-                         and not s.plan_cache_hit and not s.result_cache_hit)
-    warm = result_hits + plan_hits + coalesced
+    # coalesced responses carry copies of their primary's stats; keep them
+    # out of every count and latency line so one execution is never
+    # counted N times
+    stats = [r.stats for r in responses if not r.stats.coalesced]
+    coalesced = n - len(stats)
+    result_hits = sum(1 for s in stats if s.result_cache_hit)
+    computed = len(stats) - result_hits
     lines.append(
         f"cache tiers: {coalesced} coalesced, {result_hits} result hits, "
-        f"{plan_hits} plan hits, {planned_misses} cold plans "
-        f"({100 * hit_rate(warm, planned_misses):.0f}% warm)")
-    # coalesced responses carry copies of their primary's stats; keep them
-    # out of every latency line so one timing is never counted N times
-    waits = latency_summary(
-        [s.queued_seconds for s in stats if not s.coalesced])
+        f"{computed} computed")
+    waits = latency_summary([s.queued_seconds for s in stats])
     if waits:
         lines.append(f"queue wait: {waits}")
-    for label, pick in (("cold", lambda s: not s.coalesced and s.planned
-                         and not s.plan_cache_hit and not s.result_cache_hit),
-                        ("warm (plan hit)",
-                         lambda s: not s.coalesced and s.plan_cache_hit),
-                        ("result hit",
-                         lambda s: not s.coalesced and s.result_cache_hit)):
+    for tier in ("computed", "result"):
         summary = latency_summary(
-            [s.total_seconds for s in stats if pick(s)])
+            [s.total_seconds for s in stats if s.serving_tier == tier])
         if summary:
-            lines.append(f"{label} requests: {summary}")
+            lines.append(f"{tier} requests: {summary}")
     lines.append(f"engine: {len(engine.store)} matrices "
-                 f"({engine.store.total_bytes} bytes resident), "
-                 f"{len(engine.plans)} plans cached"
+                 f"({engine.store.total_bytes} bytes resident)"
                  + (f", {len(engine.results)} results cached "
                     f"({engine.results.total_bytes} bytes)"
                     if engine.results is not None else ""))

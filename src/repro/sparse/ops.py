@@ -41,8 +41,8 @@ def pattern_fingerprint(indptr: np.ndarray, indices: np.ndarray,
     little-endian int64 so the result is independent of platform byte order
     and of the (validated-equivalent) input dtype. Values are deliberately
     excluded — a matrix whose numbers change but whose sparsity structure
-    does not keeps its fingerprint, which is exactly the invariance the
-    service layer's :class:`~repro.service.PlanCache` needs.
+    does not keeps its fingerprint; the service layer's result-cache key
+    pairs it with :func:`value_fingerprint` for the numbers.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(np.asarray(shape, dtype="<i8").tobytes())

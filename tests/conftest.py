@@ -167,11 +167,10 @@ def oracle_pair(engine, request):
     typically evolved through :meth:`Engine.apply_delta` (swapped entries,
     invalidated results, carried fingerprints) — and against a *fresh cold
     engine* whose operands are rebuilt from scratch from the live store's
-    current contents (so every plan is built cold and every result computed
-    from nothing). Returns ``(live, cold)`` responses; callers assert the
-    pair bit-identical, which proves the whole incremental path (entry
-    swap, result invalidation, fingerprint carrying, plan reuse by
-    fingerprint) equivalent to recomputation.
+    current contents (so every result is computed from nothing). Returns
+    ``(live, cold)`` responses; callers assert the pair bit-identical, which
+    proves the whole incremental path (entry swap, result invalidation,
+    fingerprint carrying) equivalent to recomputation.
     """
     from repro.service import Engine
 

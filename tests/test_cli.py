@@ -117,22 +117,37 @@ def test_serve_workload(tmp_path, capsys):
     p.write_text(json.dumps(wl))
     rc, out = run(["serve", str(p)], capsys)
     assert rc == 0
-    # 3 identical requests: the first plans cold, the two in flight behind
-    # it coalesce onto its result
-    assert ("cache tiers: 2 coalesced, 0 result hits, 0 plan hits, "
-            "1 cold plans") in out
-    assert "cold requests:" in out
+    # 3 identical requests: the first runs alone and computes; the two sent
+    # after it completes are served from the result cache, or one coalesces
+    # onto the other while it is in flight
+    import re
+
+    tiers = re.search(r"cache tiers: (\d+) coalesced, (\d+) result hits, "
+                      r"(\d+) computed", out)
+    assert tiers is not None, out
+    coalesced, result_hits, computed = map(int, tiers.groups())
+    assert computed == 1 and result_hits >= 1
+    assert coalesced + result_hits == 2
+    assert "computed requests:" in out and "result requests:" in out
     assert sum(1 for line in out.splitlines()
                if line.strip().startswith("tc")) == 3
 
 
 def test_serve_smoke(capsys):
-    """`python -m repro serve --smoke` — the CI gate: warm serving, asserted
-    by the command itself."""
+    """`python -m repro serve --smoke` — the CI gate: one computed request,
+    then genuine result hits, asserted by the command itself."""
     rc, out = run(["serve", "--smoke"], capsys)
     assert rc == 0
     assert "smoke:" in out and "PASS" in out and "FAIL" not in out
-    assert "cache tiers:" in out
+    assert "cache tiers:" in out and "1 computed" in out
+
+
+def test_serve_smoke_fails_without_a_result_hit(capsys):
+    """Coalescing alone does not pass the smoke gate: with the result cache
+    off, the repeats compute again and the gate must fail."""
+    rc, out = run(["serve", "--smoke", "--result-cache-mb", "0"], capsys)
+    assert rc == 1
+    assert "0 result hits" in out and "FAIL" in out
 
 
 def test_serve_rejects_removed_plans_flag(tmp_path, capsys):

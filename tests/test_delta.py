@@ -2,9 +2,8 @@
 
 The contract under test is absolute: every delta path — value-only swaps
 that carry the pattern fingerprint forward, pattern swaps that invalidate
-cached results and plan the new pattern by its fingerprint — must leave the
-engine serving products **bit-identical** to a cold engine whose operands
-were rebuilt from scratch and whose plans were built cold.
+cached results — must leave the engine serving products **bit-identical**
+to a fresh engine whose operands were rebuilt from scratch.
 :func:`conftest.oracle_pair` implements that comparison; the hypothesis
 strategies drive it across random matrices and batches (empty batches,
 duplicate edges, delete-then-reinsert, rows emptied out), and the directed
@@ -29,7 +28,6 @@ from repro.graphs import erdos_renyi, rmat, to_undirected_simple
 from repro.mask import Mask
 from repro.semiring import PLUS_PAIR
 from repro.service import Engine, Request
-from repro.service.plan import plan_key
 from repro.service.result_cache import result_key
 from repro.service.store import StoreError
 from repro.sparse import csr_random
@@ -164,7 +162,7 @@ def delta_case(draw, n_min=3, n_max=9):
 
 
 class TestDifferentialOracle:
-    """Every delta path vs rebuild-from-scratch + cold re-plan."""
+    """Every delta path vs rebuild-from-scratch on a fresh engine."""
 
     @given(delta_case())
     @settings(max_examples=40, deadline=None)
@@ -176,7 +174,7 @@ class TestDifferentialOracle:
         eng = Engine(result_cache_bytes=1 << 24)
         eng.register("G", _matrix_from_cells(n, base))
         req = Request(a="G", b="G", mask="G", phases=2, semiring="plus_pair")
-        eng.submit(req)                     # warm plan + cached result
+        eng.submit(req)                     # cached result
         out = eng.apply_delta("G", batch)
         live, cold = oracle_pair(eng, req)
         assert_bit_identical(live.result, cold.result, context=out.kind)
@@ -309,21 +307,22 @@ class TestCacheEconomics:
         return eng, r1, r2
 
     def test_value_only_delta_keeps_plan_cache_perfect(self, rng):
-        """A value delta must not cost a single plan miss: the pattern
-        fingerprint is carried forward, so the next request is a plan hit
-        (the result tier misses — values changed — exactly once)."""
+        """A value delta carries the pattern fingerprint forward, and the
+        result tier misses — values changed — exactly once: the recomputed
+        product is cached again under the new value hash."""
         eng, r1, _ = self._pair(rng)
         a = eng.entry("A").value
         rows = np.repeat(np.arange(a.nrows), a.row_nnz())
         upd = [(int(rows[i]), int(a.indices[i]), float(a.data[i] + 1))
                for i in range(0, a.nnz, 3)]
-        misses_before = eng.plans.misses
+        pattern_fp = eng.entry("A").fingerprint
         out = eng.apply_delta("A", DeltaBatch(update=upd))
         assert out.kind == "value"
         assert out.pattern_fingerprint == eng.entry("A").fingerprint
+        assert out.pattern_fingerprint == pattern_fp
         resp = eng.submit(r1)
-        assert resp.stats.plan_cache_hit and not resp.stats.result_cache_hit
-        assert eng.plans.misses == misses_before
+        assert not resp.stats.result_cache_hit
+        assert eng.submit(r1).stats.result_cache_hit
         live, cold = oracle_pair(eng, r1)
         assert_bit_identical(live.result, cold.result)
 
@@ -339,8 +338,8 @@ class TestCacheEconomics:
 
     def test_pattern_delta_invalidates_cached_result(self, rng):
         """A pattern delta drops the products that read the old content,
-        and the next request plans the new pattern cold: no result hit, no
-        plan hit, bit-identical to a cold rebuild."""
+        and the next request computes the new pattern: no result hit,
+        bit-identical to a rebuild from scratch."""
         g = to_undirected_simple(rmat(6, 6, rng=rng)).pattern()
         eng = Engine(result_cache_bytes=1 << 24)
         eng.register("G", g)
@@ -353,7 +352,7 @@ class TestCacheEconomics:
         assert out.kind == "pattern" and out.results_invalidated == 1
         live, cold = oracle_pair(eng, req)
         assert not live.stats.result_cache_hit
-        assert not live.stats.plan_cache_hit
+        assert live.stats.serving_tier == "computed"
         assert_bit_identical(live.result, cold.result)
 
     def test_patched_result_key_names_post_delta_content(self, rng):
@@ -369,8 +368,8 @@ class TestCacheEconomics:
         def key_of_entry():
             fp = eng.entry("G").fingerprint
             vfp = eng.entry("G").value_fingerprint
-            return result_key(
-                plan_key(fp, fp, fp, False, "auto", 2, "plus_pair"), vfp, vfp)
+            return result_key(fp, fp, fp, False, "auto", "plus_pair",
+                              vfp, vfp)
 
         eng.submit(req)
         old_key = key_of_entry()
@@ -387,11 +386,11 @@ class TestCacheEconomics:
 
     def test_delete_then_reinsert_restores_fingerprint_and_plan_hit(
             self, rng):
-        """Content addressing is what replaces plan splicing: a delete
-        delta and a later re-insert of the same edges restore the old
-        pattern, so its fingerprint comes back and the next request hits
-        the plan built before the deletes, bit-identical to the reference
-        tier."""
+        """Content addressing: a delete delta and a later re-insert of the
+        same edges restore the old pattern, so its fingerprint comes back
+        (the name's plan hit is gone with the plan cache); the product
+        served for it is recomputed — the deletes invalidated the cached
+        one — bit-identical to the reference tier."""
         from repro.core.reference import reference_masked_spgemm
 
         g = to_undirected_simple(rmat(6, 6, rng=rng)).pattern()
@@ -405,13 +404,12 @@ class TestCacheEconomics:
         pick = edges[rng.choice(edges.shape[0], size=6, replace=False)]
         out = eng.apply_delta("G", DeltaBatch(delete=pick))
         assert out.kind == "pattern" and out.pattern_fingerprint != fp
-        assert not eng.submit(req).stats.plan_cache_hit    # new pattern
+        assert not eng.submit(req).stats.result_cache_hit  # new pattern
         out = eng.apply_delta("G", DeltaBatch(
             insert=[(int(r), int(c), 1.0) for r, c in pick]))
         assert out.kind == "pattern" and out.pattern_fingerprint == fp
         assert eng.entry("G").fingerprint == fp
         resp = eng.submit(req)
-        assert resp.stats.plan_cache_hit
         assert not resp.stats.result_cache_hit
         assert_bit_identical(resp.result, reference_masked_spgemm(
             g, g, Mask.from_matrix(g), semiring=PLUS_PAIR))
@@ -469,11 +467,10 @@ class TestKTrussDelta:
         inc = ktruss_delta(g, 5, engine=eng)
         assert_bit_identical(inc.subgraph, full.subgraph)
         assert inc.iterations == full.iterations
-        # plans are keyed by pattern: a second solve on the same engine
-        # replays the same pattern sequence and hits a plan every iteration
+        # a second solve on the same engine computes every product again
         again = ktruss_delta(g, 5, engine=eng)
         assert_bit_identical(again.subgraph, full.subgraph)
-        assert all(h >= 1 for h in again.plan_hits_per_iteration)
+        assert eng.stats.computed == 2 * inc.iterations
 
     @pytest.mark.parametrize("phases", [1, 2])
     @pytest.mark.parametrize("mode", ["auto", "off"])

@@ -26,6 +26,7 @@ from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.obs.slo import SLOEvaluator
 from repro.resilience import DeadlineExceeded, FaultPlan
+from repro.parallel import SerialExecutor
 from repro.service import Engine, Request
 from repro.sparse import csr_random
 
@@ -97,7 +98,8 @@ def test_observe_resolves_active_trace_implicitly():
 
 
 def test_engine_latency_histograms_carry_exemplars(rng):
-    eng = Engine()
+    # an executor routes the numeric pass through the runner's chunks
+    eng = Engine(executor=SerialExecutor())
     A, B, M = make_triple(rng)
     eng.register("A", A)
     eng.register("B", B)
@@ -280,7 +282,8 @@ def test_request_ring_records_serving_summaries(rng):
     for _ in range(2):
         eng.submit(Request(a="A", b="B", mask="M", phases=2))
     ring = eng.flight.ring()
-    assert [e["tier"] for e in ring] == ["cold", "result"]
+    assert [e["tier"] for e in ring] == ["computed", "result"]
+    assert ring[0]["kernel_tier"] and ring[1]["kernel_tier"] == ""
     assert all(e["trace_id"] and e["total_seconds"] >= 0 for e in ring)
 
 
@@ -333,7 +336,7 @@ def test_profiler_lifecycle_guards():
 # stay bit-identical to the spans with tracing ON
 # ---------------------------------------------------------------------- #
 def test_chunk_histogram_populates_with_tracing_off(rng):
-    eng = Engine(tracing=False)
+    eng = Engine(tracing=False, executor=SerialExecutor())
     A, B, M = make_triple(rng)
     eng.register("A", A)
     eng.register("B", B)
@@ -345,7 +348,7 @@ def test_chunk_histogram_populates_with_tracing_off(rng):
 
 
 def test_chunk_histogram_bit_identical_to_spans(rng):
-    eng = Engine()
+    eng = Engine(executor=SerialExecutor())
     A, B, M = make_triple(rng)
     eng.register("A", A)
     eng.register("B", B)
@@ -354,7 +357,7 @@ def test_chunk_histogram_bit_identical_to_spans(rng):
     rec = eng.tracer.get(resp.stats.trace_id)
     span_total = sum(s.t1 - s.t0 for s in rec.find("chunk"))
     hist = eng.metrics.get("repro_chunk_seconds")
-    assert hist.total_count() == len(rec.find("chunk"))
+    assert hist.total_count() == len(rec.find("chunk")) >= 1
     assert hist.total_sum() == pytest.approx(span_total, rel=1e-9)
 
 

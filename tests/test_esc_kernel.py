@@ -153,8 +153,12 @@ def test_esc_parallel_runner_chunks(rng):
     assert par.equals(serial)
 
 
-def test_esc_through_service_engine(rng):
-    """Warm engine requests hit the cached esc plan and skip the symbolic."""
+def test_esc_through_service_engine(rng, monkeypatch):
+    """Engine requests for esc — two-phase ones included — run one-phase
+    (no symbolic pass) and repeat bit-identically."""
+    import dataclasses
+
+    from repro.core import registry
     from repro.service import Engine, Request
 
     A, B, M = make_triple(rng, m=40, k=30, n=35)
@@ -163,10 +167,20 @@ def test_esc_through_service_engine(rng):
     eng.register("B", B)
     eng.register("M", M)
     req = Request(a="A", b="B", mask="M", algorithm="esc", phases=2)
+    real_get_spec = registry.get_spec
+
+    def no_symbolic(*args):
+        raise AssertionError("symbolic pass ran")
+
+    monkeypatch.setattr(registry, "get_spec", lambda key: dataclasses.replace(
+        real_get_spec(key), symbolic=no_symbolic))
     cold = eng.submit(req)
     warm = eng.submit(req)
-    assert warm.stats.plan_cache_hit and warm.stats.symbolic_skipped
+    monkeypatch.undo()
+    assert warm.stats.algorithm == "esc"
     assert warm.result.equals(cold.result)
+    assert warm.result.equals(masked_spgemm(A, B, Mask.from_matrix(M),
+                                            algorithm="esc", phases=2))
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)

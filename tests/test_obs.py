@@ -23,6 +23,7 @@ from repro.obs import (
     span,
 )
 from repro.obs.trace import TraceRecord
+from repro.parallel import SerialExecutor
 from repro.service import Engine, Request
 from repro.sparse import csr_random
 
@@ -245,14 +246,16 @@ def test_engine_trace_taxonomy_and_ids(rng):
     assert r1.stats.trace_id != r2.stats.trace_id
     cold = eng.tracer.get(r1.stats.trace_id)
     names = {s.name for s in cold.spans}
-    assert {"symbolic.cold", "numeric", "cache.lookup",
-            "cache.writeback"} <= names
+    assert {"numeric", "cache.lookup", "cache.writeback"} <= names
+    assert not any(n.startswith("symbolic") for n in names)  # one-phase
     numeric = cold.find("numeric")[0]
     assert numeric.attrs["kernel"] == r1.stats.algorithm
-    # warm second request: result hit → no symbolic, no numeric
+    assert cold.attrs["tier"] == "computed"
+    # repeated request: result hit → no numeric, no writeback
     warm = eng.tracer.get(r2.stats.trace_id)
     warm_names = {s.name for s in warm.spans}
-    assert "symbolic.cold" not in warm_names and "numeric" not in warm_names
+    assert warm_names == {"cache.lookup"}
+    assert warm.attrs["tier"] == "result"
 
 
 def test_engine_tracing_off_leaves_no_ids(rng):
@@ -263,7 +266,9 @@ def test_engine_tracing_off_leaves_no_ids(rng):
 
 
 def test_engine_chunk_histogram_from_spans(rng):
-    eng = _engine_with_triple(rng)
+    """Chunks exist on the row-parallel runner, which an engine executor
+    routes every numeric pass through."""
+    eng = _engine_with_triple(rng, executor=SerialExecutor())
     eng.submit(Request(a="A", b="B", mask="M", phases=2))
     families = parse_exposition(eng.metrics.render())
     counts = families["repro_chunk_seconds_count"]
@@ -275,11 +280,15 @@ def test_engine_stats_derived_from_registry(rng):
     for _ in range(3):
         eng.submit(Request(a="A", b="B", mask="M", phases=2))
     assert eng.stats.requests == 3
-    assert eng.stats.plan_misses == 1
+    assert eng.stats.computed == 1
     assert eng.stats.result_hits == 2
     req = eng.metrics.get("repro_engine_requests_total")
-    assert req.value(tier="cold") == 1.0
+    assert req.value(tier="computed") == 1.0
     assert req.value(tier="result") == 2.0
+    assert req.total() == 3.0  # no other tier label
+    phase = eng.metrics.get("repro_phase_seconds")
+    assert phase.count(phase="numeric") == 1
+    assert phase.count(phase="plan") == 0
 
 
 def test_cache_counters_on_registry(rng):
@@ -287,24 +296,24 @@ def test_cache_counters_on_registry(rng):
     for _ in range(2):
         eng.submit(Request(a="A", b="B", mask="M", phases=2))
     c = eng.metrics.get("repro_cache_requests_total")
-    assert c.value(cache="plan", outcome="miss") == 1.0
+    assert c.value(cache="plan", outcome="miss") == 0.0
     assert c.value(cache="result", outcome="miss") == 1.0
     assert c.value(cache="result", outcome="hit") == 1.0
     # legacy attribute views stay coherent with the registry
-    assert eng.plans.misses == 1 and eng.results.hits == 1
+    assert eng.results.misses == 1 and eng.results.hits == 1
 
 
 def test_cache_bind_metrics_carries_counts_forward(rng):
-    from repro.service.plan import PlanCache
+    from repro.service import ResultCache
 
-    cache = PlanCache()
+    cache = ResultCache(1 << 20)
     cache.get(("nope",))  # one miss on the private registry
     assert cache.misses == 1
     reg = MetricsRegistry()
     cache.bind_metrics(reg)
     assert cache.misses == 1  # carried onto the new registry
     assert reg.get("repro_cache_requests_total").value(
-        cache="plan", outcome="miss") == 1.0
+        cache="result", outcome="miss") == 1.0
 
 
 def test_serve_smoke_metrics_leg_runs():
@@ -321,7 +330,7 @@ def test_trace_cli_writes_chrome_json(tmp_path):
     assert main(["trace", "--smoke", "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-    assert {"queue", "symbolic.cold", "numeric"} <= names
+    assert {"queue", "numeric"} <= names
 
 
 # ---------------------------------------------------------------------- #

@@ -8,8 +8,8 @@ this suite *actually* fail kernel calls, slow kernels, and expire
 deadlines, deterministically:
 
 * an ``engine.kernel`` error walks the degrade ladder (native → fused →
-  loop) one rung per fault, cold, on a plan hit and on the first request
-  after a pattern delta, bit-identical at every rung;
+  loop) one rung per fault — on a first request, on a repeat and on the
+  first request after a pattern delta — bit-identical at every rung;
 * deadlines shed queued work (typed ``DeadlineExceeded`` naming the
   enforcement stage) and attribute a coalesced follower's expiry to the
   follower, not the primary;
@@ -179,10 +179,10 @@ def test_request_deadline_ms_roundtrips_from_dict():
 # ---------------------------------------------------------------------- #
 # the kernel degrade ladder: native → fused → loop, bit-identical
 # ---------------------------------------------------------------------- #
-#: kernel tier of each rung the engine walks for a plan on each kernel: a
-#: native plan drops to its fused base kernel, then to the per-row loop; a
-#: fused plan drops straight to the loop; a loop plan replays once more on
-#: the loop rung
+#: kernel tier of each rung the engine walks for each resolved kernel: a
+#: native key drops to its fused base kernel, then to the per-row loop; a
+#: fused key drops straight to the loop; msa-loop runs once more on the
+#: loop rung
 _LADDERS = {
     "msa-native": ("native", "fused", "loop"),
     "hash-native": ("native", "fused", "loop"),
@@ -194,7 +194,7 @@ _LADDERS = {
 
 def _expected_ladder(algorithm, nfaults):
     """(kernel tier that serves, repro_degraded_total edges) after
-    ``nfaults`` consecutive ``engine.kernel`` errors on a plan for
+    ``nfaults`` consecutive ``engine.kernel`` errors on a request for
     ``algorithm``. Every rung but the last checks the fault site, so
     faults past ``len(rungs) - 1`` never fire."""
     rungs = _LADDERS[algorithm]
@@ -218,8 +218,10 @@ def test_engine_kernel_fault_degrades_to_loop_tier(rng, algorithm, nfaults,
                                                    when):
     # each fault drops one rung (native → fused → loop); the native keys
     # walk the same ladder with the compiled tier off, since their faces
-    # delegate to the fused kernels. skip=1 lets a warm-up request build
-    # the plan so the faults hit a plan-cache hit instead.
+    # delegate to the fused kernels. "plan-hit" names the repeat of an
+    # already-served request (a plan-cache hit before the engine went
+    # one-phase): skip=1 lets the first request through, so the faults
+    # land on the repeat, which walks the same ladder.
     skip = 1 if when == "plan-hit" else 0
     eng, (A, B, M) = _faulted_engine(rng, FaultPlan([FaultSpec(
         site="engine.kernel", action="error", count=nfaults, skip=skip)]))
@@ -231,7 +233,7 @@ def test_engine_kernel_fault_degrades_to_loop_tier(rng, algorithm, nfaults,
             _assert_identical(warm.result, want)
             assert warm.stats.kernel_tier == kernel_tier(algorithm)
         resp = eng.submit(req)
-        assert resp.stats.plan_cache_hit == bool(skip)
+        assert eng.stats.computed == 1 + skip
         _assert_identical(resp.result, want)
         tier, edges = _expected_ladder(algorithm, nfaults)
         assert resp.stats.kernel_tier == tier
@@ -401,8 +403,8 @@ def test_engine_ready_flips_on_close():
 # ---------------------------------------------------------------------- #
 def test_kernel_fault_after_delta_degrades_bit_identically(rng):
     """A pattern delta swaps the operand; failing the kernel on the very
-    next request, whose new pattern is planned cold, must walk the ladder
-    and still serve the *post-delta* product bit-identically."""
+    next request, which computes the new pattern, must walk the ladder and
+    still serve the *post-delta* product bit-identically."""
     from repro.delta import DeltaBatch
 
     algorithm = "msa-native" if native_available() else "msa"
@@ -420,7 +422,7 @@ def test_kernel_fault_after_delta_degrades_bit_identically(rng):
         post_A = eng.entry("A").value
 
         resp = eng.submit(req)
-        assert resp.stats.plan_cache_hit is False  # new pattern, cold plan
+        assert resp.stats.serving_tier == "computed"
         want = _reference_result(post_A, B, M)
         _assert_identical(resp.result, want)
         tier, edges = _expected_ladder(algorithm, nfaults)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_masked_product_correct, make_triple
-from repro.errors import ShapeError
-from repro.mask import Mask
+from repro.errors import AlgorithmError, ShapeError
 from repro.service import (
     AsyncServer,
     Engine,
@@ -19,7 +18,6 @@ from repro.service import (
     render_serve_report,
     serve_all,
 )
-from repro.service.result_cache import result_key
 from repro.service.store import matrix_nbytes
 from repro.sparse import csr_random, value_fingerprint
 from repro.sparse.csr import CSRMatrix
@@ -110,19 +108,19 @@ def test_engine_result_cache_hit_is_bit_identical(cached_engine):
     cold = eng.submit(req)
     hit = eng.submit(req)
     assert not cold.stats.result_cache_hit
-    assert hit.stats.result_cache_hit and not hit.stats.plan_cache_hit
+    assert hit.stats.result_cache_hit and hit.stats.serving_tier == "result"
     # bit-identical: the very same CSR object comes back
     assert hit.result is cold.result
     assert hit.stats.algorithm == cold.stats.algorithm != "auto"
-    assert eng.stats.result_hits == 1
-    # result hits stay out of the plan hit/miss accounting
-    assert eng.stats.plan_hits == 0 and eng.stats.plan_misses == 1
-    assert eng.metrics.get("repro_request_seconds").count(tier="result") == 1
+    assert hit.stats.kernel_tier == "" and hit.stats.numeric_seconds == 0
+    assert eng.stats.result_hits == 1 and eng.stats.computed == 1
+    latency = eng.metrics.get("repro_request_seconds")
+    assert latency.count(tier="result") == latency.count(tier="computed") == 1
 
 
 def test_engine_value_change_invalidates_result_not_plan(cached_engine):
     """New values under the same pattern: the result tier must miss (values
-    key it) while the plan tier keeps hitting (patterns key it)."""
+    key it), and the product is computed from the new values."""
     eng, (A, B, M) = cached_engine
     req = Request(a="A", b="B", mask="M", phases=2)
     eng.submit(req)
@@ -130,7 +128,7 @@ def test_engine_value_change_invalidates_result_not_plan(cached_engine):
     eng.register("A", A2)
     resp = eng.submit(req)
     assert not resp.stats.result_cache_hit
-    assert resp.stats.plan_cache_hit
+    assert resp.stats.serving_tier == "computed"
     assert_masked_product_correct(resp.result, A2, B, M)
     # and the old entry is still there: re-registering the original values
     # brings back result hits without recomputation
@@ -139,13 +137,19 @@ def test_engine_value_change_invalidates_result_not_plan(cached_engine):
 
 
 def test_engine_distinct_configs_distinct_result_entries(cached_engine):
+    """Every structural field of a request keys its own result entry —
+    except ``phases``: both values are served one-phase with the same
+    bits, so a phases=1 repeat of a phases=2 request is a hit."""
     eng, _ = cached_engine
     base = dict(a="A", b="B", mask="M")
-    eng.submit(Request(**base, phases=2))
-    for variant in (Request(**base, phases=1),
-                    Request(**base, phases=2, algorithm="hash"),
-                    Request(**base, phases=2, semiring="plus_pair")):
+    first = eng.submit(Request(**base, phases=2))
+    for variant in (Request(**base, phases=2, algorithm="hash"),
+                    Request(**base, phases=2, semiring="plus_pair"),
+                    Request(a="A", b="B", phases=2),          # no mask
+                    Request(**base, phases=2, complemented=True)):
         assert not eng.submit(variant).stats.result_cache_hit, variant
+    again = eng.submit(Request(**base, phases=1))
+    assert again.stats.result_cache_hit and again.result is first.result
 
 
 def test_engine_without_result_cache_never_reports_hits(rng):
@@ -158,7 +162,8 @@ def test_engine_without_result_cache_never_reports_hits(rng):
     eng.submit(req)
     warm = eng.submit(req)
     assert eng.results is None
-    assert not warm.stats.result_cache_hit and warm.stats.plan_cache_hit
+    assert not warm.stats.result_cache_hit
+    assert eng.stats.computed == 2 and eng.stats.result_hits == 0
 
 
 def test_engine_multiply_bypasses_result_cache(cached_engine):
@@ -167,7 +172,8 @@ def test_engine_multiply_bypasses_result_cache(cached_engine):
     eng, (A, B, M) = cached_engine
     eng.multiply(A, B, M, phases=2)
     resp = eng.multiply(A, B, M, phases=2)
-    assert not resp.stats.result_cache_hit and resp.stats.plan_cache_hit
+    assert not resp.stats.result_cache_hit
+    assert resp.stats.serving_tier == "computed"
     assert len(eng.results) == 0
 
 
@@ -386,20 +392,25 @@ def test_async_server_dedup_distinguishes_values(rng):
 
 
 def test_async_server_dedup_distinguishes_config(rng):
-    """Same operands, different kernel/phases/semiring → no coalescing."""
+    """Same operands, different kernel/semiring/mask polarity → no
+    coalescing. ``phases`` is not part of the key: both values are served
+    one-phase with the same bits, so a phases=1 twin coalesces."""
     eng, _ = _server_engine(rng)
     reqs = [Request(a="A", b="B", mask="M", phases=2, algorithm="msa"),
-            Request(a="A", b="B", mask="M", phases=1, algorithm="msa"),
             Request(a="A", b="B", mask="M", phases=2, algorithm="hash"),
             Request(a="A", b="B", mask="M", phases=2, algorithm="msa",
-                    semiring="plus_pair")]
+                    semiring="plus_pair"),
+            Request(a="A", b="B", mask="M", phases=2, algorithm="msa",
+                    complemented=True),
+            Request(a="A", b="B", mask="M", phases=1, algorithm="msa")]
 
     async def main():
         async with AsyncServer(eng, workers=1) as srv:
             return await serve_all(srv, reqs), srv
 
-    _, srv = asyncio.run(main())
-    assert srv.stats.coalesced == 0 and srv.stats.completed == 4
+    resps, srv = asyncio.run(main())
+    assert srv.stats.coalesced == 1 and srv.stats.completed == 4
+    assert resps[4].stats.coalesced and resps[4].result is resps[0].result
 
 
 def test_async_server_dedup_propagates_primary_failure(rng):
@@ -531,9 +542,7 @@ def test_worker_pool_stress_keeps_counts(rng):
     assert [r.tag for r in resps] == [str(i) for i in range(n)]
     assert srv.stats.completed == n and srv.stats.batches == n
     assert srv.stats.failed == 0 and srv.stats.max_inflight_seen <= 8
-    assert eng.stats.requests == n
-    assert eng.stats.plan_hits + eng.stats.plan_misses == n
-    assert len(eng.plans) == 3
+    assert eng.stats.requests == eng.stats.computed == n
     assert eng.metrics.get("repro_server_inflight").value() == 0
     assert eng.metrics.get("repro_server_queue_depth").value() == 0
     for i in (0, 1, 2, n - 1):
@@ -541,56 +550,22 @@ def test_worker_pool_stress_keeps_counts(rng):
         assert_masked_product_correct(resps[i].result, Ai, B, M)
 
 
-def test_cold_same_plan_key_builds_race_without_single_flight(rng):
-    """N requests sharing one plan key (same patterns, different values)
-    start cold on two workers. Workers that miss at once both build the
-    plan; every response is still bit-identical to the reference tier and
-    the cache ends with one plan for the key."""
-    from repro.core.reference import reference_masked_spgemm
-    from repro.semiring import PLUS_TIMES
-
-    eng, (A, B, M) = _server_engine(rng)
-    n = 6
-    operands = []
-    for i in range(n):
-        Ai = CSRMatrix(A.indptr.copy(), A.indices.copy(),
-                       A.data * (i + 1.5), A.shape)
-        eng.register(f"A{i}", Ai)
-        operands.append(Ai)
-    reqs = [Request(a=f"A{i}", b="B", mask="M", phases=2, algorithm="msa",
-                    tag=str(i)) for i in range(n)]
+def test_server_rejects_bad_phases_before_coalescing(rng):
+    """A ``phases=3`` twin of an in-flight valid request is refused at
+    admission instead of sharing the twin's response (``phases`` is not
+    part of the dedup key)."""
+    eng, _ = _server_engine(rng)
 
     async def main():
-        async with AsyncServer(eng, workers=2, dedup=False) as srv:
-            return await serve_all(srv, reqs)
+        async with AsyncServer(eng, workers=1) as srv:
+            return await asyncio.gather(
+                srv.submit(Request(a="A", b="B", mask="M", phases=1)),
+                srv.submit(Request(a="A", b="B", mask="M", phases=3)),
+                return_exceptions=True)
 
-    resps = asyncio.run(main())
-    assert [r.tag for r in resps] == [str(i) for i in range(n)]
-    for Ai, r in zip(operands, resps):
-        want = reference_masked_spgemm(Ai, B, Mask.from_matrix(M),
-                                       algorithm="msa", semiring=PLUS_TIMES)
-        assert r.result.same_pattern(want)
-        assert np.array_equal(r.result.data, want.data)
-    assert len(eng.plans) == 1
-    assert eng.stats.plan_hits + eng.stats.plan_misses == n
-    assert eng.stats.plan_misses >= 1
-
-
-def test_warm_requests_report_direct_write(rng):
-    """Two-phase engine requests on a fused kernel flag the direct-write
-    numeric path in their telemetry (cold and warm alike — the cold pass
-    also writes through its freshly built plan)."""
-    eng, _ = _server_engine(rng)
-    req = Request(a="A", b="B", mask="M", phases=2, algorithm="esc")
-    cold = eng.submit(req)
-    warm = eng.submit(req)
-    assert cold.stats.direct_write and warm.stats.direct_write
-    one_phase = eng.submit(Request(a="A", b="B", mask="M", phases=1,
-                                   algorithm="esc"))
-    assert not one_phase.stats.direct_write
-    unfused = eng.submit(Request(a="A", b="B", mask="M", phases=2,
-                                 algorithm="mca"))
-    assert not unfused.stats.direct_write
+    good, bad = asyncio.run(main())
+    assert not isinstance(good, BaseException)
+    assert isinstance(bad, AlgorithmError)
 
 
 # ---------------------------------------------------------------------- #

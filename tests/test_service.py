@@ -1,4 +1,4 @@
-"""Tests for the serving layer (repro.service): store, plan cache, engine,
+"""Tests for the serving layer (repro.service): store, engine,
 concurrent serving, workload specs, and the algorithm integrations."""
 
 import asyncio
@@ -17,7 +17,6 @@ from repro.service import (
     AsyncServer,
     Engine,
     MatrixStore,
-    PlanCache,
     Request,
     StoreError,
     expand_requests,
@@ -114,24 +113,7 @@ def test_store_fingerprint_memoized_and_reset(rng):
 
 
 # ---------------------------------------------------------------------- #
-# PlanCache
-# ---------------------------------------------------------------------- #
-def test_plan_cache_lru_eviction():
-    cache = PlanCache(capacity=2)
-    for i in range(3):
-        assert cache.get(("k", i)) is None
-    cache.put(("k", 0), "p0")
-    cache.put(("k", 1), "p1")
-    assert cache.get(("k", 0)) == "p0"   # 0 now MRU
-    cache.put(("k", 2), "p2")            # evicts 1
-    assert ("k", 1) not in cache and ("k", 0) in cache
-    assert cache.evictions == 1
-    assert cache.hits == 1 and cache.misses == 3
-    assert cache.hit_rate == 0.25
-
-
-# ---------------------------------------------------------------------- #
-# Engine: cache semantics + correctness
+# Engine: one-phase serving + correctness
 # ---------------------------------------------------------------------- #
 @pytest.fixture
 def engine_triple(rng):
@@ -154,84 +136,82 @@ def test_engine_results_match_direct_call(engine_triple):
 
 
 def test_engine_cold_then_warm(engine_triple):
+    """A repeated two-phase request is computed again, one-phase, with the
+    same bits: there is no plan tier to warm."""
     eng, _ = engine_triple
     req = Request(a="A", b="B", mask="M", phases=2)
     cold = eng.submit(req)
     warm = eng.submit(req)
-    assert not cold.stats.plan_cache_hit and cold.stats.plan_seconds > 0
-    assert warm.stats.plan_cache_hit and warm.stats.plan_reused
-    assert warm.stats.symbolic_skipped and warm.stats.plan_seconds == 0
+    for resp in (cold, warm):
+        assert resp.stats.serving_tier == "computed"
+        assert not resp.stats.plan_cache_hit and resp.stats.plan_seconds == 0
     assert warm.result.equals(cold.result)
-    assert eng.stats.plan_hits == 1 and eng.stats.plan_misses == 1
-    assert eng.stats.plan_hit_rate == 0.5
+    assert eng.stats.computed == 2 and eng.stats.result_hits == 0
 
 
 def test_engine_warm_request_skips_symbolic_pass(engine_triple, monkeypatch):
-    """Warm two-phase requests must not rebuild the plan (no auto-select, no
-    symbolic kernel run)."""
+    """No engine request — two-phase and repeated ones included — builds a
+    plan or runs a symbolic pass."""
+    import dataclasses
+
     import repro.service.engine as engine_mod
+    from repro.core import registry
 
     eng, _ = engine_triple
     calls = []
-    real_build = engine_mod.build_plan
 
-    def counting_build(*args, **kwargs):
-        calls.append(1)
-        return real_build(*args, **kwargs)
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(engine_mod, "build_plan", counting_build)
+    monkeypatch.setattr(engine_mod, "build_plan", counting(engine_mod.build_plan))
+    real_get_spec = registry.get_spec
+    monkeypatch.setattr(registry, "get_spec", lambda key: dataclasses.replace(
+        real_get_spec(key), symbolic=counting(real_get_spec(key).symbolic)))
+    for algorithm in ("auto", "msa", "hash", "esc"):
+        req = Request(a="A", b="B", mask="M", phases=2, algorithm=algorithm)
+        eng.submit(req)
+        eng.submit(req)
+    assert calls == []
+
+
+def test_engine_pattern_change_misses(rng):
+    eng = Engine(result_cache_bytes=1 << 24)
+    A, B, M = make_triple(rng)
+    for key, m in (("A", A), ("B", B), ("M", M)):
+        eng.register(key, m)
     req = Request(a="A", b="B", mask="M", phases=2)
     eng.submit(req)
-    eng.submit(req)
-    eng.submit(req)
-    assert len(calls) == 1
-
-
-def test_engine_value_update_still_hits(engine_triple, rng):
-    """Re-registering a matrix with new values but the same pattern must keep
-    hitting the cached plan (the symbolic phase is pattern-only)."""
-    eng, (A, B, M) = engine_triple
-    req = Request(a="A", b="B", mask="M", phases=2)
-    eng.submit(req)
-    A2 = CSRMatrix(A.indptr.copy(), A.indices.copy(),
-                   A.data * 0.5 + 2.0, A.shape, check=False)
-    eng.register("A", A2)
-    warm = eng.submit(req)
-    assert warm.stats.plan_cache_hit
-    assert_masked_product_correct(warm.result, A2, B, M)
-
-
-def test_engine_pattern_change_misses(engine_triple, rng):
-    eng, (A, B, M) = engine_triple
-    req = Request(a="A", b="B", mask="M", phases=2)
-    eng.submit(req)
+    assert eng.submit(req).stats.result_cache_hit
     A2 = csr_random(A.nrows, A.ncols, density=0.15,
                     rng=np.random.default_rng(1234))
     eng.register("A", A2)
     resp = eng.submit(req)
-    assert not resp.stats.plan_cache_hit
+    assert not resp.stats.result_cache_hit
     assert_masked_product_correct(resp.result, A2, B, M)
 
 
-def test_engine_distinct_configs_get_distinct_plans(engine_triple):
+def test_engine_resolves_auto_on_every_request(engine_triple, monkeypatch):
+    """``auto`` is resolved by ``registry.auto_select`` — looked up on the
+    module, so a patched selector sees every computed request."""
+    from repro.core import registry
+
     eng, _ = engine_triple
-    base = dict(a="A", b="B", mask="M")
-    eng.submit(Request(**base, phases=2))
-    for variant in (Request(**base, phases=1),
-                    Request(**base, phases=2, algorithm="hash"),
-                    Request(**base, phases=2, semiring="plus_pair"),
-                    Request(a="A", b="B", phases=2),          # no mask
-                    Request(**base, phases=2, complemented=True)):
-        resp = eng.submit(variant)
-        assert not resp.stats.plan_cache_hit, variant
+    picks = []
+    real = registry.auto_select
 
+    def spy(*args, **kwargs):
+        picks.append(real(*args, **kwargs))
+        return picks[-1]
 
-def test_engine_auto_resolution_cached(engine_triple):
-    eng, (A, B, M) = engine_triple
-    cold = eng.submit(Request(a="A", b="B", mask="M", algorithm="auto"))
-    warm = eng.submit(Request(a="A", b="B", mask="M", algorithm="auto"))
-    assert warm.stats.plan_cache_hit
-    assert cold.stats.algorithm == warm.stats.algorithm != "auto"
+    monkeypatch.setattr(registry, "auto_select", spy)
+    first = eng.submit(Request(a="A", b="B", mask="M", algorithm="auto"))
+    second = eng.submit(Request(a="A", b="B", mask="M", algorithm="AUTO"))
+    assert len(picks) == 2
+    assert first.stats.algorithm == second.stats.algorithm == picks[0]
+    assert picks[0] != "auto"
 
 
 def test_engine_complemented_mask_correct(engine_triple):
@@ -246,16 +226,14 @@ def test_engine_baseline_bypasses_plan_cache(engine_triple):
     r1 = eng.submit(Request(a="A", b="B", mask="M", algorithm="saxpy",
                             phases=1))
     r2 = eng.submit(Request(a="A", b="B", mask="M", algorithm="saxpy",
-                            phases=1))
+                            phases=2))
     assert not r1.stats.planned and not r2.stats.planned
-    assert not r1.stats.plan_cache_hit and not r2.stats.plan_cache_hit
-    assert len(eng.plans) == 0
+    assert r1.stats.kernel_tier == r2.stats.kernel_tier == "baseline"
     assert_masked_product_correct(r2.result, A, B, M)
-    # baselines never warm, so they must not skew hit/miss or latency stats
-    assert eng.stats.unplanned == 2
-    assert eng.stats.plan_hits == eng.stats.plan_misses == 0
+    assert r2.result.equals(r1.result)
     latency = eng.metrics.get("repro_request_seconds")
-    assert latency.count(tier="cold") == latency.count(tier="warm") == 0
+    assert latency.count(tier="computed") == 2
+    assert eng.stats.kernel_tiers == {"baseline": 2}
 
 
 def test_engine_rejects_mask_as_operand(rng):
@@ -271,7 +249,7 @@ def test_engine_multiply_adhoc_operands(rng):
     eng = Engine()
     cold = eng.multiply(A, B, M, phases=2)
     warm = eng.multiply(A.copy(), B.copy(), M.copy(), phases=2)  # new objects
-    assert not cold.stats.plan_cache_hit and warm.stats.plan_cache_hit
+    assert not warm.stats.plan_cache_hit
     assert warm.result.equals(cold.result)
     assert_masked_product_correct(warm.result, A, B, M)
 
@@ -280,13 +258,23 @@ def test_engine_with_row_parallel_executor(rng):
     A, B, M = make_triple(rng, m=60, k=50, n=55)
     ex = SimulatedExecutor(nworkers=4)
     eng = Engine(executor=ex)
-    cold = eng.multiply(A, B, M, phases=2, algorithm="hash")
-    warm = eng.multiply(A, B, M, phases=2, algorithm="hash")
-    assert warm.stats.plan_cache_hit
-    assert_masked_product_correct(warm.result, A, B, M)
+    resp = eng.multiply(A, B, M, phases=2, algorithm="hash")
+    assert_masked_product_correct(resp.result, A, B, M)
     serial = masked_spgemm(A, B, Mask.from_matrix(M), algorithm="hash",
                            phases=2)
-    assert warm.result.equals(serial)
+    assert resp.result.equals(serial)
+
+
+@pytest.mark.parametrize("phases", [0, 3, "2"])
+def test_engine_rejects_bad_phases(engine_triple, phases):
+    """Both accepted values serve one-phase, so the value is checked up
+    front — a result-cache hit or a coalesced twin cannot let it through."""
+    eng, _ = engine_triple
+    with pytest.raises(AlgorithmError, match="phases must be 1 or 2"):
+        eng.submit(Request(a="A", b="B", mask="M", phases=phases))
+    with pytest.raises(AlgorithmError, match="phases must be 1 or 2"):
+        eng.multiply(eng.entry("A").value, eng.entry("B").value,
+                     phases=phases)
 
 
 # ---------------------------------------------------------------------- #
@@ -380,37 +368,12 @@ def test_serve_all_workers_match_serial(workers):
     for rs, rw in zip(serial, served):
         assert rw.result.same_pattern(rs.result)
         assert np.array_equal(rw.result.data, rs.result.data)
-    # two plan keys: one miss each when serial; racing workers may both
-    # miss the same cold key, so only the total is fixed
-    plans = eng_served.stats.plan_hits + eng_served.stats.plan_misses
-    assert plans == 8 and len(eng_served.plans) == 2
-    if workers == 1:
-        assert eng_served.stats.plan_misses == 2
+    assert eng_served.stats.computed == 8
 
 
 # ---------------------------------------------------------------------- #
 # algorithm integration: k-truss and MCL through the engine
 # ---------------------------------------------------------------------- #
-def test_ktruss_replay_reuses_plan_every_iteration():
-    """A k-truss run served twice from one engine: the second run's pattern
-    sequence is identical, so every iteration after the first (cold) run
-    reuses a cached plan — ≥1 plan hit per iteration."""
-    from repro.algorithms import ktruss
-    from repro.graphs import erdos_renyi
-
-    g = erdos_renyi(150, 10, rng=7, symmetrize=True)
-    eng = Engine()
-    first = ktruss(g, 4, engine=eng, phases=2)
-    assert first.iterations > 1
-    assert first.plan_hits == 0  # cold engine: every pattern is new
-    second = ktruss(g, 4, engine=eng, phases=2)
-    assert second.iterations == first.iterations
-    assert second.subgraph.same_pattern(first.subgraph)
-    assert len(second.plan_hits_per_iteration) == second.iterations
-    assert all(h >= 1 for h in second.plan_hits_per_iteration)
-    assert eng.stats.plan_hits >= second.iterations
-
-
 def test_ktruss_engine_matches_engineless_result():
     from repro.algorithms import ktruss
     from repro.graphs import erdos_renyi
@@ -421,20 +384,51 @@ def test_ktruss_engine_matches_engineless_result():
     default = ktruss(g, 4, algorithm="hash")
     assert with_engine.subgraph.same_pattern(default.subgraph)
     assert with_engine.iterations == default.iterations
+    assert eng.stats.computed == with_engine.iterations
 
 
-def test_mcl_engine_hits_on_stabilized_pattern():
-    """MCL's support stabilizes before its values converge; once it does,
-    every expansion product is a plan-cache hit (same pattern, new values)."""
+def test_ktruss_without_engine_runs_the_requested_phases(monkeypatch):
+    """Engine-less ``ktruss(phases=2)`` is the paper's two-phase variant
+    (Figs. 12–14's ``<Alg>-2P`` rows): every product runs the symbolic
+    pass, and the subgraph equals the one-phase run's."""
+    import dataclasses
+
+    from repro.algorithms import ktruss
+    from repro.core import registry
+    from repro.graphs import erdos_renyi
+
+    g = erdos_renyi(100, 8, rng=3, symmetrize=True)
+    one = ktruss(g, 4, algorithm="hash", phases=1)
+    symbolic_rows = []
+    real_get_spec = registry.get_spec
+
+    def get_spec(key):
+        spec = real_get_spec(key)
+
+        def symbolic(A, B, mask, rows):
+            symbolic_rows.append(len(rows))
+            return spec.symbolic(A, B, mask, rows)
+        return dataclasses.replace(spec, symbolic=symbolic)
+
+    monkeypatch.setattr(registry, "get_spec", get_spec)
+    two = ktruss(g, 4, algorithm="hash", phases=2)
+    assert two.iterations == one.iterations > 1
+    assert sum(symbolic_rows) == g.nrows * two.iterations
+    assert np.array_equal(two.subgraph.indptr, one.subgraph.indptr)
+    assert np.array_equal(two.subgraph.indices, one.subgraph.indices)
+    assert np.array_equal(two.subgraph.data, one.subgraph.data)
+
+
+def test_mcl_engine_matches_plain_clustering():
+    """MCL's expansion products served through an engine cluster exactly
+    like the engine-less plain-SpGEMM path."""
     from repro.algorithms import markov_clustering
     from repro.graphs import erdos_renyi
 
     g = erdos_renyi(150, 6, rng=3, symmetrize=True)
     eng = Engine()
     res = markov_clustering(g, engine=eng, inflation=1.5)
-    assert res.plan_hits > 0
-    assert eng.stats.plan_hits == res.plan_hits
-    # clustering itself must be unchanged by the engine routing
+    assert eng.stats.computed == res.iterations
     plain = markov_clustering(g, inflation=1.5)
     assert np.array_equal(res.labels, plain.labels)
     assert res.n_clusters == plain.n_clusters
@@ -477,11 +471,10 @@ def test_workload_serve_and_report(tmp_path, workers):
     for r in resps[1:3]:
         assert r.result.equals(resps[0].result)
     assert resps[4].result.equals(resps[3].result)
-    assert engine.stats.plan_hits + engine.stats.plan_misses == 5
-    if workers == 1:
-        assert engine.stats.plan_misses == 2 and engine.stats.plan_hits == 3
+    assert engine.stats.computed == 5
     report = render_serve_report(engine, srv, resps, 1.0)
-    assert "cache tiers:" in report and "5 worker executions" in report
+    assert "cache tiers: 0 coalesced, 0 result hits, 5 computed" in report
+    assert "5 worker executions" in report
 
 
 def test_engine_shape_mismatch_clean_error(rng):

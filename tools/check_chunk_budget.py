@@ -12,7 +12,9 @@ flops per chunk (times collapse toward dispatch overhead); one that is too
 large overfills the cache (times balloon past the streaming bound).
 
 This tool serves a triangle-counting workload through a real
-:class:`repro.service.Engine` once per kernel tier (fused ``msa``/``hash``
+:class:`repro.service.Engine` — built with a serial executor, so every
+numeric pass runs through the runner's cache-budget chunks — once per
+kernel tier (fused ``msa``/``hash``
 with :data:`FUSED_BYTES_PER_FLOP`, compiled ``msa-native``/``hash-native``
 with :data:`NATIVE_BYTES_PER_FLOP` when the native probe passes), reads the
 ``repro_chunk_seconds{kernel,phase="numeric"}`` histograms back through the
@@ -104,6 +106,7 @@ def check(scale: int, repeats: int) -> list[str]:
     from repro.parallel.partition import (DEFAULT_CHUNK_CACHE_BYTES,
                                           FUSED_BYTES_PER_FLOP,
                                           NATIVE_BYTES_PER_FLOP)
+    from repro.parallel import SerialExecutor
     from repro.service import Engine, Request
 
     kernels = {"msa": FUSED_BYTES_PER_FLOP, "hash": FUSED_BYTES_PER_FLOP}
@@ -115,14 +118,14 @@ def check(scale: int, repeats: int) -> list[str]:
               "checking the fused constants only")
 
     L, mask = _workload(scale)
-    engine = Engine()
+    engine = Engine(executor=SerialExecutor())
     try:
         engine.register("L", L)
         engine.register("M", mask.to_matrix())
         for kernel in kernels:
             for _ in range(repeats):
                 engine.submit(Request(a="L", b="L", mask="M",
-                                      algorithm=kernel, phases=2,
+                                      algorithm=kernel,
                                       semiring="plus_pair"))
         families = parse_exposition(engine.metrics.render())
     finally:

@@ -7,14 +7,15 @@ serves a handful of requests, then validates over actual HTTP that
 * ``GET /metrics`` returns strict Prometheus text exposition
   (:func:`repro.obs.parse_exposition` — HELP/TYPE lines, escaped labels,
   monotone cumulative histogram buckets) carrying non-zero engine request
-  counters, the expected metric families (``repro_slo_*`` included), and
-  well-formed OpenMetrics exemplars on the latency histograms whose trace
-  ids resolve;
+  counters under exactly the ``computed``/``result`` serving tiers, the
+  expected metric families (``repro_slo_*`` included), and well-formed
+  OpenMetrics exemplars on the latency histograms whose trace ids resolve;
 * ``GET /slo`` reports burn rates for the configured objective;
 * ``GET /traces`` lists every retained request with duration/tier/outcome;
 * ``GET /trace/<id>.json`` returns Chrome-trace JSON whose complete events
-  cover the serving span taxonomy (symbolic.cold → numeric → cache on the
-  cold request), loadable by Perfetto / chrome://tracing as-is;
+  cover the serving span taxonomy (cache.lookup → numeric →
+  cache.writeback on the computed request), loadable by Perfetto /
+  chrome://tracing as-is;
 * unknown routes 404.
 
 Run from anywhere: ``PYTHONPATH=src python tools/check_metrics.py``. Exits
@@ -56,8 +57,13 @@ REQUIRED_FAMILIES = (
     "repro_slo_alerts_total",
 )
 
-#: spans a cold two-phase request must record
-REQUIRED_SPANS = {"symbolic.cold", "numeric", "cache.lookup"}
+#: spans the first (computed) request must record: it misses the result
+#: cache, runs the numeric pass one-phase, and writes its result back
+REQUIRED_SPANS = {"cache.lookup", "numeric", "cache.writeback"}
+
+#: serving tiers of the three submitted requests: the first computes, the
+#: two repeats are result-cache hits
+EXPECTED_TIERS = {"computed": 1.0, "result": 2.0}
 
 
 def _fetch(url: str) -> bytes:
@@ -69,12 +75,15 @@ def check() -> list[str]:
     import numpy as np
 
     from repro.obs import ObsHTTPServer, parse_exposition, parse_slo
+    from repro.parallel import SerialExecutor
     from repro.service import Engine, Request
     from repro.sparse import csr_random
 
     problems: list[str] = []
     rng = np.random.default_rng(7)
-    engine = Engine(result_cache_bytes=1 << 20,
+    # the executor routes the numeric pass through the row-parallel runner,
+    # whose chunks are what repro_chunk_seconds times
+    engine = Engine(result_cache_bytes=1 << 20, executor=SerialExecutor(),
                     slos=[parse_slo("p99=50ms:0.99")])
     engine.register("A", csr_random(200, 200, density=0.05, rng=rng))
     engine.register("M", csr_random(200, 200, density=0.05, rng=rng))
@@ -99,6 +108,16 @@ def check() -> list[str]:
             problems.append(
                 f"repro_engine_requests_total {served:.0f} < "
                 f"{len(responses)} submitted requests")
+        tiers = {dict(k).get("tier"): v for k, v in
+                 families.get("repro_engine_requests_total", {}).items()}
+        if tiers != EXPECTED_TIERS:
+            problems.append(f"repro_engine_requests_total tiers {tiers} != "
+                            f"{EXPECTED_TIERS}")
+        phases = {dict(k).get("phase") for k in
+                  families.get("repro_phase_seconds_count", {})}
+        if phases != {"numeric"}:
+            problems.append(f"repro_phase_seconds phases {sorted(phases)} "
+                            f"!= ['numeric']")
 
         # -- exemplars: well-formed OpenMetrics syntax, resolvable ids --- #
         try:
@@ -142,6 +161,9 @@ def check() -> list[str]:
             if lacking:
                 problems.append(
                     f"/traces entry {e.get('id')} lacks {sorted(lacking)}")
+            elif e["tier"] not in EXPECTED_TIERS:
+                problems.append(f"/traces entry {e.get('id')} has tier "
+                                f"{e['tier']!r}")
 
         # -- /trace/<id>.json: Chrome JSON with the span taxonomy -------- #
         doc = json.loads(_fetch(f"{obs.url}/trace/{want_ids[0]}.json"))
@@ -149,7 +171,7 @@ def check() -> list[str]:
         names = {e.get("name") for e in events if e.get("ph") == "X"}
         if not REQUIRED_SPANS <= names:
             problems.append(
-                f"cold trace spans {sorted(names)} lack "
+                f"computed trace spans {sorted(names)} lack "
                 f"{sorted(REQUIRED_SPANS - names)}")
         bad = [e for e in events if e.get("ph") == "X"
                and (e.get("ts", -1) < 0 or e.get("dur", -1) < 0)]
