@@ -21,9 +21,9 @@ before its time counts, and the fused baseline itself is checked against
 the pure-Python reference tier once (at a smaller scale — the reference
 exists for auditability, not speed).
 
-``main()`` appends one ``native`` run and one ``native_symbolic`` run to
-``BENCH_kernels.json`` and one ``thread_scaling`` run to
-``BENCH_service.json``:
+``main()`` appends one ``native``, one ``native_symbolic`` and one
+``native_accumulators`` run to ``BENCH_kernels.json`` and one
+``thread_scaling`` run to ``BENCH_service.json``:
 
 * **native** (gated): per-kernel fused/native mean latencies; acceptance
   gate (ISSUE 9) is native ≥ **2.0×** over fused for msa and hash both;
@@ -31,6 +31,15 @@ exists for auditability, not speed).
   symbolic pass (sizes checked equal in every repeat) and a cold
   two-phase product (symbolic + numeric, no plan) against one-phase — the
   best real alternative a caller has. The gate is cold 2P ≤ **2.0×** 1P;
+* **native_accumulators** (informational, read across runs): the two
+  compiled MSA loops timed alone through the stitch face — ``msa_plain`` on
+  the tc-rmat-s13-e8 product, ``msa_compl`` on the complemented PLUS_FIRST
+  forward products of one 64-source BC batch on an R-MAT s11 graph — every
+  repeat checked bit-identical to fused ``msa``. Each row records the git
+  revision of the ``repro`` package it measured, so a run made against
+  another checkout's ``src`` (``record_accumulators()`` with that ``src`` on
+  ``PYTHONPATH``) is a before/after pair; the drift line prints the
+  per-loop ratio against the previous run;
 * **thread_scaling** (informational): the compiled kernel on a
   :class:`~repro.parallel.executor.ThreadExecutor` at 1/2/4 workers vs
   serial in-process execution. The machine may expose few CPUs, so the
@@ -46,17 +55,23 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from common import append_trajectory_run, emit, latest_trajectory_run, tc_workload
-from repro.bench import render_table
+import repro
+from common import (append_trajectory_run, emit, git_rev,
+                    latest_trajectory_run, tc_workload)
+from repro.bench import render_table, spgemm_flops
 from repro.bench.metrics import latency_percentiles
 from repro.core import build_plan, masked_spgemm
 from repro.core.registry import get_spec, native_variant
 from repro.core.reference import reference_masked_spgemm
+from repro.core.msa_kernel import numeric_rows as fused_msa_rows
 from repro.graphs import rmat
+from repro.graphs.prep import to_undirected_simple
 from repro.native import native_available, native_backend_name, warmup
+from repro.native.kernels import msa_numeric_rows
 from repro.parallel.executor import ThreadExecutor
 from repro.parallel.runner import parallel_masked_spgemm
 from repro.semiring import PLUS_PAIR
@@ -76,6 +91,9 @@ PAIRS = [("msa", "msa-native"), ("hash", "hash-native")]
 REPEATS = 5
 WARMUP = 2
 THREAD_WORKERS = (1, 2, 4)
+#: the BC batch whose forward products time msa_compl (bc-batch's shape)
+BC_SCALE, BC_EDGE, BC_BATCH = 11, 8, 64
+ACC_REPEATS = 20
 
 
 def _case_name(scale=CASE_SCALE, edge=CASE_EDGE):
@@ -207,6 +225,92 @@ def bench_symbolic(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
     return rows, gates
 
 
+def _bc_forward_products(scale=BC_SCALE, edge=BC_EDGE, batch=BC_BATCH):
+    """The complemented forward products ``(A, B, mask, semiring)`` of one
+    betweenness-centrality batch on a seeded undirected R-MAT graph."""
+    import repro.algorithms.betweenness as bc_mod
+
+    g = to_undirected_simple(rmat(scale, edge, rng=7000 + scale))
+    live = np.flatnonzero(g.row_nnz())
+    sources = np.sort(np.random.default_rng(scale).choice(
+        live, min(batch, live.size), replace=False))
+    products = []
+    real = bc_mod.masked_spgemm
+
+    def capture(A, B, mask, **kw):
+        if mask.complemented:
+            products.append((A, B, mask, kw["semiring"]))
+        return real(A, B, mask, **kw)
+
+    with mock.patch.object(bc_mod, "masked_spgemm", capture):
+        bc_mod.betweenness_centrality(g, sources, algorithm="msa")
+    return products
+
+
+def bench_accumulators(scale=CASE_SCALE, edge=CASE_EDGE, bc_scale=BC_SCALE,
+                       *, repeats=ACC_REPEATS):
+    """Each compiled MSA loop on the products it serves, through the stitch
+    face over every row; returns one row per loop."""
+    L, mask = _workload(scale, edge)
+    loops = [("msa_plain", f"tc-rmat-s{scale}-e{edge}",
+              [(L, L, mask, PLUS_PAIR)]),
+             ("msa_compl", f"bc-rmat-s{bc_scale}-e{BC_EDGE}-b{BC_BATCH}-fwd",
+              _bc_forward_products(bc_scale))]
+    kernel_rev = git_rev(Path(repro.__file__).resolve().parent.parent.parent)
+    rows = []
+    for loop, case, products in loops:
+        calls = [(A, B, m, sr, np.arange(A.nrows, dtype=np.int64))
+                 for A, B, m, sr in products]
+        want = [fused_msa_rows(*c) for c in calls]
+
+        def run():
+            return [msa_numeric_rows(*c) for c in calls]
+
+        lat = []
+        for i in range(WARMUP + repeats):
+            t0 = time.perf_counter()
+            got = run()
+            dt = time.perf_counter() - t0
+            assert all(np.array_equal(g.sizes, w.sizes)
+                       and np.array_equal(g.cols, w.cols)
+                       and np.array_equal(g.vals, w.vals)
+                       for g, w in zip(got, want)), \
+                f"{loop} NOT bit-identical to fused msa"
+            if i >= WARMUP:
+                lat.append(dt)
+        rows.append(_row(case, "msa-native", lat, mode="accumulator",
+                         loop=loop, backend=native_backend_name(),
+                         kernel_rev=kernel_rev, products=len(calls),
+                         flops=int(sum(spgemm_flops(A, B)
+                                       for A, B, _, _ in products)),
+                         bit_identical=True, informational=True))
+    return rows
+
+
+def record_accumulators() -> None:
+    """Run :func:`bench_accumulators`, append it to ``BENCH_kernels.json`` as
+    a ``native_accumulators`` run and print each loop's drift against the
+    previous run (previous p50 / this p50: above 1 means faster now)."""
+    rows = bench_accumulators()
+    emit("\n[Native] compiled MSA loops alone (stitch face, every row; "
+         f"kernel source {rows[0]['kernel_rev']})")
+    emit(render_table(
+        ["loop", "case", "products", "flops", "mean (ms)", "p50 (ms)"],
+        [[r["loop"], r["case"], r["products"], r["flops"], r["mean_ms"],
+          r["p50_ms"]] for r in rows]))
+    prev = latest_trajectory_run(ARTIFACT_KERNELS, bench="native_accumulators")
+    append_trajectory_run(ARTIFACT_KERNELS, "native_accumulators", rows)
+    if prev is None:
+        return
+    before = {r["loop"]: r for r in prev["results"]}
+    for r in rows:
+        b = before.get(r["loop"])
+        if b is not None:
+            emit(f"  accumulator drift [{r['loop']}]: {b['p50_ms']:.2f} ms "
+                 f"({b['kernel_rev']}) → {r['p50_ms']:.2f} ms "
+                 f"({r['kernel_rev']}) = {b['p50_ms'] / r['p50_ms']:.2f}x")
+
+
 def bench_threads(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
     """Threads over the compiled kernel vs in-process (informational)."""
     L, mask = _workload(scale, edge)
@@ -270,6 +374,8 @@ def main() -> None:
           g["native_symbolic_mean_ms"], g["one_phase_mean_ms"],
           g["cold_2p_mean_ms"], g["cold_2p_over_1p"],
           "PASS" if g["gate_pass"] else "FAIL"] for g in sgates]))
+
+    record_accumulators()
 
     trows, face = bench_threads()
     emit(f"\n[Native] threads over the compiled kernel vs inprocess "
@@ -353,6 +459,21 @@ def test_native_symbolic_cold_2p(benchmark):
                                            algorithm="msa-native",
                                            semiring=PLUS_PAIR, phases=2))
     assert _identical(cold, one)
+
+
+def test_native_accumulators(benchmark):
+    """CI smoke: both rewritten MSA loops (plain TC product, complemented
+    BC forward products) on small graphs, bit-identical to fused msa on
+    every repeat."""
+    import pytest
+
+    if not native_available():
+        pytest.skip("no compiled backend on this runner")
+    rows = benchmark.pedantic(
+        lambda: bench_accumulators(scale=8, edge=4, bc_scale=7, repeats=2),
+        rounds=1, iterations=1)
+    assert [r["loop"] for r in rows] == ["msa_plain", "msa_compl"]
+    assert all(r["bit_identical"] and r["products"] > 0 for r in rows)
 
 
 if __name__ == "__main__":

@@ -157,11 +157,11 @@ def emit(text: str) -> None:
 TRAJECTORY_SCHEMA = "repro-perf-trajectory-v1"
 
 
-def git_rev() -> str:
-    """Short HEAD revision of this checkout, suffixed ``-dirty`` when the
-    work tree has uncommitted changes; ``"unknown"`` outside a git
-    checkout."""
-    root = Path(__file__).resolve().parent.parent
+def git_rev(root: Path | None = None) -> str:
+    """Short HEAD revision of the checkout at ``root`` (default: this one),
+    suffixed ``-dirty`` when the work tree has uncommitted changes;
+    ``"unknown"`` outside a git checkout."""
+    root = root or Path(__file__).resolve().parent.parent
     try:
         rev = subprocess.run(["git", "rev-parse", "--short=12", "HEAD"],
                              cwd=root, capture_output=True, text=True,

@@ -135,8 +135,10 @@ _SPECS["msa-native"] = AlgorithmSpec(
     "msa-native", "MSA(native)", "push",
     _native_entry("msa_numeric_rows"), _native_entry("msa_symbolic_rows"),
     True,
-    "Compiled (numba-JIT or cffi/C) three-state MSA accumulator loop and "
-    "pattern-only symbolic row-size loop with nogil chunk calls; "
+    "Compiled (numba-JIT or cffi/C) MSA accumulator loops (two states and "
+    "a branch-free flop loop for plain masks, a bitset gather for "
+    "complemented ones) and a pattern-only symbolic row-size loop with "
+    "nogil chunk calls; "
     "auto_select's first choice whenever the compiled tier can run the "
     "product, and the faces delegate to the fused numpy kernel when it "
     "cannot",

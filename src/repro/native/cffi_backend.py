@@ -31,6 +31,12 @@ Semantics contract (bit-identity with the fused numpy kernels):
   ``>``), which returns whichever operand is NaN (the first when both are);
 * plain masks gather surviving columns in mask (sorted) order; complemented
   masks emit the sorted distinct surviving columns;
+* the MSA loops keep two states per column for plain masks (allowed and
+  hit: the paper's ALLOWED and SET differ only at gather time, so allowed
+  columns are preset to the identity and every flop folds without a
+  branch), and untouched/banned/set for complemented masks, whose gather
+  walks a bitset of the touched columns with count-trailing-zeros (or
+  sorts the touched list, for rows with few columns over a wide range);
 * the symbolic pass writes, per row, the count of distinct columns the
   numeric pass would emit — the exact sizes of the fused ``symbolic_rows``.
 """
@@ -62,7 +68,8 @@ int64_t msa_compl(const int64_t *a_indptr, const int64_t *a_indices,
                   int64_t add_op, int64_t mul_op, double identity,
                   int64_t *offsets, int64_t validate,
                   int64_t *out_cols, double *out_vals,
-                  signed char *states, double *values, int64_t *touched);
+                  signed char *states, double *values, int64_t *touched,
+                  uint64_t *bits);
 int64_t hash_plain(const int64_t *a_indptr, const int64_t *a_indices,
                    const double *a_data, const int64_t *b_indptr,
                    const int64_t *b_indices, const double *b_data,
@@ -136,55 +143,69 @@ static int cmp_i64(const void *pa, const void *pb) {
     return (a > b) - (a < b);
 }
 
-/* Three accumulator states (mirrors repro.core.msa_kernel):
- * plain mask:   0 = not allowed, 1 = allowed (untouched), 2 = set
- * complemented: 0 = untouched,   1 = banned,              2 = set */
+/* Bit length of x (0 for 0): the log factor of the complemented gather's
+ * sort-or-scan cost test. */
+static inline i64 bitlen(i64 x) {
+    i64 n = 0;
+    while (x) { n++; x >>= 1; }
+    return n;
+}
 
-i64 msa_plain(const i64 *a_indptr, const i64 *a_indices, const double *a_data,
-              const i64 *b_indptr, const i64 *b_indices, const double *b_data,
-              const i64 *m_indptr, const i64 *m_indices,
-              const i64 *rows, i64 nrows,
+/* Plain mask, two states per column (ThreadedSparse.jl's
+ * MaskedBitAccumulator): 1 = allowed in this row, 2 = hit, 3 = both. Allowed
+ * columns start at the identity, so every flop folds and ORs in the 2 with
+ * no branch, and the first hit is still add(identity, prod); only the
+ * gather tells ALLOWED (1) from SET (3). A column hit while not allowed
+ * keeps a stale 2 and a junk value that no gather reads: marking a later
+ * row's mask columns assigns 1 and the identity again.
+ *
+ * Both MSA loops take restrict pointers: the arrays they write (outputs,
+ * offsets, scratch) never overlap the operands, which are only read (A and
+ * B may be one matrix). Without it every char store to `states` may alias
+ * any operand, and the compiler cannot load the next flop's column and
+ * value ahead of this flop's stores. */
+i64 msa_plain(const i64 *restrict a_indptr, const i64 *restrict a_indices,
+              const double *restrict a_data,
+              const i64 *restrict b_indptr, const i64 *restrict b_indices,
+              const double *restrict b_data,
+              const i64 *restrict m_indptr, const i64 *restrict m_indices,
+              const i64 *restrict rows, i64 nrows,
               i64 add_op, i64 mul_op, double identity,
-              i64 *offsets, i64 validate,
-              i64 *out_cols, double *out_vals,
-              signed char *states, double *values)
+              i64 *restrict offsets, i64 validate,
+              i64 *restrict out_cols, double *restrict out_vals,
+              signed char *restrict states, double *restrict values)
 {
     for (i64 r = 0; r < nrows; ++r) {
         i64 i = rows[r];
         i64 ms = m_indptr[i], me = m_indptr[i + 1];
-        for (i64 t = ms; t < me; ++t) states[m_indices[t]] = 1;
+        for (i64 t = ms; t < me; ++t) {
+            i64 c = m_indices[t];
+            states[c] = 1;
+            values[c] = identity;
+        }
         for (i64 p = a_indptr[i]; p < a_indptr[i + 1]; ++p) {
             i64 k = a_indices[p];
             double av = a_data[p];
             for (i64 q = b_indptr[k]; q < b_indptr[k + 1]; ++q) {
                 i64 j = b_indices[q];
-                signed char st = states[j];
-                if (st == 0) continue;
-                double prod = op_mul(mul_op, av, b_data[q]);
-                if (st == 1) {
-                    values[j] = op_add(add_op, identity, prod);
-                    states[j] = 2;
-                } else {
-                    values[j] = op_add(add_op, values[j], prod);
-                }
+                values[j] = op_add(add_op, values[j],
+                                   op_mul(mul_op, av, b_data[q]));
+                states[j] |= 2;
             }
         }
-        i64 pos;
         if (validate) {
             i64 n = 0;
             for (i64 t = ms; t < me; ++t)
-                if (states[m_indices[t]] == 2) n++;
+                if (states[m_indices[t]] == 3) n++;
             if (n != offsets[r + 1] - offsets[r]) {
                 for (i64 t = ms; t < me; ++t) states[m_indices[t]] = 0;
                 return r;
             }
-            pos = offsets[r];
-        } else {
-            pos = offsets[r];
         }
+        i64 pos = offsets[r];
         for (i64 t = ms; t < me; ++t) {
             i64 c = m_indices[t];
-            if (states[c] == 2) {
+            if (states[c] == 3) {
                 out_cols[pos] = c;
                 out_vals[pos] = values[c];
                 pos++;
@@ -196,20 +217,29 @@ i64 msa_plain(const i64 *a_indptr, const i64 *a_indices, const double *a_data,
     return -1;
 }
 
-i64 msa_compl(const i64 *a_indptr, const i64 *a_indices, const double *a_data,
-              const i64 *b_indptr, const i64 *b_indices, const double *b_data,
-              const i64 *m_indptr, const i64 *m_indices,
-              const i64 *rows, i64 nrows,
+/* Complemented mask: 0 = untouched, 1 = banned, 2 = set. A first hit also
+ * sets the column's bit in `bits` (one uint64 word per 64 columns) and
+ * widens the touched word range [lo, hi]. The gather walks that range with
+ * count-trailing-zeros, which emits the columns in sorted order and clears
+ * each word as it goes; a row whose range is wide for its few touched
+ * columns sorts its touched list instead. */
+i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
+              const double *restrict a_data,
+              const i64 *restrict b_indptr, const i64 *restrict b_indices,
+              const double *restrict b_data,
+              const i64 *restrict m_indptr, const i64 *restrict m_indices,
+              const i64 *restrict rows, i64 nrows,
               i64 add_op, i64 mul_op, double identity,
-              i64 *offsets, i64 validate,
-              i64 *out_cols, double *out_vals,
-              signed char *states, double *values, i64 *touched)
+              i64 *restrict offsets, i64 validate,
+              i64 *restrict out_cols, double *restrict out_vals,
+              signed char *restrict states, double *restrict values,
+              i64 *restrict touched, uint64_t *restrict bits)
 {
     for (i64 r = 0; r < nrows; ++r) {
         i64 i = rows[r];
         i64 ms = m_indptr[i], me = m_indptr[i + 1];
         for (i64 t = ms; t < me; ++t) states[m_indices[t]] = 1;
-        i64 nt = 0;
+        i64 nt = 0, lo = INT64_MAX, hi = -1;
         for (i64 p = a_indptr[i]; p < a_indptr[i + 1]; ++p) {
             i64 k = a_indices[p];
             double av = a_data[p];
@@ -222,24 +252,47 @@ i64 msa_compl(const i64 *a_indptr, const i64 *a_indices, const double *a_data,
                     values[j] = op_add(add_op, identity, prod);
                     states[j] = 2;
                     touched[nt++] = j;
+                    i64 w = j >> 6;
+                    bits[w] |= 1ULL << (j & 63);
+                    if (w < lo) lo = w;
+                    if (w > hi) hi = w;
                 } else {
                     values[j] = op_add(add_op, values[j], prod);
                 }
             }
         }
         if (validate && nt != offsets[r + 1] - offsets[r]) {
-            for (i64 t = 0; t < nt; ++t) states[touched[t]] = 0;
+            for (i64 t = 0; t < nt; ++t) {
+                states[touched[t]] = 0;
+                bits[touched[t] >> 6] = 0;
+            }
             for (i64 t = ms; t < me; ++t) states[m_indices[t]] = 0;
             return r;
         }
-        qsort(touched, (size_t)nt, sizeof(i64), cmp_i64);
         i64 pos = offsets[r];
-        for (i64 t = 0; t < nt; ++t) {
-            i64 c = touched[t];
-            out_cols[pos] = c;
-            out_vals[pos] = values[c];
-            pos++;
-            states[c] = 0;
+        if (nt > 0 && hi - lo + 1 > nt * bitlen(nt)) {
+            qsort(touched, (size_t)nt, sizeof(i64), cmp_i64);
+            for (i64 t = 0; t < nt; ++t) {
+                i64 c = touched[t];
+                out_cols[pos] = c;
+                out_vals[pos] = values[c];
+                pos++;
+                states[c] = 0;
+                bits[c >> 6] = 0;
+            }
+        } else {
+            for (i64 w = lo; w <= hi; ++w) {
+                uint64_t word = bits[w];
+                bits[w] = 0;
+                while (word) {
+                    i64 c = (w << 6) + __builtin_ctzll(word);
+                    word &= word - 1;
+                    out_cols[pos] = c;
+                    out_vals[pos] = values[c];
+                    pos++;
+                    states[c] = 0;
+                }
+            }
         }
         for (i64 t = ms; t < me; ++t) states[m_indices[t]] = 0;
         if (!validate) offsets[r + 1] = pos;
@@ -490,14 +543,14 @@ def msa_plain(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
 def msa_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
               m_indptr, m_indices, rows, add_op, mul_op, identity,
               offsets, validate, out_cols, out_vals, states, values,
-              touched) -> int:
+              touched, bits) -> int:
     return int(load().msa_compl(
         _i64(a_indptr), _i64(a_indices), _f64(a_data),
         _i64(b_indptr), _i64(b_indices), _f64(b_data),
         _i64(m_indptr), _i64(m_indices), _i64(rows), rows.size,
         add_op, mul_op, identity, _i64(offsets), validate,
         _i64(out_cols), _f64(out_vals), _i8(states), _f64(values),
-        _i64(touched)))
+        _i64(touched), _p(bits, "uint64_t *")))
 
 
 def hash_plain(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,

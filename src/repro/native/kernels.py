@@ -131,14 +131,17 @@ def _compl_bounds(A, B, mask, rows):
 
 
 # --------------------------------------------------------------------- #
-# MSA (dense three-state accumulator)
+# MSA (dense accumulator: two states for plain masks, a bitset-gathered
+# touched list for complemented ones)
 # --------------------------------------------------------------------- #
 def _msa_call(be, A, B, mask, rows, codes, offsets, validate,
               out_cols, out_vals):
     add_op, mul_op, identity = codes
     ncols = B.ncols
     states = np.zeros(ncols, dtype=np.int8)
-    values = np.empty(ncols, dtype=np.float64)
+    # zeroed, not empty: the plain loop folds every flop into its column,
+    # allowed or not, and must never read uninitialised (or denormal) junk
+    values = np.zeros(ncols, dtype=np.float64)
     args = (_c(A.indptr), _c(A.indices), _c(A.data),
             _c(B.indptr), _c(B.indices), _c(B.data),
             _c(mask.indptr), _c(mask.indices), rows,
@@ -146,7 +149,8 @@ def _msa_call(be, A, B, mask, rows, codes, offsets, validate,
             out_cols, out_vals, states, values)
     if mask.complemented:
         touched = np.empty(ncols, dtype=INDEX_DTYPE)
-        return be.msa_compl(*args, touched)
+        bits = np.zeros((ncols + 63) // 64, dtype=np.uint64)
+        return be.msa_compl(*args, touched, bits)
     return be.msa_plain(*args)
 
 

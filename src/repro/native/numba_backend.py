@@ -16,15 +16,22 @@ cffi/C backend. The loop bodies are a line-for-line mirror of the C source
 in :mod:`repro.native.cffi_backend` — see that module's docstring for the
 bit-identity contract (identity-init + stream-order accumulation,
 numpy-faithful min/max NaN handling, mask-order vs sorted-complement
-gathers).
+gathers) and for the accumulator layout: two states per column for plain
+masks, a bitset gather walked with count-trailing-zeros for complemented
+ones. The count-trailing-zeros is numba's ``trailing_zeros`` intrinsic
+(LLVM ``cttz``), which compiles in nopython mode; the bitset words are
+``uint64``, so every constant mixed into them is cast to ``np.uint64``
+(numba widens ``uint64`` ⊕ ``int64`` to ``float64``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numba import jit
+from numba.cpython.unsafe.numbers import trailing_zeros
 
 _JIT = dict(nopython=True, nogil=True, cache=True)
+_I64_MAX = np.iinfo(np.int64).max
 
 
 @jit(**_JIT)
@@ -67,6 +74,15 @@ def _pow2cap(nkeys):
 
 
 @jit(**_JIT)
+def _bitlen(x):
+    n = 0
+    while x:
+        n += 1
+        x >>= 1
+    return n
+
+
+@jit(**_JIT)
 def msa_plain(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
               m_indptr, m_indices, rows, add_op, mul_op, identity,
               offsets, validate, out_cols, out_vals, states, values):
@@ -74,25 +90,21 @@ def msa_plain(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
         i = rows[r]
         ms, me = m_indptr[i], m_indptr[i + 1]
         for t in range(ms, me):
-            states[m_indices[t]] = 1
+            c = m_indices[t]
+            states[c] = 1
+            values[c] = identity
         for p in range(a_indptr[i], a_indptr[i + 1]):
             k = a_indices[p]
             av = a_data[p]
             for q in range(b_indptr[k], b_indptr[k + 1]):
                 j = b_indices[q]
-                st = states[j]
-                if st == 0:
-                    continue
-                prod = _op_mul(mul_op, av, b_data[q])
-                if st == 1:
-                    values[j] = _op_add(add_op, identity, prod)
-                    states[j] = 2
-                else:
-                    values[j] = _op_add(add_op, values[j], prod)
+                values[j] = _op_add(add_op, values[j],
+                                    _op_mul(mul_op, av, b_data[q]))
+                states[j] |= 2
         if validate:
             n = 0
             for t in range(ms, me):
-                if states[m_indices[t]] == 2:
+                if states[m_indices[t]] == 3:
                     n += 1
             if n != offsets[r + 1] - offsets[r]:
                 for t in range(ms, me):
@@ -101,7 +113,7 @@ def msa_plain(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
         pos = offsets[r]
         for t in range(ms, me):
             c = m_indices[t]
-            if states[c] == 2:
+            if states[c] == 3:
                 out_cols[pos] = c
                 out_vals[pos] = values[c]
                 pos += 1
@@ -115,13 +127,14 @@ def msa_plain(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
 def msa_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
               m_indptr, m_indices, rows, add_op, mul_op, identity,
               offsets, validate, out_cols, out_vals, states, values,
-              touched):
+              touched, bits):
+    one, zero = np.uint64(1), np.uint64(0)
     for r in range(rows.size):
         i = rows[r]
         ms, me = m_indptr[i], m_indptr[i + 1]
         for t in range(ms, me):
             states[m_indices[t]] = 1
-        nt = 0
+        nt, lo, hi = 0, _I64_MAX, -1
         for p in range(a_indptr[i], a_indptr[i + 1]):
             k = a_indices[p]
             av = a_data[p]
@@ -136,22 +149,42 @@ def msa_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
                     states[j] = 2
                     touched[nt] = j
                     nt += 1
+                    w = j >> 6
+                    bits[w] |= one << np.uint64(j & 63)
+                    if w < lo:
+                        lo = w
+                    if w > hi:
+                        hi = w
                 else:
                     values[j] = _op_add(add_op, values[j], prod)
         if validate and nt != offsets[r + 1] - offsets[r]:
             for t in range(nt):
                 states[touched[t]] = 0
+                bits[touched[t] >> 6] = zero
             for t in range(ms, me):
                 states[m_indices[t]] = 0
             return r
-        touched[:nt].sort()
         pos = offsets[r]
-        for t in range(nt):
-            c = touched[t]
-            out_cols[pos] = c
-            out_vals[pos] = values[c]
-            pos += 1
-            states[c] = 0
+        if nt > 0 and hi - lo + 1 > nt * _bitlen(nt):
+            touched[:nt].sort()
+            for t in range(nt):
+                c = touched[t]
+                out_cols[pos] = c
+                out_vals[pos] = values[c]
+                pos += 1
+                states[c] = 0
+                bits[c >> 6] = zero
+        else:
+            for w in range(lo, hi + 1):
+                word = bits[w]
+                bits[w] = zero
+                while word != zero:
+                    c = (w << 6) + np.int64(trailing_zeros(word))
+                    word &= word - one
+                    out_cols[pos] = c
+                    out_vals[pos] = values[c]
+                    pos += 1
+                    states[c] = 0
         for t in range(ms, me):
             states[m_indices[t]] = 0
         if not validate:

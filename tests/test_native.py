@@ -18,7 +18,11 @@
   serial fused path, cold and on plan replay;
 * **compiled symbolic pass**: the native specs' row sizes equal the fused
   symbolic functions' exactly, and a plan they size replays through every
-  degrade rung bit-identically.
+  degrade rung bit-identically;
+* **the MSA loops' edge cases**: the plain loop's stale "hit while not
+  allowed" state across rows of one call, signed zeros and NaNs under
+  min/max, and the complemented gather's bitset walk (word boundaries, a
+  width that is not a multiple of 64) and its sort fallback.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ from repro.native.kernels import MSA_NCOLS_CAP
 from repro.parallel.executor import ThreadExecutor
 from repro.parallel.runner import parallel_masked_spgemm
 from repro.resilience import FaultPlan
-from repro.semiring import PLUS_PAIR, PLUS_TIMES, Monoid, Semiring
+from repro.semiring import (MAX_TIMES, MIN_PLUS, PLUS_PAIR, PLUS_TIMES,
+                            Monoid, Semiring)
 from repro.semiring.standard import _REGISTRY as SEMIRINGS
 from repro.service import Engine, Request
 from repro.sparse import CSRMatrix, csr_random
@@ -542,3 +547,142 @@ def test_thread_backend_compiled_symbolic_no_plan(rng, alg, nworkers):
                                          executor=ex)
         assert_bit_identical(got, want, f"{alg} x{nworkers} "
                                         f"compl={complemented}")
+
+
+# --------------------------------------------------------------------- #
+# the MSA loops' edge cases, one compiled call each
+# --------------------------------------------------------------------- #
+def _csr(dense_rows, ncols):
+    """CSR from ``[{col: value}, ...]``, keeping every listed entry (explicit
+    zeros and NaNs included)."""
+    indptr = np.zeros(len(dense_rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in dense_rows], out=indptr[1:])
+    cols = [c for r in dense_rows for c in sorted(r)]
+    vals = [r[c] for r in dense_rows for c in sorted(r)]
+    return CSRMatrix(indptr, np.array(cols, dtype=np.int64),
+                     np.array(vals, dtype=np.float64),
+                     (len(dense_rows), ncols))
+
+
+def _block_bits(block):
+    return (block.sizes.tolist(), block.cols.tolist(),
+            block.vals.view(np.uint64).tolist())
+
+
+def _rows_bits(C, rows):
+    """The ``rows`` of CSR ``C`` as a RowBlock's (sizes, cols, value bits)."""
+    sizes = (C.indptr[rows + 1] - C.indptr[rows]).tolist()
+    pick = np.concatenate([np.arange(C.indptr[i], C.indptr[i + 1])
+                           for i in rows]).astype(np.int64)
+    return sizes, C.indices[pick].tolist(), C.data[pick].view(
+        np.uint64).tolist()
+
+
+def _assert_msa_native_rows(A, B, mask, semiring, rows):
+    """One compiled call over ``rows`` (both faces) against the fused
+    kernel and the reference tier, bit for bit — NaN payloads and signed
+    zeros included."""
+    want = _block_bits(msa_kernel.numeric_rows(A, B, mask, semiring, rows))
+    ref = _rows_bits(reference_masked_spgemm(A, B, mask, algorithm="msa",
+                                             semiring=semiring), rows)
+    assert ref == want, "fused msa diverged from the reference tier"
+    offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(want[0], out=offsets[1:])
+    cols = np.empty(int(offsets[-1]), dtype=np.int64)
+    vals = np.empty(int(offsets[-1]), dtype=np.float64)
+    with mock.patch.object(msa_kernel, "numeric_rows",
+                           side_effect=AssertionError("delegated")), \
+            mock.patch.object(msa_kernel, "numeric_rows_into",
+                              side_effect=AssertionError("delegated")):
+        got = native_kernels.msa_numeric_rows(A, B, mask, semiring, rows)
+        native_kernels.msa_numeric_rows_into(A, B, mask, semiring, rows,
+                                             cols, vals, offsets)
+    assert _block_bits(got) == want
+    assert (cols.tolist(), vals.view(np.uint64).tolist()) == want[1:]
+
+
+@needs_native
+@pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS, MAX_TIMES])
+def test_msa_plain_stale_hit_then_allowed(semiring):
+    """Column 5 is hit while not allowed in row 0, allowed but never hit in
+    row 2, then allowed and hit in row 4 — all in one call over a chunk-order
+    subset. The stale hit must neither surface in row 2 nor leak its value
+    into row 4."""
+    A = _csr([{0: 2.0}, {1: 1.0}, {1: 3.0}, {0: 9.0}, {0: 0.5, 1: 4.0}], 2)
+    B = _csr([{3: 1.5, 5: 7.0}, {3: 2.0, 6: -1.0}], 8)
+    M = _csr([{3: 1.0}, {6: 1.0}, {3: 1.0, 5: 1.0}, {6: 1.0},
+              {3: 1.0, 5: 1.0, 6: 1.0}], 8)
+    mask = Mask.from_matrix(M)
+    _assert_msa_native_rows(A, B, mask, semiring,
+                            np.array([0, 2, 4], dtype=np.int64))
+    _assert_msa_native_rows(A, B, mask, semiring,
+                            np.arange(5, dtype=np.int64))
+
+
+@needs_native
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("semiring", [MIN_PLUS, MAX_TIMES])
+def test_msa_plain_signed_zeros_and_nans(semiring):
+    """First hits still fold into the identity: a lone -0.0 product stays
+    -0.0 under min/max (the identity is ±inf), NaN products propagate the
+    way np.minimum/np.maximum do, and a NaN in a column outside the mask
+    never reaches a later row."""
+    nan = float("nan")
+    A = _csr([{0: -0.0}, {0: nan, 1: -0.0}, {1: 1.0}, {0: 0.0, 1: nan}], 2)
+    B = _csr([{0: -0.0, 1: nan, 2: 0.0}, {0: 0.0, 1: -0.0, 2: nan}], 3)
+    M = _csr([{0: 1.0, 2: 1.0}, {0: 1.0, 1: 1.0, 2: 1.0}, {0: 1.0, 1: 1.0},
+              {1: 1.0, 2: 1.0}], 3)
+    rows = np.arange(4, dtype=np.int64)
+    _assert_msa_native_rows(A, B, Mask.from_matrix(M), semiring, rows)
+
+
+def _compl_gather_sorts(A, B, mask, i):
+    """Whether the complemented MSA loop sorts row ``i``'s touched list
+    (True) or walks its bitset (False): the C loop's cost test."""
+    banned = set(mask.indices[mask.indptr[i]:mask.indptr[i + 1]].tolist())
+    touched = {int(j) for k in A.indices[A.indptr[i]:A.indptr[i + 1]]
+               for j in B.indices[B.indptr[k]:B.indptr[k + 1]]} - banned
+    if not touched:
+        return False
+    words = max(touched) // 64 - min(touched) // 64 + 1
+    return words > len(touched) * len(touched).bit_length()
+
+
+@needs_native
+@pytest.mark.parametrize("semiring", [PLUS_TIMES, PLUS_PAIR, MIN_PLUS])
+def test_msa_compl_bitset_word_boundaries(semiring):
+    """130 columns (three words, the last one partial): hits on columns 63,
+    64 and 129 come out sorted from the bitset walk, banned columns stay
+    out, and a second row reuses the cleared words."""
+    A = _csr([{0: 1.0, 1: 2.0}, {1: 0.5, 2: 3.0}, {2: 1.0}], 3)
+    B = _csr([{129: 2.0, 64: 1.0, 0: 4.0}, {63: 3.0, 64: -2.0, 1: 1.0},
+              {63: 1.0, 128: 5.0, 129: 0.25}], 130)
+    M = _csr([{1: 1.0}, {63: 1.0}, {}], 130)
+    mask = Mask.from_matrix(M, complemented=True)
+    rows = np.arange(3, dtype=np.int64)
+    assert not any(_compl_gather_sorts(A, B, mask, i) for i in rows)
+    _assert_msa_native_rows(A, B, mask, semiring, rows)
+
+
+@needs_native
+def test_msa_compl_bitset_and_sort_rows_in_one_call(rng):
+    """One call over 2**16 columns where some rows touch two far-apart
+    columns (sorted) and others touch a dense run (walked as a bitset). The
+    last column, touched by the sorted row 0 but not by the walked row 3,
+    must not survive in its word."""
+    ncols = 1 << 16
+    A = _csr([{0: 1.0}, {1: 2.0}, {0: 0.5, 2: 1.0}, {2: 3.0}], 3)
+    B = CSRMatrix(np.array([0, 2, 66, 85], dtype=np.int64),
+                  np.concatenate([[5, ncols - 1], np.arange(1000, 1064),
+                                  np.arange(ncols - 20, ncols - 1)]
+                                 ).astype(np.int64),
+                  rng.standard_normal(85), (3, ncols))
+    M = _csr([{}, {1010: 1.0}, {ncols - 1: 1.0}, {}], ncols)
+    mask = Mask.from_matrix(M, complemented=True)
+    rows = np.arange(4, dtype=np.int64)
+    branches = [_compl_gather_sorts(A, B, mask, i) for i in rows]
+    assert branches == [True, False, True, False]
+    for semiring in (PLUS_TIMES, MIN_PLUS):
+        _assert_msa_native_rows(A, B, mask, semiring, rows)
+        _assert_msa_native_rows(A, B, mask, semiring,
+                                np.array([0, 1, 3], dtype=np.int64))

@@ -15,7 +15,14 @@ the process (``-fno-sanitize-recover=all``), so any error exits non-zero.
 The fixtures cover plain and complemented masks, four semirings, empty A
 and mask rows, a zero-column product, row subsets in chunk order, both
 faces (stitch and direct write) and column ids past 2^31 for the hash
-kernels.
+kernels. Two fixture families reach the complemented MSA gather's word
+walk and its sort fallback:
+
+* seeded products with several hundred columns, plain and complemented,
+  so the bitset gather walks many 64-column words per row;
+* a complemented product with about 2^20 columns whose rows touch a few
+  columns far apart (the gather sorts them) beside one dense run (the
+  gather walks it).
 
 An ASan-instrumented library can only load into a process whose first
 loaded library is the ASan runtime. When ``LD_PRELOAD`` does not carry it
@@ -103,6 +110,42 @@ def _fixtures():
             yield (f"seed={seed} compl={complemented}", A, B,
                    Mask.from_matrix(M, complemented=complemented),
                    (np.arange(m, dtype=np.int64), rows), True)
+
+    # several hundred columns: multi-word bitset walks
+    for seed in (100, 101, 102):
+        r = np.random.default_rng(seed)
+        m, k = (int(x) for x in r.integers(8, 40, 2))
+        n = int(r.integers(300, 700))
+        A = drop_rows(csr_random(m, k, density=0.3, rng=r,
+                                 values="uniform"), r.random(m) < 0.2)
+        B = csr_random(k, n, density=r.uniform(0.01, 0.1), rng=r,
+                       values="uniform")
+        M = csr_random(m, n, density=r.uniform(0.0, 0.2), rng=r)
+        rows = np.flatnonzero(r.random(m) < 0.6).astype(np.int64)
+        for complemented in (False, True):
+            yield (f"seed={seed} n={n} compl={complemented}", A, B,
+                   Mask.from_matrix(M, complemented=complemented),
+                   (np.arange(m, dtype=np.int64), rows), True)
+
+    # about 2**20 columns: sparse rows sort, the dense-run row walks words
+    r = np.random.default_rng(98)
+    n, k = 2**20 + 37, 5
+    far = [np.sort(r.choice(n, 3, replace=False)) for _ in range(k - 1)]
+    run = np.arange(n - 150, n - 10, dtype=np.int64)
+    B = CSRMatrix(np.cumsum([0] + [f.size for f in far] + [run.size]),
+                  np.concatenate(far + [run]).astype(np.int64),
+                  r.random(3 * (k - 1) + run.size), (k, n))
+    # rows 0, 2 and 4 sort (row 4 mixes far columns into the run), rows 1
+    # and 5 walk the run's words, row 3 is empty
+    A = CSRMatrix(np.array([0, 2, 3, 5, 5, 7, 8], dtype=np.int64),
+                  np.array([0, 1, 4, 2, 3, 1, 4, 4], dtype=np.int64),
+                  r.random(8), (6, k))
+    M = CSRMatrix(np.array([0, 1, 3, 3, 3, 4, 4], dtype=np.int64),
+                  np.array([far[0][1], n - 100, n - 11, far[1][0]],
+                           dtype=np.int64), np.ones(4), (6, n))
+    yield ("ncols=2**20+37 compl=True", A, B,
+           Mask.from_matrix(M, complemented=True),
+           (np.arange(6, dtype=np.int64), np.array([1, 2, 5])), True)
 
     # column ids past 2**31 (hash kernels only: MSA's dense scratch and the
     # symbolic face delegate at this width)
