@@ -107,6 +107,10 @@ def _workload(scale=CASE_SCALE, edge=CASE_EDGE):
 def _identical(out, baseline) -> bool:
     if isinstance(out, np.ndarray):  # symbolic row sizes
         return out.dtype == baseline.dtype and np.array_equal(out, baseline)
+    if isinstance(out, list):  # RowBlocks of the accumulator face
+        return len(out) == len(baseline) and all(
+            np.array_equal(o.sizes, b.sizes) and np.array_equal(o.cols, b.cols)
+            and np.array_equal(o.vals, b.vals) for o, b in zip(out, baseline))
     return out.same_pattern(baseline) and np.array_equal(out.data,
                                                          baseline.data)
 
@@ -261,23 +265,8 @@ def bench_accumulators(scale=CASE_SCALE, edge=CASE_EDGE, bc_scale=BC_SCALE,
     for loop, case, products in loops:
         calls = [(A, B, m, sr, np.arange(A.nrows, dtype=np.int64))
                  for A, B, m, sr in products]
-        want = [fused_msa_rows(*c) for c in calls]
-
-        def run():
-            return [msa_numeric_rows(*c) for c in calls]
-
-        lat = []
-        for i in range(WARMUP + repeats):
-            t0 = time.perf_counter()
-            got = run()
-            dt = time.perf_counter() - t0
-            assert all(np.array_equal(g.sizes, w.sizes)
-                       and np.array_equal(g.cols, w.cols)
-                       and np.array_equal(g.vals, w.vals)
-                       for g, w in zip(got, want)), \
-                f"{loop} NOT bit-identical to fused msa"
-            if i >= WARMUP:
-                lat.append(dt)
+        lat, _ = _time(lambda: [msa_numeric_rows(*c) for c in calls],
+                       [fused_msa_rows(*c) for c in calls], repeats=repeats)
         rows.append(_row(case, "msa-native", lat, mode="accumulator",
                          loop=loop, backend=native_backend_name(),
                          kernel_rev=kernel_rev, products=len(calls),
