@@ -34,7 +34,10 @@ exists for auditability, not speed).
 * **native_accumulators** (informational, read across runs): the two
   compiled MSA loops timed alone through the stitch face — ``msa_plain`` on
   the tc-rmat-s13-e8 product, ``msa_compl`` on the complemented PLUS_FIRST
-  forward products of one 64-source BC batch on an R-MAT s11 graph — every
+  forward products of one 64-source BC batch on an R-MAT s11 graph, and
+  ``msa_compl`` again on a wide product of sparse rows (BC's first forward
+  level for 4096 sources on a 2^18-vertex uniform random graph), whose
+  gather sorts rather than walks its bitset — every
   repeat checked bit-identical to fused ``msa``. Each row records the git
   revision of the ``repro`` package it measured, so a run made against
   another checkout's ``src`` (``record_accumulators()`` with that ``src`` on
@@ -68,13 +71,15 @@ from repro.core import build_plan, masked_spgemm
 from repro.core.registry import get_spec, native_variant
 from repro.core.reference import reference_masked_spgemm
 from repro.core.msa_kernel import numeric_rows as fused_msa_rows
-from repro.graphs import rmat
+from repro.graphs import erdos_renyi, rmat
 from repro.graphs.prep import to_undirected_simple
 from repro.native import native_available, native_backend_name, warmup
 from repro.native.kernels import msa_numeric_rows
 from repro.parallel.executor import ThreadExecutor
 from repro.parallel.runner import parallel_masked_spgemm
-from repro.semiring import PLUS_PAIR
+from repro.mask import Mask
+from repro.semiring import PLUS_FIRST, PLUS_PAIR
+from repro.sparse import CSRMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT_KERNELS = ROOT / "BENCH_kernels.json"
@@ -93,6 +98,9 @@ WARMUP = 2
 THREAD_WORKERS = (1, 2, 4)
 #: the BC batch whose forward products time msa_compl (bc-batch's shape)
 BC_SCALE, BC_EDGE, BC_BATCH = 11, 8, 64
+#: the wide complemented product: each row touches ~WIDE_DEGREE columns
+#: spread over 2**WIDE_LOG_N / 64 words, so msa_compl sorts its touched list
+WIDE_LOG_N, WIDE_DEGREE, WIDE_BATCH = 18, 8, 4096
 ACC_REPEATS = 20
 
 
@@ -251,15 +259,34 @@ def _bc_forward_products(scale=BC_SCALE, edge=BC_EDGE, batch=BC_BATCH):
     return products
 
 
+def _wide_compl_product(log_n=WIDE_LOG_N, degree=WIDE_DEGREE,
+                       batch=WIDE_BATCH):
+    """BC's first forward product ``¬F ⊙ (F·A)`` for ``batch`` sources on
+    an undirected uniform random graph of ``2**log_n`` vertices. ``F`` is
+    one-hot at the sources, so each row touches about ``degree`` columns
+    spread over the whole width: few columns over many bitset words."""
+    n = 1 << log_n
+    g = erdos_renyi(n, degree / 2, rng=log_n, symmetrize=True)
+    sources = np.sort(np.random.default_rng(log_n).choice(
+        n, batch, replace=False)).astype(np.int64)
+    F = CSRMatrix(np.arange(batch + 1, dtype=np.int64), sources,
+                  np.ones(batch), (batch, n))
+    return [(F, g, Mask.from_matrix(F, complemented=True), PLUS_FIRST)]
+
+
 def bench_accumulators(scale=CASE_SCALE, edge=CASE_EDGE, bc_scale=BC_SCALE,
+                       wide_log_n=WIDE_LOG_N, wide_batch=WIDE_BATCH,
                        *, repeats=ACC_REPEATS):
     """Each compiled MSA loop on the products it serves, through the stitch
-    face over every row; returns one row per loop."""
+    face over every row; returns one row per (loop, case)."""
     L, mask = _workload(scale, edge)
     loops = [("msa_plain", f"tc-rmat-s{scale}-e{edge}",
               [(L, L, mask, PLUS_PAIR)]),
              ("msa_compl", f"bc-rmat-s{bc_scale}-e{BC_EDGE}-b{BC_BATCH}-fwd",
-              _bc_forward_products(bc_scale))]
+              _bc_forward_products(bc_scale)),
+             ("msa_compl",
+              f"er-n{wide_log_n}-d{WIDE_DEGREE}-b{wide_batch}-fwd1",
+              _wide_compl_product(wide_log_n, batch=wide_batch))]
     kernel_rev = git_rev(Path(repro.__file__).resolve().parent.parent.parent)
     rows = []
     for loop, case, products in loops:
@@ -291,13 +318,14 @@ def record_accumulators() -> None:
     append_trajectory_run(ARTIFACT_KERNELS, "native_accumulators", rows)
     if prev is None:
         return
-    before = {r["loop"]: r for r in prev["results"]}
+    before = {(r["loop"], r["case"]): r for r in prev["results"]}
     for r in rows:
-        b = before.get(r["loop"])
+        b = before.get((r["loop"], r["case"]))
         if b is not None:
-            emit(f"  accumulator drift [{r['loop']}]: {b['p50_ms']:.2f} ms "
-                 f"({b['kernel_rev']}) → {r['p50_ms']:.2f} ms "
-                 f"({r['kernel_rev']}) = {b['p50_ms'] / r['p50_ms']:.2f}x")
+            emit(f"  accumulator drift [{r['loop']} {r['case']}]: "
+                 f"{b['p50_ms']:.2f} ms ({b['kernel_rev']}) → "
+                 f"{r['p50_ms']:.2f} ms ({r['kernel_rev']}) = "
+                 f"{b['p50_ms'] / r['p50_ms']:.2f}x")
 
 
 def bench_threads(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
@@ -452,16 +480,18 @@ def test_native_symbolic_cold_2p(benchmark):
 
 def test_native_accumulators(benchmark):
     """CI smoke: both rewritten MSA loops (plain TC product, complemented
-    BC forward products) on small graphs, bit-identical to fused msa on
-    every repeat."""
+    BC forward products, a wide complemented product) on small graphs,
+    bit-identical to fused msa on every repeat."""
     import pytest
 
     if not native_available():
         pytest.skip("no compiled backend on this runner")
     rows = benchmark.pedantic(
-        lambda: bench_accumulators(scale=8, edge=4, bc_scale=7, repeats=2),
+        lambda: bench_accumulators(scale=8, edge=4, bc_scale=7,
+                                   wide_log_n=12, wide_batch=64, repeats=2),
         rounds=1, iterations=1)
-    assert [r["loop"] for r in rows] == ["msa_plain", "msa_compl"]
+    assert [r["loop"] for r in rows] == ["msa_plain", "msa_compl",
+                                         "msa_compl"]
     assert all(r["bit_identical"] and r["products"] > 0 for r in rows)
 
 
