@@ -35,8 +35,9 @@ Semantics contract (bit-identity with the fused numpy kernels):
   hit: the paper's ALLOWED and SET differ only at gather time, so allowed
   columns are preset to the identity and every flop folds without a
   branch), and untouched/banned/set for complemented masks, whose gather
-  walks a bitset of the touched columns with count-trailing-zeros (or
-  sorts the touched list, for rows with few columns over a wide range);
+  sorts the touched list for rows with few columns over a wide range and
+  otherwise sets the touched columns in a bitset and walks it with
+  count-trailing-zeros;
 * the symbolic pass writes, per row, the count of distinct columns the
   numeric pass would emit — the exact sizes of the fused ``symbolic_rows``.
 """
@@ -217,12 +218,12 @@ i64 msa_plain(const i64 *restrict a_indptr, const i64 *restrict a_indices,
     return -1;
 }
 
-/* Complemented mask: 0 = untouched, 1 = banned, 2 = set. A first hit also
- * sets the column's bit in `bits` (one uint64 word per 64 columns) and
- * widens the touched word range [lo, hi]. The gather walks that range with
- * count-trailing-zeros, which emits the columns in sorted order and clears
- * each word as it goes; a row whose range is wide for its few touched
- * columns sorts its touched list instead. */
+/* Complemented mask: 0 = untouched, 1 = banned, 2 = set; first hits are
+ * appended to `touched`. The gather takes the touched word range [lo, hi].
+ * A row with few columns over a wide range sorts its touched list; any
+ * other row sets one bit per touched column in `bits` (one uint64 word per
+ * 64 columns) and walks the range with count-trailing-zeros, which emits
+ * the columns in sorted order and clears each word as it goes. */
 i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
               const double *restrict a_data,
               const i64 *restrict b_indptr, const i64 *restrict b_indices,
@@ -239,7 +240,7 @@ i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
         i64 i = rows[r];
         i64 ms = m_indptr[i], me = m_indptr[i + 1];
         for (i64 t = ms; t < me; ++t) states[m_indices[t]] = 1;
-        i64 nt = 0, lo = INT64_MAX, hi = -1;
+        i64 nt = 0;
         for (i64 p = a_indptr[i]; p < a_indptr[i + 1]; ++p) {
             i64 k = a_indices[p];
             double av = a_data[p];
@@ -252,22 +253,21 @@ i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
                     values[j] = op_add(add_op, identity, prod);
                     states[j] = 2;
                     touched[nt++] = j;
-                    i64 w = j >> 6;
-                    bits[w] |= 1ULL << (j & 63);
-                    if (w < lo) lo = w;
-                    if (w > hi) hi = w;
                 } else {
                     values[j] = op_add(add_op, values[j], prod);
                 }
             }
         }
         if (validate && nt != offsets[r + 1] - offsets[r]) {
-            for (i64 t = 0; t < nt; ++t) {
-                states[touched[t]] = 0;
-                bits[touched[t] >> 6] = 0;
-            }
+            for (i64 t = 0; t < nt; ++t) states[touched[t]] = 0;
             for (i64 t = ms; t < me; ++t) states[m_indices[t]] = 0;
             return r;
+        }
+        i64 lo = INT64_MAX, hi = -1;
+        for (i64 t = 0; t < nt; ++t) {
+            i64 w = touched[t] >> 6;
+            if (w < lo) lo = w;
+            if (w > hi) hi = w;
         }
         i64 pos = offsets[r];
         if (nt > 0 && hi - lo + 1 > nt * bitlen(nt)) {
@@ -278,9 +278,10 @@ i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
                 out_vals[pos] = values[c];
                 pos++;
                 states[c] = 0;
-                bits[c >> 6] = 0;
             }
         } else {
+            for (i64 t = 0; t < nt; ++t)
+                bits[touched[t] >> 6] |= 1ULL << (touched[t] & 63);
             for (i64 w = lo; w <= hi; ++w) {
                 uint64_t word = bits[w];
                 bits[w] = 0;

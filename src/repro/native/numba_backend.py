@@ -134,7 +134,7 @@ def msa_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
         ms, me = m_indptr[i], m_indptr[i + 1]
         for t in range(ms, me):
             states[m_indices[t]] = 1
-        nt, lo, hi = 0, _I64_MAX, -1
+        nt = 0
         for p in range(a_indptr[i], a_indptr[i + 1]):
             k = a_indices[p]
             av = a_data[p]
@@ -149,21 +149,21 @@ def msa_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
                     states[j] = 2
                     touched[nt] = j
                     nt += 1
-                    w = j >> 6
-                    bits[w] |= one << np.uint64(j & 63)
-                    if w < lo:
-                        lo = w
-                    if w > hi:
-                        hi = w
                 else:
                     values[j] = _op_add(add_op, values[j], prod)
         if validate and nt != offsets[r + 1] - offsets[r]:
             for t in range(nt):
                 states[touched[t]] = 0
-                bits[touched[t] >> 6] = zero
             for t in range(ms, me):
                 states[m_indices[t]] = 0
             return r
+        lo, hi = _I64_MAX, -1
+        for t in range(nt):
+            w = touched[t] >> 6
+            if w < lo:
+                lo = w
+            if w > hi:
+                hi = w
         pos = offsets[r]
         if nt > 0 and hi - lo + 1 > nt * _bitlen(nt):
             touched[:nt].sort()
@@ -173,8 +173,9 @@ def msa_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
                 out_vals[pos] = values[c]
                 pos += 1
                 states[c] = 0
-                bits[c >> 6] = zero
         else:
+            for t in range(nt):
+                bits[touched[t] >> 6] |= one << np.uint64(touched[t] & 63)
             for w in range(lo, hi + 1):
                 word = bits[w]
                 bits[w] = zero
