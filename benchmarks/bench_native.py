@@ -2,9 +2,9 @@
 
 PR 9 adds a compiled implementation of the numeric pass behind the same
 ``numeric_rows``/``numeric_rows_into`` protocol: ``msa-native`` and
-``hash-native`` resolve through a backend ladder (numba JIT where
-installed, cffi + the system C compiler otherwise) and fall back to their
-fused bases bit-identically when neither exists. The fused kernels pay
+``hash-native`` run C loops compiled with cffi + the system C compiler
+and fall back to their fused bases bit-identically when that tier is
+unavailable. The fused kernels pay
 per-row Python dispatch plus a NumPy temporary per accumulator step; the
 compiled row loop runs the whole numeric pass in one call, which is where
 the paper's single-thread kernel gap lives.
@@ -41,8 +41,7 @@ exists for auditability, not speed).
   repeat checked bit-identical to fused ``msa``. Each row records the git
   revision of the ``repro`` package it measured, so a run made against
   another checkout's ``src`` (``record_accumulators()`` with that ``src`` on
-  ``PYTHONPATH``) is a before/after pair; the drift line prints the
-  per-loop ratio against the previous run;
+  ``PYTHONPATH``) is a before/after pair;
 * **thread_scaling** (informational): the compiled kernel on a
   :class:`~repro.parallel.executor.ThreadExecutor` at 1/2/4 workers vs
   serial in-process execution. The machine may expose few CPUs, so the
@@ -50,7 +49,7 @@ exists for auditability, not speed).
   proves bit-identity and measures whatever parallelism the machine
   actually offers.
 
-Skips cleanly (exit 0) when no compiled backend is available.
+Skips cleanly (exit 0) when the compiled tier is unavailable.
 """
 
 from __future__ import annotations
@@ -304,9 +303,8 @@ def bench_accumulators(scale=CASE_SCALE, edge=CASE_EDGE, bc_scale=BC_SCALE,
 
 
 def record_accumulators() -> None:
-    """Run :func:`bench_accumulators`, append it to ``BENCH_kernels.json`` as
-    a ``native_accumulators`` run and print each loop's drift against the
-    previous run (previous p50 / this p50: above 1 means faster now)."""
+    """Run :func:`bench_accumulators` and append it to ``BENCH_kernels.json``
+    as a ``native_accumulators`` run."""
     rows = bench_accumulators()
     emit("\n[Native] compiled MSA loops alone (stitch face, every row; "
          f"kernel source {rows[0]['kernel_rev']})")
@@ -314,18 +312,7 @@ def record_accumulators() -> None:
         ["loop", "case", "products", "flops", "mean (ms)", "p50 (ms)"],
         [[r["loop"], r["case"], r["products"], r["flops"], r["mean_ms"],
           r["p50_ms"]] for r in rows]))
-    prev = latest_trajectory_run(ARTIFACT_KERNELS, bench="native_accumulators")
     append_trajectory_run(ARTIFACT_KERNELS, "native_accumulators", rows)
-    if prev is None:
-        return
-    before = {(r["loop"], r["case"]): r for r in prev["results"]}
-    for r in rows:
-        b = before.get((r["loop"], r["case"]))
-        if b is not None:
-            emit(f"  accumulator drift [{r['loop']} {r['case']}]: "
-                 f"{b['p50_ms']:.2f} ms ({b['kernel_rev']}) → "
-                 f"{r['p50_ms']:.2f} ms ({r['kernel_rev']}) = "
-                 f"{b['p50_ms'] / r['p50_ms']:.2f}x")
 
 
 def bench_threads(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
@@ -359,8 +346,8 @@ def bench_threads(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
 
 def main() -> None:
     if not native_available():
-        emit("no compiled backend (numba or cffi + C compiler) on this "
-             "machine; native bench skipped")
+        emit("compiled tier unavailable (needs cffi + a C compiler) on "
+             "this machine; native bench skipped")
         raise SystemExit(0)
     seconds = warmup()
     emit(f"[Native] compiled kernel tier ({native_backend_name()} backend, "

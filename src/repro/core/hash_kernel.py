@@ -164,7 +164,8 @@ def _insert_or_accumulate_batch(keys: np.ndarray, vals: np.ndarray,
         if match.any():
             ms = s[match]
             keep = ~t_banned[ms]
-            add_ufunc.at(t_vals, ms[keep], vals[pending[match][keep]])
+            with np.errstate(invalid="ignore"):  # NaN data is legal
+                add_ufunc.at(t_vals, ms[keep], vals[pending[match][keep]])
         free = occupant == _EMPTY
         if free.any():
             f_idx = pending[free]
@@ -255,7 +256,8 @@ def _fused_numeric(A: CSRMatrix, B: CSRMatrix, mask: Mask, semiring: Semiring,
     else:
         t_vals = np.empty(tsize, dtype=np.float64)
         t_vals[m_slots] = semiring.identity
-        add.at(t_vals, hit_slots, prod[ok])
+        with np.errstate(invalid="ignore"):
+            add.at(t_vals, hit_slots, prod[ok])
     t_set[hit_slots] = True
     present = t_set[m_slots]  # aligned with the flat mask stream
     sizes = np.bincount(m_row[present],
@@ -519,7 +521,8 @@ def _insert_or_accumulate(keys: np.ndarray, vals: np.ndarray, t_keys: np.ndarray
         if match.any():
             ms = s[match]
             keep = ~t_banned[ms]
-            add_ufunc.at(t_vals, ms[keep], vals[pending[match][keep]])
+            with np.errstate(invalid="ignore"):  # NaN data is legal
+                add_ufunc.at(t_vals, ms[keep], vals[pending[match][keep]])
         free = occupant == _EMPTY
         if free.any():
             f_idx = pending[free]

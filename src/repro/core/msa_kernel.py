@@ -86,7 +86,8 @@ def _fused_numeric(A: CSRMatrix, B: CSRMatrix, mask: Mask, semiring: Semiring,
         acc = np.bincount(ranks, weights=prod[allowed], minlength=mkeys.size)
     else:
         acc = np.full(mkeys.size, semiring.identity)
-        add.at(acc, ranks, prod[allowed])
+        with np.errstate(invalid="ignore"):  # NaN products are legal data
+            add.at(acc, ranks, prod[allowed])
     sizes = np.bincount(m_prow[touched],
                         minlength=rows.size).astype(INDEX_DTYPE)
     # mkeys ascend, so the touched gather is row-grouped and column-sorted
@@ -117,7 +118,8 @@ def _fused_numeric_complement(A: CSRMatrix, B: CSRMatrix, mask: Mask,
         acc = np.bincount(inv, weights=prod)
     else:
         acc = np.full(ukeys.size, semiring.identity)
-        add.at(acc, inv, prod)
+        with np.errstate(invalid="ignore"):
+            add.at(acc, inv, prod)
     sizes = np.bincount(ukeys // ncols, minlength=rows.size).astype(INDEX_DTYPE)
     return RowBlock(sizes, (ukeys % ncols).astype(INDEX_DTYPE, copy=False), acc)
 
@@ -231,7 +233,8 @@ def numeric_rows_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
             v = np.bincount(r, weights=prod[sel], minlength=m_cols.size)[hit]
         else:
             values[m_cols] = identity
-            add.at(values, bj_s, prod[sel])
+            with np.errstate(invalid="ignore"):
+                add.at(values, bj_s, prod[sel])
             states[bj_s] = _SET
             hit = states[m_cols] == _SET
             c = m_cols[hit]
@@ -277,7 +280,8 @@ def _numeric_complement_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
             else:
                 touched = _sorted_unique(bj_s)  # sorted inserted-keys set
                 values[touched] = identity
-                add.at(values, bj_s, prod[sel])
+                with np.errstate(invalid="ignore"):
+                    add.at(values, bj_s, prod[sel])
                 v = values[touched]
             k = touched.size
             out_cols[pos: pos + k] = touched

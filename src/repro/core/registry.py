@@ -135,7 +135,7 @@ _SPECS["msa-native"] = AlgorithmSpec(
     "msa-native", "MSA(native)", "push",
     _native_entry("msa_numeric_rows"), _native_entry("msa_symbolic_rows"),
     True,
-    "Compiled (numba-JIT or cffi/C) MSA accumulator loops (two states and "
+    "Compiled (C via cffi) MSA accumulator loops (two states and "
     "a branch-free flop loop for plain masks, a bitset gather for "
     "complemented ones) and a pattern-only symbolic row-size loop with "
     "nogil chunk calls; "
@@ -149,7 +149,7 @@ _SPECS["hash-native"] = AlgorithmSpec(
     "hash-native", "Hash(native)", "push",
     _native_entry("hash_numeric_rows"), _native_entry("hash_symbolic_rows"),
     True,
-    "Compiled (numba-JIT or cffi/C) open-addressing hash accumulator "
+    "Compiled (C via cffi) open-addressing hash accumulator "
     "(LF 0.25, Fibonacci slots) with nogil chunk calls, sized by the same "
     "compiled symbolic loop as msa-native; the wide-output counterpart of "
     "msa-native, same fallback contract",

@@ -1,4 +1,4 @@
-"""repro.native — the compiled (JIT/C) kernel tier.
+"""repro.native — the compiled (C) kernel tier.
 
 The fused numpy kernels (PRs 2+4) are bound by numpy dispatch overhead, not
 memory traffic; this package supplies the tight compiled inner loops the
@@ -6,29 +6,21 @@ paper's C++ numbers imply, behind the existing kernel registry as the
 ``msa-native`` / ``hash-native`` routing tiers (``listed=False`` — execution
 strategies of msa/hash, not new algorithms).
 
-Backend ladder, probed lazily and memoized:
+The loops are C, compiled by :mod:`repro.native.cffi_backend` with whatever
+C compiler is on PATH and loaded through cffi (``pip install repro[native]``).
+The probe runs lazily, once per process: build/``dlopen`` the library, then
+pass a bit-identity self-test against the fused kernels on tiny fixtures.
+Probing moves the compile off the request path —
+:meth:`repro.service.Engine.__init__` calls :func:`warmup`, which records it
+as ``repro_native_compile_seconds``.
 
-1. **numba** (:mod:`repro.native.numba_backend`) — JIT with
-   ``nopython=True, nogil=True, cache=True``; the preferred tier, installed
-   via ``pip install repro[native]``;
-2. **cffi/C** (:mod:`repro.native.cffi_backend`) — the same loops compiled
-   from embedded C source with whatever C compiler is on PATH, loaded
-   ABI-mode; covers boxes with a toolchain but no numba;
-3. **unavailable** — every native entry point delegates to the fused numpy
-   kernels, ``native_available()`` is False, ``auto_select`` keeps routing
-   to the fused keys, and nothing anywhere needs a guard.
-
-A backend only becomes *the* backend after passing a bit-identity self-test
-against the fused kernels on tiny fixtures (probing doubles as JIT warmup,
-so :meth:`repro.service.Engine.__init__` calling :func:`warmup` moves the
-compile off the request path and records it as
-``repro_native_compile_seconds``).
-
-``REPRO_NATIVE`` overrides the ladder: ``off`` disables the tier entirely,
-``numba`` / ``cffi`` pin one backend (probe failure then means unavailable,
-no fallthrough). Both compiled backends release the GIL for the whole
-kernel call, which is what the thread backend in
-:mod:`repro.parallel.runner` (``backend="thread"``) builds on.
+If either step fails, or ``REPRO_NATIVE`` is ``off`` (or any value other
+than ``auto``/``cffi``/``c``), the tier is unavailable: every native entry
+point delegates to the fused numpy kernels, ``native_available()`` is
+False, ``auto_select`` keeps routing to the fused keys, and nothing anywhere
+needs a guard. cffi releases the GIL for the whole kernel call, which is
+what the thread backend in :mod:`repro.parallel.runner`
+(``backend="thread"``) builds on.
 """
 
 from __future__ import annotations
@@ -54,27 +46,18 @@ def _probe() -> tuple[str, object] | None:
         if _PROBED:
             return _BACKEND
         mode = os.environ.get("REPRO_NATIVE", "auto").strip().lower()
-        order = {"auto": ("numba", "cffi"), "": ("numba", "cffi"),
-                 "numba": ("numba",), "cffi": ("cffi",), "c": ("cffi",),
-                 }.get(mode, ())
-        if mode in ("off", "0", "none", "disabled"):
-            order = ()
         backend = None
         t0 = time.perf_counter()
-        for name in order:
+        if mode in ("auto", "", "cffi", "c"):
             try:
-                if name == "numba":
-                    from . import numba_backend as mod
-                else:
-                    from . import cffi_backend as mod
-                    mod.load()
+                from . import cffi_backend as mod
                 from . import kernels
 
+                mod.load()
                 kernels.self_test(mod)  # bit-identity gate + forced compile
-                backend = (name, mod)
-                break
+                backend = ("cffi", mod)
             except Exception:
-                continue
+                pass
         _PROBE_SECONDS = time.perf_counter() - t0
         _BACKEND = backend
         _PROBED = True
@@ -93,7 +76,7 @@ def native_backend_name() -> str | None:
 
 
 def native_available() -> bool:
-    """True when a compiled backend passed its probe on this machine."""
+    """True when the compiled backend passed its probe on this machine."""
     return _probe() is not None
 
 
@@ -112,7 +95,7 @@ def warmup(metrics=None) -> float:
     if metrics is not None:
         metrics.gauge(
             "repro_native_compile_seconds",
-            "Seconds spent probing + JIT/C-compiling the native kernel "
+            "Seconds spent probing + C-compiling the native kernel "
             "tier at engine construction (0 when the tier is unavailable "
             "or was already compiled by an earlier engine)",
         ).set(seconds if native_available() else 0.0)

@@ -1,15 +1,13 @@
 """cffi/C backend for the compiled kernel tier.
 
-The portable half of the native ladder (see :mod:`repro.native`): when numba
-is not installed but a C compiler is, the same five inner loops the numba
-backend JITs — four numeric passes (MSA and hash, plain and complemented
-masks) and one pattern-only symbolic pass — are compiled once from the
-embedded C source below into a shared object, loaded ABI-mode through
-:mod:`cffi`, and called with zero-copy pointers into the operand arrays.
-cffi releases the GIL for the duration of every foreign call, which is what
-lets the thread backend in :mod:`repro.parallel.runner` scatter chunks
-concurrently from a plain thread pool — the same property ``nogil=True``
-buys the numba backend.
+The five inner loops of the native tier (see :mod:`repro.native`) — four
+numeric passes (MSA and hash, plain and complemented masks) and one
+pattern-only symbolic pass — are compiled once from the embedded C source
+below with the system C compiler into a shared object, loaded ABI-mode
+through :mod:`cffi`, and called with zero-copy pointers into the operand
+arrays. cffi releases the GIL for the duration of every foreign call, which
+is what lets the thread backend in :mod:`repro.parallel.runner` scatter
+chunks concurrently from a plain thread pool.
 
 Build artifacts are content-addressed: the ``.so`` is keyed by the SHA-256 of
 the C source (plus the compiler command), cached under
@@ -479,8 +477,8 @@ _LIB = None
 def load():
     """Compile (once, content-addressed) and dlopen the kernel library.
 
-    Raises on any failure — the probe ladder in :mod:`repro.native` treats
-    an exception as "this backend is unavailable" and moves on.
+    Raises on any failure — the probe in :mod:`repro.native` treats an
+    exception as "the compiled tier is unavailable".
     """
     global _FFI, _LIB
     if _LIB is not None:
@@ -528,7 +526,7 @@ def _i8(arr):
 
 
 # --------------------------------------------------------------------- #
-# backend protocol (numpy-array signatures shared with numba_backend)
+# backend protocol (numpy-array signatures, see repro.native.kernels)
 # --------------------------------------------------------------------- #
 def msa_plain(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
               m_indptr, m_indices, rows, add_op, mul_op, identity,

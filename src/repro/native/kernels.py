@@ -1,9 +1,8 @@
 """Protocol faces of the compiled kernel tier.
 
-These wrap whichever backend the probe ladder resolved (numba JIT or
-cffi/C — see the package docstring) behind the repo-wide kernel protocol,
-so the registry specs ``msa-native`` / ``hash-native`` are just another
-pair of kernels:
+These wrap the compiled C backend the probe resolved (see the package
+docstring) behind the repo-wide kernel protocol, so the registry specs
+``msa-native`` / ``hash-native`` are just another pair of kernels:
 
 ``msa_numeric_rows`` / ``hash_numeric_rows``
     stitch face — compute requested rows compactly and return a RowBlock;
@@ -313,7 +312,7 @@ def self_test(backend_mod) -> None:
     """Validate one backend end to end on tiny fixtures, bit-exactly against
     the fused numpy kernels — numeric passes and symbolic row sizes, plain
     and complemented masks (the probe's correctness gate). Also forces
-    JIT / ``dlopen`` so the compile cost lands here, off the request
+    the ``dlopen`` so the compile cost lands here, off the request
     path."""
     from ..core import hash_kernel, msa_kernel
     from ..mask import Mask

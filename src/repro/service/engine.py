@@ -264,8 +264,8 @@ class Engine:
             "late result-cache writebacks refused by the store-version "
             "guard (a delta landed while the request executed)")
         # resolve + compile the native kernel tier off the request path
-        # (memoized: only the first engine in a process pays the JIT/cc
-        # cost) and record it
+        # (memoized: only the first engine in a process pays the C
+        # compile) and record it
         native_warmup(metrics=self.metrics)
 
     # ------------------------------------------------------------------ #

@@ -25,7 +25,7 @@ def rng():
 
 needs_native = pytest.mark.skipif(
     not native.native_available(),
-    reason="no compiled backend (numba, or cffi + a C compiler) on this "
+    reason="compiled tier unavailable (needs cffi + a C compiler) on this "
            "machine — the fallback contract has its own always-on tests")
 
 

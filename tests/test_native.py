@@ -291,8 +291,11 @@ def test_native_keys_still_answer_without_backend(rng, native_mode):
         assert_bit_identical(got, want, f"{alg} off-delegation")
 
 
-def test_unknown_mode_means_unavailable(native_mode):
-    native_mode("not-a-backend")
+@pytest.mark.parametrize("mode", ["not-a-backend", "numba"])
+def test_unknown_mode_means_unavailable(native_mode, mode):
+    """Unknown values, the removed ``numba`` backend among them, leave the
+    tier unavailable instead of falling through to cffi."""
+    native_mode(mode)
     assert not native_available()
 
 
@@ -590,6 +593,8 @@ def _assert_msa_native_rows(A, B, mask, semiring, rows):
     np.cumsum(want[0], out=offsets[1:])
     cols = np.empty(int(offsets[-1]), dtype=np.int64)
     vals = np.empty(int(offsets[-1]), dtype=np.float64)
+    # probe before the patches: its self-test calls the fused kernels
+    assert native_available()
     with mock.patch.object(msa_kernel, "numeric_rows",
                            side_effect=AssertionError("delegated")), \
             mock.patch.object(msa_kernel, "numeric_rows_into",
@@ -620,13 +625,13 @@ def test_msa_plain_stale_hit_then_allowed(semiring):
 
 
 @needs_native
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("semiring", [MIN_PLUS, MAX_TIMES])
 def test_msa_plain_signed_zeros_and_nans(semiring):
     """First hits still fold into the identity: a lone -0.0 product stays
     -0.0 under min/max (the identity is ±inf), NaN products propagate the
     way np.minimum/np.maximum do, and a NaN in a column outside the mask
-    never reaches a later row."""
+    never reaches a later row. NaN is legal data, so no tier warns on it."""
     nan = float("nan")
     A = _csr([{0: -0.0}, {0: nan, 1: -0.0}, {1: 1.0}, {0: 0.0, 1: nan}], 2)
     B = _csr([{0: -0.0, 1: nan, 2: 0.0}, {0: 0.0, 1: -0.0, 2: nan}], 3)
