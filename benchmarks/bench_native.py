@@ -32,13 +32,16 @@ exists for auditability, not speed).
   two-phase product (symbolic + numeric, no plan) against one-phase — the
   best real alternative a caller has. The gate is cold 2P ≤ **2.0×** 1P;
 * **native_accumulators** (informational, read across runs): the two
-  compiled MSA loops timed alone through the stitch face — ``msa_plain`` on
-  the tc-rmat-s13-e8 product, ``msa_compl`` on the complemented PLUS_FIRST
-  forward products of one 64-source BC batch on an R-MAT s11 graph, and
-  ``msa_compl`` again on a wide product of sparse rows (BC's first forward
-  level for 4096 sources on a 2^18-vertex uniform random graph), whose
-  gather sorts rather than walks its bitset — every
-  repeat checked bit-identical to fused ``msa``. Each row records the git
+  compiled MSA loops timed alone through the stitch face. ``msa_plain``
+  runs three cases: the tc-rmat-s13-e8 product (PLUS_PAIR, the counter
+  loop), the plain PLUS_FIRST backward products of one 64-source BC batch
+  on an R-MAT s11 graph (a folded two-state loop), and the tc-rmat-s13-e8
+  product again under min/times, a compiled pairing outside the standard
+  semirings (the runtime-coded loop). ``msa_compl`` runs the complemented
+  PLUS_FIRST forward products of the same BC batch, and a wide product of
+  sparse rows (BC's first forward level for 4096 sources on a 2^18-vertex
+  uniform random graph), whose gather sorts rather than walks its bitset.
+  Every repeat is checked bit-identical to fused ``msa``. Each row records the git
   revision of the ``repro`` package it measured, so a run made against
   another checkout's ``src`` (``record_accumulators()`` with that ``src`` on
   ``PYTHONPATH``) is a before/after pair;
@@ -77,7 +80,8 @@ from repro.native.kernels import msa_numeric_rows
 from repro.parallel.executor import ThreadExecutor
 from repro.parallel.runner import parallel_masked_spgemm
 from repro.mask import Mask
-from repro.semiring import PLUS_FIRST, PLUS_PAIR
+from repro.semiring import (MIN_PLUS, PLUS_FIRST, PLUS_PAIR,
+                            PLUS_TIMES, Semiring)
 from repro.sparse import CSRMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +105,10 @@ BC_SCALE, BC_EDGE, BC_BATCH = 11, 8, 64
 #: spread over 2**WIDE_LOG_N / 64 words, so msa_compl sorts its touched list
 WIDE_LOG_N, WIDE_DEGREE, WIDE_BATCH = 18, 8, 4096
 ACC_REPEATS = 20
+#: a compiled pairing outside the standard semirings (min monoid, times
+#: multiply): the compiled dispatch runs it with runtime op codes
+MIN_TIMES = Semiring(MIN_PLUS.add, PLUS_TIMES.mul, "min_times",
+                     mul_scalar=lambda a, b: a * b)
 
 
 def _case_name(scale=CASE_SCALE, edge=CASE_EDGE):
@@ -236,9 +244,12 @@ def bench_symbolic(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
     return rows, gates
 
 
-def _bc_forward_products(scale=BC_SCALE, edge=BC_EDGE, batch=BC_BATCH):
-    """The complemented forward products ``(A, B, mask, semiring)`` of one
-    betweenness-centrality batch on a seeded undirected R-MAT graph."""
+def _bc_products(scale=BC_SCALE, edge=BC_EDGE, batch=BC_BATCH, *,
+                 complemented=True):
+    """The products ``(A, B, mask, semiring)`` of one
+    betweenness-centrality batch on a seeded undirected R-MAT graph: the
+    complemented forward products, or (``complemented=False``) the plain
+    backward ones, all PLUS_FIRST."""
     import repro.algorithms.betweenness as bc_mod
 
     g = to_undirected_simple(rmat(scale, edge, rng=7000 + scale))
@@ -249,7 +260,7 @@ def _bc_forward_products(scale=BC_SCALE, edge=BC_EDGE, batch=BC_BATCH):
     real = bc_mod.masked_spgemm
 
     def capture(A, B, mask, **kw):
-        if mask.complemented:
+        if mask.complemented == complemented:
             products.append((A, B, mask, kw["semiring"]))
         return real(A, B, mask, **kw)
 
@@ -279,10 +290,14 @@ def bench_accumulators(scale=CASE_SCALE, edge=CASE_EDGE, bc_scale=BC_SCALE,
     """Each compiled MSA loop on the products it serves, through the stitch
     face over every row; returns one row per (loop, case)."""
     L, mask = _workload(scale, edge)
+    bc_case = f"bc-rmat-s{bc_scale}-e{BC_EDGE}-b{BC_BATCH}"
     loops = [("msa_plain", f"tc-rmat-s{scale}-e{edge}",
               [(L, L, mask, PLUS_PAIR)]),
-             ("msa_compl", f"bc-rmat-s{bc_scale}-e{BC_EDGE}-b{BC_BATCH}-fwd",
-              _bc_forward_products(bc_scale)),
+             ("msa_plain", f"{bc_case}-bwd",
+              _bc_products(bc_scale, complemented=False)),
+             ("msa_plain", f"tc-rmat-s{scale}-e{edge}-min-times",
+              [(L, L, mask, MIN_TIMES)]),
+             ("msa_compl", f"{bc_case}-fwd", _bc_products(bc_scale)),
              ("msa_compl",
               f"er-n{wide_log_n}-d{WIDE_DEGREE}-b{wide_batch}-fwd1",
               _wide_compl_product(wide_log_n, batch=wide_batch))]
@@ -466,7 +481,8 @@ def test_native_symbolic_cold_2p(benchmark):
 
 
 def test_native_accumulators(benchmark):
-    """CI smoke: both rewritten MSA loops (plain TC product, complemented
+    """CI smoke: both compiled MSA loops (plain TC product under PLUS_PAIR
+    and an off-table min/times, plain BC backward products, complemented
     BC forward products, a wide complemented product) on small graphs,
     bit-identical to fused msa on every repeat."""
     import pytest
@@ -477,8 +493,8 @@ def test_native_accumulators(benchmark):
         lambda: bench_accumulators(scale=8, edge=4, bc_scale=7,
                                    wide_log_n=12, wide_batch=64, repeats=2),
         rounds=1, iterations=1)
-    assert [r["loop"] for r in rows] == ["msa_plain", "msa_compl",
-                                         "msa_compl"]
+    assert [r["loop"] for r in rows] == ["msa_plain"] * 3 + \
+        ["msa_compl"] * 2
     assert all(r["bit_identical"] and r["products"] > 0 for r in rows)
 
 

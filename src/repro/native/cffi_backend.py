@@ -29,6 +29,17 @@ Semantics contract (bit-identity with the fused numpy kernels):
   ``>``), which returns whichever operand is NaN (the first when both are);
 * plain masks gather surviving columns in mask (sorted) order; complemented
   masks emit the sorted distinct surviving columns;
+* the op codes and identity come from the table in
+  :mod:`repro.native.kernels`, keyed by monoid ufunc *and* identity, so
+  each add code arrives with its canonical identity (plus 0.0, min +inf,
+  max -inf, or 0.0); any other monoid delegates to the fused kernels;
+* the MSA entry points switch once per call on the op pair: each of the
+  seven standard semirings calls an always-inlined loop body with literal
+  codes, so ``op_add``/``op_mul`` fold into one expression per flop, and
+  any other compiled pairing calls the same body with the runtime codes.
+  The source is built with ``-ffp-contract=off``, so a folded
+  ``acc + a * b`` never becomes a fused multiply-add on targets that have
+  one: numpy rounds the product before it adds;
 * the MSA loops keep two states per column for plain masks (allowed and
   hit: the paper's ALLOWED and SET differ only at gather time, so allowed
   columns are preset to the identity and every flop folds without a
@@ -36,6 +47,10 @@ Semantics contract (bit-identity with the fused numpy kernels):
   sorts the touched list for rows with few columns over a wide range and
   otherwise sets the touched columns in a bitset and walks it with
   count-trailing-zeros;
+* ``plus_pair`` over a plain mask needs no state at all: mask columns are
+  preset to 0.0, each flop adds 1.0 to its column, and the gather keeps
+  the mask columns whose count is above 0.0 — a hit counts at least 1.0,
+  an allowed miss stays 0.0 — in mask order;
 * the symbolic pass writes, per row, the count of distinct columns the
   numeric pass would emit — the exact sizes of the fused ``symbolic_rows``.
 """
@@ -95,7 +110,7 @@ void symbolic(const int64_t *a_indptr, const int64_t *a_indices,
               int64_t *sizes, signed char *states, int64_t *touched);
 """
 
-C_SOURCE = """
+C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <math.h>
@@ -162,17 +177,25 @@ static inline i64 bitlen(i64 x) {
  * offsets, scratch) never overlap the operands, which are only read (A and
  * B may be one matrix). Without it every char store to `states` may alias
  * any operand, and the compiler cannot load the next flop's column and
- * value ahead of this flop's stores. */
-i64 msa_plain(const i64 *restrict a_indptr, const i64 *restrict a_indices,
-              const double *restrict a_data,
-              const i64 *restrict b_indptr, const i64 *restrict b_indices,
-              const double *restrict b_data,
-              const i64 *restrict m_indptr, const i64 *restrict m_indices,
-              const i64 *restrict rows, i64 nrows,
-              i64 add_op, i64 mul_op, double identity,
-              i64 *restrict offsets, i64 validate,
-              i64 *restrict out_cols, double *restrict out_vals,
-              signed char *restrict states, double *restrict values)
+ * value ahead of this flop's stores.
+ *
+ * The loop bodies are always inlined into their exported dispatchers
+ * (msa_plain, msa_compl), which call them with literal op codes for each
+ * standard semiring, so op_add/op_mul fold to one expression per flop. */
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+#define OP_PAIR(add, mul) ((add) * 8 + (mul))
+
+ALWAYS_INLINE i64 msa_plain_body(
+    const i64 *restrict a_indptr, const i64 *restrict a_indices,
+    const double *restrict a_data,
+    const i64 *restrict b_indptr, const i64 *restrict b_indices,
+    const double *restrict b_data,
+    const i64 *restrict m_indptr, const i64 *restrict m_indices,
+    const i64 *restrict rows, i64 nrows,
+    i64 add_op, i64 mul_op, double identity,
+    i64 *restrict offsets, i64 validate,
+    i64 *restrict out_cols, double *restrict out_vals,
+    signed char *restrict states, double *restrict values)
 {
     for (i64 r = 0; r < nrows; ++r) {
         i64 i = rows[r];
@@ -216,13 +239,57 @@ i64 msa_plain(const i64 *restrict a_indptr, const i64 *restrict a_indices,
     return -1;
 }
 
-/* Complemented mask: 0 = untouched, 1 = banned, 2 = set; first hits are
- * appended to `touched`. The gather takes the touched word range [lo, hi].
- * A row with few columns over a wide range sorts its touched list; any
- * other row sets one bit per touched column in `bits` (one uint64 word per
- * 64 columns) and walks the range with count-trailing-zeros, which emits
- * the columns in sorted order and clears each word as it goes. */
-i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
+/* plus_pair over a plain mask: every flop adds 1.0 to its column's count,
+ * with no state read or write. Mask columns are preset to
+ * 0.0; a hit column counts at least 1.0 and an allowed miss stays 0.0, so
+ * the gather keeps `values[c] > 0.0` — the bits the two-state loop emits
+ * (0.0 + 1.0 + ... in stream order). Columns outside the mask count junk
+ * that no gather reads (`values` comes zeroed, so the junk stays finite);
+ * a later row that allows them presets 0.0 again. */
+static i64 msa_plain_count(
+    const i64 *restrict a_indptr, const i64 *restrict a_indices,
+    const i64 *restrict b_indptr, const i64 *restrict b_indices,
+    const i64 *restrict m_indptr, const i64 *restrict m_indices,
+    const i64 *restrict rows, i64 nrows,
+    i64 *restrict offsets, i64 validate,
+    i64 *restrict out_cols, double *restrict out_vals,
+    double *restrict values)
+{
+    for (i64 r = 0; r < nrows; ++r) {
+        i64 i = rows[r];
+        i64 ms = m_indptr[i], me = m_indptr[i + 1];
+        for (i64 t = ms; t < me; ++t) values[m_indices[t]] = 0.0;
+        for (i64 p = a_indptr[i]; p < a_indptr[i + 1]; ++p) {
+            i64 k = a_indices[p];
+            for (i64 q = b_indptr[k]; q < b_indptr[k + 1]; ++q)
+                values[b_indices[q]] += 1.0;
+        }
+        if (validate) {
+            i64 n = 0;
+            for (i64 t = ms; t < me; ++t)
+                if (values[m_indices[t]] > 0.0) n++;
+            if (n != offsets[r + 1] - offsets[r]) return r;
+        }
+        i64 pos = offsets[r];
+        for (i64 t = ms; t < me; ++t) {
+            i64 c = m_indices[t];
+            if (values[c] > 0.0) {
+                out_cols[pos] = c;
+                out_vals[pos] = values[c];
+                pos++;
+            }
+        }
+        if (!validate) offsets[r + 1] = pos;
+    }
+    return -1;
+}
+
+/* One dispatch per call: a case per op pair of the seven standard
+ * semirings runs the body with literal codes, plus_pair the counter loop,
+ * and any other pairing the body with the runtime codes. Add code 0 always
+ * comes with identity 0.0 (repro.native.kernels keys the codes by monoid
+ * identity), which the counter loop assumes. */
+i64 msa_plain(const i64 *restrict a_indptr, const i64 *restrict a_indices,
               const double *restrict a_data,
               const i64 *restrict b_indptr, const i64 *restrict b_indices,
               const double *restrict b_data,
@@ -231,8 +298,47 @@ i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
               i64 add_op, i64 mul_op, double identity,
               i64 *restrict offsets, i64 validate,
               i64 *restrict out_cols, double *restrict out_vals,
-              signed char *restrict states, double *restrict values,
-              i64 *restrict touched, uint64_t *restrict bits)
+              signed char *restrict states, double *restrict values)
+{
+#define MSA_PLAIN(add, mul)                                                 \
+    return msa_plain_body(a_indptr, a_indices, a_data, b_indptr, b_indices, \
+                          b_data, m_indptr, m_indices, rows, nrows, add, mul, \
+                          identity, offsets, validate, out_cols, out_vals,  \
+                          states, values)
+    switch (OP_PAIR(add_op, mul_op)) {
+    case OP_PAIR(0, 0): MSA_PLAIN(0, 0);                  /* plus_times */
+    case OP_PAIR(0, 1):                                   /* plus_pair */
+        return msa_plain_count(a_indptr, a_indices, b_indptr, b_indices,
+                               m_indptr, m_indices, rows, nrows,
+                               offsets, validate, out_cols, out_vals, values);
+    case OP_PAIR(0, 2): MSA_PLAIN(0, 2);                  /* plus_first */
+    case OP_PAIR(0, 3): MSA_PLAIN(0, 3);                  /* plus_second */
+    case OP_PAIR(1, 4): MSA_PLAIN(1, 4);                  /* min_plus */
+    case OP_PAIR(2, 0): MSA_PLAIN(2, 0);                  /* max_times */
+    case OP_PAIR(2, 5): MSA_PLAIN(2, 5);                  /* or_and */
+    default:            MSA_PLAIN(add_op, mul_op);
+    }
+#undef MSA_PLAIN
+}
+
+/* Complemented mask: 0 = untouched, 1 = banned, 2 = set; first hits are
+ * appended to `touched`. The gather takes the touched word range [lo, hi].
+ * A row with few columns over a wide range sorts its touched list; any
+ * other row sets one bit per touched column in `bits` (one uint64 word per
+ * 64 columns) and walks the range with count-trailing-zeros, which emits
+ * the columns in sorted order and clears each word as it goes. */
+ALWAYS_INLINE i64 msa_compl_body(
+    const i64 *restrict a_indptr, const i64 *restrict a_indices,
+    const double *restrict a_data,
+    const i64 *restrict b_indptr, const i64 *restrict b_indices,
+    const double *restrict b_data,
+    const i64 *restrict m_indptr, const i64 *restrict m_indices,
+    const i64 *restrict rows, i64 nrows,
+    i64 add_op, i64 mul_op, double identity,
+    i64 *restrict offsets, i64 validate,
+    i64 *restrict out_cols, double *restrict out_vals,
+    signed char *restrict states, double *restrict values,
+    i64 *restrict touched, uint64_t *restrict bits)
 {
     for (i64 r = 0; r < nrows; ++r) {
         i64 i = rows[r];
@@ -297,6 +403,38 @@ i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
         if (!validate) offsets[r + 1] = pos;
     }
     return -1;
+}
+
+/* Same dispatch as msa_plain, without the counter loop: a banned column
+ * must not count, so the flop loop reads its state either way. */
+i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
+              const double *restrict a_data,
+              const i64 *restrict b_indptr, const i64 *restrict b_indices,
+              const double *restrict b_data,
+              const i64 *restrict m_indptr, const i64 *restrict m_indices,
+              const i64 *restrict rows, i64 nrows,
+              i64 add_op, i64 mul_op, double identity,
+              i64 *restrict offsets, i64 validate,
+              i64 *restrict out_cols, double *restrict out_vals,
+              signed char *restrict states, double *restrict values,
+              i64 *restrict touched, uint64_t *restrict bits)
+{
+#define MSA_COMPL(add, mul)                                                 \
+    return msa_compl_body(a_indptr, a_indices, a_data, b_indptr, b_indices, \
+                          b_data, m_indptr, m_indices, rows, nrows, add, mul, \
+                          identity, offsets, validate, out_cols, out_vals,  \
+                          states, values, touched, bits)
+    switch (OP_PAIR(add_op, mul_op)) {
+    case OP_PAIR(0, 0): MSA_COMPL(0, 0);                  /* plus_times */
+    case OP_PAIR(0, 1): MSA_COMPL(0, 1);                  /* plus_pair */
+    case OP_PAIR(0, 2): MSA_COMPL(0, 2);                  /* plus_first */
+    case OP_PAIR(0, 3): MSA_COMPL(0, 3);                  /* plus_second */
+    case OP_PAIR(1, 4): MSA_COMPL(1, 4);                  /* min_plus */
+    case OP_PAIR(2, 0): MSA_COMPL(2, 0);                  /* max_times */
+    case OP_PAIR(2, 5): MSA_COMPL(2, 5);                  /* or_and */
+    default:            MSA_COMPL(add_op, mul_op);
+    }
+#undef MSA_COMPL
 }
 
 i64 hash_plain(const i64 *a_indptr, const i64 *a_indices, const double *a_data,
@@ -488,7 +626,7 @@ def load():
     cc = _compiler()
     if cc is None:
         raise RuntimeError("no C compiler on PATH")
-    flags = ["-O3", "-fPIC", "-shared"]
+    flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
     tag = hashlib.sha256(
         (C_SOURCE + "\x00" + cc + " ".join(flags)).encode()).hexdigest()[:16]
     cache = _cache_dir()

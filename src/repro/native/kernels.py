@@ -35,15 +35,26 @@ from ..validation import INDEX_DTYPE
 #: beyond this the hash table (or the fused kernel's composite keys) wins
 MSA_NCOLS_CAP = 1 << 22
 
-_ADD_CODES = None   # np.ufunc -> code (0 plus, 1 min, 2 max)
+_ADD_CODES = None   # (np.ufunc, identity bits) -> (code, identity)
+                    # codes: 0 plus, 1 min, 2 max
 _MUL_CODES = None   # mul callable -> code (0 times, 1 pair, 2 first,
                     #                       3 second, 4 plus, 5 and)
+
+
+def _add_key(monoid):
+    # the identity's bits, not its value: -0.0 == 0.0, but a max monoid
+    # started from -0.0 is not the one started from 0.0
+    return monoid.ufunc, np.float64(monoid.identity).tobytes()
 
 
 def _op_tables():
     """Codes keyed by the *objects* of the standard semirings, so custom
     :class:`~repro.semiring.Semiring` instances built from the same monoid
-    ufuncs and multiply functions compile too; anything else delegates."""
+    (ufunc *and* identity) and the same multiply function compile too;
+    anything else delegates. The compiled loops start every column at the
+    identity, and the ``plus_pair`` counter loop at 0.0, so ``np.add``
+    from 5.0 must not borrow the plus code: the fused kernels it delegates
+    to define that product."""
     global _ADD_CODES, _MUL_CODES
     if _ADD_CODES is None:
         from ..semiring.standard import (
@@ -56,22 +67,25 @@ def _op_tables():
             PLUS_TIMES,
         )
 
-        _ADD_CODES = {PLUS_TIMES.add.ufunc: 0, MIN_PLUS.add.ufunc: 1,
-                      MAX_TIMES.add.ufunc: 2, OR_AND.add.ufunc: 2}
+        _ADD_CODES = {_add_key(m): (code, float(m.identity))
+                      for m, code in ((PLUS_TIMES.add, 0), (MIN_PLUS.add, 1),
+                                      (MAX_TIMES.add, 2), (OR_AND.add, 2))}
         _MUL_CODES = {PLUS_TIMES.mul: 0, PLUS_PAIR.mul: 1, PLUS_FIRST.mul: 2,
                       PLUS_SECOND.mul: 3, MIN_PLUS.mul: 4, OR_AND.mul: 5}
     return _ADD_CODES, _MUL_CODES
 
 
 def op_codes(semiring) -> tuple[int, int, float] | None:
-    """(add_op, mul_op, identity) for the compiled switch, or None when the
-    semiring is outside the compiled table (→ delegate to fused)."""
+    """(add_op, mul_op, identity) for the compiled dispatch, or None when
+    the semiring is outside the compiled table (→ delegate to fused). The
+    identity is the table's canonical one: plus 0.0, min +inf, max -inf,
+    or 0.0."""
     adds, muls = _op_tables()
-    add = adds.get(semiring.add.ufunc)
+    add = adds.get(_add_key(semiring.add))
     mul = muls.get(semiring.mul)
     if add is None or mul is None:
         return None
-    return add, mul, float(semiring.add.identity)
+    return add[0], mul, add[1]
 
 
 def supported(semiring) -> bool:
@@ -130,16 +144,17 @@ def _compl_bounds(A, B, mask, rows):
 
 
 # --------------------------------------------------------------------- #
-# MSA (dense accumulator: two states for plain masks, a bitset-gathered
-# touched list for complemented ones)
+# MSA (dense accumulator: two states for plain masks, or a count for
+# plus_pair; a bitset-gathered touched list for complemented ones)
 # --------------------------------------------------------------------- #
 def _msa_call(be, A, B, mask, rows, codes, offsets, validate,
               out_cols, out_vals):
     add_op, mul_op, identity = codes
     ncols = B.ncols
     states = np.zeros(ncols, dtype=np.int8)
-    # zeroed, not empty: the plain loop folds every flop into its column,
-    # allowed or not, and must never read uninitialised (or denormal) junk
+    # zeroed, not empty: the plain loops (two-state and plus_pair counter)
+    # fold every flop into its column, allowed or not, and must never read
+    # uninitialised (or denormal) junk
     values = np.zeros(ncols, dtype=np.float64)
     args = (_c(A.indptr), _c(A.indices), _c(A.data),
             _c(B.indptr), _c(B.indices), _c(B.data),
@@ -310,13 +325,14 @@ def hash_symbolic_rows(A, B, mask, rows):
 # --------------------------------------------------------------------- #
 def self_test(backend_mod) -> None:
     """Validate one backend end to end on tiny fixtures, bit-exactly against
-    the fused numpy kernels — numeric passes and symbolic row sizes, plain
+    the fused numpy kernels — numeric passes (a folded loop, the
+    ``plus_pair`` counter loop and min/plus) and symbolic row sizes, plain
     and complemented masks (the probe's correctness gate). Also forces
     the ``dlopen`` so the compile cost lands here, off the request
     path."""
     from ..core import hash_kernel, msa_kernel
     from ..mask import Mask
-    from ..semiring import MIN_PLUS, PLUS_TIMES
+    from ..semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES
     from ..sparse.csr import CSRMatrix
 
     rng = np.random.default_rng(1234)
@@ -351,7 +367,7 @@ def self_test(backend_mod) -> None:
         if not all(np.array_equal(want_sizes, g) for g in got_sizes):
             raise RuntimeError(f"native self-test symbolic mismatch "
                                f"(complemented={complemented})")
-        for semiring in (PLUS_TIMES, MIN_PLUS):
+        for semiring in (PLUS_TIMES, PLUS_PAIR, MIN_PLUS):
             want_msa = msa_kernel.numeric_rows(A, A, mask, semiring, rows)
             want_hash = hash_kernel.numeric_rows(A, A, mask, semiring, rows)
             with mock.patch(f"{__name__}._backend",

@@ -2,9 +2,11 @@
 
 * **bit-identity**: ``msa-native`` / ``hash-native`` produce byte-for-byte
   the CSR triplets of their fused bases and the pure-Python reference,
-  across every registered semiring, both mask polarities, both phase
-  modes, empty rows, and the int32/int64 column-id boundary (hypothesis
-  sweeps the shape/density space);
+  across every registered semiring and the off-table min/times pairing
+  (each a case of the compiled dispatch), both mask polarities, both
+  phase modes, empty rows, and the int32/int64 column-id boundary
+  (hypothesis sweeps the shape/density space); semirings outside the op
+  table, standard ufuncs from other identities among them, delegate;
 * **graceful absence**: with ``REPRO_NATIVE=off`` (or no backend at all)
   the probe reports unavailable, routing keeps the fused keys, and the
   native entry points still answer — by delegating — so nothing anywhere
@@ -43,6 +45,7 @@ from repro.core.reference import reference_masked_spgemm
 from repro.core.registry import (NATIVE_BASE, auto_select,
                                  available_algorithms, get_spec,
                                  native_variant)
+from repro.errors import AlgorithmError
 from repro.mask import Mask
 from repro.native import native_available, native_backend_name
 from repro.native import kernels as native_kernels
@@ -50,13 +53,17 @@ from repro.native.kernels import MSA_NCOLS_CAP
 from repro.parallel.executor import ThreadExecutor
 from repro.parallel.runner import parallel_masked_spgemm
 from repro.resilience import FaultPlan
-from repro.semiring import (MAX_TIMES, MIN_PLUS, PLUS_PAIR, PLUS_TIMES,
-                            Monoid, Semiring)
+from repro.semiring import (MAX_TIMES, MIN_PLUS, PLUS_FIRST, PLUS_PAIR,
+                            PLUS_TIMES, Monoid, Semiring)
 from repro.semiring.standard import _REGISTRY as SEMIRINGS
 from repro.service import Engine, Request
 from repro.sparse import CSRMatrix, csr_random
 
 NATIVE_KEYS = ["msa-native", "hash-native"]
+#: a compiled pairing that is no standard semiring: min monoid, times
+#: multiply (codes 1 and 0), which the dispatch runs with runtime op codes
+MIN_TIMES = Semiring(MIN_PLUS.add, PLUS_TIMES.mul, "min_times",
+                     mul_scalar=lambda a, b: a * b)
 
 
 def _families(engine):
@@ -71,13 +78,13 @@ def _families(engine):
 @needs_native
 class TestBitIdentity:
     @pytest.mark.parametrize("alg", NATIVE_KEYS)
-    @pytest.mark.parametrize("semiring", list(SEMIRINGS))
+    @pytest.mark.parametrize("semiring", list(SEMIRINGS) + ["min_times"])
     @pytest.mark.parametrize("complemented", [False, True])
     def test_matches_fused_all_semirings(self, rng, alg, semiring,
                                          complemented):
         A, B, M = make_triple(rng, m=60, k=50, n=55)
         mask = Mask.from_matrix(M, complemented=complemented)
-        sr = SEMIRINGS[semiring]
+        sr = {**SEMIRINGS, "min_times": MIN_TIMES}[semiring]
         for phases in (1, 2):
             got = masked_spgemm(A, B, mask, algorithm=alg, semiring=sr,
                                 phases=phases)
@@ -248,20 +255,50 @@ def test_native_tiers_not_publicly_listed():
         assert key not in available_algorithms()
 
 
+#: semirings outside the compiled op table: a custom multiply, and standard
+#: monoid ufuncs from identities other than plus 0.0, min +inf and max
+#: -inf or 0.0 (the compiled loops would start from those identities where
+#: the fused ``bincount`` path for ``np.add`` starts from zero)
+DELEGATING = [
+    Semiring(Monoid(np.add, 0.0, "custom_add"), lambda a, b: a * b,
+             "custom_times", mul_scalar=lambda a, b: a * b),
+    Semiring(Monoid(np.add, 5.0, "plus_from_5"), PLUS_PAIR.mul,
+             "plus_from_5_pair", mul_scalar=lambda a, b: 1.0),
+    Semiring(Monoid(np.minimum, 0.0, "min_from_0"), MIN_PLUS.mul,
+             "min_from_0_plus", mul_scalar=lambda a, b: a + b),
+    Semiring(Monoid(np.maximum, -0.0, "max_from_neg0"), MAX_TIMES.mul,
+             "max_from_neg0_times", mul_scalar=lambda a, b: a * b),
+]
+
+
 @needs_native
-def test_unregistered_semiring_delegates(rng):
-    """op-code mapping only covers the standard semirings; a custom one
-    must silently take the fused path with identical output."""
-    add = Monoid(np.add, 0.0, "custom_add")
-    custom = Semiring(add, lambda a, b: a * b, "custom_times",
-                      mul_scalar=lambda a, b: a * b)
-    A, B, M = make_triple(rng, m=25, k=20, n=25)
-    mask = Mask.from_matrix(M)
-    got = masked_spgemm(A, B, mask, algorithm="msa-native",
-                        semiring=custom, phases=2)
-    want = masked_spgemm(A, B, mask, algorithm="msa", semiring=custom,
-                         phases=2)
-    assert_bit_identical(got, want, "custom semiring delegation")
+@pytest.mark.parametrize("semiring", DELEGATING, ids=lambda s: s.name)
+@pytest.mark.parametrize("complemented", [False, True])
+def test_unregistered_semiring_delegates(rng, semiring, complemented):
+    """A semiring outside the op table must silently take the fused path:
+    both native keys equal their fused bases in the stitch (1P) and
+    direct-write (2P) faces."""
+    assert native_kernels.op_codes(semiring) is None
+    A, B, M = make_triple(rng, m=40, k=30, n=45)
+    mask = Mask.from_matrix(M, complemented=complemented)
+    for alg in NATIVE_KEYS:
+        for phases in (1, 2):
+            got = masked_spgemm(A, B, mask, algorithm=alg,
+                                semiring=semiring, phases=phases)
+            want = masked_spgemm(A, B, mask, algorithm=NATIVE_BASE[alg],
+                                 semiring=semiring, phases=phases)
+            assert_bit_identical(got, want, f"{alg}/{semiring.name}/"
+                                            f"compl={complemented}/{phases}P")
+
+
+def test_op_codes_return_canonical_identities():
+    inf = float("inf")
+    assert [native_kernels.op_codes(SEMIRINGS[name]) for name in
+            ("plus_times", "plus_pair", "plus_first", "plus_second",
+             "min_plus", "max_times", "or_and")] == [
+        (0, 0, 0.0), (0, 1, 0.0), (0, 2, 0.0), (0, 3, 0.0), (1, 4, inf),
+        (2, 0, -inf), (2, 5, 0.0)]
+    assert native_kernels.op_codes(MIN_TIMES) == (1, 0, inf)
 
 
 # --------------------------------------------------------------------- #
@@ -607,12 +644,14 @@ def _assert_msa_native_rows(A, B, mask, semiring, rows):
 
 
 @needs_native
-@pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS, MAX_TIMES])
+@pytest.mark.parametrize("semiring", [PLUS_TIMES, PLUS_PAIR, PLUS_FIRST,
+                                      MIN_PLUS, MAX_TIMES, MIN_TIMES],
+                         ids=lambda s: s.name)
 def test_msa_plain_stale_hit_then_allowed(semiring):
     """Column 5 is hit while not allowed in row 0, allowed but never hit in
     row 2, then allowed and hit in row 4 — all in one call over a chunk-order
-    subset. The stale hit must neither surface in row 2 nor leak its value
-    into row 4."""
+    subset. The stale hit (a stale state, or under PLUS_PAIR a stale count)
+    must neither surface in row 2 nor leak its value into row 4."""
     A = _csr([{0: 2.0}, {1: 1.0}, {1: 3.0}, {0: 9.0}, {0: 0.5, 1: 4.0}], 2)
     B = _csr([{3: 1.5, 5: 7.0}, {3: 2.0, 6: -1.0}], 8)
     M = _csr([{3: 1.0}, {6: 1.0}, {3: 1.0, 5: 1.0}, {6: 1.0},
@@ -682,3 +721,31 @@ def test_msa_compl_bitset_and_sort_rows_in_one_call(rng):
         _assert_msa_native_rows(A, B, mask, semiring, rows)
         _assert_msa_native_rows(A, B, mask, semiring,
                                 np.array([0, 1, 3], dtype=np.int64))
+
+
+@needs_native
+def test_counter_loop_direct_write_rejects_stale_offsets(rng):
+    """The plus_pair counter loop validates its row sizes before it writes:
+    planned offsets that move one entry between rows (same total) raise
+    the stale-plan error, and the loop keeps no state a later call could
+    trip on."""
+    A, B, M = make_triple(rng, m=30, k=25, n=30)
+    mask = Mask.from_matrix(M)
+    rows = np.arange(A.nrows, dtype=np.int64)
+    sizes = msa_kernel.symbolic_rows(A, B, mask, rows)
+    assert sizes.sum() > 0
+    stale = sizes.copy()
+    src = int(np.argmax(stale))
+    stale[src] -= 1
+    stale[(src + 1) % stale.size] += 1
+    offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(stale, out=offsets[1:])
+    cols = np.empty(int(offsets[-1]), dtype=np.int64)
+    vals = np.empty(int(offsets[-1]), dtype=np.float64)
+    assert native_available()
+    with mock.patch.object(msa_kernel, "numeric_rows_into",
+                           side_effect=AssertionError("delegated")), \
+            pytest.raises(AlgorithmError, match="stale plan"):
+        native_kernels.msa_numeric_rows_into(A, B, mask, PLUS_PAIR, rows,
+                                             cols, vals, offsets)
+    _assert_msa_native_rows(A, B, mask, PLUS_PAIR, rows)

@@ -12,10 +12,15 @@ C entry point — ``msa_plain``, ``msa_compl``, ``hash_plain``,
 bit-identically with the fused NumPy kernels. A sanitizer finding aborts
 the process (``-fno-sanitize-recover=all``), so any error exits non-zero.
 
-The fixtures cover plain and complemented masks, four semirings, empty A
-and mask rows, a zero-column product, row subsets in chunk order, both
-faces (stitch and direct write) and column ids past 2^31 for the hash
-kernels. Two fixture families reach the complemented MSA gather's word
+The MSA entry points dispatch once per call on the semiring's op pair, so
+every fixture runs under each of the seven standard semirings (one
+``switch`` case each; ``plus_pair`` over a plain mask is the counter loop)
+and under min/times, a compiled pairing that is no standard semiring and
+takes the ``default:`` case with runtime op codes.
+
+The fixtures cover plain and complemented masks, empty A and mask rows, a
+zero-column product, row subsets in chunk order, both faces (stitch and
+direct write) and column ids past 2^31 for the hash kernels. Two fixture families reach the complemented MSA gather's word
 walk and its sort fallback:
 
 * seeded products with several hundred columns, plain and complemented,
@@ -46,8 +51,9 @@ from unittest import mock
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-FLAGS = ["-O1", "-g", "-fPIC", "-shared", "-fno-omit-frame-pointer",
-         "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+FLAGS = ["-O1", "-g", "-ffp-contract=off", "-fPIC", "-shared",
+         "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all"]
 SEEDS = range(12)
 
 
@@ -171,7 +177,16 @@ def check(backend) -> int:
 
     from repro.core import hash_kernel, msa_kernel
     from repro.native import kernels
-    from repro.semiring import MAX_TIMES, MIN_PLUS, PLUS_PAIR, PLUS_TIMES
+    from repro.semiring import MIN_PLUS, PLUS_TIMES, Semiring
+    from repro.semiring.standard import _REGISTRY
+
+    # every standard semiring (one dispatch case each) and min/times, the
+    # off-table pairing the dispatch runs with runtime op codes
+    semirings = list(dict.fromkeys(_REGISTRY.values())) + [
+        Semiring(MIN_PLUS.add, PLUS_TIMES.mul, "min_times",
+                 mul_scalar=lambda a, b: a * b)]
+    if not all(kernels.supported(s) for s in semirings):
+        sys.exit("a semiring under check is outside the compiled op table")
 
     faces = (("msa", msa_kernel, kernels.msa_numeric_rows,
               kernels.msa_numeric_rows_into),
@@ -192,7 +207,7 @@ def check(backend) -> int:
                     expect(np.array_equal(sym(A, B, mask, rows), want),
                            f"{sym.__name__} {name}")
                     checked += 1
-                for semiring in (PLUS_TIMES, MIN_PLUS, MAX_TIMES, PLUS_PAIR):
+                for semiring in semirings:
                     for kname, fused, stitch, into in faces:
                         if kname == "msa" and not dense_ok:
                             continue
@@ -226,8 +241,8 @@ def main() -> None:
         backend = build(cc, workdir)
         checked = check(backend)
     print(f"check_native_asan: {checked} comparisons over 5 C entry points "
-          f"bit-identical to the fused kernels under "
-          f"-fsanitize=address,undefined; no sanitizer error")
+          f"and every dispatched op pair, bit-identical to the fused "
+          f"kernels under -fsanitize=address,undefined; no sanitizer error")
 
 
 if __name__ == "__main__":
