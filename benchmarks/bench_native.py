@@ -41,10 +41,10 @@ exists for auditability, not speed).
   PLUS_FIRST forward products of the same BC batch, and a wide product of
   sparse rows (BC's first forward level for 4096 sources on a 2^18-vertex
   uniform random graph), whose gather sorts rather than walks its bitset.
-  Every repeat is checked bit-identical to fused ``msa``. Each row records the git
-  revision of the ``repro`` package it measured, so a run made against
-  another checkout's ``src`` (``record_accumulators()`` with that ``src`` on
-  ``PYTHONPATH``) is a before/after pair;
+  Every repeat is checked bit-identical to fused ``msa``. Each row records
+  the git revision of the ``repro`` package it measured, so a run made
+  against another checkout's ``src`` (``record_accumulators()`` with that
+  ``src`` on ``PYTHONPATH``) is a before/after pair;
 * **thread_scaling** (informational): the compiled kernel on a
   :class:`~repro.parallel.executor.ThreadExecutor` at 1/2/4 workers vs
   serial in-process execution. The machine may expose few CPUs, so the

@@ -20,8 +20,9 @@ takes the ``default:`` case with runtime op codes.
 
 The fixtures cover plain and complemented masks, empty A and mask rows, a
 zero-column product, row subsets in chunk order, both faces (stitch and
-direct write) and column ids past 2^31 for the hash kernels. Two fixture families reach the complemented MSA gather's word
-walk and its sort fallback:
+direct write) and column ids past 2^31 for the hash kernels. Two fixture
+families reach the complemented MSA gather's word walk and its sort
+fallback:
 
 * seeded products with several hundred columns, plain and complemented,
   so the bitset gather walks many 64-column words per row;
