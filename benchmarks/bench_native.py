@@ -38,9 +38,12 @@ exists for auditability, not speed).
   on an R-MAT s11 graph (a folded two-state loop), and the tc-rmat-s13-e8
   product again under min/times, a compiled pairing outside the standard
   semirings (the runtime-coded loop). ``msa_compl`` runs the complemented
-  PLUS_FIRST forward products of the same BC batch, and a wide product of
-  sparse rows (BC's first forward level for 4096 sources on a 2^18-vertex
-  uniform random graph), whose gather sorts rather than walks its bitset.
+  PLUS_FIRST forward products of the same BC batch twice — with their
+  visited masks converted to CSR (``-fwd``, marked and cleared per row) and
+  as the bitmaps BC builds (``-fwd-bitmap``, read in place) — and a wide
+  product of sparse rows (BC's first forward level for 4096 sources on a
+  2^18-vertex uniform random graph), whose gather sorts rather than walks
+  its bitset.
   Every repeat is checked bit-identical to fused ``msa``. Each row records
   the git revision of the ``repro`` package it measured, so a run made
   against another checkout's ``src`` (``record_accumulators()`` with that
@@ -248,8 +251,8 @@ def _bc_products(scale=BC_SCALE, edge=BC_EDGE, batch=BC_BATCH, *,
                  complemented=True):
     """The products ``(A, B, mask, semiring)`` of one
     betweenness-centrality batch on a seeded undirected R-MAT graph: the
-    complemented forward products, or (``complemented=False``) the plain
-    backward ones, all PLUS_FIRST."""
+    complemented forward products (bitmap masks, one per level), or
+    (``complemented=False``) the plain backward ones, all PLUS_FIRST."""
     import repro.algorithms.betweenness as bc_mod
 
     g = to_undirected_simple(rmat(scale, edge, rng=7000 + scale))
@@ -291,13 +294,16 @@ def bench_accumulators(scale=CASE_SCALE, edge=CASE_EDGE, bc_scale=BC_SCALE,
     face over every row; returns one row per (loop, case)."""
     L, mask = _workload(scale, edge)
     bc_case = f"bc-rmat-s{bc_scale}-e{BC_EDGE}-b{BC_BATCH}"
+    bc_fwd = _bc_products(bc_scale)
     loops = [("msa_plain", f"tc-rmat-s{scale}-e{edge}",
               [(L, L, mask, PLUS_PAIR)]),
              ("msa_plain", f"{bc_case}-bwd",
               _bc_products(bc_scale, complemented=False)),
              ("msa_plain", f"tc-rmat-s{scale}-e{edge}-min-times",
               [(L, L, mask, MIN_TIMES)]),
-             ("msa_compl", f"{bc_case}-fwd", _bc_products(bc_scale)),
+             ("msa_compl", f"{bc_case}-fwd",
+              [(A, B, m.to_csr(), sr) for A, B, m, sr in bc_fwd]),
+             ("msa_compl", f"{bc_case}-fwd-bitmap", bc_fwd),
              ("msa_compl",
               f"er-n{wide_log_n}-d{WIDE_DEGREE}-b{wide_batch}-fwd1",
               _wide_compl_product(wide_log_n, batch=wide_batch))]
@@ -307,7 +313,8 @@ def bench_accumulators(scale=CASE_SCALE, edge=CASE_EDGE, bc_scale=BC_SCALE,
         calls = [(A, B, m, sr, np.arange(A.nrows, dtype=np.int64))
                  for A, B, m, sr in products]
         lat, _ = _time(lambda: [msa_numeric_rows(*c) for c in calls],
-                       [fused_msa_rows(*c) for c in calls], repeats=repeats)
+                       [fused_msa_rows(A, B, m.to_csr(), sr, rows)
+                        for A, B, m, sr, rows in calls], repeats=repeats)
         rows.append(_row(case, "msa-native", lat, mode="accumulator",
                          loop=loop, backend=native_backend_name(),
                          kernel_rev=kernel_rev, products=len(calls),
@@ -483,8 +490,9 @@ def test_native_symbolic_cold_2p(benchmark):
 def test_native_accumulators(benchmark):
     """CI smoke: both compiled MSA loops (plain TC product under PLUS_PAIR
     and an off-table min/times, plain BC backward products, complemented
-    BC forward products, a wide complemented product) on small graphs,
-    bit-identical to fused msa on every repeat."""
+    BC forward products with CSR and bitmap masks, a wide complemented
+    product) on small graphs, bit-identical to fused msa on every
+    repeat."""
     import pytest
 
     if not native_available():
@@ -494,7 +502,7 @@ def test_native_accumulators(benchmark):
                                    wide_log_n=12, wide_batch=64, repeats=2),
         rounds=1, iterations=1)
     assert [r["loop"] for r in rows] == ["msa_plain"] * 3 + \
-        ["msa_compl"] * 2
+        ["msa_compl"] * 3
     assert all(r["bit_identical"] and r["products"] > 0 for r in rows)
 
 

@@ -25,11 +25,16 @@ discovered" — the graph-traversal use the paper highlights in §1.
         BCU += W .* NumSP
     centrality(v) = Σ_j BCU[j, v] - s
 
-Path counts live in a dense s×n ``numsp`` beside BCU; the sparse NumSP is
-only the complemented mask's pattern. That mask keeps each frontier disjoint
-from everything discovered, so ``NumSP += Frontier`` is a scatter into
-``numsp`` and NumSP on S_d is the frontier's own values: no sparse
-eWiseAdd or eWiseMult is left in the level loop.
+Path counts live in a dense s×n ``numsp`` beside BCU, and NumSP's pattern —
+the complemented mask, every vertex discovered so far — is a dense s×n
+``visited`` bitmap (:meth:`~repro.mask.Mask.from_bitmap`). That mask keeps
+each frontier disjoint from everything discovered, so ``NumSP += Frontier``
+is one scatter into ``numsp`` and ``visited`` and NumSP on S_d is the
+frontier's own values: no sparse eWiseAdd or eWiseMult is left in the level
+loop, and no CSR mask is rebuilt per level. Each level's product gets its
+own copy of the bitmap, so a mask a caller keeps is never changed by a
+later level. On the compiled tier (``msa-native``, one-phase, serial) the
+complemented loop reads the bitmap rows in place.
 
 Both stages together exercise the complemented and plain mask paths, which
 is why the paper's BC results (Fig. 15/16) include only complement-capable
@@ -69,6 +74,21 @@ def _sources_matrix(sources: np.ndarray, n: int) -> CSRMatrix:
                      check=False)
 
 
+def _is_symmetric(A: CSRMatrix) -> bool:
+    """True when A's stored pattern equals its transpose's. Compares the
+    sorted transposed keys with the row keys (already sorted in canonical
+    CSR), which is cheaper than building the transpose."""
+    n = A.nrows
+    counts = A.row_nnz()
+    if A.ncols != n or not np.array_equal(
+            counts, np.bincount(A.indices, minlength=n)):
+        return False
+    rows = np.repeat(np.arange(n, dtype=INDEX_DTYPE), counts)
+    t_keys = A.indices * n + rows
+    t_keys.sort()
+    return bool(np.array_equal(rows * n + A.indices, t_keys))
+
+
 def betweenness_centrality(
     g: CSRMatrix,
     sources: Sequence[int] | None = None,
@@ -97,9 +117,8 @@ def betweenness_centrality(
     """
     n = g.nrows
     A = g.pattern()
-    AT = ops.transpose_csr(A)
-    if A.same_pattern(AT):
-        AT = A  # all-ones patterns: bit-identical, one matrix fewer
+    # all-ones patterns: a symmetric A is its own transpose, bit for bit
+    AT = A if _is_symmetric(A) else ops.transpose_csr(A)
     if undirected is None:
         undirected = AT is A
     src = (np.arange(n, dtype=INDEX_DTYPE) if sources is None
@@ -111,22 +130,23 @@ def betweenness_centrality(
     # ---------------- forward: BFS with path counting ------------------- #
     NumSP = _sources_matrix(src, n)
     numsp = NumSP.to_dense()  # dense path counts: 1 at each source
-    frontier = masked_spgemm(NumSP, A, Mask.from_matrix(NumSP, complemented=True),
-                             algorithm=algorithm, semiring=PLUS_FIRST,
-                             phases=phases, executor=executor)
+    visited = numsp != 0      # NumSP's pattern
+    frontier = NumSP
     sigmas: list[CSRMatrix] = []
     frontier_nnz: list[int] = []
-    while frontier.nnz:
+    while True:
+        frontier = masked_spgemm(
+            frontier, A, Mask.from_bitmap(visited.copy(), complemented=True),
+            algorithm=algorithm, semiring=PLUS_FIRST, phases=phases,
+            executor=executor)
+        if not frontier.nnz:
+            break
         sigmas.append(frontier)
         frontier_nnz.append(frontier.nnz)
         # NumSP += Frontier: the frontier is disjoint from NumSP's pattern
         rows = np.repeat(np.arange(s, dtype=INDEX_DTYPE), frontier.row_nnz())
         numsp[rows, frontier.indices] = frontier.data
-        NumSP = ops.pattern_union(NumSP, frontier)
-        frontier = masked_spgemm(
-            frontier, A, Mask.from_matrix(NumSP, complemented=True),
-            algorithm=algorithm, semiring=PLUS_FIRST, phases=phases,
-            executor=executor)
+        visited[rows, frontier.indices] = True
     depth = len(sigmas)
 
     # ---------------- backward: dependency accumulation ----------------- #

@@ -7,7 +7,9 @@ previously discovered vertices" (§1). Each BFS step is
 
     Frontier = ¬Visited ⊙ (Frontier · A)
 
-on the OR_AND boolean semiring.
+on the OR_AND boolean semiring. The visited set is the bitmap
+``levels >= 0`` (:meth:`~repro.mask.Mask.from_bitmap`), fresh every level:
+no CSR mask is rebuilt and no pattern union is taken.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 from ..core import masked_spgemm
 from ..mask import Mask
 from ..semiring import OR_AND
-from ..sparse import ops
 from ..sparse.csr import CSRMatrix
 from ..validation import INDEX_DTYPE
 from .betweenness import _sources_matrix
@@ -43,17 +44,13 @@ def multi_source_bfs(g: CSRMatrix, sources: Sequence[int], *,
         return levels
     levels[np.arange(s), src] = 0
 
-    visited = _sources_matrix(src, n)
-    frontier = visited
+    frontier = _sources_matrix(src, n)
     depth = 0
     while frontier.nnz:
         depth += 1
         frontier = masked_spgemm(
-            frontier, A, Mask.from_matrix(visited, complemented=True),
+            frontier, A, Mask.from_bitmap(levels >= 0, complemented=True),
             algorithm=algorithm, semiring=OR_AND, executor=executor)
-        if frontier.nnz == 0:
-            break
         rows = np.repeat(np.arange(s, dtype=INDEX_DTYPE), frontier.row_nnz())
         levels[rows, frontier.indices] = depth
-        visited = ops.pattern_union(visited, frontier)
     return levels

@@ -2,10 +2,24 @@
 
 Per the paper (§2): "we only utilize the pattern of the mask …, hence the
 values in the mask are not evaluated and the type of the mask elements does
-not matter." A :class:`Mask` therefore wraps only the CSR *pattern* (indptr +
-indices) of the masking matrix plus a ``complemented`` flag. The mask is
-stored in CSR (paper §2.1: "We use CSR format for storing the mask") with
-sorted row indices, which MCA and Heap depend on.
+not matter." A :class:`Mask` therefore keeps only the *pattern* of the
+masking matrix plus a ``complemented`` flag, in one of two forms:
+
+* **CSR** (paper §2.1: "We use CSR format for storing the mask"): the
+  ``indptr`` + ``indices`` arrays, sorted within each row, which MCA and
+  Heap depend on. Every kernel, baseline and the reference tier read this
+  form.
+* **bitmap** (GraphBLAS's bitmap format): ``bitmap``, a C-contiguous 2-D
+  ``bool`` array of the output's shape, True where the pattern has an
+  entry. It suits a mask that is dense and rebuilt every step, such as a
+  traversal's visited set: building it costs no sort and no CSR
+  validation.
+
+:func:`repro.core.api.masked_spgemm` and :func:`repro.core.plan.build_plan`
+convert a bitmap mask to CSR once, on entry (:meth:`Mask.to_csr`), with one
+exception: a complemented bitmap served one-phase and serially by
+``msa-native``, whose compiled loop reads each bitmap row in place instead
+of marking the banned columns in its scratch state and clearing them after.
 """
 
 from __future__ import annotations
@@ -28,9 +42,14 @@ class Mask:
         When True the mask selects entries *not* present in the pattern
         (``C = ¬M ⊙ (A·B)``), the form graph traversals use to avoid
         re-visiting vertices.
+
+    :meth:`from_bitmap` builds the bitmap form instead, whose ``indptr``
+    and ``indices`` are None and whose ``bitmap`` holds the pattern.
+    :meth:`row`, :meth:`row_nnz` and :meth:`to_matrix` read the CSR form:
+    call :meth:`to_csr` first on a bitmap mask.
     """
 
-    __slots__ = ("indptr", "indices", "shape", "complemented")
+    __slots__ = ("indptr", "indices", "bitmap", "shape", "complemented")
 
     def __init__(self, indptr, indices, shape, *, complemented: bool = False):
         self.shape = check_shape(shape)
@@ -38,6 +57,7 @@ class Mask:
         pat = CSRMatrix(indptr, indices, np.ones(len(indices)), self.shape)
         self.indptr = pat.indptr
         self.indices = pat.indices
+        self.bitmap = None
         self.complemented = bool(complemented)
 
     # ------------------------------------------------------------------ #
@@ -52,6 +72,31 @@ class Mask:
                    complemented=complemented)
 
     @classmethod
+    def from_bitmap(cls, bitmap: np.ndarray, shape=None, *,
+                    complemented: bool = False) -> "Mask":
+        """Wrap a C-contiguous 2-D ``bool`` array as a bitmap mask.
+
+        The array is kept, not copied: a caller that goes on changing it
+        must hand in a copy. Validation is O(1) — dtype, ndim, contiguity
+        and, when ``shape`` is given, the shape.
+        """
+        if not isinstance(bitmap, np.ndarray) or bitmap.dtype != np.bool_:
+            raise MaskError("a bitmap mask must be a numpy bool array")
+        if bitmap.ndim != 2:
+            raise MaskError(f"a bitmap mask must be 2-D, got {bitmap.ndim}-D")
+        if not bitmap.flags.c_contiguous:
+            raise MaskError("a bitmap mask must be C-contiguous")
+        if shape is not None and check_shape(shape) != bitmap.shape:
+            raise MaskError(f"bitmap shape {bitmap.shape} does not match "
+                            f"mask shape {tuple(shape)}")
+        mask = cls.__new__(cls)
+        mask.shape = bitmap.shape
+        mask.indptr = mask.indices = None
+        mask.bitmap = bitmap
+        mask.complemented = bool(complemented)
+        return mask
+
+    @classmethod
     def full(cls, shape) -> "Mask":
         """A no-op mask (complement of the empty pattern): every output entry
         is allowed. Lets plain SpGEMM be expressed as Masked SpGEMM."""
@@ -59,10 +104,29 @@ class Mask:
         return cls(np.zeros(nrows + 1, dtype=INDEX_DTYPE),
                    np.empty(0, dtype=INDEX_DTYPE), shape, complemented=True)
 
+    def to_csr(self) -> "Mask":
+        """This mask in CSR form: ``self`` when it already is, else a new
+        CSR mask of the bitmap's pattern and the same polarity."""
+        if self.bitmap is None:
+            return self
+        indptr = np.zeros(self.nrows + 1, dtype=INDEX_DTYPE)
+        np.cumsum(np.count_nonzero(self.bitmap, axis=1), out=indptr[1:])
+        mask = Mask.__new__(Mask)
+        mask.shape = self.shape
+        mask.indptr = indptr
+        # row-major nonzero: rows in order, columns sorted within each row
+        mask.indices = np.nonzero(self.bitmap)[1].astype(INDEX_DTYPE,
+                                                         copy=False)
+        mask.bitmap = None
+        mask.complemented = self.complemented
+        return mask
+
     # ------------------------------------------------------------------ #
     @property
     def nnz(self) -> int:
         """Stored pattern entries — nnz(M) in the paper's cost formulas."""
+        if self.bitmap is not None:
+            return int(np.count_nonzero(self.bitmap))
         return int(self.indices.size)
 
     @property
@@ -81,7 +145,11 @@ class Mask:
         return np.diff(self.indptr)
 
     def complement(self) -> "Mask":
-        """The same pattern with the complemented flag flipped."""
+        """The same pattern, in the same form, with the complemented flag
+        flipped."""
+        if self.bitmap is not None:
+            return Mask.from_bitmap(self.bitmap.copy(),
+                                    complemented=not self.complemented)
         return Mask(self.indptr.copy(), self.indices.copy(), self.shape,
                     complemented=not self.complemented)
 
@@ -98,4 +166,5 @@ class Mask:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         c = "¬" if self.complemented else ""
-        return f"<Mask {c}M shape={self.shape} nnz={self.nnz}>"
+        form = " bitmap" if self.bitmap is not None else ""
+        return f"<Mask {c}M{form} shape={self.shape} nnz={self.nnz}>"

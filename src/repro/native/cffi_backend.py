@@ -47,6 +47,11 @@ Semantics contract (bit-identity with the fused numpy kernels):
   sorts the touched list for rows with few columns over a wide range and
   otherwise sets the touched columns in a bitset and walks it with
   count-trailing-zeros;
+* a complemented *bitmap* mask (:meth:`repro.mask.Mask.from_bitmap`) is
+  read in place: the flop loop skips a column whose byte is set in the
+  row's bitmap, so no banned column is marked in the state array or
+  cleared after it. The same inlined body runs both forms, selected by a
+  literal flag inside each op-pair case;
 * ``plus_pair`` over a plain mask needs no state at all: mask columns are
   preset to 0.0, each flop adds 1.0 to its column, and the gather keeps
   the mask columns whose count is above 0.0 — a hit counts at least 1.0,
@@ -78,6 +83,7 @@ int64_t msa_compl(const int64_t *a_indptr, const int64_t *a_indices,
                   const double *a_data, const int64_t *b_indptr,
                   const int64_t *b_indices, const double *b_data,
                   const int64_t *m_indptr, const int64_t *m_indices,
+                  const uint8_t *m_bitmap, int64_t ncols,
                   const int64_t *rows, int64_t nrows,
                   int64_t add_op, int64_t mul_op, double identity,
                   int64_t *offsets, int64_t validate,
@@ -322,7 +328,11 @@ i64 msa_plain(const i64 *restrict a_indptr, const i64 *restrict a_indices,
 }
 
 /* Complemented mask: 0 = untouched, 1 = banned, 2 = set; first hits are
- * appended to `touched`. The gather takes the touched word range [lo, hi].
+ * appended to `touched`. A CSR mask marks its banned columns 1 before the
+ * flop loop and clears them after; a bitmap mask (from_bitmap, a literal
+ * flag like the op codes) is never marked: the flop loop reads the row's
+ * bytes in place, `ncols` apart, and states only ever hold 0 or 2. The
+ * gather takes the touched word range [lo, hi].
  * A row with few columns over a wide range sorts its touched list; any
  * other row sets one bit per touched column in `bits` (one uint64 word per
  * 64 columns) and walks the range with count-trailing-zeros, which emits
@@ -333,6 +343,7 @@ ALWAYS_INLINE i64 msa_compl_body(
     const i64 *restrict b_indptr, const i64 *restrict b_indices,
     const double *restrict b_data,
     const i64 *restrict m_indptr, const i64 *restrict m_indices,
+    const uint8_t *restrict m_bitmap, i64 ncols, int from_bitmap,
     const i64 *restrict rows, i64 nrows,
     i64 add_op, i64 mul_op, double identity,
     i64 *restrict offsets, i64 validate,
@@ -342,7 +353,10 @@ ALWAYS_INLINE i64 msa_compl_body(
 {
     for (i64 r = 0; r < nrows; ++r) {
         i64 i = rows[r];
-        i64 ms = m_indptr[i], me = m_indptr[i + 1];
+        /* a bitmap row has no CSR range: the mark and clear loops are empty */
+        const uint8_t *restrict banned = from_bitmap ? m_bitmap + i * ncols : 0;
+        i64 ms = from_bitmap ? 0 : m_indptr[i];
+        i64 me = from_bitmap ? 0 : m_indptr[i + 1];
         for (i64 t = ms; t < me; ++t) states[m_indices[t]] = 1;
         i64 nt = 0;
         for (i64 p = a_indptr[i]; p < a_indptr[i + 1]; ++p) {
@@ -351,7 +365,7 @@ ALWAYS_INLINE i64 msa_compl_body(
             for (i64 q = b_indptr[k]; q < b_indptr[k + 1]; ++q) {
                 i64 j = b_indices[q];
                 signed char st = states[j];
-                if (st == 1) continue;
+                if (from_bitmap ? banned[j] : st == 1) continue;
                 double prod = op_mul(mul_op, av, b_data[q]);
                 if (st == 0) {
                     values[j] = op_add(add_op, identity, prod);
@@ -406,12 +420,15 @@ ALWAYS_INLINE i64 msa_compl_body(
 }
 
 /* Same dispatch as msa_plain, without the counter loop: a banned column
- * must not count, so the flop loop reads its state either way. */
+ * must not count, so the flop loop reads its state (or its bitmap byte)
+ * either way. Each op pair runs the bitmap body when m_bitmap is set and
+ * the CSR body otherwise; m_indptr and m_indices may then be NULL. */
 i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
               const double *restrict a_data,
               const i64 *restrict b_indptr, const i64 *restrict b_indices,
               const double *restrict b_data,
               const i64 *restrict m_indptr, const i64 *restrict m_indices,
+              const uint8_t *restrict m_bitmap, i64 ncols,
               const i64 *restrict rows, i64 nrows,
               i64 add_op, i64 mul_op, double identity,
               i64 *restrict offsets, i64 validate,
@@ -419,11 +436,14 @@ i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
               signed char *restrict states, double *restrict values,
               i64 *restrict touched, uint64_t *restrict bits)
 {
+#define MSA_COMPL_BODY(add, mul, from_bitmap)                               \
+    msa_compl_body(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, \
+                   m_indptr, m_indices, m_bitmap, ncols, from_bitmap, rows,  \
+                   nrows, add, mul, identity, offsets, validate, out_cols,   \
+                   out_vals, states, values, touched, bits)
 #define MSA_COMPL(add, mul)                                                 \
-    return msa_compl_body(a_indptr, a_indices, a_data, b_indptr, b_indices, \
-                          b_data, m_indptr, m_indices, rows, nrows, add, mul, \
-                          identity, offsets, validate, out_cols, out_vals,  \
-                          states, values, touched, bits)
+    return m_bitmap ? MSA_COMPL_BODY(add, mul, 1)                          \
+                    : MSA_COMPL_BODY(add, mul, 0)
     switch (OP_PAIR(add_op, mul_op)) {
     case OP_PAIR(0, 0): MSA_COMPL(0, 0);                  /* plus_times */
     case OP_PAIR(0, 1): MSA_COMPL(0, 1);                  /* plus_pair */
@@ -435,6 +455,7 @@ i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
     default:            MSA_COMPL(add_op, mul_op);
     }
 #undef MSA_COMPL
+#undef MSA_COMPL_BODY
 }
 
 i64 hash_plain(const i64 *a_indptr, const i64 *a_indices, const double *a_data,
@@ -648,7 +669,7 @@ def load():
 
 
 def _p(arr, ctype: str):
-    return _FFI.cast(ctype, arr.ctypes.data)
+    return _FFI.NULL if arr is None else _FFI.cast(ctype, arr.ctypes.data)
 
 
 def _i64(arr):
@@ -678,13 +699,16 @@ def msa_plain(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
 
 
 def msa_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
-              m_indptr, m_indices, rows, add_op, mul_op, identity,
+              m_indptr, m_indices, m_bitmap, rows, add_op, mul_op, identity,
               offsets, validate, out_cols, out_vals, states, values,
               touched, bits) -> int:
+    """``m_bitmap`` is a bitmap mask's bool array (then ``m_indptr`` and
+    ``m_indices`` are None), or None for a CSR mask."""
     return int(load().msa_compl(
         _i64(a_indptr), _i64(a_indices), _f64(a_data),
         _i64(b_indptr), _i64(b_indices), _f64(b_data),
-        _i64(m_indptr), _i64(m_indices), _i64(rows), rows.size,
+        _i64(m_indptr), _i64(m_indices), _p(m_bitmap, "uint8_t *"),
+        0 if m_bitmap is None else m_bitmap.shape[1], _i64(rows), rows.size,
         add_op, mul_op, identity, _i64(offsets), validate,
         _i64(out_cols), _f64(out_vals), _i8(states), _f64(values),
         _i64(touched), _p(bits, "uint64_t *")))

@@ -22,6 +22,12 @@ no semiring or data dtype. The fused kernels are bit-identical to the
 compiled loops by construction (gated in ``tests/test_native.py`` and
 ``benchmarks/bench_native.py``), so delegation is invisible to callers:
 the native keys always compute the same product, merely slower.
+
+The MSA faces also take a bitmap mask (:meth:`repro.mask.Mask.from_bitmap`):
+the complemented loop reads a complemented bitmap in place, and every other
+case (a plain bitmap, or a delegating call) converts it to CSR first. The
+hash and symbolic faces take CSR masks only, which is all
+:func:`repro.core.api.masked_spgemm` hands them.
 """
 
 from __future__ import annotations
@@ -101,9 +107,12 @@ def _backend():
 
 
 def _int64_indices(A, B, mask) -> bool:
-    return all(a.dtype == INDEX_DTYPE for a in
-               (A.indptr, A.indices, B.indptr, B.indices,
-                mask.indptr, mask.indices))
+    # a bitmap mask has no index arrays; msa-native reads it in place and
+    # every other path converts it to int64 CSR (Mask.to_csr)
+    arrays = (A.indptr, A.indices, B.indptr, B.indices)
+    if mask.bitmap is None:
+        arrays += (mask.indptr, mask.indices)
+    return all(a.dtype == INDEX_DTYPE for a in arrays)
 
 
 def _compilable(A, B, mask) -> bool:
@@ -134,10 +143,14 @@ def _pow2cap(nkeys: int) -> int:
 
 def _compl_bounds(A, B, mask, rows):
     """Per-row output upper bound + hash-table key budget for complemented
-    masks: distinct surviving columns ≤ min(flops_i, ncols − banned_i)."""
+    masks: distinct surviving columns ≤ min(flops_i, ncols − banned_i).
+    A bitmap mask's banned columns are not counted (only the MSA loop
+    reads one, in place), so its bound is min(flops_i, ncols)."""
     from ..core.expand import per_row_flops
 
-    mlens = mask.indptr[rows + 1] - mask.indptr[rows]
+    mlens = (np.zeros(rows.size, dtype=INDEX_DTYPE)
+             if mask.bitmap is not None
+             else mask.indptr[rows + 1] - mask.indptr[rows])
     flops = per_row_flops(A, B)[rows] if A.nnz else np.zeros_like(mlens)
     bound = np.minimum(flops, B.ncols - mlens)
     return mlens, bound, mlens + bound
@@ -145,7 +158,8 @@ def _compl_bounds(A, B, mask, rows):
 
 # --------------------------------------------------------------------- #
 # MSA (dense accumulator: two states for plain masks, or a count for
-# plus_pair; a bitset-gathered touched list for complemented ones)
+# plus_pair; a bitset-gathered touched list for complemented ones, whose
+# loop reads a bitmap mask's rows in place)
 # --------------------------------------------------------------------- #
 def _msa_call(be, A, B, mask, rows, codes, offsets, validate,
               out_cols, out_vals):
@@ -156,16 +170,28 @@ def _msa_call(be, A, B, mask, rows, codes, offsets, validate,
     # fold every flop into its column, allowed or not, and must never read
     # uninitialised (or denormal) junk
     values = np.zeros(ncols, dtype=np.float64)
-    args = (_c(A.indptr), _c(A.indices), _c(A.data),
-            _c(B.indptr), _c(B.indices), _c(B.data),
-            _c(mask.indptr), _c(mask.indices), rows,
-            add_op, mul_op, identity, offsets, validate,
+    operands = (_c(A.indptr), _c(A.indices), _c(A.data),
+                _c(B.indptr), _c(B.indices), _c(B.data))
+    tail = (rows, add_op, mul_op, identity, offsets, validate,
             out_cols, out_vals, states, values)
     if mask.complemented:
         touched = np.empty(ncols, dtype=INDEX_DTYPE)
         bits = np.zeros((ncols + 63) // 64, dtype=np.uint64)
-        return be.msa_compl(*args, touched, bits)
-    return be.msa_plain(*args)
+        banned = ((None, None, mask.bitmap) if mask.bitmap is not None
+                  else (_c(mask.indptr), _c(mask.indices), None))
+        return be.msa_compl(*operands, *banned, *tail, touched, bits)
+    return be.msa_plain(*operands, _c(mask.indptr), _c(mask.indices), *tail)
+
+
+def _msa_compiles(be, codes, A, B, mask) -> bool:
+    return (be is not None and codes is not None
+            and _compilable(A, B, mask) and B.ncols <= MSA_NCOLS_CAP)
+
+
+def _msa_mask(mask):
+    """The mask form the compiled MSA loops read: a complemented bitmap
+    stays a bitmap, anything else is CSR."""
+    return mask if mask.complemented else mask.to_csr()
 
 
 def msa_numeric_rows(A, B, mask, semiring, rows):
@@ -174,11 +200,11 @@ def msa_numeric_rows(A, B, mask, semiring, rows):
 
     rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
     be, codes = _backend(), op_codes(semiring)
-    if (be is None or codes is None or not _compilable(A, B, mask)
-            or B.ncols > MSA_NCOLS_CAP):
-        return msa_kernel.numeric_rows(A, B, mask, semiring, rows)
+    if not _msa_compiles(be, codes, A, B, mask):
+        return msa_kernel.numeric_rows(A, B, mask.to_csr(), semiring, rows)
     if rows.size == 0:
         return empty_block(0)
+    mask = _msa_mask(mask)
     if mask.complemented:
         _, per_row_bound, _ = _compl_bounds(A, B, mask, rows)
         bound = int(per_row_bound.sum())
@@ -198,14 +224,13 @@ def msa_numeric_rows_into(A, B, mask, semiring, rows, out_cols, out_vals,
 
     rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
     be, codes = _backend(), op_codes(semiring)
-    if (be is None or codes is None or not _compilable(A, B, mask)
-            or B.ncols > MSA_NCOLS_CAP):
-        return msa_kernel.numeric_rows_into(A, B, mask, semiring, rows,
-                                            out_cols, out_vals, offsets)
+    if not _msa_compiles(be, codes, A, B, mask):
+        return msa_kernel.numeric_rows_into(A, B, mask.to_csr(), semiring,
+                                            rows, out_cols, out_vals, offsets)
     if rows.size == 0:
         return
     offsets = np.ascontiguousarray(offsets, dtype=INDEX_DTYPE)
-    bad = _msa_call(be, A, B, mask, rows, codes, offsets, 1,
+    bad = _msa_call(be, A, B, _msa_mask(mask), rows, codes, offsets, 1,
                     out_cols, out_vals)
     if bad >= 0:
         raise AlgorithmError(

@@ -1,6 +1,8 @@
 """Betweenness centrality vs the networkx oracle (directed and undirected,
 full and batched sources, across complement-capable kernels)."""
 
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -170,3 +172,46 @@ def test_dense_numsp_bit_identical_to_sparse_formulation(
     got = betweenness_centrality(g, sources, algorithm=alg, phases=phases)
     want = sparse_numsp_bc(g, sources, alg, phases)
     assert np.array_equal(got.centrality, want)
+
+
+def test_level_masks_unchanged_after_return():
+    """Each forward level gets its own visited bitmap: a mask captured at
+    one level still holds that level's visited set after later levels and
+    the return."""
+    import repro.algorithms.betweenness as bc_mod
+
+    g = to_undirected_simple(rmat(6, 4, rng=33))
+    sources = [0, 3, 5, 9]
+    seen = []
+    real = bc_mod.masked_spgemm
+
+    def capture(A, B, mask, **kw):
+        if mask.complemented:
+            seen.append((mask, mask.bitmap.copy()))
+        return real(A, B, mask, **kw)
+
+    with mock.patch.object(bc_mod, "masked_spgemm", capture):
+        res = bc_mod.betweenness_centrality(g, sources)
+    assert len(seen) == res.depth + 1 >= 3
+    assert seen[0][1].sum() == len(sources)
+    for (mask, snapshot), (_, later) in zip(seen, seen[1:]):
+        assert np.array_equal(mask.bitmap, snapshot)
+        assert snapshot.sum() < later.sum()  # each level discovers more
+    assert np.array_equal(seen[-1][0].bitmap, seen[-1][1])
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: erdos_renyi(40, 3, rng=34),
+    lambda: erdos_renyi(40, 3, rng=35, symmetrize=True),
+    lambda: to_undirected_simple(rmat(6, 4, rng=36)),
+    lambda: CSRMatrix.empty((6, 6)),
+    lambda: csr_from_dense(np.array([[1.0, 1.0], [0.0, 1.0]])),
+    lambda: csr_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])),
+    # a directed 3-cycle: row and column counts agree, the keys do not
+    lambda: csr_from_dense(np.roll(np.eye(3), 1, axis=1)),
+])
+def test_symmetry_check_matches_the_transpose(graph):
+    from repro.algorithms.betweenness import _is_symmetric
+
+    A = graph().pattern()
+    assert _is_symmetric(A) == A.same_pattern(ops.transpose_csr(A))

@@ -20,9 +20,12 @@ takes the ``default:`` case with runtime op codes.
 
 The fixtures cover plain and complemented masks, empty A and mask rows, a
 zero-column product, row subsets in chunk order, both faces (stitch and
-direct write) and column ids past 2^31 for the hash kernels. Two fixture
-families reach the complemented MSA gather's word walk and its sort
-fallback:
+direct write) and column ids past 2^31 for the hash kernels. Every
+complemented fixture the MSA faces run also runs as a bitmap mask
+(``Mask.from_bitmap``), which ``msa_compl`` reads in place, with one row
+banned everywhere beside the empty (all-clear) mask rows; its fused
+reference is the same pattern in CSR. Two fixture families reach the
+complemented MSA gather's word walk and its sort fallback:
 
 * seeded products with several hundred columns, plain and complemented,
   so the bitset gather walks many 64-column words per row;
@@ -102,6 +105,17 @@ def _fixtures():
         np.cumsum(np.where(drop, 0, np.diff(M.indptr)), out=indptr[1:])
         return CSRMatrix(indptr, M.indices[keep], M.data[keep], M.shape)
 
+    def with_bitmap(name, A, B, M, row_sets, banned_row):
+        """The complemented CSR fixture, then its bitmap form with
+        ``banned_row`` banned everywhere."""
+        yield (name, A, B, Mask.from_matrix(M, complemented=True), row_sets,
+               True)
+        bitmap = np.zeros(M.shape, dtype=bool)
+        bitmap[np.repeat(np.arange(M.nrows), M.row_nnz()), M.indices] = True
+        bitmap[banned_row] = True
+        yield (f"{name} bitmap", A, B,
+               Mask.from_bitmap(bitmap, complemented=True), row_sets, True)
+
     for seed in SEEDS:
         r = np.random.default_rng(seed)
         m, k = (int(x) for x in r.integers(1, 48, 2))
@@ -113,10 +127,11 @@ def _fixtures():
         M = drop_rows(csr_random(m, n, density=dm, rng=r),
                       r.random(m) < 0.2)
         rows = np.flatnonzero(r.random(m) < 0.6).astype(np.int64)
-        for complemented in (False, True):
-            yield (f"seed={seed} compl={complemented}", A, B,
-                   Mask.from_matrix(M, complemented=complemented),
-                   (np.arange(m, dtype=np.int64), rows), True)
+        row_sets = (np.arange(m, dtype=np.int64), rows)
+        yield f"seed={seed} compl=False", A, B, Mask.from_matrix(M), \
+            row_sets, True
+        yield from with_bitmap(f"seed={seed} compl=True", A, B, M, row_sets,
+                               int(r.integers(m)))
 
     # several hundred columns: multi-word bitset walks
     for seed in (100, 101, 102):
@@ -129,10 +144,11 @@ def _fixtures():
                        values="uniform")
         M = csr_random(m, n, density=r.uniform(0.0, 0.2), rng=r)
         rows = np.flatnonzero(r.random(m) < 0.6).astype(np.int64)
-        for complemented in (False, True):
-            yield (f"seed={seed} n={n} compl={complemented}", A, B,
-                   Mask.from_matrix(M, complemented=complemented),
-                   (np.arange(m, dtype=np.int64), rows), True)
+        row_sets = (np.arange(m, dtype=np.int64), rows)
+        yield f"seed={seed} n={n} compl=False", A, B, Mask.from_matrix(M), \
+            row_sets, True
+        yield from with_bitmap(f"seed={seed} n={n} compl=True", A, B, M,
+                               row_sets, int(r.integers(m)))
 
     # about 2**20 columns: sparse rows sort, the dense-run row walks words
     r = np.random.default_rng(98)
@@ -143,16 +159,17 @@ def _fixtures():
                   np.concatenate(far + [run]).astype(np.int64),
                   r.random(3 * (k - 1) + run.size), (k, n))
     # rows 0, 2 and 4 sort (row 4 mixes far columns into the run), rows 1
-    # and 5 walk the run's words, row 3 is empty
+    # and 5 walk the run's words, row 3 is empty; the bitmap form bans
+    # row 4 everywhere
     A = CSRMatrix(np.array([0, 2, 3, 5, 5, 7, 8], dtype=np.int64),
                   np.array([0, 1, 4, 2, 3, 1, 4, 4], dtype=np.int64),
                   r.random(8), (6, k))
     M = CSRMatrix(np.array([0, 1, 3, 3, 3, 4, 4], dtype=np.int64),
                   np.array([far[0][1], n - 100, n - 11, far[1][0]],
                            dtype=np.int64), np.ones(4), (6, n))
-    yield ("ncols=2**20+37 compl=True", A, B,
-           Mask.from_matrix(M, complemented=True),
-           (np.arange(6, dtype=np.int64), np.array([1, 2, 5])), True)
+    yield from with_bitmap("ncols=2**20+37 compl=True", A, B, M,
+                           (np.arange(6, dtype=np.int64),
+                            np.array([1, 2, 5])), 4)
 
     # column ids past 2**31 (hash kernels only: MSA's dense scratch and the
     # symbolic face delegate at this width)
@@ -201,19 +218,23 @@ def check(backend) -> int:
 
     with mock.patch.object(kernels, "_backend", return_value=backend):
         for name, A, B, mask, row_sets, dense_ok in _fixtures():
+            # the symbolic and hash faces take CSR masks only
+            bitmap = mask.bitmap is not None
+            csr = mask.to_csr()
             for rows in row_sets:
-                want = msa_kernel.symbolic_rows(A, B, mask, rows)
-                for sym in (kernels.msa_symbolic_rows,
-                            kernels.hash_symbolic_rows):
+                want = msa_kernel.symbolic_rows(A, B, csr, rows)
+                for sym in (() if bitmap else (kernels.msa_symbolic_rows,
+                                               kernels.hash_symbolic_rows)):
                     expect(np.array_equal(sym(A, B, mask, rows), want),
                            f"{sym.__name__} {name}")
                     checked += 1
                 for semiring in semirings:
                     for kname, fused, stitch, into in faces:
-                        if kname == "msa" and not dense_ok:
+                        if kname == "msa" and not dense_ok or \
+                                kname == "hash" and bitmap:
                             continue
                         what = f"{kname} {semiring.name} {name}"
-                        ref = fused.numeric_rows(A, B, mask, semiring, rows)
+                        ref = fused.numeric_rows(A, B, csr, semiring, rows)
                         got = stitch(A, B, mask, semiring, rows)
                         expect(np.array_equal(got.sizes, ref.sizes)
                                and np.array_equal(got.cols, ref.cols)
@@ -242,7 +263,8 @@ def main() -> None:
         backend = build(cc, workdir)
         checked = check(backend)
     print(f"check_native_asan: {checked} comparisons over 5 C entry points "
-          f"and every dispatched op pair, bit-identical to the fused "
+          f"(msa_compl with CSR and bitmap masks) and every dispatched op "
+          f"pair, bit-identical to the fused "
           f"kernels under -fsanitize=address,undefined; no sanitizer error")
 
 
