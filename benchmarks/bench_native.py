@@ -313,7 +313,7 @@ def bench_accumulators(scale=CASE_SCALE, edge=CASE_EDGE, bc_scale=BC_SCALE,
         calls = [(A, B, m, sr, np.arange(A.nrows, dtype=np.int64))
                  for A, B, m, sr in products]
         lat, _ = _time(lambda: [msa_numeric_rows(*c) for c in calls],
-                       [fused_msa_rows(A, B, m.to_csr(), sr, rows)
+                       [fused_msa_rows(A, B, m, sr, rows)
                         for A, B, m, sr, rows in calls], repeats=repeats)
         rows.append(_row(case, "msa-native", lat, mode="accumulator",
                          loop=loop, backend=native_backend_name(),

@@ -33,8 +33,8 @@ is one scatter into ``numsp`` and ``visited`` and NumSP on S_d is the
 frontier's own values: no sparse eWiseAdd or eWiseMult is left in the level
 loop, and no CSR mask is rebuilt per level. Each level's product gets its
 own copy of the bitmap, so a mask a caller keeps is never changed by a
-later level. On the compiled tier (``msa-native``, one-phase, serial) the
-complemented loop reads the bitmap rows in place.
+later level. On the compiled tier (``msa-native``) the complemented loop
+reads the bitmap rows in place; no CSR form of the mask is built.
 
 Both stages together exercise the complemented and plain mask paths, which
 is why the paper's BC results (Fig. 15/16) include only complement-capable

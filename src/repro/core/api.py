@@ -58,10 +58,8 @@ def masked_spgemm(
         The structural mask. A CSRMatrix is interpreted as a
         non-complemented mask over its stored pattern. ``None`` means "no
         mask" (the full complemented-empty mask), i.e. plain SpGEMM through
-        the masked machinery. A bitmap mask (:meth:`Mask.from_bitmap`) is
-        converted to CSR once, here, unless it is complemented and served
-        one-phase and serially by ``msa-native``, whose compiled loop reads
-        it in place.
+        the masked machinery. A bitmap mask (:meth:`Mask.from_bitmap`)
+        serves every algorithm, bit-identically to its CSR equivalent.
     algorithm : str
         Kernel or baseline name (see module docstring). ``auto`` picks the
         compiled kernel when it is eligible; only otherwise does it pick by
@@ -125,9 +123,6 @@ def masked_spgemm(
 
     if phases not in (1, 2):
         raise AlgorithmError(f"phases must be 1 or 2, got {phases!r}")
-    if not (mask.complemented and algorithm == "msa-native" and phases == 1
-            and executor is None and tier == "vectorized"):
-        mask = mask.to_csr()
 
     # ----- baselines (whole-matrix code paths) ------------------------- #
     if algorithm == "saxpy":

@@ -87,7 +87,7 @@ def build_plan(A: CSRMatrix, B: CSRMatrix, mask: Mask, *,
     row_sizes = None
     if phases == 2:
         rows = np.arange(out_shape[0], dtype=INDEX_DTYPE)
-        row_sizes = spec.symbolic(A, B, mask.to_csr(), rows)
+        row_sizes = spec.symbolic(A, B, mask, rows)
     return SymbolicPlan(algorithm=algorithm, phases=phases,
                         shape=out_shape, row_sizes=row_sizes)
 

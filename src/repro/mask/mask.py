@@ -15,11 +15,13 @@ masking matrix plus a ``complemented`` flag, in one of two forms:
   traversal's visited set: building it costs no sort and no CSR
   validation.
 
-:func:`repro.core.api.masked_spgemm` and :func:`repro.core.plan.build_plan`
-convert a bitmap mask to CSR once, on entry (:meth:`Mask.to_csr`), with one
-exception: a complemented bitmap served one-phase and serially by
-``msa-native``, whose compiled loop reads each bitmap row in place instead
-of marking the banned columns in its scratch state and clearing them after.
+The form is the mask's own business. A bitmap mask still answers every
+CSR read: its ``indptr`` and ``indices`` are derived from the bitmap on
+first use and cached, so every kernel, baseline, the reference tier and
+any other CSR reader take either form unchanged. Only the compiled
+complemented MSA loop (``msa-native``) reads the bitmap itself, in place,
+instead of marking the banned columns in its scratch state and clearing
+them after; on that path the CSR view is never built.
 """
 
 from __future__ import annotations
@@ -43,20 +45,20 @@ class Mask:
         (``C = ¬M ⊙ (A·B)``), the form graph traversals use to avoid
         re-visiting vertices.
 
-    :meth:`from_bitmap` builds the bitmap form instead, whose ``indptr``
-    and ``indices`` are None and whose ``bitmap`` holds the pattern.
-    :meth:`row`, :meth:`row_nnz` and :meth:`to_matrix` read the CSR form:
-    call :meth:`to_csr` first on a bitmap mask.
+    :meth:`from_bitmap` builds the bitmap form instead, whose ``bitmap``
+    holds the pattern and whose ``indptr`` and ``indices`` are built from
+    it on first read. ``bitmap`` is None on a CSR mask.
     """
 
-    __slots__ = ("indptr", "indices", "bitmap", "shape", "complemented")
+    # _csr: the (indptr, indices) pair, one tuple so that concurrent first
+    # reads of a bitmap mask's CSR view never see half of it
+    __slots__ = ("_csr", "bitmap", "shape", "complemented")
 
     def __init__(self, indptr, indices, shape, *, complemented: bool = False):
         self.shape = check_shape(shape)
         # reuse CSRMatrix validation by building a throwaway pattern matrix
         pat = CSRMatrix(indptr, indices, np.ones(len(indices)), self.shape)
-        self.indptr = pat.indptr
-        self.indices = pat.indices
+        self._csr = (pat.indptr, pat.indices)
         self.bitmap = None
         self.complemented = bool(complemented)
 
@@ -91,7 +93,7 @@ class Mask:
                             f"mask shape {tuple(shape)}")
         mask = cls.__new__(cls)
         mask.shape = bitmap.shape
-        mask.indptr = mask.indices = None
+        mask._csr = None
         mask.bitmap = bitmap
         mask.complemented = bool(complemented)
         return mask
@@ -105,29 +107,52 @@ class Mask:
                    np.empty(0, dtype=INDEX_DTYPE), shape, complemented=True)
 
     def to_csr(self) -> "Mask":
-        """This mask in CSR form: ``self`` when it already is, else a new
-        CSR mask of the bitmap's pattern and the same polarity."""
+        """This mask in CSR form: ``self`` when it already is, else a CSR
+        mask over this bitmap's CSR view, with the same polarity."""
         if self.bitmap is None:
             return self
-        indptr = np.zeros(self.nrows + 1, dtype=INDEX_DTYPE)
-        np.cumsum(np.count_nonzero(self.bitmap, axis=1), out=indptr[1:])
         mask = Mask.__new__(Mask)
         mask.shape = self.shape
-        mask.indptr = indptr
-        # row-major nonzero: rows in order, columns sorted within each row
-        mask.indices = np.nonzero(self.bitmap)[1].astype(INDEX_DTYPE,
-                                                         copy=False)
+        mask._csr = self._csr_view()
         mask.bitmap = None
         mask.complemented = self.complemented
         return mask
 
+    def _csr_view(self):
+        csr = self._csr
+        if csr is None:
+            indptr = np.zeros(self.nrows + 1, dtype=INDEX_DTYPE)
+            np.cumsum(self.row_nnz(), out=indptr[1:])
+            # row-major nonzero: rows in order, columns sorted within a row
+            indices = np.nonzero(self.bitmap)[1].astype(INDEX_DTYPE,
+                                                        copy=False)
+            csr = self._csr = (indptr, indices)
+        return csr
+
     # ------------------------------------------------------------------ #
+    @property
+    def indptr(self) -> np.ndarray:
+        """CSR row pointers of the pattern (int64)."""
+        return self._csr_view()[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """CSR column ids of the pattern (int64), sorted within each row."""
+        return self._csr_view()[1]
+
     @property
     def nnz(self) -> int:
         """Stored pattern entries — nnz(M) in the paper's cost formulas."""
         if self.bitmap is not None:
             return int(np.count_nonzero(self.bitmap))
         return int(self.indices.size)
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes: the CSR arrays (a bitmap mask's view included,
+        which this builds) plus the bitmap, if any."""
+        n = self.indptr.nbytes + self.indices.nbytes
+        return n if self.bitmap is None else n + self.bitmap.nbytes
 
     @property
     def nrows(self) -> int:
@@ -141,8 +166,18 @@ class Mask:
         """Sorted column ids allowed (or disallowed, if complemented) in row i."""
         return self.indices[self.indptr[i]: self.indptr[i + 1]]
 
-    def row_nnz(self) -> np.ndarray:
-        return np.diff(self.indptr)
+    def row_nnz(self, rows=None) -> np.ndarray:
+        """Pattern entries per row, of every row or of ``rows`` only. A
+        bitmap mask counts its bits without building the CSR view."""
+        if self.bitmap is not None:
+            bits = self.bitmap if rows is None else self.bitmap[rows]
+            # pack 8 columns a byte and popcount: about 2.5x faster than
+            # count_nonzero along an axis
+            return np.bitwise_count(np.packbits(bits, axis=1)).sum(
+                axis=1, dtype=INDEX_DTYPE)
+        if rows is None:
+            return np.diff(self.indptr)
+        return self.indptr[rows + 1] - self.indptr[rows]
 
     def complement(self) -> "Mask":
         """The same pattern, in the same form, with the complemented flag

@@ -23,11 +23,9 @@ compiled loops by construction (gated in ``tests/test_native.py`` and
 ``benchmarks/bench_native.py``), so delegation is invisible to callers:
 the native keys always compute the same product, merely slower.
 
-The MSA faces also take a bitmap mask (:meth:`repro.mask.Mask.from_bitmap`):
-the complemented loop reads a complemented bitmap in place, and every other
-case (a plain bitmap, or a delegating call) converts it to CSR first. The
-hash and symbolic faces take CSR masks only, which is all
-:func:`repro.core.api.masked_spgemm` hands them.
+Every face takes a bitmap mask (:meth:`repro.mask.Mask.from_bitmap`) as it
+takes a CSR one, through the mask's CSR view. The one exception is the
+complemented MSA loop, which reads a complemented bitmap's rows in place.
 """
 
 from __future__ import annotations
@@ -106,17 +104,16 @@ def _backend():
     return None if b is None else b[1]
 
 
-def _int64_indices(A, B, mask) -> bool:
-    # a bitmap mask has no index arrays; msa-native reads it in place and
-    # every other path converts it to int64 CSR (Mask.to_csr)
-    arrays = (A.indptr, A.indices, B.indptr, B.indices)
-    if mask.bitmap is None:
-        arrays += (mask.indptr, mask.indices)
-    return all(a.dtype == INDEX_DTYPE for a in arrays)
+def _int64_indices(A, B) -> bool:
+    # a Mask's indices are int64 by construction and read-only, so only the
+    # operands are checked (reading a bitmap mask's CSR view here would
+    # build it on the path that reads the bitmap in place)
+    return all(a.dtype == INDEX_DTYPE for a in
+               (A.indptr, A.indices, B.indptr, B.indices))
 
 
-def _compilable(A, B, mask) -> bool:
-    return _int64_indices(A, B, mask) and \
+def _compilable(A, B) -> bool:
+    return _int64_indices(A, B) and \
         A.data.dtype == np.float64 and B.data.dtype == np.float64
 
 
@@ -126,7 +123,7 @@ def eligible(A, B, mask, semiring) -> bool:
     the operands are float64/int64 (the native-first rule of
     :func:`repro.core.registry.auto_select`)."""
     return (_backend() is not None and supported(semiring)
-            and _compilable(A, B, mask))
+            and _compilable(A, B))
 
 
 def _c(arr):
@@ -143,14 +140,10 @@ def _pow2cap(nkeys: int) -> int:
 
 def _compl_bounds(A, B, mask, rows):
     """Per-row output upper bound + hash-table key budget for complemented
-    masks: distinct surviving columns ≤ min(flops_i, ncols − banned_i).
-    A bitmap mask's banned columns are not counted (only the MSA loop
-    reads one, in place), so its bound is min(flops_i, ncols)."""
+    masks: distinct surviving columns ≤ min(flops_i, ncols − banned_i)."""
     from ..core.expand import per_row_flops
 
-    mlens = (np.zeros(rows.size, dtype=INDEX_DTYPE)
-             if mask.bitmap is not None
-             else mask.indptr[rows + 1] - mask.indptr[rows])
+    mlens = mask.row_nnz(rows)
     flops = per_row_flops(A, B)[rows] if A.nnz else np.zeros_like(mlens)
     bound = np.minimum(flops, B.ncols - mlens)
     return mlens, bound, mlens + bound
@@ -177,6 +170,7 @@ def _msa_call(be, A, B, mask, rows, codes, offsets, validate,
     if mask.complemented:
         touched = np.empty(ncols, dtype=INDEX_DTYPE)
         bits = np.zeros((ncols + 63) // 64, dtype=np.uint64)
+        # a complemented bitmap is read in place: its CSR view is never built
         banned = ((None, None, mask.bitmap) if mask.bitmap is not None
                   else (_c(mask.indptr), _c(mask.indices), None))
         return be.msa_compl(*operands, *banned, *tail, touched, bits)
@@ -185,13 +179,7 @@ def _msa_call(be, A, B, mask, rows, codes, offsets, validate,
 
 def _msa_compiles(be, codes, A, B, mask) -> bool:
     return (be is not None and codes is not None
-            and _compilable(A, B, mask) and B.ncols <= MSA_NCOLS_CAP)
-
-
-def _msa_mask(mask):
-    """The mask form the compiled MSA loops read: a complemented bitmap
-    stays a bitmap, anything else is CSR."""
-    return mask if mask.complemented else mask.to_csr()
+            and _compilable(A, B) and B.ncols <= MSA_NCOLS_CAP)
 
 
 def msa_numeric_rows(A, B, mask, semiring, rows):
@@ -201,15 +189,14 @@ def msa_numeric_rows(A, B, mask, semiring, rows):
     rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
     be, codes = _backend(), op_codes(semiring)
     if not _msa_compiles(be, codes, A, B, mask):
-        return msa_kernel.numeric_rows(A, B, mask.to_csr(), semiring, rows)
+        return msa_kernel.numeric_rows(A, B, mask, semiring, rows)
     if rows.size == 0:
         return empty_block(0)
-    mask = _msa_mask(mask)
     if mask.complemented:
         _, per_row_bound, _ = _compl_bounds(A, B, mask, rows)
         bound = int(per_row_bound.sum())
     else:
-        bound = int((mask.indptr[rows + 1] - mask.indptr[rows]).sum())
+        bound = int(mask.row_nnz(rows).sum())
     offsets = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
     out_cols = np.empty(bound, dtype=INDEX_DTYPE)
     out_vals = np.empty(bound, dtype=np.float64)
@@ -225,12 +212,12 @@ def msa_numeric_rows_into(A, B, mask, semiring, rows, out_cols, out_vals,
     rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
     be, codes = _backend(), op_codes(semiring)
     if not _msa_compiles(be, codes, A, B, mask):
-        return msa_kernel.numeric_rows_into(A, B, mask.to_csr(), semiring,
-                                            rows, out_cols, out_vals, offsets)
+        return msa_kernel.numeric_rows_into(A, B, mask, semiring, rows,
+                                            out_cols, out_vals, offsets)
     if rows.size == 0:
         return
     offsets = np.ascontiguousarray(offsets, dtype=INDEX_DTYPE)
-    bad = _msa_call(be, A, B, _msa_mask(mask), rows, codes, offsets, 1,
+    bad = _msa_call(be, A, B, mask, rows, codes, offsets, 1,
                     out_cols, out_vals)
     if bad >= 0:
         raise AlgorithmError(
@@ -251,7 +238,7 @@ def _hash_call(be, A, B, mask, rows, codes, offsets, validate,
         nkeys = np.ascontiguousarray(nkeys, dtype=INDEX_DTYPE)
         cap = _pow2cap(int(nkeys.max()) if nkeys.size else 0)
     else:
-        mlens = mask.indptr[rows + 1] - mask.indptr[rows]
+        mlens = mask.row_nnz(rows)
         nkeys = None
         cap = _pow2cap(int(mlens.max()) if mlens.size else 0)
     t_keys = np.empty(cap, dtype=INDEX_DTYPE)
@@ -274,7 +261,7 @@ def hash_numeric_rows(A, B, mask, semiring, rows):
 
     rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
     be, codes = _backend(), op_codes(semiring)
-    if be is None or codes is None or not _compilable(A, B, mask):
+    if be is None or codes is None or not _compilable(A, B):
         return hash_kernel.numeric_rows(A, B, mask, semiring, rows)
     if rows.size == 0:
         return empty_block(0)
@@ -282,7 +269,7 @@ def hash_numeric_rows(A, B, mask, semiring, rows):
         _, per_row_bound, _ = _compl_bounds(A, B, mask, rows)
         bound = int(per_row_bound.sum())
     else:
-        bound = int((mask.indptr[rows + 1] - mask.indptr[rows]).sum())
+        bound = int(mask.row_nnz(rows).sum())
     offsets = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
     out_cols = np.empty(bound, dtype=INDEX_DTYPE)
     out_vals = np.empty(bound, dtype=np.float64)
@@ -297,7 +284,7 @@ def hash_numeric_rows_into(A, B, mask, semiring, rows, out_cols, out_vals,
 
     rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
     be, codes = _backend(), op_codes(semiring)
-    if be is None or codes is None or not _compilable(A, B, mask):
+    if be is None or codes is None or not _compilable(A, B):
         return hash_kernel.numeric_rows_into(A, B, mask, semiring, rows,
                                              out_cols, out_vals, offsets)
     if rows.size == 0:
@@ -319,7 +306,7 @@ def hash_numeric_rows_into(A, B, mask, semiring, rows, out_cols, out_vals,
 def _symbolic_rows(fused, A, B, mask, rows):
     rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
     be = _backend()
-    if (be is None or not _int64_indices(A, B, mask)
+    if (be is None or not _int64_indices(A, B)
             or B.ncols > MSA_NCOLS_CAP):
         return fused(A, B, mask, rows)
     sizes = np.zeros(rows.size, dtype=INDEX_DTYPE)

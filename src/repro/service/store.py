@@ -29,10 +29,9 @@ class StoreError(ReproError):
 
 def matrix_nbytes(m: CSRMatrix | Mask) -> int:
     """Resident bytes of a CSR matrix or mask (its numpy arrays)."""
-    n = m.indptr.nbytes + m.indices.nbytes
-    if isinstance(m, CSRMatrix):
-        n += m.data.nbytes
-    return n
+    if isinstance(m, Mask):
+        return m.nbytes
+    return m.indptr.nbytes + m.indices.nbytes + m.data.nbytes
 
 
 @dataclass

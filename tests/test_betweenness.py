@@ -215,3 +215,21 @@ def test_symmetry_check_matches_the_transpose(graph):
 
     A = graph().pattern()
     assert _is_symmetric(A) == A.same_pattern(ops.transpose_csr(A))
+
+
+def test_traced_bc_batch_run_serves_every_op(monkeypatch):
+    """The benchmark's traced ``bc-batch`` run reads each product's mask
+    through its CSR view (to count the kernel's work); a bitmap mask must
+    answer those reads, so no op fails."""
+    import asyncio
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from harness import run_workload
+
+    res = asyncio.run(run_workload("bc-batch", 5, 0.0, True, size="tiny",
+                                   min_ops=4))
+    for phase in res["phases"]:
+        assert phase.attempted > 0 and phase.failed == 0
+    assert res["metrics"]["kernel.calls"] > 0

@@ -3,9 +3,10 @@
 A bitmap mask must give, bit for bit, the product its CSR equivalent gives:
 through every registry key, the reference tier and the baselines, for
 plain and complemented masks, one and two phases, serial and threaded, with
-the compiled tier on and off. Only serial one-phase ``msa-native`` with a
-complemented bitmap reads the bitmap itself; everything else sees the CSR
-mask :meth:`Mask.to_csr` makes at the API boundary.
+the compiled tier on and off. Only the compiled complemented MSA loop
+reads the bitmap itself; everything else reads the CSR view the mask
+derives from it on first use, as does any other CSR reader (the service
+store, the tracer).
 """
 
 from __future__ import annotations
@@ -60,15 +61,34 @@ def operands(rng):
 def test_from_bitmap_converts_to_the_equal_csr_mask(rng):
     _, _, M = make_triple(rng, m=9, n=13)
     csr, bm = mask_pair(M, True)
-    assert bm.bitmap is not None and bm.indptr is None
     assert bm.shape == csr.shape and bm.complemented
     assert bm.nnz == csr.nnz
+    assert np.array_equal(bm.row_nnz(), csr.row_nnz())
+    rows = np.array([4, 0, 8])
+    assert np.array_equal(bm.row_nnz(rows), csr.row_nnz(rows))
     back = bm.to_csr()
     assert back.bitmap is None and back.complemented
     assert back.indices.dtype == np.int64 and back.indptr.dtype == np.int64
     assert np.array_equal(back.indptr, csr.indptr)
     assert np.array_equal(back.indices, csr.indices)
     assert csr.to_csr() is csr
+
+
+def test_bitmap_answers_every_csr_read(rng):
+    """A bitmap mask's CSR view is built once, on first read, and equals
+    the CSR mask's arrays."""
+    _, _, M = make_triple(rng, m=9, n=13)
+    csr, bm = mask_pair(M, False)
+    assert np.array_equal(bm.indptr, csr.indptr)
+    assert bm.indptr is bm.indptr and bm.indices is bm.indices
+    assert np.array_equal(bm.indices, csr.indices)
+    for i in range(M.nrows):
+        assert np.array_equal(bm.row(i), csr.row(i))
+    assert_bit_identical(bm.to_matrix(), csr.to_matrix())
+    assert bm.bitmap is not None  # still a bitmap mask
+    assert bm.nbytes == csr.nbytes + bm.bitmap.nbytes
+    with pytest.raises(AttributeError):
+        bm.indptr = csr.indptr
 
 
 def test_from_bitmap_zero_width():
@@ -177,20 +197,27 @@ def test_complemented_bitmap_matches_the_reference(operands, semiring):
         assert_bit_identical(got, want, key)
 
 
+def _no_csr_view(self):
+    raise AssertionError("the bitmap's CSR view was built")
+
+
 @needs_native
-def test_serial_one_phase_msa_native_reads_the_bitmap_in_place(operands):
-    """The one path that keeps the bitmap: no CSR conversion happens, and
-    the compiled loop (not the fused kernel) serves it."""
+@pytest.mark.parametrize("key", ["auto", "msa-native"])
+def test_serial_one_phase_msa_native_reads_the_bitmap_in_place(operands,
+                                                                 key):
+    """The path BC takes: nothing reads the CSR view, and the compiled loop
+    (not the fused kernel) serves the product."""
     from repro.core import msa_kernel
 
     A, B, M = operands
     csr, bm = mask_pair(M, True)
-    want = masked_spgemm(A, B, csr, algorithm="msa-native")
-    with mock.patch.object(Mask, "to_csr",
-                           side_effect=AssertionError("converted")), \
+    want = masked_spgemm(A, B, csr, algorithm="msa-native",
+                         semiring=PLUS_FIRST)
+    with mock.patch.object(Mask, "indptr", property(_no_csr_view)), \
+            mock.patch.object(Mask, "indices", property(_no_csr_view)), \
             mock.patch.object(msa_kernel, "numeric_rows",
                               side_effect=AssertionError("delegated")):
-        got = masked_spgemm(A, B, bm, algorithm="msa-native")
+        got = masked_spgemm(A, B, bm, algorithm=key, semiring=PLUS_FIRST)
     assert_bit_identical(got, want)
 
 
@@ -250,6 +277,29 @@ def test_engine_complements_a_bitmap_mask(operands):
     with Engine(tracing=False) as engine:
         got = engine.multiply(A, B, bm, complemented=True).result
     assert_bit_identical(got, want)
+
+
+def test_store_registers_a_bitmap_mask(operands):
+    """The service store accounts and fingerprints a bitmap mask like its
+    CSR equivalent, and requests against it are served."""
+    from repro.service import Engine, Request
+
+    A, B, M = operands
+    csr, bm = mask_pair(M, False)
+    with Engine(tracing=False) as engine:
+        engine.register("A", A)
+        engine.register("B", B)
+        engine.register("M", bm)
+        engine.register("Mc", csr)
+        entry = engine.entry("M")
+        assert entry.nbytes == bm.nbytes > csr.nbytes
+        assert entry.fingerprint == engine.entry("Mc").fingerprint
+        for complemented in (False, True):
+            want = masked_spgemm(A, B, csr.complement() if complemented
+                                 else csr)
+            got = engine.submit(Request(a="A", b="B", mask="M",
+                                        complemented=complemented)).result
+            assert_bit_identical(got, want, f"complemented={complemented}")
 
 
 def test_mca_raises_on_a_complemented_bitmap(operands):

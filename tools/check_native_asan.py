@@ -22,9 +22,9 @@ The fixtures cover plain and complemented masks, empty A and mask rows, a
 zero-column product, row subsets in chunk order, both faces (stitch and
 direct write) and column ids past 2^31 for the hash kernels. Every
 complemented fixture the MSA faces run also runs as a bitmap mask
-(``Mask.from_bitmap``), which ``msa_compl`` reads in place, with one row
-banned everywhere beside the empty (all-clear) mask rows; its fused
-reference is the same pattern in CSR. Two fixture families reach the
+(``Mask.from_bitmap``), which ``msa_compl`` reads in place and the other
+entry points read through its CSR view, with one row banned everywhere
+beside the empty (all-clear) mask rows. Two fixture families reach the
 complemented MSA gather's word walk and its sort fallback:
 
 * seeded products with several hundred columns, plain and complemented,
@@ -218,23 +218,19 @@ def check(backend) -> int:
 
     with mock.patch.object(kernels, "_backend", return_value=backend):
         for name, A, B, mask, row_sets, dense_ok in _fixtures():
-            # the symbolic and hash faces take CSR masks only
-            bitmap = mask.bitmap is not None
-            csr = mask.to_csr()
             for rows in row_sets:
-                want = msa_kernel.symbolic_rows(A, B, csr, rows)
-                for sym in (() if bitmap else (kernels.msa_symbolic_rows,
-                                               kernels.hash_symbolic_rows)):
+                want = msa_kernel.symbolic_rows(A, B, mask, rows)
+                for sym in (kernels.msa_symbolic_rows,
+                            kernels.hash_symbolic_rows):
                     expect(np.array_equal(sym(A, B, mask, rows), want),
                            f"{sym.__name__} {name}")
                     checked += 1
                 for semiring in semirings:
                     for kname, fused, stitch, into in faces:
-                        if kname == "msa" and not dense_ok or \
-                                kname == "hash" and bitmap:
+                        if kname == "msa" and not dense_ok:
                             continue
                         what = f"{kname} {semiring.name} {name}"
-                        ref = fused.numeric_rows(A, B, csr, semiring, rows)
+                        ref = fused.numeric_rows(A, B, mask, semiring, rows)
                         got = stitch(A, B, mask, semiring, rows)
                         expect(np.array_equal(got.sizes, ref.sizes)
                                and np.array_equal(got.cols, ref.cols)
