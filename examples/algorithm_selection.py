@@ -4,7 +4,7 @@
 Sweeps mask density against input density on Erdős-Rényi matrices, times
 every kernel per cell, and prints the winner grid next to the §4 traffic
 model's prediction — the "which algorithm should I use?" guidance the paper
-distills, plus the ``algorithm="auto"`` dispatcher that encodes it.
+distills, next to what the ``algorithm="auto"`` dispatcher picks.
 
 Run:  python examples/algorithm_selection.py
 """
@@ -58,11 +58,12 @@ def main() -> None:
         "  * mask much sparser than inputs  -> pull-based Inner wins\n"
         "  * inputs much sparser than mask  -> Heap/HeapDot win\n"
         "  * comparable densities           -> MSA/Hash win\n"
-        "\n`masked_spgemm(..., algorithm='auto')` applies this heuristic —\n"
-        "the simplest form of the hybrid dispatch the paper leaves as\n"
-        "future work — when the compiled tier cannot run the product;\n"
-        "when it can, auto picks msa-native (hash-native for wide outputs),\n"
-        "whose row loop pays no per-row interpreter cost in any regime."
+        "\n`masked_spgemm(..., algorithm='auto')` does not apply these\n"
+        "regimes: when the compiled tier can run the product it picks\n"
+        "msa-native (hash-native for wide outputs), whose row loop pays no\n"
+        "per-row interpreter cost in any regime; when it cannot, it picks\n"
+        "the per-row msa-loop for rows averaging >= 700 partial products\n"
+        "and the chunk-fused MSA otherwise (see tools/check_routing.py)."
     )
 
 

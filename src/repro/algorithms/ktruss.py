@@ -61,7 +61,7 @@ def ktruss(g: CSRMatrix, k: int, *, algorithm: str = "auto", phases: int = 1,
     algorithm, phases, executor : forwarded to every masked product. The
         default ``"auto"`` routes the PLUS_PAIR support product to the
         compiled ``msa-native`` kernel when a native backend is available
-        (the fused density table otherwise, e.g. under
+        (the fused fallback's pick otherwise, e.g. under
         ``REPRO_NATIVE=off``); every kernel gives the same subgraph.
     engine : optional :class:`repro.service.Engine` serving every product
         (one-phase; its own executor takes precedence over ``executor``).
@@ -124,8 +124,8 @@ def ktruss_delta(g: CSRMatrix, k: int, *, algorithm: str = "auto",
     has served this solve before). Output is bit-identical to
     :func:`ktruss` on the same inputs, and the defaults (one-phase,
     ``algorithm="auto"``) are the same: the support product runs on the compiled ``msa-native`` kernel
-    when a native backend is available, and on the fused density table's
-    pick otherwise (e.g. under ``REPRO_NATIVE=off``).
+    when a native backend is available, and on the fused fallback's pick
+    otherwise (e.g. under ``REPRO_NATIVE=off``).
     """
     if k < 2:
         raise ValueError(f"k-truss needs k >= 2, got {k}")

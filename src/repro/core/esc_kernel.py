@@ -28,8 +28,7 @@ supports complemented masks natively.
 On low-degree workloads (TC / k-truss rows average ~10 partial products)
 the per-row kernels are bound by Python call overhead, not memory traffic;
 ESC's cost is O(flops · log flops) flat numpy work, which wins whenever
-rows are small and plentiful. ``registry.auto_select`` routes that regime
-here when the compiled tier cannot run the product.
+rows are small and plentiful.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ class SymbolicPlan:
     ----------
     algorithm : str
         Resolved kernel key (never ``"auto"`` — resolution happened at plan
-        time, so replaying the plan skips the density heuristic).
+        time, so replaying the plan skips ``auto_select``).
     phases : int
         The phase mode the plan was built for. ``row_sizes`` is only
         populated for two-phase plans.
@@ -106,7 +106,7 @@ def splice_plan(plan: SymbolicPlan, A: CSRMatrix, B: CSRMatrix, mask: Mask,
     re-plans 2% of rows instead of all of them. The plan's resolved
     algorithm is kept as-is: every registered kernel computes the same
     masked product, so replaying the original resolution stays
-    bit-identical even where the density heuristic would now pick
+    bit-identical even where ``auto_select`` would now pick
     differently.
 
     The fresh sizes come from one of two places. By default the plan's

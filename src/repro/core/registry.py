@@ -22,6 +22,7 @@ from . import (
     mca_kernel,
     msa_kernel,
 )
+from .expand import total_flops
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,8 @@ _SPECS: dict[str, AlgorithmSpec] = {
         "msa-loop", "MSA(loop)", "push",
         msa_kernel.numeric_rows_loop, msa_kernel.symbolic_rows, True,
         "Per-row MSA loop (paper Alg. 2 verbatim): the routing tier "
-        "auto_select picks for long-row mask-reuse regimes where the fused "
-        "kernels' chunk-wide intermediates outgrow cache",
+        "auto_select's fused fallback picks for long rows, which amortize "
+        "its per-row dispatch cost",
         listed=False,
     ),
 }
@@ -161,17 +162,19 @@ _SPECS["hash-native"] = AlgorithmSpec(
 #: base kernel behind each native routing key (degrade ladder + display)
 NATIVE_BASE = {"msa-native": "msa", "hash-native": "hash"}
 
-#: native routing key for each fused accumulator kernel (the thread
-#: backend's upgrade). msa-loop maps to msa-native too: the compiled loop
-#: *is* the per-row dense accumulator that tier exists for, minus the
-#: interpreter overhead.
+#: native routing key for each fused accumulator kernel. msa-loop maps to
+#: msa-native too: the compiled loop *is* the per-row dense accumulator
+#: that tier exists for, minus the interpreter overhead.
 _NATIVE_VARIANT = {"msa": "msa-native", "hash": "hash-native",
                    "msa-loop": "msa-native"}
 
 
 def native_variant(key: str) -> str:
     """The compiled routing key for ``key`` when the native tier is
-    available on this machine, else ``key`` unchanged."""
+    available on this machine, else ``key`` unchanged — how
+    ``tests/test_thread_substrate.py``, ``tests/test_native.py`` and
+    ``benchmarks/bench_native.py`` name the kernel they exercise without
+    caring whether this machine compiled the tier."""
     mapped = _NATIVE_VARIANT.get(key.lower())
     if mapped is None:
         return key
@@ -231,27 +234,16 @@ def parse_name(name: str) -> tuple[str, int]:
     return s, phases
 
 
-#: Average partial products per output row below which interpreter overhead
-#: (not memory traffic) dominates the per-row kernels, so the chunk-fused
-#: ``esc`` kernel wins. Graph workloads (TC, k-truss) sit around ~10. Governs
-#: only the fused fallback of :func:`auto_select`: the compiled row loops
-#: have no per-row interpreter cost, so native-eligible products never
-#: consult it.
-ESC_FLOPS_CUTOFF = 64.0
+#: Average partial products per output row from which the per-row
+#: ``msa-loop`` tier beats the chunk-fused ``msa`` in the fused fallback of
+#: :func:`auto_select`. A least-squares fit (relative error) over the fit
+#: cells of ``tools/check_routing.py`` with ``REPRO_NATIVE=off`` prices the
+#: loop at about 31 µs per row plus 16 ns per product and fused msa at about
+#: 61 ns per product; the two cross near 690 products per row.
+LOOP_ROW_FLOPS = 700
 
-#: Total partial products above which the long-row mask-reuse regime
-#: (mask about as dense as the inputs, > ESC_FLOPS_CUTOFF flops/row — the
-#: k-truss support pattern, where C = E·E masked by E itself) routes to the
-#: per-row ``msa-loop`` tier: the fused kernels expand a whole chunk's
-#: partial products before masking, and past this much total work that
-#: intermediate outgrows cache while the loop's dense accumulator stays
-#: resident. Measured crossover on ktruss-support-rmat: s9 ≈ 64k total
-#: flops (fused msa wins), s10 ≈ 139k (loop wins); 100k splits them. Like
-#: :data:`ESC_FLOPS_CUTOFF`, a fused-fallback rule only.
-LOOP_FLOPS_FLOOR = 100_000.0
-
-#: output width past which the dense MSA accumulator stops paying off
-#: (~32k columns) and the hash accumulator takes over
+#: output width past which native-first routing picks ``hash-native``: the
+#: compiled MSA accumulator sets up ``ncols``-wide scratch on every call
 MSA_NCOLS_CUTOFF = 1 << 15
 
 
@@ -270,44 +262,24 @@ def auto_select(A, B, mask, *, semiring=None) -> str:
     including the mask ≪ inputs corner the pull kernel was meant for, and
     stays within ~1.2× of hash-native on complemented ones.
 
-    **Fused fallback.** Otherwise the mask/input-density heuristic
-    distilled from Fig. 7 picks among the fused kernels:
-
-    * mask much sparser than the inputs → ``inner`` (pull wins),
-    * inputs much sparser than the mask → ``heap``,
-    * short rows (≲ :data:`ESC_FLOPS_CUTOFF` partial products on average) →
-      ``esc`` (chunk-fused: per-row dispatch overhead would dominate),
-    * long rows with a mask as dense as the inputs and enough total work
-      (≥ :data:`LOOP_FLOPS_FLOOR`) → the per-row ``msa-loop`` tier
-      (k-truss support regime: chunk-fused intermediates outgrow cache),
-    * comparable densities → ``msa`` on small outputs (dense arrays cheap),
-      ``hash`` on large ones (MSA's cache penalty grows with ncols).
-
-    This hybrid dispatcher is the paper's "future work" hybrid in its
-    simplest form.
+    **Fused fallback.** Otherwise one rule, fitted on the Fig. 7 grid plus
+    a wide-output column and checked on held-out R-MAT products
+    (``tools/check_routing.py``): rows averaging at least
+    :data:`LOOP_ROW_FLOPS` partial products go to the per-row ``msa-loop``
+    tier, whose per-row dispatch cost they amortize, and everything else
+    to the chunk-fused ``msa``, plain and complemented masks alike. Fused
+    ``msa`` works in mask-rank space and allocates nothing ``ncols`` wide,
+    so wide outputs need no ``hash`` rule. The density regimes the paper
+    reads off Fig. 7 (``inner`` for sparse masks, ``heap`` for sparse
+    inputs, ``esc`` for short rows) win some cells of that grid, but as
+    rules they lost more on the cells they misrouted than they saved;
+    those kernels stay registry keys.
     """
     from ..native import kernels as native_kernels
 
     semiring = PLUS_TIMES if semiring is None else semiring
     if native_kernels.eligible(A, B, mask, semiring):
         return "msa-native" if B.ncols <= MSA_NCOLS_CUTOFF else "hash-native"
-    nrows = max(A.nrows, 1)
-    d_a = A.nnz / nrows
-    d_b = B.nnz / max(B.nrows, 1)
-    d_in = min(d_a, d_b)
-    flops_per_row = d_a * d_b  # expected partial products per output row
-    if mask.complemented:
-        if flops_per_row <= ESC_FLOPS_CUTOFF:
-            return "esc"
-        return "msa" if B.ncols <= MSA_NCOLS_CUTOFF else "hash"
-    d_m = mask.nnz / max(mask.nrows, 1)
-    if d_m * 4 <= d_in:
-        return "inner"
-    if d_in * 4 <= d_m:
-        return "heap"
-    if flops_per_row <= ESC_FLOPS_CUTOFF:
-        return "esc"
-    if (d_m * 2 >= d_in and nrows * flops_per_row >= LOOP_FLOPS_FLOOR
-            and B.ncols <= MSA_NCOLS_CUTOFF):
+    if total_flops(A, B) >= LOOP_ROW_FLOPS * max(A.nrows, 1):
         return "msa-loop"
-    return "msa" if B.ncols <= MSA_NCOLS_CUTOFF else "hash"
+    return "msa"

@@ -18,9 +18,10 @@ If either step fails, or ``REPRO_NATIVE`` is ``off`` (or any value other
 than ``auto``/``cffi``/``c``), the tier is unavailable: every native entry
 point delegates to the fused numpy kernels, ``native_available()`` is
 False, ``auto_select`` keeps routing to the fused keys, and nothing anywhere
-needs a guard. cffi releases the GIL for the whole kernel call, which is
-what the thread backend in :mod:`repro.parallel.runner`
-(``backend="thread"``) builds on.
+needs a guard. cffi releases the GIL for the whole kernel call, so chunks
+run by a :class:`~repro.parallel.executor.ThreadExecutor` handed to
+:func:`~repro.parallel.runner.parallel_masked_spgemm` (``executor=``), and
+products served by concurrent server workers, overlap in the C loops.
 """
 
 from __future__ import annotations

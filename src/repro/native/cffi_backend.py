@@ -669,7 +669,9 @@ def load():
 
 
 def _p(arr, ctype: str):
-    return _FFI.NULL if arr is None else _FFI.cast(ctype, arr.ctypes.data)
+    """Pointer to ``arr``'s data; raises ValueError on a non-C-contiguous
+    array, whose strides the C loops would not follow."""
+    return _FFI.NULL if arr is None else _FFI.from_buffer(ctype, arr)
 
 
 def _i64(arr):

@@ -13,7 +13,8 @@ from repro.core import (
     masked_spgemm,
     spgemm,
 )
-from repro.core.registry import BASELINE_KEYS, auto_select, get_spec, parse_name
+from repro.core.registry import (BASELINE_KEYS, LOOP_ROW_FLOPS, auto_select,
+                                 get_spec, parse_name)
 from repro.errors import AlgorithmError
 from repro.mask import Mask
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
@@ -99,31 +100,47 @@ def test_algorithm_info():
     assert "mask rank" in spec.description.lower() or "Mask" in spec.description
 
 
-def test_auto_select_follows_density_heuristic(rng, native_mode):
+def test_auto_select_follows_row_flops_rule(rng, native_mode):
     """Native first: every product the compiled tier can run goes to
-    msa-native; the paper's Fig. 7 density table governs only the fused
-    fallback (``REPRO_NATIVE=off``), where it must give exactly the
-    classic picks."""
+    msa-native. The fused fallback (``REPRO_NATIVE=off``) sends rows
+    averaging ``LOOP_ROW_FLOPS`` partial products or more to msa-loop and
+    every other product to msa, whatever the mask's density or polarity."""
     n = 128
-    A = csr_random(n, n, density=16 / n, rng=rng)
+    A = csr_random(n, n, density=16 / n, rng=rng)    # ~256 flops per row
     B = csr_random(n, n, density=16 / n, rng=rng)
+    L = csr_random(n, n, density=40 / n, rng=rng)    # ~1170 flops per row
     sparse_mask = Mask.from_matrix(csr_random(n, n, density=1 / n, rng=rng))
     dense_mask = Mask.from_matrix(csr_random(n, n, density=100 / n, rng=rng))
     comparable = Mask.from_matrix(csr_random(n, n, density=16 / n, rng=rng))
     compl = Mask.from_matrix(csr_random(n, n, density=0.1, rng=rng),
                              complemented=True)
-    fused = {"sparse": (sparse_mask, "inner"), "dense": (dense_mask, "heap"),
-             "comparable": (comparable, "msa"),  # small n
-             "complemented": (compl, "msa")}
+    masks = {"sparse": sparse_mask, "dense": dense_mask,
+             "comparable": comparable, "complemented": compl}
+    # the rule's edge: one row of exactly LOOP_ROW_FLOPS products, and one
+    # product fewer
+    k = LOOP_ROW_FLOPS
+    edge = CSRMatrix(np.array([0, k]), np.arange(k), np.ones(k), (1, k))
+    below = CSRMatrix(np.array([0, k - 1]), np.arange(k - 1),
+                      np.ones(k - 1), (1, k))
+    col = CSRMatrix(np.arange(k + 1), np.zeros(k, dtype=np.int64),
+                    np.ones(k), (k, 1))
+    one = Mask.from_matrix(CSRMatrix(np.array([0, 1]), np.array([0]),
+                                     np.ones(1), (1, 1)))
+    fused = [(f"short {name}", (A, B, mask), "msa")
+             for name, mask in masks.items()]
+    fused += [(f"long {name}", (L, L, mask), "msa-loop")
+              for name, mask in masks.items()]
+    fused += [("edge", (edge, col, one), "msa-loop"),
+              ("below edge", (below, col, one), "msa")]
     from repro.native import native_available
 
     native = native_available()
-    for name, (mask, pick) in fused.items():
+    for name, operands, pick in fused:
         want = "msa-native" if native else pick
-        assert auto_select(A, B, mask) == want, name
+        assert auto_select(*operands) == want, name
     native_mode("off")
-    for name, (mask, pick) in fused.items():
-        assert auto_select(A, B, mask) == pick, name
+    for name, operands, pick in fused:
+        assert auto_select(*operands) == pick, name
 
 
 @needs_native
@@ -145,13 +162,13 @@ def test_auto_select_unsupported_semiring_keeps_fused_pick(rng):
 @needs_native
 def test_auto_select_float32_values_keep_fused_pick(rng):
     n = 512
-    A = csr_random(n, n, density=4 / n, rng=rng)   # short rows → esc
+    A = csr_random(n, n, density=4 / n, rng=rng)   # short rows → msa
     A32 = CSRMatrix(A.indptr, A.indices, A.data.astype(np.float32), A.shape)
     assert A32.data.dtype == np.float32
     mask = Mask.from_matrix(csr_random(n, n, density=4 / n, rng=rng))
     assert auto_select(A, A, mask) == "msa-native"
-    assert auto_select(A32, A32, mask) == "esc"
-    assert fused_table_pick(A32, A32, mask) == "esc"
+    assert auto_select(A32, A32, mask) == "msa"
+    assert fused_table_pick(A32, A32, mask) == "msa"
 
 
 @needs_native
@@ -161,10 +178,12 @@ def test_auto_select_wide_output_routes_to_hash_native(rng):
     B = csr_random(64, wide, density=16 / wide, rng=rng)
     mask = Mask.from_matrix(csr_random(64, wide, density=8 / wide, rng=rng))
     assert auto_select(A, B, mask) == "hash-native"
-    assert fused_table_pick(A, B, mask) == "hash"
+    # fused msa works in mask-rank space: the fused fallback needs no
+    # wide-output rule
+    assert fused_table_pick(A, B, mask) == "msa"
     compl = Mask.from_matrix(mask.to_matrix(), complemented=True)
     assert auto_select(A, B, compl) == "hash-native"
-    assert fused_table_pick(A, B, compl) == "hash"
+    assert fused_table_pick(A, B, compl) == "msa"
 
 
 def test_auto_runs_end_to_end(rng):

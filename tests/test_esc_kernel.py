@@ -257,20 +257,20 @@ def test_key_safe_blocks_guard():
     assert max(b.size for b in blocks) <= 3
 
 
-def test_auto_select_routes_short_rows_to_esc(rng, native_mode):
-    """Low-degree (graph-like) inputs with comparable mask density hit the
-    chunk-fused regime of the fused fallback; with the compiled tier live
+def test_auto_select_routes_short_rows_to_msa(rng, native_mode):
+    """Low-degree (graph-like) inputs go to the chunk-fused msa in the
+    fused fallback, plain or complemented, and so do denser rows still
+    short of ``LOOP_ROW_FLOPS`` products; with the compiled tier live
     every one of these products goes to msa-native instead."""
     from repro.native import native_available
 
     n = 512
     A = csr_random(n, n, density=4 / n, rng=rng)   # ~4 nnz/row
     M = csr_random(n, n, density=4 / n, rng=rng)
-    D = csr_random(64, 64, density=0.5, rng=rng)   # ~32 nnz/row → 1024 flops
+    D = csr_random(64, 64, density=0.5, rng=rng)   # ~25 nnz/row → ~630 flops
     DM = csr_random(64, 64, density=0.5, rng=rng)
-    cases = [((A, A, Mask.from_matrix(M)), "esc"),
-             ((A, A, Mask.from_matrix(M, complemented=True)), "esc"),
-             # dense rows keep the classic accumulator
+    cases = [((A, A, Mask.from_matrix(M)), "msa"),
+             ((A, A, Mask.from_matrix(M, complemented=True)), "msa"),
              ((D, D, Mask.from_matrix(DM)), "msa")]
     native = native_available()
     for operands, pick in cases:

@@ -197,30 +197,30 @@ def test_auto_select_routes_to_native(rng):
     assert native_variant("esc") == "esc"  # unmapped kernels pass through
 
 
-#: (regime the fused table picks for the plain mask, m, k, n, input
-#: degree, mask degree) — one cell per kernel native-first auto replaced
+#: (Fig. 7 regime, the fused fallback's pick for the plain mask, m, k, n,
+#: input degree, mask degree) — one cell per regime the fused density
+#: table once routed to its own kernel (esc, heap, inner, msa-loop)
 _ROUTING_GRID = [
-    ("esc", 96, 96, 96, 4, 4),          # short rows
-    ("heap", 64, 64, 64, 2, 24),        # inputs ≪ mask
-    ("inner", 64, 64, 64, 16, 2),       # mask ≪ inputs
-    ("msa-loop", 128, 128, 128, 32, 32),  # long rows, mask reuse
+    ("short-rows", "msa", 96, 96, 96, 4, 4),
+    ("sparse-inputs", "msa", 64, 64, 64, 2, 24),
+    ("sparse-mask", "msa", 64, 64, 64, 16, 2),
+    ("long-rows", "msa-loop", 128, 128, 128, 32, 32),
 ]
 _ROUTING_SEMIRINGS = ["plus_times", "plus_pair", "plus_first", "min_plus"]
 
 
 @needs_native
-@pytest.mark.parametrize("regime,m,k,n,deg,mdeg", _ROUTING_GRID)
-def test_native_first_auto_matches_reference(rng, regime, m, k, n, deg,
-                                             mdeg):
-    """Differential check of native-first routing: in every regime the
-    fused table used to send to esc/heap/inner/msa-loop, ``auto`` now runs
-    msa-native and stays bit-identical to the pure-Python reference —
-    plain and complemented masks, four semirings, one- and two-phase, and
-    a repeated request through the engine."""
+@pytest.mark.parametrize("regime,fused_pick,m,k,n,deg,mdeg", _ROUTING_GRID)
+def test_native_first_auto_matches_reference(rng, regime, fused_pick, m, k,
+                                             n, deg, mdeg):
+    """Differential check of native-first routing: in every Fig. 7 regime
+    ``auto`` runs msa-native and stays bit-identical to the pure-Python
+    reference — plain and complemented masks, four semirings, one- and
+    two-phase, and a repeated request through the engine."""
     A = csr_random(m, k, density=deg / k, rng=rng, values="uniform")
     B = csr_random(k, n, density=deg / n, rng=rng, values="uniform")
     M = csr_random(m, n, density=mdeg / n, rng=rng)
-    assert fused_table_pick(A, B, Mask.from_matrix(M)) == regime
+    assert fused_table_pick(A, B, Mask.from_matrix(M)) == fused_pick
     eng = Engine()
     eng.register("A", A)
     eng.register("B", B)
@@ -749,3 +749,21 @@ def test_counter_loop_direct_write_rejects_stale_offsets(rng):
         native_kernels.msa_numeric_rows_into(A, B, mask, PLUS_PAIR, rows,
                                              cols, vals, offsets)
     _assert_msa_native_rows(A, B, mask, PLUS_PAIR, rows)
+
+
+@needs_native
+def test_backend_wrapper_rejects_strided_rows(rng):
+    """A non-contiguous ``rows`` view must raise before C reads it: its
+    base pointer would hand the loop rows 0, 1, 2, … instead of the
+    strided 0, 2, 4, …"""
+    from repro.native import cffi_backend
+
+    A, B, M = make_triple(rng, m=30, k=25, n=30)
+    rows = np.arange(A.nrows, dtype=np.int64)[::2]
+    assert not rows.flags.c_contiguous
+    sizes = np.zeros(rows.size, dtype=np.int64)
+    with pytest.raises(ValueError, match="contiguous"):
+        cffi_backend.symbolic(A.indptr, A.indices, B.indptr, B.indices,
+                              M.indptr, M.indices, rows, 0, sizes,
+                              np.zeros(B.ncols, dtype=np.int8),
+                              np.empty(B.ncols, dtype=np.int64))

@@ -342,8 +342,12 @@ def test_auto_select_routes_ktruss_regime_to_loop(rng):
 
     from repro.native import native_available
 
+    from repro.core.expand import total_flops
+    from repro.core.registry import LOOP_ROW_FLOPS
+
     n = 512
-    E = csr_random(n, n, density=32 / n, rng=rng)  # long rows, ~524k flops
+    E = csr_random(n, n, density=32 / n, rng=rng)  # ~1024 flops per row
+    assert total_flops(E, E) >= LOOP_ROW_FLOPS * n
     mask = Mask.from_matrix(E)
     # the compiled msa subsumes the loop tier's dispatch-overhead win, so a
     # passing native probe routes this regime to msa-native instead
