@@ -12,8 +12,8 @@ This ablation measures both sides of the tradeoff:
   flops bound and the symbolic phase can pay for itself — the regime where
   classic SpGEMM wisdom comes from.
 
-``msa-native``/``hash-native`` run both passes compiled, so their rows
-show what two-phase costs once the symbolic pass is no longer NumPy.
+``msa-native`` runs both passes compiled, so its rows show what
+two-phase costs once the symbolic pass is no longer NumPy.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.graphs import load_graph
 
 #: the fused kernels plus the compiled tier, whose symbolic pass is
 #: compiled too — the 2P/1P ratio the serving default would be chosen by
-ALGOS = ("msa", "hash", "mca", "heap", "inner", "msa-native", "hash-native")
+ALGOS = ("msa", "hash", "mca", "heap", "inner", "msa-native")
 GRAPHS = ("rmat-s9-e8", "er-s10-d16", "ws-s10-k4")
 
 

@@ -1,33 +1,30 @@
 """Compiled (native) kernel tier vs the fused NumPy kernels.
 
-PR 9 adds a compiled implementation of the numeric pass behind the same
-``numeric_rows``/``numeric_rows_into`` protocol: ``msa-native`` and
-``hash-native`` run C loops compiled with cffi + the system C compiler
-and fall back to their fused bases bit-identically when that tier is
-unavailable. The fused kernels pay
+The compiled tier implements the numeric pass behind the same
+``numeric_rows``/``numeric_rows_into`` protocol: ``msa-native`` runs C
+loops compiled with cffi + the system C compiler and falls back to fused
+``msa`` bit-identically when that tier is unavailable. The fused kernels pay
 per-row Python dispatch plus a NumPy temporary per accumulator step; the
 compiled row loop runs the whole numeric pass in one call, which is where
 the paper's single-thread kernel gap lives.
 
 This bench times exactly that swap on the gate workload (**tc-rmat-s13-e8**,
-the repeated-mask TC product ``L ⊙ (L·L)``, PLUS_PAIR, 2P, warm plans) for
-both accumulator families:
-
-* ``msa`` vs ``msa-native`` — dense-scratch accumulator;
-* ``hash`` vs ``hash-native`` — open-addressing accumulator.
+the repeated-mask TC product ``L ⊙ (L·L)``, PLUS_PAIR, 2P, warm plans):
+``msa`` vs ``msa-native``, the dense-scratch accumulator.
 
 Every repeat's output is checked bit-identical against the fused baseline
 before its time counts, and the fused baseline itself is checked against
 the pure-Python reference tier once (at a smaller scale — the reference
 exists for auditability, not speed).
 
-``main()`` appends one ``native``, one ``native_symbolic`` and one
-``native_accumulators`` run to ``BENCH_kernels.json`` and one
-``thread_scaling`` run to ``BENCH_service.json``:
+``main()`` appends one ``native``, one ``native_symbolic``, one
+``native_accumulators`` and one ``native_wide`` run to
+``BENCH_kernels.json`` and one ``thread_scaling`` run to
+``BENCH_service.json``:
 
-* **native** (gated): per-kernel fused/native mean latencies; acceptance
-  gate (ISSUE 9) is native ≥ **2.0×** over fused for msa and hash both;
-* **native_symbolic** (gated): per native key, the fused and the compiled
+* **native** (gated): fused/native mean latencies; the acceptance gate is
+  native ≥ **2.0×** over fused msa;
+* **native_symbolic** (gated): the fused and the compiled
   symbolic pass (sizes checked equal in every repeat) and a cold
   two-phase product (symbolic + numeric, no plan) against one-phase — the
   best real alternative a caller has. The gate is cold 2P ≤ **2.0×** 1P;
@@ -48,6 +45,11 @@ exists for auditability, not speed).
   the git revision of the ``repro`` package it measured, so a run made
   against another checkout's ``src`` (``record_accumulators()`` with that
   ``src`` on ``PYTHONPATH``) is a before/after pair;
+* **native_wide** (informational): one-phase products with wide outputs
+  (2^15–2^22 columns; 1, 64 and 1024 rows; plain and complemented masks;
+  uniform (ER) and R-MAT-skewed columns), ``msa-native`` against fused
+  ``msa``, every repeat bit-identical. The compiled loop reuses its
+  per-thread scratch, so a narrow row pays nothing for the width;
 * **thread_scaling** (informational): the compiled kernel on a
   :class:`~repro.parallel.executor.ThreadExecutor` at 1/2/4 workers vs
   serial in-process execution. The machine may expose few CPUs, so the
@@ -91,14 +93,14 @@ ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT_KERNELS = ROOT / "BENCH_kernels.json"
 ARTIFACT_SERVICE = ROOT / "BENCH_service.json"
 
-#: acceptance gate (ISSUE 9): compiled tier vs its fused base, per kernel
+#: acceptance gate: the compiled tier against fused msa
 GATE_MIN_SPEEDUP = 2.0
 #: symbolic gate: a cold two-phase product (compiled symbolic + numeric)
 #: may cost at most this multiple of the one-phase product
 GATE_MAX_COLD_2P_RATIO = 2.0
 
 CASE_SCALE, CASE_EDGE = 13, 8
-PAIRS = [("msa", "msa-native"), ("hash", "hash-native")]
+PAIRS = [("msa", "msa-native")]
 REPEATS = 5
 WARMUP = 2
 THREAD_WORKERS = (1, 2, 4)
@@ -108,6 +110,12 @@ BC_SCALE, BC_EDGE, BC_BATCH = 11, 8, 64
 #: spread over 2**WIDE_LOG_N / 64 words, so msa_compl sorts its touched list
 WIDE_LOG_N, WIDE_DEGREE, WIDE_BATCH = 18, 8, 4096
 ACC_REPEATS = 20
+#: the wide-output grid: output widths (log2), A's row counts, the inner
+#: dimension (log2) and the entries per row of A, B and the mask
+WIDE_OUT_LOG_NCOLS = (15, 18, 20, 22)
+WIDE_OUT_ROWS = (1, 64, 1024)
+WIDE_OUT_LOG_K, WIDE_OUT_DEGREE, WIDE_OUT_MASK_DEGREE = 12, 8, 16
+WIDE_OUT_REPEATS = 15
 #: a compiled pairing outside the standard semirings (min monoid, times
 #: multiply): the compiled dispatch runs it with runtime op codes
 MIN_TIMES = Semiring(MIN_PLUS.add, PLUS_TIMES.mul, "min_times",
@@ -287,6 +295,95 @@ def _wide_compl_product(log_n=WIDE_LOG_N, degree=WIDE_DEGREE,
     return [(F, g, Mask.from_matrix(F, complemented=True), PLUS_FIRST)]
 
 
+def _rect_matrix(nrows, log_ncols, degree, gen, *, skewed):
+    """``nrows × 2**log_ncols`` pattern with about ``degree`` entries per
+    row: uniform columns (ER), or (``skewed``) rows and columns drawn
+    bit by bit from the Graph500 R-MAT quadrant probabilities, as
+    :func:`repro.graphs.rmat` draws a square graph's edges."""
+    from repro.graphs.generators import GRAPH500_PARAMS
+
+    ncols = 1 << log_ncols
+    nnz = nrows * degree
+    if not skewed:
+        rows = gen.integers(0, nrows, size=nnz, dtype=np.int64)
+        cols = gen.integers(0, ncols, size=nnz, dtype=np.int64)
+    else:
+        a, b, c, _ = GRAPH500_PARAMS
+        log_rows = max(nrows - 1, 0).bit_length()
+        rows = np.zeros(nnz, dtype=np.int64)
+        cols = np.zeros(nnz, dtype=np.int64)
+        for level in range(max(log_rows, log_ncols)):
+            r = gen.random(nnz)
+            if level < log_rows:
+                rows = (rows << 1) | (r >= a + b)
+            if level < log_ncols:
+                cols = (cols << 1) | (((r >= a) & (r < a + b))
+                                      | (r >= a + b + c))
+        rows %= nrows
+    flat = np.unique(rows * ncols + cols)
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat // ncols, minlength=nrows), out=indptr[1:])
+    return CSRMatrix(indptr, flat % ncols, gen.random(flat.size),
+                     (nrows, ncols))
+
+
+def wide_cells(log_ncols=WIDE_OUT_LOG_NCOLS, row_counts=WIDE_OUT_ROWS):
+    """``(case, A, B, mask)`` for every cell of the wide-output grid, built
+    lazily from fixed seeds: A is ``rows × 2**WIDE_OUT_LOG_K``, B is
+    ``2**WIDE_OUT_LOG_K × 2**log_n``, and the mask is an independent
+    pattern of the output's shape, plain or complemented."""
+    for gen_name in ("er", "rmat"):
+        for log_n in log_ncols:
+            for nrows in row_counts:
+                skewed = gen_name == "rmat"
+                gen = np.random.default_rng([log_n, nrows, int(skewed)])
+                A = _rect_matrix(nrows, WIDE_OUT_LOG_K, WIDE_OUT_DEGREE, gen,
+                                 skewed=skewed)
+                B = _rect_matrix(1 << WIDE_OUT_LOG_K, log_n, WIDE_OUT_DEGREE,
+                                 gen, skewed=skewed)
+                M = _rect_matrix(nrows, log_n, WIDE_OUT_MASK_DEGREE, gen,
+                                 skewed=skewed)
+                for complemented in (False, True):
+                    pol = "compl" if complemented else "plain"
+                    yield (f"{gen_name}-n{log_n}-r{nrows}-{pol}", A, B,
+                           Mask.from_matrix(M, complemented=complemented))
+
+
+def bench_wide(log_ncols=WIDE_OUT_LOG_NCOLS, row_counts=WIDE_OUT_ROWS, *,
+               repeats=WIDE_OUT_REPEATS):
+    """``msa-native`` against fused ``msa`` on every wide-output cell
+    (one-phase, PLUS_TIMES); returns one row per (cell, kernel)."""
+    rows = []
+    for case, A, B, mask in wide_cells(log_ncols, row_counts):
+        fused_lat, baseline = _time(
+            lambda: masked_spgemm(A, B, mask, algorithm="msa"), None,
+            repeats=repeats)
+        native_lat, _ = _time(
+            lambda: masked_spgemm(A, B, mask, algorithm="msa-native"),
+            baseline, repeats=repeats)
+        flops = int(spgemm_flops(A, B))
+        for key, lat in (("msa", fused_lat), ("msa-native", native_lat)):
+            rows.append(_row(case, key, lat, mode="wide", ncols=B.ncols,
+                             nrows=A.nrows, flops=flops,
+                             backend=native_backend_name(),
+                             bit_identical=True, informational=True))
+    return rows
+
+
+def record_wide() -> None:
+    """Run :func:`bench_wide` and append it to ``BENCH_kernels.json`` as a
+    ``native_wide`` run."""
+    rows = bench_wide()
+    p50 = {(r["case"], r["algorithm"]): r["p50_ms"] for r in rows}
+    cases = list(dict.fromkeys(r["case"] for r in rows))
+    emit("\n[Native] wide outputs: msa-native vs fused msa (1P, p50)")
+    emit(render_table(
+        ["case", "msa (ms)", "msa-native (ms)", "speedup"],
+        [[c, p50[c, "msa"], p50[c, "msa-native"],
+          p50[c, "msa"] / p50[c, "msa-native"]] for c in cases]))
+    append_trajectory_run(ARTIFACT_KERNELS, "native_wide", rows)
+
+
 def bench_accumulators(scale=CASE_SCALE, edge=CASE_EDGE, bc_scale=BC_SCALE,
                        wide_log_n=WIDE_LOG_N, wide_batch=WIDE_BATCH,
                        *, repeats=ACC_REPEATS):
@@ -402,6 +499,7 @@ def main() -> None:
           "PASS" if g["gate_pass"] else "FAIL"] for g in sgates]))
 
     record_accumulators()
+    record_wide()
 
     trows, face = bench_threads()
     emit(f"\n[Native] threads over the compiled kernel vs inprocess "
@@ -468,7 +566,7 @@ def test_native_warm_product(benchmark):
 def test_native_symbolic_cold_2p(benchmark):
     """CI smoke: the compiled symbolic pass sizes rows exactly like the
     fused one, and a cold two-phase product through it stays bit-identical
-    to one-phase, for both native keys."""
+    to one-phase."""
     import pytest
 
     if not native_available():
@@ -504,6 +602,22 @@ def test_native_accumulators(benchmark):
     assert [r["loop"] for r in rows] == ["msa_plain"] * 3 + \
         ["msa_compl"] * 3
     assert all(r["bit_identical"] and r["products"] > 0 for r in rows)
+
+
+
+def test_native_wide_outputs(benchmark):
+    """CI smoke: the wide-output face on its narrowest width, 1 and 64
+    rows, both generators and polarities, bit-identical to fused msa on
+    every repeat."""
+    import pytest
+
+    if not native_available():
+        pytest.skip("no compiled backend on this runner")
+    rows = benchmark.pedantic(
+        lambda: bench_wide(log_ncols=(15,), row_counts=(1, 64), repeats=2),
+        rounds=1, iterations=1)
+    assert len(rows) == 2 * 2 * 2 * 2
+    assert all(r["bit_identical"] and r["ncols"] == 1 << 15 for r in rows)
 
 
 if __name__ == "__main__":

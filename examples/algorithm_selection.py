@@ -60,8 +60,9 @@ def main() -> None:
         "  * comparable densities           -> MSA/Hash win\n"
         "\n`masked_spgemm(..., algorithm='auto')` does not apply these\n"
         "regimes: when the compiled tier can run the product it picks\n"
-        "msa-native (hash-native for wide outputs), whose row loop pays no\n"
-        "per-row interpreter cost in any regime; when it cannot, it picks\n"
+        "msa-native, whose row loop pays no per-row interpreter cost in\n"
+        "any regime and whose per-thread dense accumulator is reused, so\n"
+        "wide outputs need no hash table; when it cannot, it picks\n"
         "the per-row msa-loop for rows averaging >= 700 partial products\n"
         "and the chunk-fused MSA otherwise (see tools/check_routing.py)."
     )

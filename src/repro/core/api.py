@@ -5,8 +5,8 @@
 * **algorithm** — ``msa | hash | mca | heap | heapdot | inner`` (the paper's
   kernels), ``esc`` (chunk-fused expand-sort-compress), the baselines
   ``saxpy | saxpy-scipy | dot`` (SS:GB stand-ins), or ``auto``
-  (native-first: the compiled ``msa-native``/``hash-native`` when they can
-  run the product, else the fused ``msa-loop`` for long rows and ``msa``
+  (native-first: the compiled ``msa-native`` when it can run the product,
+  else the fused ``msa-loop`` for long rows and ``msa``
   otherwise; see :func:`repro.core.registry.auto_select`);
 * **phases** — 1 (one-phase) or 2 (symbolic + numeric, paper §6);
 * **tier** — ``vectorized`` (numpy kernels) or ``reference`` (pure-Python,

@@ -8,7 +8,7 @@ paper-style label, and :func:`parse_name` accepts it back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from ..errors import AlgorithmError
@@ -129,8 +129,8 @@ def _native_entry(fn_name: str) -> Callable:
     return call
 
 
-#: the compiled tier (repro.native): execution strategies of msa/hash, not
-#: new algorithms — listed=False like msa-loop, resolvable + plan-able, and
+#: the compiled tier (repro.native): an execution strategy of msa, not a
+#: new algorithm — listed=False like msa-loop, resolvable + plan-able, and
 #: self-delegating to the fused kernels when no backend compiled
 _SPECS["msa-native"] = AlgorithmSpec(
     "msa-native", "MSA(native)", "push",
@@ -139,34 +139,27 @@ _SPECS["msa-native"] = AlgorithmSpec(
     "Compiled (C via cffi) MSA accumulator loops (two states and "
     "a branch-free flop loop for plain masks, a bitset gather for "
     "complemented ones) and a pattern-only symbolic row-size loop with "
-    "nogil chunk calls; "
+    "nogil chunk calls and per-thread scratch reused across calls; "
     "auto_select's first choice whenever the compiled tier can run the "
     "product, and the faces delegate to the fused numpy kernel when it "
     "cannot",
     numeric_into=_native_entry("msa_numeric_rows_into"),
     listed=False,
 )
-_SPECS["hash-native"] = AlgorithmSpec(
-    "hash-native", "Hash(native)", "push",
-    _native_entry("hash_numeric_rows"), _native_entry("hash_symbolic_rows"),
-    True,
-    "Compiled (C via cffi) open-addressing hash accumulator "
-    "(LF 0.25, Fibonacci slots) with nogil chunk calls, sized by the same "
-    "compiled symbolic loop as msa-native; the wide-output counterpart of "
-    "msa-native, same fallback contract",
-    numeric_into=_native_entry("hash_numeric_rows_into"),
-    listed=False,
-)
-
+#: an unlisted alias that runs the fused hash kernels. Its only reader is
+#: perfbench/regret.py, which times "hash-native" in every traced run
+_SPECS["hash-native"] = replace(
+    _SPECS["hash"], key="hash-native", listed=False,
+    description="Alias of the fused hash kernels, kept resolvable for "
+                "perfbench's routing-regret probe")
 
 #: base kernel behind each native routing key (degrade ladder + display)
-NATIVE_BASE = {"msa-native": "msa", "hash-native": "hash"}
+NATIVE_BASE = {"msa-native": "msa"}
 
 #: native routing key for each fused accumulator kernel. msa-loop maps to
 #: msa-native too: the compiled loop *is* the per-row dense accumulator
 #: that tier exists for, minus the interpreter overhead.
-_NATIVE_VARIANT = {"msa": "msa-native", "hash": "hash-native",
-                   "msa-loop": "msa-native"}
+_NATIVE_VARIANT = {"msa": "msa-native", "msa-loop": "msa-native"}
 
 
 def native_variant(key: str) -> str:
@@ -242,10 +235,6 @@ def parse_name(name: str) -> tuple[str, int]:
 #: 61 ns per product; the two cross near 690 products per row.
 LOOP_ROW_FLOPS = 700
 
-#: output width past which native-first routing picks ``hash-native``: the
-#: compiled MSA accumulator sets up ``ncols``-wide scratch on every call
-MSA_NCOLS_CUTOFF = 1 << 15
-
 
 def auto_select(A, B, mask, *, semiring=None) -> str:
     """Pick the kernel for ``mask ⊙ (A·B)`` under ``semiring`` (None means
@@ -253,14 +242,16 @@ def auto_select(A, B, mask, *, semiring=None) -> str:
 
     **Native first.** When the compiled tier (:mod:`repro.native`) can run
     the product itself — a backend probed available, the semiring is in
-    its op table and the operands are float64/int64 — the pick is
-    ``msa-native``, or ``hash-native`` past :data:`MSA_NCOLS_CUTOFF` output
-    columns, for plain and complemented masks alike. The paper's Fig. 7
-    regimes assume every kernel pays the same per-row constant; the
-    compiled loops restore that: on the Fig. 7 grid
-    (``tools/check_routing.py``) msa-native wins every plain-mask cell,
-    including the mask ≪ inputs corner the pull kernel was meant for, and
-    stays within ~1.2× of hash-native on complemented ones.
+    its op table, the operands are float64/int64 and the output is at most
+    :data:`~repro.native.kernels.MSA_NCOLS_CAP` (2^22) columns wide — the
+    pick is ``msa-native``, for plain and complemented masks alike. Its
+    dense accumulator is reused per thread, so wide outputs cost no
+    per-call set-up and need no hash rule. The paper's Fig. 7 regimes
+    assume every kernel pays the same per-row constant; the compiled loops
+    restore that: msa-native wins every cell of ``tools/check_routing.py``
+    (the Fig. 7 grid, its wide-output column and the held-out R-MAT
+    products), including the mask ≪ inputs corner the pull kernel was
+    meant for.
 
     **Fused fallback.** Otherwise one rule, fitted on the Fig. 7 grid plus
     a wide-output column and checked on held-out R-MAT products
@@ -279,7 +270,7 @@ def auto_select(A, B, mask, *, semiring=None) -> str:
 
     semiring = PLUS_TIMES if semiring is None else semiring
     if native_kernels.eligible(A, B, mask, semiring):
-        return "msa-native" if B.ncols <= MSA_NCOLS_CUTOFF else "hash-native"
+        return "msa-native"
     if total_flops(A, B) >= LOOP_ROW_FLOPS * max(A.nrows, 1):
         return "msa-loop"
     return "msa"

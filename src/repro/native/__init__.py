@@ -1,10 +1,13 @@
 """repro.native — the compiled (C) kernel tier.
 
-The fused numpy kernels (PRs 2+4) are bound by numpy dispatch overhead, not
-memory traffic; this package supplies the tight compiled inner loops the
-paper's C++ numbers imply, behind the existing kernel registry as the
-``msa-native`` / ``hash-native`` routing tiers (``listed=False`` — execution
-strategies of msa/hash, not new algorithms).
+The fused numpy kernels are bound by numpy dispatch overhead, not memory
+traffic; this package supplies the tight compiled inner loops the paper's
+C++ numbers imply, behind the existing kernel registry as the
+``msa-native`` routing tier (``listed=False`` — an execution strategy of
+msa, not a new algorithm). Its dense accumulator is allocated once per
+thread and reused across calls, so it also serves the wide outputs
+(up to :data:`~repro.native.kernels.MSA_NCOLS_CAP` columns) the paper
+gives to Hash.
 
 The loops are C, compiled by :mod:`repro.native.cffi_backend` with whatever
 C compiler is on PATH and loaded through cffi (``pip install repro[native]``).

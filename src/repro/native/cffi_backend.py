@@ -1,8 +1,8 @@
 """cffi/C backend for the compiled kernel tier.
 
-The five inner loops of the native tier (see :mod:`repro.native`) — four
-numeric passes (MSA and hash, plain and complemented masks) and one
-pattern-only symbolic pass — are compiled once from the embedded C source
+The three inner loops of the native tier (see :mod:`repro.native`) — two
+MSA numeric passes (plain and complemented masks) and one pattern-only
+symbolic pass — are compiled once from the embedded C source
 below with the system C compiler into a shared object, loaded ABI-mode
 through :mod:`cffi`, and called with zero-copy pointers into the operand
 arrays. cffi releases the GIL for the duration of every foreign call, which
@@ -66,7 +66,6 @@ import hashlib
 import os
 import shutil
 import subprocess
-import sys
 import tempfile
 
 C_DECLS = """
@@ -90,25 +89,6 @@ int64_t msa_compl(const int64_t *a_indptr, const int64_t *a_indices,
                   int64_t *out_cols, double *out_vals,
                   signed char *states, double *values, int64_t *touched,
                   uint64_t *bits);
-int64_t hash_plain(const int64_t *a_indptr, const int64_t *a_indices,
-                   const double *a_data, const int64_t *b_indptr,
-                   const int64_t *b_indices, const double *b_data,
-                   const int64_t *m_indptr, const int64_t *m_indices,
-                   const int64_t *rows, int64_t nrows,
-                   int64_t add_op, int64_t mul_op, double identity,
-                   int64_t *offsets, int64_t validate,
-                   int64_t *out_cols, double *out_vals,
-                   int64_t *t_keys, signed char *t_state, double *t_vals);
-int64_t hash_compl(const int64_t *a_indptr, const int64_t *a_indices,
-                   const double *a_data, const int64_t *b_indptr,
-                   const int64_t *b_indices, const double *b_data,
-                   const int64_t *m_indptr, const int64_t *m_indices,
-                   const int64_t *rows, int64_t nrows, const int64_t *nkeys,
-                   int64_t add_op, int64_t mul_op, double identity,
-                   int64_t *offsets, int64_t validate,
-                   int64_t *out_cols, double *out_vals,
-                   int64_t *t_keys, signed char *t_state, double *t_vals,
-                   int64_t *touched);
 void symbolic(const int64_t *a_indptr, const int64_t *a_indices,
               const int64_t *b_indptr, const int64_t *b_indices,
               const int64_t *m_indptr, const int64_t *m_indices,
@@ -145,19 +125,6 @@ static inline double op_mul(i64 op, double a, double b) {
     }
 }
 
-/* Fibonacci slot hash, same multiplier as repro.core.hash_kernel. */
-static inline i64 hslot(i64 key, i64 cap_mask) {
-    return (i64)((((uint64_t)key) * 0x9E3779B97F4A7C15ULL) >> 32) & cap_mask;
-}
-
-/* LF-0.25 power-of-two capacity, min 4 (repro.accumulators.table_capacity) */
-static inline i64 pow2cap(i64 nkeys) {
-    i64 cap = 4;
-    i64 need = nkeys * 4;
-    while (cap < need) cap <<= 1;
-    return cap;
-}
-
 static int cmp_i64(const void *pa, const void *pb) {
     i64 a = *(const i64 *)pa, b = *(const i64 *)pb;
     return (a > b) - (a < b);
@@ -178,6 +145,12 @@ static inline i64 bitlen(i64 x) {
  * gather tells ALLOWED (1) from SET (3). A column hit while not allowed
  * keeps a stale 2 and a junk value that no gather reads: marking a later
  * row's mask columns assigns 1 and the identity again.
+ *
+ * The scratch arrays (`states`, `values`, `touched`, `bits`) are reused
+ * across calls, one set per thread (repro.native.kernels._Scratch). The
+ * plain loops accept and leave stale states, so they get a `states` array
+ * of their own; the complemented and symbolic loops need `states` and
+ * `bits` all zero on entry and leave them zero, on every return path.
  *
  * Both MSA loops take restrict pointers: the arrays they write (outputs,
  * offsets, scratch) never overlap the operands, which are only read (A and
@@ -250,8 +223,9 @@ ALWAYS_INLINE i64 msa_plain_body(
  * 0.0; a hit column counts at least 1.0 and an allowed miss stays 0.0, so
  * the gather keeps `values[c] > 0.0` — the bits the two-state loop emits
  * (0.0 + 1.0 + ... in stream order). Columns outside the mask count junk
- * that no gather reads (`values` comes zeroed, so the junk stays finite);
- * a later row that allows them presets 0.0 again. */
+ * that no gather reads (`values` was zeroed when allocated, so it never
+ * holds uninitialised bits); a later row or call that allows them presets
+ * 0.0 again. */
 static i64 msa_plain_count(
     const i64 *restrict a_indptr, const i64 *restrict a_indices,
     const i64 *restrict b_indptr, const i64 *restrict b_indices,
@@ -458,128 +432,6 @@ i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
 #undef MSA_COMPL_BODY
 }
 
-i64 hash_plain(const i64 *a_indptr, const i64 *a_indices, const double *a_data,
-               const i64 *b_indptr, const i64 *b_indices, const double *b_data,
-               const i64 *m_indptr, const i64 *m_indices,
-               const i64 *rows, i64 nrows,
-               i64 add_op, i64 mul_op, double identity,
-               i64 *offsets, i64 validate,
-               i64 *out_cols, double *out_vals,
-               i64 *t_keys, signed char *t_state, double *t_vals)
-{
-    for (i64 r = 0; r < nrows; ++r) {
-        i64 i = rows[r];
-        i64 ms = m_indptr[i], me = m_indptr[i + 1];
-        i64 cap = pow2cap(me - ms), cm = cap - 1;
-        for (i64 s = 0; s < cap; ++s) t_keys[s] = -1;
-        for (i64 t = ms; t < me; ++t) {          /* insert allowed columns */
-            i64 c = m_indices[t];
-            i64 s = hslot(c, cm);
-            while (t_keys[s] != -1 && t_keys[s] != c) s = (s + 1) & cm;
-            if (t_keys[s] == -1) { t_keys[s] = c; t_state[s] = 1; }
-        }
-        for (i64 p = a_indptr[i]; p < a_indptr[i + 1]; ++p) {
-            i64 k = a_indices[p];
-            double av = a_data[p];
-            for (i64 q = b_indptr[k]; q < b_indptr[k + 1]; ++q) {
-                i64 j = b_indices[q];
-                i64 s = hslot(j, cm);
-                while (t_keys[s] != -1 && t_keys[s] != j) s = (s + 1) & cm;
-                if (t_keys[s] == -1) continue;    /* not in the mask */
-                double prod = op_mul(mul_op, av, b_data[q]);
-                if (t_state[s] == 1) {
-                    t_vals[s] = op_add(add_op, identity, prod);
-                    t_state[s] = 2;
-                } else {
-                    t_vals[s] = op_add(add_op, t_vals[s], prod);
-                }
-            }
-        }
-        i64 pos;
-        if (validate) {
-            i64 n = 0;
-            for (i64 t = ms; t < me; ++t) {
-                i64 c = m_indices[t];
-                i64 s = hslot(c, cm);
-                while (t_keys[s] != c) s = (s + 1) & cm;
-                if (t_state[s] == 2) n++;
-            }
-            if (n != offsets[r + 1] - offsets[r]) return r;
-        }
-        pos = offsets[r];
-        for (i64 t = ms; t < me; ++t) {           /* gather in mask order */
-            i64 c = m_indices[t];
-            i64 s = hslot(c, cm);
-            while (t_keys[s] != c) s = (s + 1) & cm;
-            if (t_state[s] == 2) {
-                out_cols[pos] = c;
-                out_vals[pos] = t_vals[s];
-                pos++;
-            }
-        }
-        if (!validate) offsets[r + 1] = pos;
-    }
-    return -1;
-}
-
-i64 hash_compl(const i64 *a_indptr, const i64 *a_indices, const double *a_data,
-               const i64 *b_indptr, const i64 *b_indices, const double *b_data,
-               const i64 *m_indptr, const i64 *m_indices,
-               const i64 *rows, i64 nrows, const i64 *nkeys,
-               i64 add_op, i64 mul_op, double identity,
-               i64 *offsets, i64 validate,
-               i64 *out_cols, double *out_vals,
-               i64 *t_keys, signed char *t_state, double *t_vals,
-               i64 *touched)
-{
-    for (i64 r = 0; r < nrows; ++r) {
-        i64 i = rows[r];
-        i64 ms = m_indptr[i], me = m_indptr[i + 1];
-        i64 cap = pow2cap(nkeys[r]), cm = cap - 1;
-        for (i64 s = 0; s < cap; ++s) t_keys[s] = -1;
-        for (i64 t = ms; t < me; ++t) {           /* insert banned columns */
-            i64 c = m_indices[t];
-            i64 s = hslot(c, cm);
-            while (t_keys[s] != -1 && t_keys[s] != c) s = (s + 1) & cm;
-            if (t_keys[s] == -1) { t_keys[s] = c; t_state[s] = 1; }
-        }
-        i64 nt = 0;
-        for (i64 p = a_indptr[i]; p < a_indptr[i + 1]; ++p) {
-            i64 k = a_indices[p];
-            double av = a_data[p];
-            for (i64 q = b_indptr[k]; q < b_indptr[k + 1]; ++q) {
-                i64 j = b_indices[q];
-                i64 s = hslot(j, cm);
-                while (t_keys[s] != -1 && t_keys[s] != j) s = (s + 1) & cm;
-                double prod;
-                if (t_keys[s] == -1) {
-                    prod = op_mul(mul_op, av, b_data[q]);
-                    t_keys[s] = j;
-                    t_state[s] = 2;
-                    t_vals[s] = op_add(add_op, identity, prod);
-                    touched[nt++] = j;
-                } else if (t_state[s] == 2) {
-                    prod = op_mul(mul_op, av, b_data[q]);
-                    t_vals[s] = op_add(add_op, t_vals[s], prod);
-                }                                  /* state 1: banned */
-            }
-        }
-        if (validate && nt != offsets[r + 1] - offsets[r]) return r;
-        qsort(touched, (size_t)nt, sizeof(i64), cmp_i64);
-        i64 pos = offsets[r];
-        for (i64 t = 0; t < nt; ++t) {
-            i64 c = touched[t];
-            i64 s = hslot(c, cm);
-            while (t_keys[s] != c) s = (s + 1) & cm;
-            out_cols[pos] = c;
-            out_vals[pos] = t_vals[s];
-            pos++;
-        }
-        if (!validate) offsets[r + 1] = pos;
-    }
-    return -1;
-}
-
 /* Pattern-only row sizes (the symbolic pass), one dense state array for
  * both polarities: mask columns are marked 1, and a column counts on its
  * first hit while still in the "fresh" state — 1 (allowed, untouched) for
@@ -647,7 +499,12 @@ def load():
     cc = _compiler()
     if cc is None:
         raise RuntimeError("no C compiler on PATH")
-    flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
+    # -falign-loops=32 starts every loop on a 32-byte boundary, so a loop's
+    # speed does not hang on where the code before it happens to end:
+    # without it, deleting unrelated functions from this file made the
+    # plus_pair counter loop 22% slower on a Xeon (and the flag restored it)
+    flags = ["-O3", "-ffp-contract=off", "-falign-loops=32", "-fPIC",
+             "-shared"]
     tag = hashlib.sha256(
         (C_SOURCE + "\x00" + cc + " ".join(flags)).encode()).hexdigest()[:16]
     cache = _cache_dir()
@@ -714,32 +571,6 @@ def msa_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
         add_op, mul_op, identity, _i64(offsets), validate,
         _i64(out_cols), _f64(out_vals), _i8(states), _f64(values),
         _i64(touched), _p(bits, "uint64_t *")))
-
-
-def hash_plain(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
-               m_indptr, m_indices, rows, add_op, mul_op, identity,
-               offsets, validate, out_cols, out_vals, t_keys, t_state,
-               t_vals) -> int:
-    return int(load().hash_plain(
-        _i64(a_indptr), _i64(a_indices), _f64(a_data),
-        _i64(b_indptr), _i64(b_indices), _f64(b_data),
-        _i64(m_indptr), _i64(m_indices), _i64(rows), rows.size,
-        add_op, mul_op, identity, _i64(offsets), validate,
-        _i64(out_cols), _f64(out_vals), _i64(t_keys), _i8(t_state),
-        _f64(t_vals)))
-
-
-def hash_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
-               m_indptr, m_indices, rows, nkeys, add_op, mul_op, identity,
-               offsets, validate, out_cols, out_vals, t_keys, t_state,
-               t_vals, touched) -> int:
-    return int(load().hash_compl(
-        _i64(a_indptr), _i64(a_indices), _f64(a_data),
-        _i64(b_indptr), _i64(b_indices), _f64(b_data),
-        _i64(m_indptr), _i64(m_indices), _i64(rows), rows.size, _i64(nkeys),
-        add_op, mul_op, identity, _i64(offsets), validate,
-        _i64(out_cols), _f64(out_vals), _i64(t_keys), _i8(t_state),
-        _f64(t_vals), _i64(touched)))
 
 
 def symbolic(a_indptr, a_indices, b_indptr, b_indices, m_indptr, m_indices,

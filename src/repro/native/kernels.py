@@ -1,27 +1,34 @@
 """Protocol faces of the compiled kernel tier.
 
 These wrap the compiled C backend the probe resolved (see the package
-docstring) behind the repo-wide kernel protocol, so the registry specs
-``msa-native`` / ``hash-native`` are just another pair of kernels:
+docstring) behind the repo-wide kernel protocol, so the registry spec
+``msa-native`` is just another kernel:
 
-``msa_numeric_rows`` / ``hash_numeric_rows``
+``msa_numeric_rows``
     stitch face — compute requested rows compactly and return a RowBlock;
-``msa_numeric_rows_into`` / ``hash_numeric_rows_into``
+``msa_numeric_rows_into``
     direct-write face — scatter into preallocated CSR arrays at planned
     offsets, validating computed sizes first (same contract and same error
     as :func:`repro.core.types.write_block_into`);
-``msa_symbolic_rows`` / ``hash_symbolic_rows``
+``msa_symbolic_rows``
     symbolic face — exact output-row sizes from the patterns alone (paper
-    §6), one compiled dense-state loop behind both keys.
+    §6), one compiled dense-state loop.
 
 Every face **delegates to the fused numpy kernel** when the compiled tier
 cannot serve the call — backend unavailable, a semiring outside the
-compiled op table, non-float64/int64 operands, or an output too wide for
-the dense scratch. The symbolic pass is pattern-only, so its face checks
-no semiring or data dtype. The fused kernels are bit-identical to the
-compiled loops by construction (gated in ``tests/test_native.py`` and
+compiled op table, non-float64/int64 operands, or an output wider than
+:data:`MSA_NCOLS_CAP`. The symbolic pass is pattern-only, so its face
+checks no semiring or data dtype. The fused kernels are bit-identical to
+the compiled loops by construction (gated in ``tests/test_native.py`` and
 ``benchmarks/bench_native.py``), so delegation is invisible to callers:
-the native keys always compute the same product, merely slower.
+the native key always computes the same product, merely slower.
+
+The dense accumulator is allocated once per thread and reused, as the
+paper's MSA is (§5.2): each thread keeps one grow-only scratch set
+(:class:`_Scratch`) as wide as the widest output it has computed, so a
+call pays no ``ncols``-wide allocation or zeroing. It is per thread
+because the thread executor's chunks and the server's workers run
+products at the same time.
 
 Every face takes a bitmap mask (:meth:`repro.mask.Mask.from_bitmap`) as it
 takes a CSR one, through the mask's CSR view. The one exception is the
@@ -30,13 +37,16 @@ complemented MSA loop, which reads a complemented bitmap's rows in place.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..errors import AlgorithmError
 from ..validation import INDEX_DTYPE
 
-#: widest MSA output the dense accumulator scratch is worth allocating for;
-#: beyond this the hash table (or the fused kernel's composite keys) wins
+#: widest output the compiled tier serves: its per-thread scratch takes
+#: about 18 bytes per column (72 MiB at the cap); wider products go to the
+#: fused kernels, whose scratch grows with the work, not the width
 MSA_NCOLS_CAP = 1 << 22
 
 _ADD_CODES = None   # (np.ufunc, identity bits) -> (code, identity)
@@ -119,34 +129,63 @@ def _compilable(A, B) -> bool:
 
 def eligible(A, B, mask, semiring) -> bool:
     """True when the compiled tier runs this product itself rather than
-    delegating: a backend resolved, the semiring is in the op table and
-    the operands are float64/int64 (the native-first rule of
+    delegating: a backend resolved, the semiring is in the op table, the
+    operands are float64/int64 and the output is at most
+    :data:`MSA_NCOLS_CAP` wide (the native-first rule of
     :func:`repro.core.registry.auto_select`)."""
     return (_backend() is not None and supported(semiring)
-            and _compilable(A, B))
+            and _compilable(A, B) and B.ncols <= MSA_NCOLS_CAP)
 
 
 def _c(arr):
     return np.ascontiguousarray(arr)
 
 
-def _pow2cap(nkeys: int) -> int:
-    cap = 4
-    need = int(nkeys) * 4
-    while cap < need:
-        cap <<= 1
-    return cap
-
-
-def _compl_bounds(A, B, mask, rows):
-    """Per-row output upper bound + hash-table key budget for complemented
-    masks: distinct surviving columns ≤ min(flops_i, ncols − banned_i)."""
+def _compl_bound(A, B, mask, rows) -> int:
+    """Output upper bound for complemented masks: a row's distinct
+    surviving columns are at most min(flops_i, ncols − banned_i)."""
     from ..core.expand import per_row_flops
 
     mlens = mask.row_nnz(rows)
     flops = per_row_flops(A, B)[rows] if A.nnz else np.zeros_like(mlens)
-    bound = np.minimum(flops, B.ncols - mlens)
-    return mlens, bound, mlens + bound
+    return int(np.minimum(flops, B.ncols - mlens).sum())
+
+
+class _Scratch:
+    """One thread's accumulator scratch, ``ncols`` wide, reused by every
+    compiled call on that thread.
+
+    The complemented and symbolic loops need ``states`` and ``bits`` all
+    zero on entry and leave them zero. The plain loops leave stale hit
+    states in columns outside the mask, so they keep their own
+    ``plain_states``; sharing ``states`` would hand those stale hits to
+    the next complemented or symbolic call. ``values`` is shared: every
+    loop sets a column before it gathers it. It starts zeroed, so a loop
+    never folds into uninitialised bits, only into an earlier product's
+    values, which no gather reads.
+    """
+
+    __slots__ = ("ncols", "plain_states", "states", "values", "touched",
+                 "bits")
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.plain_states = np.zeros(ncols, dtype=np.int8)
+        self.states = np.zeros(ncols, dtype=np.int8)
+        self.values = np.zeros(ncols, dtype=np.float64)
+        self.touched = np.empty(ncols, dtype=INDEX_DTYPE)
+        self.bits = np.zeros((ncols + 63) // 64, dtype=np.uint64)
+
+
+_LOCAL = threading.local()
+
+
+def _scratch(ncols: int) -> _Scratch:
+    """This thread's scratch, regrown (never shrunk) to ``ncols``."""
+    s = getattr(_LOCAL, "scratch", None)
+    if s is None or s.ncols < ncols:
+        s = _LOCAL.scratch = _Scratch(ncols)
+    return s
 
 
 # --------------------------------------------------------------------- #
@@ -157,24 +196,19 @@ def _compl_bounds(A, B, mask, rows):
 def _msa_call(be, A, B, mask, rows, codes, offsets, validate,
               out_cols, out_vals):
     add_op, mul_op, identity = codes
-    ncols = B.ncols
-    states = np.zeros(ncols, dtype=np.int8)
-    # zeroed, not empty: the plain loops (two-state and plus_pair counter)
-    # fold every flop into its column, allowed or not, and must never read
-    # uninitialised (or denormal) junk
-    values = np.zeros(ncols, dtype=np.float64)
+    scratch = _scratch(B.ncols)
     operands = (_c(A.indptr), _c(A.indices), _c(A.data),
                 _c(B.indptr), _c(B.indices), _c(B.data))
     tail = (rows, add_op, mul_op, identity, offsets, validate,
-            out_cols, out_vals, states, values)
+            out_cols, out_vals)
     if mask.complemented:
-        touched = np.empty(ncols, dtype=INDEX_DTYPE)
-        bits = np.zeros((ncols + 63) // 64, dtype=np.uint64)
         # a complemented bitmap is read in place: its CSR view is never built
         banned = ((None, None, mask.bitmap) if mask.bitmap is not None
                   else (_c(mask.indptr), _c(mask.indices), None))
-        return be.msa_compl(*operands, *banned, *tail, touched, bits)
-    return be.msa_plain(*operands, _c(mask.indptr), _c(mask.indices), *tail)
+        return be.msa_compl(*operands, *banned, *tail, scratch.states,
+                            scratch.values, scratch.touched, scratch.bits)
+    return be.msa_plain(*operands, _c(mask.indptr), _c(mask.indices), *tail,
+                        scratch.plain_states, scratch.values)
 
 
 def _msa_compiles(be, codes, A, B, mask) -> bool:
@@ -192,11 +226,8 @@ def msa_numeric_rows(A, B, mask, semiring, rows):
         return msa_kernel.numeric_rows(A, B, mask, semiring, rows)
     if rows.size == 0:
         return empty_block(0)
-    if mask.complemented:
-        _, per_row_bound, _ = _compl_bounds(A, B, mask, rows)
-        bound = int(per_row_bound.sum())
-    else:
-        bound = int(mask.row_nnz(rows).sum())
+    bound = (_compl_bound(A, B, mask, rows) if mask.complemented
+             else int(mask.row_nnz(rows).sum()))
     offsets = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
     out_cols = np.empty(bound, dtype=INDEX_DTYPE)
     out_vals = np.empty(bound, dtype=np.float64)
@@ -228,108 +259,25 @@ def msa_numeric_rows_into(A, B, mask, semiring, rows, out_cols, out_vals,
 
 
 # --------------------------------------------------------------------- #
-# Hash (per-row open-addressing table, LF 0.25, Fibonacci slots)
+# symbolic pass (pattern-only)
 # --------------------------------------------------------------------- #
-def _hash_call(be, A, B, mask, rows, codes, offsets, validate,
-               out_cols, out_vals):
-    add_op, mul_op, identity = codes
-    if mask.complemented:
-        _, _, nkeys = _compl_bounds(A, B, mask, rows)
-        nkeys = np.ascontiguousarray(nkeys, dtype=INDEX_DTYPE)
-        cap = _pow2cap(int(nkeys.max()) if nkeys.size else 0)
-    else:
-        mlens = mask.row_nnz(rows)
-        nkeys = None
-        cap = _pow2cap(int(mlens.max()) if mlens.size else 0)
-    t_keys = np.empty(cap, dtype=INDEX_DTYPE)
-    t_state = np.empty(cap, dtype=np.int8)
-    t_vals = np.empty(cap, dtype=np.float64)
-    args = (_c(A.indptr), _c(A.indices), _c(A.data),
-            _c(B.indptr), _c(B.indices), _c(B.data),
-            _c(mask.indptr), _c(mask.indices), rows)
-    tail = (codes[0], codes[1], identity, offsets, validate,
-            out_cols, out_vals, t_keys, t_state, t_vals)
-    if mask.complemented:
-        touched = np.empty(cap, dtype=INDEX_DTYPE)
-        return be.hash_compl(*args, nkeys, *tail, touched)
-    return be.hash_plain(*args, *tail)
+def msa_symbolic_rows(A, B, mask, rows):
+    from ..core import msa_kernel
 
-
-def hash_numeric_rows(A, B, mask, semiring, rows):
-    from ..core import hash_kernel
-    from ..core.types import RowBlock, empty_block
-
-    rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
-    be, codes = _backend(), op_codes(semiring)
-    if be is None or codes is None or not _compilable(A, B):
-        return hash_kernel.numeric_rows(A, B, mask, semiring, rows)
-    if rows.size == 0:
-        return empty_block(0)
-    if mask.complemented:
-        _, per_row_bound, _ = _compl_bounds(A, B, mask, rows)
-        bound = int(per_row_bound.sum())
-    else:
-        bound = int(mask.row_nnz(rows).sum())
-    offsets = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
-    out_cols = np.empty(bound, dtype=INDEX_DTYPE)
-    out_vals = np.empty(bound, dtype=np.float64)
-    _hash_call(be, A, B, mask, rows, codes, offsets, 0, out_cols, out_vals)
-    total = int(offsets[-1])
-    return RowBlock(np.diff(offsets), out_cols[:total], out_vals[:total])
-
-
-def hash_numeric_rows_into(A, B, mask, semiring, rows, out_cols, out_vals,
-                           offsets):
-    from ..core import hash_kernel
-
-    rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
-    be, codes = _backend(), op_codes(semiring)
-    if be is None or codes is None or not _compilable(A, B):
-        return hash_kernel.numeric_rows_into(A, B, mask, semiring, rows,
-                                             out_cols, out_vals, offsets)
-    if rows.size == 0:
-        return
-    offsets = np.ascontiguousarray(offsets, dtype=INDEX_DTYPE)
-    bad = _hash_call(be, A, B, mask, rows, codes, offsets, 1,
-                     out_cols, out_vals)
-    if bad >= 0:
-        raise AlgorithmError(
-            "hash-native: computed row sizes differ from the planned "
-            "offsets — stale plan (operand patterns changed since the "
-            "symbolic pass) or kernel divergence"
-        )
-
-
-# --------------------------------------------------------------------- #
-# symbolic pass (pattern-only, shared by both native keys)
-# --------------------------------------------------------------------- #
-def _symbolic_rows(fused, A, B, mask, rows):
     rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
     be = _backend()
     if (be is None or not _int64_indices(A, B)
             or B.ncols > MSA_NCOLS_CAP):
-        return fused(A, B, mask, rows)
+        return msa_kernel.symbolic_rows(A, B, mask, rows)
     sizes = np.zeros(rows.size, dtype=INDEX_DTYPE)
     if rows.size == 0:
         return sizes
-    states = np.zeros(B.ncols, dtype=np.int8)
-    touched = np.empty(B.ncols, dtype=INDEX_DTYPE)
+    scratch = _scratch(B.ncols)
     be.symbolic(_c(A.indptr), _c(A.indices), _c(B.indptr), _c(B.indices),
                 _c(mask.indptr), _c(mask.indices), rows,
-                int(mask.complemented), sizes, states, touched)
+                int(mask.complemented), sizes, scratch.states,
+                scratch.touched)
     return sizes
-
-
-def msa_symbolic_rows(A, B, mask, rows):
-    from ..core import msa_kernel
-
-    return _symbolic_rows(msa_kernel.symbolic_rows, A, B, mask, rows)
-
-
-def hash_symbolic_rows(A, B, mask, rows):
-    from ..core import hash_kernel
-
-    return _symbolic_rows(hash_kernel.symbolic_rows, A, B, mask, rows)
 
 
 # --------------------------------------------------------------------- #
@@ -342,7 +290,7 @@ def self_test(backend_mod) -> None:
     and complemented masks (the probe's correctness gate). Also forces
     the ``dlopen`` so the compile cost lands here, off the request
     path."""
-    from ..core import hash_kernel, msa_kernel
+    from ..core import msa_kernel
     from ..mask import Mask
     from ..semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES
     from ..sparse.csr import CSRMatrix
@@ -374,40 +322,30 @@ def self_test(backend_mod) -> None:
                     complemented=complemented)
         want_sizes = msa_kernel.symbolic_rows(A, A, mask, rows)
         with mock.patch(f"{__name__}._backend", lambda m=backend_mod: m):
-            got_sizes = (msa_symbolic_rows(A, A, mask, rows),
-                         hash_symbolic_rows(A, A, mask, rows))
-        if not all(np.array_equal(want_sizes, g) for g in got_sizes):
+            got_sizes = msa_symbolic_rows(A, A, mask, rows)
+        if not np.array_equal(want_sizes, got_sizes):
             raise RuntimeError(f"native self-test symbolic mismatch "
                                f"(complemented={complemented})")
         for semiring in (PLUS_TIMES, PLUS_PAIR, MIN_PLUS):
-            want_msa = msa_kernel.numeric_rows(A, A, mask, semiring, rows)
-            want_hash = hash_kernel.numeric_rows(A, A, mask, semiring, rows)
+            want = msa_kernel.numeric_rows(A, A, mask, semiring, rows)
             with mock.patch(f"{__name__}._backend",
                             lambda m=backend_mod: m):
-                got_msa = msa_numeric_rows(A, A, mask, semiring, rows)
-                got_hash = hash_numeric_rows(A, A, mask, semiring, rows)
+                got = msa_numeric_rows(A, A, mask, semiring, rows)
                 # direct-write face against the stitch face's sizes
                 offs = np.zeros(n + 1, dtype=INDEX_DTYPE)
-                np.cumsum(got_msa.sizes, out=offs[1:])
+                np.cumsum(got.sizes, out=offs[1:])
                 into_cols = np.empty(int(offs[-1]), dtype=INDEX_DTYPE)
                 into_vals = np.empty(int(offs[-1]), dtype=np.float64)
                 msa_numeric_rows_into(A, A, mask, semiring, rows,
                                       into_cols, into_vals, offs)
-                hash_into_cols = np.empty(int(offs[-1]), dtype=INDEX_DTYPE)
-                hash_into_vals = np.empty(int(offs[-1]), dtype=np.float64)
-                hash_numeric_rows_into(A, A, mask, semiring, rows,
-                                       hash_into_cols, hash_into_vals, offs)
-            for want, got in ((want_msa, got_msa), (want_hash, got_hash)):
-                if not (np.array_equal(want.sizes, got.sizes)
-                        and np.array_equal(want.cols, got.cols)
-                        and np.array_equal(want.vals, got.vals)):
-                    raise RuntimeError(
-                        f"native self-test mismatch (complemented="
-                        f"{complemented}, semiring={semiring.name})")
-            if not (np.array_equal(into_cols, want_msa.cols)
-                    and np.array_equal(into_vals, want_msa.vals)
-                    and np.array_equal(hash_into_cols, want_hash.cols)
-                    and np.array_equal(hash_into_vals, want_hash.vals)):
+            if not (np.array_equal(want.sizes, got.sizes)
+                    and np.array_equal(want.cols, got.cols)
+                    and np.array_equal(want.vals, got.vals)):
+                raise RuntimeError(
+                    f"native self-test mismatch (complemented="
+                    f"{complemented}, semiring={semiring.name})")
+            if not (np.array_equal(into_cols, want.cols)
+                    and np.array_equal(into_vals, want.vals)):
                 raise RuntimeError(
                     f"native self-test direct-write mismatch (complemented="
                     f"{complemented}, semiring={semiring.name})")

@@ -68,14 +68,15 @@ KERNEL_TIERS = ("native", "fused", "loop", "baseline")
 
 def kernel_tier(algorithm: str) -> str:
     """Map a resolved kernel key to the coarse execution tier it runs on:
-    ``native`` (compiled msa-native/hash-native), ``loop`` (the per-row
+    ``native`` (a compiled key of :data:`~repro.core.registry.NATIVE_BASE`;
+    the ``hash-native`` alias runs fused kernels), ``loop`` (the per-row
     reference rung), ``baseline`` (whole-matrix baselines), else ``fused``
     (the vectorised numpy kernels). The engine stamps the tier of the
     kernel that *actually executed* — not the one routing picked — onto
     each request, so degraded-to-fused traffic is distinguishable in
     ``repro_kernel_requests_total`` and the ``serve --smoke`` report."""
     key = algorithm.lower()
-    if key.endswith("-native"):
+    if key in NATIVE_BASE:
         return "native"
     if key.endswith("-loop"):
         return "loop"
@@ -542,7 +543,7 @@ class Engine:
         """The numeric pass and its degrade ladder, one rung at a time.
 
         The rungs are the resolved kernel, then — for a native key
-        (``msa-native``/``hash-native``) — its fused base kernel
+        (``msa-native``) — its fused base kernel
         (:data:`~repro.core.registry.NATIVE_BASE`), then the per-row
         ``msa-loop`` kernel, run serially. Every registered kernel computes
         the same masked product, so each rung is bit-identical. Baselines

@@ -17,6 +17,7 @@ from repro.core.registry import (BASELINE_KEYS, LOOP_ROW_FLOPS, auto_select,
                                  get_spec, parse_name)
 from repro.errors import AlgorithmError
 from repro.mask import Mask
+from repro.native.kernels import MSA_NCOLS_CAP
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
 from repro.sparse import CSRMatrix, csr_random
 
@@ -172,18 +173,21 @@ def test_auto_select_float32_values_keep_fused_pick(rng):
 
 
 @needs_native
-def test_auto_select_wide_output_routes_to_hash_native(rng):
-    wide = (1 << 15) + 1
+@pytest.mark.parametrize("wide,pick", [((1 << 15) + 1, "msa-native"),
+                                       (MSA_NCOLS_CAP, "msa-native"),
+                                       (MSA_NCOLS_CAP + 1, "msa")])
+def test_auto_select_wide_output_routes_to_msa(rng, wide, pick):
+    """The compiled MSA reuses its per-thread scratch, so it serves wide
+    outputs up to MSA_NCOLS_CAP columns; past the cap the product goes to
+    fused msa, which works in mask-rank space and allocates nothing
+    ``ncols`` wide."""
     A = csr_random(64, 64, density=0.1, rng=rng)
-    B = csr_random(64, wide, density=16 / wide, rng=rng)
-    mask = Mask.from_matrix(csr_random(64, wide, density=8 / wide, rng=rng))
-    assert auto_select(A, B, mask) == "hash-native"
-    # fused msa works in mask-rank space: the fused fallback needs no
-    # wide-output rule
-    assert fused_table_pick(A, B, mask) == "msa"
+    B = csr_random(64, wide, nnz=64 * 16, rng=rng)
+    mask = Mask.from_matrix(csr_random(64, wide, nnz=64 * 8, rng=rng))
     compl = Mask.from_matrix(mask.to_matrix(), complemented=True)
-    assert auto_select(A, B, compl) == "hash-native"
-    assert fused_table_pick(A, B, compl) == "msa"
+    for m in (mask, compl):
+        assert auto_select(A, B, m) == pick
+        assert fused_table_pick(A, B, m) == "msa"
 
 
 def test_auto_runs_end_to_end(rng):

@@ -29,8 +29,7 @@ from repro.sparse import CSRMatrix, csr_from_dense
 
 #: every kernel key the registry resolves: the listed algorithms and the
 #: routing tiers
-KERNEL_KEYS = available_algorithms() + ["msa-loop", "msa-native",
-                                        "hash-native"]
+KERNEL_KEYS = available_algorithms() + ["msa-loop", "msa-native"]
 BASELINES = ["saxpy", "saxpy-scipy", "dot"]
 
 

@@ -1,7 +1,7 @@
 """Compiled (native) kernel tier tests — the PR-9 contracts.
 
-* **bit-identity**: ``msa-native`` / ``hash-native`` produce byte-for-byte
-  the CSR triplets of their fused bases and the pure-Python reference,
+* **bit-identity**: ``msa-native`` produces byte-for-byte the CSR
+  triplets of its fused base and the pure-Python reference,
   across every registered semiring and the off-table min/times pairing
   (each a case of the compiled dispatch), both mask polarities, both
   phase modes, empty rows, and the int32/int64 column-id boundary
@@ -24,12 +24,17 @@
 * **the MSA loops' edge cases**: the plain loop's stale "hit while not
   allowed" state across rows of one call, signed zeros and NaNs under
   min/max, and the complemented gather's bitset walk (word boundaries, a
-  width that is not a multiple of 64) and its sort fallback.
+  width that is not a multiple of 64) and its sort fallback;
+* **per-thread scratch**: calls that reuse one thread's scratch, at growing
+  and shrinking widths and after a stale-plan error, leak nothing into
+  each other.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
+import os
 from unittest import mock
 
 import numpy as np
@@ -40,7 +45,7 @@ from hypothesis import strategies as st
 from conftest import (assert_bit_identical, fused_table_pick, make_triple,
                       needs_native)
 from repro import native
-from repro.core import build_plan, hash_kernel, masked_spgemm, msa_kernel
+from repro.core import build_plan, masked_spgemm, msa_kernel, spgemm
 from repro.core.reference import reference_masked_spgemm
 from repro.core.registry import (NATIVE_BASE, auto_select,
                                  available_algorithms, get_spec,
@@ -48,6 +53,7 @@ from repro.core.registry import (NATIVE_BASE, auto_select,
 from repro.errors import AlgorithmError
 from repro.mask import Mask
 from repro.native import native_available, native_backend_name
+from repro.native import cffi_backend
 from repro.native import kernels as native_kernels
 from repro.native.kernels import MSA_NCOLS_CAP
 from repro.parallel.executor import ThreadExecutor
@@ -57,9 +63,10 @@ from repro.semiring import (MAX_TIMES, MIN_PLUS, PLUS_FIRST, PLUS_PAIR,
                             PLUS_TIMES, Monoid, Semiring)
 from repro.semiring.standard import _REGISTRY as SEMIRINGS
 from repro.service import Engine, Request
-from repro.sparse import CSRMatrix, csr_random
+from repro.service.engine import kernel_tier
+from repro.sparse import CSRMatrix, csr_from_dense, csr_random
 
-NATIVE_KEYS = ["msa-native", "hash-native"]
+NATIVE_KEYS = ["msa-native"]
 #: a compiled pairing that is no standard semiring: min monoid, times
 #: multiply (codes 1 and 0), which the dispatch runs with runtime op codes
 MIN_TIMES = Semiring(MIN_PLUS.add, PLUS_TIMES.mul, "min_times",
@@ -143,26 +150,6 @@ class TestBitIdentity:
         assert_bit_identical(
             got, want, f"{alg}/{semiring}/compl={complemented}/{phases}P")
 
-    def test_hash_native_wide_column_ids(self, rng):
-        """Column ids past 2**31 must hash and compare as int64 — an int32
-        truncation anywhere in the table would collide or mis-sort them."""
-        wide = 2**31 + 64
-        k = 6
-        indptr = np.arange(k + 1, dtype=np.int64) * 3
-        cols = np.array([7, 2**31 - 1, 2**31 + 5] * k, dtype=np.int64)
-        vals = rng.random(cols.size)
-        B = CSRMatrix(indptr, cols, vals, (k, wide))
-        A = csr_random(8, k, density=0.6, rng=rng, values="randint")
-        m_indptr = np.arange(9, dtype=np.int64) * 2
-        m_cols = np.array([2**31 - 1, 2**31 + 5] * 8, dtype=np.int64)
-        M = CSRMatrix(m_indptr, m_cols, np.ones(m_cols.size), (8, wide))
-        for complemented in (False, True):
-            mask = Mask.from_matrix(M, complemented=complemented)
-            got = masked_spgemm(A, B, mask, algorithm="hash-native",
-                                phases=2)
-            want = masked_spgemm(A, B, mask, algorithm="hash", phases=2)
-            assert_bit_identical(got, want, f"wide/compl={complemented}")
-
     def test_msa_native_delegates_past_ncols_cap(self, rng):
         """msa's dense scratch cannot scale to huge column counts; past
         MSA_NCOLS_CAP the native face must hand the rows to fused msa
@@ -190,9 +177,9 @@ def test_auto_select_routes_to_native(rng):
     n = 128
     A = csr_random(n, n, density=16 / n, rng=rng)
     mask = Mask.from_matrix(csr_random(n, n, density=16 / n, rng=rng))
-    assert auto_select(A, A, mask).endswith("-native")
+    assert auto_select(A, A, mask) == "msa-native"
     assert native_variant("msa") == "msa-native"
-    assert native_variant("hash") == "hash-native"
+    assert native_variant("hash") == "hash"  # no compiled hash loop
     assert native_variant("msa-loop") == "msa-native"
     assert native_variant("esc") == "esc"  # unmapped kernels pass through
 
@@ -393,9 +380,10 @@ def test_engine_stamps_native_tier_and_counter(rng):
     try:
         for _ in range(3):
             resp = eng.submit(Request(a="A", b="B", mask="M",
-                                      algorithm="hash-native", phases=2))
+                                      algorithm="msa-native", phases=2))
             assert resp.stats.kernel_tier == "native"
         assert eng.stats.kernel_tiers == {"native": 3}
+        assert kernel_tier("hash-native") == "fused"  # alias of fused hash
         fam = _families(eng)["repro_kernel_requests_total"]
         assert fam[(("tier", "native"),)] == 3
     finally:
@@ -423,10 +411,10 @@ def test_thread_backend_transient_pool(rng):
     mask = Mask.from_matrix(M)
     with ThreadExecutor(2) as ex:
         got = parallel_masked_spgemm(A, B, mask,
-                                     algorithm=native_variant("hash"),
+                                     algorithm=native_variant("msa"),
                                      semiring=PLUS_PAIR, phases=2,
                                      executor=ex)
-    want = masked_spgemm(A, B, mask, algorithm="hash", semiring=PLUS_PAIR,
+    want = masked_spgemm(A, B, mask, algorithm="msa", semiring=PLUS_PAIR,
                          phases=2)
     assert_bit_identical(got, want, "transient thread pool")
 
@@ -447,17 +435,15 @@ def test_thread_backend_plan_reuse(rng):
 # --------------------------------------------------------------------- #
 # compiled symbolic pass
 # --------------------------------------------------------------------- #
-_FUSED_SYMBOLIC = (msa_kernel, hash_kernel)
+_FUSED_SYMBOLIC = (msa_kernel,)
 
 
 @contextlib.contextmanager
 def _no_fused_symbolic():
-    """Rig both fused symbolic functions to fail, so row sizes computed
+    """Rig the fused symbolic function to fail, so row sizes computed
     inside can only come from the compiled loop."""
     with mock.patch.object(msa_kernel, "symbolic_rows",
-                           side_effect=AssertionError("delegated")), \
-            mock.patch.object(hash_kernel, "symbolic_rows",
-                              side_effect=AssertionError("delegated")):
+                           side_effect=AssertionError("delegated")):
         yield
 
 
@@ -556,7 +542,7 @@ def test_cold_2p_engine_plan_replays_through_every_rung(rng, alg,
                   complemented=complemented)
     try:
         with _no_fused_symbolic(), mock.patch.object(
-                native_kernels, "_symbolic_rows",
+                native_kernels, "msa_symbolic_rows",
                 side_effect=AssertionError("symbolic pass ran")):
             cold = eng.submit(req)
         assert cold.stats.kernel_tier == "native"
@@ -756,8 +742,6 @@ def test_backend_wrapper_rejects_strided_rows(rng):
     """A non-contiguous ``rows`` view must raise before C reads it: its
     base pointer would hand the loop rows 0, 1, 2, … instead of the
     strided 0, 2, 4, …"""
-    from repro.native import cffi_backend
-
     A, B, M = make_triple(rng, m=30, k=25, n=30)
     rows = np.arange(A.nrows, dtype=np.int64)[::2]
     assert not rows.flags.c_contiguous
@@ -767,3 +751,115 @@ def test_backend_wrapper_rejects_strided_rows(rng):
                               M.indptr, M.indices, rows, 0, sizes,
                               np.zeros(B.ncols, dtype=np.int8),
                               np.empty(B.ncols, dtype=np.int64))
+
+
+# --------------------------------------------------------------------- #
+# per-thread scratch reused across calls
+# --------------------------------------------------------------------- #
+#: output widths of the sequence: growing, then shrinking
+_SCRATCH_WIDTHS = (40, 700, 5000, 700, 40)
+
+
+def _scratch_cases(seed):
+    """``(n, A, B, M, want)`` at every width of :data:`_SCRATCH_WIDTHS`,
+    ``want`` holding the reference product per polarity and semiring."""
+    r = np.random.default_rng(seed)
+    cases = []
+    for n in _SCRATCH_WIDTHS:
+        A = csr_random(30, 20, density=0.2, rng=r, values="uniform")
+        B = csr_random(20, n, density=min(1.0, 6 / n), rng=r,
+                       values="uniform")
+        # half the product's pattern, so plain rows keep some columns and
+        # complemented rows ban some, plus columns the product never hits
+        hit = spgemm(A, B).to_dense() != 0
+        extra = csr_random(30, n, density=min(1.0, 4 / n), rng=r)
+        M = csr_from_dense(((hit & (r.random(hit.shape) < 0.5))
+                            | (extra.to_dense() != 0)).astype(float))
+        want = {}
+        for complemented in (False, True):
+            mask = Mask.from_matrix(M, complemented=complemented)
+            for sr in (PLUS_TIMES, PLUS_PAIR):
+                want[complemented, sr.name] = reference_masked_spgemm(
+                    A, B, mask, algorithm="msa", semiring=sr)
+        cases.append((n, A, B, M, want))
+    return cases
+
+
+def _scratch_sequence(cases):
+    """Plain, complemented CSR, complemented bitmap and symbolic calls at
+    every width of ``cases`` (growing, then shrinking), then at each width
+    a stale-plan error on both polarities followed by a call of each
+    polarity, all on the calling thread, each compared bit for bit with
+    the reference tier."""
+    rows = np.arange(30, dtype=np.int64)
+
+    def check(A, B, mask, sr, C, where):
+        got = native_kernels.msa_numeric_rows(A, B, mask, sr, rows)
+        assert _block_bits(got) == _rows_bits(C, rows), where
+        sizes = native_kernels.msa_symbolic_rows(A, B, mask, rows)
+        assert np.array_equal(sizes, np.diff(C.indptr)), f"{where} symbolic"
+
+    def stale_into(A, B, mask, sr, C, where):
+        sizes = np.diff(C.indptr).copy()
+        src = int(np.argmax(sizes))
+        assert sizes[src] > 0, where
+        sizes[src] -= 1
+        sizes[(src + 1) % sizes.size] += 1
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        cols = np.empty(int(offsets[-1]), dtype=np.int64)
+        vals = np.empty(int(offsets[-1]), dtype=np.float64)
+        with pytest.raises(AlgorithmError, match="stale plan"):
+            native_kernels.msa_numeric_rows_into(A, B, mask, sr, rows,
+                                                 cols, vals, offsets)
+
+    for n, A, B, M, want in cases:
+        plain = Mask.from_matrix(M)
+        compl = Mask.from_matrix(M, complemented=True)
+        bitmap = Mask.from_bitmap(M.to_dense() != 0, complemented=True)
+        for sr in (PLUS_TIMES, PLUS_PAIR):
+            check(A, B, plain, sr, want[False, sr.name], f"n={n} plain")
+            check(A, B, compl, sr, want[True, sr.name], f"n={n} compl")
+            check(A, B, bitmap, sr, want[True, sr.name], f"n={n} bitmap")
+    for n, A, B, M, want in cases:
+        plain = Mask.from_matrix(M)
+        compl = Mask.from_matrix(M, complemented=True)
+        for sr in (PLUS_TIMES, PLUS_PAIR):
+            where = f"n={n} {sr.name} after stale"
+            stale_into(A, B, plain, sr, want[False, sr.name], where)
+            stale_into(A, B, compl, sr, want[True, sr.name], where)
+            check(A, B, plain, sr, want[False, sr.name], where)
+            check(A, B, compl, sr, want[True, sr.name], where)
+
+
+#: skips only where the tier cannot be built (``REPRO_NATIVE`` turns it
+#: off, or cffi or a C compiler is missing): a tier that builds but fails
+#: its probe self-test fails the test below instead of skipping it
+can_build_native = pytest.mark.skipif(
+    os.environ.get("REPRO_NATIVE", "auto").strip().lower()
+    not in ("auto", "", "cffi", "c")
+    or importlib.util.find_spec("cffi") is None
+    or cffi_backend._compiler() is None,
+    reason="the compiled tier cannot be built here")
+
+
+@can_build_native
+def test_scratch_reuse_leaks_nothing_between_calls():
+    """The compiled loops reuse one scratch set per thread. The plain loops
+    leave stale hit states in columns outside the mask, which the
+    complemented and symbolic loops (which need their states all zero)
+    must never see; a wider call regrows the scratch, a narrower one
+    reuses it, and a stale-plan error leaves it clean. Run on this thread
+    and on two pool threads at once."""
+    assert native_available()
+    cases = [_scratch_cases(seed) for seed in range(3)]
+    # patched once, here: patching a module from two threads at once can
+    # restore the wrong object
+    with mock.patch.object(msa_kernel, "numeric_rows",
+                           side_effect=AssertionError("delegated")), \
+            mock.patch.object(msa_kernel, "numeric_rows_into",
+                              side_effect=AssertionError("delegated")), \
+            _no_fused_symbolic():
+        _scratch_sequence(cases[0])
+        with ThreadExecutor(2) as ex:
+            ex.map(_scratch_sequence, cases[1:])

@@ -185,7 +185,6 @@ def test_request_deadline_ms_roundtrips_from_dict():
 #: loop rung
 _LADDERS = {
     "msa-native": ("native", "fused", "loop"),
-    "hash-native": ("native", "fused", "loop"),
     "msa": ("fused", "loop"),
     "esc": ("fused", "loop"),
     "msa-loop": ("loop", "loop"),
@@ -213,7 +212,7 @@ def _degrade_edges(engine):
 @pytest.mark.parametrize("when", ["cold", "plan-hit"])
 @pytest.mark.parametrize("nfaults", [1, 2, 3])
 @pytest.mark.parametrize("algorithm",
-                         ["msa-native", "hash-native", "esc", "msa-loop"])
+                         ["msa-native", "esc", "msa-loop"])
 def test_engine_kernel_fault_degrades_to_loop_tier(rng, algorithm, nfaults,
                                                    when):
     # each fault drops one rung (native → fused → loop); the native keys

@@ -5,8 +5,8 @@ The contracts this suite holds the thread substrate to:
 * row-parallel execution on a :class:`~repro.parallel.executor.ThreadExecutor`
   is **bit-identical** to the pure-Python reference tier and to the serial
   fused path, across the four fused kernels (routed through
-  :func:`~repro.core.registry.native_variant`, so ``msa``/``hash`` run
-  compiled when a backend exists), plain and complemented masks, every
+  :func:`~repro.core.registry.native_variant`, so ``msa`` runs compiled
+  when a backend exists), plain and complemented masks, every
   registered semiring, empty and tiny operands, and more workers than rows;
 * direct write (known row sizes → preallocated CSR → chunks fill disjoint
   slices) equals the stitch path on every executor for the compiled keys;
@@ -30,7 +30,6 @@ from repro.core.registry import native_variant
 from repro.delta import DeltaBatch
 from repro.errors import AlgorithmError
 from repro.mask import Mask
-from repro.native import native_available
 from repro.obs import parse_exposition
 from repro.parallel.executor import (
     SerialExecutor,
@@ -45,6 +44,8 @@ from repro.service.engine import kernel_tier
 from repro.sparse import CSRMatrix, csr_random
 
 FUSED = ["esc", "msa", "hash", "heap"]
+#: kernels routed through native_variant: msa runs compiled when a backend
+#: exists, hash (which has no compiled loop) stays fused
 COMPILED_BASES = ["msa", "hash"]
 
 
@@ -362,10 +363,10 @@ class TestThreadedEngine:
 # the degrade ladder on a threaded engine: first request, repeat
 # ("plan-hit", the name it had when repeats hit a plan), post-delta
 # --------------------------------------------------------------------- #
-def _ladder(nfaults):
+def _ladder(key, nfaults):
     """(tier that serves, degrade edges) after ``nfaults`` consecutive
-    ``engine.kernel`` errors on a compiled-routed request."""
-    if not native_available():
+    ``engine.kernel`` errors on a request for ``key``."""
+    if kernel_tier(key) != "native":
         return "loop", {("fused", "loop"): 1}
     if nfaults == 1:
         return "fused", {("native", "fused"): 1}
@@ -384,8 +385,8 @@ def _degrade_edges(engine):
 def test_threaded_ladder_bit_identical(rng, pool, algorithm, nfaults, when):
     key = native_variant(algorithm)
     skip = 0 if when == "cold" else 1
-    # without the compiled tier the first fault already lands on the loop
-    nfaults = nfaults if native_available() else 1
+    # on a fused key the first fault already lands on the loop
+    nfaults = nfaults if kernel_tier(key) == "native" else 1
     A, B, M = make_triple(rng, m=40, k=30, n=35)
     faults = FaultPlan([FaultSpec(site="engine.kernel", action="error",
                                   count=nfaults, skip=skip)])
@@ -405,7 +406,7 @@ def test_threaded_ladder_bit_identical(rng, pool, algorithm, nfaults, when):
         assert eng.stats.computed == 1 + skip
         want = reference_masked_spgemm(A, B, Mask.from_matrix(M), algorithm)
         _assert_identical(resp.result, want)
-        tier, edges = _ladder(nfaults)
+        tier, edges = _ladder(key, nfaults)
         assert resp.stats.kernel_tier == tier
         assert _degrade_edges(eng) == edges
         # faults spent: back on the top rung, same bytes

@@ -15,7 +15,7 @@ This tool serves a triangle-counting workload through a real
 :class:`repro.service.Engine` — built with a serial executor, so every
 numeric pass runs through the runner's cache-budget chunks — once per
 kernel tier (fused ``msa``/``hash``
-with :data:`FUSED_BYTES_PER_FLOP`, compiled ``msa-native``/``hash-native``
+with :data:`FUSED_BYTES_PER_FLOP`, compiled ``msa-native``
 with :data:`NATIVE_BYTES_PER_FLOP` when the native probe passes), reads the
 ``repro_chunk_seconds{kernel,phase="numeric"}`` histograms back through the
 same Prometheus text exposition a scraper would see, interpolates the p50
@@ -112,7 +112,6 @@ def check(scale: int, repeats: int) -> list[str]:
     kernels = {"msa": FUSED_BYTES_PER_FLOP, "hash": FUSED_BYTES_PER_FLOP}
     if native_available():
         kernels["msa-native"] = NATIVE_BYTES_PER_FLOP
-        kernels["hash-native"] = NATIVE_BYTES_PER_FLOP
     else:
         print("native tier unavailable on this box; "
               "checking the fused constants only")

@@ -6,9 +6,8 @@ memory-unsafe code in the repo: they index raw operand and scratch
 buffers with no bounds checks. This check compiles that exact source
 (``C_SOURCE``) with ``-fsanitize=address,undefined`` into a temporary
 directory, loads it through cffi with the same ``C_DECLS``, and runs every
-C entry point — ``msa_plain``, ``msa_compl``, ``hash_plain``,
-``hash_compl`` and ``symbolic`` — through the real faces of
-:mod:`repro.native.kernels` on seeded fixtures. Every output is compared
+C entry point — ``msa_plain``, ``msa_compl`` and ``symbolic`` — through
+the real faces of :mod:`repro.native.kernels` on seeded fixtures. Every output is compared
 bit-identically with the fused NumPy kernels. A sanitizer finding aborts
 the process (``-fno-sanitize-recover=all``), so any error exits non-zero.
 
@@ -19,19 +18,26 @@ and under min/times, a compiled pairing that is no standard semiring and
 takes the ``default:`` case with runtime op codes.
 
 The fixtures cover plain and complemented masks, empty A and mask rows, a
-zero-column product, row subsets in chunk order, both faces (stitch and
-direct write) and column ids past 2^31 for the hash kernels. Every
-complemented fixture the MSA faces run also runs as a bitmap mask
-(``Mask.from_bitmap``), which ``msa_compl`` reads in place and the other
-entry points read through its CSR view, with one row banned everywhere
-beside the empty (all-clear) mask rows. Two fixture families reach the
-complemented MSA gather's word walk and its sort fallback:
+zero-column product, row subsets in chunk order and both faces (stitch
+and direct write). Every complemented fixture also runs as a bitmap mask
+(``Mask.from_bitmap``), which ``msa_compl`` reads in place and the
+symbolic entry point reads through its CSR view, with one row banned
+everywhere beside the empty (all-clear) mask rows. Two fixture families
+reach the complemented MSA gather's word walk and its sort fallback:
 
 * seeded products with several hundred columns, plain and complemented,
   so the bitset gather walks many 64-column words per row;
 * a complemented product with about 2^20 columns whose rows touch a few
   columns far apart (the gather sorts them) beside one dense run (the
   gather walks it).
+
+The faces reuse one scratch set per thread across calls. The main pass
+starts every fixture on fresh scratch as wide as its output, so an index
+past the output width lands outside the buffer, where ASan sees it. A
+second pass then runs every fixture back to back on one scratch set, in
+order of growing and then shrinking width, so the sanitizers also see
+each loop on buffers wider than its product and left behind by the other
+loops.
 
 An ASan-instrumented library can only load into a process whose first
 loaded library is the ASan runtime. When ``LD_PRELOAD`` does not carry it
@@ -108,13 +114,12 @@ def _fixtures():
     def with_bitmap(name, A, B, M, row_sets, banned_row):
         """The complemented CSR fixture, then its bitmap form with
         ``banned_row`` banned everywhere."""
-        yield (name, A, B, Mask.from_matrix(M, complemented=True), row_sets,
-               True)
+        yield name, A, B, Mask.from_matrix(M, complemented=True), row_sets
         bitmap = np.zeros(M.shape, dtype=bool)
         bitmap[np.repeat(np.arange(M.nrows), M.row_nnz()), M.indices] = True
         bitmap[banned_row] = True
         yield (f"{name} bitmap", A, B,
-               Mask.from_bitmap(bitmap, complemented=True), row_sets, True)
+               Mask.from_bitmap(bitmap, complemented=True), row_sets)
 
     for seed in SEEDS:
         r = np.random.default_rng(seed)
@@ -129,7 +134,7 @@ def _fixtures():
         rows = np.flatnonzero(r.random(m) < 0.6).astype(np.int64)
         row_sets = (np.arange(m, dtype=np.int64), rows)
         yield f"seed={seed} compl=False", A, B, Mask.from_matrix(M), \
-            row_sets, True
+            row_sets
         yield from with_bitmap(f"seed={seed} compl=True", A, B, M, row_sets,
                                int(r.integers(m)))
 
@@ -146,7 +151,7 @@ def _fixtures():
         rows = np.flatnonzero(r.random(m) < 0.6).astype(np.int64)
         row_sets = (np.arange(m, dtype=np.int64), rows)
         yield f"seed={seed} n={n} compl=False", A, B, Mask.from_matrix(M), \
-            row_sets, True
+            row_sets
         yield from with_bitmap(f"seed={seed} n={n} compl=True", A, B, M,
                                row_sets, int(r.integers(m)))
 
@@ -171,31 +176,53 @@ def _fixtures():
                            (np.arange(6, dtype=np.int64),
                             np.array([1, 2, 5])), 4)
 
-    # column ids past 2**31 (hash kernels only: MSA's dense scratch and the
-    # symbolic face delegate at this width)
-    r = np.random.default_rng(99)
-    wide, k = 2**31 + 64, 6
-    B = CSRMatrix(np.arange(k + 1, dtype=np.int64) * 3,
-                  np.array([7, 2**31 - 1, 2**31 + 5] * k, dtype=np.int64),
-                  r.random(3 * k), (k, wide))
-    A = csr_random(8, k, density=0.6, rng=r, values="uniform")
-    M = CSRMatrix(np.arange(9, dtype=np.int64) * 2,
-                  np.array([2**31 - 1, 2**31 + 5] * 8, dtype=np.int64),
-                  np.ones(16), (8, wide))
-    for complemented in (False, True):
-        yield (f"wide compl={complemented}", A, B,
-               Mask.from_matrix(M, complemented=complemented),
-               (np.arange(8, dtype=np.int64),), False)
+
+def _check_fixture(fixture, semirings) -> int:
+    """Every face on one fixture against the fused kernels; returns the
+    number of comparisons made."""
+    import numpy as np
+
+    from repro.core import msa_kernel
+    from repro.native import kernels
+
+    def expect(ok, what):
+        if not ok:
+            sys.exit(f"MISMATCH: {what}")
+
+    name, A, B, mask, row_sets = fixture
+    checked = 0
+    for rows in row_sets:
+        want = msa_kernel.symbolic_rows(A, B, mask, rows)
+        expect(np.array_equal(kernels.msa_symbolic_rows(A, B, mask, rows),
+                              want), f"symbolic {name}")
+        checked += 1
+        for semiring in semirings:
+            what = f"{semiring.name} {name}"
+            ref = msa_kernel.numeric_rows(A, B, mask, semiring, rows)
+            got = kernels.msa_numeric_rows(A, B, mask, semiring, rows)
+            expect(np.array_equal(got.sizes, ref.sizes)
+                   and np.array_equal(got.cols, ref.cols)
+                   and np.array_equal(got.vals, ref.vals),
+                   f"stitch {what}")
+            offsets = np.zeros(rows.size + 1, dtype=np.int64)
+            np.cumsum(ref.sizes, out=offsets[1:])
+            cols = np.empty(int(offsets[-1]), dtype=np.int64)
+            vals = np.empty(int(offsets[-1]), dtype=np.float64)
+            kernels.msa_numeric_rows_into(A, B, mask, semiring, rows, cols,
+                                          vals, offsets)
+            expect(np.array_equal(cols, ref.cols)
+                   and np.array_equal(vals, ref.vals),
+                   f"direct write {what}")
+            checked += 2
+    return checked
 
 
 def check(backend) -> int:
-    """Run every entry point against the fused kernels; returns the number
-    of (fixture, face) comparisons made."""
-    import numpy as np
-
-    from repro.core import hash_kernel, msa_kernel
+    """Run every entry point against the fused kernels, each fixture on
+    fresh scratch, then every fixture back to back on one scratch set at
+    growing and shrinking widths; returns the number of comparisons."""
     from repro.native import kernels
-    from repro.semiring import MIN_PLUS, PLUS_TIMES, Semiring
+    from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, Semiring
     from repro.semiring.standard import _REGISTRY
 
     # every standard semiring (one dispatch case each) and min/times, the
@@ -206,45 +233,18 @@ def check(backend) -> int:
     if not all(kernels.supported(s) for s in semirings):
         sys.exit("a semiring under check is outside the compiled op table")
 
-    faces = (("msa", msa_kernel, kernels.msa_numeric_rows,
-              kernels.msa_numeric_rows_into),
-             ("hash", hash_kernel, kernels.hash_numeric_rows,
-              kernels.hash_numeric_rows_into))
     checked = 0
-
-    def expect(ok, what):
-        if not ok:
-            sys.exit(f"MISMATCH: {what}")
-
     with mock.patch.object(kernels, "_backend", return_value=backend):
-        for name, A, B, mask, row_sets, dense_ok in _fixtures():
-            for rows in row_sets:
-                want = msa_kernel.symbolic_rows(A, B, mask, rows)
-                for sym in (kernels.msa_symbolic_rows,
-                            kernels.hash_symbolic_rows):
-                    expect(np.array_equal(sym(A, B, mask, rows), want),
-                           f"{sym.__name__} {name}")
-                    checked += 1
-                for semiring in semirings:
-                    for kname, fused, stitch, into in faces:
-                        if kname == "msa" and not dense_ok:
-                            continue
-                        what = f"{kname} {semiring.name} {name}"
-                        ref = fused.numeric_rows(A, B, mask, semiring, rows)
-                        got = stitch(A, B, mask, semiring, rows)
-                        expect(np.array_equal(got.sizes, ref.sizes)
-                               and np.array_equal(got.cols, ref.cols)
-                               and np.array_equal(got.vals, ref.vals),
-                               f"stitch {what}")
-                        offsets = np.zeros(rows.size + 1, dtype=np.int64)
-                        np.cumsum(ref.sizes, out=offsets[1:])
-                        cols = np.empty(int(offsets[-1]), dtype=np.int64)
-                        vals = np.empty(int(offsets[-1]), dtype=np.float64)
-                        into(A, B, mask, semiring, rows, cols, vals, offsets)
-                        expect(np.array_equal(cols, ref.cols)
-                               and np.array_equal(vals, ref.vals),
-                               f"direct write {what}")
-                        checked += 2
+        fixtures = list(_fixtures())
+        for fixture in fixtures:
+            kernels._LOCAL.scratch = None  # fresh, exactly as wide
+            checked += _check_fixture(fixture, semirings)
+        # reused scratch: the two-state, counter and min loops, plain and
+        # complemented, at growing then shrinking widths
+        by_width = sorted(fixtures, key=lambda f: f[2].ncols)
+        for fixture in by_width + by_width[::-1]:
+            checked += _check_fixture(fixture,
+                                      (PLUS_TIMES, PLUS_PAIR, MIN_PLUS))
     return checked
 
 
@@ -258,9 +258,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-asan-") as workdir:
         backend = build(cc, workdir)
         checked = check(backend)
-    print(f"check_native_asan: {checked} comparisons over 5 C entry points "
-          f"(msa_compl with CSR and bitmap masks) and every dispatched op "
-          f"pair, bit-identical to the fused "
+    print(f"check_native_asan: {checked} comparisons over 3 C entry points "
+          f"(msa_compl with CSR and bitmap masks), every dispatched op pair "
+          f"and fresh and reused scratch, bit-identical to the fused "
           f"kernels under -fsanitize=address,undefined; no sanitizer error")
 
 

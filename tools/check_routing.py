@@ -16,10 +16,12 @@ Two sets of cells, both fixed here before the fused routing rule was fitted:
 
 For each cell it times every kernel :func:`repro.core.registry.auto_select`
 can return or could return before the fused rule was re-fitted — the
-fused ``inner``/``heap``/``esc``/``msa``/``hash``/``msa-loop`` and the
-compiled ``msa-native``/``hash-native`` — as one-phase ``masked_spgemm``
-calls (best of three after a warm-up), and prints auto's pick, the winner
-and the pick's regret (pick time over winner time).
+fused ``inner``/``heap``/``esc``/``msa``/``hash``/``msa-loop`` and, when
+the compiled tier is available, ``msa-native`` — as one-phase
+``masked_spgemm`` calls (best of three after a warm-up), and prints auto's
+pick, the winner and the pick's regret (pick time over winner time).
+Without the compiled tier ``msa-native`` would only re-time fused ``msa``
+under another name, so it is left out.
 
 A set's summed regret is the summed time of auto's picks over the summed
 time of the winners (1.0 means auto always picked the winner). The check
@@ -50,8 +52,7 @@ WIDE_ROWS = (64, N)
 WIDE_INPUT_DEGREES = (4, 32)
 WIDE_MASK_DEGREES = (16, 256)
 #: every key auto_select returns or returned before the re-fit
-ROUTABLE = ("inner", "heap", "esc", "msa", "hash", "msa-loop",
-            "msa-native", "hash-native")
+ROUTABLE = ("inner", "heap", "esc", "msa", "hash", "msa-loop", "msa-native")
 MAX_SUMMED_REGRET = 1.25
 
 
@@ -112,14 +113,18 @@ def held_out_cells():
 
 def time_cell(A, B, mask, semiring) -> dict[str, float]:
     """Best-of-three seconds of every routable kernel that supports the
-    mask (``inner`` has no complemented form)."""
+    mask (``inner`` has no complemented form) and runs as itself
+    (``msa-native`` only when the compiled tier is available)."""
     from repro import masked_spgemm
     from repro.bench import time_callable
     from repro.core.registry import get_spec
+    from repro.native import native_available
 
     times = {}
     for key in ROUTABLE:
         if mask.complemented and not get_spec(key).supports_complement:
+            continue
+        if key == "msa-native" and not native_available():
             continue
         times[key] = time_callable(
             lambda k=key: masked_spgemm(A, B, mask, algorithm=k,
