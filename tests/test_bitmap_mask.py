@@ -27,9 +27,10 @@ from repro.parallel.executor import ThreadExecutor
 from repro.semiring import MIN_PLUS, OR_AND, PLUS_FIRST, PLUS_TIMES
 from repro.sparse import CSRMatrix, csr_from_dense
 
-#: every kernel key the registry resolves: the listed algorithms and the
-#: routing tiers
-KERNEL_KEYS = available_algorithms() + ["msa-loop", "msa-native"]
+#: every kernel key the registry resolves: the listed algorithms, the
+#: routing tiers and hash-native, the unlisted alias of fused hash
+KERNEL_KEYS = available_algorithms() + ["msa-loop", "msa-native",
+                                        "hash-native"]
 BASELINES = ["saxpy", "saxpy-scipy", "dot"]
 
 

@@ -29,7 +29,8 @@ def _rungs(algorithm):
 
 
 @pytest.mark.parametrize("rung", [0, 1, 2])
-@pytest.mark.parametrize("algorithm", ["auto", "msa-native", "esc"])
+@pytest.mark.parametrize("algorithm", ["auto", "msa-native", "hash-native",
+                                       "esc"])
 @pytest.mark.parametrize("native", ["auto", "off"])
 @pytest.mark.parametrize("complemented", [False, True],
                          ids=["plain", "complemented"])

@@ -45,7 +45,8 @@ from hypothesis import strategies as st
 from conftest import (assert_bit_identical, fused_table_pick, make_triple,
                       needs_native)
 from repro import native
-from repro.core import build_plan, masked_spgemm, msa_kernel, spgemm
+from repro.core import (build_plan, hash_kernel, masked_spgemm, msa_kernel,
+                        spgemm)
 from repro.core.reference import reference_masked_spgemm
 from repro.core.registry import (NATIVE_BASE, auto_select,
                                  available_algorithms, get_spec,
@@ -66,7 +67,13 @@ from repro.service import Engine, Request
 from repro.service.engine import kernel_tier
 from repro.sparse import CSRMatrix, csr_from_dense, csr_random
 
-NATIVE_KEYS = ["msa-native"]
+#: the routing keys of the native tier: msa-native runs the compiled loops;
+#: hash-native, whose compiled loops are gone, stays resolvable as an alias
+#: of fused hash (perfbench's routing-regret probe times it), so it is held
+#: to the same answers
+NATIVE_KEYS = ["msa-native", "hash-native"]
+#: fused kernel each key must match bit for bit
+_BASE = {**NATIVE_BASE, "hash-native": "hash"}
 #: a compiled pairing that is no standard semiring: min monoid, times
 #: multiply (codes 1 and 0), which the dispatch runs with runtime op codes
 MIN_TIMES = Semiring(MIN_PLUS.add, PLUS_TIMES.mul, "min_times",
@@ -95,7 +102,7 @@ class TestBitIdentity:
         for phases in (1, 2):
             got = masked_spgemm(A, B, mask, algorithm=alg, semiring=sr,
                                 phases=phases)
-            want = masked_spgemm(A, B, mask, algorithm=NATIVE_BASE[alg],
+            want = masked_spgemm(A, B, mask, algorithm=_BASE[alg],
                                  semiring=sr, phases=phases)
             assert_bit_identical(got, want,
                                  f"{alg}/{semiring}/compl={complemented}/"
@@ -123,7 +130,7 @@ class TestBitIdentity:
         for complemented in (False, True):
             mask = Mask.from_matrix(M, complemented=complemented)
             got = masked_spgemm(A, B, mask, algorithm=alg, phases=2)
-            want = masked_spgemm(A, B, mask, algorithm=NATIVE_BASE[alg],
+            want = masked_spgemm(A, B, mask, algorithm=_BASE[alg],
                                  phases=2)
             assert_bit_identical(got, want, f"{alg}/compl={complemented}")
 
@@ -145,10 +152,33 @@ class TestBitIdentity:
         sr = SEMIRINGS[semiring]
         got = masked_spgemm(A, B, mask, algorithm=alg, semiring=sr,
                             phases=phases)
-        want = masked_spgemm(A, B, mask, algorithm=NATIVE_BASE[alg],
+        want = masked_spgemm(A, B, mask, algorithm=_BASE[alg],
                              semiring=sr, phases=phases)
         assert_bit_identical(
             got, want, f"{alg}/{semiring}/compl={complemented}/{phases}P")
+
+    def test_hash_native_wide_column_ids(self, rng):
+        """Column ids past 2**31 must stay int64 through both routing keys:
+        hash-native (the fused hash alias) and msa-native (which hands
+        rows this wide to fused msa) — an int32 truncation anywhere would
+        collide or mis-sort them."""
+        wide = 2**31 + 64
+        k = 6
+        indptr = np.arange(k + 1, dtype=np.int64) * 3
+        cols = np.array([7, 2**31 - 1, 2**31 + 5] * k, dtype=np.int64)
+        vals = rng.random(cols.size)
+        B = CSRMatrix(indptr, cols, vals, (k, wide))
+        A = csr_random(8, k, density=0.6, rng=rng, values="randint")
+        m_indptr = np.arange(9, dtype=np.int64) * 2
+        m_cols = np.array([2**31 - 1, 2**31 + 5] * 8, dtype=np.int64)
+        M = CSRMatrix(m_indptr, m_cols, np.ones(m_cols.size), (8, wide))
+        for complemented in (False, True):
+            mask = Mask.from_matrix(M, complemented=complemented)
+            want = masked_spgemm(A, B, mask, algorithm="hash", phases=2)
+            for alg in NATIVE_KEYS:
+                got = masked_spgemm(A, B, mask, algorithm=alg, phases=2)
+                assert_bit_identical(got, want,
+                                     f"{alg} wide/compl={complemented}")
 
     def test_msa_native_delegates_past_ncols_cap(self, rng):
         """msa's dense scratch cannot scale to huge column counts; past
@@ -272,7 +302,7 @@ def test_unregistered_semiring_delegates(rng, semiring, complemented):
         for phases in (1, 2):
             got = masked_spgemm(A, B, mask, algorithm=alg,
                                 semiring=semiring, phases=phases)
-            want = masked_spgemm(A, B, mask, algorithm=NATIVE_BASE[alg],
+            want = masked_spgemm(A, B, mask, algorithm=_BASE[alg],
                                  semiring=semiring, phases=phases)
             assert_bit_identical(got, want, f"{alg}/{semiring.name}/"
                                             f"compl={complemented}/{phases}P")
@@ -310,7 +340,7 @@ def test_native_keys_still_answer_without_backend(rng, native_mode):
     mask = Mask.from_matrix(M)
     for alg in NATIVE_KEYS:
         got = masked_spgemm(A, B, mask, algorithm=alg, phases=2)
-        want = masked_spgemm(A, B, mask, algorithm=NATIVE_BASE[alg],
+        want = masked_spgemm(A, B, mask, algorithm=_BASE[alg],
                              phases=2)
         assert_bit_identical(got, want, f"{alg} off-delegation")
 
@@ -435,7 +465,8 @@ def test_thread_backend_plan_reuse(rng):
 # --------------------------------------------------------------------- #
 # compiled symbolic pass
 # --------------------------------------------------------------------- #
-_FUSED_SYMBOLIC = (msa_kernel,)
+#: fused module behind each of NATIVE_KEYS' symbolic faces
+_FUSED_SYMBOLIC = (msa_kernel, hash_kernel)
 
 
 @contextlib.contextmanager
@@ -473,7 +504,7 @@ def test_native_symbolic_sizes_match_fused(alg, m, k, n, da, dm,
     M = _without_rows(csr_random(m, n, density=dm, rng=r),
                       r.random(m) < 0.2)
     mask = Mask.from_matrix(M, complemented=complemented)
-    fused = get_spec(NATIVE_BASE[alg]).symbolic
+    fused = get_spec(_BASE[alg]).symbolic
     every = np.arange(m, dtype=np.int64)
     subset = np.flatnonzero(r.random(m) < 0.5)[: m - 1].astype(np.int64)
     for rows in (every, subset):
@@ -486,12 +517,16 @@ def test_native_symbolic_sizes_match_fused(alg, m, k, n, da, dm,
 
 def _assert_symbolic_delegates(alg, fused_mod, A, B, M):
     rows = np.arange(A.nrows, dtype=np.int64)
+    spec = get_spec(alg)
     for complemented in (False, True):
         mask = Mask.from_matrix(M, complemented=complemented)
         with mock.patch.object(fused_mod, "symbolic_rows",
                                wraps=fused_mod.symbolic_rows) as spy:
-            got = get_spec(alg).symbolic(A, B, mask, rows)
-        spy.assert_called_once()
+            got = spec.symbolic(A, B, mask, rows)
+        if alg in NATIVE_BASE:
+            spy.assert_called_once()
+        else:  # an alias: its spec holds the fused function itself
+            assert spec.symbolic is fused_mod.symbolic_rows
         assert np.array_equal(got,
                               msa_kernel.symbolic_rows(A, B, mask, rows))
 
@@ -530,7 +565,8 @@ def test_cold_2p_engine_plan_replays_through_every_rung(rng, alg,
     """A two-phase engine request runs one-phase — no symbolic pass,
     compiled or fused — on the native kernel and matches the reference
     tier; repeats forced down the fused and msa-loop rungs (through the
-    ``engine.kernel`` fault seam) give the same bytes."""
+    ``engine.kernel`` fault seam) give the same bytes. hash-native, an
+    alias of fused hash, starts on the fused rung."""
     A, B, M = make_triple(rng, m=50, k=40, n=45, da=0.1, db=0.1, dm=0.25)
     mask = Mask.from_matrix(M, complemented=complemented)
     want = reference_masked_spgemm(A, B, mask, algorithm="msa",
@@ -545,9 +581,10 @@ def test_cold_2p_engine_plan_replays_through_every_rung(rng, alg,
                 native_kernels, "msa_symbolic_rows",
                 side_effect=AssertionError("symbolic pass ran")):
             cold = eng.submit(req)
-        assert cold.stats.kernel_tier == "native"
+        tiers = (["native"] if alg in NATIVE_BASE else []) + ["fused", "loop"]
+        assert cold.stats.kernel_tier == tiers[0]
         assert_bit_identical(cold.result, want, f"{alg} cold 2P")
-        for faults, tier in ((1, "fused"), (2, "loop")):
+        for faults, tier in enumerate(tiers[1:], start=1):
             eng.faults = FaultPlan([f"engine.kernel:error:{faults}"])
             resp = eng.submit(req)
             assert resp.stats.kernel_tier == tier
@@ -561,7 +598,8 @@ def test_cold_2p_engine_plan_replays_through_every_rung(rng, alg,
 @pytest.mark.parametrize("alg", NATIVE_KEYS)
 def test_thread_backend_compiled_symbolic_no_plan(rng, alg, nworkers):
     """A plan-less two-phase product runs the compiled symbolic pass per
-    chunk on the pool threads, and its sizes drive the direct write."""
+    chunk on the pool threads, and its sizes drive the direct write; for
+    hash-native, the fused hash alias, the fused pass drives it."""
     A, B, M = make_triple(rng, m=90, k=60, n=80, da=0.08, db=0.08)
     for complemented in (False, True):
         mask = Mask.from_matrix(M, complemented=complemented)

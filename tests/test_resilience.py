@@ -182,9 +182,11 @@ def test_request_deadline_ms_roundtrips_from_dict():
 #: kernel tier of each rung the engine walks for each resolved kernel: a
 #: native key drops to its fused base kernel, then to the per-row loop; a
 #: fused key drops straight to the loop; msa-loop runs once more on the
-#: loop rung
+#: loop rung; hash-native is an alias of fused hash, so it walks a fused
+#: key's ladder
 _LADDERS = {
     "msa-native": ("native", "fused", "loop"),
+    "hash-native": ("fused", "loop"),
     "msa": ("fused", "loop"),
     "esc": ("fused", "loop"),
     "msa-loop": ("loop", "loop"),
@@ -212,7 +214,7 @@ def _degrade_edges(engine):
 @pytest.mark.parametrize("when", ["cold", "plan-hit"])
 @pytest.mark.parametrize("nfaults", [1, 2, 3])
 @pytest.mark.parametrize("algorithm",
-                         ["msa-native", "esc", "msa-loop"])
+                         ["msa-native", "hash-native", "esc", "msa-loop"])
 def test_engine_kernel_fault_degrades_to_loop_tier(rng, algorithm, nfaults,
                                                    when):
     # each fault drops one rung (native → fused → loop); the native keys
