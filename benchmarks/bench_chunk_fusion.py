@@ -1,4 +1,4 @@
-"""Chunk fusion — per-row loops vs fused kernels, direct write, chunk sizing.
+"""Chunk fusion — the per-row loop tier vs fused kernels, direct write, chunk sizing.
 
 The claim (ISSUE 2, extended by ISSUE 4): on low-degree workloads the
 "vectorized" per-row kernels are bound by interpreter overhead (~8 small
@@ -7,10 +7,10 @@ should win big — and once a two-phase plan supplies exact row sizes, the
 numeric pass should write straight into the final CSR arrays instead of
 paying the stitch copy. Faces:
 
-* **fused vs loop** — ``msa``/``esc`` (ISSUE 2) plus ``hash``/``heap``
-  (ISSUE 4) against their retained ``*_rows_loop`` baselines on the TC /
-  ktruss-support / complement grids. Gate: fused ≥ 3× on the scale-10 TC
-  point (each fused kernel vs its own loop).
+* **fused vs loop** — fused ``msa``/``esc`` against ``msa-loop``, the
+  per-row loop tier the fused routing fallback picks for long rows, on the
+  TC / ktruss-support / complement grids. Gate: fused ≥ 3× on the scale-10
+  TC point (the better of msa and esc vs msa-loop).
 * **warm two-phase direct write vs stitch** — a cached plan in hand, the
   old warm path (single maximal chunk, RowBlock concat + stitch copy) vs
   the new one (cache-budget chunks scattering into preallocated arrays).
@@ -19,9 +19,9 @@ paying the stitch copy. Faces:
   (:func:`repro.parallel.partition.chunk_budget`) against the old
   ``nworkers × 4`` heuristic, on the largest TC face.
 
-Every fused result is checked bit-identical against its loop baseline (and
-the smallest TC case against the pure-Python reference tier) before timings
-are recorded.
+Every fused result is checked bit-identical against the msa-loop result
+(and the smallest TC case against the pure-Python reference tier) before
+timings are recorded.
 
 ``main()`` appends a run to ``BENCH_kernels.json`` at the repo root — the
 perf-trajectory artifact documented in ``benchmarks/common.py`` and
@@ -37,22 +37,18 @@ import numpy as np
 from common import append_trajectory_run, emit, tc_workload
 from repro.bench import render_table, time_callable
 from repro.core import build_plan, masked_spgemm
-from repro.core import hash_kernel, heap_kernel, msa_kernel
 from repro.core.reference import reference_masked_spgemm
-from repro.core.types import stitch_blocks
 from repro.graphs import erdos_renyi, rmat
 from repro.graphs.prep import to_undirected_simple
 from repro.mask import Mask
 from repro.parallel.partition import chunk_budget
 from repro.parallel.runner import parallel_masked_spgemm
 from repro.semiring import PLUS_PAIR, PLUS_TIMES
-from repro.validation import INDEX_DTYPE
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
-#: acceptance gates: fused speedup over the per-row loop on this case
-#: (ISSUE 2 for msa/esc; ISSUE 4 extends the same bar to hash/heap), and
-#: warm-2P direct-write speedup over the stitch path on ≥ 1 face (ISSUE 4)
+#: acceptance gates: fused msa/esc speedup over the msa-loop tier on this
+#: case, and warm-2P direct-write speedup over the stitch path on ≥ 1 face
 GATE_CASE, GATE_MIN_SPEEDUP = "tc-rmat-s10-e8", 3.0
 DIRECT_GATE_MIN_SPEEDUP = 1.3
 #: auto-routing gate (ISSUE 6): on the large ktruss-support face the
@@ -60,28 +56,7 @@ DIRECT_GATE_MIN_SPEEDUP = 1.3
 #: than the fused kernel it used to pick
 AUTO_GATE_CASE, AUTO_GATE_MIN_SPEEDUP = "ktruss-support-rmat-s10-e8", 1.0
 
-#: (kernel, its retained per-row loop) — loops are the fusion baselines
-LOOPS = {
-    "msa": msa_kernel.numeric_rows_loop,
-    "hash": hash_kernel.numeric_rows_loop,
-    "heap": heap_kernel.numeric_rows_loop,
-    "esc": msa_kernel.numeric_rows_loop,  # esc had no per-row ancestor;
-    # msa-loop is the conventional baseline (ISSUE 2)
-}
-
-
-def _loop_runner(loop_fn, A, B, mask, semiring):
-    """A per-row loop, stitched to CSR like the dispatcher does."""
-    rows = np.arange(A.nrows, dtype=INDEX_DTYPE)
-
-    def run():
-        block = loop_fn(A, B, mask, semiring, rows)
-        return stitch_blocks([block], A.nrows, B.ncols)
-
-    return run
-
-
-def _fused_runner(A, B, mask, semiring, algorithm):
+def _runner(A, B, mask, semiring, algorithm):
     return lambda: masked_spgemm(A, B, mask, algorithm=algorithm,
                                  semiring=semiring)
 
@@ -130,29 +105,21 @@ def _direct_cases():
 
 
 def _bench_fused_vs_loop(results, rows):
-    emit("== fused kernels vs their per-row loops ==")
+    emit("== fused kernels vs the msa-loop tier ==")
     gate = {}
     for case, kind, A, B, mask, semiring in _cases():
-        loop_seconds, loop_results = {}, {}
-        for alg in ("msa", "esc", "hash", "heap"):
-            loop_fn = LOOPS[alg]
-            loop_name = "msa-loop" if alg in ("msa", "esc") else f"{alg}-loop"
-            if loop_name not in loop_seconds:
-                runner = _loop_runner(loop_fn, A, B, mask, semiring)
-                loop_results[loop_name] = runner()  # baseline for identity
-                loop_seconds[loop_name] = time_callable(runner, repeats=3,
-                                                        warmup=1)
-                results.append({"case": case, "workload": kind,
-                                "scheme": loop_name,
-                                "seconds": loop_seconds[loop_name],
-                                "speedup_vs_loop": 1.0,
-                                "identical_to_loop": True})
-                rows.append([case, loop_name,
-                             loop_seconds[loop_name] * 1e3, 1.0, "yes"])
-            fused = _fused_runner(A, B, mask, semiring, alg)
-            same = _bit_identical(fused(), loop_results[loop_name])
+        loop = _runner(A, B, mask, semiring, "msa-loop")
+        loop_result = loop()  # baseline for identity
+        loop_seconds = time_callable(loop, repeats=3, warmup=1)
+        results.append({"case": case, "workload": kind, "scheme": "msa-loop",
+                        "seconds": loop_seconds, "speedup_vs_loop": 1.0,
+                        "identical_to_loop": True})
+        rows.append([case, "msa-loop", loop_seconds * 1e3, 1.0, "yes"])
+        for alg in ("msa", "esc"):
+            fused = _runner(A, B, mask, semiring, alg)
+            same = _bit_identical(fused(), loop_result)
             seconds = time_callable(fused, repeats=3, warmup=1)
-            speedup = loop_seconds[loop_name] / seconds
+            speedup = loop_seconds / seconds
             results.append({"case": case, "workload": kind, "scheme": alg,
                             "seconds": seconds, "speedup_vs_loop": speedup,
                             "identical_to_loop": bool(same)})
@@ -187,8 +154,8 @@ def _bench_auto_routing(results, rows):
         E = to_undirected_simple(rmat(s, 8, rng=7100 + s))
         mask = Mask.from_matrix(E)
         picked = auto_select(E, E, mask)
-        auto_run = _fused_runner(E, E, mask, PLUS_PAIR, "auto")
-        msa_run = _fused_runner(E, E, mask, PLUS_PAIR, "msa")
+        auto_run = _runner(E, E, mask, PLUS_PAIR, "auto")
+        msa_run = _runner(E, E, mask, PLUS_PAIR, "msa")
         same = _bit_identical(auto_run(), msa_run())
         t_auto = time_callable(auto_run, repeats=3, warmup=1)
         t_msa = time_callable(msa_run, repeats=3, warmup=1)
@@ -273,9 +240,9 @@ def _bench_chunk_ablation(results, rows):
 
 
 def main() -> None:
-    emit("[Chunk fusion] per-row loops vs fused kernels, direct write, "
+    emit("[Chunk fusion] msa-loop tier vs fused kernels, direct write, "
          "chunk sizing")
-    emit("*-loop = retained per-row baselines; msa/esc/hash/heap = "
+    emit("msa-loop = per-row routing tier; msa/esc/hash/heap = "
          "chunk-fused; *-2p-direct = warm plan + direct-to-CSR writes\n")
 
     # bit-identity spot check against the pure-Python reference tier
@@ -299,15 +266,11 @@ def main() -> None:
     append_trajectory_run(ARTIFACT, "chunk_fusion", results)
     emit(f"\nappended run to {ARTIFACT.name} ({len(results)} results)")
 
-    legacy = max(gate.get("msa", 0.0), gate.get("esc", 0.0))
-    verdict = "PASS" if legacy >= GATE_MIN_SPEEDUP else "FAIL"
+    fused = max(gate.get("msa", 0.0), gate.get("esc", 0.0))
+    verdict = "PASS" if fused >= GATE_MIN_SPEEDUP else "FAIL"
     emit(f"acceptance gate [{GATE_CASE}] msa/esc: best fused speedup "
-         f"{legacy:.1f}x (need ≥ {GATE_MIN_SPEEDUP:.0f}x) → {verdict}")
-    for alg in ("hash", "heap"):
-        sp = gate.get(alg, 0.0)
-        verdict = "PASS" if sp >= GATE_MIN_SPEEDUP else "FAIL"
-        emit(f"acceptance gate [{GATE_CASE}] {alg}: fused {sp:.1f}x over "
-             f"{alg}-loop (need ≥ {GATE_MIN_SPEEDUP:.0f}x) → {verdict}")
+         f"{fused:.1f}x over msa-loop (need ≥ {GATE_MIN_SPEEDUP:.0f}x) → "
+         f"{verdict}")
     best_face = max(direct, key=direct.get)
     best = direct[best_face]
     verdict = "PASS" if best >= DIRECT_GATE_MIN_SPEEDUP else "FAIL"
@@ -330,55 +293,31 @@ def main() -> None:
 # ----------------------------------------------------------------------- #
 def test_chunk_fusion_msa_loop(benchmark, tc_small):
     L, mask = tc_small
-    benchmark.pedantic(
-        _loop_runner(msa_kernel.numeric_rows_loop, L, L, mask, PLUS_PAIR),
-        rounds=3, warmup_rounds=1)
+    benchmark.pedantic(_runner(L, L, mask, PLUS_PAIR, "msa-loop"),
+                       rounds=3, warmup_rounds=1)
 
 
 def test_chunk_fusion_msa_fused(benchmark, tc_small):
     L, mask = tc_small
-    got = benchmark.pedantic(_fused_runner(L, L, mask, PLUS_PAIR, "msa"),
+    got = benchmark.pedantic(_runner(L, L, mask, PLUS_PAIR, "msa"),
                              rounds=3, warmup_rounds=1)
-    assert _bit_identical(
-        got, _loop_runner(msa_kernel.numeric_rows_loop, L, L, mask,
-                          PLUS_PAIR)())
+    assert _bit_identical(got, _runner(L, L, mask, PLUS_PAIR, "msa-loop")())
 
 
 def test_chunk_fusion_esc(benchmark, tc_small):
     L, mask = tc_small
-    got = benchmark.pedantic(_fused_runner(L, L, mask, PLUS_PAIR, "esc"),
+    got = benchmark.pedantic(_runner(L, L, mask, PLUS_PAIR, "esc"),
                              rounds=3, warmup_rounds=1)
-    assert _bit_identical(
-        got, _loop_runner(msa_kernel.numeric_rows_loop, L, L, mask,
-                          PLUS_PAIR)())
-
-
-def test_chunk_fusion_hash_fused(benchmark, tc_small):
-    L, mask = tc_small
-    got = benchmark.pedantic(_fused_runner(L, L, mask, PLUS_PAIR, "hash"),
-                             rounds=3, warmup_rounds=1)
-    assert _bit_identical(
-        got, _loop_runner(hash_kernel.numeric_rows_loop, L, L, mask,
-                          PLUS_PAIR)())
-
-
-def test_chunk_fusion_heap_fused(benchmark, tc_small):
-    L, mask = tc_small
-    got = benchmark.pedantic(_fused_runner(L, L, mask, PLUS_PAIR, "heap"),
-                             rounds=3, warmup_rounds=1)
-    assert _bit_identical(
-        got, _loop_runner(heap_kernel.numeric_rows_loop, L, L, mask,
-                          PLUS_PAIR)())
+    assert _bit_identical(got, _runner(L, L, mask, PLUS_PAIR, "msa-loop")())
 
 
 def test_chunk_fusion_esc_complement(benchmark, density_problem):
     A, B, mask = density_problem
     cmask = mask.complement()
-    got = benchmark.pedantic(_fused_runner(A, B, cmask, PLUS_TIMES, "esc"),
+    got = benchmark.pedantic(_runner(A, B, cmask, PLUS_TIMES, "esc"),
                              rounds=3, warmup_rounds=1)
-    assert _bit_identical(
-        got, _loop_runner(msa_kernel.numeric_rows_loop, A, B, cmask,
-                          PLUS_TIMES)())
+    assert _bit_identical(got,
+                          _runner(A, B, cmask, PLUS_TIMES, "msa-loop")())
 
 
 def test_chunk_fusion_direct_write_warm(benchmark, tc_small):
@@ -389,7 +328,7 @@ def test_chunk_fusion_direct_write_warm(benchmark, tc_small):
         lambda: masked_spgemm(L, L, mask, algorithm="esc",
                               semiring=PLUS_PAIR, phases=2, plan=plan),
         rounds=3, warmup_rounds=1)
-    assert _bit_identical(got, _fused_runner(L, L, mask, PLUS_PAIR, "esc")())
+    assert _bit_identical(got, _runner(L, L, mask, PLUS_PAIR, "esc")())
 
 
 def test_chunk_fusion_auto_ktruss_loop(benchmark):
@@ -401,9 +340,9 @@ def test_chunk_fusion_auto_ktruss_loop(benchmark):
     E = to_undirected_simple(rmat(10, 8, rng=7110))
     mask = Mask.from_matrix(E)
     assert auto_select(E, E, mask) == _expected_auto_pick()
-    got = benchmark.pedantic(_fused_runner(E, E, mask, PLUS_PAIR, "auto"),
+    got = benchmark.pedantic(_runner(E, E, mask, PLUS_PAIR, "auto"),
                              rounds=3, warmup_rounds=1)
-    assert _bit_identical(got, _fused_runner(E, E, mask, PLUS_PAIR, "msa")())
+    assert _bit_identical(got, _runner(E, E, mask, PLUS_PAIR, "msa")())
 
 
 def test_chunk_fusion_budget_ablation_smoke(benchmark, tc_small):

@@ -37,9 +37,10 @@ Result rows by artifact:
 
 * ``BENCH_kernels.json`` (bench ``chunk_fusion``) — three face families,
   disambiguated by ``workload``: fused-vs-loop rows (``workload`` tc |
-  ktruss-support | complement; ``scheme`` msa-loop | hash-loop | heap-loop |
-  msa | esc | hash | heap; ``speedup_vs_loop`` vs the matching loop
-  baseline), warm-2P direct-write rows (``workload`` warm2p-*; ``scheme``
+  ktruss-support | complement; ``scheme`` msa-loop | msa | esc;
+  ``speedup_vs_loop`` vs msa-loop; runs before the per-row hash/heap
+  loops were deleted also carry hash-loop | heap-loop | hash | heap),
+  warm-2P direct-write rows (``workload`` warm2p-*; ``scheme``
   ``<alg>-2p-stitch``/``<alg>-2p-direct`` with ``speedup_vs_stitch``), and
   chunk-ablation rows (``workload`` chunk-ablation; ``scheme``
   nworkersx4-serial | budget-<N>MiB with ``nchunks``). All numeric rows

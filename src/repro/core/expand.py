@@ -249,20 +249,7 @@ def fused_blocks(A: CSRMatrix, B: CSRMatrix, rows: np.ndarray, *,
         if kb.size == 0:
             out.append(kb)
             continue
-        if (int(kb[-1]) - int(kb[0]) == kb.size - 1
-                and (kb.size == 1 or bool(np.all(np.diff(kb) == 1)))):
-            # contiguous chunk (the runner's usual shape): slice A's entries
-            # directly instead of re-running the concat_ranges gather that
-            # expand_rows will do anyway
-            a_cols = A.indices[int(A.indptr[kb[0]]): int(A.indptr[kb[-1] + 1])]
-            a_lens = (A.indptr[kb + 1] - A.indptr[kb]).astype(np.int64,
-                                                              copy=False)
-        else:
-            a_sel, a_lens = _gather_rows(A.indptr, kb)
-            a_cols = A.indices[a_sel]
-        b_lens = (B.indptr[a_cols + 1] - B.indptr[a_cols]).astype(np.int64,
-                                                                  copy=False)
-        off = row_segments(b_lens)[row_segments(a_lens)]  # flops prefix sum
+        off = row_segments(chunk_flops(A, B, kb))  # flops prefix sum
         if off[-1] <= max_flops:
             out.append(kb)
             continue
@@ -284,6 +271,26 @@ def per_row_flops(A: CSRMatrix, B: CSRMatrix) -> np.ndarray:
     lens = np.diff(B.indptr)[A.indices] if A.nnz else np.empty(0, dtype=INDEX_DTYPE)
     csum = np.concatenate([[0], np.cumsum(lens)])
     return (csum[A.indptr[1:]] - csum[A.indptr[:-1]]).astype(INDEX_DTYPE)
+
+
+def chunk_flops(A: CSRMatrix, B: CSRMatrix, rows: np.ndarray) -> np.ndarray:
+    """``per_row_flops(A, B)[rows]`` (int64), counted from the requested
+    rows' entries alone: O(nnz of those rows) instead of O(nnz(A)), which
+    is what a per-chunk caller wants."""
+    if rows.size and (int(rows[-1]) - int(rows[0]) == rows.size - 1
+                      and (rows.size == 1
+                           or bool(np.all(np.diff(rows) == 1)))):
+        # contiguous chunk (the runner's usual shape): slice A's entries
+        # directly instead of running the concat_ranges gather
+        a_cols = A.indices[int(A.indptr[rows[0]]): int(A.indptr[rows[-1] + 1])]
+        a_lens = (A.indptr[rows + 1] - A.indptr[rows]).astype(np.int64,
+                                                              copy=False)
+    else:
+        a_sel, a_lens = _gather_rows(A.indptr, rows)
+        a_cols = A.indices[a_sel]
+    b_lens = (B.indptr[a_cols + 1] - B.indptr[a_cols]).astype(np.int64,
+                                                              copy=False)
+    return np.diff(row_segments(b_lens)[row_segments(a_lens)])
 
 
 def total_flops(A: CSRMatrix, B: CSRMatrix) -> int:

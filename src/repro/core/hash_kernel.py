@@ -5,26 +5,20 @@ mid-row resizing) operated in numpy batches: probe loops iterate over the
 *unresolved remainder* of the batch, so the expected number of passes is the
 expected probe length (≈1.1 at LF 0.25) rather than the batch size.
 
-Two execution strategies share this module:
-
-**Chunk-fused (default)** — :func:`numeric_rows` / :func:`symbolic_rows`
-batch the probe loop across *all rows of a chunk* via per-row table
-offsets: each row owns a region ``[bases[t], bases[t] + caps[t])`` of one
-flat table (``caps[t]`` the row's power-of-two capacity at LF 0.25), and
-every probe carries its row's base and capacity mask, so a single batched
-probe loop resolves the whole chunk's inserts/lookups in ~probe-length
-passes total instead of ~probe-length passes *per row*. Accumulation is one
-scatter over the chunk's product stream (``np.bincount`` for ``+`` monoids,
-generic ``ufunc.at`` otherwise) — per-slot accumulation order equals stream
-(Gustavson) order either way, so results are bit-identical to the per-row
-loop and the reference tier. Chunks are pre-split by
+:func:`numeric_rows` / :func:`symbolic_rows` batch the probe loop across
+*all rows of a chunk* via per-row table offsets: each row owns a region
+``[bases[t], bases[t] + caps[t])`` of one flat table (``caps[t]`` the row's
+power-of-two capacity at LF 0.25), and every probe carries its row's base
+and capacity mask, so a single batched probe loop resolves the whole
+chunk's inserts/lookups in ~probe-length passes total instead of
+~probe-length passes *per row*. Accumulation is one scatter over the
+chunk's product stream (``np.bincount`` for ``+`` monoids, generic
+``ufunc.at`` otherwise) — per-slot accumulation order equals stream
+(Gustavson) order either way, so results are bit-identical to the
+reference tier's per-row hash accumulator
+(:func:`repro.core.reference.spgevm_hash`). Chunks are pre-split by
 :func:`repro.core.expand.fused_blocks`, bounding the table and stream
 working set.
-
-**Per-row loop** — :func:`numeric_rows_loop` / :func:`symbolic_rows_loop`
-keep the original row loop (one table prefix per row, reset between rows)
-as the benchmark baseline (``benchmarks/bench_chunk_fusion.py``) and the
-faithful rendering of the paper's per-row formulation.
 
 The table arrays give hash the "smaller memory footprint than MSA" the
 paper credits it with — O(nnz(mask)) per chunk rather than O(ncols) —
@@ -39,15 +33,11 @@ from ..mask import Mask
 from ..semiring import Semiring
 from ..sparse.csr import CSRMatrix
 from ..validation import INDEX_DTYPE
-from ..accumulators.hash_acc import table_capacity
 from .expand import (
-    expand_row,
-    expand_row_pattern,
     expand_rows,
     expand_rows_pattern,
     flatten_rows_pattern,
     fused_blocks,
-    per_row_flops,
     row_segments,
 )
 from .types import RowBlock, concat_blocks, empty_block, write_rows_into
@@ -56,21 +46,12 @@ _EMPTY = np.int64(-1)
 _HASH_SCAL = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _hash_slots(keys: np.ndarray, cap_mask: int) -> np.ndarray:
-    """Multiplicative (Fibonacci) hash of int64 keys into [0, cap)."""
-    h = (keys.astype(np.uint64) * _HASH_SCAL) >> np.uint64(32)
-    return (h & np.uint64(cap_mask)).astype(np.int64)
-
-
 def _hash_values(keys: np.ndarray) -> np.ndarray:
     """Pre-mask hash values; callers apply per-row capacity masks."""
     return ((keys.astype(np.uint64) * _HASH_SCAL) >> np.uint64(32)
             ).astype(np.int64)
 
 
-# --------------------------------------------------------------------- #
-# chunk-fused passes (default): one flat table, per-row regions
-# --------------------------------------------------------------------- #
 def _row_capacities(nkeys: np.ndarray) -> np.ndarray:
     """Vectorized :func:`~repro.accumulators.hash_acc.table_capacity`:
     power-of-two region capacity at LF 0.25 per row; rows with no keys own
@@ -152,7 +133,7 @@ def _insert_or_accumulate_batch(keys: np.ndarray, vals: np.ndarray,
     stream order wins; the rest retry and then match), drop keys landing on
     banned (mask) slots. Same-key products always travel in the same pending
     subset, so per-slot accumulation stays in stream order — bit-identical
-    to the per-row loop. Returns the slots claimed by products."""
+    to the reference tier. Returns the slots claimed by products."""
     n = keys.size
     slots = bases + (_hash_values(keys) & cap_masks)
     pending = np.arange(n, dtype=np.int64)
@@ -368,7 +349,7 @@ def _fused_symbolic(A: CSRMatrix, B: CSRMatrix, mask: Mask, rows: np.ndarray
 def numeric_rows(A: CSRMatrix, B: CSRMatrix, mask: Mask, semiring: Semiring,
                  rows: np.ndarray) -> RowBlock:
     """Chunk-fused Hash numeric pass (plain and complemented masks),
-    bit-identical to :func:`numeric_rows_loop`."""
+    bit-identical to the reference tier."""
     fn = _fused_numeric_complement if mask.complemented else _fused_numeric
     return concat_blocks([fn(A, B, mask, semiring, block)
                           for block in fused_blocks(A, B, rows)])
@@ -395,255 +376,3 @@ def numeric_rows_into(A: CSRMatrix, B: CSRMatrix, mask: Mask,
     write_rows_into(lambda b: fn(A, B, mask, semiring, b),
                     fused_blocks(A, B, rows), offsets, out_cols, out_vals,
                     algorithm="hash")
-
-
-# --------------------------------------------------------------------- #
-# per-row loop (benchmark baseline + paper-faithful rendering)
-# --------------------------------------------------------------------- #
-def _insert_distinct(keys: np.ndarray, table_keys: np.ndarray, cap_mask: int
-                     ) -> np.ndarray:
-    """Insert *distinct* keys into the (prefix of the) table; return each
-    key's slot. Batch linear probing: each pass claims the first contender
-    per empty slot and advances the rest."""
-    n = keys.size
-    slots = _hash_slots(keys, cap_mask)
-    result = np.empty(n, dtype=np.int64)
-    pending = np.arange(n, dtype=np.int64)
-    while pending.size:
-        s = slots[pending]
-        occupant = table_keys[s]
-        free = occupant == _EMPTY
-        if free.any():
-            f_idx = pending[free]
-            f_slots = s[free]
-            uniq_slots, first = np.unique(f_slots, return_index=True)
-            winners = f_idx[first]
-            table_keys[uniq_slots] = keys[winners]
-            result[winners] = uniq_slots
-            lost = np.ones(f_idx.size, dtype=bool)
-            lost[first] = False
-            losers = f_idx[lost]
-        else:
-            losers = pending[:0]
-        occupied = pending[~free]
-        nxt = np.concatenate([losers, occupied])
-        slots[nxt] = (slots[nxt] + 1) & cap_mask
-        pending = nxt
-    return result
-
-
-def _lookup(keys: np.ndarray, table_keys: np.ndarray, cap_mask: int) -> np.ndarray:
-    """Slot of each key, or -1 when the probe chain hits an empty slot
-    (key not in the table — i.e. masked out)."""
-    n = keys.size
-    slots = _hash_slots(keys, cap_mask)
-    found = np.full(n, -1, dtype=np.int64)
-    pending = np.arange(n, dtype=np.int64)
-    while pending.size:
-        s = slots[pending]
-        occupant = table_keys[s]
-        hit = occupant == keys[pending]
-        found[pending[hit]] = s[hit]
-        cont = ~hit & (occupant != _EMPTY)
-        nxt = pending[cont]
-        slots[nxt] = (slots[nxt] + 1) & cap_mask
-        pending = nxt
-    return found
-
-
-def numeric_rows_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
-                      semiring: Semiring, rows: np.ndarray) -> RowBlock:
-    """Original per-row hash loop: one table prefix per row, reset between
-    rows — the pre-fusion baseline."""
-    if mask.complemented:
-        return _numeric_complement_loop(A, B, mask, semiring, rows)
-    identity = semiring.identity
-    add_at = semiring.add.ufunc.at
-
-    mask_rnnz = np.diff(mask.indptr)
-    max_cap = table_capacity(int(mask_rnnz[rows].max(initial=0)))
-    t_keys = np.full(max_cap, _EMPTY, dtype=np.int64)
-    t_vals = np.empty(max_cap, dtype=np.float64)
-    t_set = np.zeros(max_cap, dtype=bool)
-
-    bound = int(mask_rnnz[rows].sum())
-    out_cols = np.empty(bound, dtype=INDEX_DTYPE)
-    out_vals = np.empty(bound, dtype=np.float64)
-    sizes = np.zeros(rows.size, dtype=INDEX_DTYPE)
-    pos = 0
-
-    for t in range(rows.size):
-        i = int(rows[t])
-        m_cols = mask.indices[mask.indptr[i]: mask.indptr[i + 1]]
-        if m_cols.size == 0:
-            continue
-        bj, prod = expand_row(A, B, i, semiring)
-        if bj.size == 0:
-            continue
-        cap = table_capacity(m_cols.size)
-        cap_mask = cap - 1
-        tk = t_keys[:cap]
-        m_slots = _insert_distinct(m_cols, tk, cap_mask)
-        t_vals[m_slots] = identity
-        f_slots = _lookup(bj, tk, cap_mask)
-        ok = f_slots >= 0
-        hit_slots = f_slots[ok]
-        add_at(t_vals, hit_slots, prod[ok])
-        t_set[hit_slots] = True
-        present = t_set[m_slots]
-        c = m_cols[present]  # mask order == sorted order
-        k = c.size
-        out_cols[pos: pos + k] = c
-        out_vals[pos: pos + k] = t_vals[m_slots[present]]
-        sizes[t] = k
-        pos += k
-        # reset the row's table prefix
-        tk[m_slots] = _EMPTY
-        t_set[m_slots] = False
-    return RowBlock(sizes, out_cols[:pos].copy(), out_vals[:pos].copy())
-
-
-def _insert_or_accumulate(keys: np.ndarray, vals: np.ndarray, t_keys: np.ndarray,
-                          t_vals: np.ndarray, t_banned: np.ndarray, cap_mask: int,
-                          add_ufunc: np.ufunc, identity: float) -> np.ndarray:
-    """Complement-mask product insertion: accumulate into existing slots,
-    claim empty slots (first contender wins, the rest retry and then match),
-    drop keys that land on banned (mask) slots. Returns the array of slots
-    claimed by products, for the gather pass."""
-    n = keys.size
-    slots = _hash_slots(keys, cap_mask)
-    pending = np.arange(n, dtype=np.int64)
-    claimed_all: list[np.ndarray] = []
-    while pending.size:
-        s = slots[pending]
-        occupant = t_keys[s]
-        match = occupant == keys[pending]
-        if match.any():
-            ms = s[match]
-            keep = ~t_banned[ms]
-            with np.errstate(invalid="ignore"):  # NaN data is legal
-                add_ufunc.at(t_vals, ms[keep], vals[pending[match][keep]])
-        free = occupant == _EMPTY
-        if free.any():
-            f_idx = pending[free]
-            f_slots = s[free]
-            uniq_slots, first = np.unique(f_slots, return_index=True)
-            winners = f_idx[first]
-            t_keys[uniq_slots] = keys[winners]
-            t_vals[uniq_slots] = identity
-            claimed_all.append(uniq_slots)
-            # winners stay pending: next pass they match their own slot and
-            # accumulate their value; losers re-probe the now-claimed slot.
-            still = pending[free]
-        else:
-            still = pending[:0]
-        advance = pending[~match & ~free]
-        slots[advance] = (slots[advance] + 1) & cap_mask
-        pending = np.concatenate([still, advance])
-    return (np.concatenate(claimed_all) if claimed_all
-            else np.empty(0, dtype=np.int64))
-
-
-def _numeric_complement_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
-                             semiring: Semiring, rows: np.ndarray) -> RowBlock:
-    identity = semiring.identity
-    add_ufunc = semiring.add.ufunc
-
-    flops = per_row_flops(A, B)
-    mask_rnnz = np.diff(mask.indptr)
-    max_cap = table_capacity(int((mask_rnnz[rows] + np.minimum(flops[rows], B.ncols)
-                                  ).max(initial=0)))
-    t_keys = np.full(max_cap, _EMPTY, dtype=np.int64)
-    t_vals = np.empty(max_cap, dtype=np.float64)
-    t_banned = np.zeros(max_cap, dtype=bool)
-
-    bound = int(np.minimum(flops[rows], B.ncols).sum())
-    out_cols = np.empty(bound, dtype=INDEX_DTYPE)
-    out_vals = np.empty(bound, dtype=np.float64)
-    sizes = np.zeros(rows.size, dtype=INDEX_DTYPE)
-    pos = 0
-
-    for t in range(rows.size):
-        i = int(rows[t])
-        bj, prod = expand_row(A, B, i, semiring)
-        if bj.size == 0:
-            continue
-        m_cols = mask.indices[mask.indptr[i]: mask.indptr[i + 1]]
-        cap = table_capacity(m_cols.size + min(int(flops[i]), B.ncols))
-        cap_mask = cap - 1
-        tk = t_keys[:cap]
-        m_slots = _insert_distinct(m_cols, tk, cap_mask) if m_cols.size else \
-            np.empty(0, dtype=np.int64)
-        t_banned[m_slots] = True
-        claimed = _insert_or_accumulate(bj, prod, tk, t_vals, t_banned, cap_mask,
-                                        add_ufunc, identity)
-        # claimed slots that are banned hold discarded mask-colliding keys?
-        # No: banned slots were claimed by _insert_distinct, not here. Every
-        # claimed slot holds a real output entry.
-        c = t_keys[claimed]
-        order = np.argsort(c, kind="stable")
-        k = c.size
-        out_cols[pos: pos + k] = c[order]
-        out_vals[pos: pos + k] = t_vals[claimed[order]]
-        sizes[t] = k
-        pos += k
-        tk[m_slots] = _EMPTY
-        tk[claimed] = _EMPTY
-        t_banned[m_slots] = False
-    return RowBlock(sizes, out_cols[:pos].copy(), out_vals[:pos].copy())
-
-
-def symbolic_rows_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
-                       rows: np.ndarray) -> np.ndarray:
-    """Per-row pattern-only pass using the same hash table, values untouched."""
-    sizes = np.zeros(rows.size, dtype=INDEX_DTYPE)
-    mask_rnnz = np.diff(mask.indptr)
-    if mask.complemented:
-        flops = per_row_flops(A, B)
-        max_cap = table_capacity(int((mask_rnnz[rows]
-                                      + np.minimum(flops[rows], B.ncols)).max(initial=0)))
-        t_keys = np.full(max_cap, _EMPTY, dtype=np.int64)
-        t_banned = np.zeros(max_cap, dtype=bool)
-        t_vals = np.empty(max_cap, dtype=np.float64)  # untouched semantically
-        for t in range(rows.size):
-            i = int(rows[t])
-            bj = expand_row_pattern(A, B, i)
-            if bj.size == 0:
-                continue
-            m_cols = mask.indices[mask.indptr[i]: mask.indptr[i + 1]]
-            cap = table_capacity(m_cols.size + min(int(flops[i]), B.ncols))
-            cap_mask = cap - 1
-            tk = t_keys[:cap]
-            m_slots = (_insert_distinct(m_cols, tk, cap_mask) if m_cols.size
-                       else np.empty(0, dtype=np.int64))
-            t_banned[m_slots] = True
-            claimed = _insert_or_accumulate(
-                bj, np.zeros(bj.size), tk, t_vals, t_banned, cap_mask, np.add, 0.0)
-            sizes[t] = claimed.size
-            tk[m_slots] = _EMPTY
-            tk[claimed] = _EMPTY
-            t_banned[m_slots] = False
-        return sizes
-
-    max_cap = table_capacity(int(mask_rnnz[rows].max(initial=0)))
-    t_keys = np.full(max_cap, _EMPTY, dtype=np.int64)
-    t_set = np.zeros(max_cap, dtype=bool)
-    for t in range(rows.size):
-        i = int(rows[t])
-        m_cols = mask.indices[mask.indptr[i]: mask.indptr[i + 1]]
-        if m_cols.size == 0:
-            continue
-        bj = expand_row_pattern(A, B, i)
-        if bj.size == 0:
-            continue
-        cap = table_capacity(m_cols.size)
-        cap_mask = cap - 1
-        tk = t_keys[:cap]
-        m_slots = _insert_distinct(m_cols, tk, cap_mask)
-        f_slots = _lookup(bj, tk, cap_mask)
-        hit = f_slots[f_slots >= 0]
-        t_set[hit] = True
-        sizes[t] = int(t_set[m_slots].sum())
-        tk[m_slots] = _EMPTY
-        t_set[m_slots] = False
-    return sizes

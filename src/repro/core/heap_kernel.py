@@ -8,38 +8,29 @@ role — same O(flops·log) asymptotics, same "no scatter table" memory
 profile) followed by a left-to-right segmented reduction
 (:func:`repro.core.expand.segment_reduce`).
 
-Two execution strategies share this module:
+**Chunk-fused Heap (NInspect=1)** — :func:`numeric_rows` /
+:func:`symbolic_rows` process an entire chunk of rows with flat numpy
+passes and zero Python-per-row work, reusing the ESC machinery: one batched
+expansion (:func:`repro.core.expand.expand_rows`), one chunk-wide stable
+argsort of composite keys ``t * ncols + col`` (the fused k-way merge —
+within a row this is exactly the per-row column sort), one ``searchsorted``
+mask intersection of the sorted stream, and one segmented collapse:
+products enter the merge first and are filtered against the mask after
+(sort-then-filter; filtering by key membership before or after the
+collapse is equivalent, since all duplicates of a key share its
+membership). The complement variant is the same path with the intersection
+inverted. Chunks are pre-split by :func:`repro.core.expand.fused_blocks`
+so composite keys fit int64 and peak memory stays bounded. The
+pattern-only pass counts unique masked keys, which no merge order changes,
+so :func:`symbolic_rows` is ESC's.
 
-**Chunk-fused (default)** — :func:`numeric_rows` / :func:`symbolic_rows`
-process an entire chunk of rows with flat numpy passes and zero
-Python-per-row work, reusing the ESC machinery: one batched expansion
-(:func:`repro.core.expand.expand_rows`), one chunk-wide stable argsort of
-composite keys ``t * ncols + col`` (the fused k-way merge — within a row
-this is exactly the per-row column sort), one ``searchsorted`` mask
-intersection of the sorted stream, and one segmented collapse. The
-complement variant is the same path with the intersection inverted. Chunks
-are pre-split by :func:`repro.core.expand.fused_blocks` so composite keys
-fit int64 and peak memory stays bounded. The pattern-only pass counts
-unique masked keys, which no merge order changes, so :func:`symbolic_rows`
-is ESC's.
-
-**Per-row loop** — :func:`numeric_rows_loop` / :func:`symbolic_rows_loop`
-keep the original paper-shaped row loop as the benchmark baseline
-(``benchmarks/bench_chunk_fusion.py``) and to host the NInspect knob
-(Algorithm 5), which decides how much mask inspection happens *before* an
-element enters the heap:
-
-* **Heap (NInspect=1)** — products enter the merge first and are filtered
-  against the mask after: sort-then-filter. The fused path implements this
-  order chunk-wide (filtering by key membership before or after the collapse
-  is equivalent: all duplicates of a key share its membership), so fused and
-  loop results are bit-identical.
-* **HeapDot (NInspect=∞)** — full mask inspection up front means only
-  provably-unmasked products enter the merge: filter-then-sort, a smaller
-  sort in exchange for more inspection work. (The name: with the whole mask
-  inspected per push the control flow approaches a dot-product per entry.)
-  HeapDot stays per-row — it exists to measure the NInspect trade-off, which
-  fusing away would erase.
+**Per-row HeapDot (NInspect=∞)** — :func:`numeric_rows_heapdot` inspects
+the whole mask up front, so only provably-unmasked products enter the
+merge: filter-then-sort, a smaller sort in exchange for more inspection
+work. (The name: with the whole mask inspected per push the control flow
+approaches a dot-product per entry.) HeapDot stays per-row — it exists to
+measure the NInspect trade-off (Algorithm 5), which fusing away would
+erase.
 
 The complement variant (NInspect forced to 0) sorts everything and keeps
 the set difference S \\ m.
@@ -52,17 +43,15 @@ import numpy as np
 from ..mask import Mask
 from ..semiring import Semiring
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import _sorted_unique
 from ..validation import INDEX_DTYPE
 from .esc_kernel import symbolic_rows  # noqa: F401 (re-exported)
 from .expand import (
+    chunk_flops,
     composite_keys,
     expand_row,
-    expand_row_pattern,
     expand_rows,
     fused_blocks,
     mask_membership,
-    per_row_flops,
     segment_reduce,
 )
 from .types import RowBlock, concat_blocks, empty_block, write_rows_into
@@ -119,7 +108,7 @@ def _fused_numeric(A: CSRMatrix, B: CSRMatrix, mask: Mask, semiring: Semiring,
 def numeric_rows(A: CSRMatrix, B: CSRMatrix, mask: Mask, semiring: Semiring,
                  rows: np.ndarray) -> RowBlock:
     """Chunk-fused Heap numeric pass (plain and complemented masks),
-    bit-identical to :func:`numeric_rows_loop`."""
+    bit-identical to the reference tier."""
     return concat_blocks([_fused_numeric(A, B, mask, semiring, block)
                           for block in fused_blocks(A, B, rows)])
 
@@ -137,13 +126,12 @@ def numeric_rows_into(A: CSRMatrix, B: CSRMatrix, mask: Mask,
 
 
 # --------------------------------------------------------------------- #
-# per-row loop (benchmark baseline + the NInspect knob)
+# per-row HeapDot (NInspect=∞)
 # --------------------------------------------------------------------- #
-def numeric_rows_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
-                      semiring: Semiring, rows: np.ndarray, *,
-                      filter_first: bool = False) -> RowBlock:
-    """``filter_first=False`` → Heap (NInspect=1); ``True`` → HeapDot
-    (NInspect=∞). Complemented masks ignore the flag (NInspect=0)."""
+def numeric_rows_heapdot(A: CSRMatrix, B: CSRMatrix, mask: Mask,
+                         semiring: Semiring, rows: np.ndarray) -> RowBlock:
+    """HeapDot: inspect the mask for every product, merge the survivors.
+    Complemented masks run NInspect=0 (sort everything, keep S \\ m)."""
     if mask.complemented:
         return _numeric_complement_loop(A, B, mask, semiring, rows)
     add_ufunc = semiring.add.ufunc
@@ -161,25 +149,12 @@ def numeric_rows_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
         if m_cols.size == 0:
             continue
         bj, prod = expand_row(A, B, i, semiring)
+        keep = _mask_membership_row(bj, m_cols)
+        bj, prod = bj[keep], prod[keep]
         if bj.size == 0:
             continue
-        if filter_first:
-            # HeapDot: inspect the mask for every product, merge survivors.
-            keep = _mask_membership_row(bj, m_cols)
-            bj, prod = bj[keep], prod[keep]
-            if bj.size == 0:
-                continue
-            order = np.argsort(bj, kind="stable")
-            c, v = _collapse_sorted(bj[order], prod[order], add_ufunc)
-        else:
-            # Heap: merge everything, intersect the sorted stream with the mask.
-            order = np.argsort(bj, kind="stable")
-            bj_s, prod_s = bj[order], prod[order]
-            keep = _mask_membership_row(bj_s, m_cols)
-            bj_s, prod_s = bj_s[keep], prod_s[keep]
-            if bj_s.size == 0:
-                continue
-            c, v = _collapse_sorted(bj_s, prod_s, add_ufunc)
+        order = np.argsort(bj, kind="stable")
+        c, v = _collapse_sorted(bj[order], prod[order], add_ufunc)
         k = c.size
         out_cols[pos: pos + k] = c
         out_vals[pos: pos + k] = v
@@ -188,16 +163,10 @@ def numeric_rows_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
     return RowBlock(sizes, out_cols[:pos].copy(), out_vals[:pos].copy())
 
 
-def numeric_rows_heapdot(A: CSRMatrix, B: CSRMatrix, mask: Mask, semiring: Semiring,
-                         rows: np.ndarray) -> RowBlock:
-    return numeric_rows_loop(A, B, mask, semiring, rows, filter_first=True)
-
-
 def _numeric_complement_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
                              semiring: Semiring, rows: np.ndarray) -> RowBlock:
     add_ufunc = semiring.add.ufunc
-    flops = per_row_flops(A, B)
-    bound = int(np.minimum(flops[rows], B.ncols).sum())
+    bound = int(np.minimum(chunk_flops(A, B, rows), B.ncols).sum())
     out_cols = np.empty(bound, dtype=INDEX_DTYPE)
     out_vals = np.empty(bound, dtype=np.float64)
     sizes = np.zeros(rows.size, dtype=INDEX_DTYPE)
@@ -222,20 +191,3 @@ def _numeric_complement_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
         sizes[t] = k
         pos += k
     return RowBlock(sizes, out_cols[:pos].copy(), out_vals[:pos].copy())
-
-
-def symbolic_rows_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
-                       rows: np.ndarray) -> np.ndarray:
-    """Per-row pattern-only pass (the pre-fusion baseline)."""
-    sizes = np.zeros(rows.size, dtype=INDEX_DTYPE)
-    for t in range(rows.size):
-        i = int(rows[t])
-        m_cols = mask.indices[mask.indptr[i]: mask.indptr[i + 1]]
-        bj = expand_row_pattern(A, B, i)
-        if bj.size == 0:
-            continue
-        member = _mask_membership_row(bj, m_cols)
-        keep = ~member if mask.complemented else member
-        kept = bj[keep]
-        sizes[t] = _sorted_unique(kept).size
-    return sizes

@@ -31,7 +31,7 @@ from ..semiring import Semiring
 from ..sparse.csr import CSRMatrix
 from ..validation import INDEX_DTYPE
 from . import heap_kernel, inner_kernel, msa_kernel
-from .expand import per_row_flops
+from .expand import chunk_flops
 from .types import RowBlock
 
 #: class labels (order fixes the sub-kernel dispatch table)
@@ -43,7 +43,7 @@ def classify_rows(A: CSRMatrix, B: CSRMatrix, mask: Mask, rows: np.ndarray
     """Per-row class index into ``_CLASSES`` for the requested rows."""
     if mask.complemented:
         return np.zeros(rows.size, dtype=np.int8)  # all MSA
-    flops = per_row_flops(A, B)[rows].astype(np.float64)
+    flops = chunk_flops(A, B, rows).astype(np.float64)
     m_nnz = np.diff(mask.indptr)[rows].astype(np.float64)
     a_nnz = np.diff(A.indptr)[rows].astype(np.float64)
     d_b = B.nnz / max(B.nrows, 1)

@@ -24,14 +24,16 @@ each block's product stream stays under ``FUSE_FLOPS_BUDGET``, keeping
 peak memory bounded on long-row inputs where the old dense workspaces
 were only O(ncols).
 
-**Per-row loop** — :func:`numeric_rows_loop` / :func:`symbolic_rows_loop`
-keep the original paper-shaped row loop over Algorithm 2's three MSA steps
-(dense states array, scatter, mask-order gather) as the benchmark baseline
-(``benchmarks/bench_chunk_fusion.py``) and the faithful rendering of the
-paper's pseudocode. Its accumulation also takes the ``np.bincount`` fast
-path for ``+``-monoid semirings (PLUS_TIMES, PLUS_PAIR, ...), scattering
-into mask-rank space instead of calling ``np.add.at`` on the dense values
-array.
+**Per-row loop** — :func:`numeric_rows_loop` keeps the paper-shaped row
+loop over Algorithm 2's three MSA steps (dense states array, scatter,
+mask-order gather). It is the ``msa-loop`` routing tier: rows long enough
+to amortize its per-row dispatch cost run faster here than through the
+fused passes' chunk-wide key streams
+(:data:`repro.core.registry.LOOP_ROW_FLOPS`).
+Its accumulation also takes the ``np.bincount`` fast path for
+``+``-monoid semirings (PLUS_TIMES, PLUS_PAIR, ...), scattering into
+mask-rank space instead of calling ``np.add.at`` on the dense values
+array. Its symbolic pass is the fused :func:`symbolic_rows`.
 """
 
 from __future__ import annotations
@@ -44,14 +46,13 @@ from ..sparse.csr import CSRMatrix
 from ..sparse.ops import _sorted_unique
 from ..validation import INDEX_DTYPE
 from .expand import (
+    chunk_flops,
     composite_keys,
     expand_row,
-    expand_row_pattern,
     expand_rows,
     expand_rows_pattern,
     flatten_rows_pattern,
     fused_blocks,
-    per_row_flops,
     sorted_membership,
 )
 from .types import RowBlock, concat_blocks, empty_block, write_rows_into
@@ -188,7 +189,7 @@ def symbolic_rows(A: CSRMatrix, B: CSRMatrix, mask: Mask,
 
 
 # --------------------------------------------------------------------- #
-# per-row loop (benchmark baseline + paper-faithful rendering)
+# per-row loop (the msa-loop routing tier)
 # --------------------------------------------------------------------- #
 def numeric_rows_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
                       semiring: Semiring, rows: np.ndarray) -> RowBlock:
@@ -257,8 +258,7 @@ def _numeric_complement_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
     add = semiring.add.ufunc
     fast_add = add is np.add
 
-    flops = per_row_flops(A, B)
-    bound = int(np.minimum(flops[rows], ncols).sum())
+    bound = int(np.minimum(chunk_flops(A, B, rows), ncols).sum())
     out_cols = np.empty(bound, dtype=INDEX_DTYPE)
     out_vals = np.empty(bound, dtype=np.float64)
     sizes = np.zeros(rows.size, dtype=INDEX_DTYPE)
@@ -290,39 +290,3 @@ def _numeric_complement_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
             pos += k
         banned[m_cols] = False
     return RowBlock(sizes, out_cols[:pos].copy(), out_vals[:pos].copy())
-
-
-def symbolic_rows_loop(A: CSRMatrix, B: CSRMatrix, mask: Mask,
-                       rows: np.ndarray) -> np.ndarray:
-    """Per-row pattern-only pass via the same dense state array MSA's numeric
-    phase uses (values never touched)."""
-    ncols = B.ncols
-    sizes = np.zeros(rows.size, dtype=INDEX_DTYPE)
-    if mask.complemented:
-        banned = np.zeros(ncols, dtype=bool)
-        for t in range(rows.size):
-            i = int(rows[t])
-            bj = expand_row_pattern(A, B, i)
-            if bj.size == 0:
-                continue
-            m_cols = mask.indices[mask.indptr[i]: mask.indptr[i + 1]]
-            banned[m_cols] = True
-            sizes[t] = _sorted_unique(bj[~banned[bj]]).size
-            banned[m_cols] = False
-        return sizes
-
-    states = np.zeros(ncols, dtype=np.int8)
-    for t in range(rows.size):
-        i = int(rows[t])
-        m_cols = mask.indices[mask.indptr[i]: mask.indptr[i + 1]]
-        if m_cols.size == 0:
-            continue
-        bj = expand_row_pattern(A, B, i)
-        if bj.size == 0:
-            continue
-        states[m_cols] = _ALLOWED
-        sel = states[bj] != _NOTALLOWED
-        states[bj[sel]] = _SET
-        sizes[t] = int((states[m_cols] == _SET).sum())
-        states[m_cols] = _NOTALLOWED
-    return sizes

@@ -14,7 +14,7 @@ from ..semiring import PLUS_TIMES, Semiring
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import _sorted_unique
 from ..validation import INDEX_DTYPE, check_multiplicable
-from .expand import expand_row, expand_row_pattern, per_row_flops
+from .expand import chunk_flops, expand_row, expand_row_pattern
 from .types import RowBlock, stitch_blocks
 
 
@@ -26,8 +26,7 @@ def numeric_rows(A: CSRMatrix, B: CSRMatrix, semiring: Semiring,
     identity = semiring.identity
     add_at = semiring.add.ufunc.at
 
-    flops = per_row_flops(A, B)
-    bound = int(np.minimum(flops[rows], ncols).sum())
+    bound = int(np.minimum(chunk_flops(A, B, rows), ncols).sum())
     out_cols = np.empty(bound, dtype=INDEX_DTYPE)
     out_vals = np.empty(bound, dtype=np.float64)
     sizes = np.zeros(rows.size, dtype=INDEX_DTYPE)

@@ -144,11 +144,10 @@ def _c(arr):
 def _compl_bound(A, B, mask, rows) -> int:
     """Output upper bound for complemented masks: a row's distinct
     surviving columns are at most min(flops_i, ncols − banned_i)."""
-    from ..core.expand import per_row_flops
+    from ..core.expand import chunk_flops
 
-    mlens = mask.row_nnz(rows)
-    flops = per_row_flops(A, B)[rows] if A.nnz else np.zeros_like(mlens)
-    return int(np.minimum(flops, B.ncols - mlens).sum())
+    flops = chunk_flops(A, B, rows)
+    return int(np.minimum(flops, B.ncols - mask.row_nnz(rows)).sum())
 
 
 class _Scratch:

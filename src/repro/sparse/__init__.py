@@ -16,7 +16,6 @@ from .coo import COOMatrix
 from .csr import CSRMatrix
 from .csc import CSCMatrix
 from .vector import SparseVector
-from .dcsr import DCSRMatrix
 from .construct import (
     csr_eye,
     csr_diag,
@@ -34,7 +33,6 @@ __all__ = [
     "CSRMatrix",
     "CSCMatrix",
     "SparseVector",
-    "DCSRMatrix",
     "csr_eye",
     "csr_diag",
     "csr_from_dense",

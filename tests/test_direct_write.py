@@ -2,10 +2,11 @@
 
 The PR-4 contracts:
 
-* the chunk-fused ``hash`` and ``heap`` kernels are **bit-identical** to
-  their retained ``*_rows_loop`` baselines and the pure-Python reference
-  tier, across semirings, plain and complemented masks, empty rows and
-  empty outputs;
+* the chunk-fused ``msa``/``esc``/``hash``/``heap`` kernels, per-row
+  ``heapdot`` and compiled ``msa-native`` are **bit-identical** to the
+  pure-Python reference tier, numeric values and symbolic row sizes alike,
+  across semirings, plain and complemented masks, empty rows and empty
+  outputs;
 * the direct-write numeric path (two-phase with known row sizes →
   preallocate ``indptr/indices/data`` → chunks scatter into disjoint
   slices) produces results identical to the stitch path on every executor;
@@ -28,7 +29,7 @@ from repro.core import build_plan, masked_spgemm
 from repro.core import hash_kernel, heap_kernel
 from repro.core.plan import SymbolicPlan
 from repro.core.reference import reference_masked_spgemm
-from repro.core.registry import get_spec
+from repro.core.registry import NATIVE_BASE, get_spec
 from repro.core.types import stitch_blocks, write_block_into
 from repro.errors import AlgorithmError
 from repro.mask import Mask
@@ -81,52 +82,46 @@ def _assert_blocks_equal(got, want):
 
 
 # --------------------------------------------------------------------- #
-# fused hash / heap ≡ per-row loops ≡ reference tier
+# fused kernels, heapdot and msa-native ≡ reference tier
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("module,name", [(hash_kernel, "hash"),
-                                         (heap_kernel, "heap")])
-@given(problem=fused_problem())
-@settings(max_examples=40, deadline=None)
-def test_fused_equals_loop_property(module, name, problem):
-    """Fused hash/heap ≡ their per-row loops, bit for bit, plain and
-    complemented, including empty rows/outputs."""
-    A, B, M, complemented = problem
-    mask = Mask.from_matrix(M, complemented=complemented)
-    rows = np.arange(A.nrows, dtype=INDEX_DTYPE)
-    for semiring in (PLUS_TIMES, MIN_PLUS):
-        fused = module.numeric_rows(A, B, mask, semiring, rows)
-        loop = module.numeric_rows_loop(A, B, mask, semiring, rows)
-        _assert_blocks_equal(fused, loop)
-    assert np.array_equal(module.symbolic_rows(A, B, mask, rows),
-                          module.symbolic_rows_loop(A, B, mask, rows))
-
-
-@pytest.mark.parametrize("algorithm", ["hash", "heap"])
+@pytest.mark.parametrize("algorithm", ["msa", "esc", "hash", "heap",
+                                       "heapdot", "msa-native"])
 @given(problem=fused_problem())
 @settings(max_examples=30, deadline=None)
 def test_fused_equals_reference_property(algorithm, problem):
-    """Fused hash/heap ≡ the pure-Python reference tier, bit for bit."""
+    """Each kernel ≡ the pure-Python reference tier, bit for bit, plain and
+    complemented, including empty rows/outputs: numeric values under two
+    semirings, and the symbolic pass's row sizes."""
     A, B, M, complemented = problem
     mask = Mask.from_matrix(M, complemented=complemented)
-    ref = reference_masked_spgemm(A, B, mask, algorithm)
-    got = masked_spgemm(A, B, mask, algorithm=algorithm)
-    assert got.same_pattern(ref)
-    assert np.array_equal(got.data, ref.data)
+    base = NATIVE_BASE.get(algorithm, algorithm)
+    for semiring in (PLUS_TIMES, MIN_PLUS):
+        ref = reference_masked_spgemm(A, B, mask, base, semiring)
+        got = masked_spgemm(A, B, mask, algorithm=algorithm,
+                            semiring=semiring)
+        assert got.same_pattern(ref)
+        assert np.array_equal(got.data, ref.data)
+    rows = np.arange(A.nrows, dtype=INDEX_DTYPE)
+    assert np.array_equal(get_spec(algorithm).symbolic(A, B, mask, rows),
+                          np.diff(ref.indptr))
 
 
-@pytest.mark.parametrize("module", [hash_kernel, heap_kernel])
+@pytest.mark.parametrize("algorithm", ["msa", "esc", "hash", "heap",
+                                       "heapdot"])
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
 @pytest.mark.parametrize("complemented", [False, True])
-def test_fused_all_semirings_vs_oracle(rng, module, semiring, complemented):
+def test_fused_all_semirings_vs_oracle(rng, algorithm, semiring,
+                                       complemented):
     A, B, M = make_triple(rng, dm=0.12)
     mask = Mask.from_matrix(M, complemented=complemented)
     rows = np.arange(A.nrows, dtype=INDEX_DTYPE)
-    block = module.numeric_rows(A, B, mask, semiring, rows)
+    block = get_spec(algorithm).numeric(A, B, mask, semiring, rows)
     C = stitch_blocks([block], A.nrows, B.ncols)
     assert_masked_product_correct(C, A, B, M, semiring,
                                   complemented=complemented)
-    _assert_blocks_equal(block,
-                         module.numeric_rows_loop(A, B, mask, semiring, rows))
+    ref = reference_masked_spgemm(A, B, mask, algorithm, semiring)
+    assert C.same_pattern(ref)
+    assert np.array_equal(C.data, ref.data)
 
 
 @pytest.mark.parametrize("module", [hash_kernel, heap_kernel])

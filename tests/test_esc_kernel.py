@@ -7,8 +7,6 @@ the same Gustavson order. Covered here:
 
 * property test: ``esc`` ≡ reference tier on random CSR grids, including
   complemented masks and empty rows;
-* fused MSA ≡ the retained per-row loop (incl. the ``np.bincount`` fast
-  path) on every semiring;
 * the ``plan=`` fast path and the parallel runner's chunked execution;
 * the int64 composite-key guard (``key_safe_blocks``).
 """
@@ -181,23 +179,6 @@ def test_esc_through_service_engine(rng, monkeypatch):
     assert warm.result.equals(cold.result)
     assert warm.result.equals(masked_spgemm(A, B, Mask.from_matrix(M),
                                             algorithm="esc", phases=2))
-
-
-@pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
-@pytest.mark.parametrize("complemented", [False, True])
-def test_msa_fused_equals_loop(rng, semiring, complemented):
-    """The fused MSA passes must replicate the retained per-row loop
-    (incl. its np.bincount fast path) bit for bit."""
-    A, B, M = make_triple(rng, dm=0.12)
-    mask = Mask.from_matrix(M, complemented=complemented)
-    rows = np.arange(A.nrows, dtype=INDEX_DTYPE)
-    fused = msa_kernel.numeric_rows(A, B, mask, semiring, rows)
-    loop = msa_kernel.numeric_rows_loop(A, B, mask, semiring, rows)
-    assert np.array_equal(fused.sizes, loop.sizes)
-    assert np.array_equal(fused.cols, loop.cols)
-    assert np.array_equal(fused.vals, loop.vals)
-    assert np.array_equal(msa_kernel.symbolic_rows(A, B, mask, rows),
-                          msa_kernel.symbolic_rows_loop(A, B, mask, rows))
 
 
 def test_fused_blocks_bounds_stream(rng):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro import Mask, SparseVector, masked_spgemm, masked_spgevm
 from repro.sparse import COOMatrix
-from repro.sparse.dcsr import DCSRMatrix
 
 
 @st.composite
@@ -92,19 +91,6 @@ def test_spgevm_dense_oracle(problem):
     got_exists[v.indices] = True
     assert np.array_equal(got_exists, exists)
     assert np.allclose(got[exists], want[exists])
-
-
-@given(csr_mats())
-@settings(max_examples=50, deadline=None)
-def test_dcsr_roundtrip_property(m):
-    d = DCSRMatrix.from_csr(m)
-    assert d.to_csr().equals(m)
-    assert d.nzr == int((m.row_nnz() > 0).sum())
-    # row access agrees everywhere, including empty rows
-    for i in range(m.nrows):
-        cm, vm = m.row(i)
-        cd, vd = d.row(i)
-        assert np.array_equal(cm, cd) and np.array_equal(vm, vd)
 
 
 @given(vectors())

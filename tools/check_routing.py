@@ -18,8 +18,12 @@ For each cell it times every kernel :func:`repro.core.registry.auto_select`
 can return or could return before the fused rule was re-fitted — the
 fused ``inner``/``heap``/``esc``/``msa``/``hash``/``msa-loop`` and, when
 the compiled tier is available, ``msa-native`` — as one-phase
-``masked_spgemm`` calls (best of three after a warm-up), and prints auto's
-pick, the winner and the pick's regret (pick time over winner time).
+``masked_spgemm`` calls, and prints auto's pick, the winner and the pick's
+regret (pick time over winner time). A cell's kernels are timed
+interleaved: one warm-up round, then :data:`ROUNDS` rounds that call each
+kernel once, and each kernel's time is its median. A second core that
+comes and goes then slows every kernel of a round alike, instead of
+whichever kernel happened to be timed while it was away.
 Without the compiled tier ``msa-native`` would only re-time fused ``msa``
 under another name, so it is left out.
 
@@ -36,7 +40,9 @@ from __future__ import annotations
 
 import os
 import platform
+import statistics
 import sys
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -54,6 +60,8 @@ WIDE_MASK_DEGREES = (16, 256)
 #: every key auto_select returns or returned before the re-fit
 ROUTABLE = ("inner", "heap", "esc", "msa", "hash", "msa-loop", "msa-native")
 MAX_SUMMED_REGRET = 1.25
+#: timed rounds per cell, after one warm-up round
+ROUNDS = 5
 
 
 def fit_cells():
@@ -112,25 +120,25 @@ def held_out_cells():
 
 
 def time_cell(A, B, mask, semiring) -> dict[str, float]:
-    """Best-of-three seconds of every routable kernel that supports the
-    mask (``inner`` has no complemented form) and runs as itself
-    (``msa-native`` only when the compiled tier is available)."""
+    """Median seconds over :data:`ROUNDS` interleaved rounds of every
+    routable kernel that supports the mask (``inner`` has no complemented
+    form) and runs as itself (``msa-native`` only when the compiled tier is
+    available)."""
     from repro import masked_spgemm
-    from repro.bench import time_callable
     from repro.core.registry import get_spec
     from repro.native import native_available
 
-    times = {}
-    for key in ROUTABLE:
-        if mask.complemented and not get_spec(key).supports_complement:
-            continue
-        if key == "msa-native" and not native_available():
-            continue
-        times[key] = time_callable(
-            lambda k=key: masked_spgemm(A, B, mask, algorithm=k,
-                                        semiring=semiring),
-            repeats=3, warmup=1)
-    return times
+    keys = [k for k in ROUTABLE
+            if (get_spec(k).supports_complement or not mask.complemented)
+            and (k != "msa-native" or native_available())]
+    samples = {k: [] for k in keys}
+    for r in range(ROUNDS + 1):
+        for key in keys:
+            t0 = time.perf_counter()
+            masked_spgemm(A, B, mask, algorithm=key, semiring=semiring)
+            if r:  # round 0 warms up
+                samples[key].append(time.perf_counter() - t0)
+    return {k: statistics.median(v) for k, v in samples.items()}
 
 
 def env_line() -> str:
