@@ -3,10 +3,10 @@
 The PR-4 contracts:
 
 * the chunk-fused ``msa``/``esc``/``hash``/``heap`` kernels, per-row
-  ``heapdot`` and compiled ``msa-native`` are **bit-identical** to the
-  pure-Python reference tier, numeric values and symbolic row sizes alike,
-  across semirings, plain and complemented masks, empty rows and empty
-  outputs;
+  ``msa-loop`` and ``heapdot`` and compiled ``msa-native`` are
+  **bit-identical** to the pure-Python reference tier, numeric values and
+  symbolic row sizes alike, across semirings, plain and complemented masks,
+  empty rows and empty outputs;
 * the direct-write numeric path (two-phase with known row sizes →
   preallocate ``indptr/indices/data`` → chunks scatter into disjoint
   slices) produces results identical to the stitch path on every executor;
@@ -53,6 +53,9 @@ from repro.validation import INDEX_DTYPE
 
 SEMIRINGS = [PLUS_TIMES, PLUS_PAIR, MIN_PLUS]
 FUSED = ["esc", "msa", "hash", "heap"]
+#: reference-tier accumulator each checked key's output must match bit for
+#: bit (``msa-loop`` is the per-row rendering of the same MSA product)
+REF_BASE = {**NATIVE_BASE, "msa-loop": "msa"}
 
 
 @st.composite
@@ -82,10 +85,10 @@ def _assert_blocks_equal(got, want):
 
 
 # --------------------------------------------------------------------- #
-# fused kernels, heapdot and msa-native ≡ reference tier
+# fused kernels, msa-loop, heapdot and msa-native ≡ reference tier
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("algorithm", ["msa", "esc", "hash", "heap",
-                                       "heapdot", "msa-native"])
+                                       "heapdot", "msa-loop", "msa-native"])
 @given(problem=fused_problem())
 @settings(max_examples=30, deadline=None)
 def test_fused_equals_reference_property(algorithm, problem):
@@ -94,7 +97,7 @@ def test_fused_equals_reference_property(algorithm, problem):
     semirings, and the symbolic pass's row sizes."""
     A, B, M, complemented = problem
     mask = Mask.from_matrix(M, complemented=complemented)
-    base = NATIVE_BASE.get(algorithm, algorithm)
+    base = REF_BASE.get(algorithm, algorithm)
     for semiring in (PLUS_TIMES, MIN_PLUS):
         ref = reference_masked_spgemm(A, B, mask, base, semiring)
         got = masked_spgemm(A, B, mask, algorithm=algorithm,
@@ -107,7 +110,7 @@ def test_fused_equals_reference_property(algorithm, problem):
 
 
 @pytest.mark.parametrize("algorithm", ["msa", "esc", "hash", "heap",
-                                       "heapdot"])
+                                       "heapdot", "msa-loop"])
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
 @pytest.mark.parametrize("complemented", [False, True])
 def test_fused_all_semirings_vs_oracle(rng, algorithm, semiring,
@@ -119,7 +122,8 @@ def test_fused_all_semirings_vs_oracle(rng, algorithm, semiring,
     C = stitch_blocks([block], A.nrows, B.ncols)
     assert_masked_product_correct(C, A, B, M, semiring,
                                   complemented=complemented)
-    ref = reference_masked_spgemm(A, B, mask, algorithm, semiring)
+    ref = reference_masked_spgemm(A, B, mask,
+                                  REF_BASE.get(algorithm, algorithm), semiring)
     assert C.same_pattern(ref)
     assert np.array_equal(C.data, ref.data)
 

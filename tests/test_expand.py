@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.expand import (
+    chunk_flops,
     composite_keys,
     concat_ranges,
     expand_row,
@@ -66,6 +67,27 @@ def test_per_row_flops_and_total(rng):
                      for i in range(10)])
     assert np.array_equal(per_row_flops(A, B), want)
     assert total_flops(A, B) == want.sum()
+
+
+def test_chunk_flops_matches_per_row_flops(rng):
+    """``chunk_flops`` counts the same products as ``per_row_flops`` for
+    every row-set shape a chunk can take: contiguous (the slice path),
+    scattered/unsorted (the gather path), a single row and none at all,
+    including an A with no entries."""
+    A = csr_random(12, 7, density=0.3, rng=rng)
+    B = csr_random(7, 11, density=0.3, rng=rng)
+    empty_A = csr_random(12, 7, density=0.0, rng=rng)
+    assert empty_A.nnz == 0
+    row_sets = [np.arange(12), np.arange(3, 9), np.array([5]),
+                np.array([11]), np.array([0, 4, 9]), np.array([9, 2, 7, 2]),
+                np.array([3, 2, 1, 0]), np.array([], dtype=np.int64)]
+    for M in (A, empty_A):
+        full = per_row_flops(M, B)
+        for rows in row_sets:
+            rows = rows.astype(INDEX_DTYPE)
+            got = chunk_flops(M, B, rows)
+            assert got.shape == rows.shape
+            assert np.array_equal(got, full[rows])
 
 
 def test_concat_ranges_int64_positions():
