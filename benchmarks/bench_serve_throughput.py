@@ -75,7 +75,7 @@ def _serve_stream(engine: Engine, n_requests: int, *, workers=1,
     then reflects the kernel, not contention between worker threads.
     Dedup is off: this bench measures what each cache *tier* costs per
     request, and coalescing identical in-flight requests would collapse the
-    stream into one execution (it has its own telemetry in `serve --smoke`)."""
+    stream into one execution (``repro serve`` reports it as "coalesced")."""
     reqs = [_request(str(i), phases) for i in range(n_requests)]
 
     async def run():

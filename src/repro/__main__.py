@@ -10,18 +10,21 @@ Examples
     python -m repro bc graph.mtx --batch 64
     python -m repro spgemm A.mtx B.mtx --mask M.mtx --algorithm auto -o C.mtx
     python -m repro serve workload.json --workers 2  # replay a workload spec
-    python -m repro serve --smoke        # CI smoke: result-hit serving gate
+    python -m repro serve --smoke        # the built-in repeated-mask workload
     python -m repro serve workload.json --metrics-port 9100  # live /metrics
-    python -m repro serve --smoke --chaos  # CI chaos: inject kernel faults
-    python -m repro serve --smoke --slo p99=50ms:0.99  # burn-rate SLO gate
+    REPRO_FAULTS=engine.kernel:error:2 python -m repro serve --smoke  # faults
+    python -m repro serve --smoke --slo p99=50ms:0.99  # burn-rate SLO
     python -m repro trace workload.json -o trace.json  # offline flame trace
-    python -m repro bundle --smoke --chaos -o bundle.json  # debug bundle
+    python -m repro bundle --smoke -o bundle.json  # debug bundle
     python -m repro profile workload.json -o prof.txt  # collapsed stacks
     python -m repro suite                # list the built-in input suite
     python -m repro info                 # algorithms and semirings
 
 The CLI exists so a downstream user with real SuiteSparse ``.mtx`` files can
-reproduce the paper's workloads without writing Python.
+reproduce the paper's workloads without writing Python. It only parses
+arguments and prints: the serving subcommands replay a workload through
+:func:`repro.service.serve_workload`, and the serving contract they rely
+on is checked by ``tests/test_serve_gate.py``.
 """
 
 from __future__ import annotations
@@ -178,94 +181,56 @@ def cmd_spgemm(args) -> int:
     return 0
 
 
-_SMOKE_SPEC = {
-    # built-in repeated-mask TC workload for `serve --smoke` (CI-sized)
-    "matrices": {
-        "G": {"generator": "er", "n": 400, "degree": 8, "seed": 0,
-              "prep": "triangle"},
-    },
-    "requests": [
-        {"a": "G", "b": "G", "mask": "G", "algorithm": "auto",
-         "semiring": "plus_pair", "repeat": 12, "tag": "tc"},
-    ],
-}
+def _load_spec(args) -> dict:
+    """The workload a serving subcommand replays: the built-in one under
+    ``--smoke``, else the JSON file named on the command line."""
+    import json
+
+    from .service import SMOKE_WORKLOAD, load_workload
+
+    if args.smoke:
+        return SMOKE_WORKLOAD
+    if not args.workload:
+        raise SystemExit("provide a workload.json or --smoke")
+    try:
+        return load_workload(args.workload)
+    except FileNotFoundError:
+        raise SystemExit(f"workload file not found: {args.workload}")
+    except (json.JSONDecodeError, ValueError) as e:
+        raise SystemExit(f"bad workload spec {args.workload}: {e}")
 
 
-def _serve_once(spec, args, *, engine):
-    """Register matrices (if absent), run the request stream through an
-    AsyncServer, and return (responses, failures, server, wall seconds).
-
-    The first request runs alone and the rest follow together once it has
-    completed, so a repeat of it can be answered from the result cache
-    instead of only coalescing onto it in flight. Failures are isolated per
-    request (a bad request must not discard its stream-mates'
-    responses)."""
-    import asyncio
-
-    from .service import AsyncServer, expand_requests, register_matrices
+def _serve(args, engine, spec):
+    """:func:`repro.service.serve_workload` with the pool flags."""
+    from .service import serve_workload
 
     try:
-        if not len(engine.store):
-            register_matrices(engine, spec)
-        requests = expand_requests(spec)
+        return serve_workload(
+            engine, spec, workers=args.workers,
+            max_inflight=args.max_inflight,
+            max_queued_flops=(int(args.max_queued_mflops * 1e6)
+                              if args.max_queued_mflops else None))
     except ValueError as e:
         # malformed spec contents (unknown request/matrix field, bad prep)
         raise SystemExit(f"bad workload spec: {e}")
-    max_queued_flops = (int(args.max_queued_mflops * 1e6)
-                        if args.max_queued_mflops else None)
-
-    async def run():
-        t0 = time.perf_counter()
-        async with AsyncServer(engine, workers=args.workers,
-                               max_inflight=args.max_inflight,
-                               max_queued_flops=max_queued_flops) as server:
-            results = []
-            for batch in (requests[:1], requests[1:]):
-                results += await asyncio.gather(
-                    *[server.submit(r) for r in batch],
-                    return_exceptions=True)
-        return results, server, time.perf_counter() - t0
-
-    results, server, seconds = asyncio.run(run())
-    responses = [r for r in results if not isinstance(r, BaseException)]
-    failures = [(req.tag, r) for req, r in zip(requests, results)
-                if isinstance(r, BaseException)]
-    return responses, failures, server, seconds
 
 
-#: chaos default when ``--chaos`` is given but $REPRO_FAULTS is unset: fail
-#: the first numeric kernel call AND its first fallback, so a native-routed
-#: request walks the whole ladder (native → fused → loop) and the gate can
-#: assert repro_degraded_total > 0.
-_CHAOS_DEFAULT = "engine.kernel:error:2"
+def _print_failures(failures) -> None:
+    for tag, exc in failures[:5]:
+        print(f"FAILED request {tag!r}: {type(exc).__name__}: {exc}")
+    if len(failures) > 5:
+        print(f"... and {len(failures) - 5} more failures")
 
 
 def cmd_serve(args) -> int:
-    import json
+    """Replay a workload through the async front end and print the serving
+    report; exits 1 when any request failed. Kernel faults are injected
+    through ``$REPRO_FAULTS``."""
+    from .service import Engine, render_serve_report
 
-    from .service import Engine, load_workload, render_serve_report
-
-    if args.smoke:
-        spec = _SMOKE_SPEC
-    elif args.workload:
-        try:
-            spec = load_workload(args.workload)
-        except FileNotFoundError:
-            raise SystemExit(f"workload file not found: {args.workload}")
-        except (json.JSONDecodeError, ValueError) as e:
-            raise SystemExit(f"bad workload spec {args.workload}: {e}")
-    else:
-        raise SystemExit("provide a workload.json or --smoke")
-
-    faults = None
-    if getattr(args, "chaos", False):
-        from .resilience import FaultPlan
-
-        faults = FaultPlan.from_env() or FaultPlan.parse(_CHAOS_DEFAULT)
-        print(f"chaos: injecting {faults!r}")
-
+    spec = _load_spec(args)
     slos = None
-    if getattr(args, "slo", None):
+    if args.slo:
         from .obs import parse_slo
 
         try:
@@ -279,7 +244,9 @@ def cmd_serve(args) -> int:
 
     engine = Engine(result_cache_bytes=(int(args.result_cache_mb * 2**20)
                                         if args.result_cache_mb else None),
-                    faults=faults, slos=slos)
+                    slos=slos)
+    if engine.faults is not None:
+        print(f"faults: injecting {engine.faults!r}")
     obs = None
     if args.metrics_port is not None:
         from .obs import ObsHTTPServer
@@ -291,17 +258,9 @@ def cmd_serve(args) -> int:
         print(f"observability: {obs.url}/metrics  {obs.url}/slo  "
               f"{obs.url}/trace/<request_id>.json  {obs.url}/debug/bundles")
     try:
-        responses, failures, server, seconds = _serve_once(spec, args,
-                                                           engine=engine)
+        responses, failures, server, seconds = _serve(args, engine, spec)
         print(render_serve_report(engine, server, responses, seconds))
-        for tag, exc in failures[:5]:
-            print(f"FAILED request {tag!r}: {type(exc).__name__}: {exc}")
-        if len(failures) > 5:
-            print(f"... and {len(failures) - 5} more failures")
-
-        if args.smoke:
-            return _check_smoke(engine, server, responses, args, obs=obs,
-                                failures=failures)
+        _print_failures(failures)
         return 1 if failures else 0
     finally:
         if obs is not None:
@@ -309,224 +268,17 @@ def cmd_serve(args) -> int:
         engine.close()
 
 
-def _check_smoke(engine, server, responses, args, obs=None,
-                 failures=()) -> int:
-    """CI gate: the repeated-request smoke stream computes once and serves
-    every repeat without a numeric pass — at least one as a genuine result
-    hit, the rest as result hits or by coalescing onto an identical
-    in-flight request (no execution at all). With ``--metrics-port`` the
-    gate also requires a live, parseable ``/metrics`` with non-zero request
-    counters and a Chrome-trace export for a served request. With
-    ``--chaos`` the gate additionally requires that the injected faults
-    actually fired, every request still completed with the bit-identical
-    fault-free answer, the degrade ladder was observed in
-    ``repro_degraded_total``, and the degrade captured a flight bundle."""
-    n = len(responses)
-    coalesced = sum(1 for r in responses if r.stats.coalesced)
-    result_hits = sum(1 for r in responses
-                      if r.stats.result_cache_hit and not r.stats.coalesced)
-    executed = n - coalesced
-    computed = executed - result_hits
-    ok = (server.stats.completed == executed and result_hits >= 1
-          and computed <= 1)
-    print(f"\nsmoke: {n} requests: {computed} computed, {result_hits} "
-          f"result hits, {coalesced} coalesced (need ≥ 1 result hit and "
-          f"≤ 1 computed) → {'PASS' if ok else 'FAIL'}")
-    ok_obs = True
-    if obs is not None:
-        ok_obs = _check_metrics_smoke(obs, responses, executed)
-    ok_slo = True
-    if getattr(args, "slo", None):
-        ok_slo = _check_slo_smoke(engine, obs)
-    ok_bundle = True
-    if getattr(args, "chaos", False):
-        ok_bundle = _check_bundle_smoke(engine, obs)
-    tiers = engine.stats.kernel_tiers
-    if tiers:
-        # which kernel tier actually served the numeric passes — a degraded
-        # run shows fused/loop counts here even though routing picked native
-        print("smoke kernel tiers: "
-              + ", ".join(f"{t}={c}" for t, c in tiers.items()))
-
-    ok_chaos = True
-    if getattr(args, "chaos", False):
-        ok_chaos = _check_chaos_smoke(engine, responses, failures)
-    return 0 if ok and ok_chaos and ok_obs and ok_slo and ok_bundle else 1
-
-
-def _check_chaos_smoke(engine, responses, failures) -> bool:
-    """Chaos gate: with faults injected, every request must still complete,
-    the degrade ladder must be visible in ``repro_degraded_total``, and
-    every response must be bit-identical to the fault-free answer."""
-    from .obs import parse_exposition
-    from .resilience import FaultPlan
-    from .service import Engine, expand_requests, register_matrices
-
-    ok_complete = not failures and len(responses) > 0
-    fired = engine.faults.fired_total() if engine.faults is not None else 0
-    families = parse_exposition(engine.metrics.render())
-    degraded = sum(families.get("repro_degraded_total", {}).values())
-    ok_degraded = fired > 0 and degraded > 0
-
-    # bit-identical: a fresh engine with an empty fault plan (not
-    # $REPRO_FAULTS) is the oracle
-    ref_engine = Engine(faults=FaultPlan())
-    try:
-        register_matrices(ref_engine, _SMOKE_SPEC)
-        ref = ref_engine.submit(expand_requests(_SMOKE_SPEC)[0]).result
-    finally:
-        ref_engine.close()
-    ok_identical = all(
-        np.array_equal(r.result.indptr, ref.indptr)
-        and np.array_equal(r.result.indices, ref.indices)
-        and np.array_equal(r.result.data, ref.data)
-        for r in responses)
-
-    ok = ok_complete and ok_degraded and ok_identical
-    print(f"smoke chaos: {len(responses)} responses / {len(failures)} "
-          f"failures, {fired} faults fired, degraded={degraded:.0f}, "
-          f"bit-identical={'yes' if ok_identical else 'NO'} → "
-          f"{'PASS' if ok else 'FAIL'}")
-    return ok
-
-
-def _check_metrics_smoke(obs, responses, executed: int) -> bool:
-    """Fetch ``/metrics`` and one ``/trace/<id>.json`` over real HTTP and
-    check they describe the smoke stream: the engine-request counter must
-    cover every executed request, and the trace of a computed request must
-    contain the serving span taxonomy (queue → numeric at minimum) as
-    valid Chrome-trace JSON."""
-    import json
-    import urllib.request
-
-    from .obs import parse_exposition
-
-    with urllib.request.urlopen(f"{obs.url}/metrics", timeout=10) as resp:
-        families = parse_exposition(resp.read().decode())
-    served = sum(families.get("repro_engine_requests_total", {}).values())
-    completed = families.get("repro_server_requests_total", {}).get(
-        (("outcome", "completed"),), 0.0)
-    ok_metrics = served >= executed > 0 and completed >= executed
-
-    traced = [r for r in responses
-              if r.stats.trace_id and not r.stats.result_cache_hit]
-    ok_trace = False
-    names: set = set()
-    if traced:
-        trace_id = traced[-1].stats.trace_id
-        with urllib.request.urlopen(f"{obs.url}/trace/{trace_id}.json",
-                                    timeout=10) as resp:
-            doc = json.loads(resp.read().decode())
-        names = {ev.get("name") for ev in doc.get("traceEvents", [])
-                 if ev.get("ph") == "X"}
-        ok_trace = {"queue", "numeric"} <= names
-    ok_obs = ok_metrics and ok_trace
-    print(f"smoke metrics: /metrics served {served:.0f} engine requests "
-          f"(≥ {executed} executed), trace spans {sorted(names)} → "
-          f"{'PASS' if ok_obs else 'FAIL'}")
-    return ok_obs
-
-
-def _check_slo_smoke(engine, obs) -> bool:
-    """SLO gate (``--smoke --slo ...``): every configured objective must
-    evaluate, at least one must be *alerting* on both burn-rate windows
-    (pick a threshold the smoke stream breaches — the CI leg uses
-    ``p99=100us:0.99``), and each alerting latency objective must surface
-    ≥ 1 exemplar whose trace id resolves to a retained trace (over real
-    HTTP when ``--metrics-port`` is live)."""
-    import json
-    import urllib.request
-
-    if engine.slo is None:
-        print("smoke slo: FAIL (no evaluator attached)")
-        return False
-    if obs is not None:
-        with urllib.request.urlopen(f"{obs.url}/slo", timeout=10) as resp:
-            payload = json.loads(resp.read().decode())["slos"]
-    else:
-        payload = engine.slo.evaluate(force=True)
-    alerting = [o for o in payload if o["alerting"]]
-    ok_alert = bool(alerting)
-    need_exemplar = [o for o in alerting if o["kind"] == "latency"]
-    resolved = 0
-    for o in need_exemplar:
-        for ex in o.get("exemplars", []):
-            if obs is not None:
-                try:
-                    url = f"{obs.url}/trace/{ex['trace_id']}.json"
-                    with urllib.request.urlopen(url, timeout=10) as resp:
-                        doc = json.loads(resp.read().decode())
-                    hit = bool(doc.get("traceEvents"))
-                except urllib.error.HTTPError:
-                    hit = False
-            else:
-                hit = engine.tracer.get(ex["trace_id"]) is not None
-            if hit:
-                resolved += 1
-                break
-    ok_exemplar = resolved == len(need_exemplar)
-    burns = ", ".join(
-        f"{o['slo']}: fast={o['windows']['fast']['burn_rate']:.1f}x "
-        f"slow={o['windows']['slow']['burn_rate']:.1f}x"
-        f"{' ALERT' if o['alerting'] else ''}" for o in payload)
-    ok_slo = ok_alert and ok_exemplar
-    print(f"smoke slo: {burns}; {resolved}/{len(need_exemplar)} alerting "
-          f"objectives with a resolvable exemplar trace → "
-          f"{'PASS' if ok_slo else 'FAIL'}")
-    return ok_slo
-
-
-def _check_bundle_smoke(engine, obs) -> bool:
-    """Flight-recorder gate (``--smoke --chaos``): the injected fault's
-    degrade must have captured a debug bundle, downloadable (over real HTTP
-    when the sidecar is live) with the trace, metrics snapshot, and live
-    context intact."""
-    import json
-    import urllib.request
-
-    flight = engine.flight
-    ids = flight.bundle_ids() if flight is not None else []
-    degrade = [i for i in ids if "degrade" in i]
-    ok = bool(degrade)
-    if ok:
-        bid = degrade[-1]
-        if obs is not None:
-            with urllib.request.urlopen(f"{obs.url}/debug/bundle/{bid}",
-                                        timeout=10) as resp:
-                doc = json.loads(resp.read().decode())
-        else:
-            doc = flight.bundle(bid)
-        ok = (doc is not None and doc.get("reason") == "degrade"
-              and bool(doc.get("metrics")) and "context" in doc)
-    print(f"smoke flightrec: {len(ids)} bundle(s) "
-          f"({', '.join(ids) if ids else 'none'}); degrade bundle "
-          f"{'downloaded and parsed' if ok else 'MISSING'} → "
-          f"{'PASS' if ok else 'FAIL'}")
-    return ok
-
-
 def cmd_trace(args) -> int:
     """Offline capture: serve a workload once and write one request's trace
     as Chrome-trace JSON (open in Perfetto or ``chrome://tracing``)."""
     import json
 
-    from .service import Engine, load_workload
+    from .service import Engine
 
-    if args.smoke:
-        spec = _SMOKE_SPEC
-    elif args.workload:
-        try:
-            spec = load_workload(args.workload)
-        except FileNotFoundError:
-            raise SystemExit(f"workload file not found: {args.workload}")
-        except (json.JSONDecodeError, ValueError) as e:
-            raise SystemExit(f"bad workload spec {args.workload}: {e}")
-    else:
-        raise SystemExit("provide a workload.json or --smoke")
-
+    spec = _load_spec(args)
     engine = Engine()
     try:
-        responses, failures, _, _ = _serve_once(spec, args, engine=engine)
+        responses, failures, _, _ = _serve(args, engine, spec)
         traced = [r for r in responses if r.stats.trace_id]
         if not traced:
             raise SystemExit("no traces captured (every request failed?)")
@@ -548,8 +300,7 @@ def cmd_trace(args) -> int:
         print(f"wrote {args.output}: request {rec.trace_id} "
               f"({len(rec.spans)} spans) — open in Perfetto or "
               f"chrome://tracing")
-        for tag, exc in failures[:5]:
-            print(f"FAILED request {tag!r}: {type(exc).__name__}: {exc}")
+        _print_failures(failures)
         return 1 if failures else 0
     finally:
         engine.close()
@@ -559,35 +310,16 @@ def cmd_bundle(args) -> int:
     """Offline flight-recorder capture: serve a workload once, force a
     manual debug bundle (trace + metrics snapshot + request ring + live
     engine context), and copy it to ``--output`` for attachment to a bug
-    report. Any bundles captured *during* the run (resilience edges under
-    ``--chaos`` / ``$REPRO_FAULTS``) are listed too."""
-    import json
+    report. Any bundles captured *during* the run (resilience edges, e.g.
+    a degrade under ``$REPRO_FAULTS``) are listed too."""
     import shutil
 
-    from .service import Engine, load_workload
+    from .service import Engine
 
-    if args.smoke:
-        spec = _SMOKE_SPEC
-    elif args.workload:
-        try:
-            spec = load_workload(args.workload)
-        except FileNotFoundError:
-            raise SystemExit(f"workload file not found: {args.workload}")
-        except (json.JSONDecodeError, ValueError) as e:
-            raise SystemExit(f"bad workload spec {args.workload}: {e}")
-    else:
-        raise SystemExit("provide a workload.json or --smoke")
-
-    faults = None
-    if getattr(args, "chaos", False):
-        from .resilience import FaultPlan
-
-        faults = FaultPlan.from_env() or FaultPlan.parse(_CHAOS_DEFAULT)
-        print(f"chaos: injecting {faults!r}")
-
-    engine = Engine(faults=faults)
+    spec = _load_spec(args)
+    engine = Engine()
     try:
-        responses, failures, _, _ = _serve_once(spec, args, engine=engine)
+        responses, failures, _, _ = _serve(args, engine, spec)
         edge_ids = engine.flight.bundle_ids()
         bid = engine.flight.capture(
             "manual", detail=f"repro bundle ({len(responses)} responses, "
@@ -615,23 +347,10 @@ def cmd_profile(args) -> int:
     collapsed stacks). By default samples are kept only while a numeric
     span is open, so the profile answers "where does kernel time go"
     rather than "where does the interpreter idle"."""
-    import json
-
     from .obs import SamplingProfiler
-    from .service import Engine, load_workload
+    from .service import Engine
 
-    if args.smoke:
-        spec = _SMOKE_SPEC
-    elif args.workload:
-        try:
-            spec = load_workload(args.workload)
-        except FileNotFoundError:
-            raise SystemExit(f"workload file not found: {args.workload}")
-        except (json.JSONDecodeError, ValueError) as e:
-            raise SystemExit(f"bad workload spec {args.workload}: {e}")
-    else:
-        raise SystemExit("provide a workload.json or --smoke")
-
+    spec = _load_spec(args)
     spans = None
     if args.spans != "all":
         spans = [s.strip() for s in args.spans.split(",") if s.strip()]
@@ -642,8 +361,7 @@ def cmd_profile(args) -> int:
     try:
         prof = SamplingProfiler(interval=args.interval, spans=spans)
         with prof:
-            responses, failures, _, seconds = _serve_once(spec, args,
-                                                          engine=engine)
+            responses, failures, _, seconds = _serve(args, engine, spec)
         text = prof.collapsed()
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -657,8 +375,7 @@ def cmd_profile(args) -> int:
             print("note: no samples landed inside the selected spans — "
                   "try a larger workload, a smaller --interval, or "
                   "--spans all")
-        for tag, exc in failures[:5]:
-            print(f"FAILED request {tag!r}: {type(exc).__name__}: {exc}")
+        _print_failures(failures)
         return 1 if failures else 0
     finally:
         engine.close()
@@ -756,25 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--result-cache-mb", type=float, default=256,
                     help="result-cache budget in MiB (0 disables the tier)")
     sv.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
-                    help="serve /metrics (Prometheus) and /trace/<id>.json "
-                         "(Chrome trace) on 127.0.0.1:PORT while the run is "
-                         "live (0 = ephemeral port; with --smoke the gate "
-                         "also asserts the endpoints)")
-    sv.add_argument("--chaos", action="store_true",
-                    help="inject faults from $REPRO_FAULTS (default: "
-                         f"{_CHAOS_DEFAULT}, failing a kernel call and its "
-                         "first fallback); with --smoke the gate asserts "
-                         "completion, bit-identical degraded results, and a "
-                         "degrade flight bundle")
+                    help="serve /metrics (Prometheus), /slo, "
+                         "/trace/<id>.json (Chrome trace) and /debug/bundles "
+                         "on 127.0.0.1:PORT while the run is live "
+                         "(0 = ephemeral port)")
     sv.add_argument("--slo", action="append", metavar="SPEC",
                     help="declare a service objective, e.g. p99=50ms:0.99 "
                          "(99%% of requests under 50 ms) or "
                          "availability=0.999; "
                          "repeatable. Burn rates are served at /slo and "
-                         "exported as repro_slo_*; with --smoke the gate "
-                         "requires an alerting objective with a resolvable "
-                         "exemplar trace (use a breaching threshold such as "
-                         "p99=100us:0.99)")
+                         "exported as repro_slo_*")
     sv.set_defaults(fn=cmd_serve)
 
     tr = sub.add_parser(
@@ -800,10 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     bu.add_argument("--output", "-o", default="bundle.json",
                     help="output path for the bundle JSON "
                          "(default bundle.json)")
-    bu.add_argument("--chaos", action="store_true",
-                    help="inject faults from $REPRO_FAULTS (default: "
-                         f"{_CHAOS_DEFAULT}) so resilience-edge bundles "
-                         "are captured during the run too")
     bu.set_defaults(fn=cmd_bundle)
 
     pr = sub.add_parser(

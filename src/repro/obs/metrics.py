@@ -15,10 +15,10 @@ the Prometheus client data model but with no third-party dependency:
 
 :meth:`MetricsRegistry.render` emits the standard Prometheus text format
 (``# HELP`` / ``# TYPE`` / samples, histogram ``_bucket{le=...}`` series
-ending in ``+Inf``). :func:`parse_exposition` is the inverse used by tests
-and ``tools/check_metrics.py`` to validate that output strictly — names,
-label syntax, bucket monotonicity — without pulling in a real Prometheus
-parser.
+ending in ``+Inf``). :func:`parse_exposition` is the inverse used by the
+tests (the serving gate ``tests/test_serve_gate.py`` among them) to
+validate that output strictly — names, label syntax, bucket monotonicity —
+without pulling in a real Prometheus parser.
 
 Histograms additionally carry **trace exemplars**: when an observation is
 made inside an active trace (:func:`repro.obs.trace.current_record`), the
@@ -255,19 +255,6 @@ class Histogram(_Metric):
         with self._lock:
             return int(sum(s[1] for s in self._samples.values()))
 
-    def bucket_counts(self, **labelvalues: object) -> list[int]:
-        """Cumulative counts per bucket boundary, ending with +Inf == count."""
-        with self._lock:
-            state = self._samples.get(self._key(labelvalues))
-            if state is None:
-                return [0] * (len(self.buckets) + 1)
-            out, acc = [], 0
-            for c in state[2]:
-                acc += c
-                out.append(acc)
-            out.append(int(state[1]))
-            return out
-
     # -- objective/exemplar views (repro.obs.slo) ----------------------- #
     def le_bound(self, value: float) -> float:
         """The bucket bound a ≤-threshold snaps to: the smallest bound
@@ -393,7 +380,7 @@ class MetricsRegistry:
 
 
 # --------------------------------------------------------------------- #
-# exposition parsing (tests + tools/check_metrics.py)
+# exposition parsing (tests, including the serving gate)
 # --------------------------------------------------------------------- #
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"

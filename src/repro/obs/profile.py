@@ -122,10 +122,6 @@ class SamplingProfiler:
         with self._lock:
             return self._samples
 
-    def stack_counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
     def collapsed(self) -> str:
         """Collapsed-stack text, hottest first — pipe straight into
         ``flamegraph.pl`` or import into speedscope."""

@@ -124,9 +124,8 @@ class SLOEvaluator:
 
     ``evaluate()`` is cheap (reads cumulative counters under their own
     locks, appends one snapshot) and idempotent within ``min_interval`` —
-    the sidecar calls it on every ``/metrics`` and ``/slo`` hit, and the
-    smoke gates call it directly. ``clock`` is injectable so tests can
-    replay a synthetic timeline.
+    the sidecar calls it on every ``/metrics`` and ``/slo`` hit.
+    ``clock`` is injectable so tests can replay a synthetic timeline.
     """
 
     def __init__(self, registry: MetricsRegistry,

@@ -16,7 +16,7 @@ layers stitched into *one* timeline. This module provides:
   context, so spans opened anywhere down the call stack attach to the
   right parent — but note that ``ThreadPoolExecutor`` workers do *not*
   inherit the submitting context; executor call-sites capture the active
-  record explicitly (see :func:`repro.parallel.runner.direct_write_numeric`)
+  record explicitly (see :func:`repro.parallel.runner.timed_chunks`)
   and attach chunk spans with :meth:`TraceRecord.add_span`.
 * :func:`capture` — a standalone activation for offline captures and
   tests: spans land in a fresh record outside any :class:`Tracer`.

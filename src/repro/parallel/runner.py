@@ -63,6 +63,34 @@ def uses_direct_write(algorithm: str, phases: int,
     return spec.numeric_into is not None
 
 
+def timed_chunks(fn, kernel: str, phase: str):
+    """Wrap a per-chunk callable so each call is timed by one perf_counter
+    pair that feeds both a ``chunk`` span on the active trace record and
+    the chunk-metric sink — the histogram stays bit-identical to the span
+    when tracing is on, and populated when it is off.
+
+    Both are captured *here*, on the submitting thread: contextvars do not
+    propagate into thread-pool workers. With neither active, ``fn`` itself
+    is returned, so the untraced path stays a bare call."""
+    rec = current_record()
+    sink = current_chunk_observer()
+    if rec is None and sink is None:
+        return fn
+    trace_id = rec.trace_id if rec is not None else None
+
+    def timed(chunk):
+        t0 = time.perf_counter()
+        out = fn(chunk)
+        t1 = time.perf_counter()
+        if rec is not None:
+            rec.add_span("chunk", t0, t1, kernel=kernel, phase=phase,
+                         rows=len(chunk))
+        if sink is not None:
+            sink(t1 - t0, kernel, phase, trace_id)
+        return out
+    return timed
+
+
 def direct_write_numeric(spec, A, B, mask, semiring, chunks, row_sizes,
                          out_shape, executor) -> CSRMatrix:
     """Preallocate the final CSR arrays from exact ``row_sizes`` and let
@@ -75,31 +103,12 @@ def direct_write_numeric(spec, A, B, mask, semiring, chunks, row_sizes,
     cols = np.empty(nnz, dtype=INDEX_DTYPE)
     vals = np.empty(nnz, dtype=np.float64)
     into = spec.numeric_into
-    # the active trace record and chunk-metric sink are captured *here*, on
-    # the submitting thread: contextvars do not propagate into thread-pool
-    # workers, so chunk closures carry both explicitly (None/None → the
-    # zero-cost path). One perf_counter pair feeds both, so the histogram
-    # stays bit-identical to the span when tracing is on — and populated
-    # when it is off.
-    rec = current_record()
-    sink = current_chunk_observer()
-    trace_id = rec.trace_id if rec is not None else None
 
     def run(chunk):
         offsets = indptr[int(chunk[0]): int(chunk[-1]) + 2]
-        if rec is None and sink is None:
-            into(A, B, mask, semiring, chunk, cols, vals, offsets)
-            return
-        t0 = time.perf_counter()
         into(A, B, mask, semiring, chunk, cols, vals, offsets)
-        t1 = time.perf_counter()
-        if rec is not None:
-            rec.add_span("chunk", t0, t1, kernel=spec.key,
-                         phase="numeric", rows=len(chunk))
-        if sink is not None:
-            sink(t1 - t0, spec.key, "numeric", trace_id)
 
-    executor.map(run, chunks)
+    executor.map(timed_chunks(run, spec.key, "numeric"), chunks)
     return CSRMatrix(indptr, cols, vals, out_shape, check=False)
 
 
@@ -148,33 +157,12 @@ def parallel_masked_spgemm(
 
     row_sizes = (plan.row_sizes
                  if plan is not None and phases == 2 else None)
-    # captured on the submitting thread (pool threads don't inherit the
-    # trace/sink contextvars)
-    rec = current_record()
-    sink = current_chunk_observer()
-    trace_id = rec.trace_id if rec is not None else None
-
-    def timed(fn, phase):
-        if rec is None and sink is None:
-            return fn
-
-        def wrapped(chunk):
-            t0 = time.perf_counter()
-            out = fn(chunk)
-            t1 = time.perf_counter()
-            if rec is not None:
-                rec.add_span("chunk", t0, t1, kernel=spec.key,
-                             phase=phase, rows=len(chunk))
-            if sink is not None:
-                sink(t1 - t0, spec.key, phase, trace_id)
-            return out
-        return wrapped
-
     if phases == 2 and row_sizes is None:
         # capture the symbolic chunk results (previously discarded) into
         # the row sizes that drive the direct-write numeric pass
         sym = executor.map(
-            timed(lambda c: spec.symbolic(A, B, mask, c), "symbolic"),
+            timed_chunks(lambda c: spec.symbolic(A, B, mask, c), spec.key,
+                         "symbolic"),
             chunks)
         row_sizes = (sym[0] if len(sym) == 1
                      else np.concatenate(sym)).astype(INDEX_DTYPE,
@@ -186,6 +174,7 @@ def parallel_masked_spgemm(
                                     row_sizes, out_shape, executor)
 
     blocks = executor.map(
-        timed(lambda c: spec.numeric(A, B, mask, semiring, c), "numeric"),
+        timed_chunks(lambda c: spec.numeric(A, B, mask, semiring, c),
+                     spec.key, "numeric"),
         chunks)
     return stitch_blocks(blocks, out_shape[0], out_shape[1])

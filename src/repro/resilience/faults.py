@@ -1,9 +1,9 @@
 """Deterministic fault injection for the serving stack.
 
 Resilience code that is only exercised by real hardware failures is
-untested code. :class:`FaultPlan` is the seam that lets the chaos suite —
-and the CI ``serve --smoke --chaos`` leg — *actually break things*, on a
-schedule that is exact and replayable:
+untested code. :class:`FaultPlan` is the seam that lets the chaos suite
+and the serving gate's chaos leg *actually break things*, on a schedule
+that is exact and replayable:
 
 * A plan is a list of :class:`FaultSpec`\\ s, each naming an injection
   *site* (see :data:`FAULT_SITES`; ``engine.kernel`` is the only one), an
@@ -15,10 +15,11 @@ schedule that is exact and replayable:
   N+1th succeeds, every run.
 
 Plans come from ``Engine(faults=...)`` in tests or the ``REPRO_FAULTS``
-environment variable in the CI chaos leg, using a compact
+environment variable, which every default ``Engine()`` reads (so it
+reaches ``repro serve`` unmodified), using a compact
 ``site:action[:count[:param]]`` comma-separated syntax::
 
-    REPRO_FAULTS="engine.kernel:error:2"
+    REPRO_FAULTS="engine.kernel:error:2" python -m repro serve --smoke
 """
 
 from __future__ import annotations

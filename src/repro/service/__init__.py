@@ -18,7 +18,8 @@ queries. This package is the layer that serves that traffic:
   one request per worker, graceful shutdown — the ``python -m repro
   serve`` entry point;
 * :mod:`~repro.service.workload` — JSON workload specs, the input to
-  ``python -m repro serve workload.json``;
+  ``python -m repro serve workload.json``, and :func:`serve_workload`,
+  which replays one through an :class:`AsyncServer`;
 * delta serving (:mod:`repro.delta`, re-exported here) — edge
   insert/delete/update batches swap a stored operand for its mutated copy
   and invalidate the cached results that read the old content
@@ -45,10 +46,12 @@ from .result_cache import ResultCache, result_key
 from .server import AsyncServer, ServerClosed, ServerError, ServerStats, serve_all
 from .store import MatrixStore, StoreError, matrix_nbytes
 from .workload import (
+    SMOKE_WORKLOAD,
     expand_requests,
     load_workload,
     register_matrices,
     render_serve_report,
+    serve_workload,
 )
 
 __all__ = [
@@ -74,4 +77,6 @@ __all__ = [
     "expand_requests",
     "register_matrices",
     "render_serve_report",
+    "SMOKE_WORKLOAD",
+    "serve_workload",
 ]

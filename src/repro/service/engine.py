@@ -74,7 +74,8 @@ def kernel_tier(algorithm: str) -> str:
     (the vectorised numpy kernels). The engine stamps the tier of the
     kernel that *actually executed* — not the one routing picked — onto
     each request, so degraded-to-fused traffic is distinguishable in
-    ``repro_kernel_requests_total`` and the ``serve --smoke`` report."""
+    ``repro_kernel_requests_total`` and the ``kernel tiers:`` line of the
+    ``repro serve`` report."""
     key = algorithm.lower()
     if key in NATIVE_BASE:
         return "native"
@@ -185,10 +186,11 @@ class Engine:
         to a no-op contextvar read (the <3% overhead gate in
         ``benchmarks/bench_obs_overhead.py`` measures enabled vs that).
     faults : :class:`~repro.resilience.FaultPlan` chaos seam — defaults to
-        ``FaultPlan.from_env()`` (the ``REPRO_FAULTS`` variable), so the CI
-        chaos leg can inject kernel errors into an unmodified server. A
-        failed numeric pass degrades down the in-process kernel ladder —
-        native → fused → per-row loop — every rung bit-identical.
+        ``FaultPlan.from_env()`` (the ``REPRO_FAULTS`` variable), so
+        ``REPRO_FAULTS=... repro serve`` injects kernel errors into an
+        unmodified server. A failed numeric pass degrades down the
+        in-process kernel ladder — native → fused → per-row loop — every
+        rung bit-identical.
     slos : optional list of :class:`~repro.obs.SLObjective` (what ``serve
         --slo p99=50ms:0.99`` parses). When given, the engine owns an
         :class:`~repro.obs.SLOEvaluator` (``engine.slo``) exporting
@@ -604,6 +606,7 @@ class Engine:
         if deadline is not None:
             deadline.check("engine")
 
+        result = None
         if rkey is not None:
             # a hit returns the memoized CSR output with no numeric pass
             with span("cache.lookup", cache="result"):
@@ -612,35 +615,32 @@ class Engine:
             if cached is not None:
                 stats.algorithm = cached.algorithm
                 stats.result_cache_hit = True
-                stats.output_nnz = cached.matrix.nnz
-                stats.total_seconds = time.perf_counter() - t_start
-                with self._lock:
-                    self.stats.record(stats)
-                if self.flight is not None:
-                    self.flight.note_request(stats.as_summary())
-                return Response(result=cached.matrix, stats=stats, tag=tag,
-                                request=request)
+                result = cached.matrix
 
-        # validate before the ladder, so an injected fault can never let a
-        # malformed request degrade into a rung that happens to accept it
-        mask.check_output_shape(check_multiplicable(A.shape, B.shape))
-        algorithm = algorithm.lower()
-        if algorithm == "auto":
-            # through the module attribute, so a patched auto_select sees it
-            algorithm = registry.auto_select(A, B, mask, semiring=semiring)
-        elif algorithm not in BASELINE_KEYS:
-            registry.get_spec(algorithm)  # raises on an unknown key
-        stats.algorithm = algorithm
+        if result is None:
+            # validate before the ladder, so an injected fault can never let
+            # a malformed request degrade into a rung that happens to
+            # accept it
+            mask.check_output_shape(check_multiplicable(A.shape, B.shape))
+            algorithm = algorithm.lower()
+            if algorithm == "auto":
+                # through the module attribute, so a patched auto_select
+                # sees it
+                algorithm = registry.auto_select(A, B, mask,
+                                                 semiring=semiring)
+            elif algorithm not in BASELINE_KEYS:
+                registry.get_spec(algorithm)  # raises on an unknown key
+            stats.algorithm = algorithm
 
-        t0 = time.perf_counter()
-        with span("numeric", kernel=algorithm):
-            result = self._numeric_ladder(A, B, mask, algorithm, semiring,
-                                          deadline, stats)
-        stats.numeric_seconds = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            with span("numeric", kernel=algorithm):
+                result = self._numeric_ladder(A, B, mask, algorithm,
+                                              semiring, deadline, stats)
+            stats.numeric_seconds = time.perf_counter() - t0
         stats.total_seconds = time.perf_counter() - t_start
         stats.output_nnz = result.nnz
         with self._lock:
-            if rkey is not None:
+            if rkey is not None and not stats.result_cache_hit:
                 # version guard: a delta (or re-registration) landing on any
                 # of this request's store keys mid-execution has already run
                 # its invalidation scan — a late writeback here would

@@ -24,17 +24,36 @@ onto its in-flight twin).
 Matrix ``prep`` values: ``triangle`` (symmetrize + degree-sort + tril, the
 TC workload), ``undirected`` (symmetrize + simplify), ``pattern`` (values
 to 1.0), or absent for as-is.
+
+:data:`SMOKE_WORKLOAD` is the built-in spec behind ``--smoke`` and
+:func:`serve_workload` replays any spec through an :class:`AsyncServer`.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import time
 from pathlib import Path
 from typing import Any
 
 from ..sparse.csr import CSRMatrix
 from .engine import Engine
-from .requests import Request
+from .requests import Request, Response
+from .server import AsyncServer
+
+#: built-in repeated-mask TC workload (``--smoke``): twelve identical
+#: requests, so every repeat can be a result hit or coalesce
+SMOKE_WORKLOAD: dict[str, Any] = {
+    "matrices": {
+        "G": {"generator": "er", "n": 400, "degree": 8, "seed": 0,
+              "prep": "triangle"},
+    },
+    "requests": [
+        {"a": "G", "b": "G", "mask": "G", "algorithm": "auto",
+         "semiring": "plus_pair", "repeat": 12, "tag": "tc"},
+    ],
+}
 
 
 def _check_keys(name: str, what: str, given: dict, allowed: set) -> None:
@@ -123,6 +142,43 @@ def register_matrices(engine: Engine, spec: dict[str, Any]) -> None:
         engine.register(name, _build_matrix(name, mspec))
 
 
+def serve_workload(engine: Engine, spec: dict[str, Any], *, workers: int = 2,
+                   max_inflight: int = 64,
+                   max_queued_flops: int | None = None
+                   ) -> tuple[list[Response], list, AsyncServer, float]:
+    """Register the spec's matrices (if the store is empty), run its
+    request stream through an :class:`AsyncServer`, and return
+    ``(responses, failures, server, wall seconds)``; ``failures`` pairs
+    each failed request's tag with its exception.
+
+    The first request runs alone and the rest follow together once it has
+    completed, so a repeat of it can be answered from the result cache
+    instead of only coalescing onto it in flight. Failures are isolated per
+    request: a bad request does not discard its stream-mates' responses.
+    A malformed spec raises ``ValueError`` before anything is served."""
+    if not len(engine.store):
+        register_matrices(engine, spec)
+    requests = expand_requests(spec)
+
+    async def run():
+        t0 = time.perf_counter()
+        async with AsyncServer(engine, workers=workers,
+                               max_inflight=max_inflight,
+                               max_queued_flops=max_queued_flops) as server:
+            results = []
+            for batch in (requests[:1], requests[1:]):
+                results += await asyncio.gather(
+                    *[server.submit(r) for r in batch],
+                    return_exceptions=True)
+        return results, server, time.perf_counter() - t0
+
+    results, server, seconds = asyncio.run(run())
+    responses = [r for r in results if not isinstance(r, BaseException)]
+    failures = [(req.tag, r) for req, r in zip(requests, results)
+                if isinstance(r, BaseException)]
+    return responses, failures, server, seconds
+
+
 def render_serve_report(engine: Engine, server, responses,
                         seconds: float) -> str:
     """Human-readable async-serve report (the ``repro serve`` CLI output):
@@ -161,6 +217,12 @@ def render_serve_report(engine: Engine, server, responses,
             [s.total_seconds for s in stats if s.serving_tier == tier])
         if summary:
             lines.append(f"{tier} requests: {summary}")
+    tiers = engine.stats.kernel_tiers
+    if tiers:
+        # the kernel tier that actually ran each numeric pass: a degraded
+        # request counts under fused/loop even though routing picked native
+        lines.append("kernel tiers: "
+                     + ", ".join(f"{t}={c}" for t, c in tiers.items()))
     lines.append(f"engine: {len(engine.store)} matrices "
                  f"({engine.store.total_bytes} bytes resident)"
                  + (f", {len(engine.results)} results cached "

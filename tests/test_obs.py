@@ -317,7 +317,7 @@ def test_cache_bind_metrics_carries_counts_forward(rng):
 
 
 def test_serve_smoke_metrics_leg_runs():
-    """CLI smoke with --metrics-port 0 must pass its /metrics gate."""
+    """`serve --smoke --metrics-port 0` starts and closes the sidecar."""
     from repro.__main__ import main
 
     assert main(["serve", "--smoke", "--metrics-port", "0"]) == 0

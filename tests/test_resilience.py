@@ -121,6 +121,22 @@ def test_fault_plan_from_env():
     assert plan.check("engine.kernel") is not None
 
 
+def test_repro_faults_reaches_a_default_engine(rng, monkeypatch):
+    # $REPRO_FAULTS alone arms an engine built without faults= (what
+    # `REPRO_FAULTS=... repro serve` relies on): the request walks the
+    # ladder, keeps the reference bits, and the degrade is bundled
+    monkeypatch.setenv("REPRO_FAULTS", "engine.kernel:error:2")
+    eng, (A, B, M) = _faulted_engine(rng, None)
+    try:
+        resp = eng.submit(Request(a="A", b="B", mask="M",
+                                  algorithm="msa-native"))
+        assert _family_sum(eng, "repro_degraded_total") > 0
+        _assert_identical(resp.result, _reference_result(A, B, M))
+        assert any(b.endswith("-degrade") for b in eng.flight.bundle_ids())
+    finally:
+        eng.close()
+
+
 def test_apply_fault_actions():
     apply_fault(None)  # no-op
     with pytest.raises(InjectedFault):

@@ -9,8 +9,8 @@ same document. External links (``http(s)://``, ``mailto:``) are skipped:
 CI must not depend on the network.
 
 Run from anywhere: ``python tools/check_docs_links.py``. Exits nonzero and
-prints one line per broken link. Wired into CI next to ``repro serve
---smoke``; ``tests/test_docs.py`` runs the same check in tier-1.
+prints one line per broken link. CI runs it as its own step;
+``tests/test_docs.py`` runs the same check in tier-1.
 """
 
 from __future__ import annotations
