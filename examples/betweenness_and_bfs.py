@@ -65,19 +65,6 @@ def main() -> None:
         print(f"  source {s}: reached {reached}/{sg.nrows} vertices, "
               f"eccentricity {levels[si].max()}")
 
-    # ------------------------------------------------------------------ #
-    # and where the push/pull classification came from (paper §4): the
-    # direction-optimized traversal switches per level by work estimate
-    # ------------------------------------------------------------------ #
-    from repro.algorithms import direction_optimized_bfs
-
-    print("\n=== Direction-optimized BFS (the §4 push/pull origin story) ===")
-    for name, gg in (("skewed R-MAT", g), ("2-D grid", sg)):
-        res = direction_optimized_bfs(gg, 0)
-        print(f"  {name:13s}: directions per level = {res.directions}")
-    print("  (hub graphs flip to pull once the frontier explodes; meshes "
-          "stay push until the unvisited set shrinks)")
-
 
 if __name__ == "__main__":
     main()

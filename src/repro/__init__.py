@@ -16,7 +16,7 @@ Quickstart::
     M = csr_random(1000, 1000, density=0.02, rng=2)
     C = masked_spgemm(A, B, Mask.from_matrix(M), algorithm="msa")
 
-Package map (see DESIGN.md for the full inventory):
+Package map (see docs/ARCHITECTURE.md for the layer map):
 
 * :mod:`repro.sparse` — CSR/CSC/COO formats and structural ops (from scratch)
 * :mod:`repro.semiring` — GraphBLAS-style semirings
@@ -46,7 +46,6 @@ from .sparse import (
     COOMatrix,
     CSCMatrix,
     CSRMatrix,
-    SparseVector,
     csr_eye,
     csr_from_dense,
     csr_from_edges,
@@ -77,8 +76,6 @@ from .core import (
     build_plan,
     display_name,
     masked_spgemm,
-    masked_spgevm,
-    masked_spmv,
     spgemm,
 )
 from .parallel import (
@@ -93,12 +90,8 @@ from .service import (
     Response,
 )
 from .algorithms import (
-    average_clustering,
     betweenness_centrality,
-    clustering_coefficients,
-    direction_optimized_bfs,
     ktruss,
-    markov_clustering,
     multi_source_bfs,
     triangle_count,
 )
@@ -109,7 +102,7 @@ __all__ = [
     "ReproError", "ShapeError", "FormatError", "MaskError",
     "AlgorithmError", "AccumulatorError", "IOFormatError",
     # sparse
-    "COOMatrix", "CSRMatrix", "CSCMatrix", "SparseVector",
+    "COOMatrix", "CSRMatrix", "CSCMatrix",
     "csr_eye", "csr_from_dense", "csr_from_edges", "csr_random",
     "read_matrix_market", "write_matrix_market",
     # mask & semirings
@@ -117,7 +110,7 @@ __all__ = [
     "PLUS_TIMES", "ARITHMETIC", "PLUS_PAIR", "PLUS_FIRST", "PLUS_SECOND",
     "MIN_PLUS", "MAX_TIMES", "OR_AND",
     # core
-    "masked_spgemm", "masked_spgevm", "masked_spmv", "spgemm",
+    "masked_spgemm", "spgemm",
     "SymbolicPlan", "build_plan",
     "available_algorithms", "algorithm_info", "display_name",
     "matrix_fingerprint", "pattern_fingerprint", "value_fingerprint",
@@ -127,6 +120,4 @@ __all__ = [
     "Engine", "MatrixStore", "Request", "Response",
     # applications
     "triangle_count", "ktruss", "betweenness_centrality", "multi_source_bfs",
-    "clustering_coefficients", "average_clustering", "direction_optimized_bfs",
-    "markov_clustering",
 ]

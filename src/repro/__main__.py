@@ -60,8 +60,8 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degree", type=float, default=8.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--algorithm", "-a", default="auto",
-                   help="masked kernel (msa/hash/mca/heap/heapdot/inner/"
-                        "hybrid/auto or a baseline)")
+                   help="masked kernel (msa/esc/hash/mca/heap/heapdot/"
+                        "inner/auto or a baseline)")
     p.add_argument("--phases", type=int, choices=(1, 2), default=1)
 
 

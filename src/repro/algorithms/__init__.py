@@ -11,13 +11,6 @@ from .triangle_count import triangle_count, triangle_count_matrix
 from .ktruss import ktruss, ktruss_delta
 from .betweenness import betweenness_centrality
 from .bfs import multi_source_bfs
-from .clustering import (
-    average_clustering,
-    clustering_coefficients,
-    triangles_per_vertex,
-)
-from .direction_bfs import direction_optimized_bfs
-from .mcl import markov_clustering
 
 __all__ = [
     "triangle_count",
@@ -26,9 +19,4 @@ __all__ = [
     "ktruss_delta",
     "betweenness_centrality",
     "multi_source_bfs",
-    "clustering_coefficients",
-    "average_clustering",
-    "triangles_per_vertex",
-    "direction_optimized_bfs",
-    "markov_clustering",
 ]

@@ -15,13 +15,9 @@ Entry point: :func:`repro.core.api.masked_spgemm`.
 from .api import masked_spgemm, spgemm
 from .plan import SymbolicPlan, build_plan
 from .registry import available_algorithms, algorithm_info, display_name
-from .spgevm import masked_spgevm
-from .spmv import masked_spmv
 
 __all__ = [
     "masked_spgemm",
-    "masked_spgevm",
-    "masked_spmv",
     "spgemm",
     "SymbolicPlan",
     "build_plan",

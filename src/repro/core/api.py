@@ -62,8 +62,9 @@ def masked_spgemm(
         serves every algorithm, bit-identically to its CSR equivalent.
     algorithm : str
         Kernel or baseline name (see module docstring). ``auto`` picks the
-        compiled kernel when it is eligible; only otherwise does it pick by
-        mask/input density (the paper's hybrid-dispatch future-work idea).
+        compiled kernel when it is eligible; only otherwise does it pick
+        between the fused ``msa`` and the per-row ``msa-loop`` by the
+        average partial products per row.
     phases : int
         1 = one-phase (numeric only, upper-bound temp buffers);
         2 = two-phase (symbolic pass computes the exact output pattern size

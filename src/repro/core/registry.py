@@ -17,7 +17,6 @@ from . import (
     esc_kernel,
     hash_kernel,
     heap_kernel,
-    hybrid_kernel,
     inner_kernel,
     mca_kernel,
     msa_kernel,
@@ -95,12 +94,6 @@ _SPECS: dict[str, AlgorithmSpec] = {
         "inner", "Inner", "pull",
         inner_kernel.numeric_rows, inner_kernel.symbolic_rows, False,
         "Pull-based sparse dot products over mask entries (paper §4.1)",
-    ),
-    "hybrid": AlgorithmSpec(
-        "hybrid", "Hybrid", "mixed",
-        hybrid_kernel.numeric_rows, hybrid_kernel.symbolic_rows, True,
-        "Per-row dispatch between MSA/Heap/Inner by row-local density "
-        "(the paper's §9 future-work hybrid, implemented)",
     ),
     "msa-loop": AlgorithmSpec(
         "msa-loop", "MSA(loop)", "push",

@@ -1,9 +1,9 @@
 """Edge-delta batches for streaming-graph serving (the ``repro.delta``
 subsystem).
 
-Static operands are the wrong model for the paper's flagship workloads:
-k-truss repeatedly *shrinks* the support matrix and MCL repeatedly rewrites
-values, and a long-lived service sees graphs that mutate between requests.
+Static operands are the wrong model for the paper's k-truss, which
+repeatedly *shrinks* the support matrix, and a long-lived service sees
+graphs that mutate between requests.
 This package defines the mutation unit — :class:`DeltaBatch`, a batch of
 edge inserts / deletes / value updates against one registered matrix — and
 its exact application semantics. The service layer

@@ -16,13 +16,15 @@ two things:
   reports (the engine's open/closed state), and the process
   environment (python/platform/pid, ``REPRO_*`` vars, git revision).
 
-Bundles land in a spool directory (a per-recorder temp dir by default, so
-they survive the engine that wrote them), are downloadable at
+Bundles land in a spool directory, are downloadable at
 ``/debug/bundle/<id>`` on the sidecar, and can be captured on demand with
-``repro bundle``. Capture is rate-limited per reason (first one always
-wins) so a fault storm records the interesting first edge instead of
-filling the disk, and the bundle index is bounded — evicted bundles are
-deleted from the spool.
+``repro bundle``. By default the spool is a per-recorder temp dir that
+:meth:`FlightRecorder.close` (or, failing that, garbage collection or
+interpreter exit) removes; bundles meant to outlive the recorder go to a
+``spool_dir`` the caller names, which is never removed. Capture is
+rate-limited per reason (first one always wins) so a fault storm records
+the interesting first edge instead of filling the disk, and the bundle
+index is bounded — evicted bundles are deleted from the spool.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ from __future__ import annotations
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+import weakref
 from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Any, Callable
@@ -88,6 +92,8 @@ class FlightRecorder:
         self.min_interval = float(min_interval)
         self._clock = clock
         self._spool = Path(spool_dir) if spool_dir is not None else None
+        # removes a spool this recorder made itself; None for a caller's
+        self._remove_own_spool: weakref.finalize | None = None
         self._lock = threading.Lock()
         self._ring: deque = deque(maxlen=self.capacity)
         self._bundles: OrderedDict[str, Path] = OrderedDict()
@@ -115,9 +121,23 @@ class FlightRecorder:
         with self._lock:
             if self._spool is None:
                 self._spool = Path(tempfile.mkdtemp(prefix="repro-debug-"))
+                self._remove_own_spool = weakref.finalize(
+                    self, shutil.rmtree, self._spool, ignore_errors=True)
             else:
                 self._spool.mkdir(parents=True, exist_ok=True)
             return self._spool
+
+    def close(self) -> None:
+        """Delete a spool this recorder created, with its bundles, and
+        forget them. A caller-named ``spool_dir`` is left as it is.
+        Idempotent; a later capture starts a fresh spool."""
+        with self._lock:
+            if self._remove_own_spool is None:
+                return
+            self._remove_own_spool()
+            self._remove_own_spool = None
+            self._spool = None
+            self._bundles.clear()
 
     def bundle_ids(self) -> list[str]:
         with self._lock:

@@ -10,7 +10,7 @@
   betweenness centrality's path-count propagation is PLUS_FIRST over the
   frontier.
 * ``MIN_PLUS`` (tropical) — shortest-path relaxation.
-* ``MAX_TIMES`` — used e.g. in some clustering workloads.
+* ``MAX_TIMES`` — max-product relaxation (most probable paths).
 * ``OR_AND`` — boolean reachability (values constrained to {0.0, 1.0}).
 """
 

@@ -200,7 +200,8 @@ class Engine:
         its own by default (ring of request summaries + debug-bundle
         capture whenever a resilience edge fires — degrade, deadline
         shed), wired with a context probe reporting live engine state into
-        each bundle.
+        each bundle. :meth:`close` closes the recorder, which deletes a temp
+        spool it created and keeps a caller-named ``spool_dir``.
     """
 
     def __init__(self, *,
@@ -276,9 +277,11 @@ class Engine:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Mark the engine closed, so :meth:`ready` reports it out of
-        rotation. Idempotent; the executor is caller-owned and stays
+        rotation, and close the flight recorder (which deletes a temp spool
+        it created). Idempotent; the executor is caller-owned and stays
         open."""
         self._closed = True
+        self.flight.close()
 
     def ready(self) -> bool:
         """Readiness probe backing ``/readyz``: can this engine serve?

@@ -15,7 +15,6 @@ bridge in :mod:`repro.sparse.convert`.
 from .coo import COOMatrix
 from .csr import CSRMatrix
 from .csc import CSCMatrix
-from .vector import SparseVector
 from .construct import (
     csr_eye,
     csr_diag,
@@ -32,7 +31,6 @@ __all__ = [
     "COOMatrix",
     "CSRMatrix",
     "CSCMatrix",
-    "SparseVector",
     "csr_eye",
     "csr_diag",
     "csr_from_dense",

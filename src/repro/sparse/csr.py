@@ -174,14 +174,6 @@ class CSRMatrix:
         """Sum of all stored values (the GraphBLAS reduce-to-scalar with +)."""
         return float(self.data.sum())
 
-    def row_sums(self) -> np.ndarray:
-        """Per-row sum of stored values (reduce-to-vector with +)."""
-        out = np.zeros(self.nrows, dtype=self.data.dtype)
-        if self.nnz:
-            rows = np.repeat(np.arange(self.nrows, dtype=INDEX_DTYPE), self.row_nnz())
-            np.add.at(out, rows, self.data)
-        return out
-
     # ------------------------------------------------------------------ #
     # comparison helpers (used heavily by tests)
     # ------------------------------------------------------------------ #

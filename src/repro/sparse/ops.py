@@ -309,12 +309,6 @@ def apply_mask(c: CSRMatrix, mask: CSRMatrix, *, complemented: bool = False) -> 
     return _select(c, keep)
 
 
-def scale_values(m: CSRMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> CSRMatrix:
-    """Apply a value-wise function to stored values (GraphBLAS apply)."""
-    return CSRMatrix(m.indptr.copy(), m.indices.copy(),
-                     fn(m.data).astype(VALUE_DTYPE, copy=False), m.shape, check=False)
-
-
 def pattern_union(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     """Union of patterns with all-ones values."""
     check_same_shape(a.shape, b.shape, "pattern_union operands")

@@ -77,10 +77,10 @@ def test_baseline_plus_pair(rng):
 def test_registry_contents():
     algs = available_algorithms()
     assert set(algs) == {"msa", "esc", "hash", "mca", "heap", "heapdot",
-                         "inner", "hybrid"}
+                         "inner"}
     compl = available_algorithms(complemented=True)
     assert "mca" not in compl and "inner" not in compl
-    assert "hybrid" in compl and "esc" in compl
+    assert "heap" in compl and "esc" in compl
     assert "saxpy" in available_algorithms(include_baselines=True)
 
 

@@ -16,7 +16,7 @@ def run(argv, capsys):
 def test_info(capsys):
     rc, out = run(["info"], capsys)
     assert rc == 0
-    assert "MSA-1P" in out and "Hybrid-1P" in out
+    assert "MSA-1P" in out and "Inner-1P" in out
     assert "plus_pair" in out
 
 

@@ -79,10 +79,9 @@ def test_tril_triu_partition(rng):
     assert np.allclose(lower.to_dense() + upper.to_dense() + diag, m.to_dense())
 
 
-def test_sum_and_row_sums(rng):
+def test_sum(rng):
     m = csr_random(10, 12, density=0.25, rng=rng)
     assert np.isclose(m.sum(), m.to_dense().sum())
-    assert np.allclose(m.row_sums(), m.to_dense().sum(axis=1))
 
 
 def test_equals_and_same_pattern(rng):

@@ -87,7 +87,7 @@ class TestFullMaskPaths:
         A = csr_random(30, 25, density=0.15, rng=rng, values="randint")
         B = csr_random(25, 35, density=0.15, rng=rng, values="randint")
         want = spgemm(A, B)
-        for alg in ("msa", "hash", "heap", "heapdot", "hybrid"):
+        for alg in ("msa", "hash", "heap", "heapdot"):
             got = masked_spgemm(A, B, None, algorithm=alg)
             assert got.allclose_values(want), alg
 
@@ -97,5 +97,5 @@ class TestFullMaskPaths:
         A = csr_random(10, 10, density=0.3, rng=rng)
         B = csr_random(10, 10, density=0.3, rng=rng)
         empty = Mask.from_matrix(CSRMatrix.empty((10, 10)))
-        for alg in ("msa", "hash", "mca", "heap", "inner", "hybrid"):
+        for alg in ("msa", "hash", "mca", "heap", "inner"):
             assert masked_spgemm(A, B, empty, algorithm=alg).nnz == 0

@@ -258,6 +258,35 @@ def test_engine_captures_bundle_on_degrade(rng):
         eng.close()
 
 
+def _degrade_once(eng, rng):
+    A = csr_random(60, 60, density=0.1, rng=rng)
+    eng.register("A", A)
+    resp = eng.submit(Request(a="A", b="A", mask="A", algorithm="hash"))
+    assert resp.stats.kernel_tier == "loop"
+    return [i for i in eng.flight.bundle_ids() if "degrade" in i]
+
+
+def test_engine_close_removes_its_own_spool(rng):
+    eng = Engine(faults=FaultPlan.parse("engine.kernel:error:1"))
+    assert _degrade_once(eng, rng)
+    spool = eng.flight.spool_dir
+    assert any(spool.glob("*.json"))
+    eng.close()
+    assert not spool.exists()
+    assert eng.flight.bundle_ids() == []
+    eng.close()  # idempotent
+
+
+def test_engine_close_keeps_a_caller_named_spool(rng, tmp_path):
+    flight = FlightRecorder(spool_dir=tmp_path)
+    eng = Engine(faults=FaultPlan.parse("engine.kernel:error:1"),
+                 flight=flight)
+    ids = _degrade_once(eng, rng)
+    eng.close()
+    assert ids and (tmp_path / f"{ids[0]}.json").exists()
+    assert flight.bundle(ids[0])["reason"] == "degrade"
+
+
 def test_engine_captures_bundle_on_deadline(rng):
     eng = Engine()
     A, B, M = make_triple(rng)

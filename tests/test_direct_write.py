@@ -150,7 +150,7 @@ def test_fused_hash_heap_under_tiny_flops_budget(rng, monkeypatch, module,
 
 def test_fused_hash_row_subsets_match_full(rng):
     """Chunk contract: arbitrary (non-contiguous) row subsets slice the
-    full result — what the hybrid kernel and the runner rely on."""
+    full result — what the runner relies on."""
     A, B, M = make_triple(rng, m=24)
     mask = Mask.from_matrix(M)
     rows = np.array([1, 5, 6, 17, 23], dtype=INDEX_DTYPE)

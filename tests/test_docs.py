@@ -41,3 +41,26 @@ def test_checker_catches_broken_link(tmp_path, monkeypatch):
     bad.write_text("see [missing](nope/absent.md) and [anchor](#not-there)")
     problems = check_docs_links.check_file(bad)
     assert len(problems) == 2
+
+
+def _readme_algorithm_rows() -> dict[str, list[str]]:
+    """Key → cells of each row of README's ``## Algorithms`` table."""
+    text = (REPO / "README.md").read_text()
+    section = text.split("\n## Algorithms\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = cells
+    return rows
+
+
+def test_readme_algorithm_table_matches_registry():
+    from repro.core.registry import available_algorithms, get_spec
+
+    rows = _readme_algorithm_rows()
+    missing = set(available_algorithms()) - set(rows)
+    assert not missing, f"registry keys without a README row: {missing}"
+    for key, cells in rows.items():
+        spec = get_spec(key)  # raises AlgorithmError for a stale row
+        assert cells[3] == ("yes" if spec.supports_complement else "no"), key

@@ -106,7 +106,7 @@ class TestDegenerateScales:
         A = CSRMatrix.empty((m, k))
         B = CSRMatrix.empty((k, n))
         M = CSRMatrix.empty((m, n))
-        for alg in ("msa", "hash", "mca", "heap", "inner", "hybrid", "saxpy"):
+        for alg in ("msa", "hash", "mca", "heap", "inner", "saxpy"):
             C = masked_spgemm(A, B, Mask.from_matrix(M), algorithm=alg)
             assert C.shape == (m, n)
             assert C.nnz == 0

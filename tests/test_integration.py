@@ -22,7 +22,7 @@ from repro.perfmodel import predicted_best
 
 def test_tc_pipeline_all_schemes_agree_on_suite_graph():
     """One suite graph through all scheme variants (the paper's 6 algorithms
-    plus our hybrid extension, × 2 phases): identical masked-product
+    plus the chunk-fused ESC, × 2 phases): identical masked-product
     matrices everywhere."""
     g = load_graph("rmat-s8-e4")
     L = triangle_prep(g)
@@ -37,8 +37,8 @@ def test_tc_pipeline_all_schemes_agree_on_suite_graph():
     first = results[names[0]]
     for nm in names[1:]:
         assert results[nm].equals(first), nm
-    # (6 paper algorithms + hybrid + chunk-fused esc) x {1P, 2P}
-    assert len(results) == 16
+    # (6 paper algorithms + chunk-fused esc) x {1P, 2P}
+    assert len(results) == 14
 
 
 def test_masking_saves_work_on_triangle_counting():

@@ -372,7 +372,7 @@ def test_serve_all_workers_match_serial(workers):
 
 
 # ---------------------------------------------------------------------- #
-# algorithm integration: k-truss and MCL through the engine
+# algorithm integration: k-truss through the engine
 # ---------------------------------------------------------------------- #
 def test_ktruss_engine_matches_engineless_result():
     from repro.algorithms import ktruss
@@ -417,21 +417,6 @@ def test_ktruss_without_engine_runs_the_requested_phases(monkeypatch):
     assert np.array_equal(two.subgraph.indptr, one.subgraph.indptr)
     assert np.array_equal(two.subgraph.indices, one.subgraph.indices)
     assert np.array_equal(two.subgraph.data, one.subgraph.data)
-
-
-def test_mcl_engine_matches_plain_clustering():
-    """MCL's expansion products served through an engine cluster exactly
-    like the engine-less plain-SpGEMM path."""
-    from repro.algorithms import markov_clustering
-    from repro.graphs import erdos_renyi
-
-    g = erdos_renyi(150, 6, rng=3, symmetrize=True)
-    eng = Engine()
-    res = markov_clustering(g, engine=eng, inflation=1.5)
-    assert eng.stats.computed == res.iterations
-    plain = markov_clustering(g, inflation=1.5)
-    assert np.array_equal(res.labels, plain.labels)
-    assert res.n_clusters == plain.n_clusters
 
 
 # ---------------------------------------------------------------------- #
@@ -489,6 +474,19 @@ def test_engine_shape_mismatch_clean_error(rng):
         eng.multiply(A, B, phases=2)
 
 
+def test_engine_unmasked_multiply_matches_plain_spgemm(rng):
+    """``mask=None`` serves plain SpGEMM through the engine's ladder, bit for
+    bit what the engine-less ``spgemm`` path returns."""
+    from repro.core import spgemm
+
+    eng = Engine()
+    A = csr_random(40, 30, density=0.2, rng=rng, values="uniform")
+    B = csr_random(30, 50, density=0.2, rng=rng, values="uniform")
+    resp = eng.multiply(A, B)
+    assert resp.result.equals(spgemm(A, B))
+    assert eng.stats.computed == 1
+
+
 def test_engine_complemented_without_mask_rejected(rng):
     """¬(no mask) selects nothing — a forgotten mask key, not a request."""
     eng = Engine()
@@ -504,15 +502,6 @@ def test_workload_rejects_misspelled_matrix_field():
         _build_matrix("x", {"random": {"m": 10, "densty": 0.5}})
     with pytest.raises(ValueError, match="degre"):
         _build_matrix("x", {"generator": "er", "n": 10, "degre": 20})
-
-
-def test_mcl_algorithm_without_engine_rejected():
-    from repro.algorithms import markov_clustering
-    from repro.graphs import erdos_renyi
-
-    g = erdos_renyi(30, 4, rng=0, symmetrize=True)
-    with pytest.raises(ValueError, match="requires engine="):
-        markov_clustering(g, algorithm="hash")
 
 
 def test_workload_rejects_unknown_request_field():
