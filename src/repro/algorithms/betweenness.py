@@ -66,6 +66,15 @@ class BCResult:
     frontier_nnz: list[int] = field(default_factory=list)
 
 
+def _check_sources(sources: np.ndarray, n: int) -> None:
+    """Reject source ids outside ``[0, n)``: numpy would wrap a negative id
+    to a vertex from the end and fail on a large one with a bare index
+    error."""
+    bad = sources[(sources < 0) | (sources >= n)]
+    if bad.size:
+        raise ValueError(f"source {int(bad[0])} out of range [0, {n})")
+
+
 def _sources_matrix(sources: np.ndarray, n: int) -> CSRMatrix:
     """s×n matrix with a single 1 per row at (j, sources[j])."""
     s = sources.size
@@ -126,6 +135,7 @@ def betweenness_centrality(
     s = src.size
     if s == 0 or n == 0:
         return BCResult(np.zeros(n), 0, 0)
+    _check_sources(src, n)
 
     # ---------------- forward: BFS with path counting ------------------- #
     NumSP = _sources_matrix(src, n)

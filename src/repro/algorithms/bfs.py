@@ -23,7 +23,7 @@ from ..mask import Mask
 from ..semiring import OR_AND
 from ..sparse.csr import CSRMatrix
 from ..validation import INDEX_DTYPE
-from .betweenness import _sources_matrix
+from .betweenness import _check_sources, _sources_matrix
 
 
 def multi_source_bfs(g: CSRMatrix, sources: Sequence[int], *,
@@ -42,6 +42,7 @@ def multi_source_bfs(g: CSRMatrix, sources: Sequence[int], *,
     levels = np.full((s, n), -1, dtype=np.int64)
     if s == 0 or n == 0:
         return levels
+    _check_sources(src, n)
     levels[np.arange(s), src] = 0
 
     frontier = _sources_matrix(src, n)
