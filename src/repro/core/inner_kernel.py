@@ -11,9 +11,14 @@ An output entry is produced only when at least one index pair matched —
 a zero-term dot yields *no* stored entry (the mask "may contain entries for
 which the multiplication does not produce an output", Fig. 1).
 
-Complemented masks are rejected: a pull algorithm would need a dot per
-*absent* entry, O(ncols) dots per row. The paper likewise never runs Inner
-with complemented masks (it is excluded from Betweenness Centrality).
+Complemented masks are rejected: over a CSR mask a pull algorithm would
+need a dot per *absent* entry, O(ncols) dots per row. The paper likewise
+never runs Inner with complemented masks (it is excluded from
+Betweenness Centrality). That objection is about the CSR form: on a
+complemented *bitmap* the absent entries of a row are its zero bytes,
+which a word scan lists cheaply, and the compiled pull ``msa-pull``
+(:mod:`repro.native.kernels`) runs exactly that, bit-identically to
+MSA — BC's ``auto`` pulls the BFS levels where it costs less.
 """
 
 from __future__ import annotations

@@ -139,6 +139,25 @@ _SPECS["msa-native"] = AlgorithmSpec(
     numeric_into=_native_entry("msa_numeric_rows_into"),
     listed=False,
 )
+#: the compiled pull direction of msa (paper §4.1's Inner side): per output
+#: row, each candidate column folds its row of Bᵀ against A's row. The
+#: candidates are a plain mask's entries or a complemented bitmap's zero
+#: bytes, so the complement objection to Inner ("a dot per absent entry")
+#: does not hold for a bitmap. Same bits and same pattern as msa, so its
+#: symbolic face is msa-native's. betweenness_centrality picks it per
+#: product by exact push/pull work; auto_select never returns it
+_SPECS["msa-pull"] = AlgorithmSpec(
+    "msa-pull", "MSA(pull)", "pull",
+    _native_entry("msa_pull_numeric_rows"),
+    _native_entry("msa_symbolic_rows"), True,
+    "Compiled (C via cffi) pull loop: A's row scattered into per-thread "
+    "scratch, one fold over a row of Bᵀ (from a transpose memo) per "
+    "candidate column in the push loops' stream order; a complemented CSR "
+    "mask, or a product the compiled tier cannot run, delegates to the "
+    "msa push",
+    numeric_into=_native_entry("msa_pull_numeric_rows_into"),
+    listed=False,
+)
 #: an unlisted alias that runs the fused hash kernels. Its only reader is
 #: perfbench/regret.py, which times "hash-native" in every traced run
 _SPECS["hash-native"] = replace(
@@ -147,7 +166,7 @@ _SPECS["hash-native"] = replace(
                 "perfbench's routing-regret probe")
 
 #: base kernel behind each native routing key (degrade ladder + display)
-NATIVE_BASE = {"msa-native": "msa"}
+NATIVE_BASE = {"msa-native": "msa", "msa-pull": "msa"}
 
 #: native routing key for each fused accumulator kernel. msa-loop maps to
 #: msa-native too: the compiled loop *is* the per-row dense accumulator

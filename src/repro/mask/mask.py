@@ -18,10 +18,12 @@ masking matrix plus a ``complemented`` flag, in one of two forms:
 The form is the mask's own business. A bitmap mask still answers every
 CSR read: its ``indptr`` and ``indices`` are derived from the bitmap on
 first use and cached, so every kernel, baseline, the reference tier and
-any other CSR reader take either form unchanged. Only the compiled
-complemented MSA loop (``msa-native``) reads the bitmap itself, in place,
-instead of marking the banned columns in its scratch state and clearing
-them after; on that path the CSR view is never built.
+any other CSR reader take either form unchanged. Only the compiled loops
+read a complemented bitmap itself, in place: the complemented MSA push
+(``msa-native``), instead of marking the banned columns in its scratch
+state and clearing them after, and the pull (``msa-pull``), which scans a
+row's zero bytes for its candidate columns. On those paths the CSR view
+is never built.
 """
 
 from __future__ import annotations
@@ -64,14 +66,32 @@ class Mask:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_matrix(cls, m: CSRMatrix, *, complemented: bool = False) -> "Mask":
+    def from_matrix(cls, m: CSRMatrix, *, complemented: bool = False,
+                    check: bool = True) -> "Mask":
         """Build a mask from the stored pattern of a CSR matrix.
 
         Note: *stored* pattern — explicit zeros count as present, matching
         GraphBLAS structural-mask semantics.
+
+        ``check=False`` shares ``m``'s ``indptr`` and ``indices`` instead of
+        copying and re-validating them, as :class:`CSRMatrix` does for
+        outputs known to be canonical: for a pattern a kernel just emitted
+        and nobody changes afterwards.
         """
-        return cls(m.indptr.copy(), m.indices.copy(), m.shape,
-                   complemented=complemented)
+        if check:
+            return cls(m.indptr.copy(), m.indices.copy(), m.shape,
+                       complemented=complemented)
+        return cls._of_csr((m.indptr, m.indices), m.shape, complemented)
+
+    @classmethod
+    def _of_csr(cls, csr, shape, complemented) -> "Mask":
+        """A CSR mask over trusted (indptr, indices): no copy, no check."""
+        mask = cls.__new__(cls)
+        mask.shape = shape
+        mask._csr = csr
+        mask.bitmap = None
+        mask.complemented = bool(complemented)
+        return mask
 
     @classmethod
     def from_bitmap(cls, bitmap: np.ndarray, shape=None, *,
@@ -111,12 +131,7 @@ class Mask:
         mask over this bitmap's CSR view, with the same polarity."""
         if self.bitmap is None:
             return self
-        mask = Mask.__new__(Mask)
-        mask.shape = self.shape
-        mask._csr = self._csr_view()
-        mask.bitmap = None
-        mask.complemented = self.complemented
-        return mask
+        return Mask._of_csr(self._csr_view(), self.shape, self.complemented)
 
     def _csr_view(self):
         csr = self._csr

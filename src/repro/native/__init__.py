@@ -4,7 +4,8 @@ The fused numpy kernels are bound by numpy dispatch overhead, not memory
 traffic; this package supplies the tight compiled inner loops the paper's
 C++ numbers imply, behind the existing kernel registry as the
 ``msa-native`` routing tier (``listed=False`` — an execution strategy of
-msa, not a new algorithm). Its dense accumulator is allocated once per
+msa, not a new algorithm), and the pull direction of the same product as
+``msa-pull``, which batched betweenness centrality picks per product. Its dense accumulator is allocated once per
 thread and reused across calls, so it also serves the wide outputs
 (up to :data:`~repro.native.kernels.MSA_NCOLS_CAP` columns) the paper
 gives to Hash.

@@ -1,8 +1,9 @@
 """cffi/C backend for the compiled kernel tier.
 
-The three inner loops of the native tier (see :mod:`repro.native`) — two
-MSA numeric passes (plain and complemented masks) and one pattern-only
-symbolic pass — are compiled once from the embedded C source
+The four inner loops of the native tier (see :mod:`repro.native`) — two
+MSA numeric passes (plain and complemented masks), the pull direction of
+the same product, and one pattern-only symbolic pass — are compiled once
+from the embedded C source
 below with the system C compiler into a shared object, loaded ABI-mode
 through :mod:`cffi`, and called with zero-copy pointers into the operand
 arrays. cffi releases the GIL for the duration of every foreign call, which
@@ -56,6 +57,13 @@ Semantics contract (bit-identity with the fused numpy kernels):
   preset to 0.0, each flop adds 1.0 to its column, and the gather keeps
   the mask columns whose count is above 0.0 — a hit counts at least 1.0,
   an allowed miss stays 0.0 — in mask order;
+* the pull (``msa_pull``) computes entry (i, j) by folding row j of Bᵀ
+  against A's row i, scattered into the scratch as values plus presence
+  bytes, in ascending order: the stream order in which the push folds the
+  same products into column j, so its bits are the push's. Its candidate
+  columns are a plain mask row's entries or a complemented bitmap row's
+  zero bytes, scanned eight bytes a word; ``plus_first`` and
+  ``plus_pair`` fold without a branch (an absent entry adds +0.0);
 * the symbolic pass writes, per row, the count of distinct columns the
   numeric pass would emit — the exact sizes of the fused ``symbolic_rows``.
 """
@@ -89,6 +97,16 @@ int64_t msa_compl(const int64_t *a_indptr, const int64_t *a_indices,
                   int64_t *out_cols, double *out_vals,
                   signed char *states, double *values, int64_t *touched,
                   uint64_t *bits);
+int64_t msa_pull(const int64_t *a_indptr, const int64_t *a_indices,
+                 const double *a_data, const int64_t *bt_indptr,
+                 const int64_t *bt_indices, const double *bt_data,
+                 const int64_t *m_indptr, const int64_t *m_indices,
+                 const uint8_t *m_bitmap, int64_t ncols,
+                 const int64_t *rows, int64_t nrows,
+                 int64_t add_op, int64_t mul_op, double identity,
+                 int64_t *offsets, int64_t validate,
+                 int64_t *out_cols, double *out_vals,
+                 signed char *present, double *dense);
 void symbolic(const int64_t *a_indptr, const int64_t *a_indices,
               const int64_t *b_indptr, const int64_t *b_indices,
               const int64_t *m_indptr, const int64_t *m_indices,
@@ -100,6 +118,7 @@ C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <math.h>
+#include <string.h>
 
 typedef int64_t i64;
 
@@ -432,6 +451,183 @@ i64 msa_compl(const i64 *restrict a_indptr, const i64 *restrict a_indices,
 #undef MSA_COMPL_BODY
 }
 
+/* Pull (the paper's §4.1 Inner direction, one output row at a time):
+ * C(i, j) folds mul(A(i, u), B(u, j)) over the entries u of row j of Bᵀ
+ * that A's row i holds, in ascending u. That is the order in which the
+ * push loops fold the same products into column j (A's row by k
+ * ascending), so the bits match. A's row is scattered into `dense`
+ * (values) and `present` (bytes) first; an empty A row emits nothing and
+ * reads no candidate. The candidate columns j are the zero bytes of a
+ * complemented bitmap row, scanned eight bytes a word, or the entries of
+ * a plain CSR mask row; both ascend, so the output row comes out sorted.
+ * `present` is zero on entry and left zero on every return path; `dense`
+ * keeps stale values outside A's row, which no fold reads unmasked.
+ *
+ * plus_first and plus_pair fold without a branch: an absent u adds +0.0
+ * (its stale value ANDed away by its zero presence byte) and ORs nothing
+ * into the hit flag. The sum starts at +0.0 and never becomes -0.0 (x + y
+ * is -0.0 only when both are), so adding +0.0 leaves its bits as they
+ * are, inf and NaN included. The other op pairs test the presence byte. */
+static inline double keep_if(double v, signed char present) {
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    bits &= (uint64_t)0 - (uint64_t)(unsigned char)present;
+    memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+/* The top bit of every zero byte of w, and no other bit: exact for any
+ * byte values (no borrow runs between bytes). */
+static inline uint64_t zero_bytes(uint64_t w) {
+    const uint64_t low7 = 0x7F7F7F7F7F7F7F7FULL;
+    return ~(((w & low7) + low7) | w | low7);
+}
+
+/* Eight bitmap bytes as one word whose byte b holds column j0 + b. */
+static inline uint64_t load_bytes(const uint8_t *p) {
+    uint64_t w;
+    memcpy(&w, p, sizeof w);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    return w;
+}
+
+ALWAYS_INLINE int pull_dot(
+    const i64 *restrict bt_indptr, const i64 *restrict bt_indices,
+    const double *restrict bt_data, i64 j,
+    i64 add_op, i64 mul_op, double identity,
+    const signed char *restrict present, const double *restrict dense,
+    double *restrict out)
+{
+    double acc = identity;
+    int hit = 0;
+    i64 qs = bt_indptr[j], qe = bt_indptr[j + 1];
+    if (add_op == 0 && (mul_op == 1 || mul_op == 2)) {
+        for (i64 q = qs; q < qe; ++q) {
+            i64 u = bt_indices[q];
+            acc += keep_if(dense[u], present[u]);
+            hit |= present[u];
+        }
+    } else {
+        for (i64 q = qs; q < qe; ++q) {
+            i64 u = bt_indices[q];
+            if (present[u]) {
+                acc = op_add(add_op, acc,
+                             op_mul(mul_op, dense[u], bt_data[q]));
+                hit = 1;
+            }
+        }
+    }
+    *out = acc;
+    return hit;
+}
+
+ALWAYS_INLINE i64 msa_pull_body(
+    const i64 *restrict a_indptr, const i64 *restrict a_indices,
+    const double *restrict a_data,
+    const i64 *restrict bt_indptr, const i64 *restrict bt_indices,
+    const double *restrict bt_data,
+    const i64 *restrict m_indptr, const i64 *restrict m_indices,
+    const uint8_t *restrict m_bitmap, i64 ncols, int from_bitmap,
+    const i64 *restrict rows, i64 nrows,
+    i64 add_op, i64 mul_op, double identity,
+    i64 *restrict offsets, i64 validate,
+    i64 *restrict out_cols, double *restrict out_vals,
+    signed char *restrict present, double *restrict dense)
+{
+    for (i64 r = 0; r < nrows; ++r) {
+        i64 i = rows[r];
+        i64 ps = a_indptr[i], pe = a_indptr[i + 1];
+        i64 pos = offsets[r];
+        /* the direct-write face checks each emit against the planned end,
+         * so a stale plan stops before it writes past its row */
+        i64 end = validate ? offsets[r + 1] : INT64_MAX;
+        int bad = 0;
+        for (i64 p = ps; p < pe; ++p) {
+            i64 k = a_indices[p];
+            dense[k] = mul_op == 1 ? 1.0 : a_data[p];
+            present[k] = 1;
+        }
+#define PULL_EMIT(col)                                                      \
+        do {                                                                \
+            i64 j_ = (col);                                                 \
+            double acc_;                                                    \
+            if (pull_dot(bt_indptr, bt_indices, bt_data, j_, add_op, mul_op, \
+                         identity, present, dense, &acc_)) {                \
+                if (pos == end) { bad = 1; goto row_done; }                 \
+                out_cols[pos] = j_;                                         \
+                out_vals[pos] = acc_;                                       \
+                pos++;                                                      \
+            }                                                               \
+        } while (0)
+        if (ps < pe) {
+            if (from_bitmap) {
+                const uint8_t *restrict banned = m_bitmap + i * ncols;
+                i64 j0 = 0;
+                for (; j0 + 8 <= ncols; j0 += 8) {
+                    uint64_t z = zero_bytes(load_bytes(banned + j0));
+                    while (z) {
+                        i64 j = j0 + (__builtin_ctzll(z) >> 3);
+                        z &= z - 1;
+                        PULL_EMIT(j);
+                    }
+                }
+                for (; j0 < ncols; ++j0)
+                    if (!banned[j0]) PULL_EMIT(j0);
+            } else {
+                for (i64 t = m_indptr[i]; t < m_indptr[i + 1]; ++t)
+                    PULL_EMIT(m_indices[t]);
+            }
+        }
+#undef PULL_EMIT
+    row_done:
+        for (i64 p = ps; p < pe; ++p) present[a_indices[p]] = 0;
+        if (bad || (validate && pos != end)) return r;
+        if (!validate) offsets[r + 1] = pos;
+    }
+    return -1;
+}
+
+/* The MSA dispatch over the pull body: a complemented bitmap mask
+ * (m_bitmap set, m_indptr and m_indices NULL) or a plain CSR mask
+ * (m_bitmap NULL). bt_* is B's transpose, so row j of it lists the rows
+ * of B that hold column j. `present` and `dense` are indexed by A's
+ * columns (B's rows). */
+i64 msa_pull(const i64 *restrict a_indptr, const i64 *restrict a_indices,
+             const double *restrict a_data,
+             const i64 *restrict bt_indptr, const i64 *restrict bt_indices,
+             const double *restrict bt_data,
+             const i64 *restrict m_indptr, const i64 *restrict m_indices,
+             const uint8_t *restrict m_bitmap, i64 ncols,
+             const i64 *restrict rows, i64 nrows,
+             i64 add_op, i64 mul_op, double identity,
+             i64 *restrict offsets, i64 validate,
+             i64 *restrict out_cols, double *restrict out_vals,
+             signed char *restrict present, double *restrict dense)
+{
+#define MSA_PULL_BODY(add, mul, from_bitmap)                                \
+    msa_pull_body(a_indptr, a_indices, a_data, bt_indptr, bt_indices,      \
+                  bt_data, m_indptr, m_indices, m_bitmap, ncols,            \
+                  from_bitmap, rows, nrows, add, mul, identity, offsets,    \
+                  validate, out_cols, out_vals, present, dense)
+#define MSA_PULL(add, mul)                                                  \
+    return m_bitmap ? MSA_PULL_BODY(add, mul, 1)                           \
+                    : MSA_PULL_BODY(add, mul, 0)
+    switch (OP_PAIR(add_op, mul_op)) {
+    case OP_PAIR(0, 0): MSA_PULL(0, 0);                   /* plus_times */
+    case OP_PAIR(0, 1): MSA_PULL(0, 1);                   /* plus_pair */
+    case OP_PAIR(0, 2): MSA_PULL(0, 2);                   /* plus_first */
+    case OP_PAIR(0, 3): MSA_PULL(0, 3);                   /* plus_second */
+    case OP_PAIR(1, 4): MSA_PULL(1, 4);                   /* min_plus */
+    case OP_PAIR(2, 0): MSA_PULL(2, 0);                   /* max_times */
+    case OP_PAIR(2, 5): MSA_PULL(2, 5);                   /* or_and */
+    default:            MSA_PULL(add_op, mul_op);
+    }
+#undef MSA_PULL
+#undef MSA_PULL_BODY
+}
+
 /* Pattern-only row sizes (the symbolic pass), one dense state array for
  * both polarities: mask columns are marked 1, and a column counts on its
  * first hit while still in the "fresh" state — 1 (allowed, untouched) for
@@ -571,6 +767,21 @@ def msa_compl(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data,
         add_op, mul_op, identity, _i64(offsets), validate,
         _i64(out_cols), _f64(out_vals), _i8(states), _f64(values),
         _i64(touched), _p(bits, "uint64_t *")))
+
+
+def msa_pull(a_indptr, a_indices, a_data, bt_indptr, bt_indices, bt_data,
+             m_indptr, m_indices, m_bitmap, rows, add_op, mul_op, identity,
+             offsets, validate, out_cols, out_vals, present, dense) -> int:
+    """``bt_*`` are B's transpose; ``m_bitmap`` is a complemented bitmap
+    mask's bool array (then ``m_indptr`` and ``m_indices`` are None), or
+    None for a plain CSR mask."""
+    return int(load().msa_pull(
+        _i64(a_indptr), _i64(a_indices), _f64(a_data),
+        _i64(bt_indptr), _i64(bt_indices), _f64(bt_data),
+        _i64(m_indptr), _i64(m_indices), _p(m_bitmap, "uint8_t *"),
+        0 if m_bitmap is None else m_bitmap.shape[1], _i64(rows), rows.size,
+        add_op, mul_op, identity, _i64(offsets), validate,
+        _i64(out_cols), _f64(out_vals), _i8(present), _f64(dense)))
 
 
 def symbolic(a_indptr, a_indices, b_indptr, b_indices, m_indptr, m_indices,

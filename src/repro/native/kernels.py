@@ -12,7 +12,12 @@ docstring) behind the repo-wide kernel protocol, so the registry spec
     as :func:`repro.core.types.write_block_into`);
 ``msa_symbolic_rows``
     symbolic face — exact output-row sizes from the patterns alone (paper
-    §6), one compiled dense-state loop.
+    §6), one compiled dense-state loop;
+``msa_pull_numeric_rows`` / ``msa_pull_numeric_rows_into``
+    the pull direction of the same product (registry key ``msa-pull``):
+    each output row folds, per candidate column, the row of Bᵀ against A's
+    row, in the push loops' stream order, so the bits match. It reads Bᵀ
+    from a transpose memo (:func:`remember_transpose`).
 
 Every face **delegates to the fused numpy kernel** when the compiled tier
 cannot serve the call — backend unavailable, a semiring outside the
@@ -31,13 +36,17 @@ because the thread executor's chunks and the server's workers run
 products at the same time.
 
 Every face takes a bitmap mask (:meth:`repro.mask.Mask.from_bitmap`) as it
-takes a CSR one, through the mask's CSR view. The one exception is the
-complemented MSA loop, which reads a complemented bitmap's rows in place.
+takes a CSR one, through the mask's CSR view. The exceptions are the
+complemented MSA loop and the pull loop, which read a complemented
+bitmap's rows in place. The pull has no complemented CSR form (it would
+walk every column of the row to find the unbanned ones); that product
+delegates to the push face, which gives the same bits.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -141,21 +150,37 @@ def _c(arr):
     return np.ascontiguousarray(arr)
 
 
-def _compl_bound(A, B, mask, rows) -> int:
-    """Output upper bound for complemented masks: a row's distinct
-    surviving columns are at most min(flops_i, ncols − banned_i)."""
+def _push_bound(A, B, mask, rows) -> int:
+    """Output upper bound of the push: the plain mask's entries, or, for a
+    complemented mask, a row's distinct surviving columns, at most
+    min(flops_i, ncols − banned_i)."""
     from ..core.expand import chunk_flops
 
+    if not mask.complemented:
+        return int(mask.row_nnz(rows).sum())
     flops = chunk_flops(A, B, rows)
     return int(np.minimum(flops, B.ncols - mask.row_nnz(rows)).sum())
 
 
+def _pull_bound(A, B, mask, rows) -> int:
+    """Output upper bound of the pull: its candidates, the plain mask's
+    entries or the complemented bitmap's zero bytes. Counting the flops
+    too, as the push does, would cost more than the pull's own loop on a
+    late BFS level; the buffers are ``np.empty``, so only the entries
+    written are ever touched."""
+    banned = mask.row_nnz(rows)
+    return int((B.ncols - banned).sum() if mask.complemented
+               else banned.sum())
+
+
 class _Scratch:
     """One thread's accumulator scratch, ``ncols`` wide, reused by every
-    compiled call on that thread.
+    compiled call on that thread. The push and symbolic loops index it by
+    output column; the pull by A's column, keeping A's row in ``values``
+    and its presence bytes in ``states``.
 
-    The complemented and symbolic loops need ``states`` and ``bits`` all
-    zero on entry and leave them zero. The plain loops leave stale hit
+    The complemented, pull and symbolic loops need ``states`` and ``bits``
+    all zero on entry and leave them zero. The plain loops leave stale hit
     states in columns outside the mask, so they keep their own
     ``plain_states``; sharing ``states`` would hand those stale hits to
     the next complemented or symbolic call. ``values`` is shared: every
@@ -215,24 +240,47 @@ def _msa_compiles(be, codes, A, B, mask) -> bool:
             and _compilable(A, B) and B.ncols <= MSA_NCOLS_CAP)
 
 
+def _stitch_rows(call, be, A, B, mask, rows, codes, bound):
+    """Run ``call`` (the push or pull loop) over ``rows`` into buffers of
+    ``bound(A, B, mask, rows)`` entries and return the compact RowBlock."""
+    from ..core.types import RowBlock, empty_block
+
+    if rows.size == 0:
+        return empty_block(0)
+    bound = bound(A, B, mask, rows)
+    offsets = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
+    out_cols = np.empty(bound, dtype=INDEX_DTYPE)
+    out_vals = np.empty(bound, dtype=np.float64)
+    call(be, A, B, mask, rows, codes, offsets, 0, out_cols, out_vals)
+    total = int(offsets[-1])
+    return RowBlock(np.diff(offsets), out_cols[:total], out_vals[:total])
+
+
+def _write_rows(call, key, be, A, B, mask, rows, codes, out_cols, out_vals,
+                offsets):
+    """Run ``call`` over ``rows`` straight into the planned CSR slices,
+    validating every row's size against ``offsets`` before it writes."""
+    if rows.size == 0:
+        return
+    offsets = np.ascontiguousarray(offsets, dtype=INDEX_DTYPE)
+    bad = call(be, A, B, mask, rows, codes, offsets, 1, out_cols, out_vals)
+    if bad >= 0:
+        raise AlgorithmError(
+            f"{key}: computed row sizes differ from the planned offsets "
+            "— stale plan (operand patterns changed since the symbolic "
+            "pass) or kernel divergence"
+        )
+
+
 def msa_numeric_rows(A, B, mask, semiring, rows):
     from ..core import msa_kernel
-    from ..core.types import RowBlock, empty_block
 
     rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
     be, codes = _backend(), op_codes(semiring)
     if not _msa_compiles(be, codes, A, B, mask):
         return msa_kernel.numeric_rows(A, B, mask, semiring, rows)
-    if rows.size == 0:
-        return empty_block(0)
-    bound = (_compl_bound(A, B, mask, rows) if mask.complemented
-             else int(mask.row_nnz(rows).sum()))
-    offsets = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
-    out_cols = np.empty(bound, dtype=INDEX_DTYPE)
-    out_vals = np.empty(bound, dtype=np.float64)
-    _msa_call(be, A, B, mask, rows, codes, offsets, 0, out_cols, out_vals)
-    total = int(offsets[-1])
-    return RowBlock(np.diff(offsets), out_cols[:total], out_vals[:total])
+    return _stitch_rows(_msa_call, be, A, B, mask, rows, codes,
+                        _push_bound)
 
 
 def msa_numeric_rows_into(A, B, mask, semiring, rows, out_cols, out_vals,
@@ -244,17 +292,93 @@ def msa_numeric_rows_into(A, B, mask, semiring, rows, out_cols, out_vals,
     if not _msa_compiles(be, codes, A, B, mask):
         return msa_kernel.numeric_rows_into(A, B, mask, semiring, rows,
                                             out_cols, out_vals, offsets)
-    if rows.size == 0:
-        return
-    offsets = np.ascontiguousarray(offsets, dtype=INDEX_DTYPE)
-    bad = _msa_call(be, A, B, mask, rows, codes, offsets, 1,
-                    out_cols, out_vals)
-    if bad >= 0:
-        raise AlgorithmError(
-            "msa-native: computed row sizes differ from the planned offsets "
-            "— stale plan (operand patterns changed since the symbolic "
-            "pass) or kernel divergence"
-        )
+    _write_rows(_msa_call, "msa-native", be, A, B, mask, rows, codes,
+                out_cols, out_vals, offsets)
+
+
+# --------------------------------------------------------------------- #
+# pull: C(i, j) folded over row j of Bᵀ against A's row i. Its candidate
+# columns are a plain mask's entries or a complemented bitmap's zero bytes
+# --------------------------------------------------------------------- #
+#: id(B) -> a callable returning B's transpose (None once a weakly held
+#: one has gone). An entry goes when B does (weakref.finalize).
+_TRANSPOSES: dict = {}
+_TRANSPOSES_LOCK = threading.Lock()
+
+
+def _memo_transpose(B, get) -> None:
+    key = id(B)
+    with _TRANSPOSES_LOCK:
+        if key not in _TRANSPOSES:
+            weakref.finalize(B, _TRANSPOSES.pop, key, None)
+        _TRANSPOSES[key] = get
+
+
+def remember_transpose(B, BT) -> None:
+    """Record ``BT`` as ``B``'s transpose, so the pull face reads it instead
+    of building one (``BT`` may be ``B`` itself, for a symmetric matrix).
+    ``BT`` is held weakly: the caller keeps it alive as long as it needs
+    the pull to find it. Like every memo over operands, it assumes ``B``
+    is not changed in place afterwards."""
+    _memo_transpose(B, weakref.ref(BT))
+
+
+def transpose_of(B):
+    """``B``'s transpose from the memo, or built once (stable, so each row
+    lists B's rows ascending) and kept for as long as ``B`` lives."""
+    get = _TRANSPOSES.get(id(B))
+    BT = None if get is None else get()
+    if BT is None:
+        from ..sparse.ops import transpose_csr
+
+        BT = transpose_csr(B)
+        _memo_transpose(B, lambda: BT)
+    return BT
+
+
+def _pull_call(be, A, B, mask, rows, codes, offsets, validate,
+               out_cols, out_vals):
+    add_op, mul_op, identity = codes
+    BT = transpose_of(B)
+    # indexed by A's columns: presence bytes in `states` (zero on entry and
+    # exit, as the complemented loop needs them) and values in `values`
+    scratch = _scratch(A.ncols)
+    candidates = ((None, None, mask.bitmap) if mask.complemented
+                  else (_c(mask.indptr), _c(mask.indices), None))
+    return be.msa_pull(
+        _c(A.indptr), _c(A.indices), _c(A.data),
+        _c(BT.indptr), _c(BT.indices), _c(BT.data), *candidates, rows,
+        add_op, mul_op, identity, offsets, validate, out_cols, out_vals,
+        scratch.states, scratch.values)
+
+
+def _pull_runs(be, codes, A, B, mask) -> bool:
+    """The compiled pull runs this product itself: the MSA conditions, A
+    at most :data:`MSA_NCOLS_CAP` columns wide (its scratch width) and a
+    plain mask or a complemented bitmap."""
+    return (_msa_compiles(be, codes, A, B, mask)
+            and A.ncols <= MSA_NCOLS_CAP
+            and (not mask.complemented or mask.bitmap is not None))
+
+
+def msa_pull_numeric_rows(A, B, mask, semiring, rows):
+    rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
+    be, codes = _backend(), op_codes(semiring)
+    if not _pull_runs(be, codes, A, B, mask):
+        return msa_numeric_rows(A, B, mask, semiring, rows)
+    return _stitch_rows(_pull_call, be, A, B, mask, rows, codes,
+                        _pull_bound)
+
+
+def msa_pull_numeric_rows_into(A, B, mask, semiring, rows, out_cols,
+                               out_vals, offsets):
+    rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
+    be, codes = _backend(), op_codes(semiring)
+    if not _pull_runs(be, codes, A, B, mask):
+        return msa_numeric_rows_into(A, B, mask, semiring, rows, out_cols,
+                                     out_vals, offsets)
+    _write_rows(_pull_call, "msa-pull", be, A, B, mask, rows, codes,
+                out_cols, out_vals, offsets)
 
 
 # --------------------------------------------------------------------- #
@@ -285,9 +409,10 @@ def msa_symbolic_rows(A, B, mask, rows):
 def self_test(backend_mod) -> None:
     """Validate one backend end to end on tiny fixtures, bit-exactly against
     the fused numpy kernels — numeric passes (a folded loop, the
-    ``plus_pair`` counter loop and min/plus) and symbolic row sizes, plain
-    and complemented masks (the probe's correctness gate). Also forces
-    the ``dlopen`` so the compile cost lands here, off the request
+    ``plus_pair`` counter loop and min/plus), pushed and pulled, and
+    symbolic row sizes, plain and complemented masks (the pull reads the
+    complemented one as a bitmap) — the probe's correctness gate. Also
+    forces the ``dlopen`` so the compile cost lands here, off the request
     path."""
     from ..core import msa_kernel
     from ..mask import Mask
@@ -316,9 +441,22 @@ def self_test(backend_mod) -> None:
 
     import unittest.mock as mock
 
+    def faces(stitch, into, mask, semiring):
+        got = stitch(A, A, mask, semiring, rows)
+        # direct-write face against the stitch face's sizes
+        offs = np.zeros(n + 1, dtype=INDEX_DTYPE)
+        np.cumsum(got.sizes, out=offs[1:])
+        into_cols = np.empty(int(offs[-1]), dtype=INDEX_DTYPE)
+        into_vals = np.empty(int(offs[-1]), dtype=np.float64)
+        into(A, A, mask, semiring, rows, into_cols, into_vals, offs)
+        return got, into_cols, into_vals
+
     for complemented in (False, True):
         mask = Mask(m_indptr.copy(), np.concatenate(m_cols), (n, n),
                     complemented=complemented)
+        # the pull reads a complemented mask only as a bitmap
+        pull_mask = (Mask.from_bitmap(m_dense, complemented=True)
+                     if complemented else mask)
         want_sizes = msa_kernel.symbolic_rows(A, A, mask, rows)
         with mock.patch(f"{__name__}._backend", lambda m=backend_mod: m):
             got_sizes = msa_symbolic_rows(A, A, mask, rows)
@@ -329,22 +467,23 @@ def self_test(backend_mod) -> None:
             want = msa_kernel.numeric_rows(A, A, mask, semiring, rows)
             with mock.patch(f"{__name__}._backend",
                             lambda m=backend_mod: m):
-                got = msa_numeric_rows(A, A, mask, semiring, rows)
-                # direct-write face against the stitch face's sizes
-                offs = np.zeros(n + 1, dtype=INDEX_DTYPE)
-                np.cumsum(got.sizes, out=offs[1:])
-                into_cols = np.empty(int(offs[-1]), dtype=INDEX_DTYPE)
-                into_vals = np.empty(int(offs[-1]), dtype=np.float64)
-                msa_numeric_rows_into(A, A, mask, semiring, rows,
-                                      into_cols, into_vals, offs)
-            if not (np.array_equal(want.sizes, got.sizes)
-                    and np.array_equal(want.cols, got.cols)
-                    and np.array_equal(want.vals, got.vals)):
-                raise RuntimeError(
-                    f"native self-test mismatch (complemented="
-                    f"{complemented}, semiring={semiring.name})")
-            if not (np.array_equal(into_cols, want.cols)
-                    and np.array_equal(into_vals, want.vals)):
-                raise RuntimeError(
-                    f"native self-test direct-write mismatch (complemented="
-                    f"{complemented}, semiring={semiring.name})")
+                runs = {
+                    "push": faces(msa_numeric_rows, msa_numeric_rows_into,
+                                  mask, semiring),
+                    "pull": faces(msa_pull_numeric_rows,
+                                  msa_pull_numeric_rows_into, pull_mask,
+                                  semiring)}
+            for direction, (got, into_cols, into_vals) in runs.items():
+                if not (np.array_equal(want.sizes, got.sizes)
+                        and np.array_equal(want.cols, got.cols)
+                        and np.array_equal(want.vals, got.vals)):
+                    raise RuntimeError(
+                        f"native self-test {direction} mismatch "
+                        f"(complemented={complemented}, "
+                        f"semiring={semiring.name})")
+                if not (np.array_equal(into_cols, want.cols)
+                        and np.array_equal(into_vals, want.vals)):
+                    raise RuntimeError(
+                        f"native self-test {direction} direct-write "
+                        f"mismatch (complemented={complemented}, "
+                        f"semiring={semiring.name})")

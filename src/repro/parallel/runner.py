@@ -149,7 +149,7 @@ def parallel_masked_spgemm(
         # the fused pipeline, so native chunks carry 3x the flops for the
         # same cache share (fewer dispatches, same residency)
         budget = (chunk_budget(bytes_per_flop=NATIVE_BYTES_PER_FLOP)
-                  if spec.key.endswith("-native") else None)
+                  if spec.key in registry.NATIVE_BASE else None)
         nchunks = budget_chunk_count(weights, executor.nworkers, budget)
     chunks = balanced_partition(weights, nchunks)
     if not chunks:

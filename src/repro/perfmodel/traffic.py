@@ -12,6 +12,11 @@ capacity in words, with the paper's standing assumptions
   line per row-pointer lookup), pattern 3 ``flops(AB)``; pattern 4 (the
   accumulator) depends on the data structure; pattern 5 is ``nnz(C)`` —
   bounded here by ``nnz(M)``.
+* Compiled pull (``msa-pull``): the §4.1 form over the *candidate*
+  entries instead of nnz(M) — a plain mask's entries, or a complemented
+  mask's absent ones (every unvisited column of a BFS bitmap): each folds
+  its row of Bᵀ, ``nnz(B)/n`` entries on average, plus A's row scattered
+  once.
 * §4.3 asymptotics: with input density d and mask density d_m, push grows
   ~d², pull ~d·d_m — :func:`predicted_best` reproduces the crossover logic
   behind Fig. 7.
@@ -36,6 +41,15 @@ def pull_traffic(A: CSRMatrix, B: CSRMatrix, mask: Mask, *, L: int = DEFAULT_L
     """§4.1: ``nnz(A) + nnz(M)(1 + nnz(B)/n)`` words."""
     n = max(B.ncols, 1)
     return float(A.nnz + mask.nnz * (1.0 + B.nnz / n))
+
+
+def pull_candidates(mask) -> int:
+    """Output entries the pull computes a dot for: the mask's entries, or
+    its absent ones when complemented. A plain CSR matrix standing in for
+    a mask counts as plain."""
+    if getattr(mask, "complemented", False):
+        return mask.nrows * mask.ncols - mask.nnz
+    return mask.nnz
 
 
 def push_traffic(A: CSRMatrix, B: CSRMatrix, mask: Mask, *, L: int = DEFAULT_L
@@ -110,12 +124,20 @@ def total_traffic(algorithm: str, A: CSRMatrix, B: CSRMatrix, mask: Mask,
     * per-dot *compute* surcharges that the traffic formulas ignore: the
       pull dot walks ``A_i*`` once per unmasked entry, and the heap pays a
       log₂(nnz(u)) factor per merged element.
+
+    ``msa-pull`` takes the §4.1 form over its candidate entries
+    (:func:`pull_candidates`), with neither calibration: its scatter
+    scratch holds A's row, not B.
     """
     import math
 
     algorithm = algorithm.lower()
     b_cached = 2.0 * B.nnz <= Z
     mean_a = A.nnz / max(A.nrows, 1)
+    if algorithm == "msa-pull":
+        n = max(B.ncols, 1)
+        words = A.nnz + pull_candidates(mask) * (1.0 + B.nnz / n)
+        return TrafficModel(algorithm, words)
     if algorithm == "inner":
         n = max(B.ncols, 1)
         refetch = B.nnz / n if not b_cached else 0.0

@@ -47,7 +47,9 @@ class CSRMatrix:
         be valid pass ``check=False`` to skip the O(nnz) verification.
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape")
+    # __weakref__: repro.native.kernels keeps a matrix's transpose in a
+    # memo whose entries go when the matrix does
+    __slots__ = ("indptr", "indices", "data", "shape", "__weakref__")
 
     def __init__(self, indptr, indices, data, shape, *, check: bool = True):
         self.shape = check_shape(shape)

@@ -233,3 +233,128 @@ def test_traced_bc_batch_run_serves_every_op(monkeypatch):
     for phase in res["phases"]:
         assert phase.attempted > 0 and phase.failed == 0
     assert res["metrics"]["kernel.calls"] > 0
+
+
+# ---------------------------------------------------------------------- #
+# direction per product: push, pull and auto give the same scores
+# ---------------------------------------------------------------------- #
+DIRECTION_GRAPHS = {
+    "er-directed": lambda: erdos_renyi(300, 4, rng=41),
+    "rmat-directed": lambda: rmat(8, 6, rng=42),
+    "rmat-undirected": lambda: to_undirected_simple(rmat(8, 8, rng=43)),
+}
+
+
+def _traced_bc(g, sources, algorithm):
+    """Run BC and return (result, [(algorithm key, A, B, mask)] per
+    product, in call order)."""
+    import repro.algorithms.betweenness as bc_mod
+
+    calls = []
+    real = bc_mod.masked_spgemm
+
+    def capture(A, B, mask, **kw):
+        calls.append((kw["algorithm"], A, B, mask))
+        return real(A, B, mask, **kw)
+
+    with mock.patch.object(bc_mod, "masked_spgemm", capture):
+        res = bc_mod.betweenness_centrality(g, sources, algorithm=algorithm)
+    return res, calls
+
+
+@pytest.mark.parametrize("mode", ["auto", "off"])
+@pytest.mark.parametrize("graph", sorted(DIRECTION_GRAPHS))
+def test_push_pull_and_auto_scores_equal(native_mode, mode, graph):
+    """Forced push on every product (``msa-native``), forced pull on every
+    product (``msa-pull``) and ``auto``'s per-product pick give equal
+    centrality arrays, with the compiled tier on and off (where the pull
+    delegates to the push)."""
+    native_mode(mode)
+    g = DIRECTION_GRAPHS[graph]()
+    sources = np.flatnonzero(g.row_nnz())[::9][:24]
+    push, push_calls = _traced_bc(g, sources, "msa-native")
+    pull, pull_calls = _traced_bc(g, sources, "msa-pull")
+    auto = betweenness_centrality(g, sources, algorithm="auto")
+    assert {c[0] for c in push_calls} == {"msa-native"}
+    assert {c[0] for c in pull_calls} == {"msa-pull"}
+    assert np.array_equal(push.centrality, pull.centrality)
+    assert np.array_equal(push.centrality, auto.centrality)
+    assert push.frontier_nnz == pull.frontier_nnz == auto.frontier_nnz
+
+
+@needs_native
+@pytest.mark.parametrize("graph", sorted(DIRECTION_GRAPHS))
+def test_auto_picks_the_direction_with_less_exact_work(graph):
+    """``auto`` picks ``msa-pull`` exactly when the pull's work, counted
+    from scratch by ``forward_work``/``backward_work``, is below the
+    push's (so the level loop's running count is exact), and these graphs
+    take both directions."""
+    from repro.algorithms.betweenness import backward_work, forward_work
+
+    g = DIRECTION_GRAPHS[graph]()
+    A = g.pattern()
+    AT = ops.transpose_csr(A)
+    sources = np.flatnonzero(g.row_nnz())[::9][:24]
+    _, calls = _traced_bc(g, sources, "auto")
+    picks = []
+    for key, F, B, mask in calls:
+        if mask.complemented:
+            push, pull = forward_work(F, A, AT, mask.bitmap)
+        else:
+            push, pull = backward_work(F, mask.to_matrix(), A, AT)
+        assert key == ("msa-pull" if pull < push else "auto")
+        picks.append(key)
+    assert set(picks) == {"auto", "msa-pull"}
+
+
+def test_auto_pushes_without_the_compiled_tier(native_mode):
+    native_mode("off")
+    g = DIRECTION_GRAPHS["rmat-undirected"]()
+    _, calls = _traced_bc(g, np.flatnonzero(g.row_nnz())[:16], "auto")
+    assert {c[0] for c in calls} == {"auto"}
+
+
+def test_forward_work_counts_exactly():
+    """``forward_work`` against a per-row, per-column count: push sums A's
+    row lengths under the frontier; pull sums Aᵀ's row lengths under each
+    live row's unvisited columns, plus one word per 8 bitmap bytes."""
+    from repro.algorithms.betweenness import forward_work
+
+    g = erdos_renyi(37, 3, rng=44)
+    A = g.pattern()
+    AT = ops.transpose_csr(A)
+    rng = np.random.default_rng(45)
+    visited = rng.random((5, 37)) < 0.4
+    F = csr_from_dense((rng.random((5, 37)) < 0.1) * 1.0)
+    F = CSRMatrix(F.indptr, F.indices, F.data, (5, 37))
+    push = sum(A.row_nnz()[j] for i in range(5) for j in F.row(i)[0])
+    pull = sum(((~visited[i]) * AT.row_nnz()).sum() + (37 + 7) // 8
+               for i in range(5) if F.row_nnz()[i])
+    assert forward_work(F, A, AT, visited) == (push, pull)
+
+
+def test_backward_mask_shares_the_frontier_arrays():
+    """The backward stage's plain mask reads S_{d-1}'s arrays in place: no
+    copy, no re-validation."""
+    import repro.algorithms.betweenness as bc_mod
+
+    g = to_undirected_simple(rmat(6, 4, rng=46))
+    plain = []
+    real = bc_mod.masked_spgemm
+
+    def capture(A, B, mask, **kw):
+        out = real(A, B, mask, **kw)
+        if mask.complemented:
+            plain.append(("frontier", out))
+        else:
+            plain.append(("mask", mask))
+        return out
+
+    with mock.patch.object(bc_mod, "masked_spgemm", capture):
+        bc_mod.betweenness_centrality(g, [0, 3, 5, 9], algorithm="msa")
+    frontiers = [x for kind, x in plain if kind == "frontier"]
+    masks = [x for kind, x in plain if kind == "mask"]
+    assert masks
+    # the backward masks run S_{depth-2} .. S_0, each a forward output
+    for mask, S in zip(masks, frontiers[-3::-1]):
+        assert mask.indptr is S.indptr and mask.indices is S.indices

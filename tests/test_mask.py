@@ -20,6 +20,24 @@ def test_from_matrix_copies_pattern(rng):
     assert mk2.shape == (10, 12)
 
 
+def test_from_matrix_unchecked_shares_the_pattern(rng):
+    """``check=False`` wraps a canonical pattern in place: the same arrays,
+    either polarity, and no validation (the constructor still checks)."""
+    from repro.errors import FormatError
+    from repro.sparse import CSRMatrix
+
+    m = csr_random(10, 12, density=0.3, rng=rng)
+    for complemented in (False, True):
+        mk = Mask.from_matrix(m, complemented=complemented, check=False)
+        assert mk.indptr is m.indptr and mk.indices is m.indices
+        assert mk.complemented is complemented and mk.bitmap is None
+        assert mk.shape == m.shape
+    unsorted = CSRMatrix([0, 2], [1, 0], [1.0, 1.0], (1, 2), check=False)
+    assert Mask.from_matrix(unsorted, check=False).nnz == 2
+    with pytest.raises(FormatError):
+        Mask.from_matrix(unsorted)
+
+
 def test_explicit_zeros_count_as_stored():
     from repro.sparse import CSRMatrix
 

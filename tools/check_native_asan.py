@@ -6,23 +6,30 @@ memory-unsafe code in the repo: they index raw operand and scratch
 buffers with no bounds checks. This check compiles that exact source
 (``C_SOURCE``) with ``-fsanitize=address,undefined`` into a temporary
 directory, loads it through cffi with the same ``C_DECLS``, and runs every
-C entry point — ``msa_plain``, ``msa_compl`` and ``symbolic`` — through
-the real faces of :mod:`repro.native.kernels` on seeded fixtures. Every output is compared
-bit-identically with the fused NumPy kernels. A sanitizer finding aborts
+C entry point — ``msa_plain``, ``msa_compl``, ``msa_pull`` and
+``symbolic`` — through the real faces of :mod:`repro.native.kernels` on
+seeded fixtures. Every output is compared bit-identically with the fused
+NumPy kernels. A sanitizer finding aborts
 the process (``-fno-sanitize-recover=all``), so any error exits non-zero.
 
 The MSA entry points dispatch once per call on the semiring's op pair, so
 every fixture runs under each of the seven standard semirings (one
-``switch`` case each; ``plus_pair`` over a plain mask is the counter loop)
+``switch`` case each; ``plus_pair`` over a plain mask is the counter loop,
+and ``plus_pair`` and ``plus_first`` take the pull's branch-free fold)
 and under min/times, a compiled pairing that is no standard semiring and
 takes the ``default:`` case with runtime op codes.
 
 The fixtures cover plain and complemented masks, empty A and mask rows, a
 zero-column product, row subsets in chunk order and both faces (stitch
 and direct write). Every complemented fixture also runs as a bitmap mask
-(``Mask.from_bitmap``), which ``msa_compl`` reads in place and the
-symbolic entry point reads through its CSR view, with one row banned
-everywhere beside the empty (all-clear) mask rows. Two fixture families
+(``Mask.from_bitmap``), which ``msa_compl`` and ``msa_pull`` read in
+place and the symbolic entry point reads through its CSR view, with one
+row banned everywhere (a row with no pull candidate) beside the empty
+(all-clear) mask rows. The pull runs every fixture: it reads the plain CSR
+masks and the complemented bitmaps itself, and hands a complemented CSR
+mask to the push, which then runs once more. Its 8-byte bitmap scan meets
+widths that are not a multiple of eight and, in the wide fixture, rows of
+about 2^20 bytes. Two fixture families
 reach the complemented MSA gather's word walk and its sort fallback:
 
 * seeded products with several hundred columns, plain and complemented,
@@ -32,8 +39,9 @@ reach the complemented MSA gather's word walk and its sort fallback:
   gather walks it).
 
 The faces reuse one scratch set per thread across calls. The main pass
-starts every fixture on fresh scratch as wide as its output, so an index
-past the output width lands outside the buffer, where ASan sees it. A
+starts every face call on fresh scratch exactly as wide as that loop
+indexes — the output for the push loops, A's columns for the pull — so an
+index past that width lands outside the buffer, where ASan sees it. A
 second pass then runs every fixture back to back on one scratch set, in
 order of growing and then shrinking width, so the sanitizers also see
 each loop on buffers wider than its product and left behind by the other
@@ -177,9 +185,10 @@ def _fixtures():
                             np.array([1, 2, 5])), 4)
 
 
-def _check_fixture(fixture, semirings) -> int:
-    """Every face on one fixture against the fused kernels; returns the
-    number of comparisons made."""
+def _check_fixture(fixture, semirings, fresh: bool) -> int:
+    """Every face on one fixture against the fused kernels, each call on
+    fresh scratch when ``fresh``; returns the number of comparisons
+    made."""
     import numpy as np
 
     from repro.core import msa_kernel
@@ -189,31 +198,42 @@ def _check_fixture(fixture, semirings) -> int:
         if not ok:
             sys.exit(f"MISMATCH: {what}")
 
+    def scratch():
+        if fresh:
+            kernels._LOCAL.scratch = None  # the next call sizes it exactly
+
     name, A, B, mask, row_sets = fixture
+    faces = {"push": (kernels.msa_numeric_rows,
+                      kernels.msa_numeric_rows_into),
+             "pull": (kernels.msa_pull_numeric_rows,
+                      kernels.msa_pull_numeric_rows_into)}
     checked = 0
     for rows in row_sets:
         want = msa_kernel.symbolic_rows(A, B, mask, rows)
+        scratch()
         expect(np.array_equal(kernels.msa_symbolic_rows(A, B, mask, rows),
                               want), f"symbolic {name}")
         checked += 1
         for semiring in semirings:
-            what = f"{semiring.name} {name}"
             ref = msa_kernel.numeric_rows(A, B, mask, semiring, rows)
-            got = kernels.msa_numeric_rows(A, B, mask, semiring, rows)
-            expect(np.array_equal(got.sizes, ref.sizes)
-                   and np.array_equal(got.cols, ref.cols)
-                   and np.array_equal(got.vals, ref.vals),
-                   f"stitch {what}")
-            offsets = np.zeros(rows.size + 1, dtype=np.int64)
-            np.cumsum(ref.sizes, out=offsets[1:])
-            cols = np.empty(int(offsets[-1]), dtype=np.int64)
-            vals = np.empty(int(offsets[-1]), dtype=np.float64)
-            kernels.msa_numeric_rows_into(A, B, mask, semiring, rows, cols,
-                                          vals, offsets)
-            expect(np.array_equal(cols, ref.cols)
-                   and np.array_equal(vals, ref.vals),
-                   f"direct write {what}")
-            checked += 2
+            for direction, (stitch, into) in faces.items():
+                what = f"{direction} {semiring.name} {name}"
+                scratch()
+                got = stitch(A, B, mask, semiring, rows)
+                expect(np.array_equal(got.sizes, ref.sizes)
+                       and np.array_equal(got.cols, ref.cols)
+                       and np.array_equal(got.vals, ref.vals),
+                       f"stitch {what}")
+                offsets = np.zeros(rows.size + 1, dtype=np.int64)
+                np.cumsum(ref.sizes, out=offsets[1:])
+                cols = np.empty(int(offsets[-1]), dtype=np.int64)
+                vals = np.empty(int(offsets[-1]), dtype=np.float64)
+                scratch()
+                into(A, B, mask, semiring, rows, cols, vals, offsets)
+                expect(np.array_equal(cols, ref.cols)
+                       and np.array_equal(vals, ref.vals),
+                       f"direct write {what}")
+                checked += 2
     return checked
 
 
@@ -222,7 +242,8 @@ def check(backend) -> int:
     fresh scratch, then every fixture back to back on one scratch set at
     growing and shrinking widths; returns the number of comparisons."""
     from repro.native import kernels
-    from repro.semiring import MIN_PLUS, PLUS_PAIR, PLUS_TIMES, Semiring
+    from repro.semiring import (MIN_PLUS, PLUS_FIRST, PLUS_PAIR, PLUS_TIMES,
+                                Semiring)
     from repro.semiring.standard import _REGISTRY
 
     # every standard semiring (one dispatch case each) and min/times, the
@@ -237,14 +258,15 @@ def check(backend) -> int:
     with mock.patch.object(kernels, "_backend", return_value=backend):
         fixtures = list(_fixtures())
         for fixture in fixtures:
-            kernels._LOCAL.scratch = None  # fresh, exactly as wide
-            checked += _check_fixture(fixture, semirings)
+            checked += _check_fixture(fixture, semirings, fresh=True)
         # reused scratch: the two-state, counter and min loops, plain and
-        # complemented, at growing then shrinking widths
+        # complemented, and the pull's folded and branch-free loops, at
+        # growing then shrinking widths
         by_width = sorted(fixtures, key=lambda f: f[2].ncols)
         for fixture in by_width + by_width[::-1]:
-            checked += _check_fixture(fixture,
-                                      (PLUS_TIMES, PLUS_PAIR, MIN_PLUS))
+            checked += _check_fixture(
+                fixture, (PLUS_TIMES, PLUS_PAIR, PLUS_FIRST, MIN_PLUS),
+                fresh=False)
     return checked
 
 
@@ -258,8 +280,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-asan-") as workdir:
         backend = build(cc, workdir)
         checked = check(backend)
-    print(f"check_native_asan: {checked} comparisons over 3 C entry points "
-          f"(msa_compl with CSR and bitmap masks), every dispatched op pair "
+    print(f"check_native_asan: {checked} comparisons over 4 C entry points "
+          f"(msa_compl and msa_pull with CSR and bitmap masks), every "
+          f"dispatched op pair "
           f"and fresh and reused scratch, bit-identical to the fused "
           f"kernels under -fsanitize=address,undefined; no sanitizer error")
 

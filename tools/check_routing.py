@@ -27,6 +27,16 @@ whichever kernel happened to be timed while it was away.
 Without the compiled tier ``msa-native`` would only re-time fused ``msa``
 under another name, so it is left out.
 
+The two BC-frontier cells are forward products of batched BC, whose
+direction ``auto_select`` does not choose: on the compiled tier,
+:func:`repro.algorithms.betweenness.betweenness_centrality` picks push
+(``msa-native``) or pull (``msa-pull``) per product by exact work
+(:func:`~repro.algorithms.betweenness.forward_work`). Under each of those
+rows the check also times both directions on the mask's bitmap form,
+the form BC hands the kernels, and prints BC's pick beside them with its
+regret. That line is informational: the summed regrets below count
+``auto_select``'s picks over the same candidates as before.
+
 A set's summed regret is the summed time of auto's picks over the summed
 time of the winners (1.0 means auto always picked the winner). The check
 exits non-zero when either set's exceeds :data:`MAX_SUMMED_REGRET`: a
@@ -119,18 +129,19 @@ def held_out_cells():
                Mask.from_matrix(F, complemented=True), PLUS_PAIR)
 
 
-def time_cell(A, B, mask, semiring) -> dict[str, float]:
-    """Median seconds over :data:`ROUNDS` interleaved rounds of every
-    routable kernel that supports the mask (``inner`` has no complemented
-    form) and runs as itself (``msa-native`` only when the compiled tier is
-    available)."""
+def time_cell(A, B, mask, semiring, keys=None) -> dict[str, float]:
+    """Median seconds over :data:`ROUNDS` interleaved rounds of ``keys``,
+    by default every routable kernel that supports the mask (``inner`` has
+    no complemented form) and runs as itself (``msa-native`` only when the
+    compiled tier is available)."""
     from repro import masked_spgemm
     from repro.core.registry import get_spec
     from repro.native import native_available
 
-    keys = [k for k in ROUTABLE
-            if (get_spec(k).supports_complement or not mask.complemented)
-            and (k != "msa-native" or native_available())]
+    if keys is None:
+        keys = [k for k in ROUTABLE
+                if (get_spec(k).supports_complement or not mask.complemented)
+                and (k != "msa-native" or native_available())]
     samples = {k: [] for k in keys}
     for r in range(ROUNDS + 1):
         for key in keys:
@@ -139,6 +150,32 @@ def time_cell(A, B, mask, semiring) -> dict[str, float]:
             if r:  # round 0 warms up
                 samples[key].append(time.perf_counter() - t0)
     return {k: statistics.median(v) for k, v in samples.items()}
+
+
+def bc_direction_line(F, E, mask, semiring) -> str:
+    """BC's exact-work direction for the forward product ``mask ⊙ (F·E)``
+    (E symmetric, so it is its own transpose) and both directions' times
+    on the bitmap form of the mask."""
+    import numpy as np
+
+    from repro.algorithms.betweenness import forward_work
+    from repro.mask import Mask
+    from repro.native.kernels import remember_transpose
+
+    visited = np.zeros(mask.shape, dtype=bool)
+    visited[np.repeat(np.arange(mask.nrows), mask.row_nnz()),
+            mask.indices] = True
+    push, pull = forward_work(F, E, E, visited)
+    remember_transpose(E, E)
+    times = time_cell(F, E, Mask.from_bitmap(visited, complemented=True),
+                      semiring, keys=("msa-native", "msa-pull"))
+    pick = "msa-pull" if pull < push else "msa-native"
+    best = min(times, key=times.get)
+    return (f"  bc direction (bitmap mask): push work {push}, pull work "
+            f"{pull} -> pick {pick}; msa-native "
+            f"{times['msa-native'] * 1e3:.3f} ms, msa-pull "
+            f"{times['msa-pull'] * 1e3:.3f} ms, regret "
+            f"{times[pick] / times[best]:.2f}")
 
 
 def env_line() -> str:
@@ -157,6 +194,7 @@ def env_line() -> str:
 def check_set(name: str, cells) -> float:
     """Print one row per cell and return the set's summed regret."""
     from repro.core.registry import auto_select
+    from repro.native import native_available
 
     print(f"## {name}")
     print(f"{'cell':<40} {'pick':<12} {'winner':<12} {'pick_ms':>9} "
@@ -171,6 +209,8 @@ def check_set(name: str, cells) -> float:
         print(f"{label:<40} {pick:<12} {best:<12} "
               f"{times[pick] * 1e3:>9.3f} {times[best] * 1e3:>9.3f} "
               f"{times[pick] / times[best]:>7.2f}", flush=True)
+        if label.startswith("bc-frontier") and native_available():
+            print(bc_direction_line(A, B, mask, semiring), flush=True)
     return pick_total / best_total
 
 
